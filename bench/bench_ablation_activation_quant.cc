@@ -26,7 +26,7 @@ int main() {
     std::printf("%-6s | %12s %12s | %12s %12s\n", "format", "W bound",
                 "W achieved", "W+A bound", "W+A achieved");
     for (quant::NumericFormat fmt : quant::ReducedFormats()) {
-      quant::QuantizedModel qm = quant::QuantizeWeights(task.model, fmt);
+      quant::MaterializedModel qm = quant::Materialize(task.model, {fmt});
       const tensor::Tensor w_out = qm.model.Predict(inputs);
       const tensor::Tensor wa_out =
           quant::PredictWithQuantizedActivations(&qm.model, inputs, fmt);

@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "common/bench_common.h"
-#include "core/mixed_precision.h"
+#include "core/error_bound.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "quant/grouped.h"
@@ -38,17 +38,19 @@ int main() {
       nn::Model grouped = task.model.Clone();
       double q_sum = 0.0;
       int64_t q_count = 0;
-      for (nn::Layer* layer : core::CollectLinearLayers(&grouped)) {
+      grouped.VisitLayers([&](nn::Layer* layer) {
         tensor::Tensor* weight = nullptr;
         if (auto* d = dynamic_cast<nn::DenseLayer*>(layer)) {
           weight = &d->mutable_weight();
         } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(layer)) {
           weight = &c->mutable_weight();
+        } else {
+          return;
         }
         q_sum += quant::GroupedInt8StepSize(*weight, gcfg);
         ++q_count;
         quant::QuantizeDequantizeInt8Grouped(weight, gcfg);
-      }
+      });
       const auto step_fn = [&gcfg](const core::LayerProfile& layer,
                                    int64_t) {
         return quant::GroupedInt8StepSize(layer.weight, gcfg);

@@ -19,7 +19,6 @@
 #include "common/bench_common.h"
 #include "core/spectral_profile.h"
 #include "quant/hardware_model.h"
-#include "quant/optq.h"
 #include "quant/quantize_model.h"
 #include "serve/admission.h"
 
@@ -60,12 +59,14 @@ int main() {
     const double out_norm = MaxSampleNorm(ref, norm);
 
     // --- achieved error, held-out test data, relative Linf ------------
-    quant::QuantizedModel affine =
-        quant::QuantizeWeights(task.model, NumericFormat::kINT8);
-    quant::OptqQuantizedModel optq = quant::OptqQuantizeWeights(
-        task.model, calibration, WeightQuantizer::kOptq);
-    quant::OptqQuantizedModel spfq = quant::OptqQuantizeWeights(
-        task.model, calibration, WeightQuantizer::kSpfq);
+    quant::MaterializedModel affine =
+        quant::Materialize(task.model, {NumericFormat::kINT8});
+    quant::MaterializedModel optq = quant::Materialize(
+        task.model, {NumericFormat::kINT8, WeightQuantizer::kOptq},
+        calibration);
+    quant::MaterializedModel spfq = quant::Materialize(
+        task.model, {NumericFormat::kINT8, WeightQuantizer::kSpfq},
+        calibration);
     const double err_affine =
         MaxSampleError(ref, affine.model.Predict(task.test.inputs), norm) /
         out_norm;
@@ -76,12 +77,13 @@ int main() {
         MaxSampleError(ref, spfq.model.Predict(task.test.inputs), norm) /
         out_norm;
 
-    const std::vector<double> steps = quant::OptqEffectiveSteps(optq);
+    // The data-driven candidate as the serving registry prices it.
+    const core::PricedVariant data_driven{
+        NumericFormat::kINT8, WeightQuantizer::kOptq,
+        analysis.QuantTermWithSteps(core::VectorStepFn(optq.EffectiveSteps()))};
     const double bound_affine =
         analysis.Bound(0.0, norm, NumericFormat::kINT8) / out_norm;
-    const double bound_optq =
-        analysis.BoundWithSteps(0.0, norm, core::VectorStepFn(steps)) /
-        out_norm;
+    const double bound_optq = data_driven.quant_term / out_norm;
 
     std::printf("\n[%s]  (relative Linf, held-out test batch)\n",
                 tasks::TaskKindToString(task.kind));
@@ -95,10 +97,7 @@ int main() {
     serve::AdmissionConfig base_cfg;
     base_cfg.norm = norm;
     base_cfg.allowed_formats = quant::ReducedFormats();
-    serve::AdmissionController max_affine_ctl(base_cfg);
-    serve::AdmissionConfig dd_cfg = base_cfg;
-    dd_cfg.data_driven_quantizer = WeightQuantizer::kOptq;
-    serve::AdmissionController data_driven_ctl(dd_cfg);
+    serve::AdmissionController controller(base_cfg);
 
     const int64_t flops =
         task.model.FlopsPerSample(task.single_input_shape);
@@ -114,10 +113,9 @@ int main() {
     std::string sweep_records;
     for (double tol_rel : LogSweep(-5, -1, 9)) {
       const double tol_abs = tol_rel * out_norm;
-      auto a = max_affine_ctl.Admit(analysis, flops, bytes, tol_abs, later,
-                                    now, 0);
-      auto d = data_driven_ctl.Admit(analysis, flops, bytes, tol_abs, later,
-                                     now, 0, false, &steps);
+      auto a = controller.Admit(analysis, tol_abs, later, now, 0);
+      auto d = controller.Admit(analysis, tol_abs, later, now, 0, false,
+                                &data_driven);
       const std::string a_fmt =
           a.ok() ? quant::FormatToString(a->format) : "rejected";
       std::string d_fmt =
@@ -135,35 +133,31 @@ int main() {
       }
       std::printf("%-12.0e %12s %14s %9.2fx\n", tol_rel, a_fmt.c_str(),
                   d_fmt.c_str(), speedup);
-      char rec[256];
-      std::snprintf(rec, sizeof(rec),
-                    "        {\"qoi_tol_rel\": %.1e, \"max_affine\": "
-                    "\"%s\", \"data_driven\": \"%s\", \"speedup\": %.3f}",
-                    tol_rel, a_fmt.c_str(), d_fmt.c_str(), speedup);
       if (!sweep_records.empty()) sweep_records += ",\n";
-      sweep_records += rec;
+      sweep_records += "        {\"qoi_tol_rel\": " + F("%.1e", tol_rel) +
+                       ", \"max_affine\": \"" + a_fmt +
+                       "\", \"data_driven\": \"" + d_fmt +
+                       "\", \"speedup\": " + F("%.3f", speedup) + "}";
     }
     std::printf(
         "grid points served at int8: max-affine %d, data-driven %d\n",
         int8_affine, int8_data);
 
-    char rec[1024];
-    std::snprintf(
-        rec, sizeof(rec),
-        "    {\n      \"task\": \"%s\",\n"
-        "      \"achieved_rel_error\": {\"max_affine\": %s, \"optq\": %s, "
-        "\"spfq\": %s},\n"
-        "      \"bound_rel\": {\"max_affine\": %s, \"optq\": %s},\n"
-        "      \"int8_grid_points\": {\"max_affine\": %d, "
-        "\"data_driven\": %d},\n"
-        "      \"tolerance_sweep\": [\n%s\n      ]\n    }",
-        tasks::TaskKindToString(task.kind),
-        F("%.6e", err_affine).c_str(), F("%.6e", err_optq).c_str(),
-        F("%.6e", err_spfq).c_str(), F("%.6e", bound_affine).c_str(),
-        F("%.6e", bound_optq).c_str(), int8_affine, int8_data,
-        sweep_records.c_str());
+    // Built as a std::string: the nine-row sweep outgrows any fixed
+    // buffer.
     if (!task_records.empty()) task_records += ",\n";
-    task_records += rec;
+    task_records +=
+        std::string("    {\n      \"task\": \"") +
+        tasks::TaskKindToString(task.kind) + "\",\n" +
+        "      \"achieved_rel_error\": {\"max_affine\": " +
+        F("%.6e", err_affine) + ", \"optq\": " + F("%.6e", err_optq) +
+        ", \"spfq\": " + F("%.6e", err_spfq) + "},\n" +
+        "      \"bound_rel\": {\"max_affine\": " + F("%.6e", bound_affine) +
+        ", \"optq\": " + F("%.6e", bound_optq) + "},\n" +
+        "      \"int8_grid_points\": {\"max_affine\": " +
+        std::to_string(int8_affine) +
+        ", \"data_driven\": " + std::to_string(int8_data) + "},\n" +
+        "      \"tolerance_sweep\": [\n" + sweep_records + "\n      ]\n    }";
   }
 
   const std::string json = std::string("{\n  \"bench\": ") +

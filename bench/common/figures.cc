@@ -193,7 +193,7 @@ void RunQuantErrorFigure(Norm norm) {
                 "achieved(rel)", "status");
     for (NumericFormat fmt : quant::ReducedFormats()) {
       const double bound = analysis.QuantTerm(fmt) / out_norm;
-      quant::QuantizedModel qm = quant::QuantizeWeights(task.model, fmt);
+      quant::MaterializedModel qm = quant::Materialize(task.model, {fmt});
       const Tensor out = qm.model.Predict(inputs);
       const double achieved =
           MaxSampleError(reference, out, norm) / out_norm;

@@ -45,11 +45,11 @@ int main() {
   quant::GroupedConfig gcfg;
   gcfg.scheme = quant::GroupScheme::kPerRow;
   nn::Model grouped = task.model.Clone();
-  for (nn::Layer* layer : core::CollectLinearLayers(&grouped)) {
+  grouped.VisitLayers([&gcfg](nn::Layer* layer) {
     if (auto* d = dynamic_cast<nn::DenseLayer*>(layer)) {
       quant::QuantizeDequantizeInt8Grouped(&d->mutable_weight(), gcfg);
     }
-  }
+  });
   const auto grouped_steps = [&gcfg](const core::LayerProfile& layer,
                                      int64_t) {
     return quant::GroupedInt8StepSize(layer.weight, gcfg);
@@ -59,8 +59,8 @@ int main() {
               analysis.QuantTermWithSteps(grouped_steps));
 
   // ---- 3. Activation quantization -------------------------------------
-  quant::QuantizedModel fp16 =
-      quant::QuantizeWeights(task.model, quant::NumericFormat::kFP16);
+  quant::MaterializedModel fp16 =
+      quant::Materialize(task.model, {quant::NumericFormat::kFP16});
   const tensor::Tensor wa_out = quant::PredictWithQuantizedActivations(
       &fp16.model, inputs, quant::NumericFormat::kFP16);
   double achieved = 0.0;

@@ -68,7 +68,7 @@ int main() {
     // Re-run the reduced pipeline manually to inspect the classes: the
     // report already certifies the logit perturbation; here we show what
     // that certification buys at the decision level.
-    quant::QuantizedModel qm = quant::QuantizeWeights(task.model, r.format);
+    quant::MaterializedModel qm = quant::Materialize(task.model, {r.format});
     auto compressor = compress::MakeCompressor(cfg.backend);
     compress::ErrorBound eb;
     eb.norm = cfg.norm;

@@ -30,8 +30,8 @@ enum class CodecId : uint8_t {
 /// fields are in bits of output unless noted.
 struct EncodeStats {
   /// Bits spent on code tables and stream framing (counts, flags) — the
-  /// fixed, per-stream overhead that does NOT scale with symbol count.
-  /// `ratio_model` subtracts this before extrapolating sampled ratios.
+  /// fixed, per-stream overhead that does NOT scale with symbol count
+  /// (exported as the encode_overhead_bits counter).
   uint64_t overhead_bits = 0;
   /// Bits spent on the entropy-coded payload proper.
   uint64_t payload_bits = 0;

@@ -45,12 +45,6 @@ struct Compressed {
   /// The absolute per-element (Linf) or total (L2) error bound actually
   /// enforced, after resolving relative tolerances.
   double resolved_abs_tolerance = 0.0;
-  /// Fixed per-stream bytes (container header plus entropy-code tables)
-  /// that do NOT scale with the element count. `ratio_model` subtracts
-  /// this before extrapolating a sampled ratio, so per-chunk overhead is
-  /// not multiplied into the size estimate. Zero for backends that do not
-  /// report it (e.g. zfp's bit-plane coder has no tables).
-  int64_t overhead_bytes = 0;
 
   double ratio() const {
     return blob.empty() ? 0.0

@@ -331,10 +331,6 @@ Result<Compressed> MgardCompressor::Compress(const Tensor& data,
   header.PutF64(delta);
   header.PutU32(static_cast<uint32_t>(levels));
   header.PutU64(cand.escapes.size());
-  // Everything up to here is fixed framing; escapes and patches scale
-  // with the data and are not overhead in the ratio-model sense.
-  const int64_t fixed_header_bytes =
-      static_cast<int64_t>(header.buffer().size());
   header.Raw(cand.escapes.data(), cand.escapes.size() * sizeof(double));
   header.PutU64(patches.size());
   int64_t prev = -1;
@@ -356,8 +352,6 @@ Result<Compressed> MgardCompressor::Compress(const Tensor& data,
   out.blob = std::move(blob);
   out.original_bytes = n * static_cast<int64_t>(sizeof(float));
   out.resolved_abs_tolerance = resolved;
-  out.overhead_bytes = fixed_header_bytes +
-                       static_cast<int64_t>((stats.overhead_bits + 7) / 8);
   out.seconds = timer.ElapsedSeconds();
   return out;
 }

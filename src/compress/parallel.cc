@@ -67,7 +67,6 @@ Result<Compressed> ParallelCompressor::Compress(const Tensor& data,
 
   std::vector<std::string> blobs(static_cast<size_t>(num_chunks));
   std::vector<int64_t> chunk_rows(static_cast<size_t>(num_chunks));
-  std::vector<int64_t> chunk_overheads(static_cast<size_t>(num_chunks));
   std::vector<Status> statuses(static_cast<size_t>(num_chunks));
 
   pool_->ParallelFor(num_chunks, [&](int64_t c) {
@@ -96,7 +95,6 @@ Result<Compressed> ParallelCompressor::Compress(const Tensor& data,
       statuses[static_cast<size_t>(c)] = result.status();
       return;
     }
-    chunk_overheads[static_cast<size_t>(c)] = result->overhead_bytes;
     blobs[static_cast<size_t>(c)] = std::move(result->blob);
   });
   for (const Status& st : statuses) {
@@ -120,13 +118,6 @@ Result<Compressed> ParallelCompressor::Compress(const Tensor& data,
   out.original_bytes = n * static_cast<int64_t>(sizeof(float));
   out.resolved_abs_tolerance =
       bound.norm == Norm::kLinf ? linf_eb : l2_total;
-  // Container framing plus every chunk's 16-byte table entry and inner
-  // fixed overhead: the duplicated-per-chunk bytes the ratio model must
-  // not scale with the element count.
-  out.overhead_bytes = static_cast<int64_t>(4 + 1 + 4 + 8 * data.ndim() + 8);
-  for (int64_t c = 0; c < num_chunks; ++c) {
-    out.overhead_bytes += 16 + chunk_overheads[static_cast<size_t>(c)];
-  }
   out.seconds = timer.ElapsedSeconds();
   return out;
 }

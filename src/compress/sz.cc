@@ -96,11 +96,6 @@ Result<Compressed> SzCompressor::Compress(const Tensor& data,
   header.PutF64(eb);
   header.PutU64(raw_values.size());
   header.PutU64(codes.size());
-  // Fixed framing so far plus the escape-mode byte below; the escape
-  // locations and raw floats that follow scale with the data and are NOT
-  // overhead in the ratio-model sense.
-  const int64_t fixed_header_bytes =
-      static_cast<int64_t>(header.buffer().size()) + 1;
 
   // Escape locations: sparse delta-varints when rare, bitmap otherwise.
   const size_t bitmap_bytes = (static_cast<size_t>(n) + 7) / 8;
@@ -136,8 +131,6 @@ Result<Compressed> SzCompressor::Compress(const Tensor& data,
   out.blob = std::move(blob);
   out.original_bytes = n * static_cast<int64_t>(sizeof(float));
   out.resolved_abs_tolerance = eb;
-  out.overhead_bytes = fixed_header_bytes +
-                       static_cast<int64_t>((stats.overhead_bits + 7) / 8);
   out.seconds = timer.ElapsedSeconds();
   return out;
 }

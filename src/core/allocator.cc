@@ -1,37 +1,35 @@
 #include "core/allocator.h"
 
-#include <algorithm>
-
 namespace errorflow {
 namespace core {
+
+const PricedVariant* PickFastest(const std::vector<PricedVariant>& candidates,
+                                 double budget,
+                                 const quant::HardwareProfile& hardware) {
+  const PricedVariant* best = nullptr;
+  for (const PricedVariant& candidate : candidates) {
+    if (!(candidate.quant_term <= budget)) continue;
+    if (best == nullptr || hardware.Speedup(candidate.format) >
+                               hardware.Speedup(best->format)) {
+      best = &candidate;
+    }
+  }
+  return best;
+}
 
 AllocationPlan AllocateTolerance(const ErrorFlowAnalysis& analysis,
                                  double qoi_tolerance,
                                  const AllocationConfig& config) {
   AllocationPlan plan;
   plan.qoi_tolerance = qoi_tolerance;
-  plan.format = NumericFormat::kFP32;
-  plan.quant_bound = 0.0;
-
-  if (config.allow_quantization) {
-    const double quant_budget = qoi_tolerance * config.quant_fraction;
-    // Candidates ranked by execution speedup, fastest first.
-    std::vector<NumericFormat> candidates = quant::ReducedFormats();
-    std::sort(candidates.begin(), candidates.end(),
-              [&config](NumericFormat a, NumericFormat b) {
-                return config.hardware.Speedup(a) >
-                       config.hardware.Speedup(b);
-              });
-    for (NumericFormat format : candidates) {
-      const double bound = analysis.QuantTerm(format);
-      if (bound <= quant_budget) {
-        plan.format = format;
-        plan.quant_bound = bound;
-        break;
-      }
-    }
+  const std::vector<PricedVariant> candidates =
+      analysis.Price(quant::ReducedFormats());
+  if (const PricedVariant* best =
+          PickFastest(candidates, qoi_tolerance * config.quant_fraction,
+                      config.hardware)) {
+    plan.format = best->format;
+    plan.quant_bound = best->quant_term;
   }
-
   plan.input_tolerance =
       analysis.MaxInputError(qoi_tolerance, config.norm, plan.format);
   plan.predicted_total_bound =

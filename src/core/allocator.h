@@ -16,9 +16,6 @@ struct AllocationConfig {
   double quant_fraction = 0.5;
   /// Hardware profile used to rank formats by execution speed.
   quant::HardwareProfile hardware;
-  /// When false, quantization is disabled and the full tolerance goes to
-  /// compression.
-  bool allow_quantization = true;
 };
 
 /// \brief The allocator's decision.
@@ -36,13 +33,22 @@ struct AllocationPlan {
   double qoi_tolerance = 0.0;
 };
 
+/// \brief The planner's one selection rule: among `candidates` whose
+/// quant_term fits `budget`, the one `hardware` models fastest (modeled
+/// time scales as 1 / Speedup); on a tie the earlier candidate wins.
+/// Returns nullptr when no candidate fits.
+const PricedVariant* PickFastest(const std::vector<PricedVariant>& candidates,
+                                 double budget,
+                                 const quant::HardwareProfile& hardware);
+
 /// \brief Picks the fastest quantization format whose predicted QoI error
 /// bound fits within `quant_fraction * qoi_tolerance`, then allocates every
 /// remaining bit of tolerance to input compression (Sec. IV-D: "once
 /// quantization is decided, all unutilized tolerance is allocated for data
 /// reduction"). Quantization tolerance is discrete (few formats), so the
 /// chosen format typically consumes less than its budget; the slack is not
-/// wasted.
+/// wasted. `quant_fraction = 0` keeps FP32 and gives compression the whole
+/// tolerance.
 AllocationPlan AllocateTolerance(const ErrorFlowAnalysis& analysis,
                                  double qoi_tolerance,
                                  const AllocationConfig& config);

@@ -29,12 +29,9 @@ Result<AutoTuneResult> AutoTune(const ErrorFlowAnalysis& analysis,
   const int64_t batch = sample_batch.dim(0);
 
   AutoTuneResult result;
-  std::vector<NumericFormat> formats = {NumericFormat::kFP32};
-  for (NumericFormat f : quant::ReducedFormats()) formats.push_back(f);
-
   obs::Counter* evaluations = obs::MetricsRegistry::Global().GetCounter(
       "errorflow.autotune.evaluations");
-  for (NumericFormat format : formats) {
+  for (NumericFormat format : quant::AllFormats()) {
     obs::TraceSpan span(std::string("autotune.candidate.") +
                         quant::FormatToString(format));
     AutoTuneCandidate cand;

@@ -29,22 +29,20 @@ double NoiseSqrt(const LayerProfile& layer) {
              : std::sqrt(static_cast<double>(layer.n_out));
 }
 
-double SigmaPertSqrt(const LayerProfile& layer) {
+// `n_out` is the layer's output width as the flow sees it (1 for a
+// per-feature row).
+double SigmaPertSqrt(const LayerProfile& layer, int64_t n_out) {
   return layer.sigma_pert_sqrt > 0.0
              ? layer.sigma_pert_sqrt
-             : std::sqrt(static_cast<double>(
-                   std::min(layer.n_in, layer.n_out)));
+             : std::sqrt(static_cast<double>(std::min(layer.n_in, n_out)));
 }
 
 }  // namespace
 
 double QuantizedSigma(const LayerProfile& layer, NumericFormat format) {
   const double q = LayerStepSize(layer, format);
-  return layer.sigma + q * SigmaPertSqrt(layer) * kInvSqrt3;
+  return layer.sigma + q * SigmaPertSqrt(layer, layer.n_out) * kInvSqrt3;
 }
-
-ErrorFlowAnalysis::ErrorFlowAnalysis(ModelProfile profile)
-    : profile_(std::move(profile)) {}
 
 ErrorFlowAnalysis::StepFn FormatStepFn(NumericFormat format) {
   return [format](const LayerProfile& layer, int64_t) {
@@ -59,34 +57,85 @@ ErrorFlowAnalysis::StepFn VectorStepFn(std::vector<double> steps) {
   };
 }
 
-ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
-    const BlockProfile& block, FlowState in, const StepFn& step_fn,
-    int64_t* layer_counter, double final_sigma_override,
-    bool is_last_block, const ActInjectFn* act_inject) const {
-  auto flow_linear = [&step_fn, layer_counter](
-                         const LayerProfile& layer, FlowState s,
-                         double sigma_override,
-                         int64_t n_out_override) -> FlowState {
-    LayerProfile eff = layer;
-    if (sigma_override >= 0.0) eff.sigma = sigma_override;
-    if (n_out_override >= 0) {
-      eff.n_out = n_out_override;
-      eff.noise_sqrt = std::sqrt(static_cast<double>(n_out_override));
+ErrorFlowAnalysis::ErrorFlowAnalysis(ModelProfile profile)
+    : profile_(std::move(profile)),
+      layer_count_(static_cast<int64_t>(LinearLayers().size())) {
+  const double h0 = std::sqrt(static_cast<double>(profile_.n0));
+  for (NumericFormat format : quant::AllFormats()) {
+    FormatPricing& priced = pricing_[static_cast<size_t>(format)];
+    priced.steps = StepsOf(FormatStepFn(format));
+    priced.quant_term = format == NumericFormat::kFP32
+                            ? 0.0
+                            : Flow(FlowState{0.0, h0, {}}, priced.steps).error;
+    // A unit input error with H = 0 (no quantization noise injection)
+    // flows out as exactly the composed gain.
+    priced.gain = Flow(FlowState{1.0, 0.0, {}}, priced.steps).error;
+  }
+}
+
+std::vector<PricedVariant> ErrorFlowAnalysis::Price(
+    const std::vector<NumericFormat>& formats) const {
+  std::vector<PricedVariant> priced;
+  priced.reserve(formats.size());
+  for (NumericFormat format : formats) {
+    priced.push_back({format, quant::WeightQuantizer::kMaxAffine,
+                      QuantTerm(format)});
+  }
+  return priced;
+}
+
+std::vector<const LayerProfile*> ErrorFlowAnalysis::LinearLayers() const {
+  std::vector<const LayerProfile*> layers;
+  for (const BlockProfile& block : profile_.blocks) {
+    for (const LayerProfile& layer : block.body) layers.push_back(&layer);
+    if (block.is_residual && block.has_projection) {
+      layers.push_back(&block.shortcut);
     }
+  }
+  return layers;
+}
+
+std::vector<double> ErrorFlowAnalysis::StepsOf(const StepFn& step_fn) const {
+  const std::vector<const LayerProfile*> layers = LinearLayers();
+  std::vector<double> steps(layers.size());
+  for (size_t i = 0; i < layers.size(); ++i) {
+    steps[i] = step_fn(*layers[i], static_cast<int64_t>(i));
+  }
+  return steps;
+}
+
+double ErrorFlowAnalysis::InputL2(double input_err, Norm norm) const {
+  return norm == Norm::kLinf
+             ? input_err * std::sqrt(static_cast<double>(profile_.n0))
+             : input_err;
+}
+
+ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
+    const BlockProfile& block, FlowState in, const std::vector<double>& steps,
+    int64_t* layer_counter, double final_row_norm, bool is_last_block,
+    const ActInjectFn* act_inject) const {
+  auto flow_linear = [&steps, layer_counter](const LayerProfile& layer,
+                                             FlowState s,
+                                             double row_norm) -> FlowState {
+    // A per-feature row is one output wide, with the row's norm as sigma.
+    const bool row = row_norm >= 0.0;
+    const double sigma = row ? row_norm : layer.sigma;
+    const double noise_sqrt = row ? 1.0 : NoiseSqrt(layer);
+    const double pert_sqrt = SigmaPertSqrt(layer, row ? 1 : layer.n_out);
     const int64_t index = (*layer_counter)++;
-    const double q = step_fn(eff, index);
-    const double sigma_t = eff.sigma + q * SigmaPertSqrt(eff) * kInvSqrt3;
+    const double q = steps[static_cast<size_t>(index)];
+    const double sigma_t = sigma + q * pert_sqrt * kInvSqrt3;
     const double injected =
-        q * NoiseSqrt(eff) * kInv2Sqrt3 * s.act_norm * eff.activation_gain;
+        q * noise_sqrt * kInv2Sqrt3 * s.act_norm * layer.activation_gain;
     FlowState out;
-    out.error = sigma_t * s.error * eff.activation_gain + injected;
-    out.act_norm = sigma_t * s.act_norm * eff.activation_gain;
+    out.error = sigma_t * s.error * layer.activation_gain + injected;
+    out.act_norm = sigma_t * s.act_norm * layer.activation_gain;
     if (!s.contribs.empty()) {
       // The recursion is linear in the error component: scale every
       // tracked share by this layer's multiplier and credit the fresh
       // noise to this layer's slot. Keeps error == sum(contribs).
       out.contribs = std::move(s.contribs);
-      const double mult = sigma_t * eff.activation_gain;
+      const double mult = sigma_t * layer.activation_gain;
       for (double& c : out.contribs) c *= mult;
       out.contribs[static_cast<size_t>(index) + 1] += injected;
     }
@@ -97,12 +146,8 @@ ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
   for (size_t l = 0; l < block.body.size(); ++l) {
     const bool is_final_layer =
         is_last_block && !block.is_residual && l + 1 == block.body.size();
-    if (is_final_layer && final_sigma_override >= 0.0) {
-      body = flow_linear(block.body[l], body, final_sigma_override,
-                         /*n_out_override=*/1);
-    } else {
-      body = flow_linear(block.body[l], body, -1.0, -1);
-    }
+    body = flow_linear(block.body[l], body,
+                       is_final_layer ? final_row_norm : -1.0);
     if (!block.is_residual && act_inject != nullptr) {
       body.error += (*act_inject)(body.act_norm, block.body[l].n_out);
     }
@@ -111,7 +156,7 @@ ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
 
   FlowState shortcut = in;
   if (block.has_projection) {
-    shortcut = flow_linear(block.shortcut, in, -1.0, -1);
+    shortcut = flow_linear(block.shortcut, in, -1.0);
   }
   FlowState out;
   out.error = (body.error + shortcut.error) * block.post_activation_gain;
@@ -134,13 +179,13 @@ ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
 }
 
 ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::Flow(
-    FlowState state, const StepFn& step_fn, double final_sigma_override,
+    FlowState state, const std::vector<double>& steps, double final_row_norm,
     const ActInjectFn* act_inject) const {
   int64_t counter = 0;
   for (size_t b = 0; b < profile_.blocks.size(); ++b) {
-    state = FlowBlock(profile_.blocks[b], state, step_fn, &counter,
-                      final_sigma_override,
-                      b + 1 == profile_.blocks.size(), act_inject);
+    state = FlowBlock(profile_.blocks[b], std::move(state), steps, &counter,
+                      final_row_norm, b + 1 == profile_.blocks.size(),
+                      act_inject);
   }
   return state;
 }
@@ -163,95 +208,76 @@ double ErrorFlowAnalysis::QuantTermWithActivations(
                act_norm;
     }
   };
-  FlowState s{0.0, std::sqrt(static_cast<double>(profile_.n0))};
-  return Flow(s, FormatStepFn(weight_format), -1.0, &inject).error;
-}
-
-int64_t ErrorFlowAnalysis::LinearLayerCount() const {
-  int64_t count = 0;
-  for (const BlockProfile& block : profile_.blocks) {
-    count += static_cast<int64_t>(block.body.size());
-    if (block.is_residual && block.has_projection) ++count;
-  }
-  return count;
-}
-
-double ErrorFlowAnalysis::Gain(NumericFormat format) const {
-  // Propagate a unit input error with H = 0 (no quantization noise
-  // injection): the resulting error is exactly the composed gain.
-  return Flow(FlowState{1.0, 0.0}, FormatStepFn(format), -1.0).error;
-}
-
-double ErrorFlowAnalysis::QuantTerm(NumericFormat format) const {
-  if (format == NumericFormat::kFP32) return 0.0;
-  return QuantTermWithSteps(FormatStepFn(format));
+  FlowState s{0.0, std::sqrt(static_cast<double>(profile_.n0)), {}};
+  return Flow(s, Steps(weight_format), -1.0, &inject).error;
 }
 
 double ErrorFlowAnalysis::QuantTermWithSteps(const StepFn& step_fn) const {
-  FlowState s{0.0, std::sqrt(static_cast<double>(profile_.n0))};
-  return Flow(s, step_fn, -1.0).error;
+  FlowState s{0.0, std::sqrt(static_cast<double>(profile_.n0)), {}};
+  return Flow(s, StepsOf(step_fn)).error;
 }
 
 double ErrorFlowAnalysis::Bound(double input_err, Norm norm,
                                 NumericFormat format) const {
-  return BoundWithSteps(input_err, norm, FormatStepFn(format));
+  return BoundOnSteps(input_err, norm, Steps(format));
 }
 
 double ErrorFlowAnalysis::BoundWithSteps(double input_err, Norm norm,
                                          const StepFn& step_fn) const {
+  return BoundOnSteps(input_err, norm, StepsOf(step_fn));
+}
+
+double ErrorFlowAnalysis::BoundOnSteps(
+    double input_err, Norm norm, const std::vector<double>& steps) const {
   EF_CHECK(input_err >= 0.0);
-  double input_l2 = input_err;
-  if (norm == Norm::kLinf) {
-    input_l2 = input_err * std::sqrt(static_cast<double>(profile_.n0));
-  }
-  FlowState s{input_l2, std::sqrt(static_cast<double>(profile_.n0))};
+  FlowState s{InputL2(input_err, norm),
+              std::sqrt(static_cast<double>(profile_.n0)), {}};
   // The L2 output bound is also a valid Linf bound.
-  return Flow(s, step_fn, -1.0).error;
+  return Flow(s, steps).error;
 }
 
 BoundAttribution ErrorFlowAnalysis::Attribution(double input_err, Norm norm,
                                                 NumericFormat format) const {
-  return AttributionWithSteps(input_err, norm, FormatStepFn(format));
+  return AttributionOnSteps(input_err, norm, Steps(format));
 }
 
 BoundAttribution ErrorFlowAnalysis::AttributionWithSteps(
     double input_err, Norm norm, const StepFn& step_fn) const {
-  EF_CHECK(input_err >= 0.0);
-  double input_l2 = input_err;
-  if (norm == Norm::kLinf) {
-    input_l2 = input_err * std::sqrt(static_cast<double>(profile_.n0));
-  }
-  const size_t num_layers = static_cast<size_t>(LinearLayerCount());
+  return AttributionOnSteps(input_err, norm, StepsOf(step_fn));
+}
 
-  FlowState tracked{input_l2, std::sqrt(static_cast<double>(profile_.n0))};
-  tracked.contribs.assign(num_layers + 1, 0.0);
+BoundAttribution ErrorFlowAnalysis::AttributionOnSteps(
+    double input_err, Norm norm, const std::vector<double>& steps) const {
+  EF_CHECK(input_err >= 0.0);
+  const double input_l2 = InputL2(input_err, norm);
+
+  FlowState tracked{input_l2, std::sqrt(static_cast<double>(profile_.n0)),
+                    {}};
+  tracked.contribs.assign(static_cast<size_t>(layer_count_) + 1, 0.0);
   tracked.contribs[0] = input_l2;
-  const FlowState out = Flow(std::move(tracked), step_fn, -1.0);
+  const FlowState out = Flow(std::move(tracked), steps);
 
   BoundAttribution attribution;
   attribution.input_err_l2 = input_l2;
-  attribution.gain = Flow(FlowState{1.0, 0.0}, step_fn, -1.0).error;
+  attribution.gain = Flow(FlowState{1.0, 0.0, {}}, steps).error;
   attribution.compression_term = out.contribs[0];
 
-  // Rows in traversal order — the same numbering the StepFn saw.
-  int64_t index = 0;
-  auto append = [&](const LayerProfile& layer) {
+  // Rows in traversal order — the same numbering as the steps.
+  const std::vector<const LayerProfile*> layers = LinearLayers();
+  for (size_t i = 0; i < layers.size(); ++i) {
+    const LayerProfile& layer = *layers[i];
     LayerAttribution row;
     row.layer = layer.name;
-    row.index = index;
+    row.index = static_cast<int64_t>(i);
     row.sigma = layer.sigma;
-    row.step_size = step_fn(layer, index);
+    row.step_size = steps[i];
     row.quantized_sigma =
-        layer.sigma + row.step_size * SigmaPertSqrt(layer) * kInvSqrt3;
+        layer.sigma +
+        row.step_size * SigmaPertSqrt(layer, layer.n_out) * kInvSqrt3;
     row.amplification = row.quantized_sigma * layer.activation_gain;
-    row.quant_share = out.contribs[static_cast<size_t>(index) + 1];
+    row.quant_share = out.contribs[i + 1];
     attribution.quant_term += row.quant_share;
     attribution.layers.push_back(std::move(row));
-    ++index;
-  };
-  for (const BlockProfile& block : profile_.blocks) {
-    for (const LayerProfile& layer : block.body) append(layer);
-    if (block.is_residual && block.has_projection) append(block.shortcut);
   }
   attribution.total = attribution.compression_term + attribution.quant_term;
   return attribution;
@@ -262,14 +288,11 @@ double ErrorFlowAnalysis::PerFeatureBound(int64_t feature, double input_err,
                                           NumericFormat format) const {
   EF_CHECK(feature >= 0 &&
            feature < static_cast<int64_t>(profile_.final_row_norms.size()));
-  double input_l2 = input_err;
-  if (norm == Norm::kLinf) {
-    input_l2 = input_err * std::sqrt(static_cast<double>(profile_.n0));
-  }
-  FlowState s{input_l2, std::sqrt(static_cast<double>(profile_.n0))};
+  FlowState s{InputL2(input_err, norm),
+              std::sqrt(static_cast<double>(profile_.n0)), {}};
   const double row_norm =
       profile_.final_row_norms[static_cast<size_t>(feature)];
-  return Flow(s, FormatStepFn(format), row_norm).error;
+  return Flow(s, Steps(format), row_norm).error;
 }
 
 double ErrorFlowAnalysis::MaxInputError(double qoi_tolerance, Norm norm,
@@ -306,19 +329,22 @@ double ErrorFlowAnalysis::Eq3BoundL2(double input_l2_err,
   double bound = (sigma_s + prod_sigma) * input_l2_err;
 
   // Second term: layer-by-layer quantization noise per Inequality (3).
+  // The body comes first in traversal order, so steps[l] is body[l]'s.
+  const std::vector<double>& steps = Steps(format);
   const double n0 = static_cast<double>(profile_.n0);
   for (size_t l = 0; l < num_layers; ++l) {
     double prefix = 1.0;  // prod_{i<l} (sigma_i + q_i sqrt(min)/sqrt 3)
     for (size_t i = 0; i < l; ++i) {
-      prefix *= QuantizedSigma(block.body[i], format) *
-                block.body[i].activation_gain;
+      const LayerProfile& layer = block.body[i];
+      prefix *= (layer.sigma +
+                 steps[i] * SigmaPertSqrt(layer, layer.n_out) * kInvSqrt3) *
+                layer.activation_gain;
     }
     double suffix = 1.0;  // prod_{j>l} sigma_j (plain, as printed).
     for (size_t j = l + 1; j < num_layers; ++j) {
       suffix *= block.body[j].sigma * block.body[j].activation_gain;
     }
-    const double q = LayerStepSize(block.body[l], format);
-    bound += prefix * suffix * q * std::sqrt(n0) *
+    bound += prefix * suffix * steps[l] * std::sqrt(n0) *
              NoiseSqrt(block.body[l]) * kInv2Sqrt3;
   }
   return bound * block.post_activation_gain;

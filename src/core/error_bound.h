@@ -1,6 +1,7 @@
 #ifndef ERRORFLOW_CORE_ERROR_BOUND_H_
 #define ERRORFLOW_CORE_ERROR_BOUND_H_
 
+#include <array>
 #include <functional>
 #include <vector>
 
@@ -60,6 +61,15 @@ struct BoundAttribution {
   std::vector<LayerAttribution> layers;
 };
 
+/// \brief One priced variant: a weight format, the quantizer that
+/// materializes it, and its Eq. 3 quantization term (the bound at zero
+/// input error). The planner ranks these; it never re-prices them.
+struct PricedVariant {
+  NumericFormat format = NumericFormat::kFP32;
+  quant::WeightQuantizer quantizer = quant::WeightQuantizer::kMaxAffine;
+  double quant_term = 0.0;
+};
+
 /// \brief The paper's error-flow analysis (Sec. III): given a model's
 /// spectral profile, predicts an upper bound on the QoI error when the
 /// input carries a compression error and the weights are quantized.
@@ -85,20 +95,39 @@ struct BoundAttribution {
 ///
 /// All bounds are computed in L2 and converted to Linf via the norm
 /// equivalence of Sec. III-A.
+///
+/// Every format is priced once, at construction: its per-layer Table-I
+/// steps, QuantTerm() and Gain() are cached, and the format overloads
+/// below read that cache instead of re-deriving steps from the weights.
 class ErrorFlowAnalysis {
  public:
   explicit ErrorFlowAnalysis(ModelProfile profile);
 
   const ModelProfile& profile() const { return profile_; }
 
+  /// Table-I step of every linear layer under `format`, in StepFn
+  /// traversal order (all zero for kFP32, the unquantized reference).
+  const std::vector<double>& Steps(NumericFormat format) const {
+    return Priced(format).steps;
+  }
+
+  /// The max-affine variant of each format in `formats`, priced from the
+  /// cache, in the given order.
+  std::vector<PricedVariant> Price(
+      const std::vector<NumericFormat>& formats) const;
+
   /// Total amplification of the input error: sigma_s + prod sigma_l
   /// composed across blocks (the Eq. 5 compression gain). Uses quantized
   /// sigma proxies when `format != kFP32`.
-  double Gain(NumericFormat format = NumericFormat::kFP32) const;
+  double Gain(NumericFormat format = NumericFormat::kFP32) const {
+    return Priced(format).gain;
+  }
 
   /// The input-independent quantization term of the bound (L2, absolute,
   /// on normalized outputs).
-  double QuantTerm(NumericFormat format) const;
+  double QuantTerm(NumericFormat format) const {
+    return Priced(format).quant_term;
+  }
 
   /// Upper bound on ||Delta y|| given ||Delta x||, both in `norm`.
   /// Linf input errors are converted via ||Dx||_2 <= sqrt(n0) ||Dx||_inf;
@@ -128,7 +157,10 @@ class ErrorFlowAnalysis {
       std::function<double(const LayerProfile& layer, int64_t index)>;
 
   /// Number of linear layers in traversal order (shortcuts included).
-  int64_t LinearLayerCount() const;
+  int64_t LinearLayerCount() const { return layer_count_; }
+
+  /// The linear layers in traversal order, as views into profile().
+  std::vector<const LayerProfile*> LinearLayers() const;
 
   /// Bound with custom steps; reduces to Bound() when step_fn returns the
   /// Table-I step of a fixed format.
@@ -181,32 +213,61 @@ class ErrorFlowAnalysis {
     std::vector<double> contribs;
   };
 
+  // One format's cached pricing.
+  struct FormatPricing {
+    std::vector<double> steps;
+    double quant_term = 0.0;
+    double gain = 0.0;
+  };
+
+  const FormatPricing& Priced(NumericFormat format) const {
+    return pricing_[static_cast<size_t>(format)];
+  }
+
+  // Evaluates `step_fn` once per linear layer, in traversal order.
+  std::vector<double> StepsOf(const StepFn& step_fn) const;
+
   // Activation-rounding error injected after a linear layer or block
   // output with activation-norm bound `act_norm` and `n_out` elements.
   using ActInjectFn = std::function<double(double act_norm, int64_t n_out)>;
 
   // Propagates (E, H) through one block; `layer_counter` tracks the
-  // traversal index handed to `step_fn`. `act_inject`, when non-null,
-  // adds activation-rounding error after each plain-chain layer and after
-  // each residual block's output.
+  // traversal index into `steps`. A non-negative `final_row_norm` makes
+  // the model's final layer a single output row with that norm
+  // (PerFeatureBound). `act_inject`, when non-null, adds
+  // activation-rounding error after each plain-chain layer and after each
+  // residual block's output.
   FlowState FlowBlock(const BlockProfile& block, FlowState in,
-                      const StepFn& step_fn, int64_t* layer_counter,
-                      double final_sigma_override, bool is_last_block,
+                      const std::vector<double>& steps,
+                      int64_t* layer_counter, double final_row_norm,
+                      bool is_last_block,
                       const ActInjectFn* act_inject = nullptr) const;
 
   // Runs the full flow with the given initial state.
-  FlowState Flow(FlowState state, const StepFn& step_fn,
-                 double final_sigma_override,
+  FlowState Flow(FlowState state, const std::vector<double>& steps,
+                 double final_row_norm = -1.0,
                  const ActInjectFn* act_inject = nullptr) const;
 
+  // Bound / attribution over explicit per-layer steps.
+  double BoundOnSteps(double input_err, Norm norm,
+                      const std::vector<double>& steps) const;
+  BoundAttribution AttributionOnSteps(double input_err, Norm norm,
+                                      const std::vector<double>& steps) const;
+
+  // Input error converted to the L2 norm the flow runs in.
+  double InputL2(double input_err, Norm norm) const;
+
   ModelProfile profile_;
+  int64_t layer_count_ = 0;
+  std::array<FormatPricing, 5> pricing_;
 };
 
 /// StepFn for a fixed numerical format (the Table-I step of each layer).
 ErrorFlowAnalysis::StepFn FormatStepFn(NumericFormat format);
 
 /// StepFn from measured per-layer steps in traversal order (e.g. the
-/// effective steps of a data-driven quantizer — quant::OptqEffectiveSteps).
+/// effective steps of a data-driven variant —
+/// quant::MaterializedModel::EffectiveSteps).
 /// The vector length must equal LinearLayerCount(); out-of-range indices
 /// trip EF_CHECK inside the returned function.
 ErrorFlowAnalysis::StepFn VectorStepFn(std::vector<double> steps);

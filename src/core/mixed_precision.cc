@@ -3,56 +3,11 @@
 #include <algorithm>
 #include <numeric>
 
-#include "nn/conv2d.h"
-#include "nn/dense.h"
-#include "nn/residual.h"
-#include "quant/affine.h"
+#include "core/allocator.h"
 #include "quant/step_size.h"
-#include "util/macros.h"
 
 namespace errorflow {
 namespace core {
-
-namespace {
-
-void CollectFromLayerList(
-    const std::vector<std::unique_ptr<nn::Layer>>& layers,
-    std::vector<nn::Layer*>* out) {
-  for (const auto& layer : layers) {
-    switch (layer->kind()) {
-      case nn::LayerKind::kDense:
-      case nn::LayerKind::kConv2d:
-        out->push_back(layer.get());
-        break;
-      case nn::LayerKind::kResidualBlock: {
-        auto* block = static_cast<nn::ResidualBlock*>(layer.get());
-        CollectFromLayerList(block->body(), out);
-        if (block->mutable_shortcut() != nullptr) {
-          out->push_back(block->mutable_shortcut());
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-}
-
-// Gathers LayerProfile pointers in the same traversal order as the bound
-// engine's StepFn indices.
-std::vector<const LayerProfile*> CollectProfiles(
-    const ModelProfile& profile) {
-  std::vector<const LayerProfile*> out;
-  for (const BlockProfile& block : profile.blocks) {
-    for (const LayerProfile& l : block.body) out.push_back(&l);
-    if (block.is_residual && block.has_projection) {
-      out.push_back(&block.shortcut);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 double LayerFlops(const LayerProfile& layer) {
   if (layer.weight.ndim() != 2 || layer.weight.size() == 0) return 0.0;
@@ -63,32 +18,26 @@ double LayerFlops(const LayerProfile& layer) {
   return static_cast<double>(layer.weight.size()) * std::max(1.0, reuse);
 }
 
-ErrorFlowAnalysis::StepFn MixedStepFn(
-    const std::vector<NumericFormat>& formats) {
-  return [formats](const LayerProfile& layer, int64_t index) {
-    EF_CHECK(index >= 0 &&
-             index < static_cast<int64_t>(formats.size()));
-    return quant::AverageStepSize(layer.weight,
-                                  formats[static_cast<size_t>(index)]);
-  };
-}
-
 MixedPrecisionPlan PlanMixedPrecision(
     const ErrorFlowAnalysis& analysis, double quant_budget,
     const quant::HardwareProfile& hardware) {
-  const std::vector<const LayerProfile*> layers =
-      CollectProfiles(analysis.profile());
+  const std::vector<const LayerProfile*> layers = analysis.LinearLayers();
   const size_t n = layers.size();
 
   MixedPrecisionPlan plan;
   plan.formats.assign(n, NumericFormat::kFP32);
 
-  // Candidate formats, fastest first.
-  std::vector<NumericFormat> by_speed = quant::ReducedFormats();
-  std::sort(by_speed.begin(), by_speed.end(),
-            [&hardware](NumericFormat a, NumericFormat b) {
-              return hardware.Speedup(a) > hardware.Speedup(b);
-            });
+  // An FP32 layer is priced at its Table-I FP32 step (2^-23 RMS), a
+  // conservative allowance; every other format reads the cached steps.
+  std::vector<double> fp32_steps(n);
+  for (size_t i = 0; i < n; ++i) {
+    fp32_steps[i] =
+        quant::AverageStepSize(layers[i]->weight, NumericFormat::kFP32);
+  }
+  std::vector<double> steps = fp32_steps;
+  const auto quant_term = [&analysis, &steps] {
+    return analysis.QuantTermWithSteps(VectorStepFn(steps));
+  };
 
   // Layers by FLOPs, heaviest first.
   std::vector<size_t> order(n);
@@ -97,17 +46,22 @@ MixedPrecisionPlan PlanMixedPrecision(
     return LayerFlops(*layers[a]) > LayerFlops(*layers[b]);
   });
 
+  // Demote each layer to the fastest format whose total bound still fits.
   for (size_t idx : order) {
-    for (NumericFormat candidate : by_speed) {
-      plan.formats[idx] = candidate;
-      const double bound =
-          analysis.QuantTermWithSteps(MixedStepFn(plan.formats));
-      if (bound <= quant_budget) break;
-      plan.formats[idx] = NumericFormat::kFP32;  // Revert; try slower.
+    std::vector<PricedVariant> candidates;
+    for (NumericFormat format : quant::ReducedFormats()) {
+      steps[idx] = analysis.Steps(format)[idx];
+      candidates.push_back(
+          {format, quant::WeightQuantizer::kMaxAffine, quant_term()});
     }
+    const PricedVariant* best =
+        PickFastest(candidates, quant_budget, hardware);
+    plan.formats[idx] = best != nullptr ? best->format : NumericFormat::kFP32;
+    steps[idx] = best != nullptr ? analysis.Steps(best->format)[idx]
+                                 : fp32_steps[idx];
   }
 
-  plan.quant_bound = analysis.QuantTermWithSteps(MixedStepFn(plan.formats));
+  plan.quant_bound = quant_term();
 
   // FLOPs-weighted speedup of the assignment.
   double fp32_time = 0.0, mixed_time = 0.0;
@@ -118,37 +72,6 @@ MixedPrecisionPlan PlanMixedPrecision(
   }
   plan.modeled_speedup = mixed_time > 0.0 ? fp32_time / mixed_time : 1.0;
   return plan;
-}
-
-std::vector<nn::Layer*> CollectLinearLayers(nn::Model* model) {
-  std::vector<nn::Layer*> out;
-  CollectFromLayerList(model->layers(), &out);
-  return out;
-}
-
-nn::Model QuantizeMixed(const nn::Model& model,
-                        const std::vector<NumericFormat>& formats) {
-  nn::Model out = model.Clone();
-  out.set_name(model.name() + ".mixed");
-  out.FoldPsn();
-  const std::vector<nn::Layer*> layers = CollectLinearLayers(&out);
-  EF_CHECK(layers.size() == formats.size());
-  for (size_t i = 0; i < layers.size(); ++i) {
-    tensor::Tensor* weight = nullptr;
-    if (auto* d = dynamic_cast<nn::DenseLayer*>(layers[i])) {
-      weight = &d->mutable_weight();
-    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(layers[i])) {
-      weight = &c->mutable_weight();
-    }
-    EF_CHECK(weight != nullptr);
-    if (formats[i] == NumericFormat::kINT8) {
-      quant::QuantizeDequantizeInt8(weight);
-    } else {
-      quant::RoundBufferToFormat(weight->data(), weight->size(),
-                                 formats[i]);
-    }
-  }
-  return out;
 }
 
 }  // namespace core

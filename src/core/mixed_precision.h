@@ -4,14 +4,14 @@
 #include <vector>
 
 #include "core/error_bound.h"
-#include "nn/model.h"
 #include "quant/hardware_model.h"
 
 namespace errorflow {
 namespace core {
 
 /// \brief A per-layer format assignment, in error-flow traversal order
-/// (plain chains in order; residual blocks body-then-shortcut) — the
+/// (plain chains in order; residual blocks body-then-shortcut;
+/// materialize it with quant::VariantSpec::layer_formats) — the
 /// "significantly larger optimization space" the paper's Sec. IV-D points
 /// at for future work.
 struct MixedPrecisionPlan {
@@ -34,20 +34,6 @@ double LayerFlops(const LayerProfile& layer);
 MixedPrecisionPlan PlanMixedPrecision(const ErrorFlowAnalysis& analysis,
                                       double quant_budget,
                                       const quant::HardwareProfile& hardware);
-
-/// StepFn evaluating a mixed plan in the bound engine.
-ErrorFlowAnalysis::StepFn MixedStepFn(
-    const std::vector<NumericFormat>& formats);
-
-/// \brief Weight-only quantization with per-layer formats (same traversal
-/// order as the plan). Returns the quantized clone; `formats.size()` must
-/// equal the model's linear-layer count.
-nn::Model QuantizeMixed(const nn::Model& model,
-                        const std::vector<NumericFormat>& formats);
-
-/// Collects the model's linear layers (Dense/Conv) in error-flow
-/// traversal order. Exposed for tests.
-std::vector<nn::Layer*> CollectLinearLayers(nn::Model* model);
 
 }  // namespace core
 }  // namespace errorflow

@@ -100,15 +100,14 @@ AllocationPlan InferencePipeline::Plan(double qoi_tolerance) const {
   alloc.norm = config_.norm;
   alloc.quant_fraction = config_.quant_fraction;
   alloc.hardware = config_.hardware;
-  alloc.allow_quantization = config_.allow_quantization;
   return AllocateTolerance(analysis_, qoi_tolerance, alloc);
 }
 
 nn::Model* InferencePipeline::QuantizedFor(NumericFormat format) {
   auto it = quantized_cache_.find(format);
   if (it == quantized_cache_.end()) {
-    quant::QuantizedModel qm = quant::QuantizeWeights(model_, format);
-    it = quantized_cache_.emplace(format, std::move(qm.model)).first;
+    quant::MaterializedModel variant = quant::Materialize(model_, {format});
+    it = quantized_cache_.emplace(format, std::move(variant.model)).first;
   }
   return &it->second;
 }

@@ -24,11 +24,11 @@ struct PipelineConfig {
   /// Entropy codec for newly written compressed streams.
   compress::CodecId codec = compress::kDefaultCodec;
   Norm norm = Norm::kLinf;
-  /// Fraction of the QoI tolerance offered to quantization.
+  /// Fraction of the QoI tolerance offered to quantization; 0 disables
+  /// quantization.
   double quant_fraction = 0.5;
   io::StorageConfig storage;
   quant::HardwareProfile hardware;
-  bool allow_quantization = true;
 };
 
 /// \brief Measured + modeled outcome of one pipeline run.

@@ -51,27 +51,18 @@ std::string ProfileReport(const ErrorFlowAnalysis& analysis) {
 
 std::vector<LayerContribution> QuantTermBreakdown(
     const ErrorFlowAnalysis& analysis, NumericFormat format) {
-  const ModelProfile& profile = analysis.profile();
-  std::vector<const LayerProfile*> layers;
-  for (const BlockProfile& block : profile.blocks) {
-    for (const LayerProfile& l : block.body) layers.push_back(&l);
-    if (block.is_residual && block.has_projection) {
-      layers.push_back(&block.shortcut);
-    }
-  }
+  const std::vector<const LayerProfile*> layers = analysis.LinearLayers();
   const double total = analysis.QuantTerm(format);
+  const std::vector<double>& steps = analysis.Steps(format);
   std::vector<LayerContribution> out;
   for (size_t k = 0; k < layers.size(); ++k) {
-    const auto without_k = [format, k](const LayerProfile& layer,
-                                       int64_t index) {
-      if (index == static_cast<int64_t>(k)) return 0.0;
-      return LayerStepSize(layer, format);
-    };
+    std::vector<double> without_k = steps;
+    without_k[k] = 0.0;
     LayerContribution c;
     c.layer = layers[k]->name;
-    c.step_size = LayerStepSize(*layers[k], format);
-    c.contribution =
-        std::max(0.0, total - analysis.QuantTermWithSteps(without_k));
+    c.step_size = steps[k];
+    c.contribution = std::max(
+        0.0, total - analysis.QuantTermWithSteps(VectorStepFn(without_k)));
     out.push_back(std::move(c));
   }
   return out;

@@ -16,7 +16,7 @@ namespace quant {
 /// Dense / Conv2d / ResidualBlock to `format` (float formats: bit-exact
 /// mantissa rounding; INT8: per-tensor max-calibrated affine), emulating a
 /// pipeline whose intermediate tensors live in the reduced format. Weights
-/// should already be quantized (e.g. via QuantizeWeights) if weight
+/// should already be quantized (e.g. via Materialize) if weight
 /// quantization is also desired.
 ///
 /// The matching bound is `core::ErrorFlowAnalysis::

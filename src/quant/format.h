@@ -29,6 +29,15 @@ inline const std::vector<NumericFormat>& ReducedFormats() {
   return kFormats;
 }
 
+/// FP32 followed by ReducedFormats(): every format a variant can take, in
+/// NumericFormat ordinal order.
+inline const std::vector<NumericFormat>& AllFormats() {
+  static const std::vector<NumericFormat> kFormats = {
+      NumericFormat::kFP32, NumericFormat::kTF32, NumericFormat::kFP16,
+      NumericFormat::kBF16, NumericFormat::kINT8};
+  return kFormats;
+}
+
 /// Lowercase canonical name: "fp32", "tf32", "fp16", "bf16", "int8".
 const char* FormatToString(NumericFormat format);
 

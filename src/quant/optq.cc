@@ -5,8 +5,6 @@
 #include <map>
 
 #include "nn/calibration.h"
-#include "nn/conv2d.h"
-#include "nn/dense.h"
 #include "obs/metrics.h"
 #include "quant/step_size.h"
 #include "tensor/ops.h"
@@ -19,6 +17,19 @@ namespace quant {
 namespace {
 
 using tensor::Tensor;
+
+/// Relative Hessian damping: lambda = kDamping * mean(diag(H)) is added to
+/// the calibration Gram before factorization (the standard OPTQ
+/// percent-damping trick). Grown x10 on factorization failure.
+constexpr double kDamping = 0.01;
+/// Cap on calibration feature vectors accumulated into one layer's Gram
+/// per forward pass; larger captures are evenly subsampled. Bounds the
+/// Gram cost on convolutional layers, where one batch contributes
+/// batch * oh * ow columns.
+constexpr int64_t kMaxGramColumns = 4096;
+/// Seed for the SPFQ stochastic-rounding mode. Fixed so materialization
+/// is deterministic: re-quantizing a variant reproduces it bit-exactly.
+constexpr uint64_t kSpfqSeed = 0x5eedf00dull;
 
 struct QuantMetrics {
   obs::Counter* layers;
@@ -47,55 +58,6 @@ struct GramAccum {
   std::vector<double> h;  // (d, d) row-major.
   int64_t d = 0;
   int64_t columns = 0;
-};
-
-/// CalibrationObserver that accumulates per-layer input Grams during the
-/// single calibration forward pass. Keyed by Layer* so the capture is
-/// independent of execution order (residual bodies, shortcuts).
-class GramCollector : public nn::CalibrationObserver {
- public:
-  explicit GramCollector(int64_t max_columns) : max_columns_(max_columns) {}
-
-  void OnLinearInput(const nn::Layer* layer, const float* data, int64_t d,
-                     int64_t n, bool features_are_rows) override {
-    if (d <= 0 || n <= 0) return;
-    // Evenly subsample at most max_columns_ feature vectors, then stage
-    // them features-major as A (d, m) so the Gram is one GemmNT.
-    const int64_t m = std::min<int64_t>(n, max_columns_);
-    const double stride = static_cast<double>(n) / static_cast<double>(m);
-    Tensor a({d, m});
-    for (int64_t jj = 0; jj < m; ++jj) {
-      const int64_t j = std::min<int64_t>(
-          n - 1, static_cast<int64_t>(static_cast<double>(jj) * stride));
-      if (features_are_rows) {
-        // Conv im2col layout: (d, n), feature f of column j at f*n + j.
-        for (int64_t f = 0; f < d; ++f) a.at(f, jj) = data[f * n + j];
-      } else {
-        // Dense layout: (n, d), feature f of sample j at j*d + f.
-        for (int64_t f = 0; f < d; ++f) a.at(f, jj) = data[j * d + f];
-      }
-    }
-    Tensor g({d, d});
-    tensor::GemmNT(a, a, &g);
-
-    GramAccum& acc = grams_[layer];
-    if (acc.d == 0) {
-      acc.d = d;
-      acc.h.assign(static_cast<size_t>(d) * d, 0.0);
-    }
-    EF_CHECK(acc.d == d);
-    for (int64_t i = 0; i < d * d; ++i) acc.h[i] += g[i];
-    acc.columns += m;
-  }
-
-  const GramAccum* Find(const nn::Layer* layer) const {
-    auto it = grams_.find(layer);
-    return it == grams_.end() ? nullptr : &it->second;
-  }
-
- private:
-  int64_t max_columns_;
-  std::map<const nn::Layer*, GramAccum> grams_;
 };
 
 /// In-place lower Cholesky of the row-major (n, n) matrix `a` (strict
@@ -166,14 +128,11 @@ RowGrid GridForRow(const float* row, int64_t d) {
 
 /// Quantizes one (rows, d) weight matrix in place with greedy
 /// error-feedback rounding against the layer Gram, and fills `rec`.
-void QuantizeLayer(const std::string& name, Tensor* w, const GramAccum* gram,
-                   WeightQuantizer quantizer, const OptqConfig& config,
-                   uint64_t layer_seed, OptqLayerRecord* rec) {
+void RoundWithErrorFeedback(Tensor* w, const GramAccum* gram,
+                            WeightQuantizer quantizer, uint64_t layer_seed,
+                            LayerQuantRecord* rec) {
   const int64_t rows = w->dim(0);
   const int64_t d = w->dim(1);
-  rec->layer = name;
-  rec->rows = rows;
-  rec->cols = d;
   rec->table_step = AverageStepSize(*w, NumericFormat::kINT8);
 
   QuantMetrics* metrics = Metrics();
@@ -194,7 +153,7 @@ void QuantizeLayer(const std::string& name, Tensor* w, const GramAccum* gram,
       rec->calib_columns = gram->columns;
       metrics->gram_columns->Increment(
           static_cast<uint64_t>(gram->columns));
-      double lambda = config.damping * mean_diag;
+      double lambda = kDamping * mean_diag;
       bool ok = false;
       for (int attempt = 0; attempt < 6 && !ok; ++attempt) {
         h = gram->h;
@@ -345,65 +304,83 @@ void QuantizeLayer(const std::string& name, Tensor* w, const GramAccum* gram,
 
 }  // namespace
 
-OptqQuantizedModel OptqQuantizeWeights(const nn::Model& model,
-                                       const tensor::Tensor& calibration,
-                                       WeightQuantizer quantizer,
-                                       const OptqConfig& config) {
-  EF_CHECK(quantizer == WeightQuantizer::kOptq ||
-           quantizer == WeightQuantizer::kSpfq);
-  OptqQuantizedModel out;
-  out.model = model.Clone();
-  out.model.set_name(model.name() + ".int8+" + QuantizerToString(quantizer));
-  out.quantizer = quantizer;
-  out.model.FoldPsn();
+/// CalibrationObserver that accumulates per-layer input Grams during the
+/// single calibration forward pass. Keyed by Layer* so the capture is
+/// independent of execution order (residual bodies, shortcuts).
+class OptqCalibration::Grams : public nn::CalibrationObserver {
+ public:
+  explicit Grams(int64_t max_columns) : max_columns_(max_columns) {}
 
+  void OnLinearInput(const nn::Layer* layer, const float* data, int64_t d,
+                     int64_t n, bool features_are_rows) override {
+    if (d <= 0 || n <= 0) return;
+    // Evenly subsample at most max_columns_ feature vectors, then stage
+    // them features-major as A (d, m) so the Gram is one GemmNT.
+    const int64_t m = std::min<int64_t>(n, max_columns_);
+    const double stride = static_cast<double>(n) / static_cast<double>(m);
+    Tensor a({d, m});
+    for (int64_t jj = 0; jj < m; ++jj) {
+      const int64_t j = std::min<int64_t>(
+          n - 1, static_cast<int64_t>(static_cast<double>(jj) * stride));
+      if (features_are_rows) {
+        // Conv im2col layout: (d, n), feature f of column j at f*n + j.
+        for (int64_t f = 0; f < d; ++f) a.at(f, jj) = data[f * n + j];
+      } else {
+        // Dense layout: (n, d), feature f of sample j at j*d + f.
+        for (int64_t f = 0; f < d; ++f) a.at(f, jj) = data[j * d + f];
+      }
+    }
+    Tensor g({d, d});
+    tensor::GemmNT(a, a, &g);
+
+    GramAccum& acc = grams_[layer];
+    if (acc.d == 0) {
+      acc.d = d;
+      acc.h.assign(static_cast<size_t>(d) * d, 0.0);
+    }
+    EF_CHECK(acc.d == d);
+    for (int64_t i = 0; i < d * d; ++i) acc.h[i] += g[i];
+    acc.columns += m;
+  }
+
+  const GramAccum* Find(const nn::Layer* layer) const {
+    auto it = grams_.find(layer);
+    return it == grams_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  int64_t max_columns_;
+  std::map<const nn::Layer*, GramAccum> grams_;
+};
+
+OptqCalibration::OptqCalibration(nn::Model* model,
+                                 const tensor::Tensor& calibration)
+    : grams_(std::make_unique<Grams>(kMaxGramColumns)) {
+  if (calibration.size() == 0) return;
   // Single calibration forward pass with the Gram collector installed.
   // The observer is thread-local, so only *this thread's* Forward calls
   // feed the collector: serving Forwards running concurrently on other
   // threads — or a second materialization racing on another worker —
   // never touch it, and the scoped install/restore below cannot interact
   // with theirs.
-  GramCollector collector(config.max_gram_columns);
-  if (calibration.size() > 0) {
-    nn::CalibrationObserver* prev = nn::SetCalibrationObserver(&collector);
-    Tensor scratch;
-    out.model.Forward(calibration, &scratch, /*training=*/false);
-    nn::SetCalibrationObserver(prev);
-  }
-
-  uint64_t layer_index = 0;
-  out.model.VisitLayers([&](nn::Layer* layer) {
-    Tensor* w = nullptr;
-    std::string name;
-    if (auto* dl = dynamic_cast<nn::DenseLayer*>(layer)) {
-      w = &dl->mutable_weight();
-      name = dl->ToString();
-    } else if (auto* cl = dynamic_cast<nn::Conv2dLayer*>(layer)) {
-      w = &cl->mutable_weight();
-      name = cl->ToString();
-    } else {
-      return;
-    }
-    OptqLayerRecord rec;
-    // Seed derived from the fixed config seed and the traversal index so
-    // SPFQ materializations are reproducible layer by layer.
-    const uint64_t layer_seed =
-        config.seed + 0x9e3779b97f4a7c15ull * (layer_index + 1);
-    QuantizeLayer(name, w, collector.Find(layer), quantizer, config,
-                  layer_seed, &rec);
-    out.layers.push_back(std::move(rec));
-    ++layer_index;
-  });
-  return out;
+  nn::CalibrationObserver* prev = nn::SetCalibrationObserver(grams_.get());
+  Tensor scratch;
+  model->Forward(calibration, &scratch, /*training=*/false);
+  nn::SetCalibrationObserver(prev);
 }
 
-std::vector<double> OptqEffectiveSteps(const OptqQuantizedModel& q) {
-  std::vector<double> steps;
-  steps.reserve(q.layers.size());
-  for (const OptqLayerRecord& rec : q.layers) {
-    steps.push_back(rec.effective_step);
-  }
-  return steps;
+OptqCalibration::~OptqCalibration() = default;
+
+void OptqCalibration::QuantizeLayer(const nn::Layer* layer, int64_t index,
+                                    WeightQuantizer quantizer, Tensor* w,
+                                    LayerQuantRecord* rec) const {
+  EF_CHECK(quantizer == WeightQuantizer::kOptq ||
+           quantizer == WeightQuantizer::kSpfq);
+  // Seed derived from the fixed seed and the traversal index so SPFQ
+  // materializations are reproducible layer by layer.
+  const uint64_t layer_seed =
+      kSpfqSeed + 0x9e3779b97f4a7c15ull * (static_cast<uint64_t>(index) + 1);
+  RoundWithErrorFeedback(w, grams_->Find(layer), quantizer, layer_seed, rec);
 }
 
 }  // namespace quant

@@ -2,110 +2,55 @@
 #define ERRORFLOW_QUANT_OPTQ_H_
 
 #include <cstdint>
-#include <string>
-#include <vector>
+#include <memory>
 
 #include "nn/model.h"
 #include "quant/format.h"
+#include "quant/quantize_model.h"
 #include "tensor/tensor.h"
 
 namespace errorflow {
 namespace quant {
 
-/// \brief Tuning for the data-driven INT8 quantizers.
-struct OptqConfig {
-  /// Relative Hessian damping: lambda = damping * mean(diag(H)) is added
-  /// to the calibration Gram before factorization (the standard OPTQ
-  /// percent-damping trick). Grown x10 on factorization failure.
-  double damping = 0.01;
-  /// Cap on calibration feature vectors accumulated into one layer's Gram
-  /// per forward pass; larger captures are evenly subsampled. Bounds the
-  /// Gram cost on convolutional layers, where one batch contributes
-  /// batch * oh * ow columns.
-  int64_t max_gram_columns = 4096;
-  /// Seed for the SPFQ stochastic-rounding mode. Fixed so materialization
-  /// is deterministic: re-quantizing a variant reproduces it bit-exactly.
-  uint64_t seed = 0x5eedf00dull;
-};
-
-/// \brief Per-layer report of one data-driven quantization, in the same
-/// traversal order as core::ErrorFlowAnalysis::StepFn indices (plain
-/// chains in network order; residual bodies first, then the projection
-/// shortcut).
-struct OptqLayerRecord {
-  std::string layer;
-  int64_t rows = 0;  ///< Output channels (weight matrix rows).
-  int64_t cols = 0;  ///< Input features per channel (d).
-  /// Calibration feature vectors accumulated into this layer's Gram; 0
-  /// means the layer fell back to an identity Gram (per-channel RTN).
-  int64_t calib_columns = 0;
-  /// Effective Table-I-equivalent average step, the data-driven number the
-  /// StepFn path consumes. Independent uniform rounding with step q
-  /// predicts a layer-output error RMS of q/sqrt(12) * sqrt(sum_i E[x_i^2])
-  /// under the calibration input statistics; effective_step is the q that
-  /// reproduces the *measured* output error (calib_rms_error), so the
-  /// error-feedback cancellation the greedy rounder achieves shows up as a
-  /// smaller step — and hence a tighter BoundWithSteps — than the
-  /// worst-case Table-I range/255. Falls back to sqrt(12) * rms_delta
-  /// (the grid-noise equivalent of the raw weight perturbation) when no
-  /// calibration reached the layer.
-  double effective_step = 0.0;
-  /// RMS of the raw weight perturbation W - What. Note this can *exceed*
-  /// table_step/sqrt(12): error feedback deliberately perturbs remaining
-  /// columns more to cancel output error.
-  double rms_delta = 0.0;
-  /// Table-I max-affine INT8 step of the same tensor (range/255), for the
-  /// tightening-ratio comparison.
-  double table_step = 0.0;
-  /// Largest per-element weight perturbation introduced.
-  double max_abs_delta = 0.0;
-  /// Measured per-layer error term: RMS over calibration outputs of the
-  /// layer-output perturbation, sqrt(sum_r delta_r H delta_r^T / (n *
-  /// rows)) with H the raw (undamped) Gram. 0 when no calibration reached
-  /// the layer.
-  double calib_rms_error = 0.0;
-};
-
-/// \brief Result of a data-driven quantization: the quantized clone plus
-/// the per-layer records the error-flow analysis and benches consume.
-struct OptqQuantizedModel {
-  nn::Model model;
-  WeightQuantizer quantizer = WeightQuantizer::kOptq;
-  std::vector<OptqLayerRecord> layers;
-};
-
 /// \brief OPTQ-style greedy error-feedback INT8 weight quantization
-/// (Frantar et al.; SPFQ's stochastic variant under kSpfq).
+/// (Frantar et al.; SPFQ's stochastic variant under kSpfq) — the
+/// data-driven kernel quant::Materialize applies per layer.
 ///
-/// Runs one forward pass of `model` (cloned, PSN folded) on `calibration`
-/// — a batch shaped like the model input — capturing each Dense/Conv
-/// layer's input Gram H = X X^T through the nn::CalibrationObserver hook
-/// (conv layers contribute their im2col column matrix, so the Gram basis
-/// is exactly what the kernel GEMM consumes). Each weight matrix W
-/// (out, d) is then quantized column by column with per-output-channel
+/// Construction runs one forward pass of `model` on `calibration` — a
+/// batch shaped like the model input — capturing each Dense/Conv layer's
+/// input Gram H = X X^T through the nn::CalibrationObserver hook (conv
+/// layers contribute their im2col column matrix, so the Gram basis is
+/// exactly what the kernel GEMM consumes). QuantizeLayer then quantizes a
+/// weight matrix W (out, d) column by column with per-output-channel
 /// affine scales (row range / 255): after rounding column j, the residual
 /// (w_j - q_j) is propagated into the not-yet-quantized columns through
 /// the upper Cholesky factor of H^-1, the closed-form least-squares update
 /// that minimizes the calibration-output error || (W - What) X ||.
 ///
-/// `quantizer` selects rounding: kOptq rounds to nearest; kSpfq rounds
-/// stochastically with probability proportional to the fractional part
-/// (deterministic under config.seed). kMaxAffine is invalid here — use
-/// QuantizeWeights.
-///
-/// Fully deterministic: the same model + calibration + config reproduce
-/// bit-identical weights, which is what lets the serving registry price a
-/// variant's bound at Register and materialize it later. An empty
-/// calibration (or a layer the forward pass never reaches) degrades that
-/// layer to an identity Gram — plain per-channel nearest rounding.
-OptqQuantizedModel OptqQuantizeWeights(
-    const nn::Model& model, const tensor::Tensor& calibration,
-    WeightQuantizer quantizer = WeightQuantizer::kOptq,
-    const OptqConfig& config = {});
+/// kOptq rounds to nearest; kSpfq rounds stochastically with probability
+/// proportional to the fractional part (deterministic under a fixed seed).
+/// An empty calibration (or a layer the forward pass never reaches)
+/// degrades that layer to an identity Gram — plain per-channel nearest
+/// rounding.
+class OptqCalibration {
+ public:
+  /// `model` must be the PSN-folded clone whose layers QuantizeLayer will
+  /// be handed: the Grams are keyed by layer address.
+  OptqCalibration(nn::Model* model, const tensor::Tensor& calibration);
+  ~OptqCalibration();
 
-/// Per-layer effective steps in StepFn traversal order — feed to
-/// core::VectorStepFn for BoundWithSteps/AttributionWithSteps.
-std::vector<double> OptqEffectiveSteps(const OptqQuantizedModel& q);
+  /// Quantizes `layer`'s weight matrix `w` in place and fills the
+  /// record's steps, perturbation and calibration statistics. `index` is
+  /// the layer's traversal index; it seeds SPFQ rounding, so every
+  /// materialization reproduces the same weights layer by layer.
+  void QuantizeLayer(const nn::Layer* layer, int64_t index,
+                     WeightQuantizer quantizer, tensor::Tensor* w,
+                     LayerQuantRecord* rec) const;
+
+ private:
+  class Grams;
+  std::unique_ptr<Grams> grams_;
+};
 
 }  // namespace quant
 }  // namespace errorflow

@@ -1,11 +1,15 @@
 #include "quant/quantize_model.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "quant/affine.h"
+#include "quant/optq.h"
 #include "quant/step_size.h"
+#include "util/macros.h"
 
 namespace errorflow {
 namespace quant {
@@ -14,45 +18,93 @@ namespace {
 
 using tensor::Tensor;
 
-LayerQuantRecord QuantizeTensor(const std::string& name, Tensor* w,
-                                NumericFormat format) {
-  LayerQuantRecord rec;
-  rec.layer = name;
-  rec.format = format;
-  rec.step_size = AverageStepSize(*w, format);
+std::string VariantSuffix(const VariantSpec& spec) {
+  if (!spec.layer_formats.empty()) return ".mixed";
+  std::string suffix = std::string(".") + FormatToString(spec.format);
+  if (spec.quantizer != WeightQuantizer::kMaxAffine) {
+    suffix += std::string("+") + QuantizerToString(spec.quantizer);
+  }
+  return suffix;
+}
+
+// Table-I rounding of one weight tensor: mantissa rounding for the float
+// formats, per-tensor max-calibration affine for INT8.
+void RoundToTableI(NumericFormat format, Tensor* w, LayerQuantRecord* rec) {
+  rec->table_step = AverageStepSize(*w, format);
+  rec->effective_step = rec->table_step;
   const Tensor original = *w;
   if (format == NumericFormat::kINT8) {
     QuantizeDequantizeInt8(w);
   } else {
     RoundBufferToFormat(w->data(), w->size(), format);
   }
-  double max_delta = 0.0;
+  double sum_sq = 0.0, max_delta = 0.0;
   for (int64_t i = 0; i < w->size(); ++i) {
-    max_delta = std::max(
-        max_delta, std::fabs(static_cast<double>((*w)[i]) - original[i]));
+    const double delta =
+        std::fabs(static_cast<double>((*w)[i]) - original[i]);
+    sum_sq += delta * delta;
+    max_delta = std::max(max_delta, delta);
   }
-  rec.max_abs_delta = max_delta;
-  return rec;
+  rec->max_abs_delta = max_delta;
+  if (w->size() > 0) {
+    rec->rms_delta = std::sqrt(sum_sq / static_cast<double>(w->size()));
+  }
 }
 
 }  // namespace
 
-QuantizedModel QuantizeWeights(const nn::Model& model, NumericFormat format) {
-  QuantizedModel out;
+std::vector<double> MaterializedModel::EffectiveSteps() const {
+  std::vector<double> steps;
+  steps.reserve(layers.size());
+  for (const LayerQuantRecord& rec : layers) {
+    steps.push_back(rec.effective_step);
+  }
+  return steps;
+}
+
+MaterializedModel Materialize(const nn::Model& model, const VariantSpec& spec,
+                              const tensor::Tensor& calibration) {
+  const bool data_driven = spec.quantizer != WeightQuantizer::kMaxAffine;
+  EF_CHECK(!data_driven || (spec.format == NumericFormat::kINT8 &&
+                            spec.layer_formats.empty()));
+  MaterializedModel out;
   out.model = model.Clone();
-  out.model.set_name(model.name() + "." + FormatToString(format));
-  out.format = format;
+  out.model.set_name(model.name() + VariantSuffix(spec));
   out.model.FoldPsn();
-  if (format == NumericFormat::kFP32) return out;
-  out.model.VisitLayers([&out, format](nn::Layer* layer) {
+
+  std::optional<OptqCalibration> optq;
+  if (data_driven) optq.emplace(&out.model, calibration);
+
+  int64_t index = 0;
+  out.model.VisitLayers([&](nn::Layer* layer) {
+    Tensor* w = nullptr;
+    LayerQuantRecord rec;
     if (auto* d = dynamic_cast<nn::DenseLayer*>(layer)) {
-      out.layers.push_back(
-          QuantizeTensor(d->ToString(), &d->mutable_weight(), format));
+      w = &d->mutable_weight();
+      rec.layer = d->ToString();
     } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(layer)) {
-      out.layers.push_back(
-          QuantizeTensor(c->ToString(), &c->mutable_weight(), format));
+      w = &c->mutable_weight();
+      rec.layer = c->ToString();
+    } else {
+      return;
     }
+    rec.format = spec.format;
+    if (!spec.layer_formats.empty()) {
+      EF_CHECK(index < static_cast<int64_t>(spec.layer_formats.size()));
+      rec.format = spec.layer_formats[static_cast<size_t>(index)];
+    }
+    rec.rows = w->dim(0);
+    rec.cols = w->size() / std::max<int64_t>(1, rec.rows);
+    if (data_driven) {
+      optq->QuantizeLayer(layer, index, spec.quantizer, w, &rec);
+    } else if (rec.format != NumericFormat::kFP32) {
+      RoundToTableI(rec.format, w, &rec);
+    }
+    out.layers.push_back(std::move(rec));
+    ++index;
   });
+  EF_CHECK(spec.layer_formats.empty() ||
+           index == static_cast<int64_t>(spec.layer_formats.size()));
   return out;
 }
 

@@ -4,23 +4,12 @@
 #include <limits>
 #include <string>
 
+#include "core/allocator.h"
 #include "quant/format.h"
 #include "util/string_util.h"
 
 namespace errorflow {
 namespace serve {
-
-namespace {
-
-const std::vector<quant::NumericFormat>& AllFormats() {
-  static const std::vector<quant::NumericFormat> kAll = {
-      quant::NumericFormat::kFP32, quant::NumericFormat::kTF32,
-      quant::NumericFormat::kFP16, quant::NumericFormat::kBF16,
-      quant::NumericFormat::kINT8};
-  return kAll;
-}
-
-}  // namespace
 
 AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(std::move(config)),
@@ -28,7 +17,7 @@ AdmissionController::AdmissionController(AdmissionConfig config)
           "errorflow.serve.admission.admitted")),
       admitted_by_format_([] {
         std::array<obs::Counter*, 5> counters{};
-        for (quant::NumericFormat f : AllFormats()) {
+        for (quant::NumericFormat f : quant::AllFormats()) {
           counters[static_cast<size_t>(f)] =
               obs::MetricsRegistry::Global().GetCounter(
                   std::string("errorflow.serve.admission.admitted.") +
@@ -48,10 +37,9 @@ AdmissionController::AdmissionController(AdmissionConfig config)
           "errorflow.serve.admission.admitted.data_driven")) {}
 
 Result<AdmissionDecision> AdmissionController::Admit(
-    const core::ErrorFlowAnalysis& analysis, int64_t flops_per_sample,
-    int64_t bytes_per_sample, double qoi_tolerance,
+    const core::ErrorFlowAnalysis& analysis, double qoi_tolerance,
     Clock::time_point deadline, Clock::time_point now, int64_t queue_depth,
-    bool overloaded, const std::vector<double>* int8_data_steps) const {
+    bool overloaded, const core::PricedVariant* data_driven) const {
   if (!(qoi_tolerance > 0.0)) {
     rejected_invalid_->Increment();
     return Status::InvalidArgument(
@@ -75,71 +63,40 @@ Result<AdmissionDecision> AdmissionController::Admit(
         overloaded ? ", bound halved under SLO overload" : ""));
   }
 
-  // Fastest format whose error-flow bound (at zero input error — served
+  // Fastest variant whose error-flow bound (at zero input error — served
   // inputs are uncompressed) fits the tolerance.
   const std::vector<quant::NumericFormat>& formats =
-      config_.allowed_formats.empty() ? AllFormats()
+      config_.allowed_formats.empty() ? quant::AllFormats()
                                       : config_.allowed_formats;
-  quant::ExecutionModel exec(config_.hardware, flops_per_sample,
-                             bytes_per_sample);
-  bool found = false;
-  double tightest = std::numeric_limits<double>::infinity();
-  AdmissionDecision best;
-  double best_seconds = 0.0;
-  // Candidate order matters on speed ties: the strict `<` below keeps the
-  // earlier winner, so evaluating every max-affine format first means the
-  // data-driven INT8 candidate only takes the slot when it admits a
-  // tolerance max-affine INT8 cannot (or INT8 beats the fastest feasible
-  // wide format outright).
-  for (quant::NumericFormat f : formats) {
-    const double bound = analysis.Bound(0.0, config_.norm, f);
-    tightest = std::min(tightest, bound);
-    if (bound > qoi_tolerance) continue;
-    const double seconds = exec.SecondsPerSample(f);
-    if (!found || seconds < best_seconds) {
-      found = true;
-      best_seconds = seconds;
-      best.format = f;
-      best.quantizer = quant::WeightQuantizer::kMaxAffine;
-      best.quant_bound = bound;
-      best.slack = qoi_tolerance - bound;
-    }
-  }
-  if (config_.data_driven_quantizer != quant::WeightQuantizer::kMaxAffine &&
-      int8_data_steps != nullptr && !int8_data_steps->empty() &&
+  std::vector<core::PricedVariant> candidates = analysis.Price(formats);
+  if (data_driven != nullptr &&
       std::find(formats.begin(), formats.end(),
                 quant::NumericFormat::kINT8) != formats.end()) {
-    // Data-driven INT8: same execution profile as max-affine INT8, but a
-    // bound measured on the calibration distribution instead of the
-    // worst-case Table-I step.
-    const double bound = analysis.BoundWithSteps(
-        0.0, config_.norm, core::VectorStepFn(*int8_data_steps));
-    tightest = std::min(tightest, bound);
-    if (bound <= qoi_tolerance) {
-      const double seconds =
-          exec.SecondsPerSample(quant::NumericFormat::kINT8);
-      if (!found || seconds < best_seconds) {
-        found = true;
-        best_seconds = seconds;
-        best.format = quant::NumericFormat::kINT8;
-        best.quantizer = config_.data_driven_quantizer;
-        best.quant_bound = bound;
-        best.slack = qoi_tolerance - bound;
-      }
-    }
+    candidates.push_back(*data_driven);
   }
-  if (!found) {
+  const core::PricedVariant* best =
+      core::PickFastest(candidates, qoi_tolerance, config_.hardware);
+  if (best == nullptr) {
+    double tightest = std::numeric_limits<double>::infinity();
+    for (const core::PricedVariant& c : candidates) {
+      tightest = std::min(tightest, c.quant_term);
+    }
     rejected_infeasible_->Increment();
     return Status::FailedPrecondition(util::StrFormat(
         "admission: tolerance %.3e below tightest feasible bound %.3e",
         qoi_tolerance, tightest));
   }
   admitted_->Increment();
-  admitted_by_format_[static_cast<size_t>(best.format)]->Increment();
-  if (best.quantizer != quant::WeightQuantizer::kMaxAffine) {
+  admitted_by_format_[static_cast<size_t>(best->format)]->Increment();
+  if (best->quantizer != quant::WeightQuantizer::kMaxAffine) {
     admitted_data_driven_->Increment();
   }
-  return best;
+  AdmissionDecision decision;
+  decision.format = best->format;
+  decision.quantizer = best->quantizer;
+  decision.quant_bound = best->quant_term;
+  decision.slack = qoi_tolerance - best->quant_term;
+  return decision;
 }
 
 }  // namespace serve

@@ -26,14 +26,6 @@ struct AdmissionConfig {
   /// Backpressure bound: requests arriving while this many admitted
   /// requests are still queued are shed with kResourceExhausted.
   int64_t max_queue_depth = 1024;
-  /// Data-driven INT8 quantizer offered alongside the Table-I max-affine
-  /// INT8 variant (kMaxAffine disables it). When enabled and the caller
-  /// passes the model's priced effective steps, the controller also
-  /// evaluates a data-driven INT8 candidate whose tighter measured bound
-  /// can admit tolerances the worst-case max-affine bound cannot — i.e.
-  /// requests that would otherwise route to a slower wide format.
-  quant::WeightQuantizer data_driven_quantizer =
-      quant::WeightQuantizer::kMaxAffine;
 };
 
 /// \brief The controller's verdict for an admitted request.
@@ -71,19 +63,18 @@ class AdmissionController {
   /// so backpressure engages before the queue grows into latency the
   /// adaptive batcher can no longer shed its way out of.
   ///
-  /// `int8_data_steps` (optional) are the model's priced data-driven
-  /// effective steps in StepFn traversal order
-  /// (ModelRegistry::Entry::optq_steps). Consulted only when
-  /// `config.data_driven_quantizer` is enabled and INT8 is an allowed
-  /// format; on a speed tie with an admitted max-affine INT8 the
-  /// max-affine variant wins (no reason to pay the calibration variant
-  /// when the worst-case one already fits).
+  /// The candidates are every allowed format, priced from `analysis`'s
+  /// cache, then `data_driven` (ModelRegistry::Entry::data_driven) when
+  /// given and INT8 is allowed. Its tighter measured bound can admit
+  /// tolerances the worst-case max-affine INT8 bound cannot; on a speed
+  /// tie with an admitted max-affine INT8 the max-affine variant wins, as
+  /// the earlier candidate (no reason to pay the calibration variant when
+  /// the worst-case one already fits).
   Result<AdmissionDecision> Admit(
-      const core::ErrorFlowAnalysis& analysis, int64_t flops_per_sample,
-      int64_t bytes_per_sample, double qoi_tolerance,
+      const core::ErrorFlowAnalysis& analysis, double qoi_tolerance,
       Clock::time_point deadline, Clock::time_point now, int64_t queue_depth,
       bool overloaded = false,
-      const std::vector<double>* int8_data_steps = nullptr) const;
+      const core::PricedVariant* data_driven = nullptr) const;
 
   const AdmissionConfig& config() const { return config_; }
 

@@ -7,7 +7,6 @@
 #include "nn/serialize.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "quant/optq.h"
 #include "quant/quantize_model.h"
 #include "util/random.h"
 
@@ -169,14 +168,21 @@ Status ModelRegistry::Register(std::string name, nn::Model model,
     // discarded here — GetVariant materializes lazily, like every other
     // variant.
     entry->calibration = std::move(calibration);
-    quant::OptqQuantizedModel priced = quant::OptqQuantizeWeights(
-        entry->base, entry->calibration, config_.data_driven_quantizer);
-    entry->optq_steps = quant::OptqEffectiveSteps(priced);
+    entry->optq_steps =
+        quant::Materialize(entry->base,
+                           {quant::NumericFormat::kINT8,
+                            config_.data_driven_quantizer},
+                           entry->calibration)
+            .EffectiveSteps();
     if (static_cast<int64_t>(entry->optq_steps.size()) !=
         entry->analysis.LinearLayerCount()) {
       return Status::Internal(
           "registry: data-driven step count does not match profile");
     }
+    entry->data_driven = core::PricedVariant{
+        quant::NumericFormat::kINT8, config_.data_driven_quantizer,
+        entry->analysis.QuantTermWithSteps(
+            core::VectorStepFn(entry->optq_steps))};
   }
 
   std::lock_guard<std::mutex> lock(entries_mu_);
@@ -295,24 +301,19 @@ Result<std::shared_ptr<ModelRegistry::Variant>> ModelRegistry::GetVariant(
   auto variant = std::make_shared<Variant>();
   variant->format = format;
   variant->quantizer = quantizer;
-  if (quantizer != quant::WeightQuantizer::kMaxAffine) {
-    if (entry->calibration.size() == 0) {
-      decode_failures_->Increment();
-      return Status::FailedPrecondition(
-          std::string("registry: model ") + name +
-          " was not registered with data-driven calibration");
-    }
-    // Deterministic: bit-identical to the clone whose effective steps
-    // Register priced, however many evictions later.
-    variant->model = std::move(
-        quant::OptqQuantizeWeights(entry->base, entry->calibration, quantizer)
-            .model);
-  } else {
-    // kFP32 clones (QuantizeWeights is an identity clone there); reduced
-    // formats round every Dense/Conv weight tensor.
-    variant->model =
-        std::move(quant::QuantizeWeights(entry->base, format).model);
+  if (quantizer != quant::WeightQuantizer::kMaxAffine &&
+      entry->calibration.size() == 0) {
+    decode_failures_->Increment();
+    return Status::FailedPrecondition(
+        std::string("registry: model ") + name +
+        " was not registered with data-driven calibration");
   }
+  // Deterministic: a data-driven variant is bit-identical to the clone
+  // whose effective steps Register priced, however many evictions later.
+  // kFP32 yields a plain folded clone.
+  variant->model = std::move(
+      quant::Materialize(entry->base, {format, quantizer}, entry->calibration)
+          .model);
   // The base was folded at Register; folding the clone again is a no-op
   // that keeps the "serving never runs power iteration" invariant robust
   // to future base-model sources.

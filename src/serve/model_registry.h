@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -110,9 +111,13 @@ class ModelRegistry {
     /// the variant bit-identically after an eviction or invalidation.
     tensor::Tensor calibration;
     /// Per-layer effective steps of the data-driven INT8 variant, in StepFn
-    /// traversal order (quant::OptqEffectiveSteps), priced once at
-    /// Register. Empty when data-driven quantization is disabled.
+    /// traversal order (quant::MaterializedModel::EffectiveSteps), measured
+    /// once at Register. Empty when data-driven quantization is disabled.
     std::vector<double> optq_steps;
+    /// The data-driven INT8 variant priced from `optq_steps`: the extra
+    /// candidate admission ranks after the max-affine formats. Unset when
+    /// data-driven quantization is disabled.
+    std::optional<core::PricedVariant> data_driven;
 
     Entry(nn::Model base_model, core::ErrorFlowAnalysis model_analysis,
           tensor::Shape shape)

@@ -26,7 +26,6 @@ AdmissionConfig MakeAdmissionConfig(const ServerConfig& config) {
   ac.hardware = config.hardware;
   ac.allowed_formats = config.allowed_formats;
   ac.max_queue_depth = config.max_queue_depth;
-  ac.data_driven_quantizer = config.data_driven_quantizer;
   return ac;
 }
 
@@ -117,12 +116,10 @@ Result<AdmissionDecision> InferenceServer::AdmitRequest(
   if (request->deadline == Clock::time_point{}) {
     request->deadline = now + config_.default_timeout;
   }
-  return admission_.Admit(entry->analysis, entry->flops_per_sample,
-                          entry->bytes_per_sample, request->qoi_tolerance,
-                          request->deadline, now, scheduler_.queue_depth(),
-                          scheduler_.overloaded(),
-                          entry->optq_steps.empty() ? nullptr
-                                                    : &entry->optq_steps);
+  return admission_.Admit(
+      entry->analysis, request->qoi_tolerance, request->deadline, now,
+      scheduler_.queue_depth(), scheduler_.overloaded(),
+      entry->data_driven ? &*entry->data_driven : nullptr);
 }
 
 Result<std::future<InferenceResponse>> InferenceServer::Submit(

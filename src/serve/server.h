@@ -53,11 +53,10 @@ struct ServerConfig {
   bool evict_on_violation = false;
   /// Data-driven INT8 weight quantizer offered alongside the Table-I
   /// max-affine variants (kMaxAffine disables it; see
-  /// RegistryConfig::data_driven_quantizer and
-  /// AdmissionConfig::data_driven_quantizer). With kOptq/kSpfq,
-  /// RegisterModel runs one calibration pass, admission prices the tighter
-  /// measured INT8 bound, and the watchdog audits the new variants like
-  /// any other.
+  /// RegistryConfig::data_driven_quantizer). With kOptq/kSpfq,
+  /// RegisterModel runs one calibration pass and prices the tighter
+  /// measured INT8 bound, admission ranks it as one more candidate, and
+  /// the watchdog audits the new variants like any other.
   quant::WeightQuantizer data_driven_quantizer =
       quant::WeightQuantizer::kMaxAffine;
   /// Rows of the synthesized calibration batch (data-driven mode only).

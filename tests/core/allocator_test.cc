@@ -77,11 +77,15 @@ TEST(AllocatorTest, UnusedToleranceGoesToCompression) {
 TEST(AllocatorTest, DisallowQuantization) {
   ErrorFlowAnalysis analysis = MakeAnalysis();
   AllocationConfig cfg;
-  cfg.allow_quantization = false;
+  cfg.quant_fraction = 0.0;  // No budget for quantization.
   const double tol = analysis.QuantTerm(NumericFormat::kINT8) * 100.0;
   const AllocationPlan plan = AllocateTolerance(analysis, tol, cfg);
   EXPECT_EQ(plan.format, NumericFormat::kFP32);
+  EXPECT_EQ(plan.quant_bound, 0.0);
   EXPECT_GT(plan.input_tolerance, 0.0);
+  // The whole tolerance goes to compression.
+  EXPECT_EQ(plan.input_tolerance,
+            analysis.MaxInputError(tol, cfg.norm, NumericFormat::kFP32));
 }
 
 TEST(AllocatorTest, PlanNeverExceedsTolerance) {

@@ -73,7 +73,7 @@ TEST(ConvBoundTest, QuantizedCnnStaysBelowBound) {
   const Tensor ref = m.Predict(x);
   for (NumericFormat fmt :
        {NumericFormat::kFP16, NumericFormat::kBF16, NumericFormat::kINT8}) {
-    quant::QuantizedModel qm = quant::QuantizeWeights(m, fmt);
+    quant::MaterializedModel qm = quant::Materialize(m, {fmt});
     const Tensor out = qm.model.Predict(x);
     double worst = 0.0;
     const int64_t per = ref.dim(1);

@@ -7,6 +7,7 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "quant/quantize_model.h"
+#include "quant/step_size.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
@@ -35,29 +36,54 @@ nn::Model SampleResNet() {
   return nn::BuildResNet(cfg);
 }
 
-TEST(CollectLinearLayersTest, OrderMatchesProfileTraversal) {
-  nn::Model m = SampleResNet();
-  auto layers = CollectLinearLayers(&m);
-  ErrorFlowAnalysis analysis(ProfileModel(m, {1, 2, 8, 8}));
-  EXPECT_EQ(static_cast<int64_t>(layers.size()),
-            analysis.LinearLayerCount());
-  // Stem conv, block1 (2 convs), block2 (2 convs + projection), head.
-  EXPECT_EQ(layers.size(), 7u);
-  EXPECT_EQ(layers.front()->kind(), nn::LayerKind::kConv2d);
-  EXPECT_EQ(layers.back()->kind(), nn::LayerKind::kDense);
+// Table-I steps of a per-layer assignment, priced from scratch the way the
+// mixed planner prices it (FP32 layers at their 2^-23 step).
+std::vector<double> MixedSteps(const ErrorFlowAnalysis& analysis,
+                               const std::vector<NumericFormat>& formats) {
+  std::vector<double> steps;
+  for (const BlockProfile& block : analysis.profile().blocks) {
+    for (const LayerProfile& layer : block.body) {
+      steps.push_back(
+          quant::AverageStepSize(layer.weight, formats[steps.size()]));
+    }
+    if (block.is_residual && block.has_projection) {
+      steps.push_back(quant::AverageStepSize(block.shortcut.weight,
+                                             formats[steps.size()]));
+    }
+  }
+  return steps;
 }
 
-TEST(MixedStepFnTest, MatchesUniformFormat) {
+TEST(MaterializeTest, RecordsFollowProfileTraversal) {
+  nn::Model m = SampleResNet();
+  const quant::MaterializedModel q =
+      quant::Materialize(m, {NumericFormat::kFP16});
+  ErrorFlowAnalysis analysis(ProfileModel(m, {1, 2, 8, 8}));
+  EXPECT_EQ(static_cast<int64_t>(q.layers.size()),
+            analysis.LinearLayerCount());
+  // Stem conv, block1 (2 convs), block2 (2 convs + projection), head.
+  EXPECT_EQ(q.layers.size(), 7u);
+  EXPECT_EQ(q.layers.front().layer.rfind("Conv2d", 0), 0u);
+  EXPECT_EQ(q.layers.back().layer.rfind("Dense", 0), 0u);
+  // Each record prices the layer the profile holds at the same index.
+  const std::vector<double>& steps = analysis.Steps(NumericFormat::kFP16);
+  for (size_t i = 0; i < q.layers.size(); ++i) {
+    EXPECT_EQ(q.layers[i].effective_step, steps[i]) << i;
+  }
+}
+
+TEST(MixedPrecisionTest, UniformAssignmentMatchesFormat) {
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
   const int64_t n = analysis.LinearLayerCount();
   std::vector<NumericFormat> uniform(static_cast<size_t>(n),
                                      NumericFormat::kFP16);
-  EXPECT_NEAR(analysis.QuantTermWithSteps(MixedStepFn(uniform)),
-              analysis.QuantTerm(NumericFormat::kFP16), 1e-15);
+  EXPECT_EQ(
+      analysis.QuantTermWithSteps(VectorStepFn(MixedSteps(analysis, uniform))),
+      analysis.QuantTerm(NumericFormat::kFP16));
 }
 
-TEST(MixedStepFnTest, BoundWithStepsMatchesBound) {
+TEST(MixedPrecisionTest, BoundWithStepsMatchesBound) {
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
   EXPECT_NEAR(
@@ -119,11 +145,15 @@ TEST(PlanMixedPrecisionTest, MixedAssignmentEmergesAtIntermediateBudget) {
                                    NumericFormat::kFP32);
   probe[1] = NumericFormat::kINT8;
   const double budget =
-      analysis.QuantTermWithSteps(MixedStepFn(probe)) * 1.2;
+      analysis.QuantTermWithSteps(VectorStepFn(MixedSteps(analysis, probe))) *
+      1.2;
   ASSERT_LT(budget, analysis.QuantTerm(NumericFormat::kINT8));
 
   const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, budget, hw);
   EXPECT_LE(plan.quant_bound, budget * (1 + 1e-12));
+  // The plan's bound is its assignment priced from scratch.
+  EXPECT_EQ(plan.quant_bound, analysis.QuantTermWithSteps(VectorStepFn(
+                                  MixedSteps(analysis, plan.formats))));
   EXPECT_EQ(plan.formats[1], NumericFormat::kINT8);
   // Not everything can be INT8 under this budget.
   bool all_int8 = true;
@@ -132,19 +162,27 @@ TEST(PlanMixedPrecisionTest, MixedAssignmentEmergesAtIntermediateBudget) {
   EXPECT_GT(plan.modeled_speedup, 1.0);
 }
 
-TEST(QuantizeMixedTest, AppliesPerLayerFormats) {
+// The model's Dense layers in traversal order.
+std::vector<nn::DenseLayer*> DenseLayers(nn::Model* model) {
+  std::vector<nn::DenseLayer*> out;
+  model->VisitLayers([&out](nn::Layer* layer) {
+    if (auto* d = dynamic_cast<nn::DenseLayer*>(layer)) out.push_back(d);
+  });
+  return out;
+}
+
+TEST(MaterializeMixedTest, AppliesPerLayerFormats) {
   nn::Model m = SampleMlp();
-  ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
-  std::vector<NumericFormat> formats = {NumericFormat::kFP32,
-                                        NumericFormat::kBF16,
-                                        NumericFormat::kFP32};
-  nn::Model q = QuantizeMixed(m, formats);
-  auto orig = CollectLinearLayers(&m);
-  auto quant_layers = CollectLinearLayers(&q);
+  quant::VariantSpec spec;
+  spec.layer_formats = {NumericFormat::kFP32, NumericFormat::kBF16,
+                        NumericFormat::kFP32};
+  nn::Model q = std::move(quant::Materialize(m, spec).model);
+  auto orig = DenseLayers(&m);
+  auto quant_layers = DenseLayers(&q);
   ASSERT_EQ(orig.size(), 3u);
   // Layer 0 and 2 untouched, layer 1 rounded.
-  auto weight_of = [](nn::Layer* l) -> const Tensor& {
-    return static_cast<nn::DenseLayer*>(l)->weight();
+  auto weight_of = [](nn::DenseLayer* l) -> const Tensor& {
+    return l->weight();
   };
   for (int64_t i = 0; i < weight_of(orig[0]).size(); ++i) {
     EXPECT_EQ(weight_of(orig[0])[i], weight_of(quant_layers[0])[i]);
@@ -159,13 +197,15 @@ TEST(QuantizeMixedTest, AppliesPerLayerFormats) {
   EXPECT_TRUE(changed);
 }
 
-TEST(QuantizeMixedTest, MixedModelErrorWithinMixedBound) {
+TEST(MaterializeMixedTest, MixedModelErrorWithinMixedBound) {
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
   quant::HardwareProfile hw;
   const double budget = analysis.QuantTerm(NumericFormat::kBF16);
   const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, budget, hw);
-  nn::Model q = QuantizeMixed(m, plan.formats);
+  quant::VariantSpec spec;
+  spec.layer_formats = plan.formats;
+  nn::Model q = std::move(quant::Materialize(m, spec).model);
   const Tensor x = testing::RandomUniformTensor({64, 8}, 6);
   const Tensor ref = m.Predict(x);
   const Tensor out = q.Predict(x);

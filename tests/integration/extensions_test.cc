@@ -57,7 +57,7 @@ TEST(ActivationQuantBoundTest, AchievedBelowBoundAllFormats) {
          {NumericFormat::kFP16, NumericFormat::kBF16,
           NumericFormat::kINT8}) {
       // Weights AND activations quantized to the same format.
-      quant::QuantizedModel qm = quant::QuantizeWeights(model, fmt);
+      quant::MaterializedModel qm = quant::Materialize(model, {fmt});
       const Tensor out =
           quant::PredictWithQuantizedActivations(&qm.model, x, fmt);
       const double achieved = MaxSampleL2Error(ref, out);
@@ -88,11 +88,14 @@ TEST(GroupedBoundTest, GroupedInt8WithinGroupedBound) {
 
     // Quantize every linear layer with per-row INT8.
     nn::Model grouped = model.Clone();
-    for (nn::Layer* layer : core::CollectLinearLayers(&grouped)) {
-      auto* d = dynamic_cast<nn::DenseLayer*>(layer);
-      ASSERT_NE(d, nullptr);
-      quant::QuantizeDequantizeInt8Grouped(&d->mutable_weight(), gcfg);
-    }
+    int64_t quantized = 0;
+    grouped.VisitLayers([&](nn::Layer* layer) {
+      if (auto* d = dynamic_cast<nn::DenseLayer*>(layer)) {
+        quant::QuantizeDequantizeInt8Grouped(&d->mutable_weight(), gcfg);
+        ++quantized;
+      }
+    });
+    ASSERT_EQ(quantized, analysis.LinearLayerCount());
 
     const ErrorFlowAnalysis::StepFn grouped_steps =
         [&gcfg](const core::LayerProfile& layer, int64_t) {
@@ -120,7 +123,9 @@ TEST(MixedPrecisionBoundTest, MixedModelWithinPlanBound) {
   const double budget = analysis.QuantTerm(NumericFormat::kBF16) * 0.8;
   const core::MixedPrecisionPlan plan =
       core::PlanMixedPrecision(analysis, budget, hw);
-  nn::Model mixed = core::QuantizeMixed(model, plan.formats);
+  quant::VariantSpec spec;
+  spec.layer_formats = plan.formats;
+  nn::Model mixed = std::move(quant::Materialize(model, spec).model);
   const Tensor x = testing::RandomUniformTensor({64, 7}, 30);
   const double achieved =
       MaxSampleL2Error(model.Predict(x), mixed.Predict(x));

@@ -88,7 +88,7 @@ TEST(ActivationQuantTest, ResNetPathAlsoRounds) {
 TEST(ActivationQuantTest, ComposesWithWeightQuantization) {
   nn::Model m = SampleMlp();
   const Tensor x = testing::RandomUniformTensor({16, 6}, 5);
-  QuantizedModel qm = QuantizeWeights(m, NumericFormat::kFP16);
+  MaterializedModel qm = Materialize(m, {NumericFormat::kFP16});
   const Tensor both = PredictWithQuantizedActivations(
       &qm.model, x, NumericFormat::kFP16);
   const Tensor weights_only = qm.model.Predict(x);

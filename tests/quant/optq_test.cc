@@ -1,7 +1,7 @@
-// Data-driven INT8 weight quantization (quant/optq.h): the OPTQ-style
-// error-feedback rounder must (a) be deterministic so the serving registry
-// can price a variant at Register and materialize it bit-identically
-// later, (b) achieve measurably lower calibration-distribution error than
+// Data-driven INT8 weight quantization (quant/optq.h, applied through
+// quant::Materialize): the OPTQ-style error-feedback rounder must (a) be
+// deterministic so the serving registry can price a variant at Register
+// and materialize it bit-identically later, (b) achieve measurably lower calibration-distribution error than
 // Table-I max-affine INT8, and (c) produce effective steps whose
 // BoundWithSteps covers the achieved error and whose attribution sums
 // exactly — the invariants the admission controller and the watchdog
@@ -65,6 +65,12 @@ double MaxSampleError(const Tensor& ref, const Tensor& got, Norm norm) {
   return worst;
 }
 
+// The data-driven INT8 variant of `model`.
+MaterializedModel Optq(const nn::Model& model, const Tensor& calibration,
+                       WeightQuantizer quantizer = WeightQuantizer::kOptq) {
+  return Materialize(model, {NumericFormat::kINT8, quantizer}, calibration);
+}
+
 double MeanSquaredOutputError(nn::Model* a, nn::Model* b,
                               const Tensor& input) {
   Tensor oa, ob;
@@ -82,12 +88,12 @@ double MeanSquaredOutputError(nn::Model* a, nn::Model* b,
 TEST(OptqTest, RecordsMatchTraversalOrderAndAreSane) {
   nn::Model model = CalibMlp();
   const Tensor calib = UniformBatch(64, 12, 77);
-  OptqQuantizedModel q = OptqQuantizeWeights(model, calib);
+  MaterializedModel q = Optq(model, calib);
 
   core::ErrorFlowAnalysis analysis(core::ProfileModel(model, {1, 12}));
   ASSERT_EQ(static_cast<int64_t>(q.layers.size()),
             analysis.LinearLayerCount());
-  for (const OptqLayerRecord& rec : q.layers) {
+  for (const LayerQuantRecord& rec : q.layers) {
     EXPECT_GT(rec.rows, 0);
     EXPECT_GT(rec.cols, 0);
     EXPECT_GT(rec.calib_columns, 0) << rec.layer;
@@ -102,8 +108,8 @@ TEST(OptqTest, DeterministicMaterialization) {
   nn::Model model = CalibMlp();
   const Tensor calib = UniformBatch(48, 12, 5);
   for (WeightQuantizer wq : {WeightQuantizer::kOptq, WeightQuantizer::kSpfq}) {
-    OptqQuantizedModel a = OptqQuantizeWeights(model, calib, wq);
-    OptqQuantizedModel b = OptqQuantizeWeights(model, calib, wq);
+    MaterializedModel a = Optq(model, calib, wq);
+    MaterializedModel b = Optq(model, calib, wq);
     bool identical = true;
     a.model.VisitLayers([&](const nn::Layer*) {});  // exercise const visit
     Tensor oa, ob;
@@ -128,8 +134,8 @@ TEST(OptqTest, BeatsMaxAffineOnCalibrationDistribution) {
   const Tensor calib = UniformBatch(96, 12, 31);
   const Tensor heldout = UniformBatch(64, 12, 131);
 
-  OptqQuantizedModel optq = OptqQuantizeWeights(model, calib);
-  QuantizedModel affine = QuantizeWeights(model, NumericFormat::kINT8);
+  MaterializedModel optq = Optq(model, calib);
+  MaterializedModel affine = Materialize(model, {NumericFormat::kINT8});
   nn::Model reference = model.Clone();
   reference.FoldPsn();
 
@@ -146,10 +152,10 @@ TEST(OptqTest, BeatsMaxAffineOnCalibrationDistribution) {
 TEST(OptqTest, EffectiveStepsTightenTheInt8Bound) {
   nn::Model model = CalibMlp(41);
   const Tensor calib = UniformBatch(96, 12, 7);
-  OptqQuantizedModel q = OptqQuantizeWeights(model, calib);
+  MaterializedModel q = Optq(model, calib);
 
   core::ErrorFlowAnalysis analysis(core::ProfileModel(model, {1, 12}));
-  const auto step_fn = core::VectorStepFn(OptqEffectiveSteps(q));
+  const auto step_fn = core::VectorStepFn(q.EffectiveSteps());
   const double data_bound =
       analysis.BoundWithSteps(0.0, Norm::kLinf, step_fn);
   const double table_bound =
@@ -163,12 +169,12 @@ TEST(OptqTest, EffectiveStepsTightenTheInt8Bound) {
 TEST(OptqTest, BoundWithStepsCoversAchievedError) {
   nn::Model model = CalibMlp(3);
   const Tensor calib = UniformBatch(96, 12, 17);
-  OptqQuantizedModel q = OptqQuantizeWeights(model, calib);
+  MaterializedModel q = Optq(model, calib);
   nn::Model reference = model.Clone();
   reference.FoldPsn();
 
   core::ErrorFlowAnalysis analysis(core::ProfileModel(model, {1, 12}));
-  const auto step_fn = core::VectorStepFn(OptqEffectiveSteps(q));
+  const auto step_fn = core::VectorStepFn(q.EffectiveSteps());
 
   for (Norm norm : {Norm::kLinf, Norm::kL2}) {
     const double bound = analysis.BoundWithSteps(0.0, norm, step_fn);
@@ -184,10 +190,10 @@ TEST(OptqTest, BoundWithStepsCoversAchievedError) {
 TEST(OptqTest, AttributionWithStepsSumsExactly) {
   nn::Model model = CalibMlp(9);
   const Tensor calib = UniformBatch(64, 12, 13);
-  OptqQuantizedModel q = OptqQuantizeWeights(model, calib);
+  MaterializedModel q = Optq(model, calib);
 
   core::ErrorFlowAnalysis analysis(core::ProfileModel(model, {1, 12}));
-  const auto step_fn = core::VectorStepFn(OptqEffectiveSteps(q));
+  const auto step_fn = core::VectorStepFn(q.EffectiveSteps());
   const core::BoundAttribution att =
       analysis.AttributionWithSteps(1e-3, Norm::kL2, step_fn);
   const double bound = analysis.BoundWithSteps(1e-3, Norm::kL2, step_fn);
@@ -203,10 +209,8 @@ TEST(OptqTest, AttributionWithStepsSumsExactly) {
 TEST(OptqTest, SpfqDiffersFromOptqButStaysOnGrid) {
   nn::Model model = CalibMlp(29);
   const Tensor calib = UniformBatch(64, 12, 3);
-  OptqQuantizedModel a = OptqQuantizeWeights(model, calib,
-                                             WeightQuantizer::kOptq);
-  OptqQuantizedModel b = OptqQuantizeWeights(model, calib,
-                                             WeightQuantizer::kSpfq);
+  MaterializedModel a = Optq(model, calib, WeightQuantizer::kOptq);
+  MaterializedModel b = Optq(model, calib, WeightQuantizer::kSpfq);
   const Tensor probe = UniformBatch(16, 12, 47);
   Tensor oa, ob;
   a.model.Forward(probe, &oa, false);
@@ -214,15 +218,15 @@ TEST(OptqTest, SpfqDiffersFromOptqButStaysOnGrid) {
   bool any_diff = false;
   for (int64_t i = 0; i < oa.size(); ++i) any_diff |= oa[i] != ob[i];
   EXPECT_TRUE(any_diff);
-  for (const OptqLayerRecord& rec : b.layers) {
+  for (const LayerQuantRecord& rec : b.layers) {
     EXPECT_GT(rec.effective_step, 0.0);
   }
 }
 
 TEST(OptqTest, EmptyCalibrationFallsBackToPerChannelRounding) {
   nn::Model model = CalibMlp(7);
-  OptqQuantizedModel q = OptqQuantizeWeights(model, Tensor{});
-  for (const OptqLayerRecord& rec : q.layers) {
+  MaterializedModel q = Optq(model, Tensor{});
+  for (const LayerQuantRecord& rec : q.layers) {
     EXPECT_EQ(rec.calib_columns, 0);
     EXPECT_GT(rec.effective_step, 0.0);
     EXPECT_DOUBLE_EQ(rec.calib_rms_error, 0.0);
@@ -249,19 +253,19 @@ TEST(OptqTest, ConvAndResidualModelsQuantize) {
   for (int64_t i = 0; i < calib.size(); ++i) {
     calib[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
   }
-  OptqQuantizedModel q = OptqQuantizeWeights(model, calib);
+  MaterializedModel q = Optq(model, calib);
 
   core::ErrorFlowAnalysis analysis(
       core::ProfileModel(model, {1, 2, 12, 12}));
   ASSERT_EQ(static_cast<int64_t>(q.layers.size()),
             analysis.LinearLayerCount());
-  for (const OptqLayerRecord& rec : q.layers) {
+  for (const LayerQuantRecord& rec : q.layers) {
     EXPECT_GT(rec.calib_columns, 0) << rec.layer;
     EXPECT_GT(rec.effective_step, 0.0) << rec.layer;
   }
   // The data-driven steps plug into the composed bound machinery.
   const double bound = analysis.BoundWithSteps(
-      0.0, Norm::kLinf, core::VectorStepFn(OptqEffectiveSteps(q)));
+      0.0, Norm::kLinf, core::VectorStepFn(q.EffectiveSteps()));
   EXPECT_GT(bound, 0.0);
   EXPECT_LT(bound, analysis.Bound(0.0, Norm::kLinf, NumericFormat::kINT8));
 }
@@ -291,7 +295,7 @@ TEST(OptqTest, NonFiniteWeightsFollowAffineNanPolicy) {
 
   for (WeightQuantizer wq :
        {WeightQuantizer::kOptq, WeightQuantizer::kSpfq}) {
-    OptqQuantizedModel q = OptqQuantizeWeights(model, calib, wq);
+    MaterializedModel q = Optq(model, calib, wq);
     q.model.VisitLayers([&](nn::Layer* layer) {
       if (auto* dl = dynamic_cast<nn::DenseLayer*>(layer)) {
         const Tensor& w = dl->mutable_weight();
@@ -300,7 +304,7 @@ TEST(OptqTest, NonFiniteWeightsFollowAffineNanPolicy) {
         }
       }
     });
-    for (const OptqLayerRecord& rec : q.layers) {
+    for (const LayerQuantRecord& rec : q.layers) {
       EXPECT_TRUE(std::isfinite(rec.effective_step)) << rec.layer;
       EXPECT_GT(rec.effective_step, 0.0) << rec.layer;
       EXPECT_TRUE(std::isfinite(rec.rms_delta)) << rec.layer;
@@ -309,7 +313,7 @@ TEST(OptqTest, NonFiniteWeightsFollowAffineNanPolicy) {
     }
     // Still deterministic under poisoned weights: the admission-priced
     // steps and any later rematerialization must keep agreeing.
-    OptqQuantizedModel again = OptqQuantizeWeights(model, calib, wq);
+    MaterializedModel again = Optq(model, calib, wq);
     ASSERT_EQ(q.layers.size(), again.layers.size());
     for (size_t l = 0; l < q.layers.size(); ++l) {
       EXPECT_DOUBLE_EQ(q.layers[l].effective_step,

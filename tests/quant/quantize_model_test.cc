@@ -26,18 +26,24 @@ nn::Model SampleModel(bool psn = false) {
 
 TEST(QuantizeModelTest, Fp32IsExactCopy) {
   nn::Model m = SampleModel();
-  QuantizedModel q = QuantizeWeights(m, NumericFormat::kFP32);
+  MaterializedModel q = Materialize(m, {NumericFormat::kFP32});
   const Tensor x = testing::RandomTensor({3, 6}, 1);
   const Tensor a = m.Predict(x), b = q.model.Predict(x);
   for (int64_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
-  EXPECT_TRUE(q.layers.empty());
+  // Every layer is recorded, and none was perturbed.
+  EXPECT_EQ(q.layers.size(), 3u);
+  for (const LayerQuantRecord& rec : q.layers) {
+    EXPECT_EQ(rec.format, NumericFormat::kFP32);
+    EXPECT_EQ(rec.effective_step, 0.0);
+    EXPECT_EQ(rec.max_abs_delta, 0.0);
+  }
 }
 
 TEST(QuantizeModelTest, OriginalModelUntouched) {
   nn::Model m = SampleModel();
   const Tensor x = testing::RandomTensor({2, 6}, 2);
   const Tensor before = m.Predict(x);
-  QuantizeWeights(m, NumericFormat::kINT8);
+  Materialize(m, {NumericFormat::kINT8});
   const Tensor after = m.Predict(x);
   for (int64_t i = 0; i < before.size(); ++i) {
     EXPECT_EQ(before[i], after[i]);
@@ -46,19 +52,21 @@ TEST(QuantizeModelTest, OriginalModelUntouched) {
 
 TEST(QuantizeModelTest, RecordsAllLinearLayers) {
   nn::Model m = SampleModel();
-  QuantizedModel q = QuantizeWeights(m, NumericFormat::kFP16);
+  MaterializedModel q = Materialize(m, {NumericFormat::kFP16});
   EXPECT_EQ(q.layers.size(), 3u);
   for (const LayerQuantRecord& rec : q.layers) {
-    EXPECT_GT(rec.step_size, 0.0);
+    EXPECT_GT(rec.table_step, 0.0);
+    // Max-affine rounding prices exactly the Table-I step.
+    EXPECT_EQ(rec.effective_step, rec.table_step);
     EXPECT_GE(rec.max_abs_delta, 0.0);
     // Weight perturbation cannot exceed ~a few steps.
-    EXPECT_LE(rec.max_abs_delta, rec.step_size * 4);
+    EXPECT_LE(rec.max_abs_delta, rec.table_step * 4);
   }
 }
 
 TEST(QuantizeModelTest, WeightsActuallyRounded) {
   nn::Model m = SampleModel();
-  QuantizedModel q = QuantizeWeights(m, NumericFormat::kBF16);
+  MaterializedModel q = Materialize(m, {NumericFormat::kBF16});
   q.model.VisitLayers([](nn::Layer* l) {
     if (auto* d = dynamic_cast<nn::DenseLayer*>(l)) {
       for (int64_t i = 0; i < d->weight().size(); ++i) {
@@ -74,7 +82,7 @@ TEST(QuantizeModelTest, LowerPrecisionLargerOutputDeviation) {
   const Tensor x = testing::RandomUniformTensor({16, 6}, 3);
   const Tensor ref = m.Predict(x);
   auto deviation = [&](NumericFormat fmt) {
-    QuantizedModel q = QuantizeWeights(m, fmt);
+    MaterializedModel q = Materialize(m, {fmt});
     const Tensor out = q.model.Predict(x);
     double max_err = 0.0;
     for (int64_t i = 0; i < ref.size(); ++i) {
@@ -92,7 +100,7 @@ TEST(QuantizeModelTest, LowerPrecisionLargerOutputDeviation) {
 
 TEST(QuantizeModelTest, FoldsPsnBeforeQuantizing) {
   nn::Model m = SampleModel(/*psn=*/true);
-  QuantizedModel q = QuantizeWeights(m, NumericFormat::kFP16);
+  MaterializedModel q = Materialize(m, {NumericFormat::kFP16});
   q.model.VisitLayers([](nn::Layer* l) {
     if (auto* d = dynamic_cast<nn::DenseLayer*>(l)) {
       EXPECT_FALSE(d->use_psn());
@@ -108,7 +116,13 @@ TEST(QuantizeModelTest, FoldsPsnBeforeQuantizing) {
 
 TEST(QuantizeModelTest, NameCarriesFormat) {
   nn::Model m = SampleModel();
-  EXPECT_EQ(QuantizeWeights(m, NumericFormat::kINT8).model.name(), "m.int8");
+  EXPECT_EQ(Materialize(m, {NumericFormat::kINT8}).model.name(), "m.int8");
+  EXPECT_EQ(Materialize(m, {NumericFormat::kINT8, WeightQuantizer::kOptq})
+                .model.name(),
+            "m.int8+optq");
+  VariantSpec mixed;
+  mixed.layer_formats.assign(3, NumericFormat::kBF16);
+  EXPECT_EQ(Materialize(m, mixed).model.name(), "m.mixed");
 }
 
 }  // namespace

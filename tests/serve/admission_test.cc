@@ -49,25 +49,25 @@ class AdmissionTest : public ::testing::Test {
 TEST_F(AdmissionTest, ZeroToleranceIsInvalidArgument) {
   AdmissionController controller(AdmissionConfig{});
   auto decision =
-      controller.Admit(analysis_, 100, 100, 0.0, later_, now_, 0);
+      controller.Admit(analysis_, 0.0, later_, now_, 0);
   EXPECT_EQ(decision.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(AdmissionTest, NegativeToleranceIsInvalidArgument) {
   AdmissionController controller(AdmissionConfig{});
   auto decision =
-      controller.Admit(analysis_, 100, 100, -1e-3, later_, now_, 0);
+      controller.Admit(analysis_, -1e-3, later_, now_, 0);
   EXPECT_EQ(decision.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(AdmissionTest, ExpiredDeadlineIsDeadlineExceeded) {
   AdmissionController controller(AdmissionConfig{});
   auto decision = controller.Admit(
-      analysis_, 100, 100, 1e-2, now_ - std::chrono::milliseconds(1), now_,
+      analysis_, 1e-2, now_ - std::chrono::milliseconds(1), now_,
       0);
   EXPECT_EQ(decision.status().code(), StatusCode::kDeadlineExceeded);
   // A deadline exactly at `now` is also already dead.
-  decision = controller.Admit(analysis_, 100, 100, 1e-2, now_, now_, 0);
+  decision = controller.Admit(analysis_, 1e-2, now_, now_, 0);
   EXPECT_EQ(decision.status().code(), StatusCode::kDeadlineExceeded);
 }
 
@@ -75,10 +75,10 @@ TEST_F(AdmissionTest, FullQueueIsResourceExhausted) {
   AdmissionConfig cfg;
   cfg.max_queue_depth = 4;
   AdmissionController controller(cfg);
-  auto decision = controller.Admit(analysis_, 100, 100, 1e-2, later_, now_, 4);
+  auto decision = controller.Admit(analysis_, 1e-2, later_, now_, 4);
   EXPECT_EQ(decision.status().code(), StatusCode::kResourceExhausted);
   // One below the bound still admits.
-  EXPECT_TRUE(controller.Admit(analysis_, 100, 100, 1e-2, later_, now_, 3)
+  EXPECT_TRUE(controller.Admit(analysis_, 1e-2, later_, now_, 3)
                   .ok());
 }
 
@@ -88,14 +88,14 @@ TEST_F(AdmissionTest, OverloadHalvesTheQueueBound) {
   AdmissionController controller(cfg);
   // Depth 4 admits normally but is shed while the scheduler reports SLO
   // overload (effective bound 8/2 = 4).
-  EXPECT_TRUE(controller.Admit(analysis_, 100, 100, 1e-2, later_, now_, 4)
+  EXPECT_TRUE(controller.Admit(analysis_, 1e-2, later_, now_, 4)
                   .ok());
-  auto overloaded = controller.Admit(analysis_, 100, 100, 1e-2, later_,
+  auto overloaded = controller.Admit(analysis_, 1e-2, later_,
                                      now_, 4, /*overloaded=*/true);
   EXPECT_EQ(overloaded.status().code(), StatusCode::kResourceExhausted);
   // Below the halved bound still admits under overload.
   EXPECT_TRUE(controller
-                  .Admit(analysis_, 100, 100, 1e-2, later_, now_, 3,
+                  .Admit(analysis_, 1e-2, later_, now_, 3,
                          /*overloaded=*/true)
                   .ok());
 }
@@ -106,7 +106,7 @@ TEST_F(AdmissionTest, ToleranceBelowTightestBoundIsFailedPrecondition) {
   AdmissionController controller(cfg);
   const double tightest = TightestReducedBound(cfg.norm);
   ASSERT_GT(tightest, 0.0);
-  auto decision = controller.Admit(analysis_, 100, 100, tightest * 0.5,
+  auto decision = controller.Admit(analysis_, tightest * 0.5,
                                    later_, now_, 0);
   EXPECT_EQ(decision.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -114,7 +114,7 @@ TEST_F(AdmissionTest, ToleranceBelowTightestBoundIsFailedPrecondition) {
 TEST_F(AdmissionTest, Fp32MakesAnyPositiveToleranceFeasible) {
   AdmissionController controller(AdmissionConfig{});  // All formats allowed.
   const double tiny = TightestReducedBound(tensor::Norm::kLinf) * 1e-6;
-  auto decision = controller.Admit(analysis_, 100, 100, tiny, later_, now_, 0);
+  auto decision = controller.Admit(analysis_, tiny, later_, now_, 0);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->format, NumericFormat::kFP32);
   EXPECT_EQ(decision->quant_bound, 0.0);
@@ -125,7 +125,7 @@ TEST_F(AdmissionTest, AdmitsFeasibleFormatWithinTolerance) {
   cfg.allowed_formats = quant::ReducedFormats();
   AdmissionController controller(cfg);
   const double tol = TightestReducedBound(cfg.norm) * 4.0;
-  auto decision = controller.Admit(analysis_, 100, 100, tol, later_, now_, 0);
+  auto decision = controller.Admit(analysis_, tol, later_, now_, 0);
   ASSERT_TRUE(decision.ok());
   EXPECT_NE(decision->format, NumericFormat::kFP32);
   EXPECT_LE(decision->quant_bound, tol);
@@ -140,9 +140,9 @@ TEST_F(AdmissionTest, LooseToleranceSelectsFasterFormatThanTight) {
   const double tight = TightestReducedBound(cfg.norm) * 1.5;
   const double loose = 1e9;
   auto tight_decision =
-      controller.Admit(analysis_, 100, 100, tight, later_, now_, 0);
+      controller.Admit(analysis_, tight, later_, now_, 0);
   auto loose_decision =
-      controller.Admit(analysis_, 100, 100, loose, later_, now_, 0);
+      controller.Admit(analysis_, loose, later_, now_, 0);
   ASSERT_TRUE(tight_decision.ok());
   ASSERT_TRUE(loose_decision.ok());
   EXPECT_LE(exec.SecondsPerSample(loose_decision->format),
@@ -157,8 +157,8 @@ TEST_F(AdmissionTest, RejectionsIncrementTypedCounters) {
           ->value();
   const uint64_t admitted_before =
       registry.GetCounter("errorflow.serve.admission.admitted")->value();
-  (void)controller.Admit(analysis_, 100, 100, 0.0, later_, now_, 0);
-  (void)controller.Admit(analysis_, 100, 100, 1e-2, later_, now_, 0);
+  (void)controller.Admit(analysis_, 0.0, later_, now_, 0);
+  (void)controller.Admit(analysis_, 1e-2, later_, now_, 0);
   EXPECT_EQ(
       registry.GetCounter("errorflow.serve.admission.rejected_invalid")
           ->value(),

@@ -59,7 +59,7 @@ TEST(NoPowerIterationTest, ServingRunsNoPowerIterationPerRequest) {
 }
 
 // The quantization path (variant materialization) must not re-estimate
-// spectra either: QuantizeWeights clones folded weights verbatim.
+// spectra either: Materialize clones folded weights verbatim.
 TEST(NoPowerIterationTest, VariantMaterializationRunsNoPowerIteration) {
   nn::MlpConfig cfg;
   cfg.input_dim = 5;

@@ -1,0 +1,345 @@
+// Parity pins for the single pricing / picking / materializing path:
+//  - the analysis prices each format once, and every cached QuantTerm,
+//    Gain and Bound equals a from-scratch flow whose StepFn recomputes the
+//    Table-I step from the weights on every call;
+//  - AllocateTolerance and Admit (data-driven candidate included) equal a
+//    brute-force "lowest modeled time among feasible candidates, earlier
+//    on ties" over a tolerance grid;
+//  - Materialize is bit-identical to a plain per-layer rounding loop.
+// Fixtures are fixed-seed MLP, conv and residual models.
+#include <chrono>
+#include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "core/allocator.h"
+#include "core/spectral_profile.h"
+#include "gtest/gtest.h"
+#include "nn/builders.h"
+#include "nn/conv2d.h"
+#include "nn/dense.h"
+#include "nn/pool.h"
+#include "quant/affine.h"
+#include "quant/hardware_model.h"
+#include "quant/quantize_model.h"
+#include "quant/step_size.h"
+#include "serve/admission.h"
+#include "serve/model_registry.h"
+
+namespace errorflow {
+namespace serve {
+namespace {
+
+using core::ErrorFlowAnalysis;
+using quant::NumericFormat;
+using quant::WeightQuantizer;
+using tensor::Norm;
+using tensor::Tensor;
+
+struct Fixture {
+  std::string name;
+  nn::Model (*build)();
+  tensor::Shape shape;
+};
+
+nn::Model Mlp() {
+  nn::MlpConfig cfg;
+  cfg.name = "mlp";
+  cfg.input_dim = 8;
+  cfg.hidden_dims = {16, 16};
+  cfg.output_dim = 4;
+  cfg.seed = 11;
+  return nn::BuildMlp(cfg);
+}
+
+nn::Model ConvNet() {
+  nn::Model model("conv");
+  auto c1 = std::make_unique<nn::Conv2dLayer>(2, 4, 3, /*stride=*/1,
+                                              /*padding=*/1);
+  c1->InitHe(21);
+  model.Add(std::move(c1));
+  auto c2 = std::make_unique<nn::Conv2dLayer>(4, 6, 3, /*stride=*/2,
+                                              /*padding=*/1);
+  c2->InitHe(22);
+  model.Add(std::move(c2));
+  model.Add(std::make_unique<nn::GlobalAvgPoolLayer>());
+  auto head = std::make_unique<nn::DenseLayer>(6, 3);
+  head->InitXavier(23);
+  model.Add(std::move(head));
+  return model;
+}
+
+nn::Model ResNet() {
+  nn::ResNetConfig cfg;
+  cfg.name = "resnet";
+  cfg.in_channels = 2;
+  cfg.num_classes = 3;
+  cfg.stage_channels = {4, 8};
+  cfg.stage_blocks = {1, 1};
+  cfg.seed = 52;
+  return nn::BuildResNet(cfg);
+}
+
+const std::vector<Fixture>& Fixtures() {
+  static const std::vector<Fixture> kFixtures = {
+      {"mlp", &Mlp, {1, 8}},
+      {"conv", &ConvNet, {1, 2, 8, 8}},
+      {"resnet", &ResNet, {1, 2, 8, 8}}};
+  return kFixtures;
+}
+
+// Recomputes the Table-I step from the weights on every call: the
+// pre-cache pricing path.
+ErrorFlowAnalysis::StepFn ScratchSteps(NumericFormat format) {
+  return [format](const core::LayerProfile& layer, int64_t) {
+    return format == NumericFormat::kFP32
+               ? 0.0
+               : quant::AverageStepSize(layer.weight, format);
+  };
+}
+
+TEST(PricingParityTest, CachedFormatPricingEqualsScratchFlow) {
+  for (const Fixture& fx : Fixtures()) {
+    const ErrorFlowAnalysis analysis(core::ProfileModel(fx.build(), fx.shape));
+    for (NumericFormat f : quant::AllFormats()) {
+      SCOPED_TRACE(fx.name + "/" + quant::FormatToString(f));
+      const auto scratch = ScratchSteps(f);
+      EXPECT_EQ(analysis.QuantTerm(f), analysis.QuantTermWithSteps(scratch));
+      EXPECT_EQ(analysis.Gain(f),
+                analysis.AttributionWithSteps(0.0, Norm::kL2, scratch).gain);
+      for (Norm norm : {Norm::kLinf, Norm::kL2}) {
+        for (double err : {0.0, 1e-3, 0.25}) {
+          EXPECT_EQ(analysis.Bound(err, norm, f),
+                    analysis.BoundWithSteps(err, norm, scratch));
+          EXPECT_EQ(analysis.Attribution(err, norm, f).total,
+                    analysis.AttributionWithSteps(err, norm, scratch).total);
+        }
+      }
+      const std::vector<double>& steps = analysis.Steps(f);
+      ASSERT_EQ(static_cast<int64_t>(steps.size()),
+                analysis.LinearLayerCount());
+      const auto rows = analysis.AttributionWithSteps(0.0, Norm::kL2, scratch);
+      for (size_t i = 0; i < steps.size(); ++i) {
+        EXPECT_EQ(steps[i], rows.layers[i].step_size) << i;
+      }
+    }
+  }
+}
+
+// Lowest modeled time among feasible candidates; the earlier candidate
+// wins a tie. Returns -1 when none is feasible.
+int BruteForcePick(const std::vector<NumericFormat>& formats,
+                   const std::vector<double>& bounds, double budget,
+                   const quant::ExecutionModel& exec) {
+  int best = -1;
+  for (size_t i = 0; i < formats.size(); ++i) {
+    if (!(bounds[i] <= budget)) continue;
+    if (best < 0 || exec.SecondsPerSample(formats[i]) <
+                        exec.SecondsPerSample(formats[best])) {
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
+
+// Twelve log-spaced tolerances from below the tightest reduced-format
+// bound to well above the loosest one.
+std::vector<double> ToleranceGrid(const ErrorFlowAnalysis& analysis) {
+  const double lo = 0.3 * analysis.QuantTerm(NumericFormat::kTF32);
+  const double hi = 30.0 * analysis.QuantTerm(NumericFormat::kINT8);
+  std::vector<double> grid;
+  for (int k = 0; k < 12; ++k) {
+    grid.push_back(lo * std::pow(hi / lo, k / 11.0));
+  }
+  return grid;
+}
+
+std::vector<quant::HardwareProfile> Profiles() {
+  quant::HardwareProfile tie;  // FP16 and INT8 modeled equally fast.
+  tie.speedup_int8 = tie.speedup_fp16;
+  return {quant::HardwareProfile{}, tie};
+}
+
+TEST(PickParityTest, AllocateToleranceMatchesBruteForce) {
+  for (const Fixture& fx : Fixtures()) {
+    nn::Model model = fx.build();
+    const ErrorFlowAnalysis analysis(core::ProfileModel(model, fx.shape));
+    const std::vector<NumericFormat>& formats = quant::ReducedFormats();
+    std::vector<double> bounds;
+    for (NumericFormat f : formats) {
+      bounds.push_back(analysis.QuantTermWithSteps(ScratchSteps(f)));
+    }
+    for (const quant::HardwareProfile& hw : Profiles()) {
+      const quant::ExecutionModel exec(hw, 1000, 4);
+      for (double tol : ToleranceGrid(analysis)) {
+        for (double frac : {0.1, 0.5, 0.9}) {
+          SCOPED_TRACE(fx.name + " tol " + std::to_string(tol) + " frac " +
+                       std::to_string(frac));
+          core::AllocationConfig cfg;
+          cfg.quant_fraction = frac;
+          cfg.hardware = hw;
+          const core::AllocationPlan plan =
+              core::AllocateTolerance(analysis, tol, cfg);
+          const int best = BruteForcePick(formats, bounds, tol * frac, exec);
+          EXPECT_EQ(plan.format,
+                    best < 0 ? NumericFormat::kFP32 : formats[best]);
+          EXPECT_EQ(plan.quant_bound, best < 0 ? 0.0 : bounds[best]);
+          EXPECT_EQ(plan.input_tolerance,
+                    analysis.MaxInputError(tol, cfg.norm, plan.format));
+        }
+      }
+    }
+  }
+}
+
+TEST(PickParityTest, AdmitMatchesBruteForceWithDataDrivenCandidate) {
+  const auto now = Clock::now();
+  const auto later = now + std::chrono::seconds(1);
+  RegistryConfig rc;
+  rc.data_driven_quantizer = WeightQuantizer::kOptq;
+  ModelRegistry registry(rc);
+  for (const Fixture& fx : Fixtures()) {
+    ASSERT_TRUE(registry.Register(fx.name, fx.build(), fx.shape).ok());
+    auto entry = registry.Lookup(fx.name);
+    ASSERT_TRUE(entry.ok());
+    const ErrorFlowAnalysis& analysis = (*entry)->analysis;
+    ASSERT_TRUE((*entry)->data_driven.has_value());
+
+    for (const std::vector<NumericFormat>& allowed :
+         {quant::AllFormats(), quant::ReducedFormats()}) {
+      // Candidates in Admit's order: the allowed formats, then the
+      // data-driven INT8 variant, each bound recomputed from scratch.
+      std::vector<NumericFormat> formats = allowed;
+      std::vector<WeightQuantizer> quantizers(allowed.size(),
+                                              WeightQuantizer::kMaxAffine);
+      std::vector<double> bounds;
+      for (NumericFormat f : allowed) {
+        bounds.push_back(
+            analysis.BoundWithSteps(0.0, Norm::kLinf, ScratchSteps(f)));
+      }
+      formats.push_back(NumericFormat::kINT8);
+      quantizers.push_back(WeightQuantizer::kOptq);
+      bounds.push_back(analysis.BoundWithSteps(
+          0.0, Norm::kLinf, core::VectorStepFn((*entry)->optq_steps)));
+
+      for (const quant::HardwareProfile& hw : Profiles()) {
+        AdmissionConfig cfg;
+        cfg.hardware = hw;
+        cfg.allowed_formats = allowed;
+        AdmissionController controller(cfg);
+        const quant::ExecutionModel exec(hw, (*entry)->flops_per_sample,
+                                         (*entry)->bytes_per_sample);
+        for (double tol : ToleranceGrid(analysis)) {
+          for (double frac : {0.1, 0.5, 0.9}) {
+            const double budget = tol * frac;
+            SCOPED_TRACE(fx.name + " budget " + std::to_string(budget));
+            auto decision = controller.Admit(analysis, budget, later, now, 0,
+                                             false, &*(*entry)->data_driven);
+            const int best = BruteForcePick(formats, bounds, budget, exec);
+            if (best < 0) {
+              EXPECT_EQ(decision.status().code(),
+                        StatusCode::kFailedPrecondition);
+              continue;
+            }
+            ASSERT_TRUE(decision.ok());
+            EXPECT_EQ(decision->format, formats[best]);
+            EXPECT_EQ(decision->quantizer, quantizers[best]);
+            EXPECT_EQ(decision->quant_bound, bounds[best]);
+            EXPECT_EQ(decision->slack, budget - bounds[best]);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The plain per-layer loop Materialize replaces: clone, fold, round each
+// Dense/Conv weight tensor in traversal order.
+nn::Model ReferenceVariant(const nn::Model& model,
+                           const std::vector<NumericFormat>& layer_formats,
+                           const std::string& suffix) {
+  nn::Model out = model.Clone();
+  out.set_name(model.name() + suffix);
+  out.FoldPsn();
+  size_t index = 0;
+  out.VisitLayers([&](nn::Layer* layer) {
+    Tensor* w = nullptr;
+    if (auto* d = dynamic_cast<nn::DenseLayer*>(layer)) {
+      w = &d->mutable_weight();
+    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(layer)) {
+      w = &c->mutable_weight();
+    } else {
+      return;
+    }
+    const NumericFormat f = layer_formats[index++];
+    if (f == NumericFormat::kINT8) {
+      quant::QuantizeDequantizeInt8(w);
+    } else {
+      quant::RoundBufferToFormat(w->data(), w->size(), f);
+    }
+  });
+  return out;
+}
+
+// Weight tensors of every Dense/Conv layer, in traversal order.
+std::vector<Tensor> LinearWeights(nn::Model* model) {
+  std::vector<Tensor> out;
+  model->VisitLayers([&out](nn::Layer* layer) {
+    if (auto* d = dynamic_cast<nn::DenseLayer*>(layer)) {
+      out.push_back(d->weight());
+    } else if (auto* c = dynamic_cast<nn::Conv2dLayer*>(layer)) {
+      out.push_back(c->weight());
+    }
+  });
+  return out;
+}
+
+void ExpectBitIdentical(nn::Model* got, nn::Model* want) {
+  const std::vector<Tensor> a = LinearWeights(got);
+  const std::vector<Tensor> b = LinearWeights(want);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t l = 0; l < a.size(); ++l) {
+    ASSERT_EQ(a[l].size(), b[l].size());
+    EXPECT_EQ(std::memcmp(a[l].data(), b[l].data(),
+                          static_cast<size_t>(a[l].size()) * sizeof(float)),
+              0)
+        << "layer " << l;
+  }
+  EXPECT_EQ(ModelRegistry::ChecksumModel(*got),
+            ModelRegistry::ChecksumModel(*want));
+}
+
+TEST(MaterializeParityTest, MatchesPerLayerReferenceLoop) {
+  for (const Fixture& fx : Fixtures()) {
+    nn::Model model = fx.build();
+    const ErrorFlowAnalysis analysis(core::ProfileModel(model, fx.shape));
+    const size_t n = static_cast<size_t>(analysis.LinearLayerCount());
+    for (NumericFormat f : quant::ReducedFormats()) {
+      SCOPED_TRACE(fx.name + "/" + quant::FormatToString(f));
+      quant::MaterializedModel got = quant::Materialize(model, {f});
+      nn::Model want = ReferenceVariant(
+          model, std::vector<NumericFormat>(n, f),
+          std::string(".") + quant::FormatToString(f));
+      ExpectBitIdentical(&got.model, &want);
+      // The records price exactly the cached steps of the format.
+      ASSERT_EQ(got.layers.size(), n);
+      EXPECT_EQ(got.EffectiveSteps(), analysis.Steps(f));
+    }
+    // One mixed assignment cycling through every format.
+    std::vector<NumericFormat> mixed;
+    for (size_t i = 0; i < n; ++i) {
+      mixed.push_back(quant::AllFormats()[i % quant::AllFormats().size()]);
+    }
+    SCOPED_TRACE(fx.name + "/mixed");
+    quant::VariantSpec spec;
+    spec.layer_formats = mixed;
+    quant::MaterializedModel got = quant::Materialize(model, spec);
+    nn::Model want = ReferenceVariant(model, mixed, ".mixed");
+    ExpectBitIdentical(&got.model, &want);
+  }
+}
+
+}  // namespace
+}  // namespace serve
+}  // namespace errorflow

@@ -75,12 +75,18 @@ TEST(PtqServeTest, RegistryPricesTighterDataDrivenBound) {
   // The acceptance claim at the bound level: data-driven INT8 is
   // measurably tighter than the worst-case Table-I step.
   EXPECT_LT(data_bound, affine_bound * 0.9);
+  // Register priced the candidate admission ranks from the same steps.
+  ASSERT_TRUE(entry->data_driven.has_value());
+  EXPECT_EQ(entry->data_driven->format, NumericFormat::kINT8);
+  EXPECT_EQ(entry->data_driven->quantizer, WeightQuantizer::kOptq);
+  EXPECT_EQ(entry->data_driven->quant_term, data_bound);
 }
 
 TEST(PtqServeTest, MaxAffineRegistryPricesNothing) {
   ModelRegistry registry;  // data_driven_quantizer = kMaxAffine.
   const ModelRegistry::Entry* entry = RegisterDataDriven(&registry);
   EXPECT_TRUE(entry->optq_steps.empty());
+  EXPECT_FALSE(entry->data_driven.has_value());
   EXPECT_EQ(entry->calibration.size(), 0);
   // And a data-driven lease against it is a typed failure, not a crash.
   auto variant = registry.GetVariant("m", NumericFormat::kINT8,
@@ -236,7 +242,7 @@ TEST(PtqServeTest, ToleranceEqualToBoundAdmitsAcrossAllFormats) {
     const double bound = analysis.Bound(0.0, cfg.norm, f);
     ASSERT_GT(bound, 0.0);
     auto decision =
-        controller.Admit(analysis, 100, 100, bound, later, Clock::now(), 0);
+        controller.Admit(analysis, bound, later, Clock::now(), 0);
     ASSERT_TRUE(decision.ok()) << quant::FormatToString(f);
     EXPECT_EQ(decision->format, f);
     EXPECT_DOUBLE_EQ(decision->slack, 0.0);
@@ -251,14 +257,13 @@ TEST(PtqServeTest, DataDrivenBoundaryToleranceAdmits) {
 
   AdmissionConfig cfg;
   cfg.allowed_formats = {NumericFormat::kINT8};
-  cfg.data_driven_quantizer = WeightQuantizer::kOptq;
   AdmissionController controller(cfg);
   const double data_bound = entry->analysis.BoundWithSteps(
       0.0, cfg.norm, core::VectorStepFn(entry->optq_steps));
   const auto later = Clock::now() + std::chrono::seconds(1);
   auto decision =
-      controller.Admit(entry->analysis, 100, 100, data_bound, later,
-                       Clock::now(), 0, false, &entry->optq_steps);
+      controller.Admit(entry->analysis, data_bound, later, Clock::now(), 0,
+                       false, &*entry->data_driven);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->format, NumericFormat::kINT8);
   EXPECT_EQ(decision->quantizer, WeightQuantizer::kOptq);
@@ -284,16 +289,13 @@ TEST(PtqServeTest, DataDrivenInt8AdmitsWhereMaxAffineRoutesSlower) {
   const double tolerance = data_bound + 0.5 * (affine_bound - data_bound);
 
   const auto later = Clock::now() + std::chrono::seconds(1);
-  AdmissionConfig max_affine_cfg = cfg;
-  AdmissionController max_affine(max_affine_cfg);
-  cfg.data_driven_quantizer = WeightQuantizer::kOptq;
-  AdmissionController data_driven(cfg);
+  AdmissionController controller(cfg);
 
-  auto affine_decision = max_affine.Admit(entry->analysis, 100, 100,
-                                          tolerance, later, Clock::now(), 0);
+  auto affine_decision =
+      controller.Admit(entry->analysis, tolerance, later, Clock::now(), 0);
   auto data_decision =
-      data_driven.Admit(entry->analysis, 100, 100, tolerance, later,
-                        Clock::now(), 0, false, &entry->optq_steps);
+      controller.Admit(entry->analysis, tolerance, later, Clock::now(), 0,
+                       false, &*entry->data_driven);
   ASSERT_TRUE(affine_decision.ok());
   ASSERT_TRUE(data_decision.ok());
 
@@ -316,16 +318,15 @@ TEST(PtqServeTest, SpeedTiePrefersMaxAffineInt8) {
 
   AdmissionConfig cfg;
   cfg.allowed_formats = quant::ReducedFormats();
-  cfg.data_driven_quantizer = WeightQuantizer::kOptq;
   AdmissionController controller(cfg);
   // Loose enough for max-affine INT8: both INT8 candidates fit, speeds
   // tie, and the worst-case variant (no calibration dependency) wins.
   const double loose =
       entry->analysis.Bound(0.0, cfg.norm, NumericFormat::kINT8) * 2.0;
   const auto later = Clock::now() + std::chrono::seconds(1);
-  auto decision = controller.Admit(entry->analysis, 100, 100, loose, later,
+  auto decision = controller.Admit(entry->analysis, loose, later,
                                    Clock::now(), 0, false,
-                                   &entry->optq_steps);
+                                   &*entry->data_driven);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->format, NumericFormat::kINT8);
   EXPECT_EQ(decision->quantizer, WeightQuantizer::kMaxAffine);

@@ -70,7 +70,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "quant/optq.h"
+#include "quant/quantize_model.h"
 #include "serve/load_gen.h"
 #include "serve/server.h"
 #include "tasks/tasks.h"
@@ -310,14 +310,14 @@ int CmdQuantize(const Args& args) {
     calibration[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
   }
 
-  quant::OptqQuantizedModel q =
-      quant::OptqQuantizeWeights(*model, calibration, *quantizer);
+  quant::MaterializedModel q = quant::Materialize(
+      *model, {quant::NumericFormat::kINT8, *quantizer}, calibration);
   std::printf("quantizer     : %s (%lld calibration rows)\n",
               quant::QuantizerToString(*quantizer),
               static_cast<long long>(calib_rows));
   std::printf("%-26s %12s %10s %12s %12s\n", "layer", "shape", "calib",
               "table_step", "eff_step");
-  for (const quant::OptqLayerRecord& r : q.layers) {
+  for (const quant::LayerQuantRecord& r : q.layers) {
     char dims[32];
     std::snprintf(dims, sizeof(dims), "%lldx%lld",
                   static_cast<long long>(r.rows),
@@ -328,7 +328,7 @@ int CmdQuantize(const Args& args) {
                 r.effective_step);
   }
 
-  const std::vector<double> steps = quant::OptqEffectiveSteps(q);
+  const std::vector<double> steps = q.EffectiveSteps();
   const double table_bound =
       analysis.Bound(0.0, *norm, quant::NumericFormat::kINT8);
   const double data_bound =
