@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "compress/codec/huffman.h"
@@ -221,10 +222,16 @@ TEST(Lz77CodecTest, EncodeStatsAccountForEveryOutputBit) {
 
 // ---- Codec negotiation through the compressor backends ------------------
 
+// gtest names each instance with a byte dump of its parameter, so the
+// struct carries explicit zeroed tail bytes instead of padding: otherwise
+// the dump, and with it the listed test name, shows leftover heap bytes
+// that change from run to run.
 struct BackendCodecCase {
   Backend backend;
   CodecId codec;
+  uint8_t reserved[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<BackendCodecCase>);
 
 class BackendCodecTest : public ::testing::TestWithParam<BackendCodecCase> {};
 
