@@ -203,7 +203,9 @@ Result<Decompressed> SzCompressor::Decompress(const std::string& blob) {
     return Status::Corruption("sz: blob truncated");
   }
   EF_ASSIGN_OR_RETURN(auto rest, reader.Rest());
-  const float* raw = reinterpret_cast<const float*>(rest.first);
+  // Escaped values sit at arbitrary byte offsets in the blob; each is
+  // copied out rather than read through a (misaligned) float pointer.
+  const char* raw = rest.first;
   const char* huff_start = rest.first + n_raw * sizeof(float);
   const size_t huff_size = rest.second - n_raw * sizeof(float);
 
@@ -230,7 +232,9 @@ Result<Decompressed> SzCompressor::Decompress(const std::string& blob) {
           if (raw_pos >= n_raw) {
             return Status::Corruption("sz: raw values exhausted");
           }
-          out[idx] = raw[raw_pos++];
+          std::memcpy(&out[idx], raw + raw_pos * sizeof(float),
+                      sizeof(float));
+          ++raw_pos;
         } else {
           if (code_pos >= codes.size()) {
             return Status::Corruption("sz: codes exhausted");

@@ -1,7 +1,9 @@
 #include "net/frame.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
+#include <utility>
 
 #include "util/macros.h"
 
@@ -83,6 +85,18 @@ Status RequireDrained(const ByteReader& r, const char* what) {
 }
 
 }  // namespace
+
+serve::InferenceRequest ToInferenceRequest(SubmitFrame submit) {
+  serve::InferenceRequest req;
+  req.model = std::move(submit.model);
+  req.input = std::move(submit.input);
+  req.qoi_tolerance = submit.qoi_tolerance;
+  if (submit.deadline_ms > 0) {
+    req.deadline = serve::Clock::now() +
+                   std::chrono::milliseconds(submit.deadline_ms);
+  }
+  return req;
+}
 
 Status WireErrorToStatus(const ErrorFrame& error) {
   const auto code = static_cast<StatusCode>(error.code);

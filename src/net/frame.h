@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "serve/request.h"
 #include "tensor/tensor.h"
 #include "util/bytes.h"
 #include "util/result.h"
@@ -64,6 +65,12 @@ struct SubmitFrame {
   uint32_t deadline_ms = 0;
   tensor::Tensor input;
 };
+
+/// The in-process request a Submit frame stands for; the wire server and
+/// the load rig's in-process transport both convert through this. A
+/// nonzero `deadline_ms` becomes an absolute deadline from now; 0 leaves
+/// it unset, so the InferenceServer stamps its default timeout.
+serve::InferenceRequest ToInferenceRequest(SubmitFrame submit);
 
 /// \brief Response payload: the admitted request's outcome.
 struct ResponseFrame {

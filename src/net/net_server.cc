@@ -394,15 +394,6 @@ struct NetServer::Loop {
                  Status::FailedPrecondition("net: server draining"));
       return;
     }
-    serve::InferenceRequest req;
-    req.model = std::move(submit->model);
-    req.input = std::move(submit->input);
-    req.qoi_tolerance = submit->qoi_tolerance;
-    if (submit->deadline_ms > 0) {
-      req.deadline =
-          Clock::now() + std::chrono::milliseconds(submit->deadline_ms);
-    }  // Else: InferenceServer stamps its default_timeout on admission.
-
     c->in_flight += 1;
     hub->in_flight.fetch_add(1, std::memory_order_acq_rel);
     auto hub_ref = server->hub_;  // Keeps the hub alive past Shutdown().
@@ -410,7 +401,7 @@ struct NetServer::Loop {
     const uint64_t request_id = header.request_id;
     const Clock::time_point dispatch_time = Clock::now();
     Status status = server->server_->SubmitAsync(
-        std::move(req),
+        ToInferenceRequest(std::move(*submit)),
         [hub_ref, conn_id, request_id,
          dispatch_time](serve::InferenceResponse&& resp) {
           CompletionHub::Completion done;

@@ -255,14 +255,16 @@ void BatchScheduler::DispatchLoop() {
       }
       queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
     }
-    // std::function needs copyable callables; box the move-only group.
-    auto boxed = std::make_shared<std::vector<Pending>>(std::move(group));
-    pool_->Submit([this, boxed] { ExecuteGroup(std::move(*boxed)); });
-
+    // The controller steps before the batch reaches the pool, so a step
+    // sees exactly the completions that preceded this dispatch, never
+    // (depending on thread timing) the batch being handed off.
     if (config_.slo_p99_seconds > 0.0 &&
         ++batches_since_adapt_ >= config_.adapt_interval_batches) {
       AdaptStep();
     }
+    // std::function needs copyable callables; box the move-only group.
+    auto boxed = std::make_shared<std::vector<Pending>>(std::move(group));
+    pool_->Submit([this, boxed] { ExecuteGroup(std::move(*boxed)); });
   }
 }
 

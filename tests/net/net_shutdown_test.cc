@@ -3,6 +3,8 @@
 // promise. Conservation is asserted both from the client's view (every
 // Await resolves) and from the serve/net counters.
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -119,6 +121,13 @@ TEST(NetShutdownTest, DrainAnswersEveryInFlightRequest) {
 // Requests that expire while queued come back over the wire as typed
 // kDeadlineExceeded error frames (distinguishable from backpressure).
 TEST(NetShutdownTest, QueuedRequestsShedWithTypedDeadlineFrame) {
+  const uint64_t frames_in_before = obs::MetricsRegistry::Global()
+                                        .CounterValue("errorflow.net.frames.in");
+  // State of the hook below; declared first so it outlives the workers.
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  bool hook_armed = true;
   serve::ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.max_batch_rows = 32;
@@ -134,6 +143,17 @@ TEST(NetShutdownTest, QueuedRequestsShedWithTypedDeadlineFrame) {
   big.seed = 3;
   ASSERT_TRUE(
       inference.RegisterModel("big", nn::BuildMlp(big), {1, 64}).ok());
+  // Park the single worker inside its first variant materialization until
+  // every request is queued and past its deadline, so the queue tail must
+  // expire however fast the host runs the model.
+  inference.registry().SetMaterializeFaultHookForTest(
+      [&](const std::string&, quant::NumericFormat) {
+        std::unique_lock<std::mutex> lock(mu);
+        if (!hook_armed) return Status::OK();
+        hook_armed = false;
+        cv.wait_for(lock, std::chrono::seconds(5), [&] { return release; });
+        return Status::OK();
+      });
   ASSERT_TRUE(inference.Start().ok());
   NetServer net(&inference);
   ASSERT_TRUE(net.Start().ok());
@@ -154,6 +174,13 @@ TEST(NetShutdownTest, QueuedRequestsShedWithTypedDeadlineFrame) {
     ASSERT_TRUE(id.ok());
     ids.push_back(*id);
   }
+  WaitForFramesIn(frames_in_before + kRequests);
+  std::this_thread::sleep_for(milliseconds(20));  // Past every deadline.
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
   int ok_count = 0;
   int shed_count = 0;
   for (uint64_t id : ids) {
@@ -171,6 +198,7 @@ TEST(NetShutdownTest, QueuedRequestsShedWithTypedDeadlineFrame) {
                               "should shed at least the queue tail";
   ASSERT_TRUE(inference.Shutdown().ok());
   ASSERT_TRUE(net.Shutdown().ok());
+  inference.registry().SetMaterializeFaultHookForTest(nullptr);
 }
 
 // NetServer::Shutdown alone (inference still up): the drain window waits
