@@ -1,23 +1,35 @@
 // Entropy-codec sweep: plain canonical Huffman vs the DEFLATE-class
-// LZ77+Huffman codec on the three scientific datasets (H2 combustion,
-// Borghesi HPC telemetry, EuroSAT imagery) at the Fig. 3/4 relative
-// tolerances. Reports achieved ratio and single-thread encode/decode
-// throughput per codec through the SZ-like backend (whose quantization
-// codes the codec compresses), and writes a machine-readable
-// BENCH_codec.json so the ratio trajectory is diffable across PRs.
+// LZ77+Huffman codec through the SZ-like backend (whose quantization
+// codes the codec compresses), single-threaded, in two parts:
+//  - whole fields: the three scientific datasets (H2 combustion, Borghesi
+//    HPC telemetry, EuroSAT imagery) at 256x256 / 64 images, at the
+//    Fig. 3/4 relative tolerances;
+//  - pipeline batches: one batch of what InferencePipeline::Run encodes
+//    (h2: 1024 samples, 36 KB; eurosat: 32 images, 416 KB) at the input
+//    tolerance the pipeline plans for each QoI tolerance the perfbench
+//    workloads run, the bands behind the default codec.
+// Writes BENCH_codec.json with the host's core count, ISA and kernel
+// path, so the ratio trajectory is diffable across changes. Run from the
+// repository root: the batch part loads (or trains once) the h2 and
+// eurosat models from the model cache.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/bench_common.h"
 #include "compress/codec/codec.h"
 #include "compress/compressor.h"
+#include "core/pipeline.h"
 #include "data/borghesi.h"
 #include "data/combustion.h"
 #include "data/eurosat.h"
+#include "tasks/tasks.h"
+#include "tensor/kernels.h"
 #include "tensor/norms.h"
 #include "tensor/tensor.h"
 
@@ -71,6 +83,82 @@ struct DatasetCase {
   std::string name;
   Tensor field;
 };
+
+// A pipeline workload's batches and the QoI tolerances it plans for.
+struct BatchCase {
+  std::string name;
+  errorflow::tasks::TaskKind kind;
+  std::vector<double> qoi_tolerances;
+};
+
+struct BatchRecord {
+  std::string dataset;
+  double qoi_tol = 0.0;
+  double input_tol = 0.0;
+  compress::CodecId codec = compress::CodecId::kHuffman;
+  double ratio = 0.0;
+  double encode_ms = 0.0;
+  double decode_ms = 0.0;
+};
+
+// Batches per case; the times are means over them of the best of 5.
+constexpr int kBatches = 3;
+
+// Encodes and decodes each batch of `bc` at every planned tolerance with
+// both codecs, checking the bound. Returns false on any failure.
+bool RunBatchCase(const BatchCase& bc, std::vector<BatchRecord>* records) {
+  namespace tasks = errorflow::tasks;
+  tasks::TrainedTask task =
+      tasks::GetTask(bc.kind, tasks::Regularization::kPsn, /*seed=*/1);
+  const std::vector<Tensor> batches =
+      tasks::FreshInputBatches(task, kBatches, /*base_seed=*/5001);
+  const errorflow::core::InferencePipeline pipeline(
+      std::move(task.model), task.single_input_shape,
+      errorflow::core::PipelineConfig{});
+  for (double qoi_tol : bc.qoi_tolerances) {
+    const double eb = pipeline.Plan(qoi_tol).input_tolerance;
+    const compress::ErrorBound bound = compress::ErrorBound::AbsLinf(eb);
+    for (compress::CodecId codec : compress::AllCodecs()) {
+      auto compressor = compress::MakeCompressor(compress::Backend::kSz,
+                                                 codec);
+      BatchRecord rec;
+      rec.dataset = bc.name;
+      rec.qoi_tol = qoi_tol;
+      rec.input_tol = eb;
+      rec.codec = codec;
+      double raw = 0.0, stored = 0.0, encode_s = 0.0, decode_s = 0.0;
+      for (const Tensor& batch : batches) {
+        auto comp = compressor->Compress(batch, bound);
+        if (!comp.ok()) return false;
+        auto dec = compressor->Decompress(comp->blob);
+        if (!dec.ok() || dec->data.size() != batch.size()) return false;
+        for (int64_t i = 0; i < batch.size(); ++i) {
+          if (std::fabs(static_cast<double>(dec->data[i]) - batch[i]) >
+              eb * (1.0 + 1e-12)) {
+            return false;
+          }
+        }
+        raw += static_cast<double>(batch.size()) * sizeof(float);
+        stored += static_cast<double>(comp->blob.size());
+        encode_s += BestOf(5, [&] {
+          if (!compressor->Compress(batch, bound).ok()) std::abort();
+        });
+        decode_s += BestOf(5, [&] {
+          if (!compressor->Decompress(comp->blob).ok()) std::abort();
+        });
+      }
+      rec.ratio = raw / stored;
+      rec.encode_ms = 1e3 * encode_s / kBatches;
+      rec.decode_ms = 1e3 * decode_s / kBatches;
+      std::printf("%-14s %-6g %-10.3g %-9s %8.2f %10.2f %10.2f\n",
+                  rec.dataset.c_str(), qoi_tol, eb,
+                  compress::CodecIdToString(codec), rec.ratio,
+                  rec.encode_ms, rec.decode_ms);
+      records->push_back(rec);
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -185,12 +273,34 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::printf("\npipeline batches (SZ, planned input tolerance):\n");
+  std::printf("%-14s %-6s %-10s %-9s %8s %10s %10s\n", "dataset", "qoi_tol",
+              "input_tol", "codec", "ratio", "encode ms", "decode ms");
+  const std::vector<BatchCase> batch_cases = {
+      {"h2-batch", errorflow::tasks::TaskKind::kH2Combustion,
+       {1e-3, 1e-1, 1.0}},
+      {"eurosat-batch", errorflow::tasks::TaskKind::kEuroSat,
+       {0.3, 3.0, 30.0}},
+  };
+  std::vector<BatchRecord> batch_records;
+  for (const BatchCase& bc : batch_cases) {
+    if (!RunBatchCase(bc, &batch_records)) {
+      std::printf("FATAL: batch sweep failed on %s\n", bc.name.c_str());
+      return 1;
+    }
+  }
+
   FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
     std::printf("FATAL: cannot open %s\n", json_path);
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"codec_sweep\",\n");
+  std::fprintf(f, "  \"host\": \"%u cores\", \"isa\": \"%s\",\n",
+               std::thread::hardware_concurrency(),
+               errorflow::bench::HostIsaFlags().c_str());
+  std::fprintf(f, "  \"kernels\": \"%s\",\n",
+               errorflow::tensor::KernelDescription().c_str());
   std::fprintf(f,
                "  \"backend\": \"sz\", \"threads\": 1,\n  \"records\": [\n");
   for (size_t i = 0; i < records.size(); ++i) {
@@ -204,6 +314,17 @@ int main(int argc, char** argv) {
                  compress::CodecIdToString(r.codec), r.ratio,
                  r.compress_mb_s, r.decompress_mb_s, r.codec_decode_mb_s,
                  i + 1 < records.size() ? "," : "");
+  }
+  std::fprintf(f, "  ],\n  \"batch_records\": [\n");
+  for (size_t i = 0; i < batch_records.size(); ++i) {
+    const BatchRecord& r = batch_records[i];
+    std::fprintf(f,
+                 "    {\"dataset\": \"%s\", \"qoi_tol\": %g, "
+                 "\"input_tol\": %.4g, \"codec\": \"%s\", \"ratio\": %.2f, "
+                 "\"encode_ms\": %.3f, \"decode_ms\": %.3f}%s\n",
+                 r.dataset.c_str(), r.qoi_tol, r.input_tol,
+                 compress::CodecIdToString(r.codec), r.ratio, r.encode_ms,
+                 r.decode_ms, i + 1 < batch_records.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

@@ -93,7 +93,10 @@ const char* CodecIdToString(CodecId id);
 const std::vector<CodecId>& AllCodecs();
 
 /// The codec new streams are written with unless a caller overrides it.
-constexpr CodecId kDefaultCodec = CodecId::kLz77Huffman;
+/// Plain Huffman: on pipeline-sized batches it matches or beats lz77's
+/// ratio at a fraction of its encode time (docs/COMPRESSION.md, "Which
+/// codec when"); lz77 stays selectable for large whole-field streams.
+constexpr CodecId kDefaultCodec = CodecId::kHuffman;
 
 /// Records the per-codec encode/decode counters
 /// (`errorflow.compress.codec.*`). Called by the compressor backends after

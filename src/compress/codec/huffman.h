@@ -21,6 +21,8 @@ namespace compress {
 /// zero-symbol stream (a bare zero-count table) — all-escape chunks in the
 /// chunked path need no caller special-casing. Symbol values are arbitrary
 /// uint32 (quantization codes are zigzag-encoded by callers first).
+/// Equal-frequency ties in the tree break by symbol value, so the output
+/// bytes depend on the symbols alone, on any platform.
 class HuffmanCodec {
  public:
   /// Writes `symbols` to `writer` preceded by the code table. `stats`,
@@ -33,6 +35,15 @@ class HuffmanCodec {
   static Result<std::vector<uint32_t>> Decode(util::BitReader* reader,
                                               uint64_t count);
 };
+
+/// Sorts a copy of `symbols` to find its distinct values, in ascending
+/// order (`alphabet`), and for each position the index of its value in
+/// `alphabet` (`ranks`). No hashing, so everything built from the result
+/// is independent of hash-table iteration order. Requires fewer than 2^32
+/// symbols.
+void RankSymbols(const std::vector<uint32_t>& symbols,
+                 std::vector<uint32_t>* alphabet,
+                 std::vector<uint32_t>* ranks);
 
 /// Maps signed to unsigned so small magnitudes get small codes.
 inline uint32_t ZigzagEncode(int32_t v) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -108,19 +107,29 @@ Status Lz77HuffmanCodec::Encode(const std::vector<uint32_t>& symbols,
   // is O(1). Matches are only taken when they beat this price; on streams
   // whose literals are already near-free (almost-all-zero quantization
   // codes) short matches would otherwise inflate the output.
-  std::unordered_map<uint32_t, uint32_t> freq[kNumLitContexts];
+  // Counts are flat [context][symbol rank] cells, and each distinct count
+  // has its log2 taken once.
+  std::vector<uint32_t> alphabet, ranks;
+  RankSymbols(symbols, &alphabet, &ranks);
+  const size_t k_alphabet = alphabet.size();
+  std::vector<uint32_t> freq(kNumLitContexts * k_alphabet, 0);
   uint64_t ctx_total[kNumLitContexts] = {0};
   for (size_t i = 0; i < n; ++i) {
     const uint32_t k = ContextOf(i == 0 ? 0 : symbols[i - 1]);
-    ++freq[k][symbols[i]];
+    ++freq[k * k_alphabet + ranks[i]];
     ++ctx_total[k];
   }
+  std::vector<double> log2_of(n + 1, -1.0);  // -1: not yet computed.
+  auto log2_count = [&](uint64_t count) {
+    double& v = log2_of[count];
+    if (v < 0.0) v = std::log2(static_cast<double>(count));
+    return v;
+  };
   std::vector<double> lit_prefix(n + 1, 0.0);
   for (size_t i = 0; i < n; ++i) {
     const uint32_t k = ContextOf(i == 0 ? 0 : symbols[i - 1]);
-    const double bits =
-        std::log2(static_cast<double>(ctx_total[k])) -
-        std::log2(static_cast<double>(freq[k][symbols[i]]));
+    const double bits = log2_count(ctx_total[k]) -
+                        log2_count(freq[k * k_alphabet + ranks[i]]);
     lit_prefix[i + 1] = lit_prefix[i] + bits;
   }
   // Estimated bucket-code price: three small alphabets (literal run,

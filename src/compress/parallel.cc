@@ -133,6 +133,8 @@ Result<Decompressed> ParallelCompressor::Decompress(const std::string& blob) {
   }
   EF_ASSIGN_OR_RETURN(auto shape, reader.GetShape());
   EF_RETURN_IF_ERROR(ValidateBlobShape(shape, blob.size()));
+  // Chunks split the leading dimension, so a rank-0 shape has no rows.
+  if (shape.empty()) return Status::Corruption("parallel: rank-0 shape");
   EF_ASSIGN_OR_RETURN(uint64_t num_chunks, reader.GetU64());
   const int64_t n = tensor::NumElements(shape);
   const int64_t rows = shape[0];

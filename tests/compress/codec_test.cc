@@ -124,8 +124,9 @@ TEST_P(CodecRoundTripTest, AdversarialInputsRoundTrip) {
   }
 }
 
-TEST_P(CodecRoundTripTest, RandomizedRoundTrips) {
-  const EntropyCodec* codec = GetCodec(GetParam());
+// Fifty random streams, alphabets from 1 to 2^15 symbols.
+std::vector<std::vector<uint32_t>> RandomizedInputs() {
+  std::vector<std::vector<uint32_t>> inputs;
   util::Rng rng(42);
   for (int trial = 0; trial < 50; ++trial) {
     const size_t n = static_cast<size_t>(rng.UniformU64(4000));
@@ -135,6 +136,15 @@ TEST_P(CodecRoundTripTest, RandomizedRoundTrips) {
     for (auto& s : symbols) {
       s = static_cast<uint32_t>(rng.UniformU64(alphabet));
     }
+    inputs.push_back(std::move(symbols));
+  }
+  return inputs;
+}
+
+TEST_P(CodecRoundTripTest, RandomizedRoundTrips) {
+  const EntropyCodec* codec = GetCodec(GetParam());
+  for (const auto& symbols : RandomizedInputs()) {
+    const size_t n = symbols.size();
     util::BitWriter writer;
     ASSERT_TRUE(codec->Encode(symbols, &writer).ok());
     const std::string blob = writer.Finish();
@@ -218,6 +228,96 @@ TEST(Lz77CodecTest, EncodeStatsAccountForEveryOutputBit) {
   EXPECT_EQ(stats.overhead_bits + stats.payload_bits, writer.bit_count());
   EXPECT_GT(stats.matches, 0u);
   EXPECT_EQ(stats.literals + stats.match_symbols, symbols.size());
+}
+
+// ---- Pinned encoder output ----------------------------------------------
+
+// FNV-1a over the eight little-endian bytes of `v`.
+uint64_t Mix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t MixBytes(uint64_t h, const std::string& bytes) {
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 1469598103934665603ull;
+
+// Every stream the codec tests encode: the adversarial and randomized
+// inputs above plus the two Lz77CodecTest streams.
+std::vector<std::vector<uint32_t>> PinnedInputs() {
+  std::vector<std::vector<uint32_t>> inputs = AdversarialInputs();
+  for (auto& v : RandomizedInputs()) inputs.push_back(std::move(v));
+  std::vector<uint32_t> periodic;
+  for (int i = 0; i < 32768; ++i) {
+    periodic.push_back(static_cast<uint32_t>(i % 64));
+  }
+  inputs.push_back(std::move(periodic));
+  util::Rng rng(77);
+  std::vector<uint32_t> block, tiled;
+  for (int i = 0; i < 256; ++i) {
+    block.push_back(static_cast<uint32_t>(rng.UniformU64(1u << 16)));
+  }
+  for (int rep = 0; rep < 20; ++rep) {
+    tiled.insert(tiled.end(), block.begin(), block.end());
+  }
+  inputs.push_back(std::move(tiled));
+  return inputs;
+}
+
+// What a Huffman tie-break cannot move: per stream, the encoded bit count
+// and its table/payload split; for lz77 also the match statistics and the
+// 60-byte header (token counts and the 13 per-context literal counts),
+// which the match parse alone sets. Pinned from the encoder as it was
+// when its literal cost model still used hash maps and its Huffman stage
+// still took leaves in hash-map order: the flat cost model keeps lz77's
+// parse, and every optimal Huffman code costs the same bits.
+TEST(CodecGoldenTest, LengthsAndLz77ParseArePinned) {
+  uint64_t huffman = kFnvBasis, lz77 = kFnvBasis;
+  for (const auto& symbols : PinnedInputs()) {
+    for (CodecId id : AllCodecs()) {
+      util::BitWriter writer;
+      EncodeStats stats;
+      ASSERT_TRUE(GetCodec(id)->Encode(symbols, &writer, &stats).ok());
+      uint64_t& h = id == CodecId::kHuffman ? huffman : lz77;
+      h = Mix(h, writer.bit_count());
+      h = Mix(h, stats.overhead_bits);
+      h = Mix(h, stats.payload_bits);
+      if (id == CodecId::kLz77Huffman) {
+        h = Mix(h, stats.literals);
+        h = Mix(h, stats.matches);
+        h = Mix(h, stats.match_symbols);
+        h = MixBytes(h, writer.Finish().substr(0, 60));
+      }
+    }
+  }
+  EXPECT_EQ(huffman, 0x33443816ca1b8965ull) << std::hex << huffman;
+  EXPECT_EQ(lz77, 0x64cfab20398fe506ull) << std::hex << lz77;
+}
+
+// The full output bytes. Leaves enter the Huffman tree in symbol order, so
+// these digests hold on any standard library; a change to them changes
+// what every new stream looks like on the wire.
+TEST(CodecGoldenTest, OutputBytesArePinned) {
+  uint64_t huffman = kFnvBasis, lz77 = kFnvBasis;
+  for (const auto& symbols : PinnedInputs()) {
+    for (CodecId id : AllCodecs()) {
+      util::BitWriter writer;
+      ASSERT_TRUE(GetCodec(id)->Encode(symbols, &writer).ok());
+      uint64_t& h = id == CodecId::kHuffman ? huffman : lz77;
+      h = MixBytes(h, writer.Finish());
+    }
+  }
+  EXPECT_EQ(huffman, 0x2783dc61380a1642ull) << std::hex << huffman;
+  EXPECT_EQ(lz77, 0x3c76f1d8b0077625ull) << std::hex << lz77;
 }
 
 // ---- Codec negotiation through the compressor backends ------------------

@@ -262,5 +262,23 @@ TEST(ParallelRegressionTest, ChunkCountBombRejectedBeforeAllocation) {
   EXPECT_LT(testing::MaxSingleAllocBytes(), uint64_t{1} << 20);
 }
 
+// A rank-0 shape passes the per-dimension checks (there are none), and the
+// wrapper then read its leading dimension out of an empty shape. Mutated
+// blobs reached this at 5000 fuzz iterations.
+TEST(ParallelRegressionTest, RankZeroShapeRejected) {
+  util::ThreadPool pool(2);
+  ParallelCompressor compressor(Backend::kSz, &pool, 4);
+  util::ByteWriter header;
+  header.PutU32(0x45504152);  // "EPAR"
+  header.PutU8(static_cast<uint8_t>(Backend::kSz));
+  header.PutShape({});
+  header.PutU64(1);
+  std::string blob = header.Finish();
+  blob.append(64, '\0');
+  auto result = compressor.Decompress(blob);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace errorflow

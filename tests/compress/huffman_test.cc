@@ -1,5 +1,12 @@
 #include "compress/codec/huffman.h"
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <queue>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "util/random.h"
 
@@ -105,6 +112,101 @@ TEST(HuffmanTest, TruncatedStreamIsError) {
   buf.resize(buf.size() / 2);
   util::BitReader r(buf.data(), buf.size());
   EXPECT_FALSE(HuffmanCodec::Decode(&r, syms.size()).ok());
+}
+
+// Textbook Huffman payload: merging the two lightest weights until one
+// remains, the merged weights sum to sum(f * l) over the leaves. A lone
+// symbol still costs one bit per occurrence.
+uint64_t TextbookPayloadBits(const std::vector<uint32_t>& symbols) {
+  std::map<uint32_t, uint64_t> freq;
+  for (uint32_t s : symbols) ++freq[s];
+  if (freq.size() == 1) return symbols.size();
+  std::priority_queue<uint64_t, std::vector<uint64_t>, std::greater<>> heap;
+  for (const auto& [sym, f] : freq) heap.push(f);
+  uint64_t bits = 0;
+  while (heap.size() > 1) {
+    const uint64_t a = heap.top();
+    heap.pop();
+    const uint64_t b = heap.top();
+    heap.pop();
+    bits += a + b;
+    heap.push(a + b);
+  }
+  return bits;
+}
+
+size_t DistinctCount(std::vector<uint32_t> symbols) {
+  std::sort(symbols.begin(), symbols.end());
+  return static_cast<size_t>(
+      std::unique(symbols.begin(), symbols.end()) - symbols.begin());
+}
+
+std::vector<std::vector<uint32_t>> TieHeavyStreams() {
+  std::vector<std::vector<uint32_t>> streams = {
+      {5}, {1, 2}, {9, 9, 9, 4}, {1, 2, 3}, {3, 1, 2, 1, 2, 3, 7, 8}};
+  util::Rng rng(3);
+  for (int trial = 0; trial < 40; ++trial) {
+    // Few occurrences over wide alphabets: many equal frequencies, so the
+    // tie-break decides which symbol gets which length.
+    std::vector<uint32_t> v;
+    const int n = rng.UniformInt(1, 600);
+    const uint64_t alphabet = 1 + rng.UniformU64(trial % 2 == 0 ? 40 : 4000);
+    for (int i = 0; i < n; ++i) {
+      v.push_back(
+          static_cast<uint32_t>(rng.UniformU64(alphabet) * 2654435761u));
+    }
+    streams.push_back(std::move(v));
+  }
+  return streams;
+}
+
+TEST(HuffmanTest, EncodedBitCountIsTableAndOptimalPayload) {
+  for (const auto& syms : TieHeavyStreams()) {
+    util::BitWriter w;
+    EncodeStats stats;
+    ASSERT_TRUE(HuffmanCodec::Encode(syms, &w, &stats).ok());
+    const uint64_t table_bits = 32 + 38 * DistinctCount(syms);
+    const uint64_t payload_bits = TextbookPayloadBits(syms);
+    EXPECT_EQ(stats.overhead_bits, table_bits);
+    EXPECT_EQ(stats.payload_bits, payload_bits);
+    EXPECT_EQ(w.bit_count(), table_bits + payload_bits);
+  }
+}
+
+TEST(HuffmanTest, OutputDependsOnlyOnTheSymbols) {
+  for (const auto& syms : TieHeavyStreams()) {
+    util::BitWriter first, second;
+    ASSERT_TRUE(HuffmanCodec::Encode(syms, &first).ok());
+    // An unrelated encode in between leaves no state behind.
+    util::BitWriter unrelated;
+    ASSERT_TRUE(HuffmanCodec::Encode({1, 1, 2, 3, 5, 8}, &unrelated).ok());
+    ASSERT_TRUE(HuffmanCodec::Encode(syms, &second).ok());
+    EXPECT_EQ(first.Finish(), second.Finish());
+  }
+}
+
+TEST(HuffmanTest, CodeTableIgnoresFirstOccurrenceOrder) {
+  // The same multiset in two orders: symbols first seen in ascending and
+  // in descending order. The code table (count plus 38 bits per symbol)
+  // must come out identical; only the payload order differs.
+  for (const auto& syms : TieHeavyStreams()) {
+    std::vector<uint32_t> ascending = syms, descending = syms;
+    std::sort(ascending.begin(), ascending.end());
+    std::sort(descending.rbegin(), descending.rend());
+    util::BitWriter a, b;
+    ASSERT_TRUE(HuffmanCodec::Encode(ascending, &a).ok());
+    ASSERT_TRUE(HuffmanCodec::Encode(descending, &b).ok());
+    ASSERT_EQ(a.bit_count(), b.bit_count());
+    const std::string blob_a = a.Finish(), blob_b = b.Finish();
+    util::BitReader ra(blob_a.data(), blob_a.size());
+    util::BitReader rb(blob_b.data(), blob_b.size());
+    const uint64_t table_bits = 32 + 38 * DistinctCount(syms);
+    for (uint64_t bit = 0; bit < table_bits; bit += 32) {
+      const int width =
+          static_cast<int>(std::min<uint64_t>(32, table_bits - bit));
+      ASSERT_EQ(*ra.ReadBits(width), *rb.ReadBits(width)) << "bit " << bit;
+    }
+  }
 }
 
 TEST(ZigzagTest, RoundTripsAllSigns) {

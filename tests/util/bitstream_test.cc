@@ -1,5 +1,9 @@
 #include "util/bitstream.h"
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "util/random.h"
 
@@ -96,6 +100,98 @@ TEST(BitStreamTest, MsbFirstLayout) {
   w.WriteBits(0b10110000, 8);
   const std::string buf = w.Finish();
   EXPECT_EQ(static_cast<uint8_t>(buf[0]), 0b10110000);
+}
+
+// Bit-at-a-time reference writer: the plain definition of the MSB-first
+// format that the word-at-a-time BitWriter must reproduce byte for byte.
+class ReferenceWriter {
+ public:
+  void WriteBits(uint64_t value, int nbits) {
+    for (int i = nbits - 1; i >= 0; --i) bits_.push_back((value >> i) & 1);
+  }
+  void AlignToByte() {
+    while (bits_.size() % 8 != 0) bits_.push_back(false);
+  }
+  size_t bit_count() const { return bits_.size(); }
+  std::string Finish() {
+    AlignToByte();
+    std::string out(bits_.size() / 8, '\0');
+    for (size_t i = 0; i < bits_.size(); ++i) {
+      if (bits_[i]) out[i / 8] |= static_cast<char>(0x80 >> (i % 8));
+    }
+    return out;
+  }
+
+ private:
+  std::vector<bool> bits_;
+};
+
+TEST(BitStreamTest, WriterMatchesBitByBitReference) {
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    BitWriter w;
+    ReferenceWriter ref;
+    const int ops = rng.UniformInt(0, 60);
+    for (int op = 0; op < ops; ++op) {
+      const uint64_t kind = rng.UniformU64(10);
+      if (kind == 0) {
+        w.AlignToByte();
+        ref.AlignToByte();
+      } else if (kind == 1) {
+        const bool bit = rng.UniformU64(2) != 0;
+        w.WriteBit(bit);
+        ref.WriteBits(bit ? 1 : 0, 1);
+      } else {
+        // Every width 0..64; bits above the width are garbage the writer
+        // must ignore.
+        const int nbits = rng.UniformInt(0, 64);
+        const uint64_t value = rng.NextU64();
+        w.WriteBits(value, nbits);
+        ref.WriteBits(value, nbits);
+      }
+      ASSERT_EQ(w.bit_count(), ref.bit_count()) << "trial " << trial;
+    }
+    ASSERT_EQ(w.Finish(), ref.Finish()) << "trial " << trial;
+  }
+}
+
+TEST(BitStreamTest, EveryWidthAtEveryAlignmentMatchesReference) {
+  for (int lead = 0; lead < 8; ++lead) {
+    for (int nbits = 0; nbits <= 64; ++nbits) {
+      BitWriter w;
+      ReferenceWriter ref;
+      w.WriteBits(0x55, lead);
+      ref.WriteBits(0x55, lead);
+      w.WriteBits(0xF0E1D2C3B4A59687ull, nbits);
+      ref.WriteBits(0xF0E1D2C3B4A59687ull, nbits);
+      ASSERT_EQ(w.Finish(), ref.Finish())
+          << "lead " << lead << " width " << nbits;
+    }
+  }
+}
+
+TEST(BitStreamTest, ReserveCoversWritesWithoutReallocation) {
+  Rng rng(8);
+  for (int trial = 0; trial < 50; ++trial) {
+    const size_t reserve_bytes = 1 + rng.UniformU64(300);
+    BitWriter w;
+    w.WriteBits(rng.NextU64(), rng.UniformInt(0, 64));
+    const size_t written = w.bit_count() / 8;
+    w.Reserve(reserve_bytes);
+    const size_t capacity = w.capacity_bytes();
+    EXPECT_GE(capacity, written + reserve_bytes);
+    // Fill exactly the reserved bytes (plus the pending bits already in
+    // hand) in random widths; not one of them may reallocate.
+    const size_t limit = (written + reserve_bytes) * 8;
+    while (w.bit_count() < limit) {
+      const int nbits = static_cast<int>(std::min<size_t>(
+          limit - w.bit_count(), static_cast<size_t>(rng.UniformInt(0, 64))));
+      w.WriteBits(rng.NextU64(), nbits);
+      ASSERT_EQ(w.capacity_bytes(), capacity) << "trial " << trial;
+    }
+    w.AlignToByte();
+    EXPECT_EQ(w.capacity_bytes(), capacity);
+  }
 }
 
 }  // namespace
