@@ -1,6 +1,9 @@
 #include "compress/zfp.h"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "compress/sz.h"
@@ -74,21 +77,27 @@ TEST(ZfpTest, DecompressionFasterThanSzAndMgard) {
   MgardCompressor mgard;
   const ErrorBound bound = ErrorBound::AbsLinf(1e-4);
 
-  auto measure = [&](Compressor& comp) {
-    auto c = comp.Compress(data, bound);
-    EXPECT_TRUE(c.ok());
-    // Median of 3 runs.
-    double best = 1e30;
-    for (int i = 0; i < 3; ++i) {
-      auto d = comp.Decompress(c->blob);
-      EXPECT_TRUE(d.ok());
-      best = std::min(best, d->seconds);
+  Compressor* const comps[] = {&zfp, &sz, &mgard};
+  std::string blobs[3];
+  for (int c = 0; c < 3; ++c) {
+    auto compressed = comps[c]->Compress(data, bound);
+    ASSERT_TRUE(compressed.ok());
+    blobs[c] = std::move(compressed->blob);
+  }
+  // Minimum over interleaved rounds: every round decodes with all three,
+  // so a burst of load from other processes slows each of them in turn
+  // rather than the one whose runs happened to fall inside it.
+  double best[3] = {1e30, 1e30, 1e30};
+  for (int round = 0; round < 10; ++round) {
+    for (int c = 0; c < 3; ++c) {
+      auto d = comps[c]->Decompress(blobs[c]);
+      ASSERT_TRUE(d.ok());
+      best[c] = std::min(best[c], d->seconds);
     }
-    return best;
-  };
-  const double t_zfp = measure(zfp);
-  const double t_sz = measure(sz);
-  const double t_mgard = measure(mgard);
+  }
+  const double t_zfp = best[0];
+  const double t_sz = best[1];
+  const double t_mgard = best[2];
   EXPECT_LT(t_zfp, t_sz);
   EXPECT_LT(t_zfp, t_mgard);
 }
