@@ -1,5 +1,6 @@
 // GEMM kernel benchmark: new blocked/vectorized/threaded kernels vs the
-// seed's scalar loops, plus a thread-scaling sweep.
+// seed's scalar loops, a thread-scaling sweep, and the tanh kernel against
+// std::tanh.
 //
 // Usage: bench_gemm [max_threads]
 //
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -144,5 +146,30 @@ int main(int argc, char** argv) {
     }
   }
   errorflow::tensor::SetKernelThreads(0);
+
+  // One h2 hidden layer's worth of pre-activations (a 1024-row batch of 50
+  // units). TanhKernel's output is bit-identical to std::tanh's.
+  std::printf("\ntanh, 1024x50 N(0, 1.5) values (best of reps), %s:\n",
+              errorflow::tensor::KernelSimdEnabled()
+                  ? "avx2 8-lane kernel"
+                  : "no avx2: the kernel runs std::tanh");
+  {
+    Tensor x = RandomTensor({1024, 50}, 3);
+    for (int64_t i = 0; i < x.size(); ++i) x[i] *= 1.5f;
+    Tensor y(x.shape());
+    const double n = static_cast<double>(x.size());
+    const double scalar = TimeIt(
+        [&] {
+          for (int64_t i = 0; i < x.size(); ++i) y[i] = std::tanh(x[i]);
+        },
+        20);
+    const double kernel = TimeIt(
+        [&] { errorflow::tensor::TanhKernel(x.data(), y.data(), x.size()); },
+        20);
+    std::printf("%-12s %14s %14s %9s\n", "op", "std::tanh ns", "kernel ns",
+                "speedup");
+    std::printf("%-12s %14.2f %14.2f %8.2fx\n", "tanh", scalar / n * 1e9,
+                kernel / n * 1e9, scalar / kernel);
+  }
   return 0;
 }

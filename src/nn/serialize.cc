@@ -118,8 +118,10 @@ class Reader {
     EF_RETURN_IF_ERROR(limits.CheckAlloc(byte_count, "tensor payload"));
     EF_RETURN_NEED(byte_count);
     std::vector<float> values(static_cast<size_t>(n));
-    std::memcpy(values.data(), buf_.data() + pos_,
-                values.size() * sizeof(float));
+    if (!values.empty()) {  // An empty vector's data() may be null.
+      std::memcpy(values.data(), buf_.data() + pos_,
+                  values.size() * sizeof(float));
+    }
     pos_ += values.size() * sizeof(float);
     return Tensor(std::move(shape), std::move(values));
   }
@@ -215,6 +217,17 @@ Result<std::vector<std::unique_ptr<Layer>>> ReadLayerList(Reader* r) {
   return layers;
 }
 
+// Reads an activation-kind byte; a value past the last enumerator is
+// corruption, so layers never hold a kind their dispatch does not know.
+Result<ActivationKind> GetActivationKind(Reader* r) {
+  EF_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
+  if (kind > static_cast<uint8_t>(ActivationKind::kIdentity)) {
+    return Status::Corruption(
+        util::StrFormat("unknown activation kind %d", kind));
+  }
+  return static_cast<ActivationKind>(kind);
+}
+
 // Upper bound on any single layer dimension read from a (possibly
 // corrupted) buffer — prevents attacker/bitflip-controlled allocations.
 constexpr int64_t kMaxLayerDim = 1 << 24;
@@ -232,11 +245,14 @@ Result<std::unique_ptr<Layer>> ReadLayer(Reader* r) {
       EF_ASSIGN_OR_RETURN(float alpha, r->GetF32());
       EF_ASSIGN_OR_RETURN(Tensor weight, r->GetTensor());
       EF_ASSIGN_OR_RETURN(Tensor bias, r->GetTensor());
-      auto d = std::make_unique<DenseLayer>(in, out, psn != 0);
+      // Shapes first: the constructor allocates weight and gradient
+      // buffers from the header dims, which only a matching payload makes
+      // trustworthy.
       if (weight.shape() != tensor::Shape{out, in} ||
           bias.shape() != tensor::Shape{out}) {
         return Status::Corruption("dense weight shape mismatch");
       }
+      auto d = std::make_unique<DenseLayer>(in, out, psn != 0);
       d->mutable_weight() = std::move(weight);
       d->mutable_bias() = std::move(bias);
       d->set_alpha(alpha);
@@ -256,23 +272,23 @@ Result<std::unique_ptr<Layer>> ReadLayer(Reader* r) {
       EF_ASSIGN_OR_RETURN(float alpha, r->GetF32());
       EF_ASSIGN_OR_RETURN(Tensor weight, r->GetTensor());
       EF_ASSIGN_OR_RETURN(Tensor bias, r->GetTensor());
-      auto c = std::make_unique<Conv2dLayer>(in, out, static_cast<int>(k),
-                                             static_cast<int>(s),
-                                             static_cast<int>(p), psn != 0);
       if (weight.shape() != tensor::Shape{out, in * k * k} ||
           bias.shape() != tensor::Shape{out}) {
         return Status::Corruption("conv weight shape mismatch");
       }
+      auto c = std::make_unique<Conv2dLayer>(in, out, static_cast<int>(k),
+                                             static_cast<int>(s),
+                                             static_cast<int>(p), psn != 0);
       c->mutable_weight() = std::move(weight);
       c->mutable_bias() = std::move(bias);
       c->set_alpha(alpha);
       return std::unique_ptr<Layer>(std::move(c));
     }
     case kTagActivation: {
-      EF_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
+      EF_ASSIGN_OR_RETURN(ActivationKind kind, GetActivationKind(r));
       EF_ASSIGN_OR_RETURN(float slope, r->GetF32());
-      return std::unique_ptr<Layer>(std::make_unique<ActivationLayer>(
-          static_cast<ActivationKind>(kind), slope));
+      return std::unique_ptr<Layer>(
+          std::make_unique<ActivationLayer>(kind, slope));
     }
     case kTagResidual: {
       EF_ASSIGN_OR_RETURN(auto body, ReadLayerList(r));
@@ -283,11 +299,8 @@ Result<std::unique_ptr<Layer>> ReadLayer(Reader* r) {
       }
       EF_ASSIGN_OR_RETURN(uint8_t has_post, r->GetU8());
       std::unique_ptr<Layer> post;
-      EF_ASSIGN_OR_RETURN(uint8_t post_kind, r->GetU8());
-      if (has_post != 0) {
-        post = std::make_unique<ActivationLayer>(
-            static_cast<ActivationKind>(post_kind));
-      }
+      EF_ASSIGN_OR_RETURN(ActivationKind post_kind, GetActivationKind(r));
+      if (has_post != 0) post = std::make_unique<ActivationLayer>(post_kind);
       return std::unique_ptr<Layer>(std::make_unique<ResidualBlock>(
           std::move(body), std::move(shortcut), std::move(post)));
     }

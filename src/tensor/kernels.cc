@@ -568,6 +568,147 @@ __attribute__((target("avx2"))) void TransposeRowsAvx2(
   }
 }
 
+// tanh over 8 lanes, bit-identical to the host's scalar tanhf. glibc's
+// float tanhf/expm1f are fdlibm's (s_tanhf.c, s_expm1f.c); this body runs
+// their float operations in their order on every lane, computes every
+// range branch and blends the one each lane takes. The function is
+// compiled without "fma", so no multiply-add can be contracted. Branches
+// that tanh never reaches are left out: expm1f sees only 2|x| in [2, 44)
+// (k in [3, 63]) or -2|x| in (-2, -2^-54] (k in [-3, 0]), so the k = +1
+// case and the huge/-1 saturation filters cannot occur.
+__attribute__((target("avx2"))) inline __m256 TanhLanesAvx2(__m256 x) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 two = _mm256_set1_ps(2.0f);
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256i abs_mask = _mm256_set1_epi32(0x7fffffff);
+  const __m256i ix = _mm256_and_si256(_mm256_castps_si256(x), abs_mask);
+  const __m256 ax = _mm256_castsi256_ps(ix);
+  const __m256 sign = _mm256_andnot_ps(_mm256_castsi256_ps(abs_mask), x);
+  // tanhf: |x| >= 1 takes expm1f(2|x|), |x| < 1 takes expm1f(-2|x|).
+  const __m256 big = _mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x3f7fffff)));
+  const __m256 a2 = _mm256_add_ps(ax, ax);  // |arg|, exact.
+  const __m256 neg_sign = _mm256_andnot_ps(big, _mm256_set1_ps(-0.0f));
+  const __m256 arg = _mm256_or_ps(a2, neg_sign);
+
+  // expm1f argument reduction: arg = k*ln2 + xr - c.
+  const __m256i hx = _mm256_castps_si256(a2);
+  const __m256 reduce = _mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(hx, _mm256_set1_epi32(0x3eb17218)));
+  const __m256 k_minus_one = _mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(0x3f851592), hx));
+  const __m256 ln2_hi = _mm256_set1_ps(6.9313812256e-01f);
+  const __m256 ln2_lo = _mm256_set1_ps(9.0580006145e-06f);
+  const __m256 kf = _mm256_add_ps(
+      _mm256_mul_ps(_mm256_set1_ps(1.4426950216e+00f), arg),
+      _mm256_or_ps(half, neg_sign));
+  __m256i k = _mm256_cvttps_epi32(kf);
+  const __m256 tk = _mm256_cvtepi32_ps(k);
+  __m256 hi = _mm256_sub_ps(arg, _mm256_mul_ps(tk, ln2_hi));
+  __m256 lo = _mm256_mul_ps(tk, ln2_lo);
+  // 0.5 ln2 < |arg| < 1.5 ln2 (negative arg only): k = -1 exactly.
+  hi = _mm256_blendv_ps(hi, _mm256_add_ps(arg, ln2_hi), k_minus_one);
+  lo = _mm256_blendv_ps(lo, _mm256_xor_ps(ln2_lo, _mm256_set1_ps(-0.0f)),
+                        k_minus_one);
+  k = _mm256_castps_si256(_mm256_blendv_ps(
+      _mm256_castsi256_ps(k), _mm256_castsi256_ps(_mm256_set1_epi32(-1)),
+      k_minus_one));
+  const __m256 xred = _mm256_sub_ps(hi, lo);
+  const __m256 c = _mm256_sub_ps(_mm256_sub_ps(hi, xred), lo);
+  const __m256 xr = _mm256_blendv_ps(arg, xred, reduce);
+  k = _mm256_and_si256(k, _mm256_castps_si256(reduce));  // k = 0 if not.
+
+  // Primary range.
+  const __m256 hfx = _mm256_mul_ps(xr, half);
+  const __m256 hxs = _mm256_mul_ps(xr, hfx);
+  __m256 r1 = _mm256_mul_ps(_mm256_set1_ps(-2.0109921195e-07f), hxs);
+  r1 = _mm256_mul_ps(_mm256_add_ps(_mm256_set1_ps(4.0082177293e-06f), r1),
+                     hxs);
+  r1 = _mm256_mul_ps(_mm256_add_ps(_mm256_set1_ps(-7.9365076090e-05f), r1),
+                     hxs);
+  r1 = _mm256_mul_ps(_mm256_add_ps(_mm256_set1_ps(1.5873016091e-03f), r1),
+                     hxs);
+  r1 = _mm256_mul_ps(_mm256_add_ps(_mm256_set1_ps(-3.3333335072e-02f), r1),
+                     hxs);
+  r1 = _mm256_add_ps(one, r1);
+  const __m256 t = _mm256_sub_ps(_mm256_set1_ps(3.0f), _mm256_mul_ps(r1, hfx));
+  const __m256 e = _mm256_mul_ps(
+      hxs, _mm256_div_ps(_mm256_sub_ps(r1, t),
+                         _mm256_sub_ps(_mm256_set1_ps(6.0f),
+                                       _mm256_mul_ps(xr, t))));
+  // k = 0: |arg| < 2^-25 returns arg itself, otherwise xr - (xr*e - hxs).
+  const __m256 tiny_arg = _mm256_castsi256_ps(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(0x33000000), hx));
+  const __m256 res_k0 = _mm256_blendv_ps(
+      _mm256_sub_ps(xr, _mm256_sub_ps(_mm256_mul_ps(xr, e), hxs)), arg,
+      tiny_arg);
+  // k != 0.
+  const __m256 e2 = _mm256_sub_ps(
+      _mm256_sub_ps(_mm256_mul_ps(xr, _mm256_sub_ps(e, c)), c), hxs);
+  const __m256 res_km1 =
+      _mm256_sub_ps(_mm256_mul_ps(half, _mm256_sub_ps(xr, e2)), half);
+  // k <= -2 or k > 56: y = 1 - (e2 - xr), scaled by 2^k, minus 1.
+  // 2 <= k <= 22: y = (1 - 2^-k) - (e2 - xr), scaled by 2^k.
+  // 23 <= k <= 56: y = (xr - (e2 + 2^-k)) + 1, scaled by 2^k.
+  // The scaling adds k to the exponent field as an integer.
+  const __m256i path_a = _mm256_or_si256(
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(-1), k),
+      _mm256_cmpgt_epi32(k, _mm256_set1_epi32(56)));
+  const __m256i path_c = _mm256_andnot_si256(
+      path_a, _mm256_cmpgt_epi32(k, _mm256_set1_epi32(22)));
+  const __m256 one_minus_pow = _mm256_castsi256_ps(_mm256_sub_epi32(
+      _mm256_set1_epi32(0x3f800000),
+      _mm256_srlv_epi32(_mm256_set1_epi32(0x1000000), k)));
+  const __m256 base =
+      _mm256_blendv_ps(one_minus_pow, one, _mm256_castsi256_ps(path_a));
+  const __m256 y_ab = _mm256_sub_ps(base, _mm256_sub_ps(e2, xr));
+  const __m256 pow_minus_k = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_sub_epi32(_mm256_set1_epi32(0x7f), k), 23));
+  const __m256 y_c =
+      _mm256_add_ps(_mm256_sub_ps(xr, _mm256_add_ps(e2, pow_minus_k)), one);
+  __m256 y = _mm256_blendv_ps(y_ab, y_c, _mm256_castsi256_ps(path_c));
+  y = _mm256_castsi256_ps(
+      _mm256_add_epi32(_mm256_castps_si256(y), _mm256_slli_epi32(k, 23)));
+  y = _mm256_blendv_ps(y, _mm256_sub_ps(y, one), _mm256_castsi256_ps(path_a));
+  __m256 em = _mm256_blendv_ps(
+      y, res_km1,
+      _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_set1_epi32(-1))));
+  em = _mm256_blendv_ps(
+      em, res_k0,
+      _mm256_castsi256_ps(_mm256_cmpeq_epi32(k, _mm256_setzero_si256())));
+
+  // tanhf: |x| >= 1 gives 1 - 2/(em + 2), |x| < 1 gives -em/(em + 2); one
+  // division serves both.
+  const __m256 num =
+      _mm256_blendv_ps(_mm256_xor_ps(em, _mm256_set1_ps(-0.0f)), two, big);
+  const __m256 q = _mm256_div_ps(num, _mm256_add_ps(em, two));
+  __m256 z = _mm256_blendv_ps(q, _mm256_sub_ps(one, q), big);
+  // |x| >= 22 and +-Inf: +-1 (fdlibm's 1 - tiny and 1/x +- 1 round to it).
+  z = _mm256_blendv_ps(
+      z, one,
+      _mm256_castsi256_ps(
+          _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x41afffff))));
+  __m256 r = _mm256_xor_ps(z, sign);
+  // |x| < 2^-55, zeros included: x * (1 + x).
+  r = _mm256_blendv_ps(
+      r, _mm256_mul_ps(x, _mm256_add_ps(one, x)),
+      _mm256_castsi256_ps(
+          _mm256_cmpgt_epi32(_mm256_set1_epi32(0x24000000), ix)));
+  // NaN: 1/x +- 1 returns x quieted, which is x + x.
+  return _mm256_blendv_ps(
+      r, _mm256_add_ps(x, x),
+      _mm256_castsi256_ps(
+          _mm256_cmpgt_epi32(ix, _mm256_set1_epi32(0x7f800000))));
+}
+
+// y[i] = tanh(x[i]) for i in [0, n - n % 8); the caller does the tail.
+__attribute__((target("avx2"))) void TanhAvx2(const float* x, float* y,
+                                              int64_t n) {
+  for (int64_t i = 0; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(y + i, TanhLanesAvx2(_mm256_loadu_ps(x + i)));
+  }
+}
+
 bool CpuHasAvx2Fma() {
   static const bool ok =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -710,6 +851,17 @@ bool KernelWillParallelize(int64_t flops) { return WillParallelize(flops); }
 void ParallelChunksKernel(int64_t n, int64_t flops,
                           const std::function<void(int64_t, int64_t)>& body) {
   ParallelRows(n, flops, body);
+}
+
+void TanhKernel(const float* x, float* y, int64_t n) {
+  int64_t i = 0;
+#if defined(EF_KERNELS_X86)
+  if (CpuHasAvx2Fma()) {
+    TanhAvx2(x, y, n);
+    i = n - n % 8;
+  }
+#endif
+  for (; i < n; ++i) y[i] = std::tanh(x[i]);
 }
 
 void GemvKernel(const float* w, const float* x, float* y, int64_t m,

@@ -69,6 +69,12 @@ void TransposeKernel(const float* src, float* dst, int64_t m, int64_t n);
 void TransposeAddBiasKernel(const float* src, const float* bias, float* dst,
                             int64_t m, int64_t n);
 
+/// y[i] = tanh(x[i]), bit-identical to std::tanh(float) on a glibc libm,
+/// whose float tanhf is fdlibm's: under AVX2 an 8-lane port of its float
+/// operations (docs/PERFORMANCE.md, "Activation kernels"), std::tanh for
+/// the n % 8 tail and on other hosts. `y` may equal `x`.
+void TanhKernel(const float* x, float* y, int64_t n);
+
 /// True when a problem of `flops` floating-point operations would fan out
 /// across the shared pool (threshold crossed, >1 worker configured, and the
 /// caller is not itself a pool worker). Callers use this to skip building a

@@ -2,6 +2,7 @@
 
 #include "gtest/gtest.h"
 #include "nn/builders.h"
+#include "tensor/kernels.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
@@ -178,6 +179,37 @@ TEST(PipelineTest, ExecuteQuantizedReusesVariantCache) {
 
   EXPECT_FALSE(pipeline.ExecuteQuantized(Tensor({8}), NumericFormat::kFP16)
                    .ok());
+}
+
+// Pins the quantized variants' outputs on the h2 surrogate's architecture
+// (9 -> 50 -> 50 -> 9, Tanh). The digests were taken before the activation
+// loops were split per kind and Tanh moved to a vector kernel; they hold
+// for the AVX2+FMA GEMM kernels on a glibc host.
+TEST(PipelineTest, ExecuteQuantizedDigestsPinned) {
+  if (!tensor::KernelSimdEnabled()) {
+    GTEST_SKIP() << "digests pinned for the AVX2+FMA kernels";
+  }
+  nn::MlpConfig mlp;
+  mlp.input_dim = 9;
+  mlp.hidden_dims = {50, 50};
+  mlp.output_dim = 9;
+  mlp.activation = nn::ActivationKind::kTanh;
+  mlp.seed = 7;
+  InferencePipeline pipeline(nn::BuildMlp(mlp), {1, 9}, PipelineConfig());
+  const Tensor batch = testing::RandomTensor({1024, 9}, 11, 2.0);
+  const struct {
+    NumericFormat format;
+    uint64_t digest;
+  } cases[] = {{NumericFormat::kFP32, 0xdab1d82b1685238dull},
+               {NumericFormat::kFP16, 0xf04cd804eae95bbdull},
+               {NumericFormat::kINT8, 0x8e584d598f2a4513ull}};
+  for (const auto& c : cases) {
+    auto out = pipeline.ExecuteQuantized(batch, c.format);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(testing::Digest(*out), c.digest)
+        << quant::FormatToString(c.format) << std::hex << " 0x"
+        << testing::Digest(*out);
+  }
 }
 
 }  // namespace

@@ -139,6 +139,68 @@ TEST(SerializeRegressionTest, TensorElementCapEnforced) {
   EXPECT_LT(testing::MaxSingleAllocBytes(), uint64_t{1} << 20);
 }
 
+// Regression: the dense header's dims used to size the layer's weight and
+// gradient buffers before the payload shapes were checked, so 12288 x 12288
+// with a one-element weight allocated 604 MB per buffer.
+TEST(SerializeRegressionTest, HugeDenseHeaderWithTinyWeightRejected) {
+  BlobBuilder b;
+  b.I64(0);
+  b.I64(1);
+  b.U8(1);                  // kTagDense.
+  b.I64(12288).I64(12288);  // in, out: within kMaxLayerDim.
+  b.U8(0);
+  b.F32(1.0f);
+  b.I64(1).I64(1).F32(0.5f);  // Weight: rank 1, one element.
+  b.I64(1).I64(1).F32(0.0f);  // Bias: rank 1, one element.
+  testing::ResetMaxSingleAlloc();
+  auto result = DeserializeModel(b.str());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+  EXPECT_LT(testing::MaxSingleAllocBytes(), uint64_t{1} << 20);
+}
+
+// Activation-kind bytes past the last kind are corruption, both on an
+// activation layer and on a residual block's post-activation.
+TEST(SerializeRegressionTest, UnknownActivationKindRejected) {
+  BlobBuilder layer;
+  layer.I64(0).I64(1);
+  layer.U8(3);    // kTagActivation.
+  layer.U8(200);  // Kind.
+  layer.F32(0.0f);
+  auto result = DeserializeModel(layer.str());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+
+  BlobBuilder block;
+  block.I64(0).I64(1);
+  block.U8(4);    // kTagResidual.
+  block.I64(0);   // Empty body.
+  block.U8(0);    // No shortcut.
+  block.U8(1);    // Has a post-activation...
+  block.U8(200);  // ...of kind 200.
+  result = DeserializeModel(block.str());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
+// A zero-element tensor decodes without touching its (null) buffer; the
+// dense layer then rejects it on shape.
+TEST(SerializeRegressionTest, ZeroElementTensorHandled) {
+  BlobBuilder b;
+  b.I64(0);
+  b.I64(1);
+  b.U8(1);
+  b.I64(4).I64(2);
+  b.U8(0);
+  b.F32(1.0f);
+  b.I64(1).I64(0);  // Weight: rank 1, zero elements.
+  b.I64(1).I64(2);  // Bias: rank 1, two elements.
+  b.F32(0.0f).F32(0.0f);
+  auto result = DeserializeModel(b.str());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+}
+
 }  // namespace
 }  // namespace nn
 }  // namespace errorflow

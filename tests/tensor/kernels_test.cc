@@ -1,7 +1,14 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -236,6 +243,56 @@ TEST_F(KernelsTest, ConfigurationRoundTrips) {
   SetKernelThreads(0);
   EXPECT_GE(KernelThreads(), 1);
   EXPECT_FALSE(KernelDescription().empty());
+}
+
+// TanhKernel must reproduce std::tanh bit for bit on every float, NaN
+// payloads included: model outputs, variant checksums and pinned digests
+// all depend on it. The AVX2 path is a port of glibc's fdlibm tanhf; on a
+// libm with a different tanhf this fails and lists inputs that differ.
+TEST(TanhKernelTest, MatchesStdTanhOnAllFloats) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kAll = uint64_t{1} << 32;
+  constexpr int64_t kBlock = 4096;
+  std::atomic<uint64_t> mismatches{0};
+  std::mutex mu;
+  std::vector<std::string> examples;
+  auto sweep = [&](uint64_t begin, uint64_t end) {
+    std::vector<float> x(kBlock), y(kBlock);
+    for (uint64_t base = begin; base < end; base += kBlock) {
+      for (int64_t i = 0; i < kBlock; ++i) {
+        const uint32_t bits = static_cast<uint32_t>(base + i);
+        std::memcpy(&x[i], &bits, sizeof(bits));
+      }
+      TanhKernel(x.data(), y.data(), kBlock);
+      for (int64_t i = 0; i < kBlock; ++i) {
+        const float ref = std::tanh(x[i]);
+        uint32_t got_bits, ref_bits;
+        std::memcpy(&got_bits, &y[i], sizeof(got_bits));
+        std::memcpy(&ref_bits, &ref, sizeof(ref_bits));
+        if (got_bits == ref_bits) continue;
+        if (mismatches.fetch_add(1) < 10) {
+          char line[96];
+          std::snprintf(line, sizeof(line),
+                        "x=0x%08x: kernel 0x%08x, std::tanh 0x%08x",
+                        static_cast<uint32_t>(base + i), got_bits, ref_bits);
+          std::lock_guard<std::mutex> lock(mu);
+          examples.push_back(line);
+        }
+      }
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(sweep, kAll / kThreads * t,
+                         kAll / kThreads * (t + 1));
+  }
+  for (auto& t : threads) t.join();
+  std::string detail;
+  for (const auto& e : examples) detail += e + "\n";
+  EXPECT_EQ(mismatches.load(), 0u)
+      << "TanhKernel differs from this libm's tanhf (" << KernelDescription()
+      << "):\n"
+      << detail;
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #ifndef ERRORFLOW_TESTS_TESTING_TEST_UTIL_H_
 #define ERRORFLOW_TESTS_TESTING_TEST_UTIL_H_
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 
 #include "gtest/gtest.h"
@@ -72,6 +74,20 @@ inline void ExpectGradientsClose(
                                                     std::fabs(a));
     EXPECT_NEAR(a, numeric, tol) << "coordinate " << i;
   }
+}
+
+/// FNV-1a over the bytes of a tensor's values, for pinning outputs bit
+/// for bit.
+inline uint64_t Digest(const tensor::Tensor& t) {
+  uint64_t h = 1469598103934665603ull;
+  for (int64_t i = 0; i < t.size(); ++i) {
+    const uint32_t bits = std::bit_cast<uint32_t>(t[i]);
+    for (int b = 0; b < 4; ++b) {
+      h ^= (bits >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
 }
 
 }  // namespace testing
