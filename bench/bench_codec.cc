@@ -7,7 +7,12 @@
 //  - pipeline batches: one batch of what InferencePipeline::Run encodes
 //    (h2: 1024 samples, 36 KB; eurosat: 32 images, 416 KB) at the input
 //    tolerance the pipeline plans for each QoI tolerance the perfbench
-//    workloads run, the bands behind the default codec.
+//    workloads run, the bands behind the default codec;
+//  - decode speed by backend: zfp, sz and mgard decoding one 512x512
+//    smooth field at the same absolute L-inf bound, the ordering the
+//    paper's Fig. 7 relies on ("zfp decodes fastest"). It is a wall-clock
+//    property of the host, so it is reported here rather than asserted by
+//    a test.
 // Writes BENCH_codec.json with the host's core count, ISA and kernel
 // path, so the ratio trajectory is diffable across changes. Run from the
 // repository root: the batch part loads (or trains once) the h2 and
@@ -17,8 +22,10 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bench_common.h"
@@ -32,6 +39,7 @@
 #include "tensor/kernels.h"
 #include "tensor/norms.h"
 #include "tensor/tensor.h"
+#include "util/random.h"
 
 namespace {
 
@@ -155,6 +163,70 @@ bool RunBatchCase(const BatchCase& bc, std::vector<BatchRecord>* records) {
                   compress::CodecIdToString(codec), rec.ratio,
                   rec.encode_ms, rec.decode_ms);
       records->push_back(rec);
+    }
+  }
+  return true;
+}
+
+struct BackendRecord {
+  compress::Backend backend = compress::Backend::kSz;
+  double ratio = 0.0;
+  double decode_ms = 0.0;
+};
+
+// 512x512 sum of low-frequency sinusoids: the smooth field of the zfp
+// decode-speed comparison.
+Tensor SmoothField(int64_t rows, int64_t cols, uint64_t seed) {
+  errorflow::util::Rng rng(seed);
+  const double a1 = rng.Uniform(0.5, 1.5), a2 = rng.Uniform(0.2, 0.8);
+  const double p1 = rng.Uniform(0, 6.28), p2 = rng.Uniform(0, 6.28);
+  Tensor t({rows, cols});
+  for (int64_t i = 0; i < rows; ++i) {
+    for (int64_t j = 0; j < cols; ++j) {
+      const double x = static_cast<double>(j) / cols;
+      const double y = static_cast<double>(i) / rows;
+      t.at(i, j) = static_cast<float>(
+          a1 * std::sin(2 * M_PI * x + p1) * std::cos(2 * M_PI * y) +
+          a2 * std::sin(6 * M_PI * (x + y) + p2));
+    }
+  }
+  return t;
+}
+
+// Decodes the smooth field with every backend, taking each backend's
+// minimum decode time over 10 interleaved rounds: a burst of load from
+// other processes slows each backend in turn rather than whichever one it
+// happened to overlap. Returns false on any failure or bound violation.
+bool RunBackendDecode(std::vector<BackendRecord>* records) {
+  const Tensor field = SmoothField(512, 512, 3);
+  const double eb = 1e-4;
+  const compress::ErrorBound bound = compress::ErrorBound::AbsLinf(eb);
+  std::vector<std::unique_ptr<compress::Compressor>> comps;
+  std::vector<std::string> blobs;
+  for (compress::Backend backend : compress::AllBackends()) {
+    comps.push_back(compress::MakeCompressor(backend));
+    auto comp = comps.back()->Compress(field, bound);
+    if (!comp.ok()) return false;
+    blobs.push_back(std::move(comp->blob));
+    BackendRecord rec;
+    rec.backend = backend;
+    rec.ratio = static_cast<double>(field.size()) * sizeof(float) /
+                static_cast<double>(blobs.back().size());
+    rec.decode_ms = 1e30;
+    records->push_back(rec);
+  }
+  for (int round = 0; round < 10; ++round) {
+    for (size_t b = 0; b < comps.size(); ++b) {
+      auto dec = comps[b]->Decompress(blobs[b]);
+      if (!dec.ok() || dec->data.size() != field.size()) return false;
+      for (int64_t i = 0; i < field.size(); ++i) {
+        if (std::fabs(static_cast<double>(dec->data[i]) - field[i]) >
+            eb * (1.0 + 1e-9)) {
+          return false;
+        }
+      }
+      (*records)[b].decode_ms =
+          std::min((*records)[b].decode_ms, 1e3 * dec->seconds);
     }
   }
   return true;
@@ -290,6 +362,26 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::printf("\ndecode speed by backend (512x512 smooth field, abs L-inf "
+              "1e-4, min of 10 interleaved rounds):\n");
+  std::vector<BackendRecord> backend_records;
+  if (!RunBackendDecode(&backend_records)) {
+    std::printf("FATAL: backend decode sweep failed\n");
+    return 1;
+  }
+  double zfp_ms = 0.0, others_ms = 1e30;
+  for (const BackendRecord& r : backend_records) {
+    std::printf("  %-6s ratio %7.2f  decode %8.3f ms\n",
+                compress::BackendToString(r.backend), r.ratio, r.decode_ms);
+    if (r.backend == compress::Backend::kZfp) {
+      zfp_ms = r.decode_ms;
+    } else {
+      others_ms = std::min(others_ms, r.decode_ms);
+    }
+  }
+  const bool zfp_fastest = zfp_ms < others_ms;
+  std::printf("  zfp decodes fastest: %s\n", zfp_fastest ? "yes" : "no");
+
   FILE* f = std::fopen(json_path, "w");
   if (f == nullptr) {
     std::printf("FATAL: cannot open %s\n", json_path);
@@ -326,7 +418,18 @@ int main(int argc, char** argv) {
                  compress::CodecIdToString(r.codec), r.ratio, r.encode_ms,
                  r.decode_ms, i + 1 < batch_records.size() ? "," : "");
   }
-  std::fprintf(f, "  ]\n}\n");
+  std::fprintf(f, "  ],\n  \"backend_decode\": {\"field\": \"smooth512\", "
+               "\"tol_abs\": 1e-4, \"zfp_fastest\": %s, \"records\": [\n",
+               zfp_fastest ? "true" : "false");
+  for (size_t i = 0; i < backend_records.size(); ++i) {
+    const BackendRecord& r = backend_records[i];
+    std::fprintf(f,
+                 "    {\"backend\": \"%s\", \"ratio\": %.2f, "
+                 "\"decode_ms\": %.3f}%s\n",
+                 compress::BackendToString(r.backend), r.ratio, r.decode_ms,
+                 i + 1 < backend_records.size() ? "," : "");
+  }
+  std::fprintf(f, "  ]}\n}\n");
   std::fclose(f);
   std::printf("\nwrote %s\n", json_path);
   return 0;

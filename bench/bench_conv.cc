@@ -1,15 +1,20 @@
-// Batched conv execution path benchmark: the Conv2dLayer batch-level
-// forward/backward (one fused column matrix + one large GEMM) vs the seed
-// per-sample path (per-element im2col, one small GemmNT per sample, scalar
-// bias/transpose), on the EuroSAT ResNet conv shapes at batch 1/8/32,
-// single- and multi-thread.
+// Conv execution benchmark: Conv2dLayer's forward (the implicit-GEMM
+// tensor::Conv2dKernel) and batched backward vs two retained paths, on the
+// EuroSAT ResNet conv shapes at batch 1/8/32, single- and multi-thread:
+//  - the seed per-sample path (per-element im2col, one small GemmNT per
+//    sample, scalar bias/transpose), forward and backward;
+//  - the batched im2col path the kernel replaced (one channel-major column
+//    matrix for the batch, one GemmKernel, a bias-add relayout to NCHW),
+//    forward only.
 //
 // Usage: bench_conv [max_threads] [json_path]
 //
 // Prints a table and writes the same records as JSON (default
-// BENCH_conv.json) so the perf trajectory is diffable across PRs. Also
-// cross-checks that the threaded batched forward is bit-identical to the
-// serial batched forward before timing anything.
+// BENCH_conv.json), with the host's core count, ISA flags and kernel path,
+// so the perf trajectory is diffable across changes. Before timing
+// anything it checks, on every shape, that the threaded forward is
+// bit-identical to the serial one and that the forward is bit-identical to
+// the im2col path; it exits 1 naming the shape otherwise.
 
 #include <algorithm>
 #include <chrono>
@@ -18,8 +23,10 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/bench_common.h"
 #include "nn/conv2d.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -33,8 +40,8 @@ using errorflow::tensor::Shape;
 using errorflow::tensor::Tensor;
 
 // EuroSAT ResNet conv shapes (16x16 inputs, 13 bands, stages
-// {8,16,32,64}): the stem, the stride-2 stage entries, and a 1x1
-// projection shortcut.
+// {8,16,32,64}): the stem, the stride-2 stage entries, a 1x1 projection
+// shortcut, and the 3x3 stride-1 interior convs (12 of the model's 17).
 struct ConvShape {
   const char* name;
   int64_t in_ch, out_ch, h, w;
@@ -47,6 +54,10 @@ const ConvShape kShapes[] = {
     {"stage2_16x8x8_k3s2", 16, 32, 8, 8, 3, 2, 1},
     {"stage3_32x4x4_k3s2", 32, 64, 4, 4, 3, 2, 1},
     {"proj_8x16x16_k1s2", 8, 16, 16, 16, 1, 2, 0},
+    {"interior_8x16x16_k3", 8, 8, 16, 16, 3, 1, 1},
+    {"interior_16x8x8_k3", 16, 16, 8, 8, 3, 1, 1},
+    {"interior_32x4x4_k3", 32, 32, 4, 4, 3, 1, 1},
+    {"interior_64x2x2_k3", 64, 64, 2, 2, 3, 1, 1},
 };
 
 int64_t OutDim(int64_t in, int k, int s, int p) {
@@ -164,6 +175,85 @@ void SeedBackward(const Tensor& x, const Tensor& grad_output,
   errorflow::tensor::Add(*weight_grad, grad_eff, weight_grad);
 }
 
+// --- Retained batched im2col path (Conv2dLayer::Forward before the
+// implicit-GEMM kernel): gather, GEMM and relayout each fan out across the
+// kernel pool when the GEMM crosses the parallel threshold. ---------------
+
+// One sample into the channel-major (C*K*K, N*OH*OW) column matrix, one
+// clipped memset/memcpy run per (row, oy).
+void Im2ColSample(const float* in, const ConvShape& cs, int64_t oh,
+                  int64_t ow, float* cols, int64_t col_stride) {
+  for (int64_t ch = 0; ch < cs.in_ch; ++ch) {
+    const float* plane = in + ch * cs.h * cs.w;
+    for (int ky = 0; ky < cs.k; ++ky) {
+      for (int kx = 0; kx < cs.k; ++kx) {
+        float* dst = cols + ((ch * cs.k + ky) * cs.k + kx) * col_stride;
+        const int64_t a = cs.p - kx;
+        const int64_t ox_lo = a <= 0 ? 0 : (a + cs.s - 1) / cs.s;
+        const int64_t b = cs.w - 1 + cs.p - kx;
+        const int64_t ox_hi = b < 0 ? 0 : std::min<int64_t>(ow, b / cs.s + 1);
+        for (int64_t oy = 0; oy < oh; ++oy, dst += ow) {
+          const int64_t iy = oy * cs.s + ky - cs.p;
+          if (iy < 0 || iy >= cs.h || ox_hi <= ox_lo) {
+            std::memset(dst, 0, static_cast<size_t>(ow) * sizeof(float));
+            continue;
+          }
+          std::memset(dst, 0, static_cast<size_t>(ox_lo) * sizeof(float));
+          const float* src = plane + iy * cs.w + kx - cs.p;
+          if (cs.s == 1) {
+            std::memcpy(dst + ox_lo, src + ox_lo,
+                        static_cast<size_t>(ox_hi - ox_lo) * sizeof(float));
+          } else {
+            for (int64_t ox = ox_lo; ox < ox_hi; ++ox) dst[ox] = src[ox * cs.s];
+          }
+          std::memset(dst + ox_hi, 0,
+                      static_cast<size_t>(ow - ox_hi) * sizeof(float));
+        }
+      }
+    }
+  }
+}
+
+void Im2ColForward(const Tensor& input, const Tensor& wmat,
+                   const Tensor& bias, const ConvShape& cs,
+                   std::vector<float>* cols, std::vector<float>* mat,
+                   Tensor* output) {
+  const int64_t n = input.dim(0);
+  const int64_t oh = OutDim(cs.h, cs.k, cs.s, cs.p);
+  const int64_t ow = OutDim(cs.w, cs.k, cs.s, cs.p);
+  const int64_t ohow = oh * ow, cols_n = n * ohow;
+  const int64_t ckk = cs.in_ch * cs.k * cs.k;
+  if (output->shape() != Shape{n, cs.out_ch, oh, ow}) {
+    *output = Tensor({n, cs.out_ch, oh, ow});
+  }
+  cols->resize(static_cast<size_t>(ckk * cols_n));
+  mat->resize(static_cast<size_t>(cs.out_ch * cols_n));
+  const int64_t flops = 2 * cols_n * cs.out_ch * ckk;
+  const float* in = input.data();
+  float* cm = cols->data();
+  errorflow::tensor::ParallelChunksKernel(n, flops, [&](int64_t i0,
+                                                        int64_t i1) {
+    for (int64_t img = i0; img < i1; ++img) {
+      Im2ColSample(in + img * cs.in_ch * cs.h * cs.w, cs, oh, ow,
+                   cm + img * ohow, cols_n);
+    }
+  });
+  errorflow::tensor::GemmKernel(wmat.data(), cm, mat->data(), cs.out_ch,
+                                cols_n, ckk);
+  const float* om = mat->data();
+  float* out = output->data();
+  errorflow::tensor::ParallelChunksKernel(n, flops, [&](int64_t i0,
+                                                        int64_t i1) {
+    for (int64_t img = i0; img < i1; ++img) {
+      for (int64_t oc = 0; oc < cs.out_ch; ++oc) {
+        const float* src = om + oc * cols_n + img * ohow;
+        float* dst = out + (img * cs.out_ch + oc) * ohow;
+        for (int64_t pix = 0; pix < ohow; ++pix) dst[pix] = src[pix] + bias[oc];
+      }
+    }
+  });
+}
+
 // -------------------------------------------------------------------------
 
 Tensor RandomTensor(Shape shape, uint64_t seed) {
@@ -190,7 +280,7 @@ struct Record {
   std::string shape;
   int64_t batch;
   int threads;
-  double fwd_seed_ms, fwd_new_ms, bwd_seed_ms, bwd_new_ms;
+  double fwd_seed_ms, fwd_im2col_ms, fwd_new_ms, bwd_seed_ms, bwd_new_ms;
 };
 
 bool BitIdentical(const Tensor& a, const Tensor& b) {
@@ -204,18 +294,26 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
 int main(int argc, char** argv) {
   const int max_threads = argc > 1 ? std::atoi(argv[1]) : 4;
   const char* json_path = argc > 2 ? argv[2] : "BENCH_conv.json";
-  std::printf("kernels: %s\n\n",
-              errorflow::tensor::KernelDescription().c_str());
+  std::printf("kernels: %s\nhost: %u cores, isa: %s\n\n",
+              errorflow::tensor::KernelDescription().c_str(),
+              std::thread::hardware_concurrency(),
+              errorflow::bench::HostIsaFlags().c_str());
 
-  // Determinism cross-check: threaded batched forward must be bit-identical
-  // to the serial batched forward on every shape.
+  // Determinism and equivalence cross-checks on every shape: the threaded
+  // forward must be bit-identical to the serial forward, and both to the
+  // im2col path.
+  std::vector<float> cols, mat;
   for (const ConvShape& cs : kShapes) {
     Conv2dLayer conv(cs.in_ch, cs.out_ch, cs.k, cs.s, cs.p);
     conv.InitHe(7);
+    for (int64_t i = 0; i < cs.out_ch; ++i) {
+      conv.mutable_bias()[i] = 0.01f * static_cast<float>(i) - 0.2f;
+    }
     const Tensor x = RandomTensor({32, cs.in_ch, cs.h, cs.w}, 11);
     errorflow::tensor::SetKernelThreads(1);
-    Tensor serial;
+    Tensor serial, im2col;
     conv.Forward(x, &serial, false);
+    Im2ColForward(x, conv.weight(), conv.bias(), cs, &cols, &mat, &im2col);
     errorflow::tensor::SetKernelThreads(max_threads);
     errorflow::tensor::SetKernelParallelFlopThreshold(1);
     Tensor threaded;
@@ -226,22 +324,28 @@ int main(int argc, char** argv) {
                   cs.name);
       return 1;
     }
+    if (!BitIdentical(serial, im2col)) {
+      std::printf("FATAL: forward differs from the im2col path on %s\n",
+                  cs.name);
+      return 1;
+    }
   }
-  std::printf("threaded batched forward bit-identical to serial: yes\n\n");
+  std::printf(
+      "forward bit-identical threaded vs serial and vs im2col: yes\n\n");
 
   std::vector<Record> records;
   for (const int threads : {1, max_threads}) {
     errorflow::tensor::SetKernelThreads(threads);
     std::printf("--- %d kernel thread(s) ---\n", threads);
-    std::printf("%-22s %5s %10s %10s %8s %10s %10s %8s\n", "shape", "batch",
-                "fwd seed", "fwd new", "speedup", "bwd seed", "bwd new",
-                "speedup");
+    std::printf("%-22s %5s %9s %9s %9s %8s %9s %9s %8s\n", "shape", "batch",
+                "fwd seed", "fwd i2c", "fwd new", "vs i2c", "bwd seed",
+                "bwd new", "speedup");
     for (const ConvShape& cs : kShapes) {
       for (const int64_t batch : {1, 8, 32}) {
         Conv2dLayer conv(cs.in_ch, cs.out_ch, cs.k, cs.s, cs.p);
         conv.InitHe(7);
         const Tensor x = RandomTensor({batch, cs.in_ch, cs.h, cs.w}, 13);
-        Tensor out, seed_out;
+        Tensor out, seed_out, im2col_out;
         conv.Forward(x, &out, true);
         Tensor grad_out(out.shape());
         for (int64_t i = 0; i < grad_out.size(); ++i) {
@@ -249,10 +353,16 @@ int main(int argc, char** argv) {
         }
         Tensor grad_in, seed_gin;
         Tensor seed_wg(conv.weight().shape()), seed_bg(conv.bias().shape());
-        const int reps = batch >= 32 ? 5 : 9;
+        const int reps = batch >= 32 ? 15 : 25;
 
         const double fwd_seed = TimeIt(
             [&] { SeedForward(x, conv.weight(), conv.bias(), cs, &seed_out); },
+            reps);
+        const double fwd_im2col = TimeIt(
+            [&] {
+              Im2ColForward(x, conv.weight(), conv.bias(), cs, &cols, &mat,
+                            &im2col_out);
+            },
             reps);
         const double fwd_new =
             TimeIt([&] { conv.Forward(x, &out, false); }, reps);
@@ -267,13 +377,14 @@ int main(int argc, char** argv) {
         const double bwd_new =
             TimeIt([&] { conv.Backward(grad_out, &grad_in); }, reps);
 
-        std::printf("%-22s %5lld %9.3f %9.3f %7.2fx %9.3f %9.3f %7.2fx\n",
-                    cs.name, static_cast<long long>(batch), fwd_seed * 1e3,
-                    fwd_new * 1e3, fwd_seed / fwd_new, bwd_seed * 1e3,
-                    bwd_new * 1e3, bwd_seed / bwd_new);
+        std::printf(
+            "%-22s %5lld %9.3f %9.3f %9.3f %7.2fx %9.3f %9.3f %7.2fx\n",
+            cs.name, static_cast<long long>(batch), fwd_seed * 1e3,
+            fwd_im2col * 1e3, fwd_new * 1e3, fwd_im2col / fwd_new,
+            bwd_seed * 1e3, bwd_new * 1e3, bwd_seed / bwd_new);
         records.push_back(Record{cs.name, batch, threads, fwd_seed * 1e3,
-                                 fwd_new * 1e3, bwd_seed * 1e3,
-                                 bwd_new * 1e3});
+                                 fwd_im2col * 1e3, fwd_new * 1e3,
+                                 bwd_seed * 1e3, bwd_new * 1e3});
       }
     }
     std::printf("\n");
@@ -281,19 +392,25 @@ int main(int argc, char** argv) {
   errorflow::tensor::SetKernelThreads(0);
 
   if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fprintf(f, "{\n  \"bench\": \"conv_batched\",\n  \"kernels\": \"%s\","
-                 "\n  \"records\": [\n",
+    std::fprintf(f,
+                 "{\n  \"bench\": \"conv_batched\",\n"
+                 "  \"host\": \"%u cores\", \"isa\": \"%s\",\n"
+                 "  \"kernels\": \"%s\",\n  \"records\": [\n",
+                 std::thread::hardware_concurrency(),
+                 errorflow::bench::HostIsaFlags().c_str(),
                  errorflow::tensor::KernelDescription().c_str());
     for (size_t i = 0; i < records.size(); ++i) {
       const Record& r = records[i];
       std::fprintf(
           f,
           "    {\"shape\": \"%s\", \"batch\": %lld, \"threads\": %d, "
-          "\"fwd_seed_ms\": %.4f, \"fwd_new_ms\": %.4f, "
-          "\"fwd_speedup\": %.2f, \"bwd_seed_ms\": %.4f, "
+          "\"fwd_seed_ms\": %.4f, \"fwd_im2col_ms\": %.4f, "
+          "\"fwd_new_ms\": %.4f, \"fwd_speedup\": %.2f, "
+          "\"fwd_vs_im2col\": %.2f, \"bwd_seed_ms\": %.4f, "
           "\"bwd_new_ms\": %.4f, \"bwd_speedup\": %.2f}%s\n",
           r.shape.c_str(), static_cast<long long>(r.batch), r.threads,
-          r.fwd_seed_ms, r.fwd_new_ms, r.fwd_seed_ms / r.fwd_new_ms,
+          r.fwd_seed_ms, r.fwd_im2col_ms, r.fwd_new_ms,
+          r.fwd_seed_ms / r.fwd_new_ms, r.fwd_im2col_ms / r.fwd_new_ms,
           r.bwd_seed_ms, r.bwd_new_ms, r.bwd_seed_ms / r.bwd_new_ms,
           i + 1 < records.size() ? "," : "");
     }

@@ -14,8 +14,8 @@ class Layer;
 ///
 /// DenseLayer reports its input batch: `data` is row-major (n, d) with
 /// features in columns (`features_are_rows == false`, d = in_features).
-/// Conv2dLayer reports the batched im2col column matrix its GEMM consumes:
-/// row-major (d, n) with features in rows (`features_are_rows == true`,
+/// Conv2dLayer reports the batched im2col column matrix its convolution
+/// multiplies the kernel matrix against: row-major (d, n) with features in rows (`features_are_rows == true`,
 /// d = in_channels * k * k, n = batch * oh * ow). In both layouts the
 /// layer's input Gram is the d x d matrix summing outer products of the
 /// feature vectors.

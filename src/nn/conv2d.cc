@@ -16,10 +16,6 @@ namespace nn {
 
 namespace {
 
-int64_t OutDim(int64_t in, int kernel, int stride, int padding) {
-  return (in + 2 * padding - kernel) / stride + 1;
-}
-
 // Allocation-free rank-4 shape test (constructing a Shape temporary would
 // heap-allocate on every Forward).
 bool ShapeIs4(const Tensor& t, int64_t d0, int64_t d1, int64_t d2,
@@ -32,17 +28,13 @@ bool ShapeIs2(const Tensor& t, int64_t d0, int64_t d1) {
   return t.ndim() == 2 && t.dim(0) == d0 && t.dim(1) == d1;
 }
 
-// Thread-local grow-only scratch: the inference path must be lock-free
-// across threads sharing one layer AND allocation-free in steady state, so
-// each calling thread keeps its own buffers, grown monotonically.
-struct ConvScratch {
-  std::vector<float> cols;  // channel-major column matrix
-  std::vector<float> mat;   // batched GEMM output (channel-major)
-};
-
-ConvScratch& LocalScratch() {
-  static thread_local ConvScratch scratch;
-  return scratch;
+// Thread-local grow-only column matrix for the calibration observer and
+// the operator-norm transpose: those paths must be lock-free across
+// threads sharing one layer AND allocation-free in steady state, so each
+// calling thread keeps its own buffer, grown monotonically.
+std::vector<float>& LocalCols() {
+  static thread_local std::vector<float> cols;
+  return cols;
 }
 
 float* GrowBuffer(std::vector<float>* buf, int64_t n) {
@@ -296,8 +288,8 @@ void Conv2dLayer::Forward(const Tensor& input, Tensor* output,
                           bool training) {
   EF_CHECK(input.ndim() == 4 && input.dim(1) == in_channels_);
   const int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const int64_t oh = OutDim(h, kernel_, stride_, padding_);
-  const int64_t ow = OutDim(w, kernel_, stride_, padding_);
+  const tensor::ConvGeometry geom = Geometry(n, h, w);
+  const int64_t oh = geom.oh(), ow = geom.ow();
   EF_CHECK(oh > 0 && ow > 0);
   if (!ShapeIs4(*output, n, out_channels_, oh, ow)) {
     *output = Tensor({n, out_channels_, oh, ow});
@@ -318,57 +310,34 @@ void Conv2dLayer::Forward(const Tensor& input, Tensor* output,
     eff = &psn_eff;
   }
 
-  // Batched execution: one channel-major (C*K*K, N*OH*OW) column matrix
-  // covering every sample, one GEMM large enough to fan out across the
-  // pool, then a contiguous bias-add re-layout to NCHW (the GEMM already
-  // emits channel-major rows, so no transpose is needed). Training keeps
-  // the columns in the layer so Backward skips the regather; inference
-  // uses thread-local scratch so concurrent callers on a shared (folded)
-  // layer never contend.
-  const int64_t ohow = oh * ow;
-  const int64_t cols_n = n * ohow;
+  // Implicit GEMM straight from the NCHW input into the NCHW output, bias
+  // folded into the store. Training also gathers the column matrix, which
+  // Backward consumes; a calibration observer gets the same matrix.
+  const int64_t cols_n = n * oh * ow;
   const int64_t ckk = in_channels_ * kernel_ * kernel_;
   const int64_t gemm_flops = 2 * cols_n * out_channels_ * ckk;
-  ConvScratch& scratch = LocalScratch();
-  float* cols;
-  if (training) {
-    if (!ShapeIs2(cached_cols_, ckk, cols_n)) {
-      cached_cols_ = Tensor({ckk, cols_n});
-    }
-    cols = cached_cols_.data();
-  } else {
-    cols = GrowBuffer(&scratch.cols, ckk * cols_n);
-  }
-  Im2ColBatch(input.data(), n, in_channels_, h, w, kernel_, stride_,
-              padding_, oh, ow, gemm_flops, cols);
-  if (CalibrationObserver* obs = GetCalibrationObserver()) {
-    // The column matrix is exactly what the GEMM multiplies the kernel
-    // matrix against — the right Gram basis for data-driven quantization.
-    obs->OnLinearInput(this, cols, ckk, cols_n, /*features_are_rows=*/true);
-  }
-  float* out_mat = GrowBuffer(&scratch.mat, out_channels_ * cols_n);
-  tensor::GemmKernel(eff->data(), cols, out_mat, out_channels_, cols_n, ckk);
-  // Row oc of out_mat holds channel oc for the whole batch; each (img, oc)
-  // output plane is one contiguous OH*OW run with the bias folded in.
-  const float* bias = bias_.data();
-  float* out = output->data();
-  const int64_t out_ch = out_channels_;
-  const int64_t sample_out = out_ch * ohow;
-  auto relayout = [=](int64_t s0, int64_t s1) {
-    for (int64_t img = s0; img < s1; ++img) {
-      for (int64_t oc = 0; oc < out_ch; ++oc) {
-        const float* __restrict src = out_mat + oc * cols_n + img * ohow;
-        float* __restrict dst = out + img * sample_out + oc * ohow;
-        const float b = bias[oc];
-        for (int64_t pix = 0; pix < ohow; ++pix) dst[pix] = src[pix] + b;
+  CalibrationObserver* obs = GetCalibrationObserver();
+  if (training || obs != nullptr) {
+    float* cols;
+    if (training) {
+      if (!ShapeIs2(cached_cols_, ckk, cols_n)) {
+        cached_cols_ = Tensor({ckk, cols_n});
       }
+      cols = cached_cols_.data();
+    } else {
+      cols = GrowBuffer(&LocalCols(), ckk * cols_n);
     }
-  };
-  if (!tensor::KernelWillParallelize(gemm_flops)) {
-    relayout(0, n);
-  } else {
-    tensor::ParallelChunksKernel(n, gemm_flops, relayout);
+    Im2ColBatch(input.data(), n, in_channels_, h, w, kernel_, stride_,
+                padding_, oh, ow, gemm_flops, cols);
+    if (obs != nullptr) {
+      // The column matrix is exactly what the convolution multiplies the
+      // kernel matrix against — the right Gram basis for data-driven
+      // quantization.
+      obs->OnLinearInput(this, cols, ckk, cols_n, /*features_are_rows=*/true);
+    }
   }
+  tensor::Conv2dKernel(eff->data(), bias_.data(), input.data(),
+                       output->data(), geom);
   if (training) {
     cached_input_ = input;
     if (use_psn_) cached_eff_weight_ = std::move(psn_eff);
@@ -516,43 +485,41 @@ std::unique_ptr<Layer> Conv2dLayer::Clone() const {
   return copy;
 }
 
+tensor::ConvGeometry Conv2dLayer::Geometry(int64_t n, int64_t h,
+                                           int64_t w) const {
+  return tensor::ConvGeometry{n,        in_channels_, h,      w,
+                              out_channels_, kernel_,   stride_, padding_};
+}
+
 Shape Conv2dLayer::OutputShape(const Shape& input_shape) const {
   EF_CHECK(input_shape.size() == 4);
-  return {input_shape[0], out_channels_,
-          OutDim(input_shape[2], kernel_, stride_, padding_),
-          OutDim(input_shape[3], kernel_, stride_, padding_)};
+  const tensor::ConvGeometry geom =
+      Geometry(input_shape[0], input_shape[2], input_shape[3]);
+  return {input_shape[0], out_channels_, geom.oh(), geom.ow()};
 }
 
 void Conv2dLayer::ApplySingle(const Tensor& weight_mat, const Tensor& in_flat,
                               int64_t h, int64_t w, Tensor* out_flat) const {
-  const int64_t oh = OutDim(h, kernel_, stride_, padding_);
-  const int64_t ow = OutDim(w, kernel_, stride_, padding_);
-  const int64_t ohow = oh * ow;
-  const int64_t ckk = in_channels_ * kernel_ * kernel_;
-  ConvScratch& scratch = LocalScratch();
-  float* cols = GrowBuffer(&scratch.cols, ckk * ohow);
-  Im2ColSample(in_flat.data(), in_channels_, h, w, kernel_, stride_,
-               padding_, oh, ow, cols, /*col_stride=*/ohow);
-  if (out_flat->ndim() != 1 || out_flat->dim(0) != out_channels_ * ohow) {
-    *out_flat = Tensor({out_channels_ * ohow});
+  const tensor::ConvGeometry geom = Geometry(/*n=*/1, h, w);
+  const int64_t n_out = out_channels_ * geom.oh() * geom.ow();
+  if (out_flat->ndim() != 1 || out_flat->dim(0) != n_out) {
+    *out_flat = Tensor({n_out});
   }
-  // Channel-major columns: the GEMM output is already the flattened
-  // (out_ch, OH*OW) activation — no transpose.
-  tensor::GemmKernel(weight_mat.data(), cols, out_flat->data(),
-                     out_channels_, ohow, ckk);
+  // The flattened (out_ch, OH*OW) activation is one NCHW image. No bias.
+  tensor::Conv2dKernel(weight_mat.data(), /*bias=*/nullptr, in_flat.data(),
+                       out_flat->data(), geom);
 }
 
 void Conv2dLayer::ApplySingleTranspose(const Tensor& weight_mat,
                                        const Tensor& in_flat, int64_t h,
                                        int64_t w, Tensor* out_flat) const {
-  const int64_t oh = OutDim(h, kernel_, stride_, padding_);
-  const int64_t ow = OutDim(w, kernel_, stride_, padding_);
+  const tensor::ConvGeometry geom = Geometry(/*n=*/1, h, w);
+  const int64_t oh = geom.oh(), ow = geom.ow();
   const int64_t ohow = oh * ow;
   const int64_t ckk = in_channels_ * kernel_ * kernel_;
-  ConvScratch& scratch = LocalScratch();
   // The flattened (out_ch, OH*OW) input is already channel-major, so it
   // feeds the GemmTN directly — no transpose.
-  float* gcols = GrowBuffer(&scratch.cols, ckk * ohow);
+  float* gcols = GrowBuffer(&LocalCols(), ckk * ohow);
   tensor::GemmTNKernel(weight_mat.data(), in_flat.data(), gcols, ckk, ohow,
                        out_channels_);
   if (out_flat->ndim() != 1 || out_flat->dim(0) != in_channels_ * h * w) {

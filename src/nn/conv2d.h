@@ -7,29 +7,32 @@
 
 #include "nn/layer.h"
 #include "nn/spectral.h"
+#include "tensor/kernels.h"
 
 namespace errorflow {
 namespace nn {
 
-/// \brief 2-D convolution layer (NCHW, square kernel, zero padding), built
-/// on batched im2col + GEMM, with full backprop and optional PSN.
+/// \brief 2-D convolution layer (NCHW, square kernel, zero padding) with
+/// full backprop and optional PSN.
 ///
-/// Execution is batch-level (docs/PERFORMANCE.md): the whole batch is
-/// gathered into one channel-major (C*K*K, N*OH*OW) column matrix
-/// (sample-parallel, with contiguous per-row copies — for stride 1 each
-/// kernel-tap row fills by OW-wide memcpy), multiplied by the kernel
-/// matrix in a single large Gemm that crosses the kernel-threading
-/// threshold and whose rows are already channel-major, then laid out NCHW
-/// through contiguous per-plane bias-add copies (no transpose anywhere).
-/// Backward mirrors this: one batched GemmNT for the weight gradient and
-/// one batched GemmTN + sample-parallel col2im scatter for the input
-/// gradient. Steady-state
-/// forward/backward performs no heap allocations: inference uses
-/// thread-local grow-only scratch (so concurrent Forward calls on one
-/// folded layer stay lock-free), and training caches the column matrix in
-/// the layer for reuse by Backward. Threaded results are bit-identical to
-/// serial runs (chunks write disjoint ranges; per-row GEMM reductions are
-/// order-independent of the partition).
+/// Forward is one implicit-GEMM call, tensor::Conv2dKernel
+/// (docs/PERFORMANCE.md, "Batched convolution execution"): it packs each
+/// 16-column GEMM panel straight from the NCHW input (padded taps as +0),
+/// runs each output's multiply-add chain over (ch, ky, kx) in order, adds
+/// the bias once and stores straight into the NCHW output, so no column
+/// matrix is built and no relayout runs. Outputs are bit-identical to
+/// im2col + GemmKernel + `+ bias`. The operator-norm power iteration runs
+/// the same kernel with no bias. The im2col column matrix
+/// (C*K*K, N*OH*OW) is built only where a matrix is needed: a training
+/// Forward caches it for Backward, and a CalibrationObserver receives it.
+/// Backward runs one batched GemmNT for the weight gradient and one GemmTN
+/// plus a sample-parallel col2im scatter for the input gradient.
+/// Steady-state forward/backward performs no heap allocations: the kernel
+/// and the inference-side column matrix use thread-local grow-only scratch
+/// (so concurrent Forward calls on one folded layer stay lock-free), and
+/// training keeps its buffers in the layer. Threaded results are
+/// bit-identical to serial runs: each kernel chunk writes disjoint
+/// outputs, and an element's arithmetic does not depend on the partition.
 ///
 /// Under PSN the kernel is normalized by the *true operator norm* of the
 /// convolution (power iteration over the actual conv / conv-transpose maps
@@ -99,6 +102,9 @@ class Conv2dLayer : public Layer {
   // operator norm (at the given spatial size, or the last-seen / default
   // size when h == 0) and returns (alpha/sigma) * W as a fresh tensor.
   Tensor PsnSnapshot(int64_t h, int64_t w, int iters) const;
+
+  // This layer's geometry on n images of h x w.
+  tensor::ConvGeometry Geometry(int64_t n, int64_t h, int64_t w) const;
 
   // Applies the convolution to one rank-3 (C,H,W) sample (flattened 1-D in
   // and out) with the effective weight; used by OperatorNorm.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -181,11 +182,10 @@ void GemmNTRowsPortable(const float* __restrict a, const float* __restrict b,
   }
 }
 
-// dst(n x m) = src(m x n)^T, plus an optional per-destination-row bias
-// (bias[j] is added to every element of dst row j). Blocked 8x8 so both
-// the source reads and destination writes stay within a few cache lines.
-void TransposeRowsPortable(const float* __restrict src, const float* bias,
-                           float* __restrict dst, int64_t m, int64_t n) {
+// dst(n x m) = src(m x n)^T, blocked 8x8 so both the source reads and
+// destination writes stay within a few cache lines.
+void TransposeRowsPortable(const float* __restrict src, float* __restrict dst,
+                           int64_t m, int64_t n) {
   constexpr int64_t kB = 8;
   for (int64_t j0 = 0; j0 < n; j0 += kB) {
     const int64_t jmax = std::min(j0 + kB, n);
@@ -193,15 +193,169 @@ void TransposeRowsPortable(const float* __restrict src, const float* bias,
       const int64_t imax = std::min(i0 + kB, m);
       for (int64_t j = j0; j < jmax; ++j) {
         float* __restrict out = dst + j * m;
-        if (bias != nullptr) {
-          const float add = bias[j];
-          for (int64_t i = i0; i < imax; ++i) out[i] = src[i * n + j] + add;
-        } else {
-          // Pure copy (no "+ 0.0f": that would flip the sign of -0.0).
-          for (int64_t i = i0; i < imax; ++i) out[i] = src[i * n + j];
+        for (int64_t i = i0; i < imax; ++i) out[i] = src[i * n + j];
+      }
+    }
+  }
+}
+
+// Implicit-GEMM convolution works on blocks of 16 GEMM columns. Column j
+// is output pixel j of the batch, as in an im2col column matrix:
+// j = img * oh*ow + oy * ow + ox.
+constexpr int kConvBlock = 16;
+
+// Where the columns of one block read and write.
+struct ConvBlock {
+  int valid = 0;  // Columns [0, valid) exist; the rest pack as +0.
+  const float* in_base = nullptr;  // The first column's image.
+  // Input offset (from in_base) of tap (ch 0, ky 0, kx 0), and the input
+  // coordinates of that tap, negative inside the padding.
+  int32_t in_off[kConvBlock];
+  int32_t iy0[kConvBlock];
+  int32_t ix0[kConvBlock];
+  int64_t out_off[kConvBlock];  // Output offset of channel 0.
+  // Per 8-column half: every tap reads 8 consecutive floats (a stride-1
+  // output row segment), and the outputs are 8 consecutive floats.
+  bool in_run[2];
+  bool out_run[2];
+};
+
+// Fills `b` for the block starting at column j0 of `cols`, and the lane
+// masks: masks[(ky*k + kx)*16 + t] is -1 when column t exists and its tap
+// (ky, kx) lies inside the image, 0 when it is padding. The 2*k*16 ints
+// after the k*k*16 tap masks are scratch for the row and column masks.
+void FillConvBlock(const ConvGeometry& g, const float* in, int64_t j0,
+                   int64_t cols, ConvBlock* b, int32_t* masks) {
+  const int64_t oh = g.oh(), ow = g.ow(), ohow = oh * ow;
+  const int64_t chw = g.c * g.h * g.w;
+  b->valid = static_cast<int>(std::min<int64_t>(kConvBlock, cols - j0));
+  int64_t img = j0 / ohow, pix = j0 % ohow;
+  int64_t oy = pix / ow, ox = pix % ow;
+  const int64_t img0 = img;
+  b->in_base = in + img0 * chw;
+  for (int t = 0; t < kConvBlock; ++t) {
+    if (t >= b->valid) {
+      // Far above the image, so every tap of a missing column is masked.
+      b->iy0[t] = INT32_MIN / 2;
+      b->in_off[t] = b->ix0[t] = 0;
+      b->out_off[t] = 0;
+      continue;
+    }
+    const int64_t iy = oy * g.s - g.p, ix = ox * g.s - g.p;
+    b->iy0[t] = static_cast<int32_t>(iy);
+    b->ix0[t] = static_cast<int32_t>(ix);
+    b->in_off[t] = static_cast<int32_t>((img - img0) * chw + iy * g.w + ix);
+    b->out_off[t] = img * g.out_ch * ohow + pix;
+    ++pix;
+    if (++ox == ow) {
+      ox = 0;
+      if (++oy == oh) {
+        oy = 0;
+        pix = 0;
+        ++img;
+      }
+    }
+  }
+  for (int hf = 0; hf < 2; ++hf) {
+    const int t0 = hf * 8;
+    bool in_run = b->valid >= t0 + 8, out_run = in_run;
+    for (int t = 1; t < 8 && (in_run || out_run); ++t) {
+      in_run = in_run && b->in_off[t0 + t] == b->in_off[t0] + t;
+      out_run = out_run && b->out_off[t0 + t] == b->out_off[t0] + t;
+    }
+    b->in_run[hf] = in_run;
+    b->out_run[hf] = out_run;
+  }
+  // Unsigned compares test 0 <= v < bound in one go; 32-bit lanes let the
+  // compiler vectorize these loops.
+  int32_t* rows = masks + g.k * g.k * kConvBlock;
+  int32_t* cols_in = rows + g.k * kConvBlock;
+  const uint32_t h = static_cast<uint32_t>(g.h);
+  const uint32_t w = static_cast<uint32_t>(g.w);
+  for (int d = 0; d < g.k; ++d) {
+    for (int t = 0; t < kConvBlock; ++t) {
+      rows[d * kConvBlock + t] =
+          -static_cast<int32_t>(static_cast<uint32_t>(b->iy0[t] + d) < h);
+      cols_in[d * kConvBlock + t] =
+          -static_cast<int32_t>(static_cast<uint32_t>(b->ix0[t] + d) < w);
+    }
+  }
+  for (int ky = 0; ky < g.k; ++ky) {
+    for (int kx = 0; kx < g.k; ++kx) {
+      int32_t* m = masks + (ky * g.k + kx) * kConvBlock;
+      for (int t = 0; t < kConvBlock; ++t) {
+        m[t] = rows[ky * kConvBlock + t] & cols_in[kx * kConvBlock + t];
+      }
+    }
+  }
+}
+
+// Packs the block's (c*k*k) x 16 B panel, row l = (ch*k + ky)*k + kx:
+// exactly the block's 16 columns of the im2col matrix, padding as +0.
+void PackConvPanelPortable(const ConvGeometry& g, const ConvBlock& b,
+                           const int32_t* masks, float* panel) {
+  const int64_t hw = g.h * g.w;
+  float* dst = panel;
+  for (int64_t ch = 0; ch < g.c; ++ch) {
+    for (int ky = 0; ky < g.k; ++ky) {
+      for (int kx = 0; kx < g.k; ++kx, dst += kConvBlock) {
+        const float* src = b.in_base + ch * hw + ky * g.w + kx;
+        const int32_t* m = masks + (ky * g.k + kx) * kConvBlock;
+        for (int t = 0; t < kConvBlock; ++t) {
+          dst[t] = m[t] != 0 ? src[b.in_off[t]] : 0.0f;
         }
       }
     }
+  }
+}
+
+// Stores one output channel's accumulators for the block's columns, with
+// one float add of the bias when there is one.
+void StoreConvRowPortable(const float* acc, const float* bias, int64_t oc,
+                          const ConvBlock& b, float* out, int64_t ohow) {
+  float* dst = out + oc * ohow;
+  if (bias != nullptr) {
+    const float add = bias[oc];
+    for (int t = 0; t < b.valid; ++t) dst[b.out_off[t]] = acc[t] + add;
+  } else {
+    for (int t = 0; t < b.valid; ++t) dst[b.out_off[t]] = acc[t];
+  }
+}
+
+// Output rows [0, m) of one block from its packed panel, with
+// GemmAccRowsPortable's `c += a * b` chain per element from +0.
+void ConvComputePortable(const float* __restrict a, const float* bias,
+                         const float* __restrict panel, int64_t m,
+                         int64_t kk, const ConvBlock& b, float* out,
+                         int64_t ohow) {
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    float c[4][kConvBlock] = {};
+    for (int64_t l = 0; l < kk; ++l) {
+      const float a0 = a[(i + 0) * kk + l];
+      const float a1 = a[(i + 1) * kk + l];
+      const float a2 = a[(i + 2) * kk + l];
+      const float a3 = a[(i + 3) * kk + l];
+      const float* __restrict br = panel + l * kConvBlock;
+      for (int j = 0; j < kConvBlock; ++j) {
+        c[0][j] += a0 * br[j];
+        c[1][j] += a1 * br[j];
+        c[2][j] += a2 * br[j];
+        c[3][j] += a3 * br[j];
+      }
+    }
+    for (int r = 0; r < 4; ++r) {
+      StoreConvRowPortable(c[r], bias, i + r, b, out, ohow);
+    }
+  }
+  for (; i < m; ++i) {
+    float c[kConvBlock] = {};
+    for (int64_t l = 0; l < kk; ++l) {
+      const float av = a[i * kk + l];
+      const float* __restrict br = panel + l * kConvBlock;
+      for (int j = 0; j < kConvBlock; ++j) c[j] += av * br[j];
+    }
+    StoreConvRowPortable(c, bias, i, b, out, ohow);
   }
 }
 
@@ -526,12 +680,10 @@ __attribute__((target("avx2"))) inline void Transpose8x8(__m256 r[8]) {
 }
 
 // Same contract as TransposeRowsPortable. Full 8x8 tiles go through the
-// in-register transpose; the bias (when present) is added per destination
-// row after the shuffle ladder, which is bit-identical to the scalar
-// `src + bias[j]` since both perform one float add per element.
+// in-register transpose.
 __attribute__((target("avx2"))) void TransposeRowsAvx2(
-    const float* __restrict src, const float* bias, float* __restrict dst,
-    int64_t m, int64_t n) {
+    const float* __restrict src, float* __restrict dst, int64_t m,
+    int64_t n) {
   __m256 r[8];
   int64_t j0 = 0;
   for (; j0 + 8 <= n; j0 += 8) {
@@ -541,30 +693,17 @@ __attribute__((target("avx2"))) void TransposeRowsAvx2(
         r[t] = _mm256_loadu_ps(src + (i0 + t) * n + j0);
       }
       Transpose8x8(r);
-      if (bias != nullptr) {
-        for (int t = 0; t < 8; ++t) {
-          r[t] = _mm256_add_ps(r[t], _mm256_broadcast_ss(bias + j0 + t));
-        }
-      }
       for (int t = 0; t < 8; ++t) {
         _mm256_storeu_ps(dst + (j0 + t) * m + i0, r[t]);
       }
     }
     for (; i0 < m; ++i0) {  // Row tail.
-      for (int64_t j = j0; j < j0 + 8; ++j) {
-        dst[j * m + i0] =
-            bias != nullptr ? src[i0 * n + j] + bias[j] : src[i0 * n + j];
-      }
+      for (int64_t j = j0; j < j0 + 8; ++j) dst[j * m + i0] = src[i0 * n + j];
     }
   }
   for (; j0 < n; ++j0) {  // Column tail.
     float* __restrict out = dst + j0 * m;
-    if (bias != nullptr) {
-      const float add = bias[j0];
-      for (int64_t i = 0; i < m; ++i) out[i] = src[i * n + j0] + add;
-    } else {
-      for (int64_t i = 0; i < m; ++i) out[i] = src[i * n + j0];
-    }
+    for (int64_t i = 0; i < m; ++i) out[i] = src[i * n + j0];
   }
 }
 
@@ -709,6 +848,145 @@ __attribute__((target("avx2"))) void TanhAvx2(const float* x, float* y,
   }
 }
 
+// Same contract as PackConvPanelPortable. A half whose taps are 8
+// consecutive floats takes one masked load per tap, any other half one
+// masked gather; masked-off lanes are +0 and are never read.
+__attribute__((target("avx2,fma"))) void PackConvPanelAvx2(
+    const ConvGeometry& g, const ConvBlock& b, const int32_t* masks,
+    int halves, float* panel) {
+  const int64_t hw = g.h * g.w;
+  float* dst = panel;
+  if (halves == 2 && b.in_run[0] && b.in_run[1]) {
+    // The common stride-1 case, without the per-tap dispatch.
+    const float* src0 = b.in_base + b.in_off[0];
+    const float* src1 = b.in_base + b.in_off[8];
+    for (int64_t ch = 0; ch < g.c; ++ch) {
+      const int32_t* m = masks;
+      for (int ky = 0; ky < g.k; ++ky) {
+        for (int kx = 0; kx < g.k; ++kx, dst += kConvBlock, m += kConvBlock) {
+          const int64_t off = ch * hw + ky * g.w + kx;
+          const __m256i m0 =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m));
+          const __m256i m1 =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + 8));
+          _mm256_storeu_ps(dst, _mm256_maskload_ps(src0 + off, m0));
+          _mm256_storeu_ps(dst + 8, _mm256_maskload_ps(src1 + off, m1));
+        }
+      }
+    }
+    return;
+  }
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256i idx[2] = {
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.in_off)),
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b.in_off + 8))};
+  for (int64_t ch = 0; ch < g.c; ++ch) {
+    const int32_t* m = masks;
+    for (int ky = 0; ky < g.k; ++ky) {
+      for (int kx = 0; kx < g.k; ++kx, dst += kConvBlock, m += kConvBlock) {
+        const float* src = b.in_base + ch * hw + ky * g.w + kx;
+        for (int hf = 0; hf < halves; ++hf) {
+          const __m256i mask =
+              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(m + hf * 8));
+          const __m256 v =
+              b.in_run[hf]
+                  ? _mm256_maskload_ps(src + b.in_off[hf * 8], mask)
+                  : _mm256_mask_i32gather_ps(zero, src, idx[hf],
+                                             _mm256_castsi256_ps(mask), 4);
+          _mm256_storeu_ps(dst + hf * 8, v);
+        }
+      }
+    }
+  }
+}
+
+// Stores 8 columns (half `hf` of the block) of output channel `oc`.
+__attribute__((target("avx2,fma"))) inline void StoreConvLanesAvx2(
+    __m256 v, const float* bias, int64_t oc, int hf, const ConvBlock& b,
+    float* out, int64_t ohow) {
+  if (bias != nullptr) v = _mm256_add_ps(v, _mm256_set1_ps(bias[oc]));
+  float* dst = out + oc * ohow;
+  const int t0 = hf * 8;
+  if (b.out_run[hf]) {
+    _mm256_storeu_ps(dst + b.out_off[t0], v);
+    return;
+  }
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, v);
+  const int n = std::min(8, b.valid - t0);
+  for (int t = 0; t < n; ++t) dst[b.out_off[t0 + t]] = lanes[t];
+}
+
+// Same contract as ConvComputePortable, with GemmAccRowsAvx2's register
+// tile (4 rows x 8*kHalves columns) and its fmadd chain per element.
+template <int kHalves>
+__attribute__((target("avx2,fma"))) void ConvComputeAvx2(
+    const float* __restrict a, const float* bias,
+    const float* __restrict panel, int64_t m, int64_t kk, const ConvBlock& b,
+    float* out, int64_t ohow) {
+  int64_t i = 0;
+  for (; i + 4 <= m; i += 4) {
+    const float* a0 = a + i * kk;
+    const float* a1 = a0 + kk;
+    const float* a2 = a1 + kk;
+    const float* a3 = a2 + kk;
+    __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
+    __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
+    __m256 acc20 = _mm256_setzero_ps(), acc21 = _mm256_setzero_ps();
+    __m256 acc30 = _mm256_setzero_ps(), acc31 = _mm256_setzero_ps();
+    for (int64_t l = 0; l < kk; ++l) {
+      const float* br = panel + l * kConvBlock;
+      const __m256 b0 = _mm256_loadu_ps(br);
+      __m256 av = _mm256_broadcast_ss(a0 + l);
+      acc00 = _mm256_fmadd_ps(av, b0, acc00);
+      if constexpr (kHalves == 2) {
+        const __m256 b1 = _mm256_loadu_ps(br + 8);
+        acc01 = _mm256_fmadd_ps(av, b1, acc01);
+        av = _mm256_broadcast_ss(a1 + l);
+        acc10 = _mm256_fmadd_ps(av, b0, acc10);
+        acc11 = _mm256_fmadd_ps(av, b1, acc11);
+        av = _mm256_broadcast_ss(a2 + l);
+        acc20 = _mm256_fmadd_ps(av, b0, acc20);
+        acc21 = _mm256_fmadd_ps(av, b1, acc21);
+        av = _mm256_broadcast_ss(a3 + l);
+        acc30 = _mm256_fmadd_ps(av, b0, acc30);
+        acc31 = _mm256_fmadd_ps(av, b1, acc31);
+      } else {
+        acc10 = _mm256_fmadd_ps(_mm256_broadcast_ss(a1 + l), b0, acc10);
+        acc20 = _mm256_fmadd_ps(_mm256_broadcast_ss(a2 + l), b0, acc20);
+        acc30 = _mm256_fmadd_ps(_mm256_broadcast_ss(a3 + l), b0, acc30);
+      }
+    }
+    StoreConvLanesAvx2(acc00, bias, i + 0, 0, b, out, ohow);
+    StoreConvLanesAvx2(acc10, bias, i + 1, 0, b, out, ohow);
+    StoreConvLanesAvx2(acc20, bias, i + 2, 0, b, out, ohow);
+    StoreConvLanesAvx2(acc30, bias, i + 3, 0, b, out, ohow);
+    if constexpr (kHalves == 2) {
+      StoreConvLanesAvx2(acc01, bias, i + 0, 1, b, out, ohow);
+      StoreConvLanesAvx2(acc11, bias, i + 1, 1, b, out, ohow);
+      StoreConvLanesAvx2(acc21, bias, i + 2, 1, b, out, ohow);
+      StoreConvLanesAvx2(acc31, bias, i + 3, 1, b, out, ohow);
+    }
+  }
+  for (; i < m; ++i) {
+    const float* ai = a + i * kk;
+    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+    for (int64_t l = 0; l < kk; ++l) {
+      const __m256 av = _mm256_broadcast_ss(ai + l);
+      acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(panel + l * kConvBlock),
+                             acc0);
+      if constexpr (kHalves == 2) {
+        acc1 = _mm256_fmadd_ps(
+            av, _mm256_loadu_ps(panel + l * kConvBlock + 8), acc1);
+      }
+    }
+    StoreConvLanesAvx2(acc0, bias, i, 0, b, out, ohow);
+    if constexpr (kHalves == 2) {
+      StoreConvLanesAvx2(acc1, bias, i, 1, b, out, ohow);
+    }
+  }
+}
+
 bool CpuHasAvx2Fma() {
   static const bool ok =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
@@ -740,16 +1018,41 @@ void GemmAccRows(const float* a, int64_t as_i, int64_t as_l, const float* b,
   GemmAccRowsPortable(a, as_i, as_l, b, c, r0, r1, n, k);
 }
 
-// Dispatches the (optionally biased) transpose.
-void TransposeRows(const float* src, const float* bias, float* dst,
-                   int64_t m, int64_t n) {
+// Runs column blocks [blk0, blk1) of Conv2dKernel. The panel and masks are
+// thread-local and grow-only, so the steady state allocates nothing.
+void ConvBlocks(const float* weight, const float* bias, const float* in,
+                float* out, const ConvGeometry& g, int64_t blk0,
+                int64_t blk1) {
+  static thread_local std::vector<float> panel_buf;
+  static thread_local std::vector<int32_t> mask_buf;
+  const int64_t kk = g.c * g.k * g.k;
+  const int64_t ohow = g.oh() * g.ow();
+  const int64_t cols = g.n * ohow;
+  const size_t panel_n = static_cast<size_t>(kk * kConvBlock);
+  const size_t mask_n =
+      static_cast<size_t>((g.k * g.k + 2 * g.k) * kConvBlock);
+  if (panel_buf.size() < panel_n) panel_buf.resize(panel_n);
+  if (mask_buf.size() < mask_n) mask_buf.resize(mask_n);
+  float* panel = panel_buf.data();
+  int32_t* masks = mask_buf.data();
+  ConvBlock b;
+  for (int64_t blk = blk0; blk < blk1; ++blk) {
+    FillConvBlock(g, in, blk * kConvBlock, cols, &b, masks);
 #if defined(EF_KERNELS_X86)
-  if (CpuHasAvx2Fma()) {
-    TransposeRowsAvx2(src, bias, dst, m, n);
-    return;
-  }
+    if (CpuHasAvx2Fma()) {
+      if (b.valid > 8) {
+        PackConvPanelAvx2(g, b, masks, 2, panel);
+        ConvComputeAvx2<2>(weight, bias, panel, g.out_ch, kk, b, out, ohow);
+      } else {
+        PackConvPanelAvx2(g, b, masks, 1, panel);
+        ConvComputeAvx2<1>(weight, bias, panel, g.out_ch, kk, b, out, ohow);
+      }
+      continue;
+    }
 #endif
-  TransposeRowsPortable(src, bias, dst, m, n);
+    PackConvPanelPortable(g, b, masks, panel);
+    ConvComputePortable(weight, bias, panel, g.out_ch, kk, b, out, ohow);
+  }
 }
 
 // Dispatches one row chunk of the dot-oriented GemmNT kernel.
@@ -838,12 +1141,29 @@ void GemmNTKernel(const float* a, const float* b, float* c, int64_t m,
 }
 
 void TransposeKernel(const float* src, float* dst, int64_t m, int64_t n) {
-  TransposeRows(src, /*bias=*/nullptr, dst, m, n);
+#if defined(EF_KERNELS_X86)
+  if (CpuHasAvx2Fma()) {
+    TransposeRowsAvx2(src, dst, m, n);
+    return;
+  }
+#endif
+  TransposeRowsPortable(src, dst, m, n);
 }
 
-void TransposeAddBiasKernel(const float* src, const float* bias, float* dst,
-                            int64_t m, int64_t n) {
-  TransposeRows(src, bias, dst, m, n);
+void Conv2dKernel(const float* weight, const float* bias, const float* in,
+                  float* out, const ConvGeometry& g) {
+  // Gather indices are 32-bit offsets within the images a block spans.
+  EF_CHECK(kConvBlock * g.c * g.h * g.w <= INT32_MAX);
+  const int64_t cols = g.n * g.oh() * g.ow();
+  const int64_t blocks = (cols + kConvBlock - 1) / kConvBlock;
+  const int64_t flops = 2 * g.out_ch * cols * g.c * g.k * g.k;
+  if (!WillParallelize(flops)) {
+    ConvBlocks(weight, bias, in, out, g, 0, blocks);
+    return;
+  }
+  ParallelRows(blocks, flops, [=](int64_t b0, int64_t b1) {
+    ConvBlocks(weight, bias, in, out, g, b0, b1);
+  });
 }
 
 bool KernelWillParallelize(int64_t flops) { return WillParallelize(flops); }

@@ -64,10 +64,29 @@ void GemvTKernel(const float* w, const float* x, float* y, int64_t m,
 /// transpose under AVX2).
 void TransposeKernel(const float* src, float* dst, int64_t m, int64_t n);
 
-/// dst[j*m + i] = src[i*n + j] + bias[j]: the conv bias-add fused into the
-/// (OH*OW, out_ch) -> NCHW layout transpose.
-void TransposeAddBiasKernel(const float* src, const float* bias, float* dst,
-                            int64_t m, int64_t n);
+/// Geometry of one NCHW convolution: `n` images of `c` x `h` x `w`, a
+/// square `k` x `k` kernel at stride `s` with `p` zero padding on every
+/// side, `out_ch` output channels.
+struct ConvGeometry {
+  int64_t n, c, h, w, out_ch;
+  int k, s, p;
+  int64_t oh() const { return (h + 2 * p - k) / s + 1; }
+  int64_t ow() const { return (w + 2 * p - k) / s + 1; }
+};
+
+/// Implicit-GEMM convolution: out(n, out_ch, oh, ow) from in(n, c, h, w)
+/// and the kernel matrix weight(out_ch, c*k*k), plus bias[oc] when `bias`
+/// is non-null (docs/PERFORMANCE.md, "Batched convolution execution").
+/// GEMM column panels are packed straight from the NCHW input, padded taps
+/// as +0, and every output element runs GemmKernel's multiply-add chain
+/// over l = (ch, ky, kx) in order from +0, then one float add of the bias,
+/// stored straight into NCHW. The result is bit-identical to an im2col
+/// column matrix through GemmKernel followed by `+ bias[oc]`. With a null
+/// `bias` nothing is added (adding +0 would turn -0 into +0). Column
+/// blocks fan out across the pool; each writes disjoint outputs, so
+/// threaded runs are bit-identical to serial ones.
+void Conv2dKernel(const float* weight, const float* bias, const float* in,
+                  float* out, const ConvGeometry& g);
 
 /// y[i] = tanh(x[i]), bit-identical to std::tanh(float) on a glibc libm,
 /// whose float tanhf is fdlibm's: under AVX2 an 8-lane port of its float

@@ -1,16 +1,12 @@
 #include "compress/zfp.h"
 
-#include <algorithm>
 #include <cmath>
-#include <string>
-#include <utility>
 
 #include "gtest/gtest.h"
 #include "compress/sz.h"
 #include "compress/mgard.h"
 #include "tensor/norms.h"
 #include "testing/test_util.h"
-#include "util/timer.h"
 
 namespace errorflow {
 namespace compress {
@@ -68,38 +64,28 @@ TEST(ZfpTest, BlockAlignedAndUnalignedShapesAgreeOnBound) {
   }
 }
 
-TEST(ZfpTest, DecompressionFasterThanSzAndMgard) {
-  // The property the paper's Fig. 7 relies on. Use a large field so the
-  // comparison is not noise-dominated.
+TEST(ZfpTest, RoundTripWithinBoundBesideSzAndMgard) {
+  // The field and bound of the paper's Fig. 7 decode-speed comparison.
+  // Which backend decodes fastest is a wall-clock property, so it is
+  // measured by bench_codec ("decode speed by backend"); this test keeps
+  // the correctness half: all three round-trip within the bound.
   const Tensor data = testing::SmoothField2d(512, 512, 3);
   ZfpCompressor zfp;
   SzCompressor sz;
   MgardCompressor mgard;
-  const ErrorBound bound = ErrorBound::AbsLinf(1e-4);
+  const double eb = 1e-4;
+  const ErrorBound bound = ErrorBound::AbsLinf(eb);
 
   Compressor* const comps[] = {&zfp, &sz, &mgard};
-  std::string blobs[3];
-  for (int c = 0; c < 3; ++c) {
-    auto compressed = comps[c]->Compress(data, bound);
-    ASSERT_TRUE(compressed.ok());
-    blobs[c] = std::move(compressed->blob);
+  for (Compressor* comp : comps) {
+    auto compressed = comp->Compress(data, bound);
+    ASSERT_TRUE(compressed.ok()) << comp->name();
+    auto d = comp->Decompress(compressed->blob);
+    ASSERT_TRUE(d.ok()) << comp->name();
+    ASSERT_EQ(d->data.shape(), data.shape()) << comp->name();
+    EXPECT_LE(tensor::DiffNorm(data, d->data, Norm::kLinf), eb * (1 + 1e-9))
+        << comp->name();
   }
-  // Minimum over interleaved rounds: every round decodes with all three,
-  // so a burst of load from other processes slows each of them in turn
-  // rather than the one whose runs happened to fall inside it.
-  double best[3] = {1e30, 1e30, 1e30};
-  for (int round = 0; round < 10; ++round) {
-    for (int c = 0; c < 3; ++c) {
-      auto d = comps[c]->Decompress(blobs[c]);
-      ASSERT_TRUE(d.ok());
-      best[c] = std::min(best[c], d->seconds);
-    }
-  }
-  const double t_zfp = best[0];
-  const double t_sz = best[1];
-  const double t_mgard = best[2];
-  EXPECT_LT(t_zfp, t_sz);
-  EXPECT_LT(t_zfp, t_mgard);
 }
 
 TEST(ZfpTest, TransformedCoefficientsCompressSmoothBlocks) {

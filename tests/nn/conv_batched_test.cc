@@ -1,10 +1,11 @@
-// Equivalence tests for the batched conv execution path: the batched
+// Equivalence tests for the batched conv execution path: the implicit-GEMM
 // forward must be bit-identical to a retained naive per-sample reference
 // (per-element predicated im2col into channel-major columns + one Gemm per
 // sample + scalar bias-add), threaded runs must match serial runs
 // bit-for-bit, and the batched Backward must agree with finite
 // differences.
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -27,20 +28,27 @@ struct ConvCase {
 };
 
 // Odd shapes, strides, and padding combinations, including the EuroSAT
-// ResNet stem geometry (13 -> 8, k3 s1 p1 at 16x16).
+// ResNet geometries (the 13 -> 8 stem, k3 s1 p1 interior convs at 16x16
+// down to 2x2, a k1 s2 projection). OH*OW of 4, 16 and 35 is not a
+// multiple of the 16-column blocks, so blocks straddle images; out_ch
+// covers 1, 5 and 10 (row tiles of 4 plus tails).
 const ConvCase kCases[] = {
     {1, 13, 16, 16, 8, 3, 1, 1}, {3, 2, 7, 5, 4, 3, 2, 1},
     {2, 3, 9, 9, 5, 5, 1, 2},    {4, 1, 8, 8, 3, 1, 1, 0},
     {2, 4, 6, 6, 7, 3, 3, 0},    {5, 3, 5, 7, 2, 2, 2, 0},
-    {2, 2, 11, 3, 3, 3, 1, 2},
+    {2, 2, 11, 3, 3, 3, 1, 2},   {2, 8, 16, 16, 8, 3, 1, 1},
+    {3, 6, 2, 2, 5, 3, 1, 1},    {3, 5, 4, 4, 10, 3, 1, 1},
+    {3, 3, 4, 4, 1, 3, 1, 1},    {3, 4, 5, 7, 10, 5, 1, 2},
+    {3, 8, 16, 16, 16, 1, 2, 0}, {3, 5, 4, 4, 5, 1, 2, 0},
+    {2, 64, 2, 2, 64, 3, 1, 1},  {2, 16, 8, 8, 16, 3, 1, 1},
 };
 
 // Retained naive per-sample reference: per-element predicated im2col into
 // channel-major (C*K*K, OH*OW) columns, one Gemm per sample, scalar
-// bias-add. The batched path must reproduce it bit-for-bit — it uses the
-// same GEMM kernel whose per-element reduction order is independent of the
-// column count, so fusing samples along the column axis cannot change any
-// bit.
+// bias-add. The layer must reproduce it bit-for-bit: every output is the
+// GEMM kernel's multiply-add chain over (ch, ky, kx) from +0, whatever the
+// column count, and Conv2dKernel runs that same chain per output, so
+// fusing samples or packing panels from NCHW cannot change any bit.
 Tensor SeedPerSampleForward(const Tensor& in, const Tensor& wmat,
                             const Tensor& bias, int64_t out_ch, int k, int s,
                             int p) {
@@ -110,6 +118,45 @@ TEST_F(ConvBatchedTest, ForwardBitExactMatchesSeedPerSamplePath) {
       conv.Forward(x, &out, training);
       ExpectBitIdentical(ref, out);
     }
+  }
+}
+
+TEST_F(ConvBatchedTest, ForwardBitExactOnSpecialValues) {
+  // Signed zeros, infinities, NaN and subnormals sprinkled through the
+  // input: padded taps must enter every multiply-add as +0, exactly as the
+  // column matrix holds them, for NaN, Inf and -0 to land the same.
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f,
+                            -0.0f,
+                            kInf,
+                            -kInf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::denorm_min(),
+                            -std::numeric_limits<float>::denorm_min(),
+                            1e-39f,
+                            -3e-40f};
+  for (const ConvCase& cc : kCases) {
+    Conv2dLayer conv(cc.c, cc.out_ch, cc.k, cc.s, cc.p);
+    conv.InitHe(19);
+    for (int64_t i = 0; i < conv.mutable_bias().size(); ++i) {
+      conv.mutable_bias()[i] = 0.03f * static_cast<float>(i) - 0.1f;
+    }
+    Tensor x = testing::RandomTensor({cc.n, cc.c, cc.h, cc.w}, 5);
+    for (int64_t i = 0; i < x.size(); i += 29) {
+      x[i] = specials[(i / 29) % 9];
+    }
+    const Tensor ref = SeedPerSampleForward(x, conv.weight(), conv.bias(),
+                                            cc.out_ch, cc.k, cc.s, cc.p);
+    Tensor out;
+    conv.Forward(x, &out, false);
+    ExpectBitIdentical(ref, out);
+    // All -0 input: every output is the bias added to +0.
+    x.Fill(-0.0f);
+    Tensor zeros;
+    conv.Forward(x, &zeros, false);
+    ExpectBitIdentical(SeedPerSampleForward(x, conv.weight(), conv.bias(),
+                                            cc.out_ch, cc.k, cc.s, cc.p),
+                       zeros);
   }
 }
 

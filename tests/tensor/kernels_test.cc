@@ -204,25 +204,9 @@ TEST_F(KernelsTest, TransposeMatchesReference) {
   }
 }
 
-TEST_F(KernelsTest, TransposeAddBiasMatchesReference) {
-  util::Rng rng(56);
-  for (const GemmShape& s : kShapes) {
-    SCOPED_TRACE(::testing::Message() << "m=" << s.m << " n=" << s.n);
-    const Tensor src = RandomTensor({s.m, s.n}, &rng);
-    const Tensor bias = RandomTensor({s.n}, &rng);
-    Tensor dst({s.n, s.m});
-    TransposeAddBiasKernel(src.data(), bias.data(), dst.data(), s.m, s.n);
-    for (int64_t i = 0; i < s.m; ++i) {
-      for (int64_t j = 0; j < s.n; ++j) {
-        ASSERT_EQ(dst.at(j, i), src.at(i, j) + bias[j]) << i << "," << j;
-      }
-    }
-  }
-}
-
 TEST_F(KernelsTest, TransposePreservesNegativeZero) {
-  // The no-bias transpose must be a pure copy: adding 0.0f would flip the
-  // sign of -0.0 and break the bit-identity contract.
+  // The transpose must be a pure copy: adding 0.0f would flip the sign of
+  // -0.0 and break the bit-identity contract.
   const Tensor src({3, 3}, {0.0f, -0.0f, 1.0f, -0.0f, 2.0f, -0.0f, 3.0f,
                             -0.0f, 0.0f});
   Tensor dst({3, 3});
