@@ -32,48 +32,14 @@ void PrintHeader(const std::string& title) {
 
 double MaxSampleError(const tensor::Tensor& reference,
                       const tensor::Tensor& got, tensor::Norm norm) {
-  const int64_t n = reference.dim(0);
-  const int64_t per = reference.size() / n;
-  double worst = 0.0;
-  for (int64_t s = 0; s < n; ++s) {
-    const float* a = reference.data() + s * per;
-    const float* b = got.data() + s * per;
-    if (norm == tensor::Norm::kL2) {
-      double acc = 0.0;
-      for (int64_t i = 0; i < per; ++i) {
-        const double d = static_cast<double>(a[i]) - b[i];
-        acc += d * d;
-      }
-      worst = std::max(worst, std::sqrt(acc));
-    } else {
-      for (int64_t i = 0; i < per; ++i) {
-        worst = std::max(worst,
-                         std::fabs(static_cast<double>(a[i]) - b[i]));
-      }
-    }
-  }
-  return worst;
+  const int64_t rows = reference.dim(0);
+  return tensor::MaxRowError(reference.data(), got.data(), rows,
+                             reference.size() / rows, norm);
 }
 
 double MaxSampleNorm(const tensor::Tensor& t, tensor::Norm norm) {
-  const int64_t n = t.dim(0);
-  const int64_t per = t.size() / n;
-  double worst = 0.0;
-  for (int64_t s = 0; s < n; ++s) {
-    const float* a = t.data() + s * per;
-    if (norm == tensor::Norm::kL2) {
-      double acc = 0.0;
-      for (int64_t i = 0; i < per; ++i) {
-        acc += static_cast<double>(a[i]) * a[i];
-      }
-      worst = std::max(worst, std::sqrt(acc));
-    } else {
-      for (int64_t i = 0; i < per; ++i) {
-        worst = std::max(worst, std::fabs(static_cast<double>(a[i])));
-      }
-    }
-  }
-  return worst;
+  const int64_t rows = t.dim(0);
+  return tensor::MaxRowNorm(t.data(), rows, t.size() / rows, norm);
 }
 
 double MaxRelativeSampleError(const tensor::Tensor& reference,

@@ -1,6 +1,6 @@
 #include "core/pipeline.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "obs/error_budget.h"
 #include "obs/trace.h"
@@ -25,55 +25,6 @@ constexpr char kWriteHist[] = "errorflow.pipeline.write_seconds";
 constexpr char kReadHist[] = "errorflow.pipeline.read_seconds";
 constexpr char kDecompressHist[] = "errorflow.pipeline.decompress_seconds";
 constexpr char kExecHist[] = "errorflow.pipeline.exec_seconds";
-
-// Max per-sample error over a batch, in the given norm. Rank-2 tensors
-// treat rows as samples; rank-4 treat the leading dim as samples.
-double MaxPerSampleError(const Tensor& ref, const Tensor& got, Norm norm) {
-  EF_CHECK(ref.size() == got.size() && ref.ndim() >= 2);
-  const int64_t n = ref.dim(0);
-  const int64_t per = ref.size() / n;
-  double worst = 0.0;
-  for (int64_t s = 0; s < n; ++s) {
-    const float* a = ref.data() + s * per;
-    const float* b = got.data() + s * per;
-    if (norm == Norm::kL2) {
-      double acc = 0.0;
-      for (int64_t i = 0; i < per; ++i) {
-        const double d = static_cast<double>(a[i]) - b[i];
-        acc += d * d;
-      }
-      worst = std::max(worst, std::sqrt(acc));
-    } else {
-      for (int64_t i = 0; i < per; ++i) {
-        worst = std::max(
-            worst, std::fabs(static_cast<double>(a[i]) - b[i]));
-      }
-    }
-  }
-  return worst;
-}
-
-// Max per-sample norm of a batch (for relative-error denominators).
-double MaxPerSampleNorm(const Tensor& t, Norm norm) {
-  const int64_t n = t.dim(0);
-  const int64_t per = t.size() / n;
-  double worst = 0.0;
-  for (int64_t s = 0; s < n; ++s) {
-    const float* a = t.data() + s * per;
-    if (norm == Norm::kL2) {
-      double acc = 0.0;
-      for (int64_t i = 0; i < per; ++i) {
-        acc += static_cast<double>(a[i]) * a[i];
-      }
-      worst = std::max(worst, std::sqrt(acc));
-    } else {
-      for (int64_t i = 0; i < per; ++i) {
-        worst = std::max(worst, std::fabs(static_cast<double>(a[i])));
-      }
-    }
-  }
-  return worst;
-}
 
 }  // namespace
 
@@ -124,9 +75,12 @@ Result<Tensor> InferencePipeline::ExecuteQuantized(const Tensor& batch,
 
 Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
                                               double qoi_tolerance) {
-  if (input_batch.ndim() < 2) {
-    return Status::InvalidArgument("pipeline: batch tensor required");
+  if (input_batch.ndim() < 2 || input_batch.dim(0) < 1) {
+    return Status::InvalidArgument(
+        "pipeline: batch tensor with at least one sample required");
   }
+  // Rows are samples: the leading dim of a rank-2 or rank-4 batch.
+  const int64_t batch = input_batch.dim(0);
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   obs::TraceSpan run_span("pipeline.run");
   const AllocationPlan plan = Plan(qoi_tolerance);
@@ -143,7 +97,8 @@ Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
     obs::TraceSpan span("pipeline.reference");
     reference = model_.Predict(input_batch);
   }
-  report.reference_qoi_norm = MaxPerSampleNorm(reference, config_.norm);
+  report.reference_qoi_norm = tensor::MaxRowNorm(
+      reference.data(), batch, reference.size() / batch, config_.norm);
 
   // --- Reduction + storage ---
   util::Stopwatch phases;
@@ -188,7 +143,6 @@ Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
   Tensor output;
   EF_ASSIGN_OR_RETURN(output,
                       ExecuteQuantized(decompressed.data, plan.format));
-  const int64_t batch = input_batch.dim(0);
   quant::ExecutionModel exec(config_.hardware, flops_per_sample_,
                              bytes_per_sample_);
   report.exec_seconds =
@@ -202,10 +156,14 @@ Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
       std::min(report.io_throughput, report.exec_throughput);
 
   // --- Achieved errors ---
-  report.achieved_input_error =
-      MaxPerSampleError(input_batch, decompressed.data, config_.norm);
+  EF_CHECK(decompressed.data.size() == input_batch.size() &&
+           output.size() == reference.size());
+  report.achieved_input_error = tensor::MaxRowError(
+      input_batch.data(), decompressed.data.data(), batch,
+      input_batch.size() / batch, config_.norm);
   report.achieved_qoi_error =
-      MaxPerSampleError(reference, output, config_.norm);
+      tensor::MaxRowError(reference.data(), output.data(), batch,
+                          reference.size() / batch, config_.norm);
 
   // --- Error-budget ledger: the pipeline measures achieved QoI error
   // against the FP32 reference on every run, so each run is an audited

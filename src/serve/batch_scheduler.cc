@@ -8,6 +8,7 @@
 #include "obs/error_budget.h"
 #include "obs/log.h"
 #include "obs/trace.h"
+#include "tensor/norms.h"
 
 namespace errorflow {
 namespace serve {
@@ -27,31 +28,6 @@ bool SameTrailingDims(const tensor::Tensor& a, const tensor::Tensor& b) {
     if (a.dim(d) != b.dim(d)) return false;
   }
   return true;
-}
-
-// Max per-sample error over `n` samples of `per` elements each, in the
-// given norm (the serving twin of the pipeline's achieved-QoI measure).
-double MaxPerSampleError(const float* ref, const float* got, int64_t n,
-                         int64_t per, tensor::Norm norm) {
-  double worst = 0.0;
-  for (int64_t s = 0; s < n; ++s) {
-    const float* a = ref + s * per;
-    const float* b = got + s * per;
-    if (norm == tensor::Norm::kL2) {
-      double acc = 0.0;
-      for (int64_t i = 0; i < per; ++i) {
-        const double d = static_cast<double>(a[i]) - b[i];
-        acc += d * d;
-      }
-      worst = std::max(worst, std::sqrt(acc));
-    } else {
-      for (int64_t i = 0; i < per; ++i) {
-        worst =
-            std::max(worst, std::fabs(static_cast<double>(a[i]) - b[i]));
-      }
-    }
-  }
-  return worst;
 }
 
 }  // namespace
@@ -467,7 +443,7 @@ void BatchScheduler::AuditGroup(const std::vector<Pending>& live,
     // quantization term, with no compression-input share.
     ledger.admitted_bound = p.decision.quant_bound;
     ledger.quant_term = p.decision.quant_bound;
-    ledger.achieved_error = MaxPerSampleError(
+    ledger.achieved_error = tensor::MaxRowError(
         reference.data() + offset * out_row_elems,
         output.data() + offset * out_row_elems, k, out_row_elems,
         config_.audit_norm);

@@ -182,23 +182,6 @@ void GemmNTRowsPortable(const float* __restrict a, const float* __restrict b,
   }
 }
 
-// dst(n x m) = src(m x n)^T, blocked 8x8 so both the source reads and
-// destination writes stay within a few cache lines.
-void TransposeRowsPortable(const float* __restrict src, float* __restrict dst,
-                           int64_t m, int64_t n) {
-  constexpr int64_t kB = 8;
-  for (int64_t j0 = 0; j0 < n; j0 += kB) {
-    const int64_t jmax = std::min(j0 + kB, n);
-    for (int64_t i0 = 0; i0 < m; i0 += kB) {
-      const int64_t imax = std::min(i0 + kB, m);
-      for (int64_t j = j0; j < jmax; ++j) {
-        float* __restrict out = dst + j * m;
-        for (int64_t i = i0; i < imax; ++i) out[i] = src[i * n + j];
-      }
-    }
-  }
-}
-
 // Implicit-GEMM convolution works on blocks of 16 GEMM columns. Column j
 // is output pixel j of the batch, as in an im2col column matrix:
 // j = img * oh*ow + oy * ow + ox.
@@ -650,63 +633,6 @@ __attribute__((target("avx2,fma"))) void GemvTAvx2(const float* __restrict w,
   }
 }
 
-// In-register 8x8 transpose: r[t] holds source row t on entry and source
-// column t on exit (the classic unpack / shuffle / permute2f128 ladder).
-__attribute__((target("avx2"))) inline void Transpose8x8(__m256 r[8]) {
-  const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
-  const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
-  const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
-  const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
-  const __m256 t4 = _mm256_unpacklo_ps(r[4], r[5]);
-  const __m256 t5 = _mm256_unpackhi_ps(r[4], r[5]);
-  const __m256 t6 = _mm256_unpacklo_ps(r[6], r[7]);
-  const __m256 t7 = _mm256_unpackhi_ps(r[6], r[7]);
-  const __m256 u0 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u1 = _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u2 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u3 = _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u4 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u5 = _mm256_shuffle_ps(t4, t6, _MM_SHUFFLE(3, 2, 3, 2));
-  const __m256 u6 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(1, 0, 1, 0));
-  const __m256 u7 = _mm256_shuffle_ps(t5, t7, _MM_SHUFFLE(3, 2, 3, 2));
-  r[0] = _mm256_permute2f128_ps(u0, u4, 0x20);
-  r[1] = _mm256_permute2f128_ps(u1, u5, 0x20);
-  r[2] = _mm256_permute2f128_ps(u2, u6, 0x20);
-  r[3] = _mm256_permute2f128_ps(u3, u7, 0x20);
-  r[4] = _mm256_permute2f128_ps(u0, u4, 0x31);
-  r[5] = _mm256_permute2f128_ps(u1, u5, 0x31);
-  r[6] = _mm256_permute2f128_ps(u2, u6, 0x31);
-  r[7] = _mm256_permute2f128_ps(u3, u7, 0x31);
-}
-
-// Same contract as TransposeRowsPortable. Full 8x8 tiles go through the
-// in-register transpose.
-__attribute__((target("avx2"))) void TransposeRowsAvx2(
-    const float* __restrict src, float* __restrict dst, int64_t m,
-    int64_t n) {
-  __m256 r[8];
-  int64_t j0 = 0;
-  for (; j0 + 8 <= n; j0 += 8) {
-    int64_t i0 = 0;
-    for (; i0 + 8 <= m; i0 += 8) {
-      for (int t = 0; t < 8; ++t) {
-        r[t] = _mm256_loadu_ps(src + (i0 + t) * n + j0);
-      }
-      Transpose8x8(r);
-      for (int t = 0; t < 8; ++t) {
-        _mm256_storeu_ps(dst + (j0 + t) * m + i0, r[t]);
-      }
-    }
-    for (; i0 < m; ++i0) {  // Row tail.
-      for (int64_t j = j0; j < j0 + 8; ++j) dst[j * m + i0] = src[i0 * n + j];
-    }
-  }
-  for (; j0 < n; ++j0) {  // Column tail.
-    float* __restrict out = dst + j0 * m;
-    for (int64_t i = 0; i < m; ++i) out[i] = src[i * n + j0];
-  }
-}
-
 // tanh over 8 lanes, bit-identical to the host's scalar tanhf. glibc's
 // float tanhf/expm1f are fdlibm's (s_tanhf.c, s_expm1f.c); this body runs
 // their float operations in their order on every lane, computes every
@@ -1138,16 +1064,6 @@ void GemmNTKernel(const float* a, const float* b, float* c, int64_t m,
   ParallelRows(m, flops, [=](int64_t r0, int64_t r1) {
     GemmNTRows(a, b, c, r0, r1, n, k);
   });
-}
-
-void TransposeKernel(const float* src, float* dst, int64_t m, int64_t n) {
-#if defined(EF_KERNELS_X86)
-  if (CpuHasAvx2Fma()) {
-    TransposeRowsAvx2(src, dst, m, n);
-    return;
-  }
-#endif
-  TransposeRowsPortable(src, dst, m, n);
 }
 
 void Conv2dKernel(const float* weight, const float* bias, const float* in,

@@ -60,10 +60,6 @@ void GemvKernel(const float* w, const float* x, float* y, int64_t m,
 void GemvTKernel(const float* w, const float* x, float* y, int64_t m,
                  int64_t n);
 
-/// dst(n x m) = src(m x n)^T for row-major buffers (8x8 in-register block
-/// transpose under AVX2).
-void TransposeKernel(const float* src, float* dst, int64_t m, int64_t n);
-
 /// Geometry of one NCHW convolution: `n` images of `c` x `h` x `w`, a
 /// square `k` x `k` kernel at stride `s` with `p` zero padding on every
 /// side, `out_ch` output channels.

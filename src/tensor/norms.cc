@@ -1,5 +1,6 @@
 #include "tensor/norms.h"
 
+#include <algorithm>
 #include <cmath>
 
 namespace errorflow {
@@ -10,42 +11,20 @@ const char* NormToString(Norm norm) {
 }
 
 double L2Norm(const Tensor& t) {
-  double acc = 0.0;
-  for (int64_t i = 0; i < t.size(); ++i) {
-    const double v = t[i];
-    acc += v * v;
-  }
-  return std::sqrt(acc);
+  return MaxRowNorm(t.data(), 1, t.size(), Norm::kL2);
 }
 
 double LinfNorm(const Tensor& t) {
-  double best = 0.0;
-  for (int64_t i = 0; i < t.size(); ++i) {
-    best = std::max(best, std::fabs(static_cast<double>(t[i])));
-  }
-  return best;
+  return MaxRowNorm(t.data(), 1, t.size(), Norm::kLinf);
 }
 
 double VectorNorm(const Tensor& t, Norm norm) {
-  return norm == Norm::kL2 ? L2Norm(t) : LinfNorm(t);
+  return MaxRowNorm(t.data(), 1, t.size(), norm);
 }
 
 double DiffNorm(const Tensor& a, const Tensor& b, Norm norm) {
   EF_CHECK(a.size() == b.size());
-  if (norm == Norm::kL2) {
-    double acc = 0.0;
-    for (int64_t i = 0; i < a.size(); ++i) {
-      const double d = static_cast<double>(a[i]) - static_cast<double>(b[i]);
-      acc += d * d;
-    }
-    return std::sqrt(acc);
-  }
-  double best = 0.0;
-  for (int64_t i = 0; i < a.size(); ++i) {
-    best = std::max(
-        best, std::fabs(static_cast<double>(a[i]) - static_cast<double>(b[i])));
-  }
-  return best;
+  return MaxRowError(a.data(), b.data(), 1, a.size(), norm);
 }
 
 double RelativeError(const Tensor& reference, const Tensor& approx,
@@ -54,6 +33,47 @@ double RelativeError(const Tensor& reference, const Tensor& approx,
   const double err = DiffNorm(reference, approx, norm);
   if (denom <= 0.0) return err;
   return err / denom;
+}
+
+double MaxRowError(const float* a, const float* b, int64_t rows,
+                   int64_t row_len, Norm norm) {
+  double worst = 0.0;
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* ar = a + r * row_len;
+    const float* br = b + r * row_len;
+    if (norm == Norm::kL2) {
+      double acc = 0.0;
+      for (int64_t i = 0; i < row_len; ++i) {
+        const double d = static_cast<double>(ar[i]) - br[i];
+        acc += d * d;
+      }
+      worst = std::max(worst, std::sqrt(acc));
+    } else {
+      for (int64_t i = 0; i < row_len; ++i) {
+        worst = std::max(worst, std::fabs(static_cast<double>(ar[i]) - br[i]));
+      }
+    }
+  }
+  return worst;
+}
+
+double MaxRowNorm(const float* a, int64_t rows, int64_t row_len, Norm norm) {
+  double worst = 0.0;
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* ar = a + r * row_len;
+    if (norm == Norm::kL2) {
+      double acc = 0.0;
+      for (int64_t i = 0; i < row_len; ++i) {
+        acc += static_cast<double>(ar[i]) * ar[i];
+      }
+      worst = std::max(worst, std::sqrt(acc));
+    } else {
+      for (int64_t i = 0; i < row_len; ++i) {
+        worst = std::max(worst, std::fabs(static_cast<double>(ar[i])));
+      }
+    }
+  }
+  return worst;
 }
 
 double ConvertNormBound(double bound, Norm from, Norm to, int64_t n) {

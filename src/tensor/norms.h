@@ -35,6 +35,16 @@ double DiffNorm(const Tensor& a, const Tensor& b, Norm norm);
 double RelativeError(const Tensor& reference, const Tensor& approx,
                      Norm norm);
 
+/// Largest per-row ||a_r - b_r|| over `rows` contiguous rows of `row_len`
+/// elements each: the achieved per-sample error of a batch whose rows are
+/// samples. Differences are taken in double. Zero when `rows` is 0.
+double MaxRowError(const float* a, const float* b, int64_t rows,
+                   int64_t row_len, Norm norm);
+
+/// Largest per-row ||a_r|| over `rows` contiguous rows of `row_len`
+/// elements each (the reference norm behind per-sample relative errors).
+double MaxRowNorm(const float* a, int64_t rows, int64_t row_len, Norm norm);
+
 /// Converts an upper bound expressed in `from` into a valid upper bound in
 /// `to` for vectors of `n` elements, using the norm-equivalence
 /// inequalities. E.g. an L2 bound is itself a valid Linf bound; an Linf

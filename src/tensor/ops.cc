@@ -72,16 +72,6 @@ void AddRowBias(Tensor* mat, const Tensor& bias) {
   }
 }
 
-Tensor Transpose(const Tensor& mat) {
-  EF_CHECK(mat.ndim() == 2);
-  const int64_t m = mat.dim(0), n = mat.dim(1);
-  Tensor out({n, m});
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) out.at(j, i) = mat.at(i, j);
-  }
-  return out;
-}
-
 double Dot(const Tensor& a, const Tensor& b) {
   EF_CHECK(a.size() == b.size());
   double acc = 0.0;

@@ -36,9 +36,6 @@ void Scale(Tensor* t, float s);
 /// Adds a length-n bias to every row of a (m x n) matrix.
 void AddRowBias(Tensor* mat, const Tensor& bias);
 
-/// Returns the transpose of a rank-2 tensor.
-Tensor Transpose(const Tensor& mat);
-
 /// Dot product of two equal-length 1-D tensors.
 double Dot(const Tensor& a, const Tensor& b);
 

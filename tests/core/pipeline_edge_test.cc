@@ -1,6 +1,6 @@
 // Edge-case coverage for the inference pipeline: extreme quantization
 // fractions, disabled quantization, unsupported norm/backend pairings,
-// and tolerance degeneracies.
+// tolerance degeneracies and batches without samples.
 #include <cmath>
 
 #include "core/pipeline.h"
@@ -104,20 +104,45 @@ TEST(PipelineEdgeTest, RepeatedRunsAreDeterministic) {
   EXPECT_EQ(a->format, b->format);
 }
 
-TEST(PipelineEdgeTest, EuroSatStyleRank4Batch) {
+nn::Model EdgeResNet() {
   nn::ResNetConfig rcfg;
   rcfg.in_channels = 2;
   rcfg.num_classes = 3;
   rcfg.stage_channels = {4};
   rcfg.stage_blocks = {1};
   rcfg.seed = 82;
+  return nn::BuildResNet(rcfg);
+}
+
+TEST(PipelineEdgeTest, EuroSatStyleRank4Batch) {
   PipelineConfig cfg;
   cfg.backend = compress::Backend::kZfp;
-  InferencePipeline pipeline(nn::BuildResNet(rcfg), {1, 2, 8, 8}, cfg);
+  InferencePipeline pipeline(EdgeResNet(), {1, 2, 8, 8}, cfg);
   const Tensor batch = testing::RandomUniformTensor({8, 2, 8, 8}, 5);
   auto report = pipeline.Run(batch, 1e-1);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_LE(report->achieved_qoi_error, report->predicted_qoi_bound);
+}
+
+// A batch without samples has no per-sample error to measure; Run rejects
+// it up front (as InferenceServer::Submit does) instead of dividing by the
+// zero row count.
+TEST(PipelineEdgeTest, ZeroRowMlpBatchIsInvalidArgument) {
+  PipelineConfig cfg;
+  cfg.backend = compress::Backend::kSz;
+  InferencePipeline pipeline(EdgeMlp(), {1, 6}, cfg);
+  auto report = pipeline.Run(Tensor({0, 6}), 1e-2);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PipelineEdgeTest, ZeroRowRank4BatchIsInvalidArgument) {
+  PipelineConfig cfg;
+  cfg.backend = compress::Backend::kZfp;
+  InferencePipeline pipeline(EdgeResNet(), {1, 2, 8, 8}, cfg);
+  auto report = pipeline.Run(Tensor({0, 2, 8, 8}), 1e-1);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

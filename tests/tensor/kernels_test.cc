@@ -189,36 +189,6 @@ TEST_F(KernelsTest, GemvMatchesReference) {
   }
 }
 
-TEST_F(KernelsTest, TransposeMatchesReference) {
-  util::Rng rng(55);
-  for (const GemmShape& s : kShapes) {
-    SCOPED_TRACE(::testing::Message() << "m=" << s.m << " n=" << s.n);
-    const Tensor src = RandomTensor({s.m, s.n}, &rng);
-    Tensor dst({s.n, s.m});
-    TransposeKernel(src.data(), dst.data(), s.m, s.n);
-    for (int64_t i = 0; i < s.m; ++i) {
-      for (int64_t j = 0; j < s.n; ++j) {
-        ASSERT_EQ(dst.at(j, i), src.at(i, j)) << i << "," << j;
-      }
-    }
-  }
-}
-
-TEST_F(KernelsTest, TransposePreservesNegativeZero) {
-  // The transpose must be a pure copy: adding 0.0f would flip the sign of
-  // -0.0 and break the bit-identity contract.
-  const Tensor src({3, 3}, {0.0f, -0.0f, 1.0f, -0.0f, 2.0f, -0.0f, 3.0f,
-                            -0.0f, 0.0f});
-  Tensor dst({3, 3});
-  TransposeKernel(src.data(), dst.data(), 3, 3);
-  for (int64_t i = 0; i < 3; ++i) {
-    for (int64_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(std::signbit(dst.at(j, i)), std::signbit(src.at(i, j)))
-          << i << "," << j;
-    }
-  }
-}
-
 TEST_F(KernelsTest, ConfigurationRoundTrips) {
   SetKernelThreads(3);
   EXPECT_EQ(KernelThreads(), 3);
