@@ -13,10 +13,10 @@
 //    paper's Fig. 7 relies on ("zfp decodes fastest"). It is a wall-clock
 //    property of the host, so it is reported here rather than asserted by
 //    a test.
-// Writes BENCH_codec.json with the host's core count, ISA and kernel
-// path, so the ratio trajectory is diffable across changes. Run from the
-// repository root: the batch part loads (or trains once) the h2 and
-// eurosat models from the model cache.
+// Writes the three parts as BENCH records (BENCH_codec.json; schema in
+// docs/PERFORMANCE.md), so the ratio trajectory is diffable across
+// changes. Run from the repository root: the batch part loads (or trains
+// once) the h2 and eurosat models from the model cache.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -24,11 +24,10 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
-#include "common/bench_common.h"
+#include "common/record_writer.h"
 #include "compress/codec/codec.h"
 #include "compress/compressor.h"
 #include "core/pipeline.h"
@@ -36,7 +35,6 @@
 #include "data/combustion.h"
 #include "data/eurosat.h"
 #include "tasks/tasks.h"
-#include "tensor/kernels.h"
 #include "tensor/norms.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
@@ -57,14 +55,14 @@ double BestOf(int reps, const std::function<void()>& fn) {
   return best;
 }
 
+namespace bench = errorflow::bench;
+constexpr bench::Source kMeasured = bench::Source::kMeasured;
+
 struct Record {
   std::string dataset;
   double tol_rel = 0.0;
   compress::CodecId codec = compress::CodecId::kHuffman;
   double ratio = 0.0;
-  double compress_mb_s = 0.0;
-  double decompress_mb_s = 0.0;
-  double codec_decode_mb_s = 0.0;
 };
 
 // Quantization-code-shaped symbol stream for codec-level throughput: the
@@ -99,22 +97,12 @@ struct BatchCase {
   std::vector<double> qoi_tolerances;
 };
 
-struct BatchRecord {
-  std::string dataset;
-  double qoi_tol = 0.0;
-  double input_tol = 0.0;
-  compress::CodecId codec = compress::CodecId::kHuffman;
-  double ratio = 0.0;
-  double encode_ms = 0.0;
-  double decode_ms = 0.0;
-};
-
 // Batches per case; the times are means over them of the best of 5.
 constexpr int kBatches = 3;
 
 // Encodes and decodes each batch of `bc` at every planned tolerance with
 // both codecs, checking the bound. Returns false on any failure.
-bool RunBatchCase(const BatchCase& bc, std::vector<BatchRecord>* records) {
+bool RunBatchCase(const BatchCase& bc, bench::RecordWriter* out) {
   namespace tasks = errorflow::tasks;
   tasks::TrainedTask task =
       tasks::GetTask(bc.kind, tasks::Regularization::kPsn, /*seed=*/1);
@@ -129,11 +117,6 @@ bool RunBatchCase(const BatchCase& bc, std::vector<BatchRecord>* records) {
     for (compress::CodecId codec : compress::AllCodecs()) {
       auto compressor = compress::MakeCompressor(compress::Backend::kSz,
                                                  codec);
-      BatchRecord rec;
-      rec.dataset = bc.name;
-      rec.qoi_tol = qoi_tol;
-      rec.input_tol = eb;
-      rec.codec = codec;
       double raw = 0.0, stored = 0.0, encode_s = 0.0, decode_s = 0.0;
       for (const Tensor& batch : batches) {
         auto comp = compressor->Compress(batch, bound);
@@ -155,14 +138,19 @@ bool RunBatchCase(const BatchCase& bc, std::vector<BatchRecord>* records) {
           if (!compressor->Decompress(comp->blob).ok()) std::abort();
         });
       }
-      rec.ratio = raw / stored;
-      rec.encode_ms = 1e3 * encode_s / kBatches;
-      rec.decode_ms = 1e3 * decode_s / kBatches;
+      const double ratio = raw / stored;
+      const double encode_ms = 1e3 * encode_s / kBatches;
+      const double decode_ms = 1e3 * decode_s / kBatches;
       std::printf("%-14s %-6g %-10.3g %-9s %8.2f %10.2f %10.2f\n",
-                  rec.dataset.c_str(), qoi_tol, eb,
-                  compress::CodecIdToString(codec), rec.ratio,
-                  rec.encode_ms, rec.decode_ms);
-      records->push_back(rec);
+                  bc.name.c_str(), qoi_tol, eb,
+                  compress::CodecIdToString(codec), ratio, encode_ms,
+                  decode_ms);
+      const bench::Fields key = {
+          {"part", "batch"}, {"dataset", bc.name}, {"qoi_tol", qoi_tol},
+          {"input_tol", eb}, {"codec", compress::CodecIdToString(codec)}};
+      out->Add(key, "ratio", ratio, "x", kMeasured);
+      out->Add(key, "encode_ms", encode_ms, "ms", kMeasured);
+      out->Add(key, "decode_ms", decode_ms, "ms", kMeasured);
     }
   }
   return true;
@@ -256,6 +244,7 @@ int main(int argc, char** argv) {
   const std::vector<double> tolerances = {1e-6, 1e-5, 1e-4, 1e-3};
 
   std::vector<Record> records;
+  bench::RecordWriter out("codec_sweep", {{"backend", "sz"}, {"threads", 1}});
   std::printf("%-10s %-8s %-9s %10s %14s %14s %14s\n", "dataset", "tol_rel",
               "codec", "ratio", "compress MB/s", "decomp MB/s",
               "codec dec MB/s");
@@ -289,12 +278,9 @@ int main(int argc, char** argv) {
           }
         }
 
-        Record rec;
-        rec.dataset = ds.name;
-        rec.tol_rel = tol_rel;
-        rec.codec = codec;
-        rec.ratio = static_cast<double>(ds.field.size()) * sizeof(float) /
-                    static_cast<double>(comp->blob.size());
+        const double ratio = static_cast<double>(ds.field.size()) *
+                             sizeof(float) /
+                             static_cast<double>(comp->blob.size());
         const double t_comp = BestOf(3, [&] {
           auto c = compressor->Compress(ds.field, bound);
           if (!c.ok()) std::abort();
@@ -303,8 +289,6 @@ int main(int argc, char** argv) {
           auto d = compressor->Decompress(comp->blob);
           if (!d.ok()) std::abort();
         });
-        rec.compress_mb_s = mb / t_comp;
-        rec.decompress_mb_s = mb / t_dec;
 
         // Codec-level decode throughput on the symbol stream itself.
         const auto codes = QuantStream(ds.field, tol_rel * in_norm);
@@ -319,14 +303,20 @@ int main(int argc, char** argv) {
           auto d = entropy->Decode(&reader, codes.size());
           if (!d.ok()) std::abort();
         });
-        rec.codec_decode_mb_s = code_mb / t_codec_dec;
 
-        records.push_back(rec);
+        records.push_back({ds.name, tol_rel, codec, ratio});
         std::printf("%-10s %-8.0e %-9s %10.2f %14.1f %14.1f %14.1f\n",
                     ds.name.c_str(), tol_rel,
-                    compress::CodecIdToString(codec), rec.ratio,
-                    rec.compress_mb_s, rec.decompress_mb_s,
-                    rec.codec_decode_mb_s);
+                    compress::CodecIdToString(codec), ratio, mb / t_comp,
+                    mb / t_dec, code_mb / t_codec_dec);
+        const bench::Fields key = {
+            {"part", "field"}, {"dataset", ds.name}, {"tol_rel", tol_rel},
+            {"codec", compress::CodecIdToString(codec)}};
+        out.Add(key, "ratio", ratio, "x", kMeasured);
+        out.Add(key, "compress_mb_s", mb / t_comp, "MB/s", kMeasured);
+        out.Add(key, "decompress_mb_s", mb / t_dec, "MB/s", kMeasured);
+        out.Add(key, "codec_decode_mb_s", code_mb / t_codec_dec, "MB/s",
+                kMeasured);
       }
     }
   }
@@ -354,9 +344,8 @@ int main(int argc, char** argv) {
       {"eurosat-batch", errorflow::tasks::TaskKind::kEuroSat,
        {0.3, 3.0, 30.0}},
   };
-  std::vector<BatchRecord> batch_records;
   for (const BatchCase& bc : batch_cases) {
-    if (!RunBatchCase(bc, &batch_records)) {
+    if (!RunBatchCase(bc, &out)) {
       std::printf("FATAL: batch sweep failed on %s\n", bc.name.c_str());
       return 1;
     }
@@ -373,64 +362,19 @@ int main(int argc, char** argv) {
   for (const BackendRecord& r : backend_records) {
     std::printf("  %-6s ratio %7.2f  decode %8.3f ms\n",
                 compress::BackendToString(r.backend), r.ratio, r.decode_ms);
+    const bench::Fields key = {
+        {"part", "backend_decode"}, {"field", "smooth512"}, {"tol_abs", 1e-4},
+        {"backend", compress::BackendToString(r.backend)}};
+    out.Add(key, "ratio", r.ratio, "x", kMeasured);
+    out.Add(key, "decode_ms", r.decode_ms, "ms", kMeasured);
     if (r.backend == compress::Backend::kZfp) {
       zfp_ms = r.decode_ms;
     } else {
       others_ms = std::min(others_ms, r.decode_ms);
     }
   }
-  const bool zfp_fastest = zfp_ms < others_ms;
-  std::printf("  zfp decodes fastest: %s\n", zfp_fastest ? "yes" : "no");
+  std::printf("  zfp decodes fastest: %s\n",
+              zfp_ms < others_ms ? "yes" : "no");
 
-  FILE* f = std::fopen(json_path, "w");
-  if (f == nullptr) {
-    std::printf("FATAL: cannot open %s\n", json_path);
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"codec_sweep\",\n");
-  std::fprintf(f, "  \"host\": \"%u cores\", \"isa\": \"%s\",\n",
-               std::thread::hardware_concurrency(),
-               errorflow::bench::HostIsaFlags().c_str());
-  std::fprintf(f, "  \"kernels\": \"%s\",\n",
-               errorflow::tensor::KernelDescription().c_str());
-  std::fprintf(f,
-               "  \"backend\": \"sz\", \"threads\": 1,\n  \"records\": [\n");
-  for (size_t i = 0; i < records.size(); ++i) {
-    const Record& r = records[i];
-    std::fprintf(f,
-                 "    {\"dataset\": \"%s\", \"tol_rel\": %.0e, \"codec\": "
-                 "\"%s\", \"ratio\": %.2f, \"compress_mb_s\": %.1f, "
-                 "\"decompress_mb_s\": %.1f, \"codec_decode_mb_s\": "
-                 "%.1f}%s\n",
-                 r.dataset.c_str(), r.tol_rel,
-                 compress::CodecIdToString(r.codec), r.ratio,
-                 r.compress_mb_s, r.decompress_mb_s, r.codec_decode_mb_s,
-                 i + 1 < records.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"batch_records\": [\n");
-  for (size_t i = 0; i < batch_records.size(); ++i) {
-    const BatchRecord& r = batch_records[i];
-    std::fprintf(f,
-                 "    {\"dataset\": \"%s\", \"qoi_tol\": %g, "
-                 "\"input_tol\": %.4g, \"codec\": \"%s\", \"ratio\": %.2f, "
-                 "\"encode_ms\": %.3f, \"decode_ms\": %.3f}%s\n",
-                 r.dataset.c_str(), r.qoi_tol, r.input_tol,
-                 compress::CodecIdToString(r.codec), r.ratio, r.encode_ms,
-                 r.decode_ms, i + 1 < batch_records.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"backend_decode\": {\"field\": \"smooth512\", "
-               "\"tol_abs\": 1e-4, \"zfp_fastest\": %s, \"records\": [\n",
-               zfp_fastest ? "true" : "false");
-  for (size_t i = 0; i < backend_records.size(); ++i) {
-    const BackendRecord& r = backend_records[i];
-    std::fprintf(f,
-                 "    {\"backend\": \"%s\", \"ratio\": %.2f, "
-                 "\"decode_ms\": %.3f}%s\n",
-                 compress::BackendToString(r.backend), r.ratio, r.decode_ms,
-                 i + 1 < backend_records.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]}\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", json_path);
-  return 0;
+  return out.Write(json_path).ok() ? 0 : 1;
 }

@@ -9,12 +9,12 @@
 //
 // Usage: bench_conv [max_threads] [json_path]
 //
-// Prints a table and writes the same records as JSON (default
-// BENCH_conv.json), with the host's core count, ISA flags and kernel path,
-// so the perf trajectory is diffable across changes. Before timing
-// anything it checks, on every shape, that the threaded forward is
-// bit-identical to the serial one and that the forward is bit-identical to
-// the im2col path; it exits 1 naming the shape otherwise.
+// Prints a table and writes the same timings as BENCH records (default
+// BENCH_conv.json; schema in docs/PERFORMANCE.md), so the perf trajectory
+// is diffable across changes. Before timing anything it checks, on every
+// shape, that the threaded forward is bit-identical to the serial one and
+// that the forward is bit-identical to the im2col path; it exits 1 naming
+// the shape otherwise.
 
 #include <algorithm>
 #include <chrono>
@@ -26,7 +26,7 @@
 #include <thread>
 #include <vector>
 
-#include "common/bench_common.h"
+#include "common/record_writer.h"
 #include "nn/conv2d.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -276,13 +276,6 @@ double TimeIt(const std::function<void()>& fn, int reps) {
   return best;
 }
 
-struct Record {
-  std::string shape;
-  int64_t batch;
-  int threads;
-  double fwd_seed_ms, fwd_im2col_ms, fwd_new_ms, bwd_seed_ms, bwd_new_ms;
-};
-
 bool BitIdentical(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(),
@@ -333,7 +326,8 @@ int main(int argc, char** argv) {
   std::printf(
       "forward bit-identical threaded vs serial and vs im2col: yes\n\n");
 
-  std::vector<Record> records;
+  errorflow::bench::RecordWriter records("conv_batched",
+                                        {{"max_threads", max_threads}});
   for (const int threads : {1, max_threads}) {
     errorflow::tensor::SetKernelThreads(threads);
     std::printf("--- %d kernel thread(s) ---\n", threads);
@@ -382,43 +376,20 @@ int main(int argc, char** argv) {
             cs.name, static_cast<long long>(batch), fwd_seed * 1e3,
             fwd_im2col * 1e3, fwd_new * 1e3, fwd_im2col / fwd_new,
             bwd_seed * 1e3, bwd_new * 1e3, bwd_seed / bwd_new);
-        records.push_back(Record{cs.name, batch, threads, fwd_seed * 1e3,
-                                 fwd_im2col * 1e3, fwd_new * 1e3,
-                                 bwd_seed * 1e3, bwd_new * 1e3});
+        const errorflow::bench::Fields key = {
+            {"shape", cs.name}, {"batch", batch}, {"threads", threads}};
+        for (const auto& [metric, seconds] :
+             {std::pair{"fwd_seed_ms", fwd_seed}, {"fwd_im2col_ms", fwd_im2col},
+              {"fwd_new_ms", fwd_new}, {"bwd_seed_ms", bwd_seed},
+              {"bwd_new_ms", bwd_new}}) {
+          records.Add(key, metric, seconds * 1e3, "ms",
+                      errorflow::bench::Source::kMeasured);
+        }
       }
     }
     std::printf("\n");
   }
   errorflow::tensor::SetKernelThreads(0);
 
-  if (std::FILE* f = std::fopen(json_path, "w")) {
-    std::fprintf(f,
-                 "{\n  \"bench\": \"conv_batched\",\n"
-                 "  \"host\": \"%u cores\", \"isa\": \"%s\",\n"
-                 "  \"kernels\": \"%s\",\n  \"records\": [\n",
-                 std::thread::hardware_concurrency(),
-                 errorflow::bench::HostIsaFlags().c_str(),
-                 errorflow::tensor::KernelDescription().c_str());
-    for (size_t i = 0; i < records.size(); ++i) {
-      const Record& r = records[i];
-      std::fprintf(
-          f,
-          "    {\"shape\": \"%s\", \"batch\": %lld, \"threads\": %d, "
-          "\"fwd_seed_ms\": %.4f, \"fwd_im2col_ms\": %.4f, "
-          "\"fwd_new_ms\": %.4f, \"fwd_speedup\": %.2f, "
-          "\"fwd_vs_im2col\": %.2f, \"bwd_seed_ms\": %.4f, "
-          "\"bwd_new_ms\": %.4f, \"bwd_speedup\": %.2f}%s\n",
-          r.shape.c_str(), static_cast<long long>(r.batch), r.threads,
-          r.fwd_seed_ms, r.fwd_im2col_ms, r.fwd_new_ms,
-          r.fwd_seed_ms / r.fwd_new_ms, r.fwd_im2col_ms / r.fwd_new_ms,
-          r.bwd_seed_ms, r.bwd_new_ms, r.bwd_seed_ms / r.bwd_new_ms,
-          i + 1 < records.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
-  } else {
-    std::printf("could not open %s for writing\n", json_path);
-  }
-  return 0;
+  return records.Write(json_path).ok() ? 0 : 1;
 }

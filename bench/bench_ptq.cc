@@ -3,7 +3,8 @@
 // batch) against the paper's Table-I max-affine INT8, on the three paper
 // tasks.
 //
-// Two claims, both written to BENCH_ptq.json:
+// Two claims, both written as BENCH records to BENCH_ptq.json (schema in
+// docs/PERFORMANCE.md):
 //  1. Achieved error — the calibrated quantizers land measurably below
 //     max-affine INT8 on held-out task data, and their measured
 //     effective-step bound is tighter than the worst-case Table-I bound.
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/bench_common.h"
+#include "common/record_writer.h"
 #include "core/spectral_profile.h"
 #include "quant/hardware_model.h"
 #include "quant/quantize_model.h"
@@ -27,21 +29,12 @@ using bench::LoadAllTasks;
 using bench::LogSweep;
 using bench::MaxSampleError;
 using bench::MaxSampleNorm;
+using bench::Source;
 using core::ErrorFlowAnalysis;
 using quant::NumericFormat;
 using quant::WeightQuantizer;
 using tensor::Norm;
 using tensor::Tensor;
-
-namespace {
-
-std::string F(const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  return buf;
-}
-
-}  // namespace
 
 int main() {
   bench::PrintHeader(
@@ -50,8 +43,9 @@ int main() {
   const auto now = serve::Clock::now();
   const auto later = now + std::chrono::seconds(1);
 
-  std::string task_records;
+  bench::RecordWriter out("ptq_data_driven_int8", {{"norm", "linf"}});
   for (tasks::TrainedTask& task : LoadAllTasks()) {
+    const char* task_name = tasks::TaskKindToString(task.kind);
     ErrorFlowAnalysis analysis(
         core::ProfileModel(task.model, task.single_input_shape));
     const Tensor calibration = tasks::FreshInputBatches(task, 1, 41)[0];
@@ -86,12 +80,23 @@ int main() {
     const double bound_optq = data_driven.quant_term / out_norm;
 
     std::printf("\n[%s]  (relative Linf, held-out test batch)\n",
-                tasks::TaskKindToString(task.kind));
+                task_name);
     std::printf("%-18s %14s %14s\n", "int8 variant", "achieved", "bound");
     std::printf("%-18s %14.3e %14.3e\n", "max-affine", err_affine,
                 bound_affine);
     std::printf("%-18s %14.3e %14.3e\n", "optq", err_optq, bound_optq);
     std::printf("%-18s %14.3e %14s\n", "spfq", err_spfq, "-");
+    for (const auto& [variant, err] :
+         {std::pair{"max_affine", err_affine}, {"optq", err_optq},
+          {"spfq", err_spfq}}) {
+      out.Add({{"task", task_name}, {"variant", variant}},
+              "achieved_rel_error", err, "ratio", Source::kMeasured);
+    }
+    for (const auto& [variant, bound] :
+         {std::pair{"max_affine", bound_affine}, {"optq", bound_optq}}) {
+      out.Add({{"task", task_name}, {"variant", variant}}, "bound_rel",
+              bound, "ratio", Source::kModeled);
+    }
 
     // --- admitted traffic over the Fig. 7 relative-tolerance grid -----
     serve::AdmissionConfig base_cfg;
@@ -110,7 +115,6 @@ int main() {
     std::printf("\n%-12s %12s %14s %10s\n", "qoi_tol_rel", "max-affine",
                 "data-driven", "speedup");
     int int8_affine = 0, int8_data = 0;
-    std::string sweep_records;
     for (double tol_rel : LogSweep(-5, -1, 9)) {
       const double tol_abs = tol_rel * out_norm;
       auto a = controller.Admit(analysis, tol_abs, later, now, 0);
@@ -125,7 +129,8 @@ int main() {
       }
       if (a.ok() && a->format == NumericFormat::kINT8) ++int8_affine;
       if (d.ok() && d->format == NumericFormat::kINT8) ++int8_data;
-      // Wall-clock ratio of the two routings (>1 = data-driven faster).
+      // GPU-time ratio of the two routings under quant::ExecutionModel,
+      // not a measurement (>1 = data-driven faster).
       double speedup = 1.0;
       if (a.ok() && d.ok()) {
         speedup = exec.SecondsPerSample(a->format) /
@@ -133,48 +138,18 @@ int main() {
       }
       std::printf("%-12.0e %12s %14s %9.2fx\n", tol_rel, a_fmt.c_str(),
                   d_fmt.c_str(), speedup);
-      if (!sweep_records.empty()) sweep_records += ",\n";
-      sweep_records += "        {\"qoi_tol_rel\": " + F("%.1e", tol_rel) +
-                       ", \"max_affine\": \"" + a_fmt +
-                       "\", \"data_driven\": \"" + d_fmt +
-                       "\", \"speedup\": " + F("%.3f", speedup) + "}";
+      out.Add({{"task", task_name}, {"qoi_tol_rel", tol_rel},
+               {"max_affine", a_fmt}, {"data_driven", d_fmt}},
+              "speedup", speedup, "x", Source::kModeled);
     }
     std::printf(
         "grid points served at int8: max-affine %d, data-driven %d\n",
         int8_affine, int8_data);
-
-    // Built as a std::string: the nine-row sweep outgrows any fixed
-    // buffer.
-    if (!task_records.empty()) task_records += ",\n";
-    task_records +=
-        std::string("    {\n      \"task\": \"") +
-        tasks::TaskKindToString(task.kind) + "\",\n" +
-        "      \"achieved_rel_error\": {\"max_affine\": " +
-        F("%.6e", err_affine) + ", \"optq\": " + F("%.6e", err_optq) +
-        ", \"spfq\": " + F("%.6e", err_spfq) + "},\n" +
-        "      \"bound_rel\": {\"max_affine\": " + F("%.6e", bound_affine) +
-        ", \"optq\": " + F("%.6e", bound_optq) + "},\n" +
-        "      \"int8_grid_points\": {\"max_affine\": " +
-        std::to_string(int8_affine) +
-        ", \"data_driven\": " + std::to_string(int8_data) + "},\n" +
-        "      \"tolerance_sweep\": [\n" + sweep_records + "\n      ]\n    }";
   }
 
-  const std::string json = std::string("{\n  \"bench\": ") +
-                           "\"ptq_data_driven_int8\",\n  \"norm\": "
-                           "\"linf\",\n  \"tasks\": [\n" +
-                           task_records + "\n  ]\n}\n";
-  std::FILE* f = std::fopen("BENCH_ptq.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write BENCH_ptq.json\n");
-    return 2;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
   std::printf(
-      "\nwrote BENCH_ptq.json\n"
-      "paper shape check: calibrated int8 error sits below max-affine "
+      "\npaper shape check: calibrated int8 error sits below max-affine "
       "int8,\nand the tighter measured bound moves tolerance bands from "
       "wide formats\nonto int8 (Fig. 7 grid).\n");
-  return 0;
+  return out.Write("BENCH_ptq.json").ok() ? 0 : 2;
 }

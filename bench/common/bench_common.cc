@@ -2,9 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <set>
-#include <sstream>
 
 #include "nn/builders.h"
 #include "obs/metrics.h"
@@ -58,25 +55,6 @@ std::vector<tasks::TrainedTask> LoadAllTasks(uint64_t seed) {
   out.push_back(tasks::GetTask(tasks::TaskKind::kEuroSat,
                                tasks::Regularization::kPsn, seed));
   return out;
-}
-
-std::string HostIsaFlags() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  std::set<std::string> present;
-  while (present.empty() && std::getline(in, line)) {
-    if (line.rfind("flags", 0) != 0) continue;
-    std::istringstream words(line.substr(line.find(':') + 1));
-    std::string word;
-    while (words >> word) present.insert(word);
-  }
-  std::string flags;
-  for (const char* f : {"avx2", "fma", "avx512f", "f16c", "amx_tile"}) {
-    if (present.count(f) == 0) continue;
-    if (!flags.empty()) flags += ' ';
-    flags += f;
-  }
-  return flags;
 }
 
 double GeoMean(const std::vector<double>& v) {

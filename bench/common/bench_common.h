@@ -33,10 +33,6 @@ double MaxSampleNorm(const tensor::Tensor& t, tensor::Norm norm);
 /// The three paper tasks, trained with PSN (cached on disk).
 std::vector<tasks::TrainedTask> LoadAllTasks(uint64_t seed = 1);
 
-/// The kernel-relevant ISA flags this CPU reports in /proc/cpuinfo
-/// ("avx2 fma avx512f f16c amx_tile", those present), for BENCH headers.
-std::string HostIsaFlags();
-
 /// Geometric mean helper re-exported for bench tables.
 double GeoMean(const std::vector<double>& v);
 

@@ -2,29 +2,11 @@
 
 #include <cstdarg>
 
+#include "obs/json.h"
 #include "obs/trace.h"
 
 namespace errorflow {
 namespace obs {
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 const char* LogLevelName(LogLevel level) {
   switch (level) {
@@ -108,10 +90,9 @@ void Logger::Write(LogLevel level, const std::string& message,
     json += ts;
     json += ", \"level\": \"";
     json += LogLevelName(level);
-    json += "\", \"msg\": \"" + JsonEscape(message) + "\"";
+    json += "\", \"msg\": " + JsonString(message);
     for (const LogField& f : fields) {
-      json += ", \"" + JsonEscape(f.key) + "\": \"" + JsonEscape(f.value) +
-              "\"";
+      json += ", " + JsonString(f.key) + ": " + JsonString(f.value);
     }
     json += "}\n";
     std::fputs(json.c_str(), json_file_);

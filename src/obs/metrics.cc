@@ -5,42 +5,19 @@
 #include <cstdio>
 #include <limits>
 
+#include "obs/json.h"
+
 namespace errorflow {
 namespace obs {
 
 namespace {
 
-// Shortest round-trippable representation of a double, for JSON. JSON has
-// no NaN/Infinity literals, so non-finite values (the NaN min/max of an
-// empty histogram) become null.
-std::string DoubleToJson(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to %g when it round-trips: keeps the export readable.
-  char shorter[64];
-  std::snprintf(shorter, sizeof(shorter), "%g", v);
-  double parsed = 0.0;
-  if (std::sscanf(shorter, "%lf", &parsed) == 1 && parsed == v) {
-    return shorter;
-  }
-  return buf;
-}
-
-// Prometheus sample values: plain shortest decimal; NaN is legal in the
-// exposition format and spells "NaN".
+// Prometheus sample values: the JSON number, except that NaN and the
+// infinities are legal in the exposition format and have spellings.
 std::string PromValue(double v) {
   if (std::isnan(v)) return "NaN";
   if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  char shorter[64];
-  std::snprintf(shorter, sizeof(shorter), "%g", v);
-  double parsed = 0.0;
-  if (std::sscanf(shorter, "%lf", &parsed) == 1 && parsed == v) {
-    return shorter;
-  }
-  return buf;
+  return JsonNumber(v);
 }
 
 // Metric names must match [a-zA-Z_:][a-zA-Z0-9_:]*; our dotted
@@ -58,16 +35,6 @@ std::string PromName(const std::string& name) {
     out.push_back(alpha || (digit && i > 0) ? c : '_');
   }
   if (out.empty()) out = "_";
-  return out;
-}
-
-std::string Quote(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  out.push_back('"');
   return out;
 }
 
@@ -248,14 +215,14 @@ std::string MetricsRegistry::ToJson() const {
   for (const auto& [name, c] : counters_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    " + Quote(name) + ": " + std::to_string(c->value());
+    out += "    " + JsonString(name) + ": " + std::to_string(c->value());
   }
   out += "\n  },\n  \"gauges\": {";
   first = true;
   for (const auto& [name, g] : gauges_) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    " + Quote(name) + ": " + DoubleToJson(g->value());
+    out += "    " + JsonString(name) + ": " + JsonNumber(g->value());
   }
   out += "\n  },\n  \"histograms\": {";
   first = true;
@@ -263,17 +230,18 @@ std::string MetricsRegistry::ToJson() const {
     const HistogramSnapshot s = h->Snapshot();
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    " + Quote(name) + ": {\"count\": " + std::to_string(s.count) +
-           ", \"sum\": " + DoubleToJson(s.sum) +
-           ", \"min\": " + DoubleToJson(s.min) +
-           ", \"max\": " + DoubleToJson(s.max) +
-           ", \"p50\": " + DoubleToJson(s.p50()) +
-           ", \"p95\": " + DoubleToJson(s.p95()) +
-           ", \"p99\": " + DoubleToJson(s.p99()) + ", \"buckets\": [";
+    out += "    " + JsonString(name) +
+           ": {\"count\": " + std::to_string(s.count) +
+           ", \"sum\": " + JsonNumber(s.sum) +
+           ", \"min\": " + JsonNumber(s.min) +
+           ", \"max\": " + JsonNumber(s.max) +
+           ", \"p50\": " + JsonNumber(s.p50()) +
+           ", \"p95\": " + JsonNumber(s.p95()) +
+           ", \"p99\": " + JsonNumber(s.p99()) + ", \"buckets\": [";
     for (size_t b = 0; b < s.counts.size(); ++b) {
       if (b) out += ", ";
       const std::string le =
-          b < s.bounds.size() ? DoubleToJson(s.bounds[b]) : "\"inf\"";
+          b < s.bounds.size() ? JsonNumber(s.bounds[b]) : "\"inf\"";
       out += "{\"le\": " + le + ", \"count\": " + std::to_string(s.counts[b]) +
              "}";
     }

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <map>
+
+#include "obs/json.h"
 
 namespace errorflow {
 namespace obs {
@@ -21,15 +22,6 @@ Clock::time_point ProcessStart() {
 
 // Touches the epoch early so NowMicros() is monotone from first use.
 const bool kEpochInit = (ProcessStart(), true);
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -117,7 +109,7 @@ std::string TraceBuffer::ToChromeJson() const {
   for (size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
     out += i ? ",\n " : "\n ";
-    out += "{\"name\": \"" + JsonEscape(e.name) + "\", \"ph\": \"X\"";
+    out += "{\"name\": " + JsonString(e.name) + ", \"ph\": \"X\"";
     std::snprintf(buf, sizeof(buf),
                   ", \"ts\": %.3f, \"dur\": %.3f, \"pid\": 1, \"tid\": %u",
                   e.ts_us, e.dur_us, e.tid);
@@ -127,7 +119,7 @@ std::string TraceBuffer::ToChromeJson() const {
       for (size_t a = 0; a < e.args.size(); ++a) {
         if (a) out += ", ";
         // Values were rendered to JSON at Annotate() time.
-        out += "\"" + JsonEscape(e.args[a].first) + "\": " + e.args[a].second;
+        out += JsonString(e.args[a].first) + ": " + e.args[a].second;
       }
       out += "}";
     }
@@ -173,7 +165,7 @@ TraceSpan::~TraceSpan() { End(); }
 
 void TraceSpan::Annotate(const std::string& key, const std::string& value) {
   if (ended_) return;
-  args_.emplace_back(key, "\"" + JsonEscape(value) + "\"");
+  args_.emplace_back(key, JsonString(value));
 }
 
 void TraceSpan::Annotate(const std::string& key, const char* value) {
@@ -182,13 +174,7 @@ void TraceSpan::Annotate(const std::string& key, const char* value) {
 
 void TraceSpan::Annotate(const std::string& key, double value) {
   if (ended_) return;
-  char buf[48];
-  if (std::isfinite(value)) {
-    std::snprintf(buf, sizeof(buf), "%.9g", value);
-  } else {
-    std::snprintf(buf, sizeof(buf), "null");
-  }
-  args_.emplace_back(key, buf);
+  args_.emplace_back(key, JsonNumber(value));
 }
 
 void TraceSpan::Annotate(const std::string& key, uint64_t value) {

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "gtest/gtest.h"
+#include "testing/test_util.h"
 
 namespace errorflow {
 namespace obs {
@@ -96,6 +97,30 @@ TEST(LogTest, JsonLinesSink) {
   EXPECT_NE(lines[0].find("\"k\": \"v\""), std::string::npos);
   EXPECT_NE(lines[0].find("\"ts_us\": "), std::string::npos);
   EXPECT_NE(lines[1].find("\\\"quotes\\\""), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(LogTest, ControlCharactersInJsonLinesAreEscaped) {
+  const std::string path = ::testing::TempDir() + "/ef_log_ctrl_test.jsonl";
+  Logger& global = Logger::Global();
+  global.SetTextStream(nullptr);
+  ASSERT_TRUE(global.OpenJsonFile(path));
+  Logf(LogLevel::kWarn, "column\tsplit\r%d", 7);
+  global.Write(LogLevel::kWarn, "fields", {{"k\t", "v\x01"}});
+  global.CloseJsonFile();
+  global.SetTextStream(stderr);
+
+  std::ifstream in(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"msg\": \"column\\tsplit\\r7\""),
+            std::string::npos);
+  EXPECT_NE(lines[1].find("\"k\\t\": \"v\\u0001\""), std::string::npos);
+  for (const std::string& l : lines) {
+    EXPECT_FALSE(testing::HasRawControlByte(l)) << l;
+  }
   std::remove(path.c_str());
 }
 

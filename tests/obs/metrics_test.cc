@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "testing/test_util.h"
 
 namespace errorflow {
 namespace obs {
@@ -223,6 +224,16 @@ TEST(MetricsTest, JsonAndTextExportContainMetrics) {
   const std::string text = registry.ToText();
   EXPECT_NE(text.find("export.counter"), std::string::npos);
   EXPECT_NE(text.find("export.hist"), std::string::npos);
+}
+
+TEST(MetricsTest, ControlCharactersInNamesAreEscaped) {
+  MetricsRegistry registry;
+  registry.GetCounter("x\ty")->Increment(2);
+  registry.GetGauge("g\rh")->Set(0.5);
+  const std::string json = registry.ToJson();
+  EXPECT_NE(json.find("\"x\\ty\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"g\\rh\": 0.5"), std::string::npos);
+  EXPECT_FALSE(testing::HasRawControlByte(json)) << json;
 }
 
 TEST(MetricsTest, PrometheusExposition) {

@@ -3,6 +3,7 @@
 #include <thread>
 
 #include "gtest/gtest.h"
+#include "testing/test_util.h"
 
 namespace errorflow {
 namespace obs {
@@ -143,6 +144,18 @@ TEST(TraceTest, SpanAnnotationsExportAsArgs) {
                       "\"bound\": 0.125, \"rows\": 42, "
                       "\"violation\": false}"),
             std::string::npos);
+}
+
+TEST(TraceTest, ControlCharactersInAnnotationsAreEscaped) {
+  TraceBuffer buffer;
+  {
+    TraceSpan span("serve\tledger", &buffer);
+    span.Annotate("model", "h2\tclone\r1");
+  }
+  const std::string json = buffer.ToChromeJson();
+  EXPECT_NE(json.find("\"name\": \"serve\\tledger\""), std::string::npos);
+  EXPECT_NE(json.find("\"model\": \"h2\\tclone\\r1\""), std::string::npos);
+  EXPECT_FALSE(testing::HasRawControlByte(json)) << json;
 }
 
 TEST(TraceTest, AnnotateAfterEndIsIgnored) {

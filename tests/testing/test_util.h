@@ -1,10 +1,12 @@
 #ifndef ERRORFLOW_TESTS_TESTING_TEST_UTIL_H_
 #define ERRORFLOW_TESTS_TESTING_TEST_UTIL_H_
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "tensor/tensor.h"
@@ -12,6 +14,15 @@
 
 namespace errorflow {
 namespace testing {
+
+/// True when `json` holds a raw byte below 0x20 other than the newlines
+/// exporters put between entries. Inside a string literal such a byte makes
+/// the document invalid JSON.
+inline bool HasRawControlByte(const std::string& json) {
+  return std::any_of(json.begin(), json.end(), [](char c) {
+    return c != '\n' && static_cast<unsigned char>(c) < 0x20;
+  });
+}
 
 /// Random tensor with iid normal entries.
 inline tensor::Tensor RandomTensor(tensor::Shape shape, uint64_t seed,

@@ -56,9 +56,9 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/record_writer.h"
 #include "compress/compressor.h"
 #include "core/allocator.h"
 #include "core/pipeline.h"
@@ -74,7 +74,6 @@
 #include "quant/quantize_model.h"
 #include "serve/server.h"
 #include "tasks/tasks.h"
-#include "tensor/kernels.h"
 #include "tensor/stats.h"
 #include "util/random.h"
 #include "util/string_util.h"
@@ -524,8 +523,8 @@ bool WriteFileOrWarn(const std::string& path, const std::string& content) {
 // ----- load benches: serve-bench (in-process), net-bench (socket) -----
 //
 // Both drive the one open-loop rig (net::RunLoad) once per --rates entry
-// and write the same JSON record per rate, so an in-process row and a
-// socket row at one rate compare directly: their latency difference is
+// and write the same BENCH records per rate, so an in-process record and a
+// socket record at one rate compare directly: their latency difference is
 // the network tax.
 
 // Distinct inputs per (model, tolerance) request template.
@@ -589,9 +588,9 @@ Result<std::unique_ptr<serve::InferenceServer>> StartBenchServer(
 
 // Runs the rig once per rate over `load`'s transport (seed 1 + rate index,
 // so every shard point and both benches offer the same schedule), prints
-// each summary, and appends one JSON record per rate to `records`.
+// each summary, and adds the rate's records to `out`.
 Status RunRates(net::LoadConfig load, const std::vector<double>& rates,
-                double phase_seconds, int shards, std::string* records) {
+                double phase_seconds, int shards, bench::RecordWriter* out) {
   const char* transport = load.server != nullptr ? "in-process" : "socket";
   for (size_t i = 0; i < rates.size(); ++i) {
     load.phases = {{phase_seconds, rates[i]}};
@@ -599,65 +598,53 @@ Status RunRates(net::LoadConfig load, const std::vector<double>& rates,
     EF_ASSIGN_OR_RETURN(net::LoadStats stats, net::RunLoad(load));
     std::printf("offered %.0f req/s (%s):\n%s", rates[i], transport,
                 stats.Summary().c_str());
-    if (!records->empty()) *records += ",\n";
-    *records += util::StrFormat(
-        "    {\"transport\": \"%s\", \"shards\": %d, \"offered_rps\": %.1f, "
-        "\"achieved_rps\": %.1f, \"submitted\": %llu, \"completed\": %llu, "
-        "\"rejected\": %llu, \"backpressure\": %llu, "
-        "\"deadline_shed\": %llu, \"unanswered\": %llu, "
-        "\"overload_dropped\": %llu, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
-        "\"mean_ms\": %.3f, \"max_ms\": %.3f, \"lateness_p50_ms\": %.3f, "
-        "\"lateness_p99_ms\": %.3f, \"rig_busy_share\": %.3f, "
-        "\"batch_rows_limit\": %.0f}",
-        transport, shards, stats.offered_rps, stats.achieved_rps,
-        static_cast<unsigned long long>(stats.submitted),
-        static_cast<unsigned long long>(stats.completed),
-        static_cast<unsigned long long>(stats.rejected),
-        static_cast<unsigned long long>(stats.backpressure),
-        static_cast<unsigned long long>(stats.deadline_shed),
-        static_cast<unsigned long long>(stats.unanswered),
-        static_cast<unsigned long long>(stats.overload_dropped),
-        stats.latency_p50_ms, stats.latency_p99_ms, stats.latency_mean_ms,
-        stats.latency_max_ms, stats.lateness_p50_ms, stats.lateness_p99_ms,
-        stats.busy_share,
+    const bench::Fields key = {
+        {"transport", transport}, {"shards", shards}, {"rate_rps", rates[i]}};
+    const auto add = [&](const char* metric, double value, const char* unit) {
+      out->Add(key, metric, value, unit, bench::Source::kMeasured);
+    };
+    add("offered_rps", stats.offered_rps, "req/s");
+    add("achieved_rps", stats.achieved_rps, "req/s");
+    add("submitted", stats.submitted, "count");
+    add("completed", stats.completed, "count");
+    add("rejected", stats.rejected, "count");
+    add("backpressure", stats.backpressure, "count");
+    add("deadline_shed", stats.deadline_shed, "count");
+    add("unanswered", stats.unanswered, "count");
+    add("overload_dropped", stats.overload_dropped, "count");
+    add("p50_ms", stats.latency_p50_ms, "ms");
+    add("p99_ms", stats.latency_p99_ms, "ms");
+    add("mean_ms", stats.latency_mean_ms, "ms");
+    add("max_ms", stats.latency_max_ms, "ms");
+    add("lateness_p50_ms", stats.lateness_p50_ms, "ms");
+    add("lateness_p99_ms", stats.lateness_p99_ms, "ms");
+    add("rig_busy_share", stats.busy_share, "ratio");
+    add("batch_rows_limit",
         obs::MetricsRegistry::Global().GaugeValue(
-            "errorflow.serve.adaptive.batch_rows_limit"));
+            "errorflow.serve.adaptive.batch_rows_limit"),
+        "rows");
   }
   return Status::OK();
 }
 
-// Writes a load-bench JSON file: its name, the host that measured it, the
-// config fields both benches share plus `extra` (`  "key": value,\n`
-// lines), and the records.
-bool WriteLoadBench(const std::string& path, const std::string& bench,
-                    const std::string& task, int models,
-                    const serve::ServerConfig& cfg, int rows,
-                    const std::vector<double>& tolerances,
-                    double phase_seconds, const std::string& extra,
-                    const std::string& records) {
-  std::string tolerance_list;
-  for (double tolerance : tolerances) {
-    if (!tolerance_list.empty()) tolerance_list += ",";
-    tolerance_list += util::StrFormat("%g", tolerance);
+// The config both load benches record, then `extra`.
+bench::Fields LoadBenchConfig(const std::string& task, int models,
+                              const serve::ServerConfig& cfg, int rows,
+                              const std::vector<double>& tolerances,
+                              double phase_seconds,
+                              const bench::Fields& extra) {
+  std::vector<std::string> tolerance_list;
+  for (double t : tolerances) {
+    tolerance_list.push_back(util::StrFormat("%g", t));
   }
-  const std::string json = util::StrFormat(
-      "{\n  \"bench\": \"%s\",\n  \"host\": \"%u cores, %s\",\n"
-      "  \"task\": \"%s\",\n  \"models\": %d,\n  \"workers\": %d,\n"
-      "  \"queue_cap\": %lld,\n  \"rows_per_request\": %d,\n"
-      "  \"tolerances\": \"%s\",\n  \"timeout_ms\": %lld,\n"
-      "  \"phase_seconds\": %.1f,\n",
-      bench.c_str(), std::thread::hardware_concurrency(),
-      tensor::KernelDescription().c_str(), task.c_str(), models,
-      cfg.num_workers, static_cast<long long>(cfg.max_queue_depth), rows,
-      tolerance_list.c_str(),
-      static_cast<long long>(cfg.default_timeout.count()),
-      phase_seconds);
-  if (!WriteFileOrWarn(path, json + extra + "  \"records\": [\n" + records +
-                                 "\n  ]\n}\n")) {
-    return false;
-  }
-  std::printf("wrote %s\n", path.c_str());
-  return true;
+  bench::Fields config = {
+      {"task", task}, {"models", models}, {"workers", cfg.num_workers},
+      {"queue_cap", cfg.max_queue_depth}, {"rows_per_request", rows},
+      {"tolerances", util::Join(tolerance_list, ",")},
+      {"timeout_ms", static_cast<int64_t>(cfg.default_timeout.count())},
+      {"phase_seconds", phase_seconds}};
+  config.insert(config.end(), extra.begin(), extra.end());
+  return config;
 }
 
 // The serving registry's view of a serve-bench run: batch fusion,
@@ -735,7 +722,7 @@ std::string ServingRegistrySummary() {
 
 // In-process open-loop load: one InferenceServer per --shards point, the
 // rig submitting straight into SubmitAsync at each --rates entry for
-// --duration seconds. With --shards, one JSON record per (shards, rate).
+// --duration seconds; records per (shards, rate) go to --json.
 int CmdServeBench(const Args& args) {
   if (args.Has("concurrency")) {
     return Fail("--concurrency was replaced by --rates (open-loop req/s)");
@@ -759,8 +746,8 @@ int CmdServeBench(const Args& args) {
     return Fail(
         "bad --duration/--workers/--rows/--models/--slo-ms/--min-batch");
   }
-  // Sweep mode: one server per shard count, each driven at every rate.
-  // Without --shards: one server at the ServerConfig default, text only.
+  // One server per shard count (default: the ServerConfig's), each driven
+  // at every rate.
   auto shard_points = ParseDoubleList(
       args.Get("shards", std::to_string(cfg.registry_shards)));
   if (!shard_points.ok()) return Fail(shard_points.status().ToString().c_str());
@@ -819,7 +806,12 @@ int CmdServeBench(const Args& args) {
 
   net::LoadConfig load;
   load.requests = BenchRequests(task, model_names, *tolerances, rows, 0);
-  std::string records;
+  bench::RecordWriter out(
+      "serve_open_loop",
+      LoadBenchConfig(base_name, num_models, cfg, rows, *tolerances,
+                      duration,
+                      {{"slo_ms", slo_ms}, {"min_batch_rows", min_batch},
+                       {"verify_variants", cfg.verify_variants}}));
   for (double point : *shard_points) {
     const int shards = static_cast<int>(point);
     if (shards < 1) return Fail("bad --shards (counts must be >= 1)");
@@ -831,7 +823,7 @@ int CmdServeBench(const Args& args) {
     if (!server.ok()) return Fail(server.status().ToString().c_str());
     std::printf("--- %d shard(s) ---\n", shards);
     load.server = server->get();
-    Status st = RunRates(load, *rates, duration, shards, &records);
+    Status st = RunRates(load, *rates, duration, shards, &out);
     if (st.ok()) st = (*server)->Shutdown();
     if (!st.ok()) return Fail(st.ToString().c_str());
     const serve::ModelRegistry& registry = (*server)->registry();
@@ -844,16 +836,7 @@ int CmdServeBench(const Args& args) {
         registry.num_shards());
   }
 
-  if (!args.Has("shards")) return 0;
-  const std::string extra = util::StrFormat(
-      "  \"slo_ms\": %.1f,\n  \"min_batch_rows\": %d,\n"
-      "  \"verify_variants\": %s,\n",
-      slo_ms, min_batch, cfg.verify_variants ? "true" : "false");
-  return WriteLoadBench(args.Get("json", "BENCH_serve.json"),
-                        "serve_open_loop", base_name, num_models, cfg, rows,
-                        *tolerances, duration, extra, records)
-             ? 0
-             : 2;
+  return out.Write(args.Get("json", "BENCH_serve.json")).ok() ? 0 : 2;
 }
 
 // Socket open-loop load: an InferenceServer + NetServer pair on an
@@ -904,9 +887,13 @@ int CmdNetBench(const Args& args) {
   // kDeadlineExceeded frames instead of TCP-buffered latency.
   load.requests = BenchRequests(task, {model_name}, {tol}, rows,
                                 static_cast<uint32_t>(deadline_ms));
-  std::string records;
+  bench::RecordWriter out(
+      "net_open_loop", LoadBenchConfig(model_name, 1, cfg, rows, {tol},
+                                       phase_seconds,
+                                       {{"connections", connections},
+                                        {"deadline_ms", deadline_ms}}));
   const Status run =
-      RunRates(load, *rates, phase_seconds, cfg.registry_shards, &records);
+      RunRates(load, *rates, phase_seconds, cfg.registry_shards, &out);
   st = net.Shutdown();
   if (st.ok()) st = (*server)->Shutdown();
   if (!st.ok()) return Fail(st.ToString().c_str());
@@ -915,14 +902,7 @@ int CmdNetBench(const Args& args) {
     return 2;
   }
 
-  const std::string extra = util::StrFormat(
-      "  \"connections\": %d,\n  \"deadline_ms\": %d,\n", connections,
-      deadline_ms);
-  return WriteLoadBench(args.Get("json", "BENCH_net.json"), "net_open_loop",
-                        model_name, 1, cfg, rows, {tol}, phase_seconds, extra,
-                        records)
-             ? 0
-             : 2;
+  return out.Write(args.Get("json", "BENCH_net.json")).ok() ? 0 : 2;
 }
 
 // Applies the global observability flags; returns false on bad input.
