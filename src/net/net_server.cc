@@ -568,14 +568,13 @@ Status NetServer::Start() {
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { RunLoop(); });
   // Surface the owning serve config at bind time: a wire deployment's
-  // capacity posture (shards, adaptive SLO) should be readable from one
+  // capacity posture (adaptive SLO) should be readable from one
   // startup line without grepping the serve layer's own logs.
   const serve::ServerConfig& sc = server_->config();
   obs::Logf(obs::LogLevel::kInfo,
-            "net: listening on %s:%u (serve: %d registry shards, slo p99 "
-            "%.1fms%s)",
+            "net: listening on %s:%u (serve: slo p99 %.1fms%s)",
             config_.bind_address.c_str(), static_cast<unsigned>(port_),
-            sc.registry_shards, sc.slo_p99_seconds * 1e3,
+            sc.slo_p99_seconds * 1e3,
             sc.slo_p99_seconds > 0.0 ? " adaptive" : " fixed-batch");
   return Status::OK();
 }

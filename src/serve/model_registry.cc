@@ -1,7 +1,6 @@
 #include "serve/model_registry.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "core/spectral_profile.h"
 #include "nn/serialize.h"
@@ -18,8 +17,6 @@ namespace {
 std::string VariantKey(const std::string& name, quant::NumericFormat format,
                        quant::WeightQuantizer quantizer) {
   std::string key = name + "\n" + quant::FormatToString(format);
-  // Max-affine keys keep their legacy shape (and shard assignment); only
-  // data-driven variants grow a suffix.
   if (quantizer != quant::WeightQuantizer::kMaxAffine) {
     key += "\n";
     key += quant::QuantizerToString(quantizer);
@@ -56,48 +53,7 @@ ModelRegistry::ModelRegistry(RegistryConfig config)
       bytes_gauge_(obs::MetricsRegistry::Global().GetGauge(
           "errorflow.serve.registry.variant_bytes")),
       models_gauge_(obs::MetricsRegistry::Global().GetGauge(
-          "errorflow.serve.registry.models")) {
-  config_.num_shards = std::max(1, config_.num_shards);
-  shard_byte_budget_ =
-      std::max<int64_t>(1, config_.max_variant_bytes / config_.num_shards);
-  shards_ = std::vector<Shard>(static_cast<size_t>(config_.num_shards));
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const std::string prefix =
-        "errorflow.serve.registry.shard." + std::to_string(i);
-    shards_[i].hits =
-        obs::MetricsRegistry::Global().GetCounter(prefix + ".hits");
-    shards_[i].misses =
-        obs::MetricsRegistry::Global().GetCounter(prefix + ".misses");
-    shards_[i].evictions =
-        obs::MetricsRegistry::Global().GetCounter(prefix + ".evictions");
-    shards_[i].bytes_gauge =
-        obs::MetricsRegistry::Global().GetGauge(prefix + ".variant_bytes");
-  }
-}
-
-ModelRegistry::Shard& ModelRegistry::ShardFor(const std::string& key) {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-const ModelRegistry::Shard& ModelRegistry::ShardFor(
-    const std::string& key) const {
-  return shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-int ModelRegistry::ShardOf(const std::string& name,
-                           quant::NumericFormat format,
-                           quant::WeightQuantizer quantizer) const {
-  return static_cast<int>(
-      std::hash<std::string>{}(VariantKey(name, format, quantizer)) %
-      shards_.size());
-}
-
-void ModelRegistry::AddVariantBytes(int64_t delta) {
-  const int64_t total =
-      total_variant_bytes_.fetch_add(delta, std::memory_order_relaxed) +
-      delta;
-  bytes_gauge_->Set(static_cast<double>(total));
-}
+          "errorflow.serve.registry.models")) {}
 
 Status ModelRegistry::Register(std::string name, nn::Model model,
                                tensor::Shape single_input_shape) {
@@ -185,7 +141,7 @@ Status ModelRegistry::Register(std::string name, nn::Model model,
             core::VectorStepFn(entry->optq_steps))};
   }
 
-  std::lock_guard<std::mutex> lock(entries_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   if (entries_.count(name) != 0) {
     return Status::AlreadyExists("registry: model already registered: " +
                                  name);
@@ -197,7 +153,7 @@ Status ModelRegistry::Register(std::string name, nn::Model model,
 
 Result<const ModelRegistry::Entry*> ModelRegistry::Lookup(
     const std::string& name) const {
-  std::lock_guard<std::mutex> lock(entries_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(name);
   if (it == entries_.end()) {
     return Status::NotFound("registry: no such model: " + name);
@@ -216,72 +172,61 @@ Result<std::shared_ptr<ModelRegistry::Variant>> ModelRegistry::GetVariant(
         " only applies to int8 variants");
   }
   const std::string key = VariantKey(name, format, quantizer);
-  Shard& shard = ShardFor(key);
 
   std::shared_ptr<Variant> cached;
+  VerifyHook verify_hook;
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto hit = shard.variants.find(key);
-    if (hit != shard.variants.end()) {
-      hit->second.last_used_tick = ++shard.tick;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto hit = variants_.find(key);
+    if (hit != variants_.end()) {
+      hit->second.last_used_tick = ++tick_;
       cached = hit->second.variant;
+      if (config_.verify_variants) verify_hook = verify_hook_;
     }
   }
   if (cached != nullptr) {
     bool verified = true;
     if (config_.verify_variants) {
-      VerifyHook verify_hook;
-      {
-        std::lock_guard<std::mutex> lock(hook_mu_);
-        verify_hook = verify_hook_;
-      }
       if (verify_hook) verify_hook(name, format);
-      // The serialization pass runs off the shard lock: a slow checksum
-      // never convoys other leases (or other workers re-verifying the
-      // same variant) behind this one.
+      // The serialization pass runs off the lock: a slow checksum never
+      // convoys other leases (or other workers re-verifying the same
+      // variant) behind this one.
       verified = ChecksumModel(cached->model) == cached->checksum;
     }
     if (verified) {
       hits_->Increment();
-      shard.hits->Increment();
       return cached;
     }
     // Corrupt cached variant: count it, drop it, and fall through to the
     // miss path so the lease is served by re-quantizing from the (trusted)
-    // FP32 base instead of crashing or handing out bad weights. The drop
-    // is CAS-style: only the exact variant we verified is erased, so a
-    // racing thread that already replaced the slot is left alone.
+    // FP32 base instead of crashing or handing out bad weights.
     decode_failures_->Increment();
     obs::Logf(obs::LogLevel::kWarn,
               "registry: checksum mismatch on cached variant %s/%s; "
               "re-quantizing from base",
               name.c_str(), quant::FormatToString(format));
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.variants.find(key);
-    if (it != shard.variants.end() && it->second.variant == cached) {
-      shard.bytes -= it->second.variant->resident_bytes;
-      AddVariantBytes(-it->second.variant->resident_bytes);
-      shard.variants.erase(it);
-      shard.bytes_gauge->Set(static_cast<double>(shard.bytes));
-    }
   }
 
   const Entry* entry = nullptr;
+  MaterializeFaultHook fault_hook;
   {
-    std::lock_guard<std::mutex> lock(entries_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (cached != nullptr) {
+      // CAS-style drop: only the exact variant we verified is erased, so a
+      // racing thread that already replaced the slot is left alone.
+      auto it = variants_.find(key);
+      if (it != variants_.end() && it->second.variant == cached) {
+        EraseLocked(it);
+      }
+    }
     auto entry_it = entries_.find(name);
     if (entry_it == entries_.end()) {
       return Status::NotFound("registry: no such model: " + name);
     }
     entry = entry_it->second.get();
-  }
-  misses_->Increment();
-  shard.misses->Increment();
-  MaterializeFaultHook fault_hook;
-  {
-    std::lock_guard<std::mutex> lock(hook_mu_);
     fault_hook = materialize_fault_hook_;
   }
+  misses_->Increment();
   if (fault_hook) {
     Status fault = fault_hook(name, format);
     if (!fault.ok()) {
@@ -294,9 +239,9 @@ Result<std::shared_ptr<ModelRegistry::Variant>> ModelRegistry::GetVariant(
   }
   quantize_count_->Increment();
 
-  // Quantize outside the shard lock: materializing one variant must not
-  // stall every lease that hashes to the same shard. Concurrent misses on
-  // the same key may duplicate this work; the insert below reconciles.
+  // Quantize outside the lock: materializing one variant must not stall
+  // every other lease. Concurrent misses on the same key may duplicate
+  // this work; the insert below reconciles.
   obs::TraceSpan span("serve.registry.quantize");
   auto variant = std::make_shared<Variant>();
   variant->format = format;
@@ -324,27 +269,20 @@ Result<std::shared_ptr<ModelRegistry::Variant>> ModelRegistry::GetVariant(
       quant::ModelStorageBytes(variant->model, quant::NumericFormat::kFP32);
   variant->checksum = ChecksumModel(variant->model);
   obs::Logf(obs::LogLevel::kDebug,
-            "registry: materialized %s/%s (%lld bytes, shard %d)",
-            name.c_str(), quant::FormatToString(format),
-            static_cast<long long>(variant->resident_bytes),
-            ShardOf(name, format, quantizer));
+            "registry: materialized %s/%s (%lld bytes)", name.c_str(),
+            quant::FormatToString(format),
+            static_cast<long long>(variant->resident_bytes));
 
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto raced = shard.variants.find(key);
-  if (raced != shard.variants.end()) {
-    // Another materializer inserted while we quantized; lease theirs so
-    // the shard keeps exactly one resident copy per key.
-    raced->second.last_used_tick = ++shard.tick;
-    return raced->second.variant;
-  }
-  CachedVariant entry_to_cache;
-  entry_to_cache.variant = variant;
-  entry_to_cache.last_used_tick = ++shard.tick;
-  shard.bytes += variant->resident_bytes;
-  AddVariantBytes(variant->resident_bytes);
-  shard.variants.emplace(key, std::move(entry_to_cache));
-  EvictShardLocked(&shard, key);
-  shard.bytes_gauge->Set(static_cast<double>(shard.bytes));
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [slot, inserted] =
+      variants_.try_emplace(key, CachedVariant{variant, 0});
+  // When another materializer inserted while we quantized, lease theirs so
+  // the cache keeps exactly one resident copy per key.
+  slot->second.last_used_tick = ++tick_;
+  if (!inserted) return slot->second.variant;
+  variant_bytes_ += variant->resident_bytes;
+  EvictLocked(key);
+  bytes_gauge_->Set(static_cast<double>(variant_bytes_));
   return variant;
 }
 
@@ -352,46 +290,44 @@ bool ModelRegistry::InvalidateVariant(const std::string& name,
                                       quant::NumericFormat format,
                                       quant::WeightQuantizer quantizer) {
   const std::string key = VariantKey(name, format, quantizer);
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.variants.find(key);
-  if (it == shard.variants.end()) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = variants_.find(key);
+  if (it == variants_.end()) return false;
   invalidations_->Increment();
   obs::Logf(obs::LogLevel::kWarn,
             "registry: invalidated variant %s/%s; next lease re-quantizes "
             "from base",
             name.c_str(), quant::FormatToString(format));
-  shard.bytes -= it->second.variant->resident_bytes;
-  AddVariantBytes(-it->second.variant->resident_bytes);
-  shard.variants.erase(it);
-  shard.bytes_gauge->Set(static_cast<double>(shard.bytes));
+  EraseLocked(it);
   return true;
 }
 
-void ModelRegistry::EvictShardLocked(Shard* shard, const std::string& keep) {
-  while (shard->bytes > shard_byte_budget_ && shard->variants.size() > 1) {
-    auto victim = shard->variants.end();
-    for (auto it = shard->variants.begin(); it != shard->variants.end();
-         ++it) {
+void ModelRegistry::EraseLocked(
+    std::map<std::string, CachedVariant>::iterator it) {
+  variant_bytes_ -= it->second.variant->resident_bytes;
+  bytes_gauge_->Set(static_cast<double>(variant_bytes_));
+  variants_.erase(it);
+}
+
+void ModelRegistry::EvictLocked(const std::string& keep) {
+  while (variant_bytes_ > config_.max_variant_bytes && variants_.size() > 1) {
+    auto victim = variants_.end();
+    for (auto it = variants_.begin(); it != variants_.end(); ++it) {
       if (it->first == keep) continue;
-      if (victim == shard->variants.end() ||
+      if (victim == variants_.end() ||
           it->second.last_used_tick < victim->second.last_used_tick) {
         victim = it;
       }
     }
-    if (victim == shard->variants.end()) return;
-    shard->bytes -= victim->second.variant->resident_bytes;
-    AddVariantBytes(-victim->second.variant->resident_bytes);
     evictions_->Increment();
-    shard->evictions->Increment();
     obs::Logf(obs::LogLevel::kDebug, "registry: evicted variant %s",
               victim->first.c_str());
-    shard->variants.erase(victim);
+    EraseLocked(victim);
   }
 }
 
 std::vector<std::string> ModelRegistry::ModelNames() const {
-  std::lock_guard<std::mutex> lock(entries_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(entries_.size());
   for (const auto& [name, entry] : entries_) names.push_back(name);
@@ -399,27 +335,13 @@ std::vector<std::string> ModelRegistry::ModelNames() const {
 }
 
 int64_t ModelRegistry::variant_count() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += static_cast<int64_t>(shard.variants.size());
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return static_cast<int64_t>(variants_.size());
 }
 
 int64_t ModelRegistry::variant_bytes() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.bytes;
-  }
-  return total;
-}
-
-int64_t ModelRegistry::shard_variant_count(int shard) const {
-  const Shard& s = shards_[static_cast<size_t>(shard)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return static_cast<int64_t>(s.variants.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  return variant_bytes_;
 }
 
 }  // namespace serve

@@ -1,7 +1,6 @@
 #ifndef ERRORFLOW_SERVE_MODEL_REGISTRY_H_
 #define ERRORFLOW_SERVE_MODEL_REGISTRY_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -24,24 +23,19 @@ namespace serve {
 /// \brief Registry configuration.
 struct RegistryConfig {
   /// Upper bound on the resident bytes of cached quantized variants
-  /// (base models are excluded from the budget), split evenly across the
-  /// shards: each shard evicts its own least-recently-used variants once
-  /// its `max_variant_bytes / num_shards` share is exceeded. In-flight
-  /// executions keep their variant alive through the returned shared_ptr.
+  /// (base models are excluded from the budget): once an insert exceeds
+  /// it, the least-recently-used variants are evicted until it holds
+  /// again (the variant just inserted always stays). In-flight executions
+  /// keep their variant alive through the returned shared_ptr.
   int64_t max_variant_bytes = 256ll << 20;
   /// When true, every cache hit re-verifies the variant's weight checksum
   /// before leasing it; a mismatch (bit rot, stray write) drops the variant
   /// and transparently re-quantizes from the FP32 base. The checksum pass
-  /// runs *outside* the shard lock, so concurrent leases — even of the
+  /// runs *outside* the registry lock, so concurrent leases — even of the
   /// same variant — never serialize behind it; it still costs one
   /// serialization pass per hit, so it is off by default and meant for
   /// deployments that prize integrity over lease latency.
   bool verify_variants = false;
-  /// Variant-cache shards. The cache key (model, format) hashes to a
-  /// shard; each shard has its own mutex, LRU clock, and byte-budget
-  /// share, so leases for different variants proceed in parallel instead
-  /// of convoying on one registry-wide lock. Clamped to >= 1.
-  int num_shards = 8;
   /// Data-driven INT8 weight quantizer offered alongside the Table-I
   /// max-affine variants. kMaxAffine (the default) disables the feature
   /// entirely: no calibration pass at Register, no extra variant keys.
@@ -66,8 +60,7 @@ struct RegistryConfig {
 };
 
 /// \brief Owns the served models, their error-flow analyses, and a
-/// hash-sharded, bounded LRU cache of lazily materialized quantized
-/// variants.
+/// bounded LRU cache of lazily materialized quantized variants.
 ///
 /// DeepSZ-style serving keeps several quantized copies of a model resident
 /// and selects among them per request error budget; this registry is that
@@ -75,17 +68,15 @@ struct RegistryConfig {
 /// (model, format) afterwards — the `errorflow.serve.registry.quantize_count`
 /// counter stays flat across repeated same-format requests.
 ///
-/// Scaling structure: base models (FP32, PSN-folded) live in a
-/// read-mostly table of their own — entries are never removed, so a
-/// looked-up `Entry*` is stable for the registry's lifetime and any
-/// shard's materialization path can lease the hot FP32 base without
-/// touching other shards. Cached variants hash by (model, format) to one
-/// of `num_shards` shards, each with an independent mutex, LRU clock, and
-/// byte budget; per-shard traffic is observable under
-/// `errorflow.serve.registry.shard.<i>.*`. Expensive work — quantization
-/// on a miss, checksum verification on a verified hit — runs outside the
-/// shard lock; racing materializations of the same key are reconciled at
-/// insert (first insert wins, the loser leases the winner's variant).
+/// Locking: one mutex guards the base-model table, the variant map, the
+/// LRU clock and the resident-byte total; it is held only for map
+/// lookups and bookkeeping. Base entries are never removed, so a
+/// looked-up `Entry*` is stable for the registry's lifetime. Expensive
+/// work — quantization on a miss, checksum verification on a verified
+/// hit — runs outside the lock; racing materializations of the same key
+/// are reconciled at insert (first insert wins, the loser leases the
+/// winner's variant). One LRU evicts against the whole
+/// `max_variant_bytes`.
 ///
 /// Thread-safe. Variants hold PSN-folded models, and inference Forward on
 /// folded layers mutates no shared layer state (spectral caches are
@@ -149,9 +140,9 @@ class ModelRegistry {
       std::function<Status(const std::string& name, quant::NumericFormat)>;
 
   /// Observation hook invoked at the start of every checksum verification
-  /// pass, after the shard lock has been released. Lets tests pin down
-  /// that verification does not hold the shard lock (a blocking hook must
-  /// not stall other leases on the same shard). Test-only.
+  /// pass, after the registry lock has been released. Lets tests pin down
+  /// that verification does not hold the lock (a blocking hook must not
+  /// stall other leases). Test-only.
   using VerifyHook =
       std::function<void(const std::string& name, quant::NumericFormat)>;
 
@@ -209,25 +200,15 @@ class ModelRegistry {
   int64_t variant_bytes() const;
   const RegistryConfig& config() const { return config_; }
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  /// The shard the (name, format, quantizer) variant key hashes to. Stable
-  /// for the registry's lifetime; exposed so tests and ops tooling can
-  /// attribute per-shard metrics to keys.
-  int ShardOf(const std::string& name, quant::NumericFormat format,
-              quant::WeightQuantizer quantizer =
-                  quant::WeightQuantizer::kMaxAffine) const;
-  /// Cached variants resident on one shard.
-  int64_t shard_variant_count(int shard) const;
-
   /// Installs (or clears, with nullptr) the materialization fault hook.
   void SetMaterializeFaultHookForTest(MaterializeFaultHook hook) {
-    std::lock_guard<std::mutex> lock(hook_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     materialize_fault_hook_ = std::move(hook);
   }
 
   /// Installs (or clears, with nullptr) the verification observation hook.
   void SetVerifyHookForTest(VerifyHook hook) {
-    std::lock_guard<std::mutex> lock(hook_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     verify_hook_ = std::move(hook);
   }
 
@@ -237,48 +218,24 @@ class ModelRegistry {
     uint64_t last_used_tick = 0;
   };
 
-  /// One independently locked slice of the variant cache.
-  struct Shard {
-    mutable std::mutex mu;
-    /// Key: "<model>\n<format>" (model names cannot contain newlines),
-    /// with a "\n<quantizer>" suffix for data-driven variants only — the
-    /// max-affine keys, and their shard assignment, are unchanged.
-    std::map<std::string, CachedVariant> variants;
-    int64_t bytes = 0;
-    uint64_t tick = 0;
-    // errorflow.serve.registry.shard.<i>.* (docs/OBSERVABILITY.md).
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions = nullptr;
-    obs::Gauge* bytes_gauge = nullptr;
-  };
+  /// Drops least-recently-used variants (never `keep`) until the byte
+  /// budget holds or nothing else remains. Caller holds `mu_`.
+  void EvictLocked(const std::string& keep);
 
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
-
-  /// Drops this shard's least-recently-used variants (never `keep`) until
-  /// its byte-budget share holds or nothing else remains. Caller holds
-  /// `shard.mu`.
-  void EvictShardLocked(Shard* shard, const std::string& keep);
-
-  /// Adjusts the global resident-byte total and gauge by `delta`.
-  void AddVariantBytes(int64_t delta);
+  /// Erases `it` from the cache and its bytes from the total. Caller holds
+  /// `mu_`.
+  void EraseLocked(std::map<std::string, CachedVariant>::iterator it);
 
   RegistryConfig config_;
-  /// Per-shard share of config_.max_variant_bytes.
-  int64_t shard_byte_budget_;
 
-  /// Base-model table: read-mostly, entries never removed, pointers
-  /// stable. Separate from the shards so any shard's materialization can
-  /// lease the hot FP32 base without cross-shard locking.
-  mutable std::mutex entries_mu_;
+  mutable std::mutex mu_;
+  /// Base-model table: entries never removed, pointers stable.
   std::map<std::string, std::unique_ptr<Entry>> entries_;
-
-  std::vector<Shard> shards_;
-  /// Sum of shard byte totals, maintained incrementally for the gauge.
-  std::atomic<int64_t> total_variant_bytes_{0};
-
-  mutable std::mutex hook_mu_;
+  /// Key: "<model>\n<format>" (model names cannot contain newlines), with
+  /// a "\n<quantizer>" suffix for data-driven variants only.
+  std::map<std::string, CachedVariant> variants_;
+  int64_t variant_bytes_ = 0;
+  uint64_t tick_ = 0;
   MaterializeFaultHook materialize_fault_hook_;
   VerifyHook verify_hook_;
 

@@ -13,7 +13,6 @@ namespace {
 RegistryConfig MakeRegistryConfig(const ServerConfig& config) {
   RegistryConfig rc;
   rc.max_variant_bytes = config.max_variant_bytes;
-  rc.num_shards = config.registry_shards;
   rc.verify_variants = config.verify_variants;
   rc.data_driven_quantizer = config.data_driven_quantizer;
   rc.calibration_samples = config.calibration_samples;
@@ -79,11 +78,11 @@ Status InferenceServer::Start() {
   EF_RETURN_IF_ERROR(scheduler_.Start());
   obs::Logf(obs::LogLevel::kInfo,
             "serve: started (%d workers, max batch %lld rows, queue %lld, "
-            "%d registry shards, slo p99 %.1fms%s)",
+            "slo p99 %.1fms%s)",
             config_.num_workers,
             static_cast<long long>(config_.max_batch_rows),
             static_cast<long long>(config_.max_queue_depth),
-            registry_.num_shards(), config_.slo_p99_seconds * 1e3,
+            config_.slo_p99_seconds * 1e3,
             config_.slo_p99_seconds > 0.0 ? " [adaptive]" : " [fixed]");
   return Status::OK();
 }

@@ -25,9 +25,7 @@ struct ServerConfig {
   int64_t max_queue_depth = 1024;
   /// LRU budget for cached quantized variants.
   int64_t max_variant_bytes = 256ll << 20;
-  /// Variant-cache shards (see RegistryConfig::num_shards).
-  int registry_shards = 8;
-  /// Re-verify variant checksums on every cache hit (off the shard lock;
+  /// Re-verify variant checksums on every cache hit (off the registry lock;
   /// see RegistryConfig::verify_variants).
   bool verify_variants = false;
   /// Target p99 request latency for the adaptive batcher; 0 keeps the

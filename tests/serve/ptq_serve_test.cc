@@ -160,7 +160,6 @@ TEST(PtqServeTest, ConcurrentMaterializationAndServingIsRaceFree) {
   // registry priced at Register.
   RegistryConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
-  rc.num_shards = 2;
   // A large calibration batch keeps each materialization's forward pass —
   // the window in which an observer is installed — wide enough that the
   // racing serving Forwards below reliably overlap it, even on one core.

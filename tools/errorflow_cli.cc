@@ -22,7 +22,6 @@
 //                       [--strict] [--audit 0.1] [--evict-on-violation]
 //                       [--models 1] [--slo-ms 0] [--min-batch 1]
 //                       [--verify-variants] [--quantizer optq|spfq]
-//                       [--shards 1,2,4,8]
 //                       [--json BENCH_serve.json]
 //   errorflow net-bench [--task h2|borghesi|eurosat] [--rates 200,4000]
 //                       [--phase-seconds 2] [--connections 32]
@@ -168,6 +167,13 @@ Result<quant::WeightQuantizer> ParseQuantizer(const std::string& name) {
   }
   return Status::InvalidArgument("unknown quantizer: " + name +
                                  " (use max-affine|optq|spfq)");
+}
+
+Result<tasks::TaskKind> ParseTask(const std::string& name) {
+  if (name == "h2") return tasks::TaskKind::kH2Combustion;
+  if (name == "borghesi") return tasks::TaskKind::kBorghesiFlame;
+  if (name == "eurosat") return tasks::TaskKind::kEuroSat;
+  return Status::InvalidArgument("unknown task (use h2|borghesi|eurosat)");
 }
 
 Result<compress::Backend> ParseBackend(const std::string& name) {
@@ -342,14 +348,9 @@ int CmdQuantize(const Args& args) {
   }
   const tensor::Tensor ref = model->Predict(probe);
   const tensor::Tensor got = q.model.Predict(probe);
-  double achieved = 0.0;
-  for (int64_t r = 0; r < ref.dim(0); ++r) {
-    const int64_t w = ref.size() / ref.dim(0);
-    tensor::Tensor a({1, w}), b({1, w});
-    std::copy(ref.data() + r * w, ref.data() + (r + 1) * w, a.data());
-    std::copy(got.data() + r * w, got.data() + (r + 1) * w, b.data());
-    achieved = std::max(achieved, tensor::DiffNorm(a, b, *norm));
-  }
+  const double achieved =
+      tensor::MaxRowError(ref.data(), got.data(), ref.dim(0),
+                          ref.size() / ref.dim(0), *norm);
 
   std::printf("\ntable-I int8 bound    : %.6e (%s)\n", table_bound,
               args.Get("norm", "linf").c_str());
@@ -416,19 +417,10 @@ int CmdDemoTrain(const Args& args) {
   if (args.positional.empty()) {
     return Fail("demo-train: output path required");
   }
-  const std::string name = args.Get("task", "h2");
-  tasks::TaskKind kind;
-  if (name == "h2") {
-    kind = tasks::TaskKind::kH2Combustion;
-  } else if (name == "borghesi") {
-    kind = tasks::TaskKind::kBorghesiFlame;
-  } else if (name == "eurosat") {
-    kind = tasks::TaskKind::kEuroSat;
-  } else {
-    return Fail("unknown task (use h2|borghesi|eurosat)");
-  }
+  auto kind = ParseTask(args.Get("task", "h2"));
+  if (!kind.ok()) return Fail(kind.status().ToString().c_str());
   tasks::TrainedTask task =
-      tasks::GetTask(kind, tasks::Regularization::kPsn, 1, CacheDir(args));
+      tasks::GetTask(*kind, tasks::Regularization::kPsn, 1, CacheDir(args));
   const Status st = nn::SaveModel(task.model, args.positional[0]);
   if (!st.ok()) return Fail(st.ToString().c_str());
   std::printf("trained '%s' saved to %s\n", task.name.c_str(),
@@ -436,13 +428,6 @@ int CmdDemoTrain(const Args& args) {
   std::printf("input shape for inspect/bound/plan: %s\n",
               tensor::ShapeToString(task.single_input_shape).c_str());
   return 0;
-}
-
-Result<tasks::TaskKind> ParseTask(const std::string& name) {
-  if (name == "h2") return tasks::TaskKind::kH2Combustion;
-  if (name == "borghesi") return tasks::TaskKind::kBorghesiFlame;
-  if (name == "eurosat") return tasks::TaskKind::kEuroSat;
-  return Status::InvalidArgument("unknown task (use h2|borghesi|eurosat)");
 }
 
 int CmdRun(const Args& args) {
@@ -587,10 +572,10 @@ Result<std::unique_ptr<serve::InferenceServer>> StartBenchServer(
 }
 
 // Runs the rig once per rate over `load`'s transport (seed 1 + rate index,
-// so every shard point and both benches offer the same schedule), prints
-// each summary, and adds the rate's records to `out`.
+// so both benches offer the same schedule), prints each summary, and adds
+// the rate's records to `out`.
 Status RunRates(net::LoadConfig load, const std::vector<double>& rates,
-                double phase_seconds, int shards, bench::RecordWriter* out) {
+                double phase_seconds, bench::RecordWriter* out) {
   const char* transport = load.server != nullptr ? "in-process" : "socket";
   for (size_t i = 0; i < rates.size(); ++i) {
     load.phases = {{phase_seconds, rates[i]}};
@@ -598,8 +583,8 @@ Status RunRates(net::LoadConfig load, const std::vector<double>& rates,
     EF_ASSIGN_OR_RETURN(net::LoadStats stats, net::RunLoad(load));
     std::printf("offered %.0f req/s (%s):\n%s", rates[i], transport,
                 stats.Summary().c_str());
-    const bench::Fields key = {
-        {"transport", transport}, {"shards", shards}, {"rate_rps", rates[i]}};
+    const bench::Fields key = {{"transport", transport},
+                               {"rate_rps", rates[i]}};
     const auto add = [&](const char* metric, double value, const char* unit) {
       out->Add(key, metric, value, unit, bench::Source::kMeasured);
     };
@@ -720,9 +705,9 @@ std::string ServingRegistrySummary() {
   return out;
 }
 
-// In-process open-loop load: one InferenceServer per --shards point, the
-// rig submitting straight into SubmitAsync at each --rates entry for
-// --duration seconds; records per (shards, rate) go to --json.
+// In-process open-loop load: one InferenceServer, the rig submitting
+// straight into SubmitAsync at each --rates entry for --duration seconds;
+// records per rate go to --json.
 int CmdServeBench(const Args& args) {
   if (args.Has("concurrency")) {
     return Fail("--concurrency was replaced by --rates (open-loop req/s)");
@@ -746,18 +731,13 @@ int CmdServeBench(const Args& args) {
     return Fail(
         "bad --duration/--workers/--rows/--models/--slo-ms/--min-batch");
   }
-  // One server per shard count (default: the ServerConfig's), each driven
-  // at every rate.
-  auto shard_points = ParseDoubleList(
-      args.Get("shards", std::to_string(cfg.registry_shards)));
-  if (!shard_points.ok()) return Fail(shard_points.status().ToString().c_str());
 
   tasks::TrainedTask task =
       tasks::GetTask(*kind, tasks::Regularization::kPsn, 1, CacheDir(args));
   const std::string base_name = tasks::TaskKindToString(*kind);
   // --models M registers M clones of the task model; the request templates
-  // cycle across them so variant leases spread over registry shards
-  // instead of convoying on one key.
+  // cycle across them so the variant cache serves several models at once,
+  // as a multi-model deployment's does.
   std::vector<std::string> model_names;
   for (int m = 0; m < num_models; ++m) {
     model_names.push_back(num_models == 1
@@ -791,14 +771,13 @@ int CmdServeBench(const Args& args) {
   std::printf(
       "serve-bench: task=%s models=%d rates=%s duration=%.1fs "
       "workers=%d max-batch=%lld rows/request=%d tolerances=%s%s "
-      "audit=%.2f%s slo=%.1fms min-batch=%d%s shards=%s\n",
+      "audit=%.2f%s slo=%.1fms min-batch=%d%s\n",
       base_name.c_str(), num_models, args.Get("rates", "200,4000").c_str(),
       duration, cfg.num_workers, static_cast<long long>(cfg.max_batch_rows),
       rows, args.Get("tolerances", "1e-3,1e-2,1e-1").c_str(),
       args.Has("strict") ? " (strict)" : "", cfg.audit_fraction,
       cfg.evict_on_violation ? " (evict-on-violation)" : "", slo_ms,
-      min_batch, cfg.verify_variants ? " (verify-variants)" : "",
-      args.Get("shards", "default").c_str());
+      min_batch, cfg.verify_variants ? " (verify-variants)" : "");
   if (cfg.data_driven_quantizer != quant::WeightQuantizer::kMaxAffine) {
     std::printf("  data-driven int8: %s\n",
                 quant::QuantizerToString(cfg.data_driven_quantizer));
@@ -812,29 +791,21 @@ int CmdServeBench(const Args& args) {
                       duration,
                       {{"slo_ms", slo_ms}, {"min_batch_rows", min_batch},
                        {"verify_variants", cfg.verify_variants}}));
-  for (double point : *shard_points) {
-    const int shards = static_cast<int>(point);
-    if (shards < 1) return Fail("bad --shards (counts must be >= 1)");
-    // Per-point metrics window: histograms and counters start at zero for
-    // every shard count, so the summary covers one point.
-    obs::MetricsRegistry::Global().Reset();
-    cfg.registry_shards = shards;
-    auto server = StartBenchServer(cfg, task, model_names);
-    if (!server.ok()) return Fail(server.status().ToString().c_str());
-    std::printf("--- %d shard(s) ---\n", shards);
-    load.server = server->get();
-    Status st = RunRates(load, *rates, duration, shards, &out);
-    if (st.ok()) st = (*server)->Shutdown();
-    if (!st.ok()) return Fail(st.ToString().c_str());
-    const serve::ModelRegistry& registry = (*server)->registry();
-    std::printf(
-        "%s  variants resident   : %lld (%s) across %d shard(s)\n",
-        ServingRegistrySummary().c_str(),
-        static_cast<long long>(registry.variant_count()),
-        util::HumanBytes(static_cast<double>(registry.variant_bytes()))
-            .c_str(),
-        registry.num_shards());
-  }
+  // Metrics window: histograms and counters start at zero with the
+  // server, so the summary covers the load run alone.
+  obs::MetricsRegistry::Global().Reset();
+  auto server = StartBenchServer(cfg, task, model_names);
+  if (!server.ok()) return Fail(server.status().ToString().c_str());
+  load.server = server->get();
+  Status st = RunRates(load, *rates, duration, &out);
+  if (st.ok()) st = (*server)->Shutdown();
+  if (!st.ok()) return Fail(st.ToString().c_str());
+  const serve::ModelRegistry& registry = (*server)->registry();
+  std::printf("%s  variants resident   : %lld (%s)\n",
+              ServingRegistrySummary().c_str(),
+              static_cast<long long>(registry.variant_count()),
+              util::HumanBytes(static_cast<double>(registry.variant_bytes()))
+                  .c_str());
 
   return out.Write(args.Get("json", "BENCH_serve.json")).ok() ? 0 : 2;
 }
@@ -892,8 +863,7 @@ int CmdNetBench(const Args& args) {
                                        phase_seconds,
                                        {{"connections", connections},
                                         {"deadline_ms", deadline_ms}}));
-  const Status run =
-      RunRates(load, *rates, phase_seconds, cfg.registry_shards, &out);
+  const Status run = RunRates(load, *rates, phase_seconds, &out);
   st = net.Shutdown();
   if (st.ok()) st = (*server)->Shutdown();
   if (!st.ok()) return Fail(st.ToString().c_str());
@@ -991,8 +961,7 @@ void PrintUsage() {
       "[--queue-cap 1024] [--tolerances 1e-3,1e-2,1e-1] [--timeout-ms "
       "1000] [--rows 8] [--strict] [--audit 0.1] [--evict-on-violation] "
       "[--models 1] [--slo-ms 0] [--min-batch 1] [--verify-variants] "
-      "[--quantizer optq|spfq] [--shards 1,2,4,8] "
-      "[--json BENCH_serve.json]\n"
+      "[--quantizer optq|spfq] [--json BENCH_serve.json]\n"
       "  errorflow net-bench  [--task h2|borghesi|eurosat] "
       "[--rates 200,4000] [--phase-seconds 2] [--connections 32] "
       "[--workers 4] [--queue-cap 256] [--rows 8] [--tol 1e-2] "
