@@ -9,12 +9,14 @@
 //
 // Usage: bench_conv [max_threads] [json_path]
 //
-// Prints a table and writes the same timings as BENCH records (default
-// BENCH_conv.json; schema in docs/PERFORMANCE.md), so the perf trajectory
-// is diffable across changes. Before timing anything it checks, on every
-// shape, that the threaded forward is bit-identical to the serial one and
-// that the forward is bit-identical to the im2col path; it exits 1 naming
-// the shape otherwise.
+// Prints a table with one row per kernel path and writes the same timings
+// as BENCH records (default BENCH_conv.json; schema in
+// docs/PERFORMANCE.md), so the perf trajectory is diffable across changes.
+// Before timing anything it checks, on every shape and every kernel path
+// the host supports, that the forward is bit-identical to the AVX2 path's,
+// that the threaded forward is bit-identical to the serial one and that
+// the forward is bit-identical to the im2col path; it exits 1 naming the
+// shape and path otherwise.
 
 #include <algorithm>
 #include <chrono>
@@ -285,16 +287,22 @@ bool BitIdentical(const Tensor& a, const Tensor& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  namespace ef = errorflow::tensor;
   const int max_threads = argc > 1 ? std::atoi(argv[1]) : 4;
   const char* json_path = argc > 2 ? argv[2] : "BENCH_conv.json";
   std::printf("kernels: %s\nhost: %u cores, isa: %s\n\n",
-              errorflow::tensor::KernelDescription().c_str(),
+              ef::KernelDescription().c_str(),
               std::thread::hardware_concurrency(),
               errorflow::bench::HostIsaFlags().c_str());
 
-  // Determinism and equivalence cross-checks on every shape: the threaded
-  // forward must be bit-identical to the serial forward, and both to the
-  // im2col path.
+  // Determinism and equivalence cross-checks on every shape and kernel
+  // path: the threaded forward must be bit-identical to the serial
+  // forward, both to the im2col path, and every path's forward to the
+  // AVX2 path's (the only path on a host without AVX2 is its own
+  // reference).
+  const std::vector<ef::KernelPath> paths = ef::SupportedKernelPaths();
+  const ef::KernelPath ref_path =
+      paths.size() > 1 ? ef::KernelPath::kAvx2 : paths.front();
   std::vector<float> cols, mat;
   for (const ConvShape& cs : kShapes) {
     Conv2dLayer conv(cs.in_ch, cs.out_ch, cs.k, cs.s, cs.p);
@@ -303,93 +311,122 @@ int main(int argc, char** argv) {
       conv.mutable_bias()[i] = 0.01f * static_cast<float>(i) - 0.2f;
     }
     const Tensor x = RandomTensor({32, cs.in_ch, cs.h, cs.w}, 11);
-    errorflow::tensor::SetKernelThreads(1);
-    Tensor serial, im2col;
-    conv.Forward(x, &serial, false);
-    Im2ColForward(x, conv.weight(), conv.bias(), cs, &cols, &mat, &im2col);
-    errorflow::tensor::SetKernelThreads(max_threads);
-    errorflow::tensor::SetKernelParallelFlopThreshold(1);
-    Tensor threaded;
-    conv.Forward(x, &threaded, false);
-    errorflow::tensor::SetKernelParallelFlopThreshold(1 << 21);
-    if (!BitIdentical(serial, threaded)) {
-      std::printf("FATAL: threaded forward differs from serial on %s\n",
-                  cs.name);
-      return 1;
-    }
-    if (!BitIdentical(serial, im2col)) {
-      std::printf("FATAL: forward differs from the im2col path on %s\n",
-                  cs.name);
-      return 1;
+    ef::SetKernelThreads(1);
+    ef::SetKernelPathForTest(ref_path);
+    Tensor ref;
+    conv.Forward(x, &ref, false);
+    for (const ef::KernelPath path : paths) {
+      const char* name = ef::KernelPathName(path);
+      ef::SetKernelPathForTest(path);
+      ef::SetKernelThreads(1);
+      Tensor serial, im2col;
+      conv.Forward(x, &serial, false);
+      Im2ColForward(x, conv.weight(), conv.bias(), cs, &cols, &mat, &im2col);
+      ef::SetKernelThreads(max_threads);
+      ef::SetKernelParallelFlopThreshold(1);
+      Tensor threaded;
+      conv.Forward(x, &threaded, false);
+      ef::SetKernelParallelFlopThreshold(1 << 21);
+      if (!BitIdentical(serial, ref)) {
+        std::printf("FATAL: %s path forward differs from the %s path on %s\n",
+                    name, ef::KernelPathName(ref_path), cs.name);
+        return 1;
+      }
+      if (!BitIdentical(serial, threaded)) {
+        std::printf("FATAL: threaded forward differs from serial on %s (%s)\n",
+                    cs.name, name);
+        return 1;
+      }
+      if (!BitIdentical(serial, im2col)) {
+        std::printf(
+            "FATAL: forward differs from the im2col path on %s (%s)\n",
+            cs.name, name);
+        return 1;
+      }
     }
   }
+  ef::SetKernelPathForTest(paths.back());
   std::printf(
-      "forward bit-identical threaded vs serial and vs im2col: yes\n\n");
+      "forward bit-identical on every kernel path, threaded vs serial and "
+      "vs im2col: yes\n\n");
 
   errorflow::bench::RecordWriter records("conv_batched",
                                         {{"max_threads", max_threads}});
   for (const int threads : {1, max_threads}) {
-    errorflow::tensor::SetKernelThreads(threads);
+    ef::SetKernelThreads(threads);
     std::printf("--- %d kernel thread(s) ---\n", threads);
-    std::printf("%-22s %5s %9s %9s %9s %8s %9s %9s %8s\n", "shape", "batch",
-                "fwd seed", "fwd i2c", "fwd new", "vs i2c", "bwd seed",
-                "bwd new", "speedup");
+    std::printf("%-22s %5s %-9s %9s %9s %9s %8s %9s %9s %8s\n", "shape",
+                "batch", "path", "fwd seed", "fwd i2c", "fwd new", "vs i2c",
+                "bwd seed", "bwd new", "speedup");
     for (const ConvShape& cs : kShapes) {
       for (const int64_t batch : {1, 8, 32}) {
-        Conv2dLayer conv(cs.in_ch, cs.out_ch, cs.k, cs.s, cs.p);
-        conv.InitHe(7);
-        const Tensor x = RandomTensor({batch, cs.in_ch, cs.h, cs.w}, 13);
-        Tensor out, seed_out, im2col_out;
-        conv.Forward(x, &out, true);
-        Tensor grad_out(out.shape());
-        for (int64_t i = 0; i < grad_out.size(); ++i) {
-          grad_out[i] = 0.01f * static_cast<float>(i % 17);
-        }
-        Tensor grad_in, seed_gin;
-        Tensor seed_wg(conv.weight().shape()), seed_bg(conv.bias().shape());
-        const int reps = batch >= 32 ? 15 : 25;
+        for (const ef::KernelPath path : paths) {
+          ef::SetKernelPathForTest(path);
+          Conv2dLayer conv(cs.in_ch, cs.out_ch, cs.k, cs.s, cs.p);
+          conv.InitHe(7);
+          const Tensor x = RandomTensor({batch, cs.in_ch, cs.h, cs.w}, 13);
+          Tensor out, seed_out, im2col_out;
+          conv.Forward(x, &out, true);
+          Tensor grad_out(out.shape());
+          for (int64_t i = 0; i < grad_out.size(); ++i) {
+            grad_out[i] = 0.01f * static_cast<float>(i % 17);
+          }
+          Tensor grad_in, seed_gin;
+          Tensor seed_wg(conv.weight().shape()), seed_bg(conv.bias().shape());
+          const int reps = batch >= 32 ? 15 : 25;
 
-        const double fwd_seed = TimeIt(
-            [&] { SeedForward(x, conv.weight(), conv.bias(), cs, &seed_out); },
-            reps);
-        const double fwd_im2col = TimeIt(
-            [&] {
-              Im2ColForward(x, conv.weight(), conv.bias(), cs, &cols, &mat,
-                            &im2col_out);
-            },
-            reps);
-        const double fwd_new =
-            TimeIt([&] { conv.Forward(x, &out, false); }, reps);
-        const double bwd_seed = TimeIt(
-            [&] {
-              SeedBackward(x, grad_out, conv.weight(), cs, &seed_gin,
-                           &seed_wg, &seed_bg);
-            },
-            reps);
-        // Keep the training cache warm so Backward times the steady state.
-        conv.Forward(x, &out, true);
-        const double bwd_new =
-            TimeIt([&] { conv.Backward(grad_out, &grad_in); }, reps);
+          const double fwd_seed = TimeIt(
+              [&] {
+                SeedForward(x, conv.weight(), conv.bias(), cs, &seed_out);
+              },
+              reps);
+          const double fwd_im2col = TimeIt(
+              [&] {
+                Im2ColForward(x, conv.weight(), conv.bias(), cs, &cols, &mat,
+                              &im2col_out);
+              },
+              reps);
+          const double fwd_new =
+              TimeIt([&] { conv.Forward(x, &out, false); }, reps);
+          const double bwd_seed = TimeIt(
+              [&] {
+                SeedBackward(x, grad_out, conv.weight(), cs, &seed_gin,
+                             &seed_wg, &seed_bg);
+              },
+              reps);
+          // Keep the training cache warm so Backward times the steady state.
+          conv.Forward(x, &out, true);
+          const double bwd_new =
+              TimeIt([&] { conv.Backward(grad_out, &grad_in); }, reps);
 
-        std::printf(
-            "%-22s %5lld %9.3f %9.3f %9.3f %7.2fx %9.3f %9.3f %7.2fx\n",
-            cs.name, static_cast<long long>(batch), fwd_seed * 1e3,
-            fwd_im2col * 1e3, fwd_new * 1e3, fwd_im2col / fwd_new,
-            bwd_seed * 1e3, bwd_new * 1e3, bwd_seed / bwd_new);
-        const errorflow::bench::Fields key = {
-            {"shape", cs.name}, {"batch", batch}, {"threads", threads}};
-        for (const auto& [metric, seconds] :
-             {std::pair{"fwd_seed_ms", fwd_seed}, {"fwd_im2col_ms", fwd_im2col},
-              {"fwd_new_ms", fwd_new}, {"bwd_seed_ms", bwd_seed},
-              {"bwd_new_ms", bwd_new}}) {
-          records.Add(key, metric, seconds * 1e3, "ms",
-                      errorflow::bench::Source::kMeasured);
+          std::printf(
+              "%-22s %5lld %-9s %9.3f %9.3f %9.3f %7.2fx %9.3f %9.3f "
+              "%7.2fx\n",
+              cs.name, static_cast<long long>(batch), ef::KernelPathName(path),
+              fwd_seed * 1e3, fwd_im2col * 1e3, fwd_new * 1e3,
+              fwd_im2col / fwd_new, bwd_seed * 1e3, bwd_new * 1e3,
+              bwd_seed / bwd_new);
+          const errorflow::bench::Fields key = {
+              {"shape", cs.name},
+              {"batch", batch},
+              {"threads", threads},
+              {"path", ef::KernelPathName(path)}};
+          for (const auto& [metric, seconds] :
+               {std::pair{"fwd_seed_ms", fwd_seed},
+                {"fwd_im2col_ms", fwd_im2col},
+                {"fwd_new_ms", fwd_new},
+                {"bwd_seed_ms", bwd_seed},
+                {"bwd_new_ms", bwd_new}}) {
+            records.Add(key, metric, seconds * 1e3, "ms",
+                        errorflow::bench::Source::kMeasured);
+          }
         }
       }
     }
     std::printf("\n");
   }
-  errorflow::tensor::SetKernelThreads(0);
+  ef::SetKernelPathForTest(paths.back());
+  ef::SetKernelThreads(0);
 
   return records.Write(json_path).ok() ? 0 : 1;
 }

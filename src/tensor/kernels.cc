@@ -116,68 +116,58 @@ void ParallelRows(int64_t m, int64_t flops,
 }
 
 // ---------------------------------------------------------------------------
-// Portable micro-kernels (autovectorizable; no reductions in inner loops).
+// Portable micro-kernels: the AVX2 kernels' arithmetic, one std::fma per
+// multiply-add in the same order, so every path produces the same bits.
+// This file is compiled with -ffp-contract=off: the compiler fuses nothing
+// on its own, and every fma here is written out.
 // ---------------------------------------------------------------------------
 
 // C[i][:] += sum_l a(i, l) * B[l][:] for rows i in [r0, r1), with the A
 // element at logical (i, l) stored at a[i * as_i + l * as_l]. Covers both
-// Gemm (as_i = k, as_l = 1) and GemmTN (as_i = 1, as_l = m).
+// Gemm (as_i = k, as_l = 1) and GemmTN (as_i = 1, as_l = m). Each element
+// runs one fma per l, in l order.
 void GemmAccRowsPortable(const float* __restrict a, int64_t as_i,
                          int64_t as_l, const float* __restrict b,
                          float* __restrict c, int64_t r0, int64_t r1,
                          int64_t n, int64_t k) {
-  for (int64_t l0 = 0; l0 < k; l0 += kKc) {
-    const int64_t lmax = std::min(l0 + kKc, k);
-    int64_t i = r0;
-    for (; i + 4 <= r1; i += 4) {
-      float* __restrict c0 = c + (i + 0) * n;
-      float* __restrict c1 = c + (i + 1) * n;
-      float* __restrict c2 = c + (i + 2) * n;
-      float* __restrict c3 = c + (i + 3) * n;
-      for (int64_t l = l0; l < lmax; ++l) {
-        const float a0 = a[(i + 0) * as_i + l * as_l];
-        const float a1 = a[(i + 1) * as_i + l * as_l];
-        const float a2 = a[(i + 2) * as_i + l * as_l];
-        const float a3 = a[(i + 3) * as_i + l * as_l];
-        const float* __restrict br = b + l * n;
-        for (int64_t j = 0; j < n; ++j) {
-          c0[j] += a0 * br[j];
-          c1[j] += a1 * br[j];
-          c2[j] += a2 * br[j];
-          c3[j] += a3 * br[j];
-        }
-      }
-    }
-    for (; i < r1; ++i) {
-      float* __restrict ci = c + i * n;
-      for (int64_t l = l0; l < lmax; ++l) {
-        const float av = a[i * as_i + l * as_l];
-        const float* __restrict br = b + l * n;
-        for (int64_t j = 0; j < n; ++j) ci[j] += av * br[j];
-      }
+  for (int64_t i = r0; i < r1; ++i) {
+    float* __restrict ci = c + i * n;
+    for (int64_t l = 0; l < k; ++l) {
+      const float av = a[i * as_i + l * as_l];
+      const float* __restrict br = b + l * n;
+      for (int64_t j = 0; j < n; ++j) ci[j] = std::fma(av, br[j], ci[j]);
     }
   }
 }
 
+// The AVX2 horizontal sum (HSum) of 8 lane partials.
+float HSum8(const float* s) {
+  return ((s[0] + s[4]) + (s[2] + s[6])) + ((s[1] + s[5]) + (s[3] + s[7]));
+}
+
+// dot(x, y) as GemmNTRowsAvx2 and Dot8Avx2 compute it: lane t of 8 chains
+// l = t, t + 8, ... below k - k % 8 from +0, HSum8 of the lanes, then one
+// fma per remaining l in order.
+float Dot8Portable(const float* __restrict x, const float* __restrict y,
+                   int64_t k) {
+  float s[8] = {};
+  int64_t l = 0;
+  for (; l + 8 <= k; l += 8) {
+    for (int t = 0; t < 8; ++t) s[t] = std::fma(x[l + t], y[l + t], s[t]);
+  }
+  float r = HSum8(s);
+  for (; l < k; ++l) r = std::fma(x[l], y[l], r);
+  return r;
+}
+
 // C[i][j] = dot(A_i, B_j) for rows i in [r0, r1); A is (m x k), B is
-// (n x k). Four interleaved accumulators break the dependency chain.
+// (n x k).
 void GemmNTRowsPortable(const float* __restrict a, const float* __restrict b,
                         float* __restrict c, int64_t r0, int64_t r1,
                         int64_t n, int64_t k) {
   for (int64_t i = r0; i < r1; ++i) {
-    const float* __restrict ar = a + i * k;
     for (int64_t j = 0; j < n; ++j) {
-      const float* __restrict br = b + j * k;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      int64_t l = 0;
-      for (; l + 4 <= k; l += 4) {
-        s0 += ar[l + 0] * br[l + 0];
-        s1 += ar[l + 1] * br[l + 1];
-        s2 += ar[l + 2] * br[l + 2];
-        s3 += ar[l + 3] * br[l + 3];
-      }
-      for (; l < k; ++l) s0 += ar[l] * br[l];
-      c[i * n + j] = (s0 + s1) + (s2 + s3);
+      c[i * n + j] = Dot8Portable(a + i * k, b + j * k, k);
     }
   }
 }
@@ -201,14 +191,14 @@ struct ConvBlock {
   // output row segment), and the outputs are 8 consecutive floats.
   bool in_run[2];
   bool out_run[2];
+  // The same over the block's valid columns, for the 16-lane kernels.
+  bool in_run16;
+  bool out_run16;
 };
 
-// Fills `b` for the block starting at column j0 of `cols`, and the lane
-// masks: masks[(ky*k + kx)*16 + t] is -1 when column t exists and its tap
-// (ky, kx) lies inside the image, 0 when it is padding. The 2*k*16 ints
-// after the k*k*16 tap masks are scratch for the row and column masks.
+// Fills `b` for the block starting at column j0 of `cols`.
 void FillConvBlock(const ConvGeometry& g, const float* in, int64_t j0,
-                   int64_t cols, ConvBlock* b, int32_t* masks) {
+                   int64_t cols, ConvBlock* b) {
   const int64_t oh = g.oh(), ow = g.ow(), ohow = oh * ow;
   const int64_t chw = g.c * g.h * g.w;
   b->valid = static_cast<int>(std::min<int64_t>(kConvBlock, cols - j0));
@@ -249,6 +239,19 @@ void FillConvBlock(const ConvGeometry& g, const float* in, int64_t j0,
     b->in_run[hf] = in_run;
     b->out_run[hf] = out_run;
   }
+  b->in_run16 = b->out_run16 = true;
+  for (int t = 1; t < b->valid; ++t) {
+    b->in_run16 = b->in_run16 && b->in_off[t] == b->in_off[0] + t;
+    b->out_run16 = b->out_run16 && b->out_off[t] == b->out_off[0] + t;
+  }
+}
+
+// The block's lane masks: masks[(ky*k + kx)*16 + t] is -1 when column t
+// exists and its tap (ky, kx) lies inside the image, 0 when it is padding.
+// The 2*k*16 ints after the k*k*16 tap masks are scratch for the row and
+// column masks.
+void FillConvMasks(const ConvGeometry& g, const ConvBlock& b,
+                   int32_t* masks) {
   // Unsigned compares test 0 <= v < bound in one go; 32-bit lanes let the
   // compiler vectorize these loops.
   int32_t* rows = masks + g.k * g.k * kConvBlock;
@@ -258,9 +261,9 @@ void FillConvBlock(const ConvGeometry& g, const float* in, int64_t j0,
   for (int d = 0; d < g.k; ++d) {
     for (int t = 0; t < kConvBlock; ++t) {
       rows[d * kConvBlock + t] =
-          -static_cast<int32_t>(static_cast<uint32_t>(b->iy0[t] + d) < h);
+          -static_cast<int32_t>(static_cast<uint32_t>(b.iy0[t] + d) < h);
       cols_in[d * kConvBlock + t] =
-          -static_cast<int32_t>(static_cast<uint32_t>(b->ix0[t] + d) < w);
+          -static_cast<int32_t>(static_cast<uint32_t>(b.ix0[t] + d) < w);
     }
   }
   for (int ky = 0; ky < g.k; ++ky) {
@@ -306,54 +309,43 @@ void StoreConvRowPortable(const float* acc, const float* bias, int64_t oc,
 }
 
 // Output rows [0, m) of one block from its packed panel, with
-// GemmAccRowsPortable's `c += a * b` chain per element from +0.
+// GemmAccRowsPortable's fma chain per element from +0.
 void ConvComputePortable(const float* __restrict a, const float* bias,
                          const float* __restrict panel, int64_t m,
                          int64_t kk, const ConvBlock& b, float* out,
                          int64_t ohow) {
-  int64_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    float c[4][kConvBlock] = {};
-    for (int64_t l = 0; l < kk; ++l) {
-      const float a0 = a[(i + 0) * kk + l];
-      const float a1 = a[(i + 1) * kk + l];
-      const float a2 = a[(i + 2) * kk + l];
-      const float a3 = a[(i + 3) * kk + l];
-      const float* __restrict br = panel + l * kConvBlock;
-      for (int j = 0; j < kConvBlock; ++j) {
-        c[0][j] += a0 * br[j];
-        c[1][j] += a1 * br[j];
-        c[2][j] += a2 * br[j];
-        c[3][j] += a3 * br[j];
-      }
-    }
-    for (int r = 0; r < 4; ++r) {
-      StoreConvRowPortable(c[r], bias, i + r, b, out, ohow);
-    }
-  }
-  for (; i < m; ++i) {
+  for (int64_t i = 0; i < m; ++i) {
     float c[kConvBlock] = {};
     for (int64_t l = 0; l < kk; ++l) {
       const float av = a[i * kk + l];
       const float* __restrict br = panel + l * kConvBlock;
-      for (int j = 0; j < kConvBlock; ++j) c[j] += av * br[j];
+      for (int j = 0; j < kConvBlock; ++j) c[j] = std::fma(av, br[j], c[j]);
     }
     StoreConvRowPortable(c, bias, i, b, out, ohow);
   }
 }
 
+// dot(x, y) as DotAvx2 computes it: two 8-lane chain sets over 16-float
+// steps (lanes l % 16 < 8 and >= 8), one more 8-float step into the first
+// set, the two sets added lane by lane, HSum8, then one fma per remaining
+// l in order.
 float DotPortable(const float* __restrict x, const float* __restrict y,
                   int64_t k) {
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+  float s0[8] = {}, s1[8] = {};
   int64_t l = 0;
-  for (; l + 4 <= k; l += 4) {
-    s0 += x[l + 0] * y[l + 0];
-    s1 += x[l + 1] * y[l + 1];
-    s2 += x[l + 2] * y[l + 2];
-    s3 += x[l + 3] * y[l + 3];
+  for (; l + 16 <= k; l += 16) {
+    for (int t = 0; t < 8; ++t) {
+      s0[t] = std::fma(x[l + t], y[l + t], s0[t]);
+      s1[t] = std::fma(x[l + 8 + t], y[l + 8 + t], s1[t]);
+    }
   }
-  for (; l < k; ++l) s0 += x[l] * y[l];
-  return (s0 + s1) + (s2 + s3);
+  for (; l + 8 <= k; l += 8) {
+    for (int t = 0; t < 8; ++t) s0[t] = std::fma(x[l + t], y[l + t], s0[t]);
+  }
+  for (int t = 0; t < 8; ++t) s0[t] += s1[t];
+  float r = HSum8(s0);
+  for (; l < k; ++l) r = std::fma(x[l], y[l], r);
+  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -509,7 +501,7 @@ __attribute__((target("avx2,fma"))) inline float DotAvx2(
                            acc0);
   }
   float s = HSum(_mm256_add_ps(acc0, acc1));
-  for (; l < k; ++l) s += x[l] * y[l];
+  for (; l < k; ++l) s = std::fma(x[l], y[l], s);
   return s;
 }
 
@@ -527,7 +519,7 @@ __attribute__((target("avx2,fma"))) inline float Dot8Avx2(
                           acc);
   }
   float s = HSum(acc);
-  for (; l < k; ++l) s += x[l] * y[l];
+  for (; l < k; ++l) s = std::fma(x[l], y[l], s);
   return s;
 }
 
@@ -574,14 +566,14 @@ __attribute__((target("avx2,fma"))) void GemmNTRowsAvx2(
             r13 = HSum(s13);
       for (; l < k; ++l) {
         const float x0 = a0[l], x1 = a1[l];
-        r00 += x0 * b0[l];
-        r01 += x0 * b1[l];
-        r02 += x0 * b2[l];
-        r03 += x0 * b3[l];
-        r10 += x1 * b0[l];
-        r11 += x1 * b1[l];
-        r12 += x1 * b2[l];
-        r13 += x1 * b3[l];
+        r00 = std::fma(x0, b0[l], r00);
+        r01 = std::fma(x0, b1[l], r01);
+        r02 = std::fma(x0, b2[l], r02);
+        r03 = std::fma(x0, b3[l], r03);
+        r10 = std::fma(x1, b0[l], r10);
+        r11 = std::fma(x1, b1[l], r11);
+        r12 = std::fma(x1, b2[l], r12);
+        r13 = std::fma(x1, b3[l], r13);
       }
       float* c0 = c + (i + 0) * n + j;
       float* c1 = c + (i + 1) * n + j;
@@ -629,15 +621,15 @@ __attribute__((target("avx2,fma"))) void GemvTAvx2(const float* __restrict w,
       _mm256_storeu_ps(y + j, acc);
     }
     const float xs = x[i];
-    for (; j < n; ++j) y[j] += xs * row[j];
+    for (; j < n; ++j) y[j] = std::fma(xs, row[j], y[j]);
   }
 }
 
 // tanh over 8 lanes, bit-identical to the host's scalar tanhf. glibc's
 // float tanhf/expm1f are fdlibm's (s_tanhf.c, s_expm1f.c); this body runs
 // their float operations in their order on every lane, computes every
-// range branch and blends the one each lane takes. The function is
-// compiled without "fma", so no multiply-add can be contracted. Branches
+// range branch and blends the one each lane takes. The file is compiled
+// with -ffp-contract=off, so no multiply-add is contracted. Branches
 // that tanh never reaches are left out: expm1f sees only 2|x| in [2, 44)
 // (k in [3, 63]) or -2|x| in (-2, -2^-54] (k in [-3, 0]), so the k = +1
 // case and the huge/-1 saturation filters cannot occur.
@@ -913,21 +905,373 @@ __attribute__((target("avx2,fma"))) void ConvComputeAvx2(
   }
 }
 
-bool CpuHasAvx2Fma() {
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
+// ---------------------------------------------------------------------------
+// AVX-512 micro-kernels (x86-64, runtime-dispatched): 16 lanes, the same
+// per-element arithmetic as the AVX2 kernels above.
+// ---------------------------------------------------------------------------
+
+#define EF_AVX512 \
+  __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma")))
+
+// GCC 12's avx512fintrin.h builds _mm512_undefined_* from a self-
+// initialized variable, which -Wuninitialized reports in every caller of
+// the intrinsics that use it.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#endif
+
+// TanhLanesAvx2 on 16 lanes: the same float operations in the same order,
+// with comparisons into k-masks and masked moves in place of blends.
+EF_AVX512 inline __m512 TanhLanesAvx512(__m512 x) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __m512 two = _mm512_set1_ps(2.0f);
+  const __m512 half = _mm512_set1_ps(0.5f);
+  const __m512 neg_zero = _mm512_set1_ps(-0.0f);
+  const __m512i ix =
+      _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(0x7fffffff));
+  const __m512 ax = _mm512_castsi512_ps(ix);
+  const __m512 sign = _mm512_and_ps(x, neg_zero);
+  // tanhf: |x| >= 1 takes expm1f(2|x|), |x| < 1 takes expm1f(-2|x|).
+  const __mmask16 big =
+      _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x3f7fffff));
+  const __m512 a2 = _mm512_add_ps(ax, ax);  // |arg|, exact.
+  const __m512 neg_sign = _mm512_maskz_mov_ps(_knot_mask16(big), neg_zero);
+  const __m512 arg = _mm512_or_ps(a2, neg_sign);
+
+  // expm1f argument reduction: arg = k*ln2 + xr - c.
+  const __m512i hx = _mm512_castps_si512(a2);
+  const __mmask16 reduce =
+      _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(0x3eb17218));
+  const __mmask16 k_minus_one =
+      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x3f851592), hx);
+  const __m512 ln2_hi = _mm512_set1_ps(6.9313812256e-01f);
+  const __m512 ln2_lo = _mm512_set1_ps(9.0580006145e-06f);
+  const __m512 kf = _mm512_add_ps(
+      _mm512_mul_ps(_mm512_set1_ps(1.4426950216e+00f), arg),
+      _mm512_or_ps(half, neg_sign));
+  __m512i k = _mm512_cvttps_epi32(kf);
+  const __m512 tk = _mm512_cvtepi32_ps(k);
+  __m512 hi = _mm512_sub_ps(arg, _mm512_mul_ps(tk, ln2_hi));
+  __m512 lo = _mm512_mul_ps(tk, ln2_lo);
+  // 0.5 ln2 < |arg| < 1.5 ln2 (negative arg only): k = -1 exactly.
+  hi = _mm512_mask_add_ps(hi, k_minus_one, arg, ln2_hi);
+  lo = _mm512_mask_mov_ps(lo, k_minus_one, _mm512_xor_ps(ln2_lo, neg_zero));
+  k = _mm512_mask_mov_epi32(k, k_minus_one, _mm512_set1_epi32(-1));
+  const __m512 xred = _mm512_sub_ps(hi, lo);
+  const __m512 c = _mm512_sub_ps(_mm512_sub_ps(hi, xred), lo);
+  const __m512 xr = _mm512_mask_mov_ps(arg, reduce, xred);
+  k = _mm512_maskz_mov_epi32(reduce, k);  // k = 0 if not.
+
+  // Primary range.
+  const __m512 hfx = _mm512_mul_ps(xr, half);
+  const __m512 hxs = _mm512_mul_ps(xr, hfx);
+  __m512 r1 = _mm512_mul_ps(_mm512_set1_ps(-2.0109921195e-07f), hxs);
+  r1 = _mm512_mul_ps(_mm512_add_ps(_mm512_set1_ps(4.0082177293e-06f), r1),
+                     hxs);
+  r1 = _mm512_mul_ps(_mm512_add_ps(_mm512_set1_ps(-7.9365076090e-05f), r1),
+                     hxs);
+  r1 = _mm512_mul_ps(_mm512_add_ps(_mm512_set1_ps(1.5873016091e-03f), r1),
+                     hxs);
+  r1 = _mm512_mul_ps(_mm512_add_ps(_mm512_set1_ps(-3.3333335072e-02f), r1),
+                     hxs);
+  r1 = _mm512_add_ps(one, r1);
+  const __m512 t = _mm512_sub_ps(_mm512_set1_ps(3.0f), _mm512_mul_ps(r1, hfx));
+  const __m512 e = _mm512_mul_ps(
+      hxs, _mm512_div_ps(_mm512_sub_ps(r1, t),
+                         _mm512_sub_ps(_mm512_set1_ps(6.0f),
+                                       _mm512_mul_ps(xr, t))));
+  // k = 0: |arg| < 2^-25 returns arg itself, otherwise xr - (xr*e - hxs).
+  const __mmask16 tiny_arg =
+      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x33000000), hx);
+  const __m512 res_k0 = _mm512_mask_mov_ps(
+      _mm512_sub_ps(xr, _mm512_sub_ps(_mm512_mul_ps(xr, e), hxs)), tiny_arg,
+      arg);
+  // k != 0.
+  const __m512 e2 = _mm512_sub_ps(
+      _mm512_sub_ps(_mm512_mul_ps(xr, _mm512_sub_ps(e, c)), c), hxs);
+  const __m512 res_km1 =
+      _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(xr, e2)), half);
+  // k <= -2 or k > 56: y = 1 - (e2 - xr), scaled by 2^k, minus 1.
+  // 2 <= k <= 22: y = (1 - 2^-k) - (e2 - xr), scaled by 2^k.
+  // 23 <= k <= 56: y = (xr - (e2 + 2^-k)) + 1, scaled by 2^k.
+  // The scaling adds k to the exponent field as an integer.
+  const __mmask16 path_a = _kor_mask16(
+      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(-1), k),
+      _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56)));
+  const __mmask16 path_c = _kandn_mask16(
+      path_a, _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(22)));
+  const __m512 one_minus_pow = _mm512_castsi512_ps(_mm512_sub_epi32(
+      _mm512_set1_epi32(0x3f800000),
+      _mm512_srlv_epi32(_mm512_set1_epi32(0x1000000), k)));
+  const __m512 base = _mm512_mask_mov_ps(one_minus_pow, path_a, one);
+  const __m512 y_ab = _mm512_sub_ps(base, _mm512_sub_ps(e2, xr));
+  const __m512 pow_minus_k = _mm512_castsi512_ps(
+      _mm512_slli_epi32(_mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23));
+  const __m512 y_c =
+      _mm512_add_ps(_mm512_sub_ps(xr, _mm512_add_ps(e2, pow_minus_k)), one);
+  __m512 y = _mm512_mask_mov_ps(y_ab, path_c, y_c);
+  y = _mm512_castsi512_ps(
+      _mm512_add_epi32(_mm512_castps_si512(y), _mm512_slli_epi32(k, 23)));
+  y = _mm512_mask_sub_ps(y, path_a, y, one);
+  __m512 em = _mm512_mask_mov_ps(
+      y, _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1)), res_km1);
+  em = _mm512_mask_mov_ps(
+      em, _mm512_cmpeq_epi32_mask(k, _mm512_setzero_si512()), res_k0);
+
+  // tanhf: |x| >= 1 gives 1 - 2/(em + 2), |x| < 1 gives -em/(em + 2); one
+  // division serves both.
+  const __m512 num = _mm512_mask_mov_ps(_mm512_xor_ps(em, neg_zero), big, two);
+  const __m512 q = _mm512_div_ps(num, _mm512_add_ps(em, two));
+  __m512 z = _mm512_mask_sub_ps(q, big, one, q);
+  // |x| >= 22 and +-Inf: +-1 (fdlibm's 1 - tiny and 1/x +- 1 round to it).
+  z = _mm512_mask_mov_ps(
+      z, _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x41afffff)), one);
+  __m512 r = _mm512_xor_ps(z, sign);
+  // |x| < 2^-55, zeros included: x * (1 + x).
+  r = _mm512_mask_mul_ps(
+      r, _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x24000000), ix), x,
+      _mm512_add_ps(one, x));
+  // NaN: 1/x +- 1 returns x quieted, which is x + x.
+  return _mm512_mask_add_ps(
+      r, _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x7f800000)), x, x);
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+// y[i] = tanh(x[i]) for all i: the n % 16 tail takes one masked load and
+// store, its masked-off lanes are never read or written.
+EF_AVX512 void TanhAvx512(const float* x, float* y, int64_t n) {
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(y + i, TanhLanesAvx512(_mm512_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __mmask16 m = static_cast<__mmask16>((1u << (n - i)) - 1);
+    _mm512_mask_storeu_ps(y + i, m,
+                          TanhLanesAvx512(_mm512_maskz_loadu_ps(m, x + i)));
+  }
+}
+
+// Same contract as PackConvPanelPortable, 16 lanes per tap: one masked
+// load when the block's taps are consecutive floats, one masked gather
+// otherwise; masked-off lanes are +0 and are never read. The lane masks
+// come from the block's tap coordinates, two compares per tap, so this
+// path needs no FillConvMasks.
+EF_AVX512 void PackConvPanelAvx512(const ConvGeometry& g, const ConvBlock& b,
+                                   float* panel) {
+  const int64_t hw = g.h * g.w;
+  const int64_t taps = g.k * g.k;
+  const __m512i iy0 = _mm512_loadu_si512(b.iy0);
+  const __m512i ix0 = _mm512_loadu_si512(b.ix0);
+  const __m512i h = _mm512_set1_epi32(static_cast<int32_t>(g.h));
+  const __m512i w = _mm512_set1_epi32(static_cast<int32_t>(g.w));
+  const __m512i idx = _mm512_loadu_si512(b.in_off);
+  for (int ky = 0; ky < g.k; ++ky) {
+    // Unsigned compares test 0 <= v < bound in one go.
+    const __mmask16 row = _mm512_cmplt_epu32_mask(
+        _mm512_add_epi32(iy0, _mm512_set1_epi32(ky)), h);
+    for (int kx = 0; kx < g.k; ++kx) {
+      const __mmask16 m = _kand_mask16(
+          row, _mm512_cmplt_epu32_mask(
+                   _mm512_add_epi32(ix0, _mm512_set1_epi32(kx)), w));
+      const float* src = b.in_base + ky * g.w + kx;
+      float* dst = panel + (ky * g.k + kx) * kConvBlock;
+      if (b.in_run16) {
+        src += b.in_off[0];
+        for (int64_t ch = 0; ch < g.c; ++ch) {
+          _mm512_storeu_ps(dst + ch * taps * kConvBlock,
+                           _mm512_maskz_loadu_ps(m, src + ch * hw));
+        }
+      } else {
+        for (int64_t ch = 0; ch < g.c; ++ch) {
+          _mm512_storeu_ps(dst + ch * taps * kConvBlock,
+                           _mm512_mask_i32gather_ps(_mm512_setzero_ps(), m, idx,
+                                                    src + ch * hw, 4));
+        }
+      }
+    }
+  }
+}
+
+// Stores the block's columns of output channel `oc`, with one float add of
+// the bias when there is one.
+EF_AVX512 inline void StoreConvLanesAvx512(__m512 v, const float* bias,
+                                           int64_t oc, const ConvBlock& b,
+                                           float* out, int64_t ohow) {
+  if (bias != nullptr) v = _mm512_add_ps(v, _mm512_set1_ps(bias[oc]));
+  float* dst = out + oc * ohow;
+  if (b.out_run16) {
+    const __mmask16 m = static_cast<__mmask16>((1u << b.valid) - 1);
+    _mm512_mask_storeu_ps(dst + b.out_off[0], m, v);
+    return;
+  }
+  alignas(64) float lanes[kConvBlock];
+  _mm512_store_ps(lanes, v);
+  for (int t = 0; t < b.valid; ++t) dst[b.out_off[t]] = lanes[t];
+}
+
+// Output rows [i, i + kRows) of one block: per panel row, one 16-lane load
+// feeds kRows fmas, each output's chain over l from +0 as in
+// ConvComputePortable.
+template <int kRows>
+EF_AVX512 inline void ConvRowsAvx512(const float* __restrict a,
+                                     const float* bias,
+                                     const float* __restrict panel, int64_t i,
+                                     int64_t kk, const ConvBlock& b,
+                                     float* out, int64_t ohow) {
+  const float* ai = a + i * kk;
+  __m512 acc[kRows];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) acc[r] = _mm512_setzero_ps();
+  for (int64_t l = 0; l < kk; ++l) {
+    const __m512 br = _mm512_loadu_ps(panel + l * kConvBlock);
+#pragma GCC unroll 8
+    for (int r = 0; r < kRows; ++r) {
+      acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(ai[r * kk + l]), br, acc[r]);
+    }
+  }
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    StoreConvLanesAvx512(acc[r], bias, i + r, b, out, ohow);
+  }
+}
+
+// Same contract as ConvComputePortable, on an 8-row x 16-column tile.
+EF_AVX512 void ConvComputeAvx512(const float* __restrict a, const float* bias,
+                                 const float* __restrict panel, int64_t m,
+                                 int64_t kk, const ConvBlock& b, float* out,
+                                 int64_t ohow) {
+  int64_t i = 0;
+  for (; i + 8 <= m; i += 8) {
+    ConvRowsAvx512<8>(a, bias, panel, i, kk, b, out, ohow);
+  }
+  if (i + 4 <= m) {
+    ConvRowsAvx512<4>(a, bias, panel, i, kk, b, out, ohow);
+    i += 4;
+  }
+  for (; i < m; ++i) ConvRowsAvx512<1>(a, bias, panel, i, kk, b, out, ohow);
+}
+
+// GemmNTRowsAvx512 reads B packed as a k x n16 panel, n16 = n rounded up
+// to 16 with zero columns, so one 16-lane load holds one l of 16 outputs.
+// It rereads the panel once per pair of A rows, so it runs only while the
+// panel stays in L1, and the packing (k * n16 moves) repays itself only
+// over enough rows; below m = k GemmNTRowsAvx2 is faster on the shapes
+// measured (docs/PERFORMANCE.md, "Kernel paths").
+constexpr int64_t kNTPanelMaxFloats = 8192;  // 32 KiB.
+
+int64_t RoundUp16(int64_t n) { return (n + 15) / 16 * 16; }
+
+// panel[l * n16 + j] = b[j * k + l]; columns n..n16-1 are +0.
+void PackGemmNTPanel(const float* b, int64_t n, int64_t k, float* panel) {
+  const int64_t n16 = RoundUp16(n);
+  for (int64_t l = 0; l < k; ++l) {
+    float* row = panel + l * n16;
+    for (int64_t j = 0; j < n; ++j) row[j] = b[j * k + l];
+    for (int64_t j = n; j < n16; ++j) row[j] = 0.0f;
+  }
+}
+
+// C rows [i, i + kRows), columns [j, j + 16) clipped to n. Same contract
+// as Dot8Portable with lanes over output columns: the 8 lane-chains of
+// each output are 8 accumulators, HSum8 becomes vertical adds, and the
+// remaining l take one fma each.
+template <int kRows>
+EF_AVX512 inline void GemmNTTileAvx512(const float* __restrict a,
+                                       const float* __restrict panel,
+                                       float* __restrict c, int64_t i,
+                                       int64_t j, int64_t n, int64_t k) {
+  const int64_t n16 = RoundUp16(n);
+  const float* bp = panel + j;
+  __m512 s[kRows][8];
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+#pragma GCC unroll 8
+    for (int t = 0; t < 8; ++t) s[r][t] = _mm512_setzero_ps();
+  }
+  int64_t l = 0;
+  for (; l + 8 <= k; l += 8) {
+#pragma GCC unroll 8
+    for (int t = 0; t < 8; ++t) {
+      __m512 bv = _mm512_loadu_ps(bp + (l + t) * n16);
+      // Held in a register, so each fma takes its A element as an embedded
+      // broadcast instead of reloading B.
+      __asm__("" : "+v"(bv));
+#pragma GCC unroll 8
+      for (int r = 0; r < kRows; ++r) {
+        s[r][t] = _mm512_fmadd_ps(_mm512_set1_ps(a[(i + r) * k + l + t]), bv,
+                                  s[r][t]);
+      }
+    }
+  }
+  const __mmask16 m =
+      static_cast<__mmask16>((1u << std::min<int64_t>(16, n - j)) - 1);
+#pragma GCC unroll 8
+  for (int r = 0; r < kRows; ++r) {
+    __m512 v = _mm512_add_ps(
+        _mm512_add_ps(_mm512_add_ps(s[r][0], s[r][4]),
+                      _mm512_add_ps(s[r][2], s[r][6])),
+        _mm512_add_ps(_mm512_add_ps(s[r][1], s[r][5]),
+                      _mm512_add_ps(s[r][3], s[r][7])));
+    for (int64_t q = l; q < k; ++q) {
+      v = _mm512_fmadd_ps(_mm512_set1_ps(a[(i + r) * k + q]),
+                          _mm512_loadu_ps(bp + q * n16), v);
+    }
+    _mm512_mask_storeu_ps(c + (i + r) * n + j, m, v);
+  }
+}
+
+// Same contract as GemmNTRowsPortable, from the packed panel.
+EF_AVX512 void GemmNTRowsAvx512(const float* __restrict a,
+                                const float* __restrict panel,
+                                float* __restrict c, int64_t r0, int64_t r1,
+                                int64_t n, int64_t k) {
+  int64_t i = r0;
+  for (; i + 2 <= r1; i += 2) {
+    for (int64_t j = 0; j < n; j += 16) {
+      GemmNTTileAvx512<2>(a, panel, c, i, j, n, k);
+    }
+  }
+  for (; i < r1; ++i) {
+    for (int64_t j = 0; j < n; j += 16) {
+      GemmNTTileAvx512<1>(a, panel, c, i, j, n, k);
+    }
+  }
 }
 
 #endif  // EF_KERNELS_X86
 
-bool UseSimd() {
+// The widest path this CPU supports; AVX-512 needs the F, DQ, BW and VL
+// subsets (the OS must also save zmm state, which the check includes).
+KernelPath HostKernelPath() {
+  static const KernelPath path = [] {
 #if defined(EF_KERNELS_X86)
-  return CpuHasAvx2Fma();
-#else
-  return false;
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
+      if (__builtin_cpu_supports("avx512f") &&
+          __builtin_cpu_supports("avx512dq") &&
+          __builtin_cpu_supports("avx512bw") &&
+          __builtin_cpu_supports("avx512vl")) {
+        return KernelPath::kAvx512;
+      }
+      return KernelPath::kAvx2;
+    }
 #endif
+    return KernelPath::kPortable;
+  }();
+  return path;
 }
+
+std::atomic<KernelPath>& PathSlot() {
+  static std::atomic<KernelPath> slot{HostKernelPath()};
+  return slot;
+}
+
+// The path every dispatch below takes.
+KernelPath ActivePath() { return PathSlot().load(std::memory_order_relaxed); }
 
 // Dispatches one row chunk of the axpy-oriented kernels (Gemm / GemmTN).
 void GemmAccRows(const float* a, int64_t as_i, int64_t as_l, const float* b,
@@ -936,7 +1280,7 @@ void GemmAccRows(const float* a, int64_t as_i, int64_t as_l, const float* b,
   std::memset(c + r0 * n, 0,
               static_cast<size_t>((r1 - r0) * n) * sizeof(float));
 #if defined(EF_KERNELS_X86)
-  if (CpuHasAvx2Fma()) {
+  if (ActivePath() != KernelPath::kPortable) {
     GemmAccRowsAvx2(a, as_i, as_l, b, c, r0, r1, n, k);
     return;
   }
@@ -961,11 +1305,20 @@ void ConvBlocks(const float* weight, const float* bias, const float* in,
   if (mask_buf.size() < mask_n) mask_buf.resize(mask_n);
   float* panel = panel_buf.data();
   int32_t* masks = mask_buf.data();
+  [[maybe_unused]] const KernelPath path = ActivePath();
   ConvBlock b;
   for (int64_t blk = blk0; blk < blk1; ++blk) {
-    FillConvBlock(g, in, blk * kConvBlock, cols, &b, masks);
+    FillConvBlock(g, in, blk * kConvBlock, cols, &b);
 #if defined(EF_KERNELS_X86)
-    if (CpuHasAvx2Fma()) {
+    if (path == KernelPath::kAvx512) {
+      PackConvPanelAvx512(g, b, panel);
+      ConvComputeAvx512(weight, bias, panel, g.out_ch, kk, b, out, ohow);
+      continue;
+    }
+#endif
+    FillConvMasks(g, b, masks);
+#if defined(EF_KERNELS_X86)
+    if (path == KernelPath::kAvx2) {
       if (b.valid > 8) {
         PackConvPanelAvx2(g, b, masks, 2, panel);
         ConvComputeAvx2<2>(weight, bias, panel, g.out_ch, kk, b, out, ohow);
@@ -985,7 +1338,7 @@ void ConvBlocks(const float* weight, const float* bias, const float* in,
 void GemmNTRows(const float* a, const float* b, float* c, int64_t r0,
                 int64_t r1, int64_t n, int64_t k) {
 #if defined(EF_KERNELS_X86)
-  if (CpuHasAvx2Fma()) {
+  if (ActivePath() != KernelPath::kPortable) {
     GemmNTRowsAvx2(a, b, c, r0, r1, n, k);
     return;
   }
@@ -994,6 +1347,32 @@ void GemmNTRows(const float* a, const float* b, float* c, int64_t r0,
 }
 
 }  // namespace
+
+const char* KernelPathName(KernelPath path) {
+  switch (path) {
+    case KernelPath::kPortable:
+      return "portable";
+    case KernelPath::kAvx2:
+      return "avx2";
+    case KernelPath::kAvx512:
+      return "avx512";
+  }
+  return "unknown";
+}
+
+std::vector<KernelPath> SupportedKernelPaths() {
+  std::vector<KernelPath> paths;
+  for (const KernelPath p :
+       {KernelPath::kPortable, KernelPath::kAvx2, KernelPath::kAvx512}) {
+    if (p <= HostKernelPath()) paths.push_back(p);
+  }
+  return paths;
+}
+
+void SetKernelPathForTest(KernelPath path) {
+  EF_CHECK(path <= HostKernelPath());
+  PathSlot().store(path, std::memory_order_relaxed);
+}
 
 void SetKernelThreads(int n) {
   std::lock_guard<std::mutex> lock(pool_mu);
@@ -1018,12 +1397,11 @@ int64_t KernelParallelFlopThreshold() {
   return parallel_flops.load(std::memory_order_relaxed);
 }
 
-bool KernelSimdEnabled() { return UseSimd(); }
-
 std::string KernelDescription() {
-  return util::StrFormat("%s, %d thread%s",
-                         UseSimd() ? "avx2+fma simd" : "portable scalar",
-                         KernelThreads(), KernelThreads() == 1 ? "" : "s");
+  const int threads = KernelThreads();
+  return util::StrFormat("%s kernel path, %d thread%s",
+                         KernelPathName(ActivePath()), threads,
+                         threads == 1 ? "" : "s");
 }
 
 // The serial fast path skips ParallelRows entirely: constructing the
@@ -1057,6 +1435,26 @@ void GemmTNKernel(const float* a, const float* b, float* c, int64_t m,
 void GemmNTKernel(const float* a, const float* b, float* c, int64_t m,
                   int64_t n, int64_t k) {
   const int64_t flops = 2 * m * n * k;
+#if defined(EF_KERNELS_X86)
+  if (ActivePath() == KernelPath::kAvx512 && m >= k &&
+      k * RoundUp16(n) <= kNTPanelMaxFloats) {
+    // Packed once on the caller's thread; the chunks only read it, and the
+    // caller waits for them, so the thread-local buffer outlives them.
+    static thread_local std::vector<float> panel_buf;
+    const size_t panel_n = static_cast<size_t>(k * RoundUp16(n));
+    if (panel_buf.size() < panel_n) panel_buf.resize(panel_n);
+    const float* panel = panel_buf.data();
+    PackGemmNTPanel(b, n, k, panel_buf.data());
+    if (!WillParallelize(flops)) {
+      GemmNTRowsAvx512(a, panel, c, 0, m, n, k);
+      return;
+    }
+    ParallelRows(m, flops, [=](int64_t r0, int64_t r1) {
+      GemmNTRowsAvx512(a, panel, c, r0, r1, n, k);
+    });
+    return;
+  }
+#endif
   if (!WillParallelize(flops)) {
     GemmNTRows(a, b, c, 0, m, n, k);
     return;
@@ -1092,9 +1490,16 @@ void ParallelChunksKernel(int64_t n, int64_t flops,
 void TanhKernel(const float* x, float* y, int64_t n) {
   int64_t i = 0;
 #if defined(EF_KERNELS_X86)
-  if (CpuHasAvx2Fma()) {
-    TanhAvx2(x, y, n);
-    i = n - n % 8;
+  switch (ActivePath()) {
+    case KernelPath::kAvx512:
+      TanhAvx512(x, y, n);
+      return;
+    case KernelPath::kAvx2:
+      TanhAvx2(x, y, n);
+      i = n - n % 8;
+      break;
+    case KernelPath::kPortable:
+      break;
   }
 #endif
   for (; i < n; ++i) y[i] = std::tanh(x[i]);
@@ -1103,7 +1508,7 @@ void TanhKernel(const float* x, float* y, int64_t n) {
 void GemvKernel(const float* w, const float* x, float* y, int64_t m,
                 int64_t n) {
 #if defined(EF_KERNELS_X86)
-  if (CpuHasAvx2Fma()) {
+  if (ActivePath() != KernelPath::kPortable) {
     GemvRowsAvx2(w, x, y, 0, m, n);
     return;
   }
@@ -1114,7 +1519,7 @@ void GemvKernel(const float* w, const float* x, float* y, int64_t m,
 void GemvTKernel(const float* w, const float* x, float* y, int64_t m,
                  int64_t n) {
 #if defined(EF_KERNELS_X86)
-  if (CpuHasAvx2Fma()) {
+  if (ActivePath() != KernelPath::kPortable) {
     GemvTAvx2(w, x, y, m, n);
     return;
   }
@@ -1123,7 +1528,7 @@ void GemvTKernel(const float* w, const float* x, float* y, int64_t m,
   for (int64_t i = 0; i < m; ++i) {
     const float xv = x[i];
     const float* __restrict row = w + i * n;
-    for (int64_t j = 0; j < n; ++j) y[j] += xv * row[j];
+    for (int64_t j = 0; j < n; ++j) y[j] = std::fma(xv, row[j], y[j]);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 namespace errorflow {
 namespace tensor {
@@ -12,11 +13,12 @@ namespace tensor {
 ///
 /// All dense linear algebra in the library funnels into the raw kernels
 /// declared here: cache-blocked micro-kernels with register-tiled inner
-/// loops, an AVX2+FMA implementation selected at runtime on x86-64 (with a
-/// portable unrolled fallback), and row-partitioned multithreading over a
-/// process-shared util::ThreadPool. Small problems stay serial: a GEMM is
-/// fanned out only when its FLOP count crosses the parallel threshold, so
-/// per-layer latency never regresses for the narrow models of the paper.
+/// loops, AVX2+FMA and AVX-512 implementations selected at runtime on x86-64
+/// (with a portable fallback of the same numerics), and row-partitioned
+/// multithreading over a process-shared util::ThreadPool. Small problems
+/// stay serial: a GEMM is fanned out only when its FLOP count crosses the
+/// parallel threshold, so per-layer latency never regresses for the narrow
+/// models of the paper.
 ///
 /// Buffers are row-major, dense, non-aliasing. Output buffers are fully
 /// overwritten.
@@ -33,11 +35,28 @@ int KernelThreads();
 void SetKernelParallelFlopThreshold(int64_t flops);
 int64_t KernelParallelFlopThreshold();
 
-/// True when the AVX2+FMA micro-kernels are compiled in and supported by
-/// the CPU at runtime.
-bool KernelSimdEnabled();
+/// The instruction-set path every kernel call runs on, chosen once at
+/// startup: the widest this host supports (docs/PERFORMANCE.md, "Kernel
+/// paths"). All paths produce the same bits: every output runs the same
+/// chain of fused multiply-adds from +0 in the same k order, then one
+/// bias add. On kAvx512, Conv2dKernel, TanhKernel and GemmNTKernel take
+/// 16-lane kernels; the other kernels run their AVX2 code.
+enum class KernelPath { kPortable, kAvx2, kAvx512 };
 
-/// Human-readable summary, e.g. "avx2+fma simd, 4 threads" (bench output).
+/// "portable", "avx2" or "avx512".
+const char* KernelPathName(KernelPath path);
+
+/// The paths this host supports, narrowest first; the last is the default.
+std::vector<KernelPath> SupportedKernelPaths();
+
+/// Test-only (tests and the per-path bench rows): runs every later kernel
+/// call on `path`, which must be in SupportedKernelPaths(). The setting is
+/// process-wide; switch it from one thread while no kernel runs, and
+/// restore SupportedKernelPaths().back().
+void SetKernelPathForTest(KernelPath path);
+
+/// Human-readable summary naming the live path and the worker count, e.g.
+/// "avx512 kernel path, 4 threads" (bench output and BENCH host records).
 std::string KernelDescription();
 
 /// C(m x n) = A(m x k) * B(k x n).
@@ -85,9 +104,10 @@ void Conv2dKernel(const float* weight, const float* bias, const float* in,
                   float* out, const ConvGeometry& g);
 
 /// y[i] = tanh(x[i]), bit-identical to std::tanh(float) on a glibc libm,
-/// whose float tanhf is fdlibm's: under AVX2 an 8-lane port of its float
-/// operations (docs/PERFORMANCE.md, "Activation kernels"), std::tanh for
-/// the n % 8 tail and on other hosts. `y` may equal `x`.
+/// whose float tanhf is fdlibm's: a 16-lane (AVX-512, masked tail) or
+/// 8-lane (AVX2) port of its float operations (docs/PERFORMANCE.md,
+/// "Activation kernels"), std::tanh for the AVX2 n % 8 tail and on the
+/// portable path. `y` may equal `x`.
 void TanhKernel(const float* x, float* y, int64_t n);
 
 /// True when a problem of `flops` floating-point operations would fan out

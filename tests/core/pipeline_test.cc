@@ -188,12 +188,9 @@ TEST(PipelineTest, ExecuteQuantizedReusesVariantCache) {
 
 // Pins the quantized variants' outputs on the h2 surrogate's architecture
 // (9 -> 50 -> 50 -> 9, Tanh). The digests were taken before the activation
-// loops were split per kind and Tanh moved to a vector kernel; they hold
-// for the AVX2+FMA GEMM kernels on a glibc host.
+// loops were split per kind and Tanh moved to a vector kernel; they hold on
+// every kernel path of a glibc host.
 TEST(PipelineTest, ExecuteQuantizedDigestsPinned) {
-  if (!tensor::KernelSimdEnabled()) {
-    GTEST_SKIP() << "digests pinned for the AVX2+FMA kernels";
-  }
   nn::MlpConfig mlp;
   mlp.input_dim = 9;
   mlp.hidden_dims = {50, 50};
@@ -208,13 +205,15 @@ TEST(PipelineTest, ExecuteQuantizedDigestsPinned) {
   } cases[] = {{NumericFormat::kFP32, 0xdab1d82b1685238dull},
                {NumericFormat::kFP16, 0xf04cd804eae95bbdull},
                {NumericFormat::kINT8, 0x8e584d598f2a4513ull}};
-  for (const auto& c : cases) {
-    auto out = pipeline.ExecuteQuantized(batch, c.format);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(testing::Digest(*out), c.digest)
-        << quant::FormatToString(c.format) << std::hex << " 0x"
-        << testing::Digest(*out);
-  }
+  testing::ForEachKernelPath([&] {
+    for (const auto& c : cases) {
+      auto out = pipeline.ExecuteQuantized(batch, c.format);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(testing::Digest(*out), c.digest)
+          << quant::FormatToString(c.format) << std::hex << " 0x"
+          << testing::Digest(*out);
+    }
+  });
 }
 
 // FNV-1a over the bit patterns of `values`.
@@ -234,58 +233,58 @@ uint64_t DigestDoubles(const std::vector<double>& values) {
 // at 16x16, stages {8, 16, 32, 64} of two blocks, PSN, untrained weights):
 // the PSN Predict, every conv's operator norm, the planned bounds and each
 // quantized variant's outputs. The digests were taken while convolution
-// still ran im2col + GEMM + a bias-add relayout; they hold for the
-// AVX2+FMA kernels.
+// still ran im2col + GEMM + a bias-add relayout; they hold on every kernel
+// path. The model, pipeline and plans are rebuilt per path, so operator
+// norms and bounds are computed there too.
 TEST(PipelineTest, EuroSatResNetDigestsPinned) {
-  if (!tensor::KernelSimdEnabled()) {
-    GTEST_SKIP() << "digests pinned for the AVX2+FMA kernels";
-  }
-  nn::ResNetConfig cfg;
-  cfg.in_channels = 13;
-  cfg.num_classes = 10;
-  cfg.stage_channels = {8, 16, 32, 64};
-  cfg.stage_blocks = {2, 2, 2, 2};
-  cfg.use_psn = true;
-  cfg.seed = 7;
-  nn::Model model = nn::BuildResNet(cfg);
-  const Tensor batch = testing::RandomTensor({32, 13, 16, 16}, 11);
-  const Tensor predicted = model.Predict(batch);
-  EXPECT_EQ(testing::Digest(predicted), 0x40108d44f56390a9ull)
-      << "predict" << std::hex << " 0x" << testing::Digest(predicted);
+  testing::ForEachKernelPath([] {
+    nn::ResNetConfig cfg;
+    cfg.in_channels = 13;
+    cfg.num_classes = 10;
+    cfg.stage_channels = {8, 16, 32, 64};
+    cfg.stage_blocks = {2, 2, 2, 2};
+    cfg.use_psn = true;
+    cfg.seed = 7;
+    nn::Model model = nn::BuildResNet(cfg);
+    const Tensor batch = testing::RandomTensor({32, 13, 16, 16}, 11);
+    const Tensor predicted = model.Predict(batch);
+    EXPECT_EQ(testing::Digest(predicted), 0x40108d44f56390a9ull)
+        << "predict" << std::hex << " 0x" << testing::Digest(predicted);
 
-  std::vector<double> norms;
-  model.VisitLayers([&](const nn::Layer* layer) {
-    if (const auto* c = dynamic_cast<const nn::Conv2dLayer*>(layer)) {
-      norms.push_back(c->OperatorNorm(16 / c->stride(), 16 / c->stride()));
+    std::vector<double> norms;
+    model.VisitLayers([&](const nn::Layer* layer) {
+      if (const auto* c = dynamic_cast<const nn::Conv2dLayer*>(layer)) {
+        norms.push_back(c->OperatorNorm(16 / c->stride(), 16 / c->stride()));
+      }
+    });
+    EXPECT_EQ(DigestDoubles(norms), 0x587f9ed268962207ull)
+        << "operator norms" << std::hex << " 0x" << DigestDoubles(norms);
+
+    InferencePipeline pipeline(std::move(model), {1, 13, 16, 16},
+                               PipelineConfig());
+    std::vector<double> bounds;
+    for (const double tol : {0.3, 3.0, 30.0}) {
+      const AllocationPlan plan = pipeline.Plan(tol);
+      bounds.push_back(plan.input_tolerance);
+      bounds.push_back(plan.predicted_total_bound);
+    }
+    EXPECT_EQ(DigestDoubles(bounds), 0x1d27104ea87010a5ull)
+        << "bounds" << std::hex << " 0x" << DigestDoubles(bounds);
+
+    const struct {
+      NumericFormat format;
+      uint64_t digest;
+    } cases[] = {{NumericFormat::kFP32, 0xde9a24fe0617341dull},
+                 {NumericFormat::kFP16, 0x209babab99c5ff93ull},
+                 {NumericFormat::kINT8, 0x6e717b07adcba8b1ull}};
+    for (const auto& c : cases) {
+      auto out = pipeline.ExecuteQuantized(batch, c.format);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      EXPECT_EQ(testing::Digest(*out), c.digest)
+          << quant::FormatToString(c.format) << std::hex << " 0x"
+          << testing::Digest(*out);
     }
   });
-  EXPECT_EQ(DigestDoubles(norms), 0x587f9ed268962207ull)
-      << "operator norms" << std::hex << " 0x" << DigestDoubles(norms);
-
-  InferencePipeline pipeline(std::move(model), {1, 13, 16, 16},
-                             PipelineConfig());
-  std::vector<double> bounds;
-  for (const double tol : {0.3, 3.0, 30.0}) {
-    const AllocationPlan plan = pipeline.Plan(tol);
-    bounds.push_back(plan.input_tolerance);
-    bounds.push_back(plan.predicted_total_bound);
-  }
-  EXPECT_EQ(DigestDoubles(bounds), 0x1d27104ea87010a5ull)
-      << "bounds" << std::hex << " 0x" << DigestDoubles(bounds);
-
-  const struct {
-    NumericFormat format;
-    uint64_t digest;
-  } cases[] = {{NumericFormat::kFP32, 0xde9a24fe0617341dull},
-               {NumericFormat::kFP16, 0x209babab99c5ff93ull},
-               {NumericFormat::kINT8, 0x6e717b07adcba8b1ull}};
-  for (const auto& c : cases) {
-    auto out = pipeline.ExecuteQuantized(batch, c.format);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-    EXPECT_EQ(testing::Digest(*out), c.digest)
-        << quant::FormatToString(c.format) << std::hex << " 0x"
-        << testing::Digest(*out);
-  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Equivalence tests for the batched conv execution path: the implicit-GEMM
-// forward must be bit-identical to a retained naive per-sample reference
-// (per-element predicated im2col into channel-major columns + one Gemm per
-// sample + scalar bias-add), threaded runs must match serial runs
-// bit-for-bit, and the batched Backward must agree with finite
-// differences.
+// Equivalence tests for the batched conv execution path: on every kernel
+// path, the implicit-GEMM forward must be bit-identical to a retained naive
+// per-sample reference (per-element predicated im2col into channel-major
+// columns + one Gemm per sample + scalar bias-add) and threaded runs must
+// match serial runs bit-for-bit; the batched Backward must agree with
+// finite differences.
 #include <cstring>
 #include <limits>
 #include <vector>
@@ -104,95 +104,103 @@ void ExpectBitIdentical(const Tensor& a, const Tensor& b) {
 }
 
 TEST_F(ConvBatchedTest, ForwardBitExactMatchesSeedPerSamplePath) {
-  for (const ConvCase& cc : kCases) {
-    Conv2dLayer conv(cc.c, cc.out_ch, cc.k, cc.s, cc.p);
-    conv.InitHe(17);
-    for (int64_t i = 0; i < conv.mutable_bias().size(); ++i) {
-      conv.mutable_bias()[i] = 0.05f * static_cast<float>(i) - 0.1f;
+  testing::ForEachKernelPath([&] {
+    for (const ConvCase& cc : kCases) {
+      Conv2dLayer conv(cc.c, cc.out_ch, cc.k, cc.s, cc.p);
+      conv.InitHe(17);
+      for (int64_t i = 0; i < conv.mutable_bias().size(); ++i) {
+        conv.mutable_bias()[i] = 0.05f * static_cast<float>(i) - 0.1f;
+      }
+      const Tensor x = testing::RandomTensor({cc.n, cc.c, cc.h, cc.w}, 3);
+      const Tensor ref = SeedPerSampleForward(x, conv.weight(), conv.bias(),
+                                              cc.out_ch, cc.k, cc.s, cc.p);
+      for (const bool training : {false, true}) {
+        Tensor out;
+        conv.Forward(x, &out, training);
+        ExpectBitIdentical(ref, out);
+      }
     }
-    const Tensor x = testing::RandomTensor({cc.n, cc.c, cc.h, cc.w}, 3);
-    const Tensor ref = SeedPerSampleForward(x, conv.weight(), conv.bias(),
-                                            cc.out_ch, cc.k, cc.s, cc.p);
-    for (const bool training : {false, true}) {
-      Tensor out;
-      conv.Forward(x, &out, training);
-      ExpectBitIdentical(ref, out);
-    }
-  }
+  });
 }
 
 TEST_F(ConvBatchedTest, ForwardBitExactOnSpecialValues) {
-  // Signed zeros, infinities, NaN and subnormals sprinkled through the
-  // input: padded taps must enter every multiply-add as +0, exactly as the
-  // column matrix holds them, for NaN, Inf and -0 to land the same.
-  const float kInf = std::numeric_limits<float>::infinity();
-  const float specials[] = {0.0f,
-                            -0.0f,
-                            kInf,
-                            -kInf,
-                            std::numeric_limits<float>::quiet_NaN(),
-                            std::numeric_limits<float>::denorm_min(),
-                            -std::numeric_limits<float>::denorm_min(),
-                            1e-39f,
-                            -3e-40f};
-  for (const ConvCase& cc : kCases) {
-    Conv2dLayer conv(cc.c, cc.out_ch, cc.k, cc.s, cc.p);
-    conv.InitHe(19);
-    for (int64_t i = 0; i < conv.mutable_bias().size(); ++i) {
-      conv.mutable_bias()[i] = 0.03f * static_cast<float>(i) - 0.1f;
+  testing::ForEachKernelPath([&] {
+    // Signed zeros, infinities, NaN and subnormals sprinkled through the
+    // input: padded taps must enter every multiply-add as +0, exactly as the
+    // column matrix holds them, for NaN, Inf and -0 to land the same.
+    const float kInf = std::numeric_limits<float>::infinity();
+    const float specials[] = {0.0f,
+                              -0.0f,
+                              kInf,
+                              -kInf,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::numeric_limits<float>::denorm_min(),
+                              1e-39f,
+                              -3e-40f};
+    for (const ConvCase& cc : kCases) {
+      Conv2dLayer conv(cc.c, cc.out_ch, cc.k, cc.s, cc.p);
+      conv.InitHe(19);
+      for (int64_t i = 0; i < conv.mutable_bias().size(); ++i) {
+        conv.mutable_bias()[i] = 0.03f * static_cast<float>(i) - 0.1f;
+      }
+      Tensor x = testing::RandomTensor({cc.n, cc.c, cc.h, cc.w}, 5);
+      for (int64_t i = 0; i < x.size(); i += 29) {
+        x[i] = specials[(i / 29) % 9];
+      }
+      const Tensor ref = SeedPerSampleForward(x, conv.weight(), conv.bias(),
+                                              cc.out_ch, cc.k, cc.s, cc.p);
+      Tensor out;
+      conv.Forward(x, &out, false);
+      ExpectBitIdentical(ref, out);
+      // All -0 input: every output is the bias added to +0.
+      x.Fill(-0.0f);
+      Tensor zeros;
+      conv.Forward(x, &zeros, false);
+      ExpectBitIdentical(SeedPerSampleForward(x, conv.weight(), conv.bias(),
+                                              cc.out_ch, cc.k, cc.s, cc.p),
+                         zeros);
     }
-    Tensor x = testing::RandomTensor({cc.n, cc.c, cc.h, cc.w}, 5);
-    for (int64_t i = 0; i < x.size(); i += 29) {
-      x[i] = specials[(i / 29) % 9];
-    }
-    const Tensor ref = SeedPerSampleForward(x, conv.weight(), conv.bias(),
-                                            cc.out_ch, cc.k, cc.s, cc.p);
-    Tensor out;
-    conv.Forward(x, &out, false);
-    ExpectBitIdentical(ref, out);
-    // All -0 input: every output is the bias added to +0.
-    x.Fill(-0.0f);
-    Tensor zeros;
-    conv.Forward(x, &zeros, false);
-    ExpectBitIdentical(SeedPerSampleForward(x, conv.weight(), conv.bias(),
-                                            cc.out_ch, cc.k, cc.s, cc.p),
-                       zeros);
-  }
+  });
 }
 
 TEST_F(ConvBatchedTest, ForwardThreadedMatchesSerialBitExact) {
-  for (const ConvCase& cc : kCases) {
-    Conv2dLayer conv(cc.c, cc.out_ch, cc.k, cc.s, cc.p);
-    conv.InitHe(23);
-    const Tensor x = testing::RandomTensor({cc.n, cc.c, cc.h, cc.w}, 7);
+  testing::ForEachKernelPath([&] {
+    for (const ConvCase& cc : kCases) {
+      Conv2dLayer conv(cc.c, cc.out_ch, cc.k, cc.s, cc.p);
+      conv.InitHe(23);
+      const Tensor x = testing::RandomTensor({cc.n, cc.c, cc.h, cc.w}, 7);
+      tensor::SetKernelThreads(1);
+      Tensor serial;
+      conv.Forward(x, &serial, false);
+      tensor::SetKernelThreads(4);
+      tensor::SetKernelParallelFlopThreshold(1);
+      Tensor threaded;
+      conv.Forward(x, &threaded, false);
+      ExpectBitIdentical(serial, threaded);
+      tensor::SetKernelThreads(0);
+      tensor::SetKernelParallelFlopThreshold(1 << 21);
+    }
+  });
+}
+
+TEST_F(ConvBatchedTest, PsnForwardThreadedMatchesSerialBitExact) {
+  testing::ForEachKernelPath([&] {
+    // Two identical clones, each run exactly once, so the warm-started PSN
+    // power iteration sees the same state in both configurations.
+    Conv2dLayer conv(3, 6, 3, 1, 1, /*use_psn=*/true);
+    conv.InitHe(29);
+    auto clone = conv.Clone();
+    const Tensor x = testing::RandomTensor({4, 3, 10, 10}, 11);
     tensor::SetKernelThreads(1);
     Tensor serial;
     conv.Forward(x, &serial, false);
     tensor::SetKernelThreads(4);
     tensor::SetKernelParallelFlopThreshold(1);
     Tensor threaded;
-    conv.Forward(x, &threaded, false);
+    clone->Forward(x, &threaded, false);
     ExpectBitIdentical(serial, threaded);
-    tensor::SetKernelThreads(0);
-    tensor::SetKernelParallelFlopThreshold(1 << 21);
-  }
-}
-
-TEST_F(ConvBatchedTest, PsnForwardThreadedMatchesSerialBitExact) {
-  // Two identical clones, each run exactly once, so the warm-started PSN
-  // power iteration sees the same state in both configurations.
-  Conv2dLayer conv(3, 6, 3, 1, 1, /*use_psn=*/true);
-  conv.InitHe(29);
-  auto clone = conv.Clone();
-  const Tensor x = testing::RandomTensor({4, 3, 10, 10}, 11);
-  tensor::SetKernelThreads(1);
-  Tensor serial;
-  conv.Forward(x, &serial, false);
-  tensor::SetKernelThreads(4);
-  tensor::SetKernelParallelFlopThreshold(1);
-  Tensor threaded;
-  clone->Forward(x, &threaded, false);
-  ExpectBitIdentical(serial, threaded);
+  });
 }
 
 TEST_F(ConvBatchedTest, BackwardThreadedMatchesSerialBitExact) {

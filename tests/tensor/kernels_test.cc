@@ -11,9 +11,14 @@
 #include <thread>
 #include <vector>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "gtest/gtest.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "testing/test_util.h"
+#include "util/macros.h"
 #include "util/random.h"
 
 namespace errorflow {
@@ -87,6 +92,8 @@ void ExpectClose(const Tensor& got, const Tensor& want, int64_t k) {
 // Shapes chosen to straddle every micro-kernel edge: the 4-row register
 // tile, the 16/8-wide column tiles, the k-unroll of the dot kernels, and
 // the kKc cache block — plus degenerate m=1 / k=1 / tall / skinny cases.
+// The last three are the h2 Dense layers (k = 9, 50; n = 50, 9) at odd
+// row counts, which GemmNT runs on its packed-panel AVX-512 tile.
 struct GemmShape {
   int64_t m, n, k;
 };
@@ -95,6 +102,7 @@ const GemmShape kShapes[] = {
     {1, 1, 1},    {1, 7, 1},     {1, 1, 300},  {3, 5, 2},    {4, 16, 8},
     {5, 17, 9},   {7, 23, 31},   {8, 8, 257},  {2, 100, 3},  {100, 2, 3},
     {33, 19, 65}, {64, 48, 129}, {1, 64, 300}, {65, 1, 40},  {31, 127, 63},
+    {37, 50, 9},  {53, 50, 50},  {61, 9, 50},
 };
 
 class KernelsTest : public ::testing::Test {
@@ -127,7 +135,7 @@ class KernelsTest : public ::testing::Test {
 
 TEST_F(KernelsTest, RandomizedShapesSerial) {
   SetKernelThreads(1);
-  RunAllShapes();
+  testing::ForEachKernelPath([&] { RunAllShapes(); });
 }
 
 TEST_F(KernelsTest, RandomizedShapesThreaded) {
@@ -135,7 +143,7 @@ TEST_F(KernelsTest, RandomizedShapesThreaded) {
   // chunk-boundary, and inline-chunk logic all execute.
   SetKernelThreads(4);
   SetKernelParallelFlopThreshold(1);
-  RunAllShapes();
+  testing::ForEachKernelPath([&] { RunAllShapes(); });
 }
 
 TEST_F(KernelsTest, ThreadedMatchesSerialBitExact) {
@@ -144,16 +152,170 @@ TEST_F(KernelsTest, ThreadedMatchesSerialBitExact) {
   util::Rng rng(99);
   const Tensor a = RandomTensor({67, 129}, &rng);
   const Tensor b = RandomTensor({129, 45}, &rng);
-  SetKernelThreads(1);
-  Tensor serial;
-  Gemm(a, b, &serial);
-  SetKernelThreads(4);
-  SetKernelParallelFlopThreshold(1);
-  Tensor threaded;
-  Gemm(a, b, &threaded);
-  ASSERT_EQ(serial.shape(), threaded.shape());
-  for (int64_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], threaded[i]) << "element " << i;
+  testing::ForEachKernelPath([&] {
+    SetKernelThreads(1);
+    Tensor serial;
+    Gemm(a, b, &serial);
+    SetKernelThreads(4);
+    SetKernelParallelFlopThreshold(1);
+    Tensor threaded;
+    Gemm(a, b, &threaded);
+    SetKernelParallelFlopThreshold(1 << 21);
+    ASSERT_EQ(serial.shape(), threaded.shape());
+    for (int64_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(serial[i], threaded[i]) << "element " << i;
+    }
+  });
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
+}
+
+// Every kernel path produces the same bits: on every shape, serial and
+// threaded, each path's Gemm, GemmNT, GemmTN, Gemv, GemvT and tanh outputs
+// equal the portable path's, whose arithmetic is written out with std::fma.
+TEST_F(KernelsTest, PathsAreBitIdentical) {
+  util::Rng rng(55);
+  for (const GemmShape& s : kShapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " n=" << s.n << " k=" << s.k);
+    const Tensor a = RandomTensor({s.m, s.k}, &rng);
+    const Tensor b = RandomTensor({s.k, s.n}, &rng);
+    const Tensor bt = RandomTensor({s.n, s.k}, &rng);
+    const Tensor at = RandomTensor({s.k, s.m}, &rng);
+    const Tensor xk = RandomTensor({s.k}, &rng);
+    const Tensor xm = RandomTensor({s.m}, &rng);
+    auto run = [&] {
+      std::vector<Tensor> out(6);
+      Gemm(a, b, &out[0]);
+      GemmNT(a, bt, &out[1]);
+      GemmTN(at, b, &out[2]);
+      Gemv(a, xk, &out[3]);
+      GemvT(a, xm, &out[4]);
+      out[5] = Tensor(a.shape());
+      TanhKernel(a.data(), out[5].data(), a.size());
+      return out;
+    };
+    for (const bool threaded : {false, true}) {
+      SetKernelThreads(threaded ? 4 : 1);
+      SetKernelParallelFlopThreshold(threaded ? 1 : 1 << 21);
+      SetKernelPathForTest(KernelPath::kPortable);
+      const std::vector<Tensor> want = run();
+      testing::ForEachKernelPath([&] {
+        const std::vector<Tensor> got = run();
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_TRUE(SameBits(got[i], want[i]))
+              << "output " << i << (threaded ? ", threaded" : ", serial");
+        }
+      });
+    }
+  }
+}
+
+// `n` floats in an anonymous mapping between two PROT_NONE pages, either
+// ending at the upper guard page or starting at the lower one, so a read or
+// write past either end of the data faults.
+class GuardedFloats {
+ public:
+  GuardedFloats(size_t n, bool at_end) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t data = (n * sizeof(float) + page - 1) / page * page;
+    size_ = data + 2 * page;
+    void* base = mmap(nullptr, size_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    EF_CHECK(base != MAP_FAILED);
+    base_ = static_cast<char*>(base);
+    EF_CHECK(mprotect(base_, page, PROT_NONE) == 0);
+    EF_CHECK(mprotect(base_ + page + data, page, PROT_NONE) == 0);
+    data_ = reinterpret_cast<float*>(
+        at_end ? base_ + page + data - n * sizeof(float) : base_ + page);
+  }
+  ~GuardedFloats() { munmap(base_, size_); }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+
+  float* data() { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  size_t size_ = 0;
+  float* data_ = nullptr;
+};
+
+// Conv2dKernel's contract, written out: per output, one fma per tap
+// l = (ch, ky, kx) in order from +0, padded taps as +0, then + bias[oc].
+std::vector<float> ReferenceConv(const ConvGeometry& g, const float* weight,
+                                 const float* bias, const float* in) {
+  const int64_t oh = g.oh(), ow = g.ow(), kk = g.c * g.k * g.k;
+  std::vector<float> out(static_cast<size_t>(g.n * g.out_ch * oh * ow));
+  float* dst = out.data();
+  for (int64_t img = 0; img < g.n; ++img) {
+    for (int64_t oc = 0; oc < g.out_ch; ++oc) {
+      for (int64_t oy = 0; oy < oh; ++oy) {
+        for (int64_t ox = 0; ox < ow; ++ox) {
+          float acc = 0.0f;
+          int64_t l = 0;
+          for (int64_t ch = 0; ch < g.c; ++ch) {
+            for (int ky = 0; ky < g.k; ++ky) {
+              for (int kx = 0; kx < g.k; ++kx, ++l) {
+                const int64_t iy = oy * g.s + ky - g.p;
+                const int64_t ix = ox * g.s + kx - g.p;
+                const float v =
+                    (iy >= 0 && iy < g.h && ix >= 0 && ix < g.w)
+                        ? in[((img * g.c + ch) * g.h + iy) * g.w + ix]
+                        : 0.0f;
+                acc = std::fma(weight[oc * kk + l], v, acc);
+              }
+            }
+          }
+          *dst++ = acc + bias[oc];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// Masked loads, gathers and masked stores must not touch memory past the
+// input or the output: each geometry's last 16-column block is partial
+// (valid < 16), its input ends (or starts) at a PROT_NONE page and so does
+// its output. Stride 1 with OW == W packs with masked loads that run past
+// the last input float; stride 2 packs with gathers.
+TEST(ConvKernelBoundsTest, MaskedLoadsStayInsideGuardPages) {
+  const ConvGeometry geometries[] = {
+      {1, 3, 5, 7, 5, 3, 1, 1},   // 35 columns: last block valid = 3.
+      {1, 2, 3, 5, 9, 3, 1, 1},   // 15 columns: one block, valid = 15.
+      {2, 2, 9, 9, 4, 3, 2, 1},   // 50 columns: last block valid = 2.
+      {1, 4, 6, 6, 8, 1, 2, 0},   // 9 columns, 1x1 stride 2.
+      {3, 5, 4, 4, 10, 3, 1, 1},  // 48 columns, 16 per image.
+  };
+  for (const ConvGeometry& g : geometries) {
+    SCOPED_TRACE(::testing::Message() << "n=" << g.n << " c=" << g.c
+                                      << " h=" << g.h << " w=" << g.w
+                                      << " k=" << g.k << " s=" << g.s);
+    const int64_t in_n = g.n * g.c * g.h * g.w;
+    const int64_t out_n = g.n * g.out_ch * g.oh() * g.ow();
+    const Tensor in = testing::RandomTensor({in_n}, 3);
+    const Tensor weight =
+        testing::RandomTensor({g.out_ch * g.c * g.k * g.k}, 5);
+    const Tensor bias = testing::RandomTensor({g.out_ch}, 7);
+    const std::vector<float> want =
+        ReferenceConv(g, weight.data(), bias.data(), in.data());
+    for (const bool at_end : {true, false}) {
+      GuardedFloats gin(static_cast<size_t>(in_n), at_end);
+      GuardedFloats gout(static_cast<size_t>(out_n), at_end);
+      std::memcpy(gin.data(), in.data(), in_n * sizeof(float));
+      testing::ForEachKernelPath([&] {
+        Conv2dKernel(weight.data(), bias.data(), gin.data(), gout.data(), g);
+        EXPECT_EQ(
+            std::memcmp(gout.data(), want.data(), out_n * sizeof(float)), 0)
+            << (at_end ? "buffers end at a guard page"
+                       : "buffers start at a guard page");
+      });
+    }
   }
 }
 
@@ -201,9 +363,9 @@ TEST_F(KernelsTest, ConfigurationRoundTrips) {
 
 // TanhKernel must reproduce std::tanh bit for bit on every float, NaN
 // payloads included: model outputs, variant checksums and pinned digests
-// all depend on it. The AVX2 path is a port of glibc's fdlibm tanhf; on a
-// libm with a different tanhf this fails and lists inputs that differ.
-TEST(TanhKernelTest, MatchesStdTanhOnAllFloats) {
+// all depend on it. The AVX2 and AVX-512 kernels port glibc's fdlibm tanhf;
+// on a libm with a different tanhf this fails and lists inputs that differ.
+void ExpectTanhMatchesStdTanhOnAllFloats() {
   constexpr int kThreads = 4;
   constexpr uint64_t kAll = uint64_t{1} << 32;
   constexpr int64_t kBlock = 4096;
@@ -247,6 +409,10 @@ TEST(TanhKernelTest, MatchesStdTanhOnAllFloats) {
       << "TanhKernel differs from this libm's tanhf (" << KernelDescription()
       << "):\n"
       << detail;
+}
+
+TEST(TanhKernelTest, MatchesStdTanhOnAllFloats) {
+  testing::ForEachKernelPath([] { ExpectTanhMatchesStdTanhOnAllFloats(); });
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "tensor/kernels.h"
 #include "tensor/tensor.h"
 #include "util/random.h"
 
@@ -22,6 +24,19 @@ inline bool HasRawControlByte(const std::string& json) {
   return std::any_of(json.begin(), json.end(), [](char c) {
     return c != '\n' && static_cast<unsigned char>(c) < 0x20;
   });
+}
+
+/// Runs `body` once on every kernel path this host supports, narrowest
+/// first, under a SCOPED_TRACE naming the path, then restores the default
+/// path. Every path must produce the same bits (tensor::KernelPath).
+inline void ForEachKernelPath(const std::function<void()>& body) {
+  const std::vector<tensor::KernelPath> paths = tensor::SupportedKernelPaths();
+  for (const tensor::KernelPath path : paths) {
+    SCOPED_TRACE(std::string("kernel path ") + tensor::KernelPathName(path));
+    tensor::SetKernelPathForTest(path);
+    body();
+  }
+  tensor::SetKernelPathForTest(paths.back());
 }
 
 /// Random tensor with iid normal entries.
