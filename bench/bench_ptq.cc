@@ -110,7 +110,7 @@ int main() {
     for (size_t d = 1; d < task.single_input_shape.size(); ++d) {
       bytes *= task.single_input_shape[d];
     }
-    quant::ExecutionModel exec(base_cfg.hardware, flops, bytes);
+    quant::ExecutionModel exec(quant::HardwareProfile{}, flops, bytes);
 
     std::printf("\n%-12s %12s %14s %10s\n", "qoi_tol_rel", "max-affine",
                 "data-driven", "speedup");

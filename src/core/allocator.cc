@@ -26,7 +26,7 @@ AllocationPlan AllocateTolerance(const ErrorFlowAnalysis& analysis,
       analysis.Price(quant::ReducedFormats());
   if (const PricedVariant* best =
           PickFastest(candidates, qoi_tolerance * config.quant_fraction,
-                      config.hardware)) {
+                      quant::HardwareProfile{})) {
     plan.format = best->format;
     plan.quant_bound = best->quant_term;
   }

@@ -14,8 +14,6 @@ struct AllocationConfig {
   /// Fraction of the total QoI tolerance offered to quantization (the
   /// "configurable factor" of Sec. IV-D; the paper sweeps 10%-90%).
   double quant_fraction = 0.5;
-  /// Hardware profile used to rank formats by execution speed.
-  quant::HardwareProfile hardware;
 };
 
 /// \brief The allocator's decision.

@@ -24,7 +24,7 @@ Result<AutoTuneResult> AutoTune(const ErrorFlowAnalysis& analysis,
         "auto-tune: backend does not support the requested norm");
   }
   io::SimulatedStorage storage(config.storage);
-  quant::ExecutionModel exec(config.hardware, flops_per_sample,
+  quant::ExecutionModel exec(quant::HardwareProfile{}, flops_per_sample,
                              bytes_per_sample);
   const int64_t batch = sample_batch.dim(0);
 

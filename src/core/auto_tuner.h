@@ -31,7 +31,6 @@ struct AutoTuneConfig {
   compress::CodecId codec = compress::kDefaultCodec;
   tensor::Norm norm = tensor::Norm::kLinf;
   io::StorageConfig storage;
-  quant::HardwareProfile hardware;
 };
 
 /// One evaluated (format, compression tolerance) candidate.

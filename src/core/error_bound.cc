@@ -39,11 +39,6 @@ double SigmaPertSqrt(const LayerProfile& layer, int64_t n_out) {
 
 }  // namespace
 
-double QuantizedSigma(const LayerProfile& layer, NumericFormat format) {
-  const double q = LayerStepSize(layer, format);
-  return layer.sigma + q * SigmaPertSqrt(layer, layer.n_out) * kInvSqrt3;
-}
-
 ErrorFlowAnalysis::StepFn FormatStepFn(NumericFormat format) {
   return [format](const LayerProfile& layer, int64_t) {
     return LayerStepSize(layer, format);
@@ -238,15 +233,10 @@ double ErrorFlowAnalysis::BoundOnSteps(
 
 BoundAttribution ErrorFlowAnalysis::Attribution(double input_err, Norm norm,
                                                 NumericFormat format) const {
-  return AttributionOnSteps(input_err, norm, Steps(format));
+  return Attribution(input_err, norm, Steps(format));
 }
 
-BoundAttribution ErrorFlowAnalysis::AttributionWithSteps(
-    double input_err, Norm norm, const StepFn& step_fn) const {
-  return AttributionOnSteps(input_err, norm, StepsOf(step_fn));
-}
-
-BoundAttribution ErrorFlowAnalysis::AttributionOnSteps(
+BoundAttribution ErrorFlowAnalysis::Attribution(
     double input_err, Norm norm, const std::vector<double>& steps) const {
   EF_CHECK(input_err >= 0.0);
   const double input_l2 = InputL2(input_err, norm);
@@ -307,47 +297,6 @@ double ErrorFlowAnalysis::MaxInputError(double qoi_tolerance, Norm norm,
     input_l2 /= std::sqrt(static_cast<double>(profile_.n0));
   }
   return input_l2;
-}
-
-double ErrorFlowAnalysis::Eq3BoundL2(double input_l2_err,
-                                     NumericFormat format) const {
-  EF_CHECK(profile_.blocks.size() == 1 &&
-           "Eq3BoundL2 applies to a single block/MLP");
-  const BlockProfile& block = profile_.blocks[0];
-  const size_t num_layers = block.body.size();
-
-  double sigma_s = 0.0;
-  if (block.is_residual) {
-    sigma_s = block.has_projection ? block.shortcut.sigma : 1.0;
-  }
-
-  // First term: (sigma_s + prod sigma_l) * ||Delta x||.
-  double prod_sigma = 1.0;
-  for (const LayerProfile& l : block.body) {
-    prod_sigma *= l.sigma * l.activation_gain;
-  }
-  double bound = (sigma_s + prod_sigma) * input_l2_err;
-
-  // Second term: layer-by-layer quantization noise per Inequality (3).
-  // The body comes first in traversal order, so steps[l] is body[l]'s.
-  const std::vector<double>& steps = Steps(format);
-  const double n0 = static_cast<double>(profile_.n0);
-  for (size_t l = 0; l < num_layers; ++l) {
-    double prefix = 1.0;  // prod_{i<l} (sigma_i + q_i sqrt(min)/sqrt 3)
-    for (size_t i = 0; i < l; ++i) {
-      const LayerProfile& layer = block.body[i];
-      prefix *= (layer.sigma +
-                 steps[i] * SigmaPertSqrt(layer, layer.n_out) * kInvSqrt3) *
-                layer.activation_gain;
-    }
-    double suffix = 1.0;  // prod_{j>l} sigma_j (plain, as printed).
-    for (size_t j = l + 1; j < num_layers; ++j) {
-      suffix *= block.body[j].sigma * block.body[j].activation_gain;
-    }
-    bound += prefix * suffix * steps[l] * std::sqrt(n0) *
-             NoiseSqrt(block.body[l]) * kInv2Sqrt3;
-  }
-  return bound * block.post_activation_gain;
 }
 
 }  // namespace core

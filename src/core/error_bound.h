@@ -180,10 +180,11 @@ class ErrorFlowAnalysis {
   BoundAttribution Attribution(double input_err, Norm norm,
                                NumericFormat format) const;
 
-  /// Attribution under custom per-layer steps (mixed precision, grouped
-  /// INT8); reduces to Attribution() for FormatStepFn(format).
-  BoundAttribution AttributionWithSteps(double input_err, Norm norm,
-                                        const StepFn& step_fn) const;
+  /// Attribution over explicit per-layer steps in traversal order (mixed
+  /// precision, grouped INT8, data-driven effective steps); reduces to the
+  /// overload above for Steps(format).
+  BoundAttribution Attribution(double input_err, Norm norm,
+                               const std::vector<double>& steps) const;
   /// @}
 
   /// \brief Quantization term when *activations* are quantized too
@@ -195,13 +196,6 @@ class ErrorFlowAnalysis {
   /// ||h|| * sqrt(n) / 255 (max calibration).
   double QuantTermWithActivations(NumericFormat weight_format,
                                   NumericFormat act_format) const;
-
-  /// Verbatim Inequality (3) for a model consisting of a single MLP chain
-  /// or a single residual block — the exact printed formula, with plain
-  /// sigma_j in the downstream products. Used to validate the recursion
-  /// and by the paper-figure benches on the MLP tasks.
-  /// Returns the L2 bound for an L2 input error.
-  double Eq3BoundL2(double input_l2_err, NumericFormat format) const;
 
  private:
   struct FlowState {
@@ -248,11 +242,9 @@ class ErrorFlowAnalysis {
                  double final_row_norm = -1.0,
                  const ActInjectFn* act_inject = nullptr) const;
 
-  // Bound / attribution over explicit per-layer steps.
+  // Bound over explicit per-layer steps.
   double BoundOnSteps(double input_err, Norm norm,
                       const std::vector<double>& steps) const;
-  BoundAttribution AttributionOnSteps(double input_err, Norm norm,
-                                      const std::vector<double>& steps) const;
 
   // Input error converted to the L2 norm the flow runs in.
   double InputL2(double input_err, Norm norm) const;
@@ -274,10 +266,6 @@ ErrorFlowAnalysis::StepFn VectorStepFn(std::vector<double> steps);
 
 /// Convenience: Table-I step size of a profiled layer under `format`.
 double LayerStepSize(const LayerProfile& layer, NumericFormat format);
-
-/// Quantized-spectral-norm proxy sigma~ = sigma + q sqrt(min(n_in, n_out))
-/// / sqrt(3).
-double QuantizedSigma(const LayerProfile& layer, NumericFormat format);
 
 }  // namespace core
 }  // namespace errorflow

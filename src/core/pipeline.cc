@@ -50,7 +50,6 @@ AllocationPlan InferencePipeline::Plan(double qoi_tolerance) const {
   AllocationConfig alloc;
   alloc.norm = config_.norm;
   alloc.quant_fraction = config_.quant_fraction;
-  alloc.hardware = config_.hardware;
   return AllocateTolerance(analysis_, qoi_tolerance, alloc);
 }
 
@@ -143,7 +142,7 @@ Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
   Tensor output;
   EF_ASSIGN_OR_RETURN(output,
                       ExecuteQuantized(decompressed.data, plan.format));
-  quant::ExecutionModel exec(config_.hardware, flops_per_sample_,
+  quant::ExecutionModel exec(quant::HardwareProfile{}, flops_per_sample_,
                              bytes_per_sample_);
   report.exec_seconds =
       exec.SecondsPerSample(plan.format) * static_cast<double>(batch);

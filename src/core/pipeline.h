@@ -28,7 +28,6 @@ struct PipelineConfig {
   /// quantization.
   double quant_fraction = 0.5;
   io::StorageConfig storage;
-  quant::HardwareProfile hardware;
 };
 
 /// \brief Measured + modeled outcome of one pipeline run.

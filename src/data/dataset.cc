@@ -9,7 +9,7 @@ namespace data {
 
 namespace {
 
-// Feature count and per-feature stride layout shared by Apply/Invert.
+// Feature count and per-feature stride layout of Apply.
 struct Layout {
   int64_t features;    // Number of normalization groups.
   int64_t group_size;  // Contiguous elements per (sample, group).
@@ -70,25 +70,6 @@ Tensor Normalizer::Apply(const Tensor& data) const {
       float* o = out.data() + (s * l.features + f) * l.group_size;
       for (int64_t g = 0; g < l.group_size; ++g) {
         o[g] = range > 0.0f ? 2.0f * (in[g] - mn) / range - 1.0f : 0.0f;
-      }
-    }
-  }
-  return out;
-}
-
-Tensor Normalizer::Invert(const Tensor& data) const {
-  const Layout l = GetLayout(data, per_channel_);
-  EF_CHECK(static_cast<size_t>(l.features) == mins_.size());
-  Tensor out(data.shape());
-  for (int64_t s = 0; s < l.samples; ++s) {
-    for (int64_t f = 0; f < l.features; ++f) {
-      const float mn = mins_[static_cast<size_t>(f)];
-      const float mx = maxs_[static_cast<size_t>(f)];
-      const float range = mx - mn;
-      const float* in = data.data() + (s * l.features + f) * l.group_size;
-      float* o = out.data() + (s * l.features + f) * l.group_size;
-      for (int64_t g = 0; g < l.group_size; ++g) {
-        o[g] = mn + (in[g] + 1.0f) * 0.5f * range;
       }
     }
   }

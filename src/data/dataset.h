@@ -37,9 +37,6 @@ class Normalizer {
   /// features map to 0).
   Tensor Apply(const Tensor& data) const;
 
-  /// Inverse map.
-  Tensor Invert(const Tensor& data) const;
-
   const std::vector<float>& mins() const { return mins_; }
   const std::vector<float>& maxs() const { return maxs_; }
 

@@ -26,14 +26,6 @@ Result<ReadResult> SimulatedStorage::Read(const std::string& key) const {
   return out;
 }
 
-Result<int64_t> SimulatedStorage::Size(const std::string& key) const {
-  auto it = objects_.find(key);
-  if (it == objects_.end()) {
-    return Status::NotFound("no such object: " + key);
-  }
-  return static_cast<int64_t>(it->second.size());
-}
-
 double SimulatedStorage::ModelReadSeconds(int64_t bytes) const {
   return config_.latency_seconds +
          static_cast<double>(bytes) / config_.read_bandwidth_bytes_per_sec;

@@ -51,9 +51,6 @@ class SimulatedStorage {
   /// Fetches the object and the modeled transfer time.
   Result<ReadResult> Read(const std::string& key) const;
 
-  /// Size in bytes of a stored object.
-  Result<int64_t> Size(const std::string& key) const;
-
   /// Modeled seconds to transfer `bytes` at the configured read bandwidth.
   double ModelReadSeconds(int64_t bytes) const;
 

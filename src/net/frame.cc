@@ -249,43 +249,5 @@ Result<ErrorFrame> DecodeError(const char* payload, size_t len,
   return out;
 }
 
-Result<DecodedFrame> DecodeFrame(const std::string& wire,
-                                 const util::DecodeLimits& limits) {
-  DecodedFrame out;
-  size_t frame_size = 0;
-  EF_ASSIGN_OR_RETURN(
-      ExtractResult extract,
-      TryExtractFrame(wire.data(), wire.size(), limits, &out.header,
-                      &frame_size));
-  if (extract == ExtractResult::kNeedMore) {
-    return Status::Corruption("net: incomplete frame");
-  }
-  const char* payload = wire.data() + kFrameHeaderBytes;
-  const size_t len = out.header.payload_len;
-  switch (out.header.type) {
-    case FrameType::kSubmit: {
-      EF_ASSIGN_OR_RETURN(out.submit, DecodeSubmit(payload, len, limits));
-      break;
-    }
-    case FrameType::kResponse: {
-      EF_ASSIGN_OR_RETURN(out.response,
-                          DecodeResponse(payload, len, limits));
-      break;
-    }
-    case FrameType::kError: {
-      EF_ASSIGN_OR_RETURN(out.error, DecodeError(payload, len, limits));
-      break;
-    }
-    case FrameType::kPing:
-    case FrameType::kPong: {
-      if (len != 0) {
-        return Status::Corruption("net: ping/pong frame carries payload");
-      }
-      break;
-    }
-  }
-  return out;
-}
-
 }  // namespace net
 }  // namespace errorflow

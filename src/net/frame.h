@@ -141,20 +141,6 @@ Result<ErrorFrame> DecodeError(const char* payload, size_t len,
                                const util::DecodeLimits& limits);
 /// @}
 
-/// \brief A fully decoded frame of any type (fuzz-harness entry point).
-struct DecodedFrame {
-  FrameHeader header;
-  SubmitFrame submit;      // When header.type == kSubmit.
-  ResponseFrame response;  // When header.type == kResponse.
-  ErrorFrame error;        // When header.type == kError.
-};
-
-/// Extracts and fully decodes the first frame in `wire`. Exercises every
-/// decode path above; the structure-aware fuzzer drives this directly.
-Result<DecodedFrame> DecodeFrame(const std::string& wire,
-                                 const util::DecodeLimits& limits =
-                                     util::DecodeLimits::Default());
-
 }  // namespace net
 }  // namespace errorflow
 

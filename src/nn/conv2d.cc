@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "nn/calibration.h"
+#include "nn/spectral.h"
 #include "tensor/kernels.h"
 #include "tensor/norms.h"
 #include "tensor/ops.h"
@@ -188,7 +189,6 @@ void Conv2dLayer::InitHe(uint64_t seed) {
   }
   bias_.Fill(0.0f);
   std::lock_guard<std::mutex> lock(spec_mu_);
-  spec_valid_ = false;
   op_sigma_ = 0.0;
   if (use_psn_) {
     // Initialize alpha to the operator norm (8x8 heuristic; refined at the
@@ -196,12 +196,6 @@ void Conv2dLayer::InitHe(uint64_t seed) {
     RefreshOpSigmaLocked(8, 8, 80);
     alpha_[0] = static_cast<float>(op_sigma_);
   }
-}
-
-void Conv2dLayer::RefreshSigmaLocked(int iters) const {
-  const Tensor* warm = spec_valid_ ? &spec_.v : nullptr;
-  spec_ = PowerIteration(weight_, iters, 1e-10, /*seed=*/11, warm);
-  spec_valid_ = true;
 }
 
 namespace {
@@ -270,18 +264,7 @@ void Conv2dLayer::FoldPsn() {
   weight_ = PsnSnapshot(/*h=*/0, /*w=*/0, /*iters=*/0);
   use_psn_ = false;
   std::lock_guard<std::mutex> lock(spec_mu_);
-  spec_valid_ = false;
   op_sigma_ = 0.0;
-}
-
-double Conv2dLayer::MatrixSpectralNorm() const {
-  if (use_psn_) {
-    const Tensor eff = PsnSnapshot(/*h=*/0, /*w=*/0, /*iters=*/0);
-    return PowerIteration(eff, 300, 1e-10, 11).sigma;
-  }
-  std::lock_guard<std::mutex> lock(spec_mu_);
-  RefreshSigmaLocked(spec_valid_ ? 8 : 300);
-  return spec_.sigma;
 }
 
 void Conv2dLayer::Forward(const Tensor& input, Tensor* output,

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "nn/layer.h"
-#include "nn/spectral.h"
 #include "tensor/kernels.h"
 
 namespace errorflow {
@@ -85,16 +84,11 @@ class Conv2dLayer : public Layer {
   /// Bakes PSN into the stored kernel and disables it. Idempotent.
   void FoldPsn();
 
-  /// Matrix spectral norm of the effective reshaped kernel.
-  double MatrixSpectralNorm() const;
-
   /// True operator norm of this convolution acting on single-sample inputs
   /// of spatial size (h, w), via power iteration on conv / conv-transpose.
   double OperatorNorm(int64_t h, int64_t w) const;
 
  private:
-  // Caller holds spec_mu_.
-  void RefreshSigmaLocked(int iters) const;
   // Refreshes the operator-norm estimate at spatial size (h, w) with
   // warm-started power iteration on the raw kernel. Caller holds spec_mu_.
   void RefreshOpSigmaLocked(int64_t h, int64_t w, int iters) const;
@@ -130,8 +124,6 @@ class Conv2dLayer : public Layer {
   // spec_mu_ guards every mutable cache below so concurrent Forward /
   // norm queries on a shared layer instance are safe.
   mutable std::mutex spec_mu_;
-  mutable SpectralEstimate spec_;
-  mutable bool spec_valid_ = false;
   // PSN-normalized kernel returned by reference from EffectiveWeight().
   mutable Tensor eff_cache_;
 

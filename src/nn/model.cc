@@ -3,7 +3,6 @@
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/residual.h"
-#include "util/string_util.h"
 
 namespace errorflow {
 namespace nn {
@@ -122,31 +121,12 @@ void Model::VisitLayers(const std::function<void(Layer*)>& fn) {
   for (auto& layer : layers_) VisitRecursive(layer.get(), fn);
 }
 
-void Model::VisitLayers(const std::function<void(const Layer*)>& fn) const {
-  auto* self = const_cast<Model*>(this);
-  self->VisitLayers([&fn](Layer* l) { fn(l); });
-}
-
 int64_t Model::FlopsPerSample(const Shape& single_input_shape) const {
   Shape s = single_input_shape;
   if (!s.empty()) s[0] = 1;
   int64_t flops = 0;
   for (const auto& layer : layers_) flops += LayerFlops(layer.get(), &s);
   return flops;
-}
-
-Shape Model::OutputShape(const Shape& input_shape) const {
-  Shape s = input_shape;
-  for (const auto& layer : layers_) s = layer->OutputShape(s);
-  return s;
-}
-
-std::string Model::Summary() const {
-  std::string out = util::StrFormat("Model '%s':\n", name_.c_str());
-  for (const auto& layer : layers_) {
-    out += "  " + layer->ToString() + "\n";
-  }
-  return out;
 }
 
 }  // namespace nn

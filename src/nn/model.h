@@ -69,17 +69,10 @@ class Model {
   /// Applies `fn` to every layer, recursing into residual blocks
   /// (body, shortcut, post-activation).
   void VisitLayers(const std::function<void(Layer*)>& fn);
-  void VisitLayers(const std::function<void(const Layer*)>& fn) const;
 
   /// Multiply-accumulate count of one forward pass for a single sample with
   /// the given input shape (batch forced to 1). Used by the hardware model.
   int64_t FlopsPerSample(const Shape& single_input_shape) const;
-
-  /// Output shape for a given input shape.
-  Shape OutputShape(const Shape& input_shape) const;
-
-  /// Human-readable multi-line architecture summary.
-  std::string Summary() const;
 
  private:
   std::string name_;

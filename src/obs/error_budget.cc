@@ -16,6 +16,9 @@ double ErrorBudgetLedger::tightness() const {
 }
 
 bool ErrorBudgetLedger::violation() const {
+  if (!audited || !(admitted_bound > 0.0)) return false;
+  // A NaN or Inf output has no tightness but always breaks the bound.
+  if (!std::isfinite(achieved_error)) return true;
   const double t = tightness();
   return std::isfinite(t) && t > 1.0;
 }

@@ -37,9 +37,11 @@ struct ErrorBudgetLedger {
   bool audited = false;
 
   /// achieved_error / admitted_bound: < 1 means the bound held with slack,
-  /// > 1 is a violation. NaN when not audited or the bound is not positive.
+  /// > 1 is a violation. NaN when not audited, when the bound is not
+  /// positive, or when the achieved error is not finite.
   double tightness() const;
-  /// True when an audit measured more error than the admitted bound.
+  /// True when an audit measured more error than a positive admitted
+  /// bound, or a NaN or Inf error (a corrupted variant's output).
   bool violation() const;
 };
 

@@ -22,8 +22,6 @@ const char* LogLevelName(LogLevel level) {
   return "unknown";
 }
 
-Logger::~Logger() { CloseJsonFile(); }
-
 void Logger::SetLevel(LogLevel level) {
   std::lock_guard<std::mutex> lock(mu_);
   level_ = level;
@@ -34,26 +32,12 @@ LogLevel Logger::level() const {
   return level_;
 }
 
-void Logger::SetTextStream(std::FILE* stream) {
-  std::lock_guard<std::mutex> lock(mu_);
-  text_stream_ = stream;
-}
-
 bool Logger::OpenJsonFile(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
   std::lock_guard<std::mutex> lock(mu_);
-  if (json_file_ != nullptr) std::fclose(json_file_);
-  json_file_ = f;
+  json_file_.reset(f);
   return true;
-}
-
-void Logger::CloseJsonFile() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (json_file_ != nullptr) {
-    std::fclose(json_file_);
-    json_file_ = nullptr;
-  }
 }
 
 void Logger::CaptureForTest(std::string* out) {
@@ -77,11 +61,12 @@ void Logger::Write(LogLevel level, const std::string& message,
     text += f.value;
   }
   text += "\n";
-  if (text_stream_ != nullptr) {
-    std::fputs(text.c_str(), text_stream_);
-    std::fflush(text_stream_);
+  if (capture_ != nullptr) {
+    *capture_ += text;
+  } else {
+    std::fputs(text.c_str(), stderr);
+    std::fflush(stderr);
   }
-  if (capture_ != nullptr) *capture_ += text;
 
   if (json_file_ != nullptr) {
     char ts[48];
@@ -95,8 +80,8 @@ void Logger::Write(LogLevel level, const std::string& message,
       json += ", " + JsonString(f.key) + ": " + JsonString(f.value);
     }
     json += "}\n";
-    std::fputs(json.c_str(), json_file_);
-    std::fflush(json_file_);
+    std::fputs(json.c_str(), json_file_.get());
+    std::fflush(json_file_.get());
   }
 }
 

@@ -2,6 +2,7 @@
 #define ERRORFLOW_OBS_LOG_H_
 
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -19,29 +20,22 @@ struct LogField {
   std::string value;
 };
 
-/// \brief Leveled logger with a plain-text sink (stderr by default) and an
-/// optional JSON-lines file sink. Thread-safe; records below the current
-/// level are dropped before formatting.
+/// \brief Leveled logger with a plain-text sink (stderr) and an optional
+/// JSON-lines file sink, closed with the logger. Thread-safe; records below
+/// the current level are dropped before formatting.
 class Logger {
  public:
-  Logger() = default;
-  ~Logger();
-
   void SetLevel(LogLevel level);
   LogLevel level() const;
   bool Enabled(LogLevel level) const { return level >= this->level(); }
-
-  /// Redirects the text sink (nullptr silences it). Caller keeps ownership.
-  void SetTextStream(std::FILE* stream);
 
   /// Opens `path` as a JSON-lines sink: one
   /// {"ts_us": ..., "level": ..., "msg": ..., <fields>} object per line.
   /// Returns false (and logs nothing) if the file cannot be opened.
   bool OpenJsonFile(const std::string& path);
-  void CloseJsonFile();
 
-  /// Appends every emitted text line to `*out` (test hook; nullptr
-  /// detaches).
+  /// Appends every emitted text line to `*out` in place of stderr (test
+  /// hook; nullptr restores stderr).
   void CaptureForTest(std::string* out);
 
   void Write(LogLevel level, const std::string& message,
@@ -53,8 +47,8 @@ class Logger {
  private:
   mutable std::mutex mu_;
   LogLevel level_ = LogLevel::kInfo;
-  std::FILE* text_stream_ = stderr;
-  std::FILE* json_file_ = nullptr;
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> json_file_{nullptr,
+                                                             &std::fclose};
   std::string* capture_ = nullptr;
 };
 

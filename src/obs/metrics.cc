@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 
 #include "obs/json.h"
@@ -176,12 +175,6 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   return slot.get();
 }
 
-bool MetricsRegistry::Has(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_.count(name) != 0 || gauges_.count(name) != 0 ||
-         histograms_.count(name) != 0;
-}
-
 uint64_t MetricsRegistry::CounterValue(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = counters_.find(name);
@@ -248,32 +241,6 @@ std::string MetricsRegistry::ToJson() const {
     out += "]}";
   }
   out += "\n  }\n}\n";
-  return out;
-}
-
-std::string MetricsRegistry::ToText() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  char line[256];
-  for (const auto& [name, c] : counters_) {
-    std::snprintf(line, sizeof(line), "counter   %-44s %llu\n", name.c_str(),
-                  static_cast<unsigned long long>(c->value()));
-    out += line;
-  }
-  for (const auto& [name, g] : gauges_) {
-    std::snprintf(line, sizeof(line), "gauge     %-44s %.6g\n", name.c_str(),
-                  g->value());
-    out += line;
-  }
-  for (const auto& [name, h] : histograms_) {
-    const HistogramSnapshot s = h->Snapshot();
-    std::snprintf(line, sizeof(line),
-                  "histogram %-44s count=%llu sum=%.6g p50=%.3g p95=%.3g "
-                  "p99=%.3g\n",
-                  name.c_str(), static_cast<unsigned long long>(s.count),
-                  s.sum, s.p50(), s.p95(), s.p99());
-    out += line;
-  }
   return out;
 }
 

@@ -128,9 +128,6 @@ class MetricsRegistry {
       const std::string& name,
       std::vector<double> bounds = Histogram::DefaultDurationBounds());
 
-  /// True if a metric with this name exists (any kind).
-  bool Has(const std::string& name) const;
-
   // Read-only lookups; missing names yield 0 / an empty snapshot.
   uint64_t CounterValue(const std::string& name) const;
   double GaugeValue(const std::string& name) const;
@@ -143,8 +140,6 @@ class MetricsRegistry {
   /// Non-finite values (e.g. the NaN min/max of an empty histogram) render
   /// as null, keeping the output strict JSON.
   std::string ToJson() const;
-  /// One metric per line, for terminal output.
-  std::string ToText() const;
   /// Prometheus text exposition format (version 0.0.4): names sanitized to
   /// [a-zA-Z0-9_:], counters/gauges as single samples, histograms as
   /// cumulative `_bucket{le=...}` series plus `_sum`/`_count`.

@@ -41,14 +41,13 @@ double NowMicros() {
 void TraceBuffer::Record(TraceEvent event) {
   Shard& shard = shards_[CurrentThreadId() % kShards];
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.events.size() < shard.capacity) {
+  if (shard.events.size() < kShardCapacity) {
     shard.events.push_back(std::move(event));
     return;
   }
   // Ring is full: overwrite the oldest slot in this shard.
   shard.events[shard.next] = std::move(event);
-  shard.next = (shard.next + 1) % shard.capacity;
-  shard.dropped++;
+  shard.next = (shard.next + 1) % kShardCapacity;
 }
 
 std::vector<TraceEvent> TraceBuffer::Snapshot() const {
@@ -62,44 +61,6 @@ std::vector<TraceEvent> TraceBuffer::Snapshot() const {
                      return a.ts_us < b.ts_us;
                    });
   return all;
-}
-
-size_t TraceBuffer::size() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.events.size();
-  }
-  return n;
-}
-
-uint64_t TraceBuffer::dropped() const {
-  uint64_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.dropped;
-  }
-  return n;
-}
-
-void TraceBuffer::SetCapacity(size_t capacity) {
-  const size_t per_shard = std::max<size_t>(1, capacity / kShards);
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.events.clear();
-    shard.next = 0;
-    shard.dropped = 0;
-    shard.capacity = per_shard;
-  }
-}
-
-void TraceBuffer::Reset() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.events.clear();
-    shard.next = 0;
-    shard.dropped = 0;
-  }
 }
 
 std::string TraceBuffer::ToChromeJson() const {
@@ -168,23 +129,9 @@ void TraceSpan::Annotate(const std::string& key, const std::string& value) {
   args_.emplace_back(key, JsonString(value));
 }
 
-void TraceSpan::Annotate(const std::string& key, const char* value) {
-  Annotate(key, std::string(value));
-}
-
 void TraceSpan::Annotate(const std::string& key, double value) {
   if (ended_) return;
   args_.emplace_back(key, JsonNumber(value));
-}
-
-void TraceSpan::Annotate(const std::string& key, uint64_t value) {
-  if (ended_) return;
-  args_.emplace_back(key, std::to_string(value));
-}
-
-void TraceSpan::Annotate(const std::string& key, int64_t value) {
-  if (ended_) return;
-  args_.emplace_back(key, std::to_string(value));
 }
 
 void TraceSpan::Annotate(const std::string& key, bool value) {

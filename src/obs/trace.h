@@ -35,27 +35,19 @@ double NowMicros();
 ///
 /// Writers append to the shard picked by their thread id, so concurrent
 /// spans on different threads rarely contend. Snapshot() merges and sorts
-/// by start time. Each shard is a bounded ring: once a shard reaches its
-/// share of the capacity, new events overwrite the oldest in that shard
-/// and `dropped()` counts the overwritten ones — long-running serving
-/// cannot grow the buffer without bound.
+/// by start time. Each shard is a bounded ring: once a shard holds its
+/// kShardCapacity events, new events overwrite the oldest in that shard,
+/// so long-running serving cannot grow the buffer without bound.
 class TraceBuffer {
  public:
-  /// Total capacity is split evenly across the shards (so the effective
-  /// per-shard cap is capacity / 16, min 1). Default: 262144 events.
-  static constexpr size_t kDefaultCapacity = 262144;
+  static constexpr size_t kShards = 16;
+  /// Events one shard keeps: 262144 across the buffer.
+  static constexpr size_t kShardCapacity = 262144 / kShards;
 
   void Record(TraceEvent event);
 
   /// All retained events, sorted by start timestamp.
   std::vector<TraceEvent> Snapshot() const;
-
-  size_t size() const;
-  /// Events overwritten because a shard ring was full.
-  uint64_t dropped() const;
-  /// Clears the buffer and installs a new total capacity.
-  void SetCapacity(size_t capacity);
-  void Reset();
 
   /// Chrome trace_event JSON array (load in chrome://tracing or Perfetto):
   /// [{"name": ..., "ph": "X", "ts": ..., "dur": ..., "pid": 1, "tid": ...}]
@@ -68,15 +60,11 @@ class TraceBuffer {
   static TraceBuffer& Global();
 
  private:
-  static constexpr size_t kShards = 16;
   struct Shard {
     mutable std::mutex mu;
-    /// Ring storage: grows until `capacity`, then wraps at `next`.
+    /// Ring storage: grows until kShardCapacity, then wraps at `next`.
     std::vector<TraceEvent> events;
     size_t next = 0;
-    uint64_t dropped = 0;
-    /// Per-shard cap; written only with every shard mutex held.
-    size_t capacity = kDefaultCapacity / kShards;
   };
   std::array<Shard, kShards> shards_;
 };
@@ -102,11 +90,10 @@ class TraceSpan {
   /// span; no-ops after End().
   /// @{
   void Annotate(const std::string& key, const std::string& value);
-  void Annotate(const std::string& key, const char* value);
   void Annotate(const std::string& key, double value);
-  void Annotate(const std::string& key, uint64_t value);
-  void Annotate(const std::string& key, int64_t value);
   void Annotate(const std::string& key, bool value);
+  /// A string literal would convert to bool: pass a std::string.
+  void Annotate(const std::string& key, const char* value) = delete;
   /// @}
 
   /// Closes the span early (idempotent).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "tensor/kernels.h"
 #include "tensor/stats.h"
 #include "util/macros.h"
 
@@ -51,11 +52,6 @@ void DequantizeScalar(const int8_t* codes, int64_t n, float scale,
 }
 
 #if defined(EF_AFFINE_X86)
-
-bool CpuHasAvx2() {
-  static const bool has = __builtin_cpu_supports("avx2");
-  return has;
-}
 
 __attribute__((target("avx2")))
 void QuantizeAvx2(const float* in, int64_t n, float inv_scale,
@@ -133,20 +129,12 @@ std::vector<int8_t> QuantizeAffine(const Tensor& t, const AffineParams& p) {
   const float inv_scale = 1.0f / p.scale;
   const float zero_point = static_cast<float>(p.zero_point);
 #if defined(EF_AFFINE_X86)
-  if (CpuHasAvx2()) {
+  if (tensor::ActiveKernelPath() != tensor::KernelPath::kPortable) {
     QuantizeAvx2(t.data(), t.size(), inv_scale, zero_point, codes.data());
     return codes;
   }
 #endif
   QuantizeScalar(t.data(), t.size(), inv_scale, zero_point, codes.data());
-  return codes;
-}
-
-std::vector<int8_t> QuantizeAffineScalar(const Tensor& t,
-                                         const AffineParams& p) {
-  std::vector<int8_t> codes(static_cast<size_t>(t.size()));
-  QuantizeScalar(t.data(), t.size(), 1.0f / p.scale,
-                 static_cast<float>(p.zero_point), codes.data());
   return codes;
 }
 
@@ -157,7 +145,7 @@ Tensor DequantizeAffine(const std::vector<int8_t>& codes,
   const int64_t n = out.size();
   const float zero_point = static_cast<float>(p.zero_point);
 #if defined(EF_AFFINE_X86)
-  if (CpuHasAvx2()) {
+  if (tensor::ActiveKernelPath() != tensor::KernelPath::kPortable) {
     DequantizeAvx2(codes.data(), n, p.scale, zero_point, out.data());
     return out;
   }

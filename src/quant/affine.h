@@ -25,18 +25,13 @@ AffineParams CalibrateMax(const Tensor& t);
 
 /// Quantizes to int8 codes using `params`.
 ///
-/// Edge-value policy (identical on the scalar and SIMD paths, pinned by
-/// tests against QuantizeAffineScalar):
+/// Runs AVX2 code unless the kernel path is portable
+/// (tensor::ActiveKernelPath). Edge-value policy, identical on both paths
+/// and pinned by tests that run every kernel path:
 ///  - NaN quantizes to the clamped zero point (dequantizes to 0.0);
 ///  - +/-Inf clamps to the endpoint codes 127 / -128;
 ///  - exact .5 ties round to nearest-even (nearbyintf semantics).
 std::vector<int8_t> QuantizeAffine(const Tensor& t, const AffineParams& p);
-
-/// Reference implementation of QuantizeAffine that never takes the SIMD
-/// path. Bit-exact with QuantizeAffine on every input, including NaN/Inf
-/// and range endpoints; used by tests to pin scalar/SIMD agreement.
-std::vector<int8_t> QuantizeAffineScalar(const Tensor& t,
-                                         const AffineParams& p);
 
 /// Reconstructs a float tensor from int8 codes.
 Tensor DequantizeAffine(const std::vector<int8_t>& codes,

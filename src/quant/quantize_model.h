@@ -71,7 +71,8 @@ struct MaterializedModel {
   std::vector<LayerQuantRecord> layers;
 
   /// Per-layer effective steps in traversal order — feed to
-  /// core::VectorStepFn for BoundWithSteps/AttributionWithSteps.
+  /// core::VectorStepFn for BoundWithSteps, or to the steps overload of
+  /// core::ErrorFlowAnalysis::Attribution.
   std::vector<double> EffectiveSteps() const;
 };
 

@@ -17,8 +17,6 @@ namespace serve {
 /// \brief Admission policy.
 struct AdmissionConfig {
   tensor::Norm norm = tensor::Norm::kLinf;
-  /// Hardware profile used to rank feasible formats by execution speed.
-  quant::HardwareProfile hardware;
   /// Formats the controller may choose from; empty means all five
   /// (FP32 included, so any positive tolerance is feasible). Restricting
   /// to ReducedFormats() makes tight tolerances rejectable.

@@ -14,6 +14,10 @@ namespace serve {
 
 namespace {
 
+// Seed of the synthesized calibration batch; fixed so the cached steps and
+// every later materialization agree bit-exactly.
+constexpr uint64_t kCalibrationSeed = 0xca11b8a7c4ull;
+
 std::string VariantKey(const std::string& name, quant::NumericFormat format,
                        quant::WeightQuantizer quantizer) {
   std::string key = name + "\n" + quant::FormatToString(format);
@@ -68,7 +72,7 @@ Status ModelRegistry::Register(std::string name, nn::Model model,
     }
     calib_shape[0] = std::max<int64_t>(1, config_.calibration_samples);
     calibration = tensor::Tensor(calib_shape);
-    util::Rng rng(config_.calibration_seed);
+    util::Rng rng(kCalibrationSeed);
     for (int64_t i = 0; i < calibration.size(); ++i) {
       calibration[i] = static_cast<float>(rng.Uniform(-1.0, 1.0));
     }
@@ -324,14 +328,6 @@ void ModelRegistry::EvictLocked(const std::string& keep) {
               victim->first.c_str());
     EraseLocked(victim);
   }
-}
-
-std::vector<std::string> ModelRegistry::ModelNames() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) names.push_back(name);
-  return names;
 }
 
 int64_t ModelRegistry::variant_count() const {

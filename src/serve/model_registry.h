@@ -54,9 +54,6 @@ struct RegistryConfig {
   /// the FP32 watchdog audits the residual risk either way
   /// (docs/QUANTIZATION.md).
   int64_t calibration_samples = 64;
-  /// Seed of the synthesized calibration batch; fixed so the cached steps
-  /// and every later materialization agree bit-exactly.
-  uint64_t calibration_seed = 0xca11b8a7c4ull;
 };
 
 /// \brief Owns the served models, their error-flow analyses, and a
@@ -195,7 +192,6 @@ class ModelRegistry {
       const std::string& name, quant::NumericFormat format,
       quant::WeightQuantizer quantizer = quant::WeightQuantizer::kMaxAffine);
 
-  std::vector<std::string> ModelNames() const;
   int64_t variant_count() const;
   int64_t variant_bytes() const;
   const RegistryConfig& config() const { return config_; }

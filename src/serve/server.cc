@@ -22,7 +22,6 @@ RegistryConfig MakeRegistryConfig(const ServerConfig& config) {
 AdmissionConfig MakeAdmissionConfig(const ServerConfig& config) {
   AdmissionConfig ac;
   ac.norm = config.norm;
-  ac.hardware = config.hardware;
   ac.allowed_formats = config.allowed_formats;
   ac.max_queue_depth = config.max_queue_depth;
   return ac;
@@ -59,19 +58,6 @@ Status InferenceServer::RegisterModel(std::string name, nn::Model model,
             name.c_str());
   return registry_.Register(std::move(name), std::move(model),
                             std::move(single_input_shape));
-}
-
-Status InferenceServer::RegisterModel(std::string name, nn::Model model,
-                                      tensor::Shape single_input_shape,
-                                      tensor::Tensor calibration) {
-  obs::Logf(obs::LogLevel::kInfo,
-            "serve: registering model %s (explicit calibration, %lld rows)",
-            name.c_str(),
-            static_cast<long long>(
-                calibration.size() > 0 ? calibration.dim(0) : 0));
-  return registry_.Register(std::move(name), std::move(model),
-                            std::move(single_input_shape),
-                            std::move(calibration));
 }
 
 Status InferenceServer::Start() {

@@ -37,7 +37,6 @@ struct ServerConfig {
   int adapt_interval_batches = 16;
   /// Norm of request tolerances.
   tensor::Norm norm = tensor::Norm::kLinf;
-  quant::HardwareProfile hardware;
   /// Formats admission may choose; empty = all five (FP32 included).
   std::vector<quant::NumericFormat> allowed_formats;
   /// Deadline applied to requests that submit without one.
@@ -81,16 +80,9 @@ class InferenceServer {
   InferenceServer& operator=(const InferenceServer&) = delete;
 
   /// Profiles and registers a trained model under `name`. In data-driven
-  /// mode the registry synthesizes a calibration batch; use the overload
-  /// to calibrate on real data instead.
+  /// mode the registry synthesizes a calibration batch.
   Status RegisterModel(std::string name, nn::Model model,
                        tensor::Shape single_input_shape);
-
-  /// RegisterModel with an explicit calibration batch for the data-driven
-  /// quantizer (ignored when data_driven_quantizer is kMaxAffine).
-  Status RegisterModel(std::string name, nn::Model model,
-                       tensor::Shape single_input_shape,
-                       tensor::Tensor calibration);
 
   Status Start();
 

@@ -1270,9 +1270,6 @@ std::atomic<KernelPath>& PathSlot() {
   return slot;
 }
 
-// The path every dispatch below takes.
-KernelPath ActivePath() { return PathSlot().load(std::memory_order_relaxed); }
-
 // Dispatches one row chunk of the axpy-oriented kernels (Gemm / GemmTN).
 void GemmAccRows(const float* a, int64_t as_i, int64_t as_l, const float* b,
                  float* c, int64_t r0, int64_t r1, int64_t n, int64_t k) {
@@ -1280,7 +1277,7 @@ void GemmAccRows(const float* a, int64_t as_i, int64_t as_l, const float* b,
   std::memset(c + r0 * n, 0,
               static_cast<size_t>((r1 - r0) * n) * sizeof(float));
 #if defined(EF_KERNELS_X86)
-  if (ActivePath() != KernelPath::kPortable) {
+  if (ActiveKernelPath() != KernelPath::kPortable) {
     GemmAccRowsAvx2(a, as_i, as_l, b, c, r0, r1, n, k);
     return;
   }
@@ -1305,7 +1302,7 @@ void ConvBlocks(const float* weight, const float* bias, const float* in,
   if (mask_buf.size() < mask_n) mask_buf.resize(mask_n);
   float* panel = panel_buf.data();
   int32_t* masks = mask_buf.data();
-  [[maybe_unused]] const KernelPath path = ActivePath();
+  [[maybe_unused]] const KernelPath path = ActiveKernelPath();
   ConvBlock b;
   for (int64_t blk = blk0; blk < blk1; ++blk) {
     FillConvBlock(g, in, blk * kConvBlock, cols, &b);
@@ -1338,7 +1335,7 @@ void ConvBlocks(const float* weight, const float* bias, const float* in,
 void GemmNTRows(const float* a, const float* b, float* c, int64_t r0,
                 int64_t r1, int64_t n, int64_t k) {
 #if defined(EF_KERNELS_X86)
-  if (ActivePath() != KernelPath::kPortable) {
+  if (ActiveKernelPath() != KernelPath::kPortable) {
     GemmNTRowsAvx2(a, b, c, r0, r1, n, k);
     return;
   }
@@ -1369,6 +1366,10 @@ std::vector<KernelPath> SupportedKernelPaths() {
   return paths;
 }
 
+KernelPath ActiveKernelPath() {
+  return PathSlot().load(std::memory_order_relaxed);
+}
+
 void SetKernelPathForTest(KernelPath path) {
   EF_CHECK(path <= HostKernelPath());
   PathSlot().store(path, std::memory_order_relaxed);
@@ -1393,14 +1394,10 @@ void SetKernelParallelFlopThreshold(int64_t flops) {
                        std::memory_order_relaxed);
 }
 
-int64_t KernelParallelFlopThreshold() {
-  return parallel_flops.load(std::memory_order_relaxed);
-}
-
 std::string KernelDescription() {
   const int threads = KernelThreads();
   return util::StrFormat("%s kernel path, %d thread%s",
-                         KernelPathName(ActivePath()), threads,
+                         KernelPathName(ActiveKernelPath()), threads,
                          threads == 1 ? "" : "s");
 }
 
@@ -1436,7 +1433,7 @@ void GemmNTKernel(const float* a, const float* b, float* c, int64_t m,
                   int64_t n, int64_t k) {
   const int64_t flops = 2 * m * n * k;
 #if defined(EF_KERNELS_X86)
-  if (ActivePath() == KernelPath::kAvx512 && m >= k &&
+  if (ActiveKernelPath() == KernelPath::kAvx512 && m >= k &&
       k * RoundUp16(n) <= kNTPanelMaxFloats) {
     // Packed once on the caller's thread; the chunks only read it, and the
     // caller waits for them, so the thread-local buffer outlives them.
@@ -1490,7 +1487,7 @@ void ParallelChunksKernel(int64_t n, int64_t flops,
 void TanhKernel(const float* x, float* y, int64_t n) {
   int64_t i = 0;
 #if defined(EF_KERNELS_X86)
-  switch (ActivePath()) {
+  switch (ActiveKernelPath()) {
     case KernelPath::kAvx512:
       TanhAvx512(x, y, n);
       return;
@@ -1508,7 +1505,7 @@ void TanhKernel(const float* x, float* y, int64_t n) {
 void GemvKernel(const float* w, const float* x, float* y, int64_t m,
                 int64_t n) {
 #if defined(EF_KERNELS_X86)
-  if (ActivePath() != KernelPath::kPortable) {
+  if (ActiveKernelPath() != KernelPath::kPortable) {
     GemvRowsAvx2(w, x, y, 0, m, n);
     return;
   }
@@ -1519,7 +1516,7 @@ void GemvKernel(const float* w, const float* x, float* y, int64_t m,
 void GemvTKernel(const float* w, const float* x, float* y, int64_t m,
                  int64_t n) {
 #if defined(EF_KERNELS_X86)
-  if (ActivePath() != KernelPath::kPortable) {
+  if (ActiveKernelPath() != KernelPath::kPortable) {
     GemvTAvx2(w, x, y, m, n);
     return;
   }

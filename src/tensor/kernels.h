@@ -33,7 +33,6 @@ int KernelThreads();
 
 /// Minimum FLOP count (2*m*n*k) at which a GEMM is parallelized.
 void SetKernelParallelFlopThreshold(int64_t flops);
-int64_t KernelParallelFlopThreshold();
 
 /// The instruction-set path every kernel call runs on, chosen once at
 /// startup: the widest this host supports (docs/PERFORMANCE.md, "Kernel
@@ -48,6 +47,10 @@ const char* KernelPathName(KernelPath path);
 
 /// The paths this host supports, narrowest first; the last is the default.
 std::vector<KernelPath> SupportedKernelPaths();
+
+/// The path every kernel call runs on: the default, unless a test set
+/// another with SetKernelPathForTest.
+KernelPath ActiveKernelPath();
 
 /// Test-only (tests and the per-path bench rows): runs every later kernel
 /// call on `path`, which must be in SupportedKernelPaths(). The setting is

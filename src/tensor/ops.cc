@@ -51,12 +51,6 @@ void Add(const Tensor& a, const Tensor& b, Tensor* out) {
   for (int64_t i = 0; i < a.size(); ++i) (*out)[i] = a[i] + b[i];
 }
 
-void Sub(const Tensor& a, const Tensor& b, Tensor* out) {
-  EF_CHECK(a.size() == b.size());
-  if (out->size() != a.size()) *out = Tensor(a.shape());
-  for (int64_t i = 0; i < a.size(); ++i) (*out)[i] = a[i] - b[i];
-}
-
 void Scale(Tensor* t, float s) {
   for (int64_t i = 0; i < t->size(); ++i) (*t)[i] *= s;
 }
@@ -70,15 +64,6 @@ void AddRowBias(Tensor* mat, const Tensor& bias) {
   for (int64_t i = 0; i < m; ++i) {
     for (int64_t j = 0; j < n; ++j) p[i * n + j] += pb[j];
   }
-}
-
-double Dot(const Tensor& a, const Tensor& b) {
-  EF_CHECK(a.size() == b.size());
-  double acc = 0.0;
-  for (int64_t i = 0; i < a.size(); ++i) {
-    acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return acc;
 }
 
 }  // namespace tensor

@@ -27,17 +27,11 @@ void GemvT(const Tensor& w, const Tensor& x, Tensor* y);
 /// out = a + b (elementwise; shapes must match).
 void Add(const Tensor& a, const Tensor& b, Tensor* out);
 
-/// out = a - b (elementwise; shapes must match).
-void Sub(const Tensor& a, const Tensor& b, Tensor* out);
-
 /// t *= s in place.
 void Scale(Tensor* t, float s);
 
 /// Adds a length-n bias to every row of a (m x n) matrix.
 void AddRowBias(Tensor* mat, const Tensor& bias);
-
-/// Dot product of two equal-length 1-D tensors.
-double Dot(const Tensor& a, const Tensor& b);
 
 }  // namespace tensor
 }  // namespace errorflow

@@ -1,8 +1,6 @@
 #include "tensor/tensor.h"
 
-#include <numeric>
-
-#include "util/string_util.h"
+#include <algorithm>
 
 namespace errorflow {
 namespace tensor {
@@ -30,35 +28,6 @@ Tensor::Tensor(Shape shape)
 Tensor::Tensor(Shape shape, std::vector<float> values)
     : shape_(std::move(shape)), data_(std::move(values)) {
   EF_CHECK(static_cast<int64_t>(data_.size()) == NumElements(shape_));
-}
-
-Tensor Tensor::Full(Shape shape, float value) {
-  Tensor t(std::move(shape));
-  t.Fill(value);
-  return t;
-}
-
-Tensor Tensor::FromValues(std::initializer_list<float> values) {
-  return Tensor({static_cast<int64_t>(values.size())},
-                std::vector<float>(values));
-}
-
-Result<Tensor> Tensor::Reshape(Shape new_shape) const {
-  if (NumElements(new_shape) != size()) {
-    return Status::InvalidArgument(util::StrFormat(
-        "Reshape: cannot view %lld elements as %s",
-        static_cast<long long>(size()), ShapeToString(new_shape).c_str()));
-  }
-  return Tensor(std::move(new_shape), data_);
-}
-
-Tensor Tensor::Row(int64_t i) const {
-  EF_CHECK(ndim() == 2 && i >= 0 && i < shape_[0]);
-  const int64_t cols = shape_[1];
-  std::vector<float> row(
-      data_.begin() + static_cast<size_t>(i * cols),
-      data_.begin() + static_cast<size_t>((i + 1) * cols));
-  return Tensor({cols}, std::move(row));
 }
 
 void Tensor::Fill(float value) {

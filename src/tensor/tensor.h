@@ -2,7 +2,6 @@
 #define ERRORFLOW_TENSOR_TENSOR_H_
 
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -40,13 +39,7 @@ class Tensor {
   /// Allocates and fills from `values`; `values.size()` must match shape.
   Tensor(Shape shape, std::vector<float> values);
 
-  /// \name Factories
-  /// @{
   static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
-  static Tensor Full(Shape shape, float value);
-  /// 1-D tensor from an initializer list.
-  static Tensor FromValues(std::initializer_list<float> values);
-  /// @}
 
   const Shape& shape() const { return shape_; }
   int64_t ndim() const { return static_cast<int64_t>(shape_.size()); }
@@ -77,12 +70,6 @@ class Tensor {
     return data_[static_cast<size_t>(
         ((n * shape_[1] + c) * shape_[2] + h) * shape_[3] + w)];
   }
-
-  /// Returns a copy with a new shape holding the same number of elements.
-  Result<Tensor> Reshape(Shape new_shape) const;
-
-  /// Returns the `i`-th row of a rank-2 tensor as a 1-D tensor (copy).
-  Tensor Row(int64_t i) const;
 
   /// Underlying storage (for serialization).
   const std::vector<float>& values() const { return data_; }

@@ -55,8 +55,6 @@ void BitWriter::WriteBits(uint64_t value, int nbits) {
                 static_cast<size_t>(whole));
 }
 
-void BitWriter::WriteBit(bool bit) { WriteBits(bit ? 1 : 0, 1); }
-
 void BitWriter::AlignToByte() {
   if (bits_in_current_ != 0) WriteBits(0, 8 - bits_in_current_);
 }
@@ -102,11 +100,6 @@ Result<uint64_t> BitReader::ReadBits(int nbits) {
   return value;
 }
 
-Result<bool> BitReader::ReadBit() {
-  EF_ASSIGN_OR_RETURN(uint64_t v, ReadBits(1));
-  return v != 0;
-}
-
 uint64_t BitReader::PeekBits(int nbits) const {
   EF_CHECK(nbits >= 0 && nbits <= 57);
   // Load 8 bytes starting at the current byte, MSB-first; near the end
@@ -131,11 +124,6 @@ uint64_t BitReader::PeekBits(int nbits) const {
 void BitReader::SkipBits(int nbits) {
   if (nbits <= 0) return;  // A negative skip would wrap the cursor forward.
   bit_pos_ = std::min(total_bits_, bit_pos_ + static_cast<size_t>(nbits));
-}
-
-void BitReader::AlignToByte() {
-  bit_pos_ = (bit_pos_ + 7) & ~size_t{7};
-  if (bit_pos_ > total_bits_) bit_pos_ = total_bits_;
 }
 
 }  // namespace util

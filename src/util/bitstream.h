@@ -21,9 +21,6 @@ class BitWriter {
   /// `nbits` must be in [0, 64].
   void WriteBits(uint64_t value, int nbits);
 
-  /// Appends a single bit.
-  void WriteBit(bool bit);
-
   /// Pads to a byte boundary with zero bits (idempotent on aligned streams).
   void AlignToByte();
 
@@ -64,18 +61,12 @@ class BitReader {
   /// `nbits` is outside [0, 64] (widths may come from untrusted headers).
   Result<uint64_t> ReadBits(int nbits);
 
-  /// Reads one bit.
-  Result<bool> ReadBit();
-
   /// Returns the next `nbits` (<= 57) bits without consuming them,
   /// zero-padded past the end of the stream. Never fails.
   uint64_t PeekBits(int nbits) const;
 
   /// Advances the cursor by `nbits`, clamped to the end of the stream.
   void SkipBits(int nbits);
-
-  /// Skips forward to the next byte boundary.
-  void AlignToByte();
 
   /// Number of bits remaining.
   size_t BitsRemaining() const { return total_bits_ - bit_pos_; }

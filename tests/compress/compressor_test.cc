@@ -113,7 +113,7 @@ TEST_P(BackendTest, RandomNoiseStillBounded) {
 }
 
 TEST_P(BackendTest, ConstantFieldNearPerfectRatio) {
-  const Tensor data = Tensor::Full({64, 64}, 3.25f);
+  const Tensor data = testing::Full({64, 64}, 3.25f);
   auto c = compressor_->Compress(data, ErrorBound::AbsLinf(1e-4));
   ASSERT_TRUE(c.ok());
   EXPECT_GT(c->ratio(), 20.0);
@@ -124,7 +124,7 @@ TEST_P(BackendTest, ConstantFieldNearPerfectRatio) {
 
 TEST_P(BackendTest, ConstantFieldRelativeBoundDegenerates) {
   // Relative Linf on a constant field resolves to eb = 0: lossless.
-  const Tensor data = Tensor::Full({32}, -2.0f);
+  const Tensor data = testing::Full({32}, -2.0f);
   auto c = compressor_->Compress(data, ErrorBound::RelLinf(1e-3));
   ASSERT_TRUE(c.ok());
   auto d = compressor_->Decompress(c->blob);

@@ -38,7 +38,7 @@ TEST(ZfpTest, L2ModeNotSupported) {
 
 TEST(ZfpTest, ZeroToleranceFallsBackToLossless) {
   ZfpCompressor zfp;
-  const Tensor data = Tensor::Full({20}, 5.0f);
+  const Tensor data = testing::Full({20}, 5.0f);
   auto c = zfp.Compress(data, ErrorBound::RelLinf(1e-3));  // range 0 -> eb 0
   ASSERT_TRUE(c.ok());
   auto d = zfp.Decompress(c->blob);

@@ -149,7 +149,7 @@ TEST(AttributionTest, HandBuiltChainMatchesClosedForm) {
   const double input_l2 = 1e-2;
 
   const BoundAttribution att =
-      analysis.AttributionWithSteps(input_l2, Norm::kL2, steps);
+      analysis.Attribution(input_l2, Norm::kL2, std::vector<double>{q0, q1});
   ASSERT_EQ(att.layers.size(), 2u);
   ExpectClose(inj0 * sigma_t1, att.layers[0].quant_share);
   ExpectClose(inj1, att.layers[1].quant_share);

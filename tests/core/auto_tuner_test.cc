@@ -120,7 +120,6 @@ TEST(AutoTunerTest, NeverWorseThanFixedFractionPlans) {
     AllocationConfig alloc;
     alloc.norm = cfg.norm;
     alloc.quant_fraction = frac;
-    alloc.hardware = cfg.hardware;
     const AllocationPlan plan = AllocateTolerance(analysis, tol, alloc);
     // Find the tuner's candidate for the same format: its throughput is
     // the best the fixed plan could achieve (the tuner's input tolerance

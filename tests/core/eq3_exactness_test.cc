@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "nn/dense.h"
 #include "nn/model.h"
+#include "testing/eq3_reference.h"
 
 namespace errorflow {
 namespace core {
@@ -36,7 +37,7 @@ TEST(Eq3ExactnessTest, CompressionTermIsSigmaProduct) {
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 3}));
   // MLP: sigma_s = 0; gain = 2.0 * 0.5 = 1.
   EXPECT_NEAR(analysis.Gain(), 1.0, 1e-9);
-  EXPECT_NEAR(analysis.Eq3BoundL2(1e-3, NumericFormat::kFP32), 1e-3,
+  EXPECT_NEAR(testing::Eq3BoundL2(analysis, 1e-3, NumericFormat::kFP32), 1e-3,
               1e-12);
 }
 
@@ -56,18 +57,19 @@ TEST(Eq3ExactnessTest, QuantTermMatchesHandComputation) {
   //   term(l=2) = (sigma_1 + q1*sqrt(3)/sqrt(3)) * q2 * sqrt(9)/(2 sqrt 3)
   const double t1 = 2.0 * q1 * 3.0 / (2.0 * std::sqrt(3.0));
   const double t2 = (1.0 + q1) * q2 * 3.0 / (2.0 * std::sqrt(3.0));
-  EXPECT_NEAR(analysis.Eq3BoundL2(0.0, NumericFormat::kFP16), t1 + t2,
-              1e-12);
+  EXPECT_NEAR(testing::Eq3BoundL2(analysis, 0.0, NumericFormat::kFP16),
+              t1 + t2, 1e-12);
 }
 
 TEST(Eq3ExactnessTest, InputTermAndQuantTermCompose) {
   nn::Model m = DiagonalModel(1.0f, 1.0f);
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 3}));
-  const double quant_only = analysis.Eq3BoundL2(0.0, NumericFormat::kBF16);
+  const double quant_only =
+      testing::Eq3BoundL2(analysis, 0.0, NumericFormat::kBF16);
   const double with_input =
-      analysis.Eq3BoundL2(1e-2, NumericFormat::kBF16);
+      testing::Eq3BoundL2(analysis, 1e-2, NumericFormat::kBF16);
   // Gain is 1 (printed Eq. 3 uses plain sigma in the input term)...
-  // our Eq3BoundL2 uses sigma for the first term: expect exactly +1e-2.
+  // testing::Eq3BoundL2 uses sigma for the first term: expect exactly +1e-2.
   EXPECT_NEAR(with_input - quant_only, 1e-2, 1e-12);
 }
 
@@ -84,7 +86,7 @@ TEST(Eq3ExactnessTest, RecursionEqualsEq3ForSingleLayer) {
       // With one layer there are no downstream products, so the
       // conservative recursion and the printed formula coincide.
       EXPECT_NEAR(analysis.Bound(e, Norm::kL2, fmt),
-                  analysis.Eq3BoundL2(e, fmt), 1e-12)
+                  testing::Eq3BoundL2(analysis, e, fmt), 1e-12)
           << quant::FormatToString(fmt) << " e=" << e;
     }
   }

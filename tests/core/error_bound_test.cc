@@ -7,6 +7,7 @@
 #include "nn/dense.h"
 #include "nn/residual.h"
 #include "quant/step_size.h"
+#include "testing/eq3_reference.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
@@ -53,7 +54,7 @@ TEST(ErrorBoundTest, SingleLayerQuantTermMatchesClosedForm) {
     const double expected = q * std::sqrt(4.0 * 3.0) / (2.0 * std::sqrt(3.0));
     EXPECT_NEAR(analysis.QuantTerm(fmt), expected, 1e-12)
         << quant::FormatToString(fmt);
-    EXPECT_NEAR(analysis.Eq3BoundL2(0.0, fmt), expected, 1e-12);
+    EXPECT_NEAR(testing::Eq3BoundL2(analysis, 0.0, fmt), expected, 1e-12);
   }
 }
 
@@ -142,10 +143,11 @@ TEST(ErrorBoundTest, RecursionUpperBoundsEq3) {
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 6}));
   for (double in_err : {0.0, 1e-4, 1e-2}) {
     EXPECT_NEAR(analysis.Bound(in_err, Norm::kL2, NumericFormat::kFP32),
-                analysis.Eq3BoundL2(in_err, NumericFormat::kFP32), 1e-12);
+                testing::Eq3BoundL2(analysis, in_err, NumericFormat::kFP32),
+                1e-12);
     for (NumericFormat fmt : quant::ReducedFormats()) {
       EXPECT_GE(analysis.Bound(in_err, Norm::kL2, fmt),
-                analysis.Eq3BoundL2(in_err, fmt) * (1.0 - 1e-12));
+                testing::Eq3BoundL2(analysis, in_err, fmt) * (1.0 - 1e-12));
     }
   }
 }
@@ -155,11 +157,19 @@ TEST(ErrorBoundTest, QuantizedSigmaProxyFormula) {
   layer.sigma = 2.0;
   layer.n_in = 9;
   layer.n_out = 16;
-  layer.weight = Tensor::Full({16, 9}, 1.0f);  // q = 2^-10 for tf32.
+  layer.weight = testing::Full({16, 9}, 1.0f);  // q = 2^-10 for tf32.
   const double q = LayerStepSize(layer, NumericFormat::kTF32);
   EXPECT_NEAR(q, std::exp2(-10.0), 1e-15);
-  EXPECT_NEAR(QuantizedSigma(layer, NumericFormat::kTF32),
-              2.0 + q * 3.0 / std::sqrt(3.0), 1e-12);
+  ModelProfile profile;
+  profile.n0 = 9;
+  profile.blocks.emplace_back();
+  profile.blocks[0].body.push_back(layer);
+  const ErrorFlowAnalysis analysis(std::move(profile));
+  const BoundAttribution att =
+      analysis.Attribution(0.0, Norm::kL2, NumericFormat::kTF32);
+  ASSERT_EQ(att.layers.size(), 1u);
+  EXPECT_NEAR(att.layers[0].quantized_sigma, 2.0 + q * 3.0 / std::sqrt(3.0),
+              1e-12);
 }
 
 TEST(ErrorBoundTest, ResidualGainIncludesShortcut) {

@@ -20,15 +20,6 @@ TEST(NormalizerTest, MapsToUnitInterval) {
   EXPECT_FLOAT_EQ(out.at(2, 1), 1.0f);
 }
 
-TEST(NormalizerTest, InvertIsInverse) {
-  const Tensor data = testing::RandomTensor({20, 5}, 1, 10.0);
-  const Normalizer norm = Normalizer::Fit(data);
-  const Tensor back = norm.Invert(norm.Apply(data));
-  for (int64_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(back[i], data[i], 1e-4);
-  }
-}
-
 TEST(NormalizerTest, ConstantFeatureMapsToZero) {
   Tensor data({3, 1}, {7, 7, 7});
   const Normalizer norm = Normalizer::Fit(data);

@@ -19,7 +19,6 @@ TEST(SimStorageTest, MissingKeyIsNotFound) {
   auto r = storage.Read("nope");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  EXPECT_FALSE(storage.Size("nope").ok());
 }
 
 TEST(SimStorageTest, OverwriteReplaces) {
@@ -32,7 +31,10 @@ TEST(SimStorageTest, OverwriteReplaces) {
 TEST(SimStorageTest, SizeReports) {
   SimulatedStorage storage;
   ASSERT_TRUE(storage.Write("k", std::string(1000, 'x')).ok());
-  EXPECT_EQ(*storage.Size("k"), 1000);
+  auto r = storage.Read("k");
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->data.size(), 1000u);
+  EXPECT_EQ(r->simulated_seconds, storage.ModelReadSeconds(1000));
 }
 
 TEST(SimStorageTest, TransferTimeModel) {

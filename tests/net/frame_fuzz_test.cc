@@ -11,12 +11,15 @@
 #include "gtest/gtest.h"
 #include "net/frame.h"
 #include "testing/alloc_guard.h"
+#include "testing/decode_frame.h"
 #include "testing/fuzz_util.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
 namespace net {
 namespace {
+
+using testing::DecodeFrame;
 
 std::vector<std::string> WireCorpus() {
   SubmitFrame submit;

@@ -4,11 +4,14 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "testing/decode_frame.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
 namespace net {
 namespace {
+
+using testing::DecodeFrame;
 
 SubmitFrame MakeSubmit() {
   SubmitFrame s;

@@ -21,7 +21,7 @@ TEST(BuildMlpTest, PaperH2Shape) {
   Model m = BuildMlp(cfg);
   // Dense, Act, Dense, Act, Dense.
   EXPECT_EQ(m.layers().size(), 5u);
-  EXPECT_EQ(m.OutputShape({1, 9}), (Shape{1, 9}));
+  EXPECT_EQ(m.Predict(Tensor({1, 9})).shape(), (Shape{1, 9}));
 }
 
 TEST(BuildMlpTest, DeepBorghesiShape) {
@@ -31,7 +31,7 @@ TEST(BuildMlpTest, DeepBorghesiShape) {
   cfg.output_dim = 3;
   Model m = BuildMlp(cfg);
   EXPECT_EQ(m.layers().size(), 17u);  // 8x(dense, act) + head.
-  EXPECT_EQ(m.OutputShape({2, 13}), (Shape{2, 3}));
+  EXPECT_EQ(m.Predict(Tensor({2, 13})).shape(), (Shape{2, 3}));
 }
 
 TEST(BuildMlpTest, ForwardRuns) {
@@ -67,7 +67,7 @@ TEST(BuildResNetTest, StageDownsampling) {
   cfg.stage_channels = {8, 16, 32};
   cfg.stage_blocks = {2, 2, 2};
   Model m = BuildResNet(cfg);
-  EXPECT_EQ(m.OutputShape({1, 3, 32, 32}), (Shape{1, 10}));
+  EXPECT_EQ(m.Predict(Tensor({1, 3, 32, 32})).shape(), (Shape{1, 10}));
   // Residual block count.
   int blocks = 0;
   for (const auto& l : m.layers()) {

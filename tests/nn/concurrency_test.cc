@@ -144,7 +144,7 @@ TEST(ConcurrencyTest, PsnConv2dConcurrentSpectralAccessorsAreSafe) {
       tensor::Tensor out;
       for (int it = 0; it < 10; ++it) {
         if ((t + it) % 2 == 0) {
-          const double sigma = layer.MatrixSpectralNorm();
+          const double sigma = layer.OperatorNorm(6, 6);
           if (!(sigma > 0.0)) bad.fetch_add(1);
         } else {
           layer.Forward(input, &out, /*training=*/false);

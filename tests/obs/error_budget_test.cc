@@ -1,6 +1,7 @@
 #include "obs/error_budget.h"
 
 #include <cmath>
+#include <limits>
 
 #include "gtest/gtest.h"
 #include "obs/log.h"
@@ -36,6 +37,30 @@ TEST(ErrorBudgetTest, TightnessSemantics) {
   EXPECT_FALSE(AuditedLedger(0.0, 0.5).violation());
 }
 
+// A NaN or Inf output has no tightness, but against a positive bound it
+// is a violation, counted like any other.
+TEST(ErrorBudgetTest, NonFiniteAchievedErrorIsViolation) {
+  MetricsRegistry registry;
+  std::string captured;
+  Logger::Global().CaptureForTest(&captured);
+  for (double achieved : {std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    const ErrorBudgetLedger ledger = AuditedLedger(0.4, achieved);
+    EXPECT_TRUE(std::isnan(ledger.tightness()));
+    EXPECT_TRUE(ledger.violation());
+    RecordErrorBudget(ledger, nullptr, &registry);
+  }
+  Logger::Global().CaptureForTest(nullptr);
+  EXPECT_EQ(registry.CounterValue("errorflow.bound.violations"), 2u);
+  EXPECT_EQ(registry.HistogramSnapshotOf("errorflow.bound.tightness").count,
+            0u);
+  EXPECT_NE(captured.find("error bound violated"), std::string::npos);
+
+  // Without a positive bound there is nothing to violate.
+  EXPECT_FALSE(AuditedLedger(0.0, std::numeric_limits<double>::infinity())
+                   .violation());
+}
+
 TEST(ErrorBudgetTest, SanitizeMetricComponent) {
   EXPECT_EQ(SanitizeMetricComponent("mlp-A.v2"), "mlp_a_v2");
   EXPECT_EQ(SanitizeMetricComponent("int8"), "int8");
@@ -67,12 +92,10 @@ TEST(ErrorBudgetTest, ViolationEmitsStructuredWarn) {
   MetricsRegistry registry;
   std::string captured;
   Logger& logger = Logger::Global();
-  logger.SetTextStream(nullptr);
   logger.CaptureForTest(&captured);
   RecordErrorBudget(AuditedLedger(0.4, 0.1), nullptr, &registry);
   RecordErrorBudget(AuditedLedger(0.4, 0.8), nullptr, &registry);
   logger.CaptureForTest(nullptr);
-  logger.SetTextStream(stderr);
 
   EXPECT_NE(captured.find("error bound violated"), std::string::npos);
   EXPECT_NE(captured.find("model=mlp-a"), std::string::npos);

@@ -11,13 +11,10 @@ namespace errorflow {
 namespace obs {
 namespace {
 
-// A logger with the stderr sink detached and a string capture attached.
+// A logger whose text lines go to a string capture instead of stderr.
 class CapturedLogger {
  public:
-  CapturedLogger() {
-    logger_.SetTextStream(nullptr);
-    logger_.CaptureForTest(&captured_);
-  }
+  CapturedLogger() { logger_.CaptureForTest(&captured_); }
   Logger& logger() { return logger_; }
   const std::string& text() const { return captured_; }
 
@@ -59,7 +56,6 @@ TEST(LogTest, LevelFiltering) {
 
 TEST(LogTest, EnabledMatchesLevel) {
   Logger logger;
-  logger.SetTextStream(nullptr);
   logger.SetLevel(LogLevel::kWarn);
   EXPECT_FALSE(logger.Enabled(LogLevel::kInfo));
   EXPECT_TRUE(logger.Enabled(LogLevel::kWarn));
@@ -77,14 +73,13 @@ TEST(LogTest, StructuredFieldsInTextLine) {
 TEST(LogTest, JsonLinesSink) {
   const std::string path = ::testing::TempDir() + "/ef_log_test.jsonl";
   {
-    Logger logger;
-    logger.SetTextStream(nullptr);
+    CapturedLogger cap;
+    Logger& logger = cap.logger();
     ASSERT_TRUE(logger.OpenJsonFile(path));
     logger.SetLevel(LogLevel::kInfo);
     logger.Write(LogLevel::kDebug, "filtered out");
     logger.Write(LogLevel::kInfo, "first", {{"k", "v"}});
     logger.Write(LogLevel::kError, "with \"quotes\"");
-    logger.CloseJsonFile();
   }
   std::ifstream in(path);
   ASSERT_TRUE(in.good());
@@ -102,13 +97,12 @@ TEST(LogTest, JsonLinesSink) {
 
 TEST(LogTest, ControlCharactersInJsonLinesAreEscaped) {
   const std::string path = ::testing::TempDir() + "/ef_log_ctrl_test.jsonl";
-  Logger& global = Logger::Global();
-  global.SetTextStream(nullptr);
-  ASSERT_TRUE(global.OpenJsonFile(path));
-  Logf(LogLevel::kWarn, "column\tsplit\r%d", 7);
-  global.Write(LogLevel::kWarn, "fields", {{"k\t", "v\x01"}});
-  global.CloseJsonFile();
-  global.SetTextStream(stderr);
+  {
+    CapturedLogger cap;
+    ASSERT_TRUE(cap.logger().OpenJsonFile(path));
+    cap.logger().Write(LogLevel::kWarn, "column\tsplit\r7");
+    cap.logger().Write(LogLevel::kWarn, "fields", {{"k\t", "v\x01"}});
+  }
 
   std::ifstream in(path);
   std::string line;
@@ -127,12 +121,10 @@ TEST(LogTest, ControlCharactersInJsonLinesAreEscaped) {
 TEST(LogTest, LogfFormatsThroughGlobal) {
   std::string captured;
   Logger& global = Logger::Global();
-  global.SetTextStream(nullptr);
   global.CaptureForTest(&captured);
   Logf(LogLevel::kInfo, "value %d and %s", 42, "text");
   Logf(LogLevel::kDebug, "dropped %d", 1);
   global.CaptureForTest(nullptr);
-  global.SetTextStream(stderr);
   EXPECT_NE(captured.find("[info] value 42 and text"), std::string::npos);
   EXPECT_EQ(captured.find("dropped"), std::string::npos);
 }

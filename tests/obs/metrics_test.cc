@@ -25,8 +25,9 @@ TEST(MetricsTest, CounterGaugeBasics) {
   g->Set(2.5);
   g->Add(0.5);
   EXPECT_DOUBLE_EQ(g->value(), 3.0);
-  EXPECT_TRUE(registry.Has("test.gauge"));
-  EXPECT_FALSE(registry.Has("test.other"));
+  const std::string json = registry.ToJson();
+  EXPECT_NE(json.find("\"test.gauge\""), std::string::npos);
+  EXPECT_EQ(json.find("test.other"), std::string::npos);
 }
 
 TEST(MetricsTest, GetReturnsSameInstance) {
@@ -221,9 +222,9 @@ TEST(MetricsTest, JsonAndTextExportContainMetrics) {
   EXPECT_NE(json.find("\"buckets\""), std::string::npos);
   EXPECT_NE(json.find("\"p95\""), std::string::npos);
 
-  const std::string text = registry.ToText();
-  EXPECT_NE(text.find("export.counter"), std::string::npos);
-  EXPECT_NE(text.find("export.hist"), std::string::npos);
+  const std::string text = registry.ToPrometheus();
+  EXPECT_NE(text.find("export_counter 3"), std::string::npos);
+  EXPECT_NE(text.find("export_hist_count 1"), std::string::npos);
 }
 
 TEST(MetricsTest, ControlCharactersInNamesAreEscaped) {

@@ -1,7 +1,7 @@
 // Edge-value semantics of the affine INT8 quantizer: NaN/Inf policy,
 // range endpoints, 0.5-ULP ties — pinned bit-exactly across the scalar
-// and SIMD paths (QuantizeAffine dispatches to AVX2 where available;
-// QuantizeAffineScalar never does).
+// and SIMD paths (QuantizeAffine runs scalar code on the portable kernel
+// path and AVX2 code on the others).
 #include <cmath>
 #include <limits>
 
@@ -18,20 +18,24 @@ using tensor::Tensor;
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
-// Both paths must agree code-for-code on any input.
+// Every kernel path must agree code-for-code with the portable (scalar)
+// one on any input.
 void ExpectPathsAgree(const Tensor& t, const AffineParams& p) {
-  const auto simd = QuantizeAffine(t, p);
-  const auto scalar = QuantizeAffineScalar(t, p);
-  ASSERT_EQ(simd.size(), scalar.size());
-  for (size_t i = 0; i < simd.size(); ++i) {
-    EXPECT_EQ(simd[i], scalar[i]) << "element " << i << " = " << t[i];
-  }
+  tensor::SetKernelPathForTest(tensor::KernelPath::kPortable);
+  const auto scalar = QuantizeAffine(t, p);
+  testing::ForEachKernelPath([&] {
+    const auto codes = QuantizeAffine(t, p);
+    ASSERT_EQ(codes.size(), scalar.size());
+    for (size_t i = 0; i < codes.size(); ++i) {
+      EXPECT_EQ(codes[i], scalar[i]) << "element " << i << " = " << t[i];
+    }
+  });
 }
 
 TEST(AffineEdgeTest, NanQuantizesToZeroPointOnBothPaths) {
   // Calibrate on the finite values, then quantize a buffer with NaNs in
   // lanes covered by the SIMD body and by the scalar tail.
-  Tensor calib = Tensor::FromValues({-2.0f, 6.0f});
+  Tensor calib = testing::FromValues({-2.0f, 6.0f});
   const AffineParams p = CalibrateMax(calib);
   Tensor t({17});
   for (int64_t i = 0; i < t.size(); ++i) t[i] = 0.5f;
@@ -53,7 +57,7 @@ TEST(AffineEdgeTest, NanQuantizesToZeroPointOnBothPaths) {
 TEST(AffineEdgeTest, NanZeroPointOutsideCodeRangeIsClamped) {
   // An all-positive range pushes the zero point far below -128; the NaN
   // code must clamp into int8 on both paths instead of wrapping.
-  Tensor calib = Tensor::FromValues({10.0f, 20.0f});
+  Tensor calib = testing::FromValues({10.0f, 20.0f});
   const AffineParams p = CalibrateMax(calib);
   ASSERT_LT(p.zero_point, -128);
   Tensor t({9});
@@ -67,9 +71,9 @@ TEST(AffineEdgeTest, NanZeroPointOutsideCodeRangeIsClamped) {
 }
 
 TEST(AffineEdgeTest, InfinitiesClampToEndpointCodes) {
-  Tensor calib = Tensor::FromValues({-1.0f, 1.0f});
+  Tensor calib = testing::FromValues({-1.0f, 1.0f});
   const AffineParams p = CalibrateMax(calib);
-  Tensor t = Tensor::FromValues({kInf, -kInf, kInf, -kInf, 0.0f, 1.0f,
+  Tensor t = testing::FromValues({kInf, -kInf, kInf, -kInf, 0.0f, 1.0f,
                                  -1.0f, kInf, -kInf});
   ExpectPathsAgree(t, p);
   const auto codes = QuantizeAffine(t, p);
@@ -80,9 +84,9 @@ TEST(AffineEdgeTest, InfinitiesClampToEndpointCodes) {
 }
 
 TEST(AffineEdgeTest, RangeEndpointsHitExtremeCodes) {
-  Tensor calib = Tensor::FromValues({-3.0f, 5.0f});
+  Tensor calib = testing::FromValues({-3.0f, 5.0f});
   const AffineParams p = CalibrateMax(calib);
-  Tensor t = Tensor::FromValues({-3.0f, 5.0f, -3.0f, 5.0f, -3.0f, 5.0f,
+  Tensor t = testing::FromValues({-3.0f, 5.0f, -3.0f, 5.0f, -3.0f, 5.0f,
                                  -3.0f, 5.0f, -3.0f, 5.0f});
   ExpectPathsAgree(t, p);
   const auto codes = QuantizeAffine(t, p);
@@ -97,7 +101,7 @@ TEST(AffineEdgeTest, HalfUlpTiesRoundToNearestEvenOnBothPaths) {
   AffineParams p;
   p.scale = 1.0f;
   p.zero_point = 0;
-  Tensor t = Tensor::FromValues({0.5f, 1.5f, 2.5f, 3.5f, -0.5f, -1.5f,
+  Tensor t = testing::FromValues({0.5f, 1.5f, 2.5f, 3.5f, -0.5f, -1.5f,
                                  -2.5f, -3.5f, 4.5f, -4.5f});
   ExpectPathsAgree(t, p);
   const auto codes = QuantizeAffine(t, p);
@@ -123,7 +127,7 @@ TEST(AffineEdgeTest, RandomBuffersAgreeAcrossPaths) {
 // --- CalibrateMax degenerate cases (exact round trips) ---
 
 TEST(AffineEdgeTest, ConstantNegativeTensorRoundTripsExactly) {
-  Tensor t = Tensor::Full({12}, -7.0f);
+  Tensor t = testing::Full({12}, -7.0f);
   const AffineParams p = CalibrateMax(t);
   const Tensor back = DequantizeAffine(QuantizeAffine(t, p), t.shape(), p);
   for (int64_t i = 0; i < t.size(); ++i) EXPECT_EQ(back[i], -7.0f);
@@ -131,7 +135,7 @@ TEST(AffineEdgeTest, ConstantNegativeTensorRoundTripsExactly) {
 
 TEST(AffineEdgeTest, SingleElementRoundTripsExactly) {
   // Representable value within the clamped zero-point range.
-  Tensor t = Tensor::FromValues({42.0f});
+  Tensor t = testing::FromValues({42.0f});
   const AffineParams p = CalibrateMax(t);
   const Tensor back = DequantizeAffine(QuantizeAffine(t, p), t.shape(), p);
   EXPECT_EQ(back[0], 42.0f);

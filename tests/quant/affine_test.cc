@@ -13,7 +13,7 @@ namespace {
 using tensor::Tensor;
 
 TEST(AffineTest, CalibrationCoversRange) {
-  Tensor t = Tensor::FromValues({-2.0f, 0.0f, 6.0f});
+  Tensor t = testing::FromValues({-2.0f, 0.0f, 6.0f});
   const AffineParams p = CalibrateMax(t);
   EXPECT_NEAR(p.scale, 8.0 / 255.0, 1e-6);
   // min maps to approximately -128.
@@ -43,7 +43,7 @@ TEST(AffineTest, CodesStayInInt8Range) {
 }
 
 TEST(AffineTest, ConstantTensorReconstructsNearExactly) {
-  Tensor t = Tensor::Full({16}, 3.0f);
+  Tensor t = testing::Full({16}, 3.0f);
   Tensor copy = t;
   QuantizeDequantizeInt8(&copy);
   for (int64_t i = 0; i < copy.size(); ++i) {
@@ -65,7 +65,7 @@ TEST(AffineTest, QuantizeDequantizePreservesShape) {
 }
 
 TEST(AffineTest, ExtremesMapToExtremeCodes) {
-  Tensor t = Tensor::FromValues({-1.0f, 1.0f});
+  Tensor t = testing::FromValues({-1.0f, 1.0f});
   const AffineParams p = CalibrateMax(t);
   const auto codes = QuantizeAffine(t, p);
   // Within one code of the extreme (float rounding in scale inversion).

@@ -137,7 +137,7 @@ TEST(GroupedTest, StepSizeTracksScheme) {
 }
 
 TEST(GroupedTest, ConstantGroupsExact) {
-  Tensor w = Tensor::Full({8, 8}, 2.5f);
+  Tensor w = testing::Full({8, 8}, 2.5f);
   GroupedConfig cfg;
   cfg.scheme = GroupScheme::kPerRow;
   QuantizeDequantizeInt8Grouped(&w, cfg);

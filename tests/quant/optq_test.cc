@@ -111,7 +111,6 @@ TEST(OptqTest, DeterministicMaterialization) {
     MaterializedModel a = Optq(model, calib, wq);
     MaterializedModel b = Optq(model, calib, wq);
     bool identical = true;
-    a.model.VisitLayers([&](const nn::Layer*) {});  // exercise const visit
     Tensor oa, ob;
     const Tensor probe = UniformBatch(16, 12, 99);
     a.model.Forward(probe, &oa, false);
@@ -193,10 +192,10 @@ TEST(OptqTest, AttributionWithStepsSumsExactly) {
   MaterializedModel q = Optq(model, calib);
 
   core::ErrorFlowAnalysis analysis(core::ProfileModel(model, {1, 12}));
-  const auto step_fn = core::VectorStepFn(q.EffectiveSteps());
   const core::BoundAttribution att =
-      analysis.AttributionWithSteps(1e-3, Norm::kL2, step_fn);
-  const double bound = analysis.BoundWithSteps(1e-3, Norm::kL2, step_fn);
+      analysis.Attribution(1e-3, Norm::kL2, q.EffectiveSteps());
+  const double bound = analysis.BoundWithSteps(
+      1e-3, Norm::kL2, core::VectorStepFn(q.EffectiveSteps()));
   EXPECT_NEAR(att.total, bound, 1e-9 * std::max(1.0, bound));
   double share_sum = 0.0;
   for (const core::LayerAttribution& row : att.layers) {

@@ -14,7 +14,7 @@ using tensor::Tensor;
 
 TEST(StepSizeTest, ConstantMagnitudeWeights) {
   // All |w| = 1: floor(log2) = 0, so q = 2^-m exactly.
-  Tensor w = Tensor::FromValues({1.0f, -1.0f, 1.0f, -1.0f});
+  Tensor w = testing::FromValues({1.0f, -1.0f, 1.0f, -1.0f});
   EXPECT_NEAR(AverageStepSize(w, NumericFormat::kTF32), std::exp2(-10.0),
               1e-12);
   EXPECT_NEAR(AverageStepSize(w, NumericFormat::kFP16), std::exp2(-10.0),
@@ -26,7 +26,7 @@ TEST(StepSizeTest, ConstantMagnitudeWeights) {
 TEST(StepSizeTest, Int8UsesRange) {
   // range/255, matching the achieved CalibrateMax scale (codes -128..127
   // give 255 steps across the range, not 256).
-  Tensor w = Tensor::FromValues({-1.0f, 3.0f});
+  Tensor w = testing::FromValues({-1.0f, 3.0f});
   EXPECT_NEAR(AverageStepSize(w, NumericFormat::kINT8), 4.0 / 255.0, 1e-12);
 }
 
@@ -53,7 +53,7 @@ TEST(StepSizeTest, Int8StepCoversAchievedError) {
 TEST(StepSizeTest, Fp16SubnormalClampRaisesStep) {
   // Weights far below 2^-14 clamp to the subnormal exponent in FP16 while
   // TF32 keeps shrinking.
-  Tensor w = Tensor::Full({8}, 1e-6f);
+  Tensor w = testing::Full({8}, 1e-6f);
   const double fp16 = AverageStepSize(w, NumericFormat::kFP16);
   const double tf32 = AverageStepSize(w, NumericFormat::kTF32);
   EXPECT_GT(fp16, tf32);
@@ -64,7 +64,7 @@ TEST(StepSizeTest, Fp16OverflowRaisesStep) {
   // 70000 saturates to 65504 in FP16 — a deterministic error of 4496 that
   // the plain exponent formula (2^(16-10) = 64 per-element step) would
   // understate by two orders of magnitude.
-  Tensor w = Tensor::FromValues({70000.0f, 1.0f, -1.0f, 0.5f});
+  Tensor w = testing::FromValues({70000.0f, 1.0f, -1.0f, 0.5f});
   const double q = AverageStepSize(w, NumericFormat::kFP16);
   const double d = 70000.0 - 65504.0;
   // RMS accumulation: the saturated element contributes 12 d^2, so the
@@ -106,7 +106,7 @@ TEST(StepSizeTest, Tf32EqualsFp16ForNormalRangeWeights) {
 }
 
 TEST(StepSizeTest, ZerosContributeNothing) {
-  Tensor w = Tensor::FromValues({0.0f, 0.0f, 2.0f, 0.0f});
+  Tensor w = testing::FromValues({0.0f, 0.0f, 2.0f, 0.0f});
   // RMS over 4 elements with one at exponent 1: sqrt(4/4)=... step of the
   // single value is 2^-10 * 2^1; RMS = 2^-10 * sqrt(4^1/4) = 2^-10.
   EXPECT_NEAR(AverageStepSize(w, NumericFormat::kTF32), std::exp2(-10.0),

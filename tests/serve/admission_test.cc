@@ -135,7 +135,7 @@ TEST_F(AdmissionTest, AdmitsFeasibleFormatWithinTolerance) {
 TEST_F(AdmissionTest, LooseToleranceSelectsFasterFormatThanTight) {
   AdmissionConfig cfg;
   AdmissionController controller(cfg);
-  quant::ExecutionModel exec(cfg.hardware, 100, 100);
+  quant::ExecutionModel exec(quant::HardwareProfile{}, 100, 100);
 
   const double tight = TightestReducedBound(cfg.norm) * 1.5;
   const double loose = 1e9;

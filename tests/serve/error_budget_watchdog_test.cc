@@ -5,6 +5,7 @@
 // errorflow.bound.violations and recovers by invalidating the variant so
 // the next lease re-quantizes from the FP32 base.
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -105,7 +106,7 @@ TEST(ErrorBudgetWatchdogTest, AuditRecordsTightnessAndLedgerSpans) {
       obs::MetricsRegistry::Global()
           .HistogramSnapshotOf("errorflow.bound.tightness")
           .count;
-  obs::TraceBuffer::Global().Reset();
+  const double start_us = obs::NowMicros();
 
   constexpr int kRequests = 4;
   for (int i = 0; i < kRequests; ++i) {
@@ -142,7 +143,7 @@ TEST(ErrorBudgetWatchdogTest, AuditRecordsTightnessAndLedgerSpans) {
   // provenance (model, format, bound, achieved, tightness).
   int ledger_spans = 0;
   for (const obs::TraceEvent& e : obs::TraceBuffer::Global().Snapshot()) {
-    if (e.name != "serve.ledger") continue;
+    if (e.name != "serve.ledger" || e.ts_us < start_us) continue;
     ++ledger_spans;
     bool has_model = false, has_tightness = false, has_bound = false;
     for (const auto& kv : e.args) {
@@ -206,6 +207,54 @@ TEST(ErrorBudgetWatchdogTest, InjectedViolationEvictsAndRequantizes) {
   EXPECT_NE(healed->get(), lease->get());
   EXPECT_EQ(CounterValue("errorflow.serve.registry.quantize_count"),
             quantizes_before + 1);
+}
+
+// A variant whose output is NaN breaks every bound: the audit must count
+// it as a violation and evict it, not measure the NaN rows as exact.
+TEST(ErrorBudgetWatchdogTest, NanVariantIsViolationAndEvicted) {
+  ServerConfig cfg;
+  cfg.allowed_formats = {NumericFormat::kFP16};
+  cfg.audit_fraction = 1.0;
+  cfg.evict_on_violation = true;
+  InferenceServer server(cfg);
+  ASSERT_TRUE(server.RegisterModel("mlp", SmallMlp(), {1, 6}).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto first = server.Submit(MakeRequest(2, 1e-2, 50));
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->get().ok());
+  auto lease = server.registry().GetVariant("mlp", NumericFormat::kFP16);
+  ASSERT_TRUE(lease.ok());
+  bool poisoned = false;
+  for (auto& layer : (*lease)->model.mutable_layers()) {
+    if (layer->kind() == nn::LayerKind::kDense) {
+      static_cast<nn::DenseLayer*>(layer.get())->mutable_weight()[0] =
+          std::numeric_limits<float>::quiet_NaN();
+      poisoned = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(poisoned);
+  ASSERT_TRUE(
+      server.registry().GetVariant("mlp", NumericFormat::kFP32).ok());
+
+  const uint64_t violations_before =
+      CounterValue("errorflow.bound.violations");
+  const uint64_t invalidations_before =
+      CounterValue("errorflow.serve.registry.invalidations");
+
+  auto second = server.Submit(MakeRequest(2, 1e-2, 51));
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(second->get().ok());
+  ASSERT_TRUE(server.Shutdown().ok());
+
+  EXPECT_EQ(CounterValue("errorflow.bound.violations"),
+            violations_before + 1);
+  EXPECT_EQ(CounterValue("errorflow.serve.registry.invalidations"),
+            invalidations_before + 1);
+  auto healed = server.registry().GetVariant("mlp", NumericFormat::kFP16);
+  ASSERT_TRUE(healed.ok());
+  EXPECT_NE(healed->get(), lease->get());
 }
 
 TEST(ErrorBudgetWatchdogTest, AuditDisabledByDefault) {

@@ -105,21 +105,27 @@ TEST(PricingParityTest, CachedFormatPricingEqualsScratchFlow) {
     for (NumericFormat f : quant::AllFormats()) {
       SCOPED_TRACE(fx.name + "/" + quant::FormatToString(f));
       const auto scratch = ScratchSteps(f);
+      std::vector<double> scratch_steps;
+      const std::vector<const core::LayerProfile*> layers =
+          analysis.LinearLayers();
+      for (size_t i = 0; i < layers.size(); ++i) {
+        scratch_steps.push_back(scratch(*layers[i], static_cast<int64_t>(i)));
+      }
       EXPECT_EQ(analysis.QuantTerm(f), analysis.QuantTermWithSteps(scratch));
       EXPECT_EQ(analysis.Gain(f),
-                analysis.AttributionWithSteps(0.0, Norm::kL2, scratch).gain);
+                analysis.Attribution(0.0, Norm::kL2, scratch_steps).gain);
       for (Norm norm : {Norm::kLinf, Norm::kL2}) {
         for (double err : {0.0, 1e-3, 0.25}) {
           EXPECT_EQ(analysis.Bound(err, norm, f),
                     analysis.BoundWithSteps(err, norm, scratch));
           EXPECT_EQ(analysis.Attribution(err, norm, f).total,
-                    analysis.AttributionWithSteps(err, norm, scratch).total);
+                    analysis.Attribution(err, norm, scratch_steps).total);
         }
       }
       const std::vector<double>& steps = analysis.Steps(f);
       ASSERT_EQ(static_cast<int64_t>(steps.size()),
                 analysis.LinearLayerCount());
-      const auto rows = analysis.AttributionWithSteps(0.0, Norm::kL2, scratch);
+      const auto rows = analysis.Attribution(0.0, Norm::kL2, scratch_steps);
       for (size_t i = 0; i < steps.size(); ++i) {
         EXPECT_EQ(steps[i], rows.layers[i].step_size) << i;
       }
@@ -161,27 +167,41 @@ std::vector<quant::HardwareProfile> Profiles() {
   return {quant::HardwareProfile{}, tie};
 }
 
+// Index of PickFastest's choice in `candidates`, -1 for none.
+int PickIndex(const std::vector<core::PricedVariant>& candidates,
+              double budget, const quant::HardwareProfile& hw) {
+  const core::PricedVariant* picked =
+      core::PickFastest(candidates, budget, hw);
+  return picked == nullptr ? -1 : static_cast<int>(picked - candidates.data());
+}
+
+// The planners rank with the default profile; PickFastest, their one
+// selection rule, is checked under every profile over the same candidates.
 TEST(PickParityTest, AllocateToleranceMatchesBruteForce) {
   for (const Fixture& fx : Fixtures()) {
     nn::Model model = fx.build();
     const ErrorFlowAnalysis analysis(core::ProfileModel(model, fx.shape));
     const std::vector<NumericFormat>& formats = quant::ReducedFormats();
+    const std::vector<core::PricedVariant> candidates =
+        analysis.Price(formats);
     std::vector<double> bounds;
     for (NumericFormat f : formats) {
       bounds.push_back(analysis.QuantTermWithSteps(ScratchSteps(f)));
     }
-    for (const quant::HardwareProfile& hw : Profiles()) {
-      const quant::ExecutionModel exec(hw, 1000, 4);
+    const std::vector<quant::HardwareProfile> profiles = Profiles();
+    for (size_t p = 0; p < profiles.size(); ++p) {
+      const quant::ExecutionModel exec(profiles[p], 1000, 4);
       for (double tol : ToleranceGrid(analysis)) {
         for (double frac : {0.1, 0.5, 0.9}) {
-          SCOPED_TRACE(fx.name + " tol " + std::to_string(tol) + " frac " +
-                       std::to_string(frac));
+          SCOPED_TRACE(fx.name + " profile " + std::to_string(p) + " tol " +
+                       std::to_string(tol) + " frac " + std::to_string(frac));
+          const int best = BruteForcePick(formats, bounds, tol * frac, exec);
+          EXPECT_EQ(PickIndex(candidates, tol * frac, profiles[p]), best);
+          if (p != 0) continue;
           core::AllocationConfig cfg;
           cfg.quant_fraction = frac;
-          cfg.hardware = hw;
           const core::AllocationPlan plan =
               core::AllocateTolerance(analysis, tol, cfg);
-          const int best = BruteForcePick(formats, bounds, tol * frac, exec);
           EXPECT_EQ(plan.format,
                     best < 0 ? NumericFormat::kFP32 : formats[best]);
           EXPECT_EQ(plan.quant_bound, best < 0 ? 0.0 : bounds[best]);
@@ -222,21 +242,27 @@ TEST(PickParityTest, AdmitMatchesBruteForceWithDataDrivenCandidate) {
       quantizers.push_back(WeightQuantizer::kOptq);
       bounds.push_back(analysis.BoundWithSteps(
           0.0, Norm::kLinf, core::VectorStepFn((*entry)->optq_steps)));
+      std::vector<core::PricedVariant> candidates = analysis.Price(allowed);
+      candidates.push_back(*(*entry)->data_driven);
 
-      for (const quant::HardwareProfile& hw : Profiles()) {
-        AdmissionConfig cfg;
-        cfg.hardware = hw;
-        cfg.allowed_formats = allowed;
-        AdmissionController controller(cfg);
-        const quant::ExecutionModel exec(hw, (*entry)->flops_per_sample,
+      AdmissionConfig cfg;
+      cfg.allowed_formats = allowed;
+      AdmissionController controller(cfg);
+      const std::vector<quant::HardwareProfile> profiles = Profiles();
+      for (size_t p = 0; p < profiles.size(); ++p) {
+        const quant::ExecutionModel exec(profiles[p],
+                                         (*entry)->flops_per_sample,
                                          (*entry)->bytes_per_sample);
         for (double tol : ToleranceGrid(analysis)) {
           for (double frac : {0.1, 0.5, 0.9}) {
             const double budget = tol * frac;
-            SCOPED_TRACE(fx.name + " budget " + std::to_string(budget));
+            SCOPED_TRACE(fx.name + " profile " + std::to_string(p) +
+                         " budget " + std::to_string(budget));
+            const int best = BruteForcePick(formats, bounds, budget, exec);
+            EXPECT_EQ(PickIndex(candidates, budget, profiles[p]), best);
+            if (p != 0) continue;
             auto decision = controller.Admit(analysis, budget, later, now, 0,
                                              false, &*(*entry)->data_driven);
-            const int best = BruteForcePick(formats, bounds, budget, exec);
             if (best < 0) {
               EXPECT_EQ(decision.status().code(),
                         StatusCode::kFailedPrecondition);

@@ -304,7 +304,7 @@ TEST(PtqServeTest, DataDrivenInt8AdmitsWhereMaxAffineRoutesSlower) {
   EXPECT_EQ(data_decision->quantizer, WeightQuantizer::kOptq);
 
   // And the reroute is a speedup, not a sidestep.
-  quant::ExecutionModel exec(cfg.hardware, 100, 100);
+  quant::ExecutionModel exec(quant::HardwareProfile{}, 100, 100);
   EXPECT_LT(exec.SecondsPerSample(data_decision->format),
             exec.SecondsPerSample(affine_decision->format));
 }

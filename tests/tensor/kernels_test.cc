@@ -354,8 +354,6 @@ TEST_F(KernelsTest, GemvMatchesReference) {
 TEST_F(KernelsTest, ConfigurationRoundTrips) {
   SetKernelThreads(3);
   EXPECT_EQ(KernelThreads(), 3);
-  SetKernelParallelFlopThreshold(12345);
-  EXPECT_EQ(KernelParallelFlopThreshold(), 12345);
   SetKernelThreads(0);
   EXPECT_GE(KernelThreads(), 1);
   EXPECT_FALSE(KernelDescription().empty());

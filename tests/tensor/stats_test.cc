@@ -3,13 +3,14 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
+#include "testing/test_util.h"
 
 namespace errorflow {
 namespace tensor {
 namespace {
 
 TEST(StatsTest, SummarizeKnownValues) {
-  Tensor t = Tensor::FromValues({1, 2, 3, 4});
+  Tensor t = testing::FromValues({1, 2, 3, 4});
   const Summary s = Summarize(t);
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.max, 4.0);
@@ -26,7 +27,7 @@ TEST(StatsTest, SummarizeEmpty) {
 }
 
 TEST(StatsTest, SummarizeConstant) {
-  Tensor t = Tensor::Full({8}, 3.0f);
+  Tensor t = testing::Full({8}, 3.0f);
   const Summary s = Summarize(t);
   EXPECT_DOUBLE_EQ(s.min, 3.0);
   EXPECT_DOUBLE_EQ(s.max, 3.0);
@@ -34,7 +35,7 @@ TEST(StatsTest, SummarizeConstant) {
 }
 
 TEST(StatsTest, ValueRange) {
-  EXPECT_DOUBLE_EQ(ValueRange(Tensor::FromValues({-2, 0, 5})), 7.0);
+  EXPECT_DOUBLE_EQ(ValueRange(testing::FromValues({-2, 0, 5})), 7.0);
   EXPECT_DOUBLE_EQ(ValueRange(Tensor()), 0.0);
 }
 

@@ -1,6 +1,7 @@
 #include "tensor/tensor.h"
 
 #include "gtest/gtest.h"
+#include "testing/test_util.h"
 
 namespace errorflow {
 namespace tensor {
@@ -25,14 +26,14 @@ TEST(TensorTest, ZeroInitialized) {
 }
 
 TEST(TensorTest, FullAndFill) {
-  Tensor t = Tensor::Full({4}, 2.5f);
+  Tensor t = testing::Full({4}, 2.5f);
   for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(t[i], 2.5f);
   t.Fill(-1.0f);
   for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(t[i], -1.0f);
 }
 
 TEST(TensorTest, FromValues) {
-  Tensor t = Tensor::FromValues({1, 2, 3});
+  Tensor t = testing::FromValues({1, 2, 3});
   EXPECT_EQ(t.shape(), Shape({3}));
   EXPECT_EQ(t[1], 2.0f);
 }
@@ -50,29 +51,6 @@ TEST(TensorTest, NchwAccess) {
   Tensor t({2, 3, 4, 5});
   t.at4(1, 2, 3, 4) = 7.0f;
   EXPECT_EQ(t[(((1 * 3) + 2) * 4 + 3) * 5 + 4], 7.0f);
-}
-
-TEST(TensorTest, ReshapePreservesData) {
-  Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
-  auto r = t.Reshape({3, 2});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->at(2, 1), 6.0f);
-}
-
-TEST(TensorTest, ReshapeSizeMismatchFails) {
-  Tensor t({2, 3});
-  auto r = t.Reshape({4, 2});
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(TensorTest, RowExtractsCopy) {
-  Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
-  Tensor row = t.Row(1);
-  EXPECT_EQ(row.shape(), Shape({3}));
-  EXPECT_EQ(row[0], 4.0f);
-  row[0] = 99.0f;
-  EXPECT_EQ(t.at(1, 0), 4.0f);  // Copy, not view.
 }
 
 TEST(TensorTest, ByteSize) {

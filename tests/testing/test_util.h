@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -37,6 +38,19 @@ inline void ForEachKernelPath(const std::function<void()>& body) {
     body();
   }
   tensor::SetKernelPathForTest(paths.back());
+}
+
+/// 1-D tensor holding `values`.
+inline tensor::Tensor FromValues(std::initializer_list<float> values) {
+  return tensor::Tensor({static_cast<int64_t>(values.size())},
+                        std::vector<float>(values));
+}
+
+/// Tensor of `shape` with every element `value`.
+inline tensor::Tensor Full(tensor::Shape shape, float value) {
+  tensor::Tensor t(std::move(shape));
+  t.Fill(value);
+  return t;
 }
 
 /// Random tensor with iid normal entries.

@@ -107,7 +107,9 @@ TEST(BitReaderTest, MatchesBitByBitReference) {
     for (int op = 0; op < 40; ++op) {
       const uint64_t kind = rng.UniformU64(8);
       if (kind == 0) {
-        r.AlignToByte();
+        // The buffer is whole bytes, so the bits left to the next byte
+        // boundary are BitsRemaining() % 8.
+        r.SkipBits(static_cast<int>(r.BitsRemaining() % 8));
         ref.Align();
       } else if (kind == 1) {
         const int nbits = rng.UniformInt(0, 20);

@@ -14,13 +14,13 @@ namespace {
 TEST(BitStreamTest, SingleBitsRoundTrip) {
   BitWriter w;
   const bool pattern[] = {true, false, true, true, false, false, true};
-  for (bool b : pattern) w.WriteBit(b);
+  for (bool b : pattern) w.WriteBits(b ? 1 : 0, 1);
   const std::string buf = w.Finish();
   BitReader r(buf.data(), buf.size());
   for (bool b : pattern) {
-    auto bit = r.ReadBit();
+    auto bit = r.ReadBits(1);
     ASSERT_TRUE(bit.ok());
-    EXPECT_EQ(*bit, b);
+    EXPECT_EQ(*bit, b ? 1u : 0u);
   }
 }
 
@@ -64,7 +64,7 @@ TEST(BitStreamTest, AlignToByteSkipsToBoundary) {
   ASSERT_EQ(buf.size(), 2u);
   BitReader r(buf.data(), buf.size());
   EXPECT_EQ(*r.ReadBits(2), 0x3u);
-  r.AlignToByte();
+  r.SkipBits(static_cast<int>(r.BitsRemaining() % 8));
   EXPECT_EQ(*r.ReadBits(8), 0xABu);
 }
 
@@ -91,7 +91,7 @@ TEST(BitStreamTest, RandomizedRoundTrip) {
 TEST(BitStreamTest, BitCountTracksWrites) {
   BitWriter w;
   w.WriteBits(1, 5);
-  w.WriteBit(true);
+  w.WriteBits(1, 1);
   EXPECT_EQ(w.bit_count(), 6u);
 }
 
@@ -138,9 +138,9 @@ TEST(BitStreamTest, WriterMatchesBitByBitReference) {
         w.AlignToByte();
         ref.AlignToByte();
       } else if (kind == 1) {
-        const bool bit = rng.UniformU64(2) != 0;
-        w.WriteBit(bit);
-        ref.WriteBits(bit ? 1 : 0, 1);
+        const uint64_t bit = rng.UniformU64(2);
+        w.WriteBits(bit, 1);
+        ref.WriteBits(bit, 1);
       } else {
         // Every width 0..64; bits above the width are garbage the writer
         // must ignore.

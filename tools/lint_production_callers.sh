@@ -4,8 +4,10 @@
 # examples/ or perfbench/ -- other than the header's own .cc. Includers
 # under tests/ do not count. A module exempt from the rule is listed in the
 # allow-list, one `<header> <reason>` line each (paths relative to src/,
-# `#` starts a comment). An allow-list entry is itself an error once it is
-# stale: the header is gone, or it has gained a production caller.
+# `#` starts a comment; entries with `::` are function entries, read by
+# tools/lint_dead_functions.sh). An allow-list entry is itself an error
+# once it is stale: the header is gone, or it has gained a production
+# caller.
 #
 # Usage: lint_production_callers.sh [repo-root] [allow-list]
 # Registered as the `production_callers_lint` ctest.
@@ -48,6 +50,7 @@ while IFS= read -r line || [ -n "$line" ]; do
   line="${line%%#*}"
   read -r header reason <<<"$line" || true
   [ -z "${header:-}" ] && continue
+  [[ "$header" == *::* ]] && continue
   if [ -z "${reason:-}" ]; then
     echo "ALLOW-LIST entry without a reason: $header" >&2
     errors=$((errors + 1))
