@@ -6,7 +6,7 @@
 #include <cstdio>
 
 #include "common/figures.h"
-#include "core/auto_tuner.h"
+#include "core/pipeline.h"
 
 using namespace errorflow;
 
@@ -14,18 +14,16 @@ int main() {
   bench::PrintHeader(
       "Ablation - fixed quantization fractions vs AutoTune (SZ, L-inf)");
   for (tasks::TrainedTask& task : bench::LoadAllTasks()) {
-    core::ErrorFlowAnalysis analysis(
-        core::ProfileModel(task.model, task.single_input_shape));
     const tensor::Tensor batch = bench::LargeInputBatch(task);
     const tensor::Tensor ref = task.model.Predict(task.test.inputs);
     const double out_norm =
         bench::MaxSampleNorm(ref, tensor::Norm::kLinf);
-    const int64_t flops =
-        task.model.FlopsPerSample(task.single_input_shape);
-    int64_t bytes = 4;
-    for (size_t i = 1; i < task.single_input_shape.size(); ++i) {
-      bytes *= task.single_input_shape[i];
-    }
+    // AutoTune ignores quant_fraction: it searches the formats directly.
+    core::PipelineConfig tuner_cfg;
+    tuner_cfg.backend = compress::Backend::kSz;
+    tuner_cfg.norm = tensor::Norm::kLinf;
+    core::InferencePipeline tuner(task.model.Clone(),
+                                  task.single_input_shape, tuner_cfg);
 
     std::printf("\n[%s]  total GB/s by strategy\n",
                 tasks::TaskKindToString(task.kind));
@@ -35,9 +33,7 @@ int main() {
       const double tol = tol_rel * out_norm;
       std::printf("%-10.0e", tol_rel);
       for (double frac : {0.1, 0.5, 0.9}) {
-        core::PipelineConfig cfg;
-        cfg.backend = compress::Backend::kSz;
-        cfg.norm = tensor::Norm::kLinf;
+        core::PipelineConfig cfg = tuner_cfg;
         cfg.quant_fraction = frac;
         core::InferencePipeline pipeline(task.model.Clone(),
                                          task.single_input_shape, cfg);
@@ -45,10 +41,7 @@ int main() {
         std::printf(" %10.2f",
                     report.ok() ? report->total_throughput / 1e9 : 0.0);
       }
-      core::AutoTuneConfig acfg;
-      acfg.backend = compress::Backend::kSz;
-      acfg.norm = tensor::Norm::kLinf;
-      auto tuned = core::AutoTune(analysis, tol, batch, flops, bytes, acfg);
+      auto tuned = tuner.AutoTune(tol, batch);
       if (tuned.ok()) {
         std::printf(" | %10.2f %-6s\n",
                     tuned->best.total_throughput / 1e9,

@@ -4,6 +4,7 @@
 // shrinking both the effective Table-I step and the achieved error.
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "common/bench_common.h"
 #include "core/error_bound.h"
@@ -51,11 +52,11 @@ int main() {
         ++q_count;
         quant::QuantizeDequantizeInt8Grouped(weight, gcfg);
       });
-      const auto step_fn = [&gcfg](const core::LayerProfile& layer,
-                                   int64_t) {
-        return quant::GroupedInt8StepSize(layer.weight, gcfg);
-      };
-      const double bound = analysis.QuantTermWithSteps(step_fn) / out_norm;
+      std::vector<double> steps;
+      for (const core::LayerProfile* layer : analysis.LinearLayers()) {
+        steps.push_back(quant::GroupedInt8StepSize(layer->weight, gcfg));
+      }
+      const double bound = analysis.QuantTerm(steps) / out_norm;
       const tensor::Tensor out = grouped.Predict(inputs);
       const double achieved =
           bench::MaxSampleError(reference, out, tensor::Norm::kL2) /

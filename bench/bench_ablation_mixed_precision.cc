@@ -7,6 +7,7 @@
 
 #include "common/bench_common.h"
 #include "core/mixed_precision.h"
+#include "quant/hardware_model.h"
 #include "util/string_util.h"
 
 using namespace errorflow;
@@ -32,7 +33,6 @@ char FormatChar(quant::NumericFormat f) {
 int main() {
   bench::PrintHeader(
       "Ablation - per-layer mixed precision vs uniform formats");
-  quant::HardwareProfile hw;
   for (tasks::TrainedTask& task : bench::LoadAllTasks()) {
     core::ErrorFlowAnalysis analysis(
         core::ProfileModel(task.model, task.single_input_shape));
@@ -44,13 +44,13 @@ int main() {
       std::printf("%-22s %14.3e %11.2fx\n",
                   (std::string("uniform ") + quant::FormatToString(fmt))
                       .c_str(),
-                  analysis.QuantTerm(fmt), hw.Speedup(fmt));
+                  analysis.QuantTerm(fmt), quant::ModeledSpeedup(fmt));
     }
     for (double scale : {1.0, 2.0, 8.0}) {
       const double budget =
           analysis.QuantTerm(quant::NumericFormat::kFP16) * scale;
       const core::MixedPrecisionPlan plan =
-          core::PlanMixedPrecision(analysis, budget, hw);
+          core::PlanMixedPrecision(analysis, budget);
       std::string formats;
       for (quant::NumericFormat f : plan.formats) {
         formats += FormatChar(f);

@@ -44,7 +44,6 @@ int main() {
   bench::PrintHeader(
       "Fig. 2 - inference time breakdown (load / preprocess / execute)");
   io::SimulatedStorage storage;  // 2.8 GB/s baseline.
-  quant::HardwareProfile hw;
 
   std::printf("%-10s %12s %10s %10s %10s | %6s %6s %6s\n", "model",
               "MFLOPs", "load(us)", "prep(us)", "exec(us)", "load%",
@@ -52,7 +51,7 @@ int main() {
   for (bench::ZooEntry& entry : bench::BuildModelZoo()) {
     const double load_s = storage.ModelReadSeconds(entry.bytes_per_sample);
     const double prep_s = MeasurePreprocessSeconds(entry);
-    quant::ExecutionModel exec(hw, entry.flops_per_sample,
+    quant::ExecutionModel exec(entry.flops_per_sample,
                                entry.bytes_per_sample);
     const double exec_s =
         exec.SecondsPerSample(quant::NumericFormat::kFP32);

@@ -10,7 +10,6 @@ using namespace errorflow;
 int main() {
   bench::PrintHeader(
       "Fig. 9 - execution / data-ingestion throughput vs quant format");
-  quant::HardwareProfile hw;
   std::printf("%-10s %12s |", "model", "MFLOPs");
   std::printf(" %9s", "fp32");
   for (quant::NumericFormat f : quant::ReducedFormats()) {
@@ -19,7 +18,7 @@ int main() {
   std::printf("   (GB/s ingested)\n");
 
   for (bench::ZooEntry& entry : bench::BuildModelZoo()) {
-    quant::ExecutionModel exec(hw, entry.flops_per_sample,
+    quant::ExecutionModel exec(entry.flops_per_sample,
                                entry.bytes_per_sample);
     std::printf("%-10s %12.1f |", entry.name.c_str(),
                 static_cast<double>(entry.flops_per_sample) / 1e6);

@@ -74,7 +74,7 @@ int main() {
     // The data-driven candidate as the serving registry prices it.
     const core::PricedVariant data_driven{
         NumericFormat::kINT8, WeightQuantizer::kOptq,
-        analysis.QuantTermWithSteps(core::VectorStepFn(optq.EffectiveSteps()))};
+        analysis.QuantTerm(optq.EffectiveSteps())};
     const double bound_affine =
         analysis.Bound(0.0, norm, NumericFormat::kINT8) / out_norm;
     const double bound_optq = data_driven.quant_term / out_norm;
@@ -110,7 +110,7 @@ int main() {
     for (size_t d = 1; d < task.single_input_shape.size(); ++d) {
       bytes *= task.single_input_shape[d];
     }
-    quant::ExecutionModel exec(quant::HardwareProfile{}, flops, bytes);
+    quant::ExecutionModel exec(flops, bytes);
 
     std::printf("\n%-12s %12s %14s %10s\n", "qoi_tol_rel", "max-affine",
                 "data-driven", "speedup");

@@ -7,14 +7,16 @@
 
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
-#include "core/auto_tuner.h"
 #include "core/mixed_precision.h"
+#include "core/pipeline.h"
 #include "core/report.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "quant/activation_quant.h"
 #include "quant/grouped.h"
+#include "quant/hardware_model.h"
 #include "quant/quantize_model.h"
 #include "tasks/tasks.h"
 
@@ -29,17 +31,17 @@ int main() {
   const tensor::Tensor reference = task.model.Predict(inputs);
 
   // ---- 1. Mixed precision -------------------------------------------
-  quant::HardwareProfile hw;
   const double budget = analysis.QuantTerm(quant::NumericFormat::kFP16) * 4;
   const core::MixedPrecisionPlan plan =
-      core::PlanMixedPrecision(analysis, budget, hw);
+      core::PlanMixedPrecision(analysis, budget);
   std::printf("mixed-precision plan under budget %.2e:\n", budget);
   std::printf("  formats:");
   for (quant::NumericFormat f : plan.formats) {
     std::printf(" %s", quant::FormatToString(f));
   }
   std::printf("\n  bound %.3e, modeled speedup %.2fx (uniform fp16: %.2fx)\n\n",
-              plan.quant_bound, plan.modeled_speedup, hw.speedup_fp16);
+              plan.quant_bound, plan.modeled_speedup,
+              quant::ModeledSpeedup(quant::NumericFormat::kFP16));
 
   // ---- 2. Grouped INT8 ------------------------------------------------
   quant::GroupedConfig gcfg;
@@ -50,13 +52,13 @@ int main() {
       quant::QuantizeDequantizeInt8Grouped(&d->mutable_weight(), gcfg);
     }
   });
-  const auto grouped_steps = [&gcfg](const core::LayerProfile& layer,
-                                     int64_t) {
-    return quant::GroupedInt8StepSize(layer.weight, gcfg);
-  };
+  std::vector<double> grouped_steps;
+  for (const core::LayerProfile* layer : analysis.LinearLayers()) {
+    grouped_steps.push_back(quant::GroupedInt8StepSize(layer->weight, gcfg));
+  }
   std::printf("INT8 bounds: uniform %.3e, per-row grouped %.3e\n\n",
               analysis.QuantTerm(quant::NumericFormat::kINT8),
-              analysis.QuantTermWithSteps(grouped_steps));
+              analysis.QuantTerm(grouped_steps));
 
   // ---- 3. Activation quantization -------------------------------------
   quant::MaterializedModel fp16 =
@@ -74,16 +76,11 @@ int main() {
                   quant::NumericFormat::kFP16, quant::NumericFormat::kFP16));
 
   // ---- 4. AutoTune -----------------------------------------------------
-  core::AutoTuneConfig acfg;
-  acfg.backend = compress::Backend::kSz;
+  core::InferencePipeline pipeline(task.model.Clone(),
+                                   task.single_input_shape,
+                                   core::PipelineConfig{});
   const double tol = 0.05;
-  int64_t bytes = 4;
-  for (size_t i = 1; i < task.single_input_shape.size(); ++i) {
-    bytes *= task.single_input_shape[i];
-  }
-  auto tuned = core::AutoTune(
-      analysis, tol, inputs,
-      task.model.FlopsPerSample(task.single_input_shape), bytes, acfg);
+  auto tuned = pipeline.AutoTune(tol, inputs);
   if (!tuned.ok()) {
     std::printf("auto-tune failed: %s\n", tuned.status().ToString().c_str());
     return 1;

@@ -50,11 +50,8 @@ static void PlanTask(tasks::TaskKind kind) {
   for (double tol : {1e-4, 1e-3, 1e-2, 1e-1}) {
     std::printf("  %-10.0e", tol);
     for (double frac : {0.25, 0.5, 0.75}) {
-      core::AllocationConfig cfg;
-      cfg.norm = tensor::Norm::kLinf;
-      cfg.quant_fraction = frac;
-      const core::AllocationPlan plan =
-          core::AllocateTolerance(analysis, tol, cfg);
+      const core::AllocationPlan plan = core::AllocateTolerance(
+          analysis, tol, tensor::Norm::kLinf, frac);
       std::printf("  %-5s eps=%-9.2e   ",
                   quant::FormatToString(plan.format),
                   plan.input_tolerance);

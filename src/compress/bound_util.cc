@@ -8,15 +8,21 @@
 namespace errorflow {
 namespace compress {
 
-double ResolvePointwiseBound(const Tensor& data, const ErrorBound& bound) {
-  const double n = static_cast<double>(std::max<int64_t>(1, data.size()));
-  if (bound.norm == Norm::kLinf) {
-    if (!bound.relative) return bound.tolerance;
-    return bound.tolerance * tensor::ValueRange(data);
+Result<double> ResolveAbsoluteBound(const Tensor& data,
+                                    const ErrorBound& bound) {
+  if (!(std::isfinite(bound.tolerance) && bound.tolerance >= 0.0)) {
+    return Status::InvalidArgument(
+        "error bound tolerance must be finite and >= 0");
   }
-  // L2.
-  if (!bound.relative) return bound.tolerance / std::sqrt(n);
-  return bound.tolerance * tensor::L2Norm(data) / std::sqrt(n);
+  double abs = bound.tolerance;
+  if (bound.relative) {
+    abs *= bound.norm == Norm::kLinf ? tensor::ValueRange(data)
+                                     : tensor::L2Norm(data);
+  }
+  if (!std::isfinite(abs)) {
+    return Status::InvalidArgument("resolved error bound is not finite");
+  }
+  return abs;
 }
 
 Status ValidateBlobShape(const tensor::Shape& shape, size_t blob_bytes,

@@ -7,18 +7,19 @@
 namespace errorflow {
 namespace compress {
 
-/// \brief Resolves an ErrorBound into an absolute per-element (pointwise)
-/// bound eb such that enforcing |recon_i - x_i| <= eb for every element
-/// satisfies the request:
+/// \brief Resolves an ErrorBound into an absolute bound in its own norm:
+/// per element for Linf, total for L2.
 ///
-///   Linf absolute: eb = tol
-///   Linf relative: eb = tol * (max - min)          (SZ convention)
-///   L2   absolute: eb = tol / sqrt(n)              (since ||d||2 <= sqrt(n)*||d||inf)
-///   L2   relative: eb = tol * ||x||2 / sqrt(n)
+///   absolute: tol
+///   relative: tol * (max - min) for Linf (SZ convention), tol * ||x||2 for L2
 ///
-/// Degenerate inputs (constant field under a relative bound) resolve to 0,
-/// which backends treat as lossless.
-double ResolvePointwiseBound(const Tensor& data, const ErrorBound& bound);
+/// The one place every backend's Compress checks what it is asked to
+/// honour: InvalidArgument when `tolerance` is NaN, infinite or negative,
+/// or when the resolved bound is not finite. A tolerance of 0, and a
+/// constant field under a relative bound, resolve to 0, which backends
+/// treat as lossless.
+Result<double> ResolveAbsoluteBound(const Tensor& data,
+                                    const ErrorBound& bound);
 
 /// \brief Validates a tensor shape read from an untrusted blob before any
 /// allocation: positive bounded dims, a checked (per-dimension) element

@@ -253,6 +253,7 @@ Result<Compressed> MgardCompressor::Compress(const Tensor& data,
     return Status::InvalidArgument("mgard: empty tensor");
   }
   util::Stopwatch timer;
+  EF_ASSIGN_OR_RETURN(const double abs_tol, ResolveAbsoluteBound(data, bound));
   const int64_t n = data.size();
   int64_t slices, rows, cols;
   CollapseTo3d(data.shape(), &slices, &rows, &cols);
@@ -264,14 +265,13 @@ Result<Compressed> MgardCompressor::Compress(const Tensor& data,
   double l2_tol = 0.0;        // L2 mode: total budget.
   double delta;
   if (bound.norm == Norm::kLinf) {
-    pointwise_eb = ResolvePointwiseBound(data, bound);
+    pointwise_eb = abs_tol;
     // Each synthesis level applies two interpolation passes (Linf gain
     // <= 1 each) and injects two detail errors, so the errors telescope:
     // total <= (2 * levels + 1) * delta.
     delta = pointwise_eb / static_cast<double>(2 * levels + 1);
   } else {
-    l2_tol = bound.relative ? bound.tolerance * tensor::L2Norm(data)
-                            : bound.tolerance;
+    l2_tol = abs_tol;
     delta = l2_tol / std::sqrt(static_cast<double>(n));
   }
 

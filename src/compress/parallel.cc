@@ -42,6 +42,10 @@ Result<Compressed> ParallelCompressor::Compress(const Tensor& data,
     return Status::NotImplemented("parallel: inner backend lacks norm");
   }
   util::Stopwatch timer;
+  // Resolve the bound against the full tensor (the wrapper must honour the
+  // same contract as the inner compressor on the whole input). Linf: per
+  // element; L2: the total budget.
+  EF_ASSIGN_OR_RETURN(const double abs_tol, ResolveAbsoluteBound(data, bound));
   const int64_t rows = data.dim(0);
   const int64_t per_row = data.size() / rows;
   const int64_t n = data.size();
@@ -53,17 +57,6 @@ Result<Compressed> ParallelCompressor::Compress(const Tensor& data,
   num_chunks = std::max<int64_t>(1, num_chunks);
   const int64_t rows_per_chunk = (rows + num_chunks - 1) / num_chunks;
   num_chunks = (rows + rows_per_chunk - 1) / rows_per_chunk;
-
-  // Resolve the bound against the full tensor (the wrapper must honour the
-  // same contract as the inner compressor on the whole input).
-  double linf_eb = 0.0, l2_total = 0.0;
-  if (bound.norm == Norm::kLinf) {
-    linf_eb = ResolvePointwiseBound(data, bound);
-  } else {
-    l2_total = bound.relative
-                   ? bound.tolerance * tensor::L2Norm(data)
-                   : bound.tolerance;
-  }
 
   std::vector<std::string> blobs(static_cast<size_t>(num_chunks));
   std::vector<int64_t> chunk_rows(static_cast<size_t>(num_chunks));
@@ -83,10 +76,10 @@ Result<Compressed> ParallelCompressor::Compress(const Tensor& data,
     chunk_bound.relative = false;
     chunk_bound.norm = bound.norm;
     if (bound.norm == Norm::kLinf) {
-      chunk_bound.tolerance = linf_eb;
+      chunk_bound.tolerance = abs_tol;
     } else {
       chunk_bound.tolerance =
-          l2_total * std::sqrt(static_cast<double>(chunk.size()) /
+          abs_tol * std::sqrt(static_cast<double>(chunk.size()) /
                                static_cast<double>(n));
     }
     auto inner = MakeCompressor(backend_, codec_);
@@ -116,8 +109,7 @@ Result<Compressed> ParallelCompressor::Compress(const Tensor& data,
   Compressed out;
   out.blob = std::move(blob);
   out.original_bytes = n * static_cast<int64_t>(sizeof(float));
-  out.resolved_abs_tolerance =
-      bound.norm == Norm::kLinf ? linf_eb : l2_total;
+  out.resolved_abs_tolerance = abs_tol;
   out.seconds = timer.ElapsedSeconds();
   return out;
 }

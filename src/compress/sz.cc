@@ -45,8 +45,13 @@ Result<Compressed> SzCompressor::Compress(const Tensor& data,
     return Status::InvalidArgument("sz: empty tensor");
   }
   util::Stopwatch timer;
-  const double eb = ResolvePointwiseBound(data, bound);
+  EF_ASSIGN_OR_RETURN(const double abs_tol, ResolveAbsoluteBound(data, bound));
   const int64_t n = data.size();
+  // Enforced per element: an L2 budget tol holds when every element is
+  // within tol / sqrt(n), since ||d||2 <= sqrt(n) ||d||inf.
+  const double eb = bound.norm == Norm::kLinf
+                        ? abs_tol
+                        : abs_tol / std::sqrt(static_cast<double>(n));
   int64_t slices, rows, cols;
   CollapseTo3d(data.shape(), &slices, &rows, &cols);
   const int64_t plane = rows * cols;

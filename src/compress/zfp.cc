@@ -126,7 +126,7 @@ Result<Compressed> ZfpCompressor::Compress(const Tensor& data,
         "bounds the pointwise/Linf error only)");
   }
   util::Stopwatch timer;
-  const double eb = ResolvePointwiseBound(data, bound);
+  EF_ASSIGN_OR_RETURN(const double eb, ResolveAbsoluteBound(data, bound));
   const int64_t n = data.size();
 
   int64_t dims[3];

@@ -1,16 +1,17 @@
 #include "core/allocator.h"
 
+#include "quant/hardware_model.h"
+
 namespace errorflow {
 namespace core {
 
 const PricedVariant* PickFastest(const std::vector<PricedVariant>& candidates,
-                                 double budget,
-                                 const quant::HardwareProfile& hardware) {
+                                 double budget) {
   const PricedVariant* best = nullptr;
   for (const PricedVariant& candidate : candidates) {
     if (!(candidate.quant_term <= budget)) continue;
-    if (best == nullptr || hardware.Speedup(candidate.format) >
-                               hardware.Speedup(best->format)) {
+    if (best == nullptr || quant::ModeledSpeedup(candidate.format) >
+                               quant::ModeledSpeedup(best->format)) {
       best = &candidate;
     }
   }
@@ -18,22 +19,21 @@ const PricedVariant* PickFastest(const std::vector<PricedVariant>& candidates,
 }
 
 AllocationPlan AllocateTolerance(const ErrorFlowAnalysis& analysis,
-                                 double qoi_tolerance,
-                                 const AllocationConfig& config) {
+                                 double qoi_tolerance, Norm norm,
+                                 double quant_fraction) {
   AllocationPlan plan;
   plan.qoi_tolerance = qoi_tolerance;
   const std::vector<PricedVariant> candidates =
       analysis.Price(quant::ReducedFormats());
   if (const PricedVariant* best =
-          PickFastest(candidates, qoi_tolerance * config.quant_fraction,
-                      quant::HardwareProfile{})) {
+          PickFastest(candidates, qoi_tolerance * quant_fraction)) {
     plan.format = best->format;
     plan.quant_bound = best->quant_term;
   }
   plan.input_tolerance =
-      analysis.MaxInputError(qoi_tolerance, config.norm, plan.format);
+      analysis.MaxInputError(qoi_tolerance, norm, plan.format);
   plan.predicted_total_bound =
-      analysis.Bound(plan.input_tolerance, config.norm, plan.format);
+      analysis.Bound(plan.input_tolerance, norm, plan.format);
   return plan;
 }
 

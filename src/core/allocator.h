@@ -1,20 +1,12 @@
 #ifndef ERRORFLOW_CORE_ALLOCATOR_H_
 #define ERRORFLOW_CORE_ALLOCATOR_H_
 
+#include <vector>
+
 #include "core/error_bound.h"
-#include "quant/hardware_model.h"
 
 namespace errorflow {
 namespace core {
-
-/// \brief Configuration of the tolerance split between quantization and
-/// compression (Sec. IV-D).
-struct AllocationConfig {
-  Norm norm = Norm::kLinf;
-  /// Fraction of the total QoI tolerance offered to quantization (the
-  /// "configurable factor" of Sec. IV-D; the paper sweeps 10%-90%).
-  double quant_fraction = 0.5;
-};
 
 /// \brief The allocator's decision.
 struct AllocationPlan {
@@ -32,24 +24,24 @@ struct AllocationPlan {
 };
 
 /// \brief The planner's one selection rule: among `candidates` whose
-/// quant_term fits `budget`, the one `hardware` models fastest (modeled
-/// time scales as 1 / Speedup); on a tie the earlier candidate wins.
-/// Returns nullptr when no candidate fits.
+/// quant_term fits `budget`, the one the modeled GPU runs fastest (modeled
+/// time scales as 1 / quant::ModeledSpeedup); on a tie the earlier
+/// candidate wins. Returns nullptr when no candidate fits.
 const PricedVariant* PickFastest(const std::vector<PricedVariant>& candidates,
-                                 double budget,
-                                 const quant::HardwareProfile& hardware);
+                                 double budget);
 
 /// \brief Picks the fastest quantization format whose predicted QoI error
-/// bound fits within `quant_fraction * qoi_tolerance`, then allocates every
+/// bound fits within `quant_fraction * qoi_tolerance` (the "configurable
+/// factor" of Sec. IV-D; the paper sweeps 10%-90%), then allocates every
 /// remaining bit of tolerance to input compression (Sec. IV-D: "once
 /// quantization is decided, all unutilized tolerance is allocated for data
 /// reduction"). Quantization tolerance is discrete (few formats), so the
 /// chosen format typically consumes less than its budget; the slack is not
 /// wasted. `quant_fraction = 0` keeps FP32 and gives compression the whole
-/// tolerance.
+/// tolerance. `input_tolerance` is in `norm`.
 AllocationPlan AllocateTolerance(const ErrorFlowAnalysis& analysis,
-                                 double qoi_tolerance,
-                                 const AllocationConfig& config);
+                                 double qoi_tolerance, Norm norm,
+                                 double quant_fraction);
 
 }  // namespace core
 }  // namespace errorflow

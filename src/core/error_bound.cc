@@ -39,26 +39,16 @@ double SigmaPertSqrt(const LayerProfile& layer, int64_t n_out) {
 
 }  // namespace
 
-ErrorFlowAnalysis::StepFn FormatStepFn(NumericFormat format) {
-  return [format](const LayerProfile& layer, int64_t) {
-    return LayerStepSize(layer, format);
-  };
-}
-
-ErrorFlowAnalysis::StepFn VectorStepFn(std::vector<double> steps) {
-  return [steps = std::move(steps)](const LayerProfile&, int64_t index) {
-    EF_CHECK(index >= 0 && index < static_cast<int64_t>(steps.size()));
-    return steps[static_cast<size_t>(index)];
-  };
-}
-
 ErrorFlowAnalysis::ErrorFlowAnalysis(ModelProfile profile)
     : profile_(std::move(profile)),
       layer_count_(static_cast<int64_t>(LinearLayers().size())) {
   const double h0 = std::sqrt(static_cast<double>(profile_.n0));
+  const std::vector<const LayerProfile*> layers = LinearLayers();
   for (NumericFormat format : quant::AllFormats()) {
     FormatPricing& priced = pricing_[static_cast<size_t>(format)];
-    priced.steps = StepsOf(FormatStepFn(format));
+    for (const LayerProfile* layer : layers) {
+      priced.steps.push_back(LayerStepSize(*layer, format));
+    }
     priced.quant_term = format == NumericFormat::kFP32
                             ? 0.0
                             : Flow(FlowState{0.0, h0, {}}, priced.steps).error;
@@ -88,15 +78,6 @@ std::vector<const LayerProfile*> ErrorFlowAnalysis::LinearLayers() const {
     }
   }
   return layers;
-}
-
-std::vector<double> ErrorFlowAnalysis::StepsOf(const StepFn& step_fn) const {
-  const std::vector<const LayerProfile*> layers = LinearLayers();
-  std::vector<double> steps(layers.size());
-  for (size_t i = 0; i < layers.size(); ++i) {
-    steps[i] = step_fn(*layers[i], static_cast<int64_t>(i));
-  }
-  return steps;
 }
 
 double ErrorFlowAnalysis::InputL2(double input_err, Norm norm) const {
@@ -176,6 +157,7 @@ ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
 ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::Flow(
     FlowState state, const std::vector<double>& steps, double final_row_norm,
     const ActInjectFn* act_inject) const {
+  EF_CHECK(static_cast<int64_t>(steps.size()) == layer_count_);
   int64_t counter = 0;
   for (size_t b = 0; b < profile_.blocks.size(); ++b) {
     state = FlowBlock(profile_.blocks[b], std::move(state), steps, &counter,
@@ -207,23 +189,18 @@ double ErrorFlowAnalysis::QuantTermWithActivations(
   return Flow(s, Steps(weight_format), -1.0, &inject).error;
 }
 
-double ErrorFlowAnalysis::QuantTermWithSteps(const StepFn& step_fn) const {
+double ErrorFlowAnalysis::QuantTerm(const std::vector<double>& steps) const {
   FlowState s{0.0, std::sqrt(static_cast<double>(profile_.n0)), {}};
-  return Flow(s, StepsOf(step_fn)).error;
+  return Flow(s, steps).error;
 }
 
 double ErrorFlowAnalysis::Bound(double input_err, Norm norm,
                                 NumericFormat format) const {
-  return BoundOnSteps(input_err, norm, Steps(format));
+  return Bound(input_err, norm, Steps(format));
 }
 
-double ErrorFlowAnalysis::BoundWithSteps(double input_err, Norm norm,
-                                         const StepFn& step_fn) const {
-  return BoundOnSteps(input_err, norm, StepsOf(step_fn));
-}
-
-double ErrorFlowAnalysis::BoundOnSteps(
-    double input_err, Norm norm, const std::vector<double>& steps) const {
+double ErrorFlowAnalysis::Bound(double input_err, Norm norm,
+                                const std::vector<double>& steps) const {
   EF_CHECK(input_err >= 0.0);
   FlowState s{InputL2(input_err, norm),
               std::sqrt(static_cast<double>(profile_.n0)), {}};

@@ -22,8 +22,9 @@ using tensor::Norm;
 struct LayerAttribution {
   /// Profile name of the layer.
   std::string layer;
-  /// Traversal index, identical to the StepFn numbering (plain chains in
-  /// network order; residual bodies first, then the projection shortcut).
+  /// Traversal index, identical to the steps-vector numbering (plain
+  /// chains in network order; residual bodies first, then the projection
+  /// shortcut).
   int64_t index = 0;
   /// Plain spectral norm sigma_l.
   double sigma = 0.0;
@@ -90,8 +91,9 @@ struct PricedVariant {
 /// with sigma~_l = sigma_l + q_l sqrt(min(n_{l-1}, n_l)) / sqrt(3) the
 /// pre-quantization proxy for the quantized weight's spectral norm, and
 /// q_l the Table-I average step size. For a single residual block or MLP
-/// this telescopes to exactly Inequality (3) of the paper (with sigma~
-/// kept, conservatively, in the downstream products as well).
+/// and FP32 weights (q_l = 0) this telescopes to exactly Inequality (3) of
+/// the paper. For reduced formats it is >= the printed formula: sigma~,
+/// not sigma, appears in the input gain and in the downstream products.
 ///
 /// All bounds are computed in L2 and converted to Linf via the norm
 /// equivalence of Sec. III-A.
@@ -105,8 +107,8 @@ class ErrorFlowAnalysis {
 
   const ModelProfile& profile() const { return profile_; }
 
-  /// Table-I step of every linear layer under `format`, in StepFn
-  /// traversal order (all zero for kFP32, the unquantized reference).
+  /// Table-I step of every linear layer under `format`, in traversal
+  /// order (all zero for kFP32, the unquantized reference).
   const std::vector<double>& Steps(NumericFormat format) const {
     return Priced(format).steps;
   }
@@ -134,6 +136,22 @@ class ErrorFlowAnalysis {
   /// the L2 output bound is itself a valid Linf bound.
   double Bound(double input_err, Norm norm, NumericFormat format) const;
 
+  /// \name Custom per-layer quantization steps.
+  ///
+  /// Generalizes the format-based API for the paper's Sec.-VI extensions
+  /// (grouped INT8, per-layer mixed precision) and the measured steps of
+  /// data-driven PTQ (quant::MaterializedModel::EffectiveSteps): `steps[i]`
+  /// is the average quantization step of linear layer `i` in traversal
+  /// order — plain chains in network order; residual blocks contribute
+  /// their body layers first, then the projection shortcut. The length
+  /// must equal LinearLayerCount() (EF_CHECK). With `steps == Steps(f)`
+  /// each overload equals its format counterpart bit for bit.
+  /// @{
+  double QuantTerm(const std::vector<double>& steps) const;
+  double Bound(double input_err, Norm norm,
+               const std::vector<double>& steps) const;
+  /// @}
+
   /// Per-feature variant: bounds |Delta y_k| by replacing the final
   /// layer's spectral norm with the L2 norm of its k-th row (requires the
   /// profile to expose final_row_norms).
@@ -145,31 +163,11 @@ class ErrorFlowAnalysis {
   double MaxInputError(double qoi_tolerance, Norm norm,
                        NumericFormat format) const;
 
-  /// \name Custom per-layer quantization steps.
-  ///
-  /// Generalizes the format-based API for the paper's Sec.-VI extensions
-  /// (grouped INT8, per-layer mixed precision): `step_fn(layer, index)`
-  /// returns the average quantization step of linear layer `index` in
-  /// traversal order — plain chains in network order; residual blocks
-  /// contribute their body layers first, then the projection shortcut.
-  /// @{
-  using StepFn =
-      std::function<double(const LayerProfile& layer, int64_t index)>;
-
   /// Number of linear layers in traversal order (shortcuts included).
   int64_t LinearLayerCount() const { return layer_count_; }
 
   /// The linear layers in traversal order, as views into profile().
   std::vector<const LayerProfile*> LinearLayers() const;
-
-  /// Bound with custom steps; reduces to Bound() when step_fn returns the
-  /// Table-I step of a fixed format.
-  double BoundWithSteps(double input_err, Norm norm,
-                        const StepFn& step_fn) const;
-
-  /// Input-independent quantization term with custom steps.
-  double QuantTermWithSteps(const StepFn& step_fn) const;
-  /// @}
 
   /// \name Error-budget provenance.
   /// @{
@@ -218,9 +216,6 @@ class ErrorFlowAnalysis {
     return pricing_[static_cast<size_t>(format)];
   }
 
-  // Evaluates `step_fn` once per linear layer, in traversal order.
-  std::vector<double> StepsOf(const StepFn& step_fn) const;
-
   // Activation-rounding error injected after a linear layer or block
   // output with activation-norm bound `act_norm` and `n_out` elements.
   using ActInjectFn = std::function<double(double act_norm, int64_t n_out)>;
@@ -237,14 +232,11 @@ class ErrorFlowAnalysis {
                       bool is_last_block,
                       const ActInjectFn* act_inject = nullptr) const;
 
-  // Runs the full flow with the given initial state.
+  // Runs the full flow with the given initial state; the one place that
+  // checks `steps` has LinearLayerCount() entries.
   FlowState Flow(FlowState state, const std::vector<double>& steps,
                  double final_row_norm = -1.0,
                  const ActInjectFn* act_inject = nullptr) const;
-
-  // Bound over explicit per-layer steps.
-  double BoundOnSteps(double input_err, Norm norm,
-                      const std::vector<double>& steps) const;
 
   // Input error converted to the L2 norm the flow runs in.
   double InputL2(double input_err, Norm norm) const;
@@ -253,16 +245,6 @@ class ErrorFlowAnalysis {
   int64_t layer_count_ = 0;
   std::array<FormatPricing, 5> pricing_;
 };
-
-/// StepFn for a fixed numerical format (the Table-I step of each layer).
-ErrorFlowAnalysis::StepFn FormatStepFn(NumericFormat format);
-
-/// StepFn from measured per-layer steps in traversal order (e.g. the
-/// effective steps of a data-driven variant —
-/// quant::MaterializedModel::EffectiveSteps).
-/// The vector length must equal LinearLayerCount(); out-of-range indices
-/// trip EF_CHECK inside the returned function.
-ErrorFlowAnalysis::StepFn VectorStepFn(std::vector<double> steps);
 
 /// Convenience: Table-I step size of a profiled layer under `format`.
 double LayerStepSize(const LayerProfile& layer, NumericFormat format);

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "core/allocator.h"
+#include "quant/hardware_model.h"
 #include "quant/step_size.h"
 
 namespace errorflow {
@@ -18,9 +19,8 @@ double LayerFlops(const LayerProfile& layer) {
   return static_cast<double>(layer.weight.size()) * std::max(1.0, reuse);
 }
 
-MixedPrecisionPlan PlanMixedPrecision(
-    const ErrorFlowAnalysis& analysis, double quant_budget,
-    const quant::HardwareProfile& hardware) {
+MixedPrecisionPlan PlanMixedPrecision(const ErrorFlowAnalysis& analysis,
+                                      double quant_budget) {
   const std::vector<const LayerProfile*> layers = analysis.LinearLayers();
   const size_t n = layers.size();
 
@@ -36,7 +36,7 @@ MixedPrecisionPlan PlanMixedPrecision(
   }
   std::vector<double> steps = fp32_steps;
   const auto quant_term = [&analysis, &steps] {
-    return analysis.QuantTermWithSteps(VectorStepFn(steps));
+    return analysis.QuantTerm(steps);
   };
 
   // Layers by FLOPs, heaviest first.
@@ -54,8 +54,7 @@ MixedPrecisionPlan PlanMixedPrecision(
       candidates.push_back(
           {format, quant::WeightQuantizer::kMaxAffine, quant_term()});
     }
-    const PricedVariant* best =
-        PickFastest(candidates, quant_budget, hardware);
+    const PricedVariant* best = PickFastest(candidates, quant_budget);
     plan.formats[idx] = best != nullptr ? best->format : NumericFormat::kFP32;
     steps[idx] = best != nullptr ? analysis.Steps(best->format)[idx]
                                  : fp32_steps[idx];
@@ -68,7 +67,7 @@ MixedPrecisionPlan PlanMixedPrecision(
   for (size_t i = 0; i < n; ++i) {
     const double flops = LayerFlops(*layers[i]);
     fp32_time += flops;
-    mixed_time += flops / hardware.Speedup(plan.formats[i]);
+    mixed_time += flops / quant::ModeledSpeedup(plan.formats[i]);
   }
   plan.modeled_speedup = mixed_time > 0.0 ? fp32_time / mixed_time : 1.0;
   return plan;

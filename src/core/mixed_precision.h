@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "core/error_bound.h"
-#include "quant/hardware_model.h"
 
 namespace errorflow {
 namespace core {
@@ -18,8 +17,7 @@ struct MixedPrecisionPlan {
   std::vector<NumericFormat> formats;
   /// Predicted quantization-only QoI bound under this assignment.
   double quant_bound = 0.0;
-  /// FLOPs-weighted execution speedup over all-FP32 under the hardware
-  /// profile.
+  /// FLOPs-weighted execution speedup over all-FP32 on the modeled GPU.
   double modeled_speedup = 1.0;
 };
 
@@ -32,8 +30,7 @@ double LayerFlops(const LayerProfile& layer);
 /// Heavier layers are demoted first because they buy the most speed per
 /// unit of error budget.
 MixedPrecisionPlan PlanMixedPrecision(const ErrorFlowAnalysis& analysis,
-                                      double quant_budget,
-                                      const quant::HardwareProfile& hardware);
+                                      double quant_budget);
 
 }  // namespace core
 }  // namespace errorflow

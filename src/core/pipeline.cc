@@ -1,9 +1,11 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <string>
 
 #include "obs/error_budget.h"
 #include "obs/trace.h"
+#include "quant/hardware_model.h"
 #include "tensor/norms.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -26,6 +28,17 @@ constexpr char kReadHist[] = "errorflow.pipeline.read_seconds";
 constexpr char kDecompressHist[] = "errorflow.pipeline.decompress_seconds";
 constexpr char kExecHist[] = "errorflow.pipeline.exec_seconds";
 
+// Sets the io/exec/total throughput of a report or candidate, in bytes of
+// original data per second. Total is min(io, exec): the phases overlap in
+// an in-situ pipeline, so the slower one bounds the sustained rate.
+template <typename T>
+void SetThroughput(double bytes, double io_seconds, double exec_seconds,
+                   T* out) {
+  out->io_throughput = bytes / std::max(1e-12, io_seconds);
+  out->exec_throughput = bytes / std::max(1e-12, exec_seconds);
+  out->total_throughput = std::min(out->io_throughput, out->exec_throughput);
+}
+
 }  // namespace
 
 InferencePipeline::InferencePipeline(nn::Model model,
@@ -47,10 +60,8 @@ InferencePipeline::InferencePipeline(nn::Model model,
 }
 
 AllocationPlan InferencePipeline::Plan(double qoi_tolerance) const {
-  AllocationConfig alloc;
-  alloc.norm = config_.norm;
-  alloc.quant_fraction = config_.quant_fraction;
-  return AllocateTolerance(analysis_, qoi_tolerance, alloc);
+  return AllocateTolerance(analysis_, qoi_tolerance, config_.norm,
+                           config_.quant_fraction);
 }
 
 nn::Model* InferencePipeline::QuantizedFor(NumericFormat format) {
@@ -77,6 +88,10 @@ Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
   if (input_batch.ndim() < 2 || input_batch.dim(0) < 1) {
     return Status::InvalidArgument(
         "pipeline: batch tensor with at least one sample required");
+  }
+  if (!(qoi_tolerance >= 0.0)) {
+    return Status::InvalidArgument(
+        "pipeline: QoI tolerance must be a number >= 0");
   }
   // Rows are samples: the leading dim of a rank-2 or rank-4 batch.
   const int64_t batch = input_batch.dim(0);
@@ -142,17 +157,11 @@ Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
   Tensor output;
   EF_ASSIGN_OR_RETURN(output,
                       ExecuteQuantized(decompressed.data, plan.format));
-  quant::ExecutionModel exec(quant::HardwareProfile{}, flops_per_sample_,
-                             bytes_per_sample_);
+  const quant::ExecutionModel exec(flops_per_sample_, bytes_per_sample_);
   report.exec_seconds =
       exec.SecondsPerSample(plan.format) * static_cast<double>(batch);
-
-  // --- Throughput accounting ---
-  const double bytes = static_cast<double>(report.original_bytes);
-  report.io_throughput = bytes / std::max(1e-12, report.io_seconds);
-  report.exec_throughput = bytes / std::max(1e-12, report.exec_seconds);
-  report.total_throughput =
-      std::min(report.io_throughput, report.exec_throughput);
+  SetThroughput(static_cast<double>(report.original_bytes),
+                report.io_seconds, report.exec_seconds, &report);
 
   // --- Achieved errors ---
   EF_CHECK(decompressed.data.size() == input_batch.size() &&
@@ -198,6 +207,63 @@ Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
   return report;
 }
 
+Result<AutoTuneResult> InferencePipeline::AutoTune(
+    double qoi_tolerance, const Tensor& sample_batch) {
+  if (sample_batch.ndim() < 2) {
+    return Status::InvalidArgument("auto-tune: batch tensor required");
+  }
+  if (!compressor_->SupportsNorm(config_.norm)) {
+    return Status::InvalidArgument(
+        "auto-tune: backend does not support the requested norm");
+  }
+  const quant::ExecutionModel exec(flops_per_sample_, bytes_per_sample_);
+  const int64_t batch = sample_batch.dim(0);
+
+  AutoTuneResult result;
+  obs::Counter* evaluations = obs::MetricsRegistry::Global().GetCounter(
+      "errorflow.autotune.evaluations");
+  for (NumericFormat format : quant::AllFormats()) {
+    obs::TraceSpan span(std::string("autotune.candidate.") +
+                        quant::FormatToString(format));
+    AutoTuneCandidate cand;
+    cand.format = format;
+    if (analysis_.QuantTerm(format) >= qoi_tolerance) {
+      result.candidates.push_back(cand);  // Infeasible.
+      continue;
+    }
+    evaluations->Increment();
+    cand.feasible = true;
+    cand.input_tolerance =
+        analysis_.MaxInputError(qoi_tolerance, config_.norm, format);
+
+    compress::ErrorBound eb;
+    eb.norm = config_.norm;
+    eb.relative = false;
+    eb.tolerance = cand.input_tolerance;
+    EF_ASSIGN_OR_RETURN(compress::Compressed comp,
+                        compressor_->Compress(sample_batch, eb));
+    cand.compression_ratio = comp.ratio();
+    EF_ASSIGN_OR_RETURN(compress::Decompressed dec,
+                        compressor_->Decompress(comp.blob));
+    const double read_s =
+        storage_.ModelReadSeconds(static_cast<int64_t>(comp.blob.size()));
+    const double dec_s =
+        dec.seconds / std::max(1.0, config_.storage.decompress_parallelism);
+    SetThroughput(static_cast<double>(comp.original_bytes), read_s + dec_s,
+                  exec.SecondsPerSample(format) * static_cast<double>(batch),
+                  &cand);
+    result.candidates.push_back(cand);
+    if (cand.total_throughput > result.best.total_throughput) {
+      result.best = cand;
+    }
+  }
+  if (!result.best.feasible) {
+    return Status::FailedPrecondition(
+        "auto-tune: no format admissible under the tolerance");
+  }
+  return result;
+}
+
 PipelineReport PipelineReport::AggregateFromRegistry(
     const obs::MetricsRegistry& registry) {
   PipelineReport report;
@@ -220,11 +286,8 @@ PipelineReport PipelineReport::AggregateFromRegistry(
       registry.HistogramSnapshotOf(kDecompressHist).sum;
   report.exec_seconds = registry.HistogramSnapshotOf(kExecHist).sum;
   report.io_seconds = report.read_seconds + report.decompress_seconds;
-  const double bytes = static_cast<double>(report.original_bytes);
-  report.io_throughput = bytes / std::max(1e-12, report.io_seconds);
-  report.exec_throughput = bytes / std::max(1e-12, report.exec_seconds);
-  report.total_throughput =
-      std::min(report.io_throughput, report.exec_throughput);
+  SetThroughput(static_cast<double>(report.original_bytes),
+                report.io_seconds, report.exec_seconds, &report);
   return report;
 }
 

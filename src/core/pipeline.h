@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "compress/compressor.h"
 #include "core/allocator.h"
@@ -88,6 +89,24 @@ struct PipelineReport {
   std::string Summary() const;
 };
 
+/// One evaluated (format, compression tolerance) candidate of
+/// InferencePipeline::AutoTune.
+struct AutoTuneCandidate {
+  NumericFormat format = NumericFormat::kFP32;
+  bool feasible = false;
+  double input_tolerance = 0.0;
+  double compression_ratio = 0.0;
+  double io_throughput = 0.0;    // bytes of original data / s
+  double exec_throughput = 0.0;  // bytes of original data / s
+  double total_throughput = 0.0;
+};
+
+/// Tuning outcome: the winner plus the full candidate table (for reports).
+struct AutoTuneResult {
+  AutoTuneCandidate best;
+  std::vector<AutoTuneCandidate> candidates;
+};
+
 /// \brief End-to-end error-bounded inference pipeline: compress -> store ->
 /// read -> decompress -> quantized inference, with the tolerance split
 /// chosen by the error-flow analysis.
@@ -109,8 +128,25 @@ class InferencePipeline {
   AllocationPlan Plan(double qoi_tolerance) const;
 
   /// Runs the full pipeline on a batch under the QoI tolerance.
+  /// InvalidArgument for a NaN or negative tolerance.
   Result<PipelineReport> Run(const Tensor& input_batch,
                              double qoi_tolerance);
+
+  /// \brief The paper's Sec. IV-D observation — "allocating a fixed
+  /// proportion of the total tolerance to quantization does not
+  /// consistently yield an optimal strategy ... this highlights the need
+  /// for an optimization algorithm to automate the determination of the
+  /// optimal strategy" — implemented.
+  ///
+  /// Instead of config().quant_fraction, enumerates every format (the
+  /// discrete axis), derives the compression tolerance each one leaves
+  /// over (the continuous axis, closed-form from the affine bound),
+  /// *measures* the resulting compression ratio and decompression speed on
+  /// `sample_batch` with this pipeline's compressor and storage tier,
+  /// models execution like Run(), and picks the format maximizing
+  /// end-to-end throughput. FailedPrecondition when no format fits.
+  Result<AutoTuneResult> AutoTune(double qoi_tolerance,
+                                  const Tensor& sample_batch);
 
   /// Execution phase only: runs `batch` through the weight-quantized
   /// variant for `format`, materializing (and caching) the variant on

@@ -62,7 +62,7 @@ std::vector<LayerContribution> QuantTermBreakdown(
     c.layer = layers[k]->name;
     c.step_size = steps[k];
     c.contribution = std::max(
-        0.0, total - analysis.QuantTermWithSteps(VectorStepFn(without_k)));
+        0.0, total - analysis.QuantTerm(without_k));
     out.push_back(std::move(c));
   }
   return out;

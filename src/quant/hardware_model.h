@@ -1,48 +1,38 @@
 #ifndef ERRORFLOW_QUANT_HARDWARE_MODEL_H_
 #define ERRORFLOW_QUANT_HARDWARE_MODEL_H_
 
-#include <string>
+#include <cstdint>
 
-#include "nn/model.h"
 #include "quant/format.h"
 
 namespace errorflow {
 namespace quant {
 
-/// \brief Calibrated GPU execution-throughput model.
+/// \brief The paper's modeled GPU: a constant table, not a setting.
 ///
 /// The paper measures model-execution throughput on an RTX 3080 Ti
 /// (Figs. 2, 9, 10-15). Tensor-core hardware is not available here, so —
 /// per the substitution documented in DESIGN.md — execution time is modeled
 /// as
 ///
-///   time(format) = flops_per_sample / (fp32_flops_per_sec *
-///                                      speedup(format))
+///   time(format) = flops_per_sample / (1.2e13 MAC/s *
+///                                      ModeledSpeedup(format))
 ///
 /// with the FP32 base rate and the per-format speedups calibrated to the
 /// paper's RTX 3080 Ti observations: FP16 up to 4.5x (Sec. IV-C), INT8
 /// comparable-or-better, TF32/BF16 "little speedup". Achieved *errors* are
 /// never modeled — those are bit-exact; only wall-clock execution speed is.
-struct HardwareProfile {
-  std::string name = "rtx3080ti-model";
-  /// Sustained FP32 MLP/conv throughput in multiply-accumulates per second.
-  double fp32_flops_per_sec = 1.2e13;
-  double speedup_tf32 = 1.25;
-  double speedup_fp16 = 4.5;
-  double speedup_bf16 = 1.35;
-  double speedup_int8 = 5.2;
+///
+/// Returns the per-format speedup relative to FP32: TF32 1.25, FP16 4.5,
+/// BF16 1.35, INT8 5.2.
+double ModeledSpeedup(NumericFormat format);
 
-  /// Per-format speedup factor relative to FP32.
-  double Speedup(NumericFormat format) const;
-};
-
-/// \brief Execution-throughput estimator for a model under a profile.
+/// \brief Execution-throughput estimator for a model on the modeled GPU.
 class ExecutionModel {
  public:
   /// `flops_per_sample` from Model::FlopsPerSample;
   /// `bytes_per_sample` the FP32 input payload per sample.
-  ExecutionModel(const HardwareProfile& profile, int64_t flops_per_sample,
-                 int64_t bytes_per_sample);
+  ExecutionModel(int64_t flops_per_sample, int64_t bytes_per_sample);
 
   /// Seconds to execute one sample at the given precision.
   double SecondsPerSample(NumericFormat format) const;
@@ -55,10 +45,7 @@ class ExecutionModel {
   /// Fig. 9.
   double IngestBytesPerSecond(NumericFormat format) const;
 
-  const HardwareProfile& profile() const { return profile_; }
-
  private:
-  HardwareProfile profile_;
   int64_t flops_per_sample_;
   int64_t bytes_per_sample_;
 };

@@ -12,7 +12,7 @@ namespace errorflow {
 namespace quant {
 
 /// \brief Per-layer record of one materialization, in the traversal order
-/// of core::ErrorFlowAnalysis::StepFn indices (plain chains in network
+/// of core::ErrorFlowAnalysis's steps vectors (plain chains in network
 /// order; residual bodies first, then the projection shortcut).
 struct LayerQuantRecord {
   std::string layer;
@@ -70,9 +70,8 @@ struct MaterializedModel {
   nn::Model model;
   std::vector<LayerQuantRecord> layers;
 
-  /// Per-layer effective steps in traversal order — feed to
-  /// core::VectorStepFn for BoundWithSteps, or to the steps overload of
-  /// core::ErrorFlowAnalysis::Attribution.
+  /// Per-layer effective steps in traversal order — feed to the steps
+  /// overloads of core::ErrorFlowAnalysis (Bound, QuantTerm, Attribution).
   std::vector<double> EffectiveSteps() const;
 };
 

@@ -75,7 +75,7 @@ Result<AdmissionDecision> AdmissionController::Admit(
     candidates.push_back(*data_driven);
   }
   const core::PricedVariant* best =
-      core::PickFastest(candidates, qoi_tolerance, quant::HardwareProfile{});
+      core::PickFastest(candidates, qoi_tolerance);
   if (best == nullptr) {
     double tightest = std::numeric_limits<double>::infinity();
     for (const core::PricedVariant& c : candidates) {

@@ -7,7 +7,6 @@
 
 #include "core/error_bound.h"
 #include "obs/metrics.h"
-#include "quant/hardware_model.h"
 #include "serve/request.h"
 #include "util/result.h"
 

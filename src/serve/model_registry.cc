@@ -141,8 +141,7 @@ Status ModelRegistry::Register(std::string name, nn::Model model,
     }
     entry->data_driven = core::PricedVariant{
         quant::NumericFormat::kINT8, config_.data_driven_quantizer,
-        entry->analysis.QuantTermWithSteps(
-            core::VectorStepFn(entry->optq_steps))};
+        entry->analysis.QuantTerm(entry->optq_steps)};
   }
 
   std::lock_guard<std::mutex> lock(mu_);

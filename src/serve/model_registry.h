@@ -98,7 +98,7 @@ class ModelRegistry {
     /// registry runs max-affine only). Kept so GetVariant can rematerialize
     /// the variant bit-identically after an eviction or invalidation.
     tensor::Tensor calibration;
-    /// Per-layer effective steps of the data-driven INT8 variant, in StepFn
+    /// Per-layer effective steps of the data-driven INT8 variant, in
     /// traversal order (quant::MaterializedModel::EffectiveSteps), measured
     /// once at Register. Empty when data-driven quantization is disabled.
     std::vector<double> optq_steps;

@@ -3,6 +3,7 @@
 // since every backend is deterministic), and L2 budgets must imply the
 // expected pointwise behaviour.
 #include <cmath>
+#include <limits>
 
 #include "compress/compressor.h"
 #include "gtest/gtest.h"
@@ -87,6 +88,30 @@ TEST_P(NormSemanticsTest, TighteningNeverLoosensError) {
     EXPECT_LE(err, prev_err * (1 + 1e-6)) << "tol " << tol;
     prev_err = err;
   }
+}
+
+// A tolerance the backend cannot honour is refused before any encoding: a
+// NaN, infinite or negative tolerance, and a relative tolerance whose
+// resolved bound overflows. 0 stays lossless.
+TEST_P(NormSemanticsTest, RejectsToleranceItCannotHonour) {
+  const Tensor data = testing::SmoothField2d(16, 16, 6);
+  ASSERT_GT(tensor::ValueRange(data), 1.0);  // So max * range overflows.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const ErrorBound& bound :
+       {ErrorBound::AbsLinf(std::numeric_limits<double>::quiet_NaN()),
+        ErrorBound::AbsLinf(inf), ErrorBound::AbsLinf(-inf),
+        ErrorBound::AbsLinf(-0.5),
+        ErrorBound::RelLinf(std::numeric_limits<double>::max())}) {
+    auto c = compressor_->Compress(data, bound);
+    ASSERT_FALSE(c.ok()) << bound.tolerance;
+    EXPECT_EQ(c.status().code(), StatusCode::kInvalidArgument)
+        << bound.tolerance;
+  }
+  auto lossless = compressor_->Compress(data, ErrorBound::AbsLinf(0.0));
+  ASSERT_TRUE(lossless.ok());
+  auto d = compressor_->Decompress(lossless->blob);
+  ASSERT_TRUE(d.ok());
+  EXPECT_EQ(tensor::DiffNorm(data, d->data, Norm::kLinf), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -136,8 +136,7 @@ TEST(AttributionTest, HandBuiltChainMatchesClosedForm) {
   ErrorFlowAnalysis analysis(profile);
 
   const double q0 = 1e-3, q1 = 4e-3;
-  const ErrorFlowAnalysis::StepFn steps =
-      [&](const LayerProfile&, int64_t index) { return index == 0 ? q0 : q1; };
+  const std::vector<double> steps = {q0, q1};
 
   const double inv_sqrt3 = 1.0 / std::sqrt(3.0);
   const double sigma_t0 = l0.sigma + q0 * std::sqrt(4.0) * inv_sqrt3;
@@ -149,12 +148,12 @@ TEST(AttributionTest, HandBuiltChainMatchesClosedForm) {
   const double input_l2 = 1e-2;
 
   const BoundAttribution att =
-      analysis.Attribution(input_l2, Norm::kL2, std::vector<double>{q0, q1});
+      analysis.Attribution(input_l2, Norm::kL2, steps);
   ASSERT_EQ(att.layers.size(), 2u);
   ExpectClose(inj0 * sigma_t1, att.layers[0].quant_share);
   ExpectClose(inj1, att.layers[1].quant_share);
   ExpectClose(sigma_t0 * sigma_t1 * input_l2, att.compression_term);
-  ExpectClose(analysis.BoundWithSteps(input_l2, Norm::kL2, steps), att.total);
+  ExpectClose(analysis.Bound(input_l2, Norm::kL2, steps), att.total);
 }
 
 }  // namespace

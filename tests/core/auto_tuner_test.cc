@@ -1,8 +1,8 @@
-#include "core/auto_tuner.h"
-
-#include "core/allocator.h"
-
+// InferencePipeline::AutoTune: the Sec. IV-D search over (format,
+// compression tolerance), measured with the pipeline's own compressor.
 #include <cmath>
+
+#include "core/pipeline.h"
 
 #include "gtest/gtest.h"
 #include "nn/builders.h"
@@ -15,14 +15,13 @@ namespace {
 using quant::NumericFormat;
 using tensor::Tensor;
 
-ErrorFlowAnalysis MakeAnalysis(nn::Model* out_model) {
+InferencePipeline MakePipeline(PipelineConfig config = {}) {
   nn::MlpConfig cfg;
   cfg.input_dim = 8;
   cfg.hidden_dims = {16, 16};
   cfg.output_dim = 4;
   cfg.seed = 61;
-  *out_model = nn::BuildMlp(cfg);
-  return ErrorFlowAnalysis(ProfileModel(*out_model, {1, 8}));
+  return InferencePipeline(nn::BuildMlp(cfg), {1, 8}, config);
 }
 
 Tensor SmoothBatch(uint64_t seed) {
@@ -39,11 +38,8 @@ Tensor SmoothBatch(uint64_t seed) {
 }
 
 TEST(AutoTunerTest, ReturnsFeasibleBest) {
-  nn::Model model;
-  ErrorFlowAnalysis analysis = MakeAnalysis(&model);
-  AutoTuneConfig cfg;
-  auto result = AutoTune(analysis, /*qoi_tolerance=*/0.05, SmoothBatch(1),
-                         model.FlopsPerSample({1, 8}), 8 * 4, cfg);
+  InferencePipeline pipeline = MakePipeline();
+  auto result = pipeline.AutoTune(/*qoi_tolerance=*/0.05, SmoothBatch(1));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->best.feasible);
   EXPECT_GT(result->best.total_throughput, 0.0);
@@ -51,11 +47,8 @@ TEST(AutoTunerTest, ReturnsFeasibleBest) {
 }
 
 TEST(AutoTunerTest, BestIsArgmaxOfCandidates) {
-  nn::Model model;
-  ErrorFlowAnalysis analysis = MakeAnalysis(&model);
-  AutoTuneConfig cfg;
-  auto result = AutoTune(analysis, 0.05, SmoothBatch(2),
-                         model.FlopsPerSample({1, 8}), 8 * 4, cfg);
+  InferencePipeline pipeline = MakePipeline();
+  auto result = pipeline.AutoTune(0.05, SmoothBatch(2));
   ASSERT_TRUE(result.ok());
   for (const AutoTuneCandidate& c : result->candidates) {
     if (c.feasible) {
@@ -66,13 +59,10 @@ TEST(AutoTunerTest, BestIsArgmaxOfCandidates) {
 }
 
 TEST(AutoTunerTest, TightToleranceExcludesCoarseFormats) {
-  nn::Model model;
-  ErrorFlowAnalysis analysis = MakeAnalysis(&model);
-  AutoTuneConfig cfg;
+  InferencePipeline pipeline = MakePipeline();
   // Below the tf32 bound: only fp32 admissible.
-  const double tol = analysis.QuantTerm(NumericFormat::kTF32) * 0.5;
-  auto result = AutoTune(analysis, tol, SmoothBatch(3),
-                         model.FlopsPerSample({1, 8}), 8 * 4, cfg);
+  const double tol = pipeline.analysis().QuantTerm(NumericFormat::kTF32) * 0.5;
+  auto result = pipeline.AutoTune(tol, SmoothBatch(3));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->best.format, NumericFormat::kFP32);
   for (const AutoTuneCandidate& c : result->candidates) {
@@ -83,24 +73,19 @@ TEST(AutoTunerTest, TightToleranceExcludesCoarseFormats) {
 }
 
 TEST(AutoTunerTest, ImpossibleToleranceFails) {
-  nn::Model model;
-  ErrorFlowAnalysis analysis = MakeAnalysis(&model);
-  AutoTuneConfig cfg;
+  InferencePipeline pipeline = MakePipeline();
   // Even fp32 needs compression slack; a zero tolerance is infeasible.
-  auto result = AutoTune(analysis, 0.0, SmoothBatch(4),
-                         model.FlopsPerSample({1, 8}), 8 * 4, cfg);
+  auto result = pipeline.AutoTune(0.0, SmoothBatch(4));
   // fp32's quant term is 0, 0 >= 0 -> infeasible.
   EXPECT_FALSE(result.ok());
 }
 
 TEST(AutoTunerTest, ZfpL2Rejected) {
-  nn::Model model;
-  ErrorFlowAnalysis analysis = MakeAnalysis(&model);
-  AutoTuneConfig cfg;
+  PipelineConfig cfg;
   cfg.backend = compress::Backend::kZfp;
   cfg.norm = tensor::Norm::kL2;
-  auto result = AutoTune(analysis, 0.05, SmoothBatch(5),
-                         model.FlopsPerSample({1, 8}), 8 * 4, cfg);
+  InferencePipeline pipeline = MakePipeline(cfg);
+  auto result = pipeline.AutoTune(0.05, SmoothBatch(5));
   EXPECT_FALSE(result.ok());
 }
 
@@ -108,19 +93,14 @@ TEST(AutoTunerTest, NeverWorseThanFixedFractionPlans) {
   // The tuner must match or beat the throughput implied by any fixed
   // quantization-fraction allocation, because it searches the same space
   // exhaustively over formats.
-  nn::Model model;
-  ErrorFlowAnalysis analysis = MakeAnalysis(&model);
-  AutoTuneConfig cfg;
+  InferencePipeline pipeline = MakePipeline();
   const Tensor batch = SmoothBatch(6);
   const double tol = 0.05;
-  auto result = AutoTune(analysis, tol, batch,
-                         model.FlopsPerSample({1, 8}), 8 * 4, cfg);
+  auto result = pipeline.AutoTune(tol, batch);
   ASSERT_TRUE(result.ok());
   for (double frac : {0.1, 0.5, 0.9}) {
-    AllocationConfig alloc;
-    alloc.norm = cfg.norm;
-    alloc.quant_fraction = frac;
-    const AllocationPlan plan = AllocateTolerance(analysis, tol, alloc);
+    const AllocationPlan plan = AllocateTolerance(
+        pipeline.analysis(), tol, pipeline.config().norm, frac);
     // Find the tuner's candidate for the same format: its throughput is
     // the best the fixed plan could achieve (the tuner's input tolerance
     // is >= the fixed plan's, since it gives compression all the slack).

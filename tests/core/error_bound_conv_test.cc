@@ -33,15 +33,21 @@ TEST(ConvBoundTest, WeightSharingNoiseTermBeatsDenseEquivalent) {
   // factor sqrt(c_out*oh*ow) the printed Eq. (3) would give.
   nn::Model m = SmallCnn(1);
   const ModelProfile profile = ProfileModel(m, {1, 2, 16, 16});
+  int convs = 0;
   for (const BlockProfile& block : profile.blocks) {
     for (const LayerProfile& layer : block.body) {
-      if (layer.weight.dim(1) > layer.weight.dim(0)) {  // conv-shaped
+      // A conv layer's output spans oh*ow elements per weight row (output
+      // channel); a dense layer has exactly one per row and keeps Eq. (3)'s
+      // sqrt(n_out).
+      if (layer.n_out > layer.weight.dim(0)) {
+        ++convs;
         EXPECT_LT(layer.noise_sqrt,
                   std::sqrt(static_cast<double>(layer.n_out)))
             << layer.name;
       }
     }
   }
+  EXPECT_GT(convs, 0);
 }
 
 TEST(ConvBoundTest, BoundGrowsWithDepth) {

@@ -29,6 +29,20 @@ Model SmallMlp(uint64_t seed = 1, int hidden = 10) {
   return nn::BuildMlp(cfg);
 }
 
+// Every steps overload checks the length once, in Flow: one step too few
+// or too many is a contract violation, never an out-of-bounds read.
+TEST(ErrorBoundDeathTest, WrongLengthStepsFailCheck) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ErrorFlowAnalysis analysis(ProfileModel(SmallMlp(), {1, 6}));
+  const size_t n = static_cast<size_t>(analysis.LinearLayerCount());
+  for (size_t len : {n - 1, n + 1}) {
+    const std::vector<double> steps(len, 1e-3);
+    EXPECT_DEATH(analysis.Bound(0.0, Norm::kL2, steps), "steps.size");
+    EXPECT_DEATH(analysis.QuantTerm(steps), "steps.size");
+    EXPECT_DEATH(analysis.Attribution(0.0, Norm::kL2, steps), "steps.size");
+  }
+}
+
 TEST(ErrorBoundTest, GainIsProductOfSigmas) {
   Model m("two");
   auto d1 = std::make_unique<nn::DenseLayer>(2, 2);

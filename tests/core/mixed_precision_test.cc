@@ -6,6 +6,7 @@
 #include "nn/builders.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
+#include "quant/hardware_model.h"
 #include "quant/quantize_model.h"
 #include "quant/step_size.h"
 #include "testing/test_util.h"
@@ -79,29 +80,30 @@ TEST(MixedPrecisionTest, UniformAssignmentMatchesFormat) {
   std::vector<NumericFormat> uniform(static_cast<size_t>(n),
                                      NumericFormat::kFP16);
   EXPECT_EQ(
-      analysis.QuantTermWithSteps(VectorStepFn(MixedSteps(analysis, uniform))),
+      analysis.QuantTerm(MixedSteps(analysis, uniform)),
       analysis.QuantTerm(NumericFormat::kFP16));
 }
 
 TEST(MixedPrecisionTest, BoundWithStepsMatchesBound) {
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
-  EXPECT_NEAR(
-      analysis.BoundWithSteps(1e-3, tensor::Norm::kL2,
-                              FormatStepFn(NumericFormat::kBF16)),
-      analysis.Bound(1e-3, tensor::Norm::kL2, NumericFormat::kBF16),
-      1e-15);
+  std::vector<double> steps;
+  for (const LayerProfile* layer : analysis.LinearLayers()) {
+    steps.push_back(LayerStepSize(*layer, NumericFormat::kBF16));
+  }
+  EXPECT_NEAR(analysis.Bound(1e-3, tensor::Norm::kL2, steps),
+              analysis.Bound(1e-3, tensor::Norm::kL2, NumericFormat::kBF16),
+              1e-15);
 }
 
 TEST(PlanMixedPrecisionTest, RespectsBudget) {
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
-  quant::HardwareProfile hw;
   for (double budget_scale : {0.5, 2.0, 20.0}) {
     const double budget =
         analysis.QuantTerm(NumericFormat::kFP16) * budget_scale;
     const MixedPrecisionPlan plan =
-        PlanMixedPrecision(analysis, budget, hw);
+        PlanMixedPrecision(analysis, budget);
     EXPECT_LE(plan.quant_bound, budget * (1 + 1e-12));
     EXPECT_EQ(static_cast<int64_t>(plan.formats.size()),
               analysis.LinearLayerCount());
@@ -111,8 +113,7 @@ TEST(PlanMixedPrecisionTest, RespectsBudget) {
 TEST(PlanMixedPrecisionTest, ZeroBudgetKeepsFp32) {
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
-  quant::HardwareProfile hw;
-  const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, 0.0, hw);
+  const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, 0.0);
   for (NumericFormat f : plan.formats) {
     EXPECT_EQ(f, NumericFormat::kFP32);
   }
@@ -122,13 +123,13 @@ TEST(PlanMixedPrecisionTest, ZeroBudgetKeepsFp32) {
 TEST(PlanMixedPrecisionTest, HugeBudgetGoesAllFastest) {
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
-  quant::HardwareProfile hw;
   const double budget = analysis.QuantTerm(NumericFormat::kINT8) * 100.0;
-  const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, budget, hw);
+  const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, budget);
   for (NumericFormat f : plan.formats) {
     EXPECT_EQ(f, NumericFormat::kINT8);
   }
-  EXPECT_NEAR(plan.modeled_speedup, hw.speedup_int8, 1e-9);
+  EXPECT_NEAR(plan.modeled_speedup,
+              quant::ModeledSpeedup(NumericFormat::kINT8), 1e-9);
 }
 
 TEST(PlanMixedPrecisionTest, MixedAssignmentEmergesAtIntermediateBudget) {
@@ -137,7 +138,6 @@ TEST(PlanMixedPrecisionTest, MixedAssignmentEmergesAtIntermediateBudget) {
   // assignment that exploits it.
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
-  quant::HardwareProfile hw;
   const int64_t n = analysis.LinearLayerCount();
   ASSERT_EQ(n, 3);
   // Heaviest layer of the 8->16->16->4 MLP is the middle one (index 1).
@@ -145,15 +145,14 @@ TEST(PlanMixedPrecisionTest, MixedAssignmentEmergesAtIntermediateBudget) {
                                    NumericFormat::kFP32);
   probe[1] = NumericFormat::kINT8;
   const double budget =
-      analysis.QuantTermWithSteps(VectorStepFn(MixedSteps(analysis, probe))) *
-      1.2;
+      analysis.QuantTerm(MixedSteps(analysis, probe)) * 1.2;
   ASSERT_LT(budget, analysis.QuantTerm(NumericFormat::kINT8));
 
-  const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, budget, hw);
+  const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, budget);
   EXPECT_LE(plan.quant_bound, budget * (1 + 1e-12));
   // The plan's bound is its assignment priced from scratch.
-  EXPECT_EQ(plan.quant_bound, analysis.QuantTermWithSteps(VectorStepFn(
-                                  MixedSteps(analysis, plan.formats))));
+  EXPECT_EQ(plan.quant_bound,
+            analysis.QuantTerm(MixedSteps(analysis, plan.formats)));
   EXPECT_EQ(plan.formats[1], NumericFormat::kINT8);
   // Not everything can be INT8 under this budget.
   bool all_int8 = true;
@@ -200,9 +199,8 @@ TEST(MaterializeMixedTest, AppliesPerLayerFormats) {
 TEST(MaterializeMixedTest, MixedModelErrorWithinMixedBound) {
   nn::Model m = SampleMlp();
   ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
-  quant::HardwareProfile hw;
   const double budget = analysis.QuantTerm(NumericFormat::kBF16);
-  const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, budget, hw);
+  const MixedPrecisionPlan plan = PlanMixedPrecision(analysis, budget);
   quant::VariantSpec spec;
   spec.layer_formats = plan.formats;
   nn::Model q = std::move(quant::Materialize(m, spec).model);

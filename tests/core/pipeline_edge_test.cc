@@ -2,6 +2,7 @@
 // fractions, disabled quantization, unsupported norm/backend pairings,
 // tolerance degeneracies and batches without samples.
 #include <cmath>
+#include <limits>
 
 #include "core/pipeline.h"
 #include "gtest/gtest.h"
@@ -134,6 +135,19 @@ TEST(PipelineEdgeTest, ZeroRowMlpBatchIsInvalidArgument) {
   auto report = pipeline.Run(Tensor({0, 6}), 1e-2);
   ASSERT_FALSE(report.ok());
   EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+}
+
+// NaN and negative tolerances fail Run's own check (the planner cannot
+// allocate them); an infinite one plans an infinite compression tolerance,
+// which the compressor refuses.
+TEST(PipelineEdgeTest, ToleranceItCannotHonourIsInvalidArgument) {
+  InferencePipeline pipeline(EdgeMlp(), {1, 6}, PipelineConfig{});
+  for (double tol : {std::numeric_limits<double>::quiet_NaN(), -1e-2,
+                     std::numeric_limits<double>::infinity()}) {
+    auto report = pipeline.Run(EdgeBatch(7), tol);
+    ASSERT_FALSE(report.ok()) << tol;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument) << tol;
+  }
 }
 
 TEST(PipelineEdgeTest, ZeroRowRank4BatchIsInvalidArgument) {

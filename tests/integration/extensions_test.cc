@@ -97,17 +97,16 @@ TEST(GroupedBoundTest, GroupedInt8WithinGroupedBound) {
     });
     ASSERT_EQ(quantized, analysis.LinearLayerCount());
 
-    const ErrorFlowAnalysis::StepFn grouped_steps =
-        [&gcfg](const core::LayerProfile& layer, int64_t) {
-          return quant::GroupedInt8StepSize(layer.weight, gcfg);
-        };
+    std::vector<double> grouped_steps;
+    for (const core::LayerProfile* layer : analysis.LinearLayers()) {
+      grouped_steps.push_back(quant::GroupedInt8StepSize(layer->weight, gcfg));
+    }
 
     const Tensor x = testing::RandomUniformTensor({64, 7}, seed + 20);
     const Tensor ref = model.Predict(x);
     const Tensor out = grouped.Predict(x);
     const double achieved = MaxSampleL2Error(ref, out);
-    const double grouped_bound =
-        analysis.QuantTermWithSteps(grouped_steps);
+    const double grouped_bound = analysis.QuantTerm(grouped_steps);
     const double uniform_bound =
         analysis.QuantTerm(NumericFormat::kINT8);
     EXPECT_LE(achieved, grouped_bound) << "seed " << seed;
@@ -119,10 +118,9 @@ TEST(GroupedBoundTest, GroupedInt8WithinGroupedBound) {
 TEST(MixedPrecisionBoundTest, MixedModelWithinPlanBound) {
   nn::Model model = RandomMlp(7);
   ErrorFlowAnalysis analysis(ProfileModel(model, {1, 7}));
-  quant::HardwareProfile hw;
   const double budget = analysis.QuantTerm(NumericFormat::kBF16) * 0.8;
   const core::MixedPrecisionPlan plan =
-      core::PlanMixedPrecision(analysis, budget, hw);
+      core::PlanMixedPrecision(analysis, budget);
   quant::VariantSpec spec;
   spec.layer_formats = plan.formats;
   nn::Model mixed = std::move(quant::Materialize(model, spec).model);

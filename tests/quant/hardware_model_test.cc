@@ -7,50 +7,44 @@ namespace quant {
 namespace {
 
 TEST(HardwareProfileTest, Fp32SpeedupIsUnity) {
-  HardwareProfile p;
-  EXPECT_DOUBLE_EQ(p.Speedup(NumericFormat::kFP32), 1.0);
+  EXPECT_DOUBLE_EQ(ModeledSpeedup(NumericFormat::kFP32), 1.0);
 }
 
 TEST(HardwareProfileTest, DefaultOrderingMatchesPaper) {
   // FP16 and INT8 give large speedups; TF32/BF16 "provide little speedup"
   // (Sec. IV-C).
-  HardwareProfile p;
-  EXPECT_GT(p.Speedup(NumericFormat::kFP16), 4.0);
-  EXPECT_GT(p.Speedup(NumericFormat::kINT8),
-            p.Speedup(NumericFormat::kFP16) * 0.8);
-  EXPECT_LT(p.Speedup(NumericFormat::kTF32), 1.5);
-  EXPECT_LT(p.Speedup(NumericFormat::kBF16), 1.5);
+  EXPECT_GT(ModeledSpeedup(NumericFormat::kFP16), 4.0);
+  EXPECT_GT(ModeledSpeedup(NumericFormat::kINT8),
+            ModeledSpeedup(NumericFormat::kFP16) * 0.8);
+  EXPECT_LT(ModeledSpeedup(NumericFormat::kTF32), 1.5);
+  EXPECT_LT(ModeledSpeedup(NumericFormat::kBF16), 1.5);
 }
 
 TEST(ExecutionModelTest, TimeScalesInverselyWithSpeedup) {
-  HardwareProfile p;
-  ExecutionModel exec(p, /*flops=*/1000000, /*bytes=*/4096);
+  ExecutionModel exec(/*flops=*/1000000, /*bytes=*/4096);
   const double fp32 = exec.SecondsPerSample(NumericFormat::kFP32);
   const double fp16 = exec.SecondsPerSample(NumericFormat::kFP16);
-  EXPECT_NEAR(fp32 / fp16, p.speedup_fp16, 1e-9);
+  EXPECT_NEAR(fp32 / fp16, ModeledSpeedup(NumericFormat::kFP16), 1e-9);
 }
 
 TEST(ExecutionModelTest, ThroughputIsReciprocal) {
-  HardwareProfile p;
-  ExecutionModel exec(p, 500000, 1024);
+  ExecutionModel exec(500000, 1024);
   EXPECT_NEAR(exec.SamplesPerSecond(NumericFormat::kFP32) *
                   exec.SecondsPerSample(NumericFormat::kFP32),
               1.0, 1e-9);
 }
 
 TEST(ExecutionModelTest, IngestThroughputScalesWithBytes) {
-  HardwareProfile p;
-  ExecutionModel a(p, 1000000, 1000);
-  ExecutionModel b(p, 1000000, 2000);
+  ExecutionModel a(1000000, 1000);
+  ExecutionModel b(1000000, 2000);
   EXPECT_NEAR(b.IngestBytesPerSecond(NumericFormat::kFP32) /
                   a.IngestBytesPerSecond(NumericFormat::kFP32),
               2.0, 1e-9);
 }
 
 TEST(ExecutionModelTest, BiggerModelsSlower) {
-  HardwareProfile p;
-  ExecutionModel small(p, 500000, 1024);
-  ExecutionModel big(p, 5000000, 1024);
+  ExecutionModel small(500000, 1024);
+  ExecutionModel big(5000000, 1024);
   EXPECT_GT(big.SecondsPerSample(NumericFormat::kFP32),
             small.SecondsPerSample(NumericFormat::kFP32));
 }

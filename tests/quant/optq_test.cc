@@ -154,9 +154,8 @@ TEST(OptqTest, EffectiveStepsTightenTheInt8Bound) {
   MaterializedModel q = Optq(model, calib);
 
   core::ErrorFlowAnalysis analysis(core::ProfileModel(model, {1, 12}));
-  const auto step_fn = core::VectorStepFn(q.EffectiveSteps());
   const double data_bound =
-      analysis.BoundWithSteps(0.0, Norm::kLinf, step_fn);
+      analysis.Bound(0.0, Norm::kLinf, q.EffectiveSteps());
   const double table_bound =
       analysis.Bound(0.0, Norm::kLinf, NumericFormat::kINT8);
   EXPECT_GT(data_bound, 0.0);
@@ -173,10 +172,10 @@ TEST(OptqTest, BoundWithStepsCoversAchievedError) {
   reference.FoldPsn();
 
   core::ErrorFlowAnalysis analysis(core::ProfileModel(model, {1, 12}));
-  const auto step_fn = core::VectorStepFn(q.EffectiveSteps());
+  const std::vector<double> steps = q.EffectiveSteps();
 
   for (Norm norm : {Norm::kLinf, Norm::kL2}) {
-    const double bound = analysis.BoundWithSteps(0.0, norm, step_fn);
+    const double bound = analysis.Bound(0.0, norm, steps);
     Tensor ref_out, q_out;
     const Tensor probe = UniformBatch(64, 12, 211);
     reference.Forward(probe, &ref_out, false);
@@ -194,8 +193,7 @@ TEST(OptqTest, AttributionWithStepsSumsExactly) {
   core::ErrorFlowAnalysis analysis(core::ProfileModel(model, {1, 12}));
   const core::BoundAttribution att =
       analysis.Attribution(1e-3, Norm::kL2, q.EffectiveSteps());
-  const double bound = analysis.BoundWithSteps(
-      1e-3, Norm::kL2, core::VectorStepFn(q.EffectiveSteps()));
+  const double bound = analysis.Bound(1e-3, Norm::kL2, q.EffectiveSteps());
   EXPECT_NEAR(att.total, bound, 1e-9 * std::max(1.0, bound));
   double share_sum = 0.0;
   for (const core::LayerAttribution& row : att.layers) {
@@ -263,8 +261,7 @@ TEST(OptqTest, ConvAndResidualModelsQuantize) {
     EXPECT_GT(rec.effective_step, 0.0) << rec.layer;
   }
   // The data-driven steps plug into the composed bound machinery.
-  const double bound = analysis.BoundWithSteps(
-      0.0, Norm::kLinf, core::VectorStepFn(q.EffectiveSteps()));
+  const double bound = analysis.Bound(0.0, Norm::kLinf, q.EffectiveSteps());
   EXPECT_GT(bound, 0.0);
   EXPECT_LT(bound, analysis.Bound(0.0, Norm::kLinf, NumericFormat::kINT8));
 }

@@ -8,6 +8,7 @@
 #include "gtest/gtest.h"
 #include "nn/builders.h"
 #include "quant/format.h"
+#include "quant/hardware_model.h"
 
 namespace errorflow {
 namespace serve {
@@ -135,7 +136,7 @@ TEST_F(AdmissionTest, AdmitsFeasibleFormatWithinTolerance) {
 TEST_F(AdmissionTest, LooseToleranceSelectsFasterFormatThanTight) {
   AdmissionConfig cfg;
   AdmissionController controller(cfg);
-  quant::ExecutionModel exec(quant::HardwareProfile{}, 100, 100);
+  quant::ExecutionModel exec(100, 100);
 
   const double tight = TightestReducedBound(cfg.norm) * 1.5;
   const double loose = 1e9;

@@ -1,7 +1,7 @@
 // Parity pins for the single pricing / picking / materializing path:
 //  - the analysis prices each format once, and every cached QuantTerm,
-//    Gain and Bound equals a from-scratch flow whose StepFn recomputes the
-//    Table-I step from the weights on every call;
+//    Gain and Bound equals a from-scratch flow over steps recomputed from
+//    the weights;
 //  - AllocateTolerance and Admit (data-driven candidate included) equal a
 //    brute-force "lowest modeled time among feasible candidates, earlier
 //    on ties" over a tolerance grid;
@@ -89,14 +89,17 @@ const std::vector<Fixture>& Fixtures() {
   return kFixtures;
 }
 
-// Recomputes the Table-I step from the weights on every call: the
-// pre-cache pricing path.
-ErrorFlowAnalysis::StepFn ScratchSteps(NumericFormat format) {
-  return [format](const core::LayerProfile& layer, int64_t) {
-    return format == NumericFormat::kFP32
-               ? 0.0
-               : quant::AverageStepSize(layer.weight, format);
-  };
+// Recomputes the Table-I steps from the weights: the pre-cache pricing
+// path.
+std::vector<double> ScratchSteps(const ErrorFlowAnalysis& analysis,
+                                 NumericFormat format) {
+  std::vector<double> steps;
+  for (const core::LayerProfile* layer : analysis.LinearLayers()) {
+    steps.push_back(format == NumericFormat::kFP32
+                        ? 0.0
+                        : quant::AverageStepSize(layer->weight, format));
+  }
+  return steps;
 }
 
 TEST(PricingParityTest, CachedFormatPricingEqualsScratchFlow) {
@@ -104,20 +107,14 @@ TEST(PricingParityTest, CachedFormatPricingEqualsScratchFlow) {
     const ErrorFlowAnalysis analysis(core::ProfileModel(fx.build(), fx.shape));
     for (NumericFormat f : quant::AllFormats()) {
       SCOPED_TRACE(fx.name + "/" + quant::FormatToString(f));
-      const auto scratch = ScratchSteps(f);
-      std::vector<double> scratch_steps;
-      const std::vector<const core::LayerProfile*> layers =
-          analysis.LinearLayers();
-      for (size_t i = 0; i < layers.size(); ++i) {
-        scratch_steps.push_back(scratch(*layers[i], static_cast<int64_t>(i)));
-      }
-      EXPECT_EQ(analysis.QuantTerm(f), analysis.QuantTermWithSteps(scratch));
+      const std::vector<double> scratch_steps = ScratchSteps(analysis, f);
+      EXPECT_EQ(analysis.QuantTerm(f), analysis.QuantTerm(scratch_steps));
       EXPECT_EQ(analysis.Gain(f),
                 analysis.Attribution(0.0, Norm::kL2, scratch_steps).gain);
       for (Norm norm : {Norm::kLinf, Norm::kL2}) {
         for (double err : {0.0, 1e-3, 0.25}) {
           EXPECT_EQ(analysis.Bound(err, norm, f),
-                    analysis.BoundWithSteps(err, norm, scratch));
+                    analysis.Bound(err, norm, scratch_steps));
           EXPECT_EQ(analysis.Attribution(err, norm, f).total,
                     analysis.Attribution(err, norm, scratch_steps).total);
         }
@@ -161,22 +158,16 @@ std::vector<double> ToleranceGrid(const ErrorFlowAnalysis& analysis) {
   return grid;
 }
 
-std::vector<quant::HardwareProfile> Profiles() {
-  quant::HardwareProfile tie;  // FP16 and INT8 modeled equally fast.
-  tie.speedup_int8 = tie.speedup_fp16;
-  return {quant::HardwareProfile{}, tie};
-}
-
 // Index of PickFastest's choice in `candidates`, -1 for none.
 int PickIndex(const std::vector<core::PricedVariant>& candidates,
-              double budget, const quant::HardwareProfile& hw) {
-  const core::PricedVariant* picked =
-      core::PickFastest(candidates, budget, hw);
+              double budget) {
+  const core::PricedVariant* picked = core::PickFastest(candidates, budget);
   return picked == nullptr ? -1 : static_cast<int>(picked - candidates.data());
 }
 
-// The planners rank with the default profile; PickFastest, their one
-// selection rule, is checked under every profile over the same candidates.
+// The planners and PickFastest, their one selection rule, against the
+// brute force over the same candidates. The earlier-candidate-wins rule on
+// a speed tie is pinned by PtqServeTest.SpeedTiePrefersMaxAffineInt8.
 TEST(PickParityTest, AllocateToleranceMatchesBruteForce) {
   for (const Fixture& fx : Fixtures()) {
     nn::Model model = fx.build();
@@ -186,28 +177,22 @@ TEST(PickParityTest, AllocateToleranceMatchesBruteForce) {
         analysis.Price(formats);
     std::vector<double> bounds;
     for (NumericFormat f : formats) {
-      bounds.push_back(analysis.QuantTermWithSteps(ScratchSteps(f)));
+      bounds.push_back(analysis.QuantTerm(ScratchSteps(analysis, f)));
     }
-    const std::vector<quant::HardwareProfile> profiles = Profiles();
-    for (size_t p = 0; p < profiles.size(); ++p) {
-      const quant::ExecutionModel exec(profiles[p], 1000, 4);
-      for (double tol : ToleranceGrid(analysis)) {
-        for (double frac : {0.1, 0.5, 0.9}) {
-          SCOPED_TRACE(fx.name + " profile " + std::to_string(p) + " tol " +
-                       std::to_string(tol) + " frac " + std::to_string(frac));
-          const int best = BruteForcePick(formats, bounds, tol * frac, exec);
-          EXPECT_EQ(PickIndex(candidates, tol * frac, profiles[p]), best);
-          if (p != 0) continue;
-          core::AllocationConfig cfg;
-          cfg.quant_fraction = frac;
-          const core::AllocationPlan plan =
-              core::AllocateTolerance(analysis, tol, cfg);
-          EXPECT_EQ(plan.format,
-                    best < 0 ? NumericFormat::kFP32 : formats[best]);
-          EXPECT_EQ(plan.quant_bound, best < 0 ? 0.0 : bounds[best]);
-          EXPECT_EQ(plan.input_tolerance,
-                    analysis.MaxInputError(tol, cfg.norm, plan.format));
-        }
+    const quant::ExecutionModel exec(1000, 4);
+    for (double tol : ToleranceGrid(analysis)) {
+      for (double frac : {0.1, 0.5, 0.9}) {
+        SCOPED_TRACE(fx.name + " tol " + std::to_string(tol) + " frac " +
+                     std::to_string(frac));
+        const int best = BruteForcePick(formats, bounds, tol * frac, exec);
+        EXPECT_EQ(PickIndex(candidates, tol * frac), best);
+        const core::AllocationPlan plan =
+            core::AllocateTolerance(analysis, tol, Norm::kLinf, frac);
+        EXPECT_EQ(plan.format,
+                  best < 0 ? NumericFormat::kFP32 : formats[best]);
+        EXPECT_EQ(plan.quant_bound, best < 0 ? 0.0 : bounds[best]);
+        EXPECT_EQ(plan.input_tolerance,
+                  analysis.MaxInputError(tol, Norm::kLinf, plan.format));
       }
     }
   }
@@ -236,44 +221,38 @@ TEST(PickParityTest, AdmitMatchesBruteForceWithDataDrivenCandidate) {
       std::vector<double> bounds;
       for (NumericFormat f : allowed) {
         bounds.push_back(
-            analysis.BoundWithSteps(0.0, Norm::kLinf, ScratchSteps(f)));
+            analysis.Bound(0.0, Norm::kLinf, ScratchSteps(analysis, f)));
       }
       formats.push_back(NumericFormat::kINT8);
       quantizers.push_back(WeightQuantizer::kOptq);
-      bounds.push_back(analysis.BoundWithSteps(
-          0.0, Norm::kLinf, core::VectorStepFn((*entry)->optq_steps)));
+      bounds.push_back(
+          analysis.Bound(0.0, Norm::kLinf, (*entry)->optq_steps));
       std::vector<core::PricedVariant> candidates = analysis.Price(allowed);
       candidates.push_back(*(*entry)->data_driven);
 
       AdmissionConfig cfg;
       cfg.allowed_formats = allowed;
       AdmissionController controller(cfg);
-      const std::vector<quant::HardwareProfile> profiles = Profiles();
-      for (size_t p = 0; p < profiles.size(); ++p) {
-        const quant::ExecutionModel exec(profiles[p],
-                                         (*entry)->flops_per_sample,
-                                         (*entry)->bytes_per_sample);
-        for (double tol : ToleranceGrid(analysis)) {
-          for (double frac : {0.1, 0.5, 0.9}) {
-            const double budget = tol * frac;
-            SCOPED_TRACE(fx.name + " profile " + std::to_string(p) +
-                         " budget " + std::to_string(budget));
-            const int best = BruteForcePick(formats, bounds, budget, exec);
-            EXPECT_EQ(PickIndex(candidates, budget, profiles[p]), best);
-            if (p != 0) continue;
-            auto decision = controller.Admit(analysis, budget, later, now, 0,
-                                             false, &*(*entry)->data_driven);
-            if (best < 0) {
-              EXPECT_EQ(decision.status().code(),
-                        StatusCode::kFailedPrecondition);
-              continue;
-            }
-            ASSERT_TRUE(decision.ok());
-            EXPECT_EQ(decision->format, formats[best]);
-            EXPECT_EQ(decision->quantizer, quantizers[best]);
-            EXPECT_EQ(decision->quant_bound, bounds[best]);
-            EXPECT_EQ(decision->slack, budget - bounds[best]);
+      const quant::ExecutionModel exec((*entry)->flops_per_sample,
+                                       (*entry)->bytes_per_sample);
+      for (double tol : ToleranceGrid(analysis)) {
+        for (double frac : {0.1, 0.5, 0.9}) {
+          const double budget = tol * frac;
+          SCOPED_TRACE(fx.name + " budget " + std::to_string(budget));
+          const int best = BruteForcePick(formats, bounds, budget, exec);
+          EXPECT_EQ(PickIndex(candidates, budget), best);
+          auto decision = controller.Admit(analysis, budget, later, now, 0,
+                                           false, &*(*entry)->data_driven);
+          if (best < 0) {
+            EXPECT_EQ(decision.status().code(),
+                      StatusCode::kFailedPrecondition);
+            continue;
           }
+          ASSERT_TRUE(decision.ok());
+          EXPECT_EQ(decision->format, formats[best]);
+          EXPECT_EQ(decision->quantizer, quantizers[best]);
+          EXPECT_EQ(decision->quant_bound, bounds[best]);
+          EXPECT_EQ(decision->slack, budget - bounds[best]);
         }
       }
     }

@@ -67,8 +67,8 @@ TEST(PtqServeTest, RegistryPricesTighterDataDrivenBound) {
             entry->analysis.LinearLayerCount());
   ASSERT_GT(entry->calibration.size(), 0);
 
-  const double data_bound = entry->analysis.BoundWithSteps(
-      0.0, tensor::Norm::kLinf, core::VectorStepFn(entry->optq_steps));
+  const double data_bound =
+      entry->analysis.Bound(0.0, tensor::Norm::kLinf, entry->optq_steps);
   const double affine_bound =
       entry->analysis.Bound(0.0, tensor::Norm::kLinf, NumericFormat::kINT8);
   EXPECT_GT(data_bound, 0.0);
@@ -257,8 +257,8 @@ TEST(PtqServeTest, DataDrivenBoundaryToleranceAdmits) {
   AdmissionConfig cfg;
   cfg.allowed_formats = {NumericFormat::kINT8};
   AdmissionController controller(cfg);
-  const double data_bound = entry->analysis.BoundWithSteps(
-      0.0, cfg.norm, core::VectorStepFn(entry->optq_steps));
+  const double data_bound =
+      entry->analysis.Bound(0.0, cfg.norm, entry->optq_steps);
   const auto later = Clock::now() + std::chrono::seconds(1);
   auto decision =
       controller.Admit(entry->analysis, data_bound, later, Clock::now(), 0,
@@ -277,8 +277,8 @@ TEST(PtqServeTest, DataDrivenInt8AdmitsWhereMaxAffineRoutesSlower) {
 
   AdmissionConfig cfg;
   cfg.allowed_formats = quant::ReducedFormats();
-  const double data_bound = entry->analysis.BoundWithSteps(
-      0.0, cfg.norm, core::VectorStepFn(entry->optq_steps));
+  const double data_bound =
+      entry->analysis.Bound(0.0, cfg.norm, entry->optq_steps);
   const double affine_bound =
       entry->analysis.Bound(0.0, cfg.norm, NumericFormat::kINT8);
   // Fixture precondition: a tolerance band that only data-driven INT8 can
@@ -304,7 +304,7 @@ TEST(PtqServeTest, DataDrivenInt8AdmitsWhereMaxAffineRoutesSlower) {
   EXPECT_EQ(data_decision->quantizer, WeightQuantizer::kOptq);
 
   // And the reroute is a speedup, not a sidestep.
-  quant::ExecutionModel exec(quant::HardwareProfile{}, 100, 100);
+  quant::ExecutionModel exec(100, 100);
   EXPECT_LT(exec.SecondsPerSample(data_decision->format),
             exec.SecondsPerSample(affine_decision->format));
 }
@@ -352,8 +352,8 @@ TEST(PtqServeTest, ServerServesDataDrivenInt8AndWatchdogStaysClean) {
 
   auto entry = server.registry().Lookup("m");
   ASSERT_TRUE(entry.ok());
-  const double data_bound = (*entry)->analysis.BoundWithSteps(
-      0.0, config.norm, core::VectorStepFn((*entry)->optq_steps));
+  const double data_bound =
+      (*entry)->analysis.Bound(0.0, config.norm, (*entry)->optq_steps);
   const double affine_bound = (*entry)->analysis.Bound(
       0.0, config.norm, NumericFormat::kINT8);
   ASSERT_LT(data_bound, affine_bound);

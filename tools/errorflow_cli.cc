@@ -270,11 +270,8 @@ int CmdPlan(const Args& args) {
   if (!norm.ok()) return Fail(norm.status().ToString().c_str());
   const double tol = args.GetDouble("tol", 1e-3);
 
-  core::AllocationConfig cfg;
-  cfg.norm = *norm;
-  cfg.quant_fraction = args.GetDouble("frac", 0.5);
-  const core::AllocationPlan plan =
-      core::AllocateTolerance(*analysis, tol, cfg);
+  const core::AllocationPlan plan = core::AllocateTolerance(
+      *analysis, tol, *norm, args.GetDouble("frac", 0.5));
   std::printf("QoI tolerance          : %.3e (%s)\n", tol,
               args.Get("norm", "linf").c_str());
   std::printf("chosen weight format   : %s\n",
@@ -338,7 +335,7 @@ int CmdQuantize(const Args& args) {
   const double table_bound =
       analysis.Bound(0.0, *norm, quant::NumericFormat::kINT8);
   const double data_bound =
-      analysis.BoundWithSteps(0.0, *norm, core::VectorStepFn(steps));
+      analysis.Bound(0.0, *norm, steps);
   // Probe on a fresh batch from the same distribution: both bounds must
   // cover what the quantized model actually does.
   tensor::Tensor probe(batch_shape);
