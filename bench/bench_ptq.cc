@@ -99,8 +99,7 @@ int main() {
     }
 
     // --- admitted traffic over the Fig. 7 relative-tolerance grid -----
-    serve::AdmissionConfig base_cfg;
-    base_cfg.norm = norm;
+    serve::ServerConfig base_cfg;
     base_cfg.allowed_formats = quant::ReducedFormats();
     serve::AdmissionController controller(base_cfg);
 

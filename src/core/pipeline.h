@@ -72,8 +72,8 @@ struct PipelineReport {
 
   /// Achieved QoI error relative to the per-sample reference norm
   /// (achieved_qoi_error / reference_qoi_norm); 0 when the reference norm
-  /// is unknown or zero. Bench binaries and the serving layer use this
-  /// instead of re-deriving the division.
+  /// is unknown or zero. Bench binaries use this instead of re-deriving
+  /// the division.
   double RelativeQoIError() const;
 
   /// Rebuilds the aggregate phase/size/throughput view from the
@@ -150,8 +150,9 @@ class InferencePipeline {
 
   /// Execution phase only: runs `batch` through the weight-quantized
   /// variant for `format`, materializing (and caching) the variant on
-  /// first use. Run() and the serving layer share this path, so repeated
-  /// executions at the same format never re-quantize.
+  /// first use, so repeated executions at the same format never
+  /// re-quantize. Run() uses this path; serving leases its variants from
+  /// serve::ModelRegistry::GetVariant instead.
   Result<Tensor> ExecuteQuantized(const Tensor& batch, NumericFormat format);
 
   /// Number of quantized variants materialized so far.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/allocator.h"
 #include "quant/format.h"
@@ -11,7 +12,7 @@
 namespace errorflow {
 namespace serve {
 
-AdmissionController::AdmissionController(AdmissionConfig config)
+AdmissionController::AdmissionController(ServerConfig config)
     : config_(std::move(config)),
       admitted_(obs::MetricsRegistry::Global().GetCounter(
           "errorflow.serve.admission.admitted")),

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "core/error_bound.h"
 #include "obs/metrics.h"
@@ -12,18 +11,6 @@
 
 namespace errorflow {
 namespace serve {
-
-/// \brief Admission policy.
-struct AdmissionConfig {
-  tensor::Norm norm = tensor::Norm::kLinf;
-  /// Formats the controller may choose from; empty means all five
-  /// (FP32 included, so any positive tolerance is feasible). Restricting
-  /// to ReducedFormats() makes tight tolerances rejectable.
-  std::vector<quant::NumericFormat> allowed_formats;
-  /// Backpressure bound: requests arriving while this many admitted
-  /// requests are still queued are shed with kResourceExhausted.
-  int64_t max_queue_depth = 1024;
-};
 
 /// \brief The controller's verdict for an admitted request.
 struct AdmissionDecision {
@@ -51,7 +38,9 @@ struct AdmissionDecision {
 /// Every path increments an `errorflow.serve.admission.*` counter.
 class AdmissionController {
  public:
-  explicit AdmissionController(AdmissionConfig config);
+  /// Reads `allowed_formats` and `max_queue_depth`. The norm plays no
+  /// part: the bound at zero input error does not depend on it.
+  explicit AdmissionController(ServerConfig config);
 
   /// Decides one request. `now` is injected for testability; production
   /// callers pass Clock::now(). `queue_depth` is the number of admitted,
@@ -73,10 +62,8 @@ class AdmissionController {
       bool overloaded = false,
       const core::PricedVariant* data_driven = nullptr) const;
 
-  const AdmissionConfig& config() const { return config_; }
-
  private:
-  AdmissionConfig config_;
+  ServerConfig config_;
   obs::Counter* admitted_;
   /// Per-chosen-format admissions, indexed by the NumericFormat ordinal:
   /// errorflow.serve.admission.admitted.<format>.

@@ -15,6 +15,10 @@ namespace serve {
 
 namespace {
 
+// The adaptive budget grows only while the windowed p99 is below this
+// share of the SLO; between it and the SLO the budget holds steady.
+constexpr double kSloHeadroom = 0.7;
+
 double SecondsBetween(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
@@ -51,9 +55,9 @@ bool AuditSampler::Tick() {
 }
 
 BatchScheduler::BatchScheduler(ModelRegistry* registry,
-                               SchedulerConfig config)
+                               ServerConfig config)
     : registry_(registry),
-      config_(config),
+      config_(std::move(config)),
       queue_depth_gauge_(obs::MetricsRegistry::Global().GetGauge(
           "errorflow.serve.queue_depth")),
       completed_(obs::MetricsRegistry::Global().GetCounter(
@@ -82,12 +86,8 @@ BatchScheduler::BatchScheduler(ModelRegistry* registry,
           "errorflow.serve.adaptive.shrinks")),
       early_sheds_(obs::MetricsRegistry::Global().GetCounter(
           "errorflow.serve.adaptive.early_sheds")),
-      audit_sampler_(config.audit_fraction) {
+      audit_sampler_(config_.audit_fraction) {
   EF_CHECK(registry_ != nullptr);
-  EF_CHECK(config_.max_batch_rows >= 1);
-  EF_CHECK(config_.min_batch_rows >= 1 &&
-           config_.min_batch_rows <= config_.max_batch_rows);
-  EF_CHECK(config_.adapt_interval_batches >= 1);
   // Adaptive runs start at the floor and earn their way up while the SLO
   // has headroom; fixed runs use the full budget from the first batch.
   batch_rows_limit_.store(config_.slo_p99_seconds > 0.0
@@ -110,53 +110,20 @@ Status BatchScheduler::Start() {
   return Status::OK();
 }
 
-void BatchScheduler::Deliver(Pending* pending, InferenceResponse&& response) {
-  if (pending->on_complete) {
-    pending->on_complete(std::move(response));
-  } else {
-    pending->promise.set_value(std::move(response));
-  }
-}
-
-bool BatchScheduler::TryEnqueue(Pending* pending) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!running_ || stopping_) return false;
-    queue_.push_back(std::move(*pending));
-    queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
-  }
-  cv_.notify_one();
-  return true;
-}
-
-std::future<InferenceResponse> BatchScheduler::Enqueue(
-    InferenceRequest request, AdmissionDecision decision) {
-  Pending pending;
-  pending.request = std::move(request);
-  pending.decision = decision;
-  pending.enqueue_time = Clock::now();
-  std::future<InferenceResponse> future = pending.promise.get_future();
-  if (!TryEnqueue(&pending)) {
-    InferenceResponse response;
-    response.status =
-        Status::FailedPrecondition("scheduler: not accepting requests");
-    pending.promise.set_value(std::move(response));
-  }
-  return future;
-}
-
 Status BatchScheduler::EnqueueAsync(
     InferenceRequest request, AdmissionDecision decision,
     std::function<void(InferenceResponse&&)> on_complete) {
   EF_CHECK(on_complete != nullptr);
-  Pending pending;
-  pending.request = std::move(request);
-  pending.decision = decision;
-  pending.on_complete = std::move(on_complete);
-  pending.enqueue_time = Clock::now();
-  if (!TryEnqueue(&pending)) {
-    return Status::FailedPrecondition("scheduler: not accepting requests");
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!running_ || stopping_) {
+      return Status::FailedPrecondition("scheduler: not accepting requests");
+    }
+    queue_.push_back(Pending{std::move(request), decision,
+                             std::move(on_complete), Clock::now()});
+    queue_depth_gauge_->Set(static_cast<double>(queue_.size()));
   }
+  cv_.notify_one();
   return Status::OK();
 }
 
@@ -270,7 +237,7 @@ void BatchScheduler::AdaptStep() {
     overloaded_.store(true, std::memory_order_relaxed);
   } else {
     overloaded_.store(false, std::memory_order_relaxed);
-    if (p99 < config_.slo_headroom * config_.slo_p99_seconds) {
+    if (p99 < kSloHeadroom * config_.slo_p99_seconds) {
       const int64_t next = std::min(config_.max_batch_rows, limit * 2);
       if (next != limit) grows_->Increment();
       limit = next;
@@ -285,7 +252,7 @@ void BatchScheduler::FailGroup(std::vector<Pending>* group,
   for (Pending& p : *group) {
     InferenceResponse response;
     response.status = status;
-    Deliver(&p, std::move(response));
+    p.on_complete(std::move(response));
   }
   group->clear();
 }
@@ -323,7 +290,7 @@ void BatchScheduler::ExecuteGroup(std::vector<Pending> group) {
           SecondsBetween(p.enqueue_time, dispatch_time);
       response.total_seconds = response.queue_seconds;
       queue_wait_hist_->Record(response.queue_seconds);
-      Deliver(&p, std::move(response));
+      p.on_complete(std::move(response));
     } else {
       live.push_back(std::move(p));
     }
@@ -376,7 +343,7 @@ void BatchScheduler::ExecuteGroup(std::vector<Pending> group) {
                        : 0.8 * prev_ewma + 0.2 * exec_seconds,
       std::memory_order_relaxed);
 
-  // Scatter output rows back to the per-request promises.
+  // Scatter output rows back to the per-request callbacks.
   const int64_t out_row_elems = output.size() / rows;
   tensor::Shape out_shape = output.shape();
   offset = 0;
@@ -401,7 +368,7 @@ void BatchScheduler::ExecuteGroup(std::vector<Pending> group) {
     queue_wait_hist_->Record(response.queue_seconds);
     latency_hist_->Record(response.total_seconds);
     completed_->Increment();
-    Deliver(&p, std::move(response));
+    p.on_complete(std::move(response));
   }
 
   // Bound-violation watchdog: responses are already delivered, so the
@@ -446,7 +413,7 @@ void BatchScheduler::AuditGroup(const std::vector<Pending>& live,
     ledger.achieved_error = tensor::MaxRowError(
         reference.data() + offset * out_row_elems,
         output.data() + offset * out_row_elems, k, out_row_elems,
-        config_.audit_norm);
+        config_.norm);
     ledger.audited = true;
     offset += k;
 

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -21,63 +20,6 @@
 
 namespace errorflow {
 namespace serve {
-
-/// \brief Scheduler tuning.
-struct SchedulerConfig {
-  /// util::ThreadPool workers executing fused batches.
-  int num_workers = 4;
-  /// Cap on sample rows fused into one execution batch. With an SLO set
-  /// this is the adaptive controller's upper limit; without one it is the
-  /// fixed fuse budget.
-  int64_t max_batch_rows = 64;
-
-  /// \name SLO-aware adaptive batching.
-  ///
-  /// With `slo_p99_seconds > 0`, the dispatcher resizes the fuse budget
-  /// between `min_batch_rows` and `max_batch_rows` against the observed
-  /// request-latency p99 (a windowed read of the existing
-  /// errorflow.serve.latency_seconds histogram): the budget doubles while
-  /// the windowed p99 sits below `slo_headroom * slo_p99_seconds` and
-  /// halves when it exceeds the SLO. An over-SLO window also marks the
-  /// scheduler overloaded, which (a) sheds queued requests that cannot
-  /// finish before their deadline anyway (remaining budget below the
-  /// execution-time EWMA) and (b) tightens admission backpressure through
-  /// `overloaded()`. Batch composition never changes outputs: fused
-  /// execution is bit-identical to per-request execution, so the adaptive
-  /// budget trades latency against throughput only.
-  /// @{
-  /// Target p99 request latency; 0 disables adaptation (fixed
-  /// max_batch_rows budget).
-  double slo_p99_seconds = 0.0;
-  /// Lower limit of the adaptive fuse budget (also its starting value, so
-  /// the controller ramps up only while the SLO has headroom).
-  int64_t min_batch_rows = 1;
-  /// Dispatched batches between controller steps.
-  int adapt_interval_batches = 16;
-  /// Grow only while windowed p99 < slo_headroom * slo_p99_seconds; the
-  /// band between headroom and the SLO holds the budget steady.
-  double slo_headroom = 0.7;
-  /// @}
-
-  /// \name Error-budget audit (the bound-violation watchdog).
-  ///
-  /// A sampled fraction of fused batches is re-executed on the FP32 base
-  /// and the achieved per-sample error is compared to each request's
-  /// admitted bound, populating errorflow.bound.* (tightness histogram,
-  /// violation counter) and annotating a "serve.ledger" trace span per
-  /// audited request. FP32-format batches are never audited — they are
-  /// the reference.
-  /// @{
-  /// Fraction of batches audited: 0 disables, 1 audits every batch.
-  double audit_fraction = 0.0;
-  /// Norm achieved error is measured in; keep equal to the admission norm
-  /// so tightness compares like with like.
-  tensor::Norm audit_norm = tensor::Norm::kLinf;
-  /// When true, a violation invalidates the offending variant in the
-  /// registry, so the next batch re-quantizes it from the FP32 base.
-  bool evict_on_violation = false;
-  /// @}
-};
 
 /// \brief Deterministic fractional sampler: over any window of N ticks,
 /// fires on floor-pattern-exact `fraction * N` of them, with no RNG and no
@@ -117,13 +59,16 @@ class AuditSampler {
 /// SLO is configured), and hands the group to the pool. Workers lease the
 /// quantized variant from the registry (a cache hit after the first
 /// batch), run one fused Predict, then scatter output rows back to the
-/// per-request promises. Requests whose deadline passed while queued are
-/// shed with kDeadlineExceeded at dispatch time, before any execution;
-/// under SLO overload, requests whose remaining deadline budget is below
-/// the execution-time EWMA are shed early for the same reason.
+/// per-request completion callbacks. Requests whose deadline passed while
+/// queued are shed with kDeadlineExceeded at dispatch time, before any
+/// execution; under SLO overload, requests whose remaining deadline budget
+/// is below the execution-time EWMA are shed early for the same reason.
 class BatchScheduler {
  public:
-  BatchScheduler(ModelRegistry* registry, SchedulerConfig config);
+  /// Reads the batching, SLO and audit fields of `config`; audits measure
+  /// achieved error in `config.norm`. InferenceServer::Start checks the
+  /// ranges; the scheduler assumes them.
+  BatchScheduler(ModelRegistry* registry, ServerConfig config);
 
   /// Calls Shutdown() if still running.
   ~BatchScheduler();
@@ -134,16 +79,10 @@ class BatchScheduler {
   /// Starts the dispatcher thread and the worker pool. Idempotent.
   Status Start();
 
-  /// Enqueues an admitted request. The future completes when the request
-  /// executes, is shed on timeout, or fails.
-  std::future<InferenceResponse> Enqueue(InferenceRequest request,
-                                         AdmissionDecision decision);
-
-  /// Callback twin of Enqueue for event-loop callers (the net layer) that
-  /// must not park a thread per in-flight request. On OK, `on_complete`
-  /// is invoked exactly once — from a dispatcher or worker thread — when
-  /// the request executes, is shed, or fails; it must not block. On a
-  /// non-OK return the callback is never invoked.
+  /// Enqueues an admitted request. On OK, `on_complete` is invoked exactly
+  /// once — from a dispatcher or worker thread — when the request
+  /// executes, is shed, or fails; it must not block. On a non-OK return
+  /// (kFailedPrecondition: not running) the callback is never invoked.
   Status EnqueueAsync(InferenceRequest request, AdmissionDecision decision,
                       std::function<void(InferenceResponse&&)> on_complete);
 
@@ -181,18 +120,9 @@ class BatchScheduler {
   struct Pending {
     InferenceRequest request;
     AdmissionDecision decision;
-    /// Exactly one completion channel is armed: the promise (Enqueue) or
-    /// the callback (EnqueueAsync).
-    std::promise<InferenceResponse> promise;
     std::function<void(InferenceResponse&&)> on_complete;
     Clock::time_point enqueue_time;
   };
-
-  /// Fulfills a request through whichever completion channel it carries.
-  static void Deliver(Pending* pending, InferenceResponse&& response);
-  /// Queues `*pending` if accepting; returns false (leaving `*pending`
-  /// untouched, nothing delivered) when stopped.
-  bool TryEnqueue(Pending* pending);
 
   void DispatchLoop();
   /// One adaptive-controller step: reads the latency histogram's windowed
@@ -210,7 +140,7 @@ class BatchScheduler {
                   int64_t rows);
 
   ModelRegistry* registry_;
-  SchedulerConfig config_;
+  ServerConfig config_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

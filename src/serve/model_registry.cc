@@ -40,8 +40,8 @@ uint64_t ModelRegistry::ChecksumModel(const nn::Model& model) {
   return h;
 }
 
-ModelRegistry::ModelRegistry(RegistryConfig config)
-    : config_(config),
+ModelRegistry::ModelRegistry(ServerConfig config)
+    : config_(std::move(config)),
       quantize_count_(obs::MetricsRegistry::Global().GetCounter(
           "errorflow.serve.registry.quantize_count")),
       hits_(obs::MetricsRegistry::Global().GetCounter(

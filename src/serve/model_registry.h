@@ -15,46 +15,11 @@
 #include "nn/model.h"
 #include "obs/metrics.h"
 #include "quant/format.h"
+#include "serve/request.h"
 #include "util/result.h"
 
 namespace errorflow {
 namespace serve {
-
-/// \brief Registry configuration.
-struct RegistryConfig {
-  /// Upper bound on the resident bytes of cached quantized variants
-  /// (base models are excluded from the budget): once an insert exceeds
-  /// it, the least-recently-used variants are evicted until it holds
-  /// again (the variant just inserted always stays). In-flight executions
-  /// keep their variant alive through the returned shared_ptr.
-  int64_t max_variant_bytes = 256ll << 20;
-  /// When true, every cache hit re-verifies the variant's weight checksum
-  /// before leasing it; a mismatch (bit rot, stray write) drops the variant
-  /// and transparently re-quantizes from the FP32 base. The checksum pass
-  /// runs *outside* the registry lock, so concurrent leases — even of the
-  /// same variant — never serialize behind it; it still costs one
-  /// serialization pass per hit, so it is off by default and meant for
-  /// deployments that prize integrity over lease latency.
-  bool verify_variants = false;
-  /// Data-driven INT8 weight quantizer offered alongside the Table-I
-  /// max-affine variants. kMaxAffine (the default) disables the feature
-  /// entirely: no calibration pass at Register, no extra variant keys.
-  /// kOptq/kSpfq makes Register run one calibration forward pass and
-  /// cache the per-layer effective steps, so admission can price the
-  /// tighter data-driven INT8 bound without materializing the variant.
-  quant::WeightQuantizer data_driven_quantizer =
-      quant::WeightQuantizer::kMaxAffine;
-  /// Rows of the synthesized uniform [-1, 1] calibration batch used when
-  /// Register is not handed one explicitly (served inputs are normalized
-  /// to [-1, 1], so the synthetic batch approximates the serving
-  /// distribution). Note the caveat this implies: the data-driven bound
-  /// is conditional on serving inputs resembling the calibration data —
-  /// weaker than the worst-case Table-I admission guarantee. Prefer the
-  /// explicit-calibration Register overload with representative data;
-  /// the FP32 watchdog audits the residual risk either way
-  /// (docs/QUANTIZATION.md).
-  int64_t calibration_samples = 64;
-};
 
 /// \brief Owns the served models, their error-flow analyses, and a
 /// bounded LRU cache of lazily materialized quantized variants.
@@ -84,7 +49,9 @@ struct RegistryConfig {
 /// via the `errorflow.spectral.power_iterations` counter.
 class ModelRegistry {
  public:
-  explicit ModelRegistry(RegistryConfig config = {});
+  /// Reads `max_variant_bytes`, `verify_variants`, `data_driven_quantizer`
+  /// and `calibration_samples`.
+  explicit ModelRegistry(ServerConfig config = {});
 
   /// \brief Immutable per-model record: the FP32 base (PSN folded), the
   /// error-flow analysis used by admission, and the execution-model inputs.
@@ -125,7 +92,7 @@ class ModelRegistry {
     nn::Model model;
     int64_t resident_bytes = 0;
     /// FNV-1a over the serialized model, taken at materialization; consulted
-    /// on hits when `RegistryConfig::verify_variants` is set.
+    /// on hits when `ServerConfig::verify_variants` is set.
     uint64_t checksum = 0;
   };
 
@@ -150,9 +117,10 @@ class ModelRegistry {
   /// Profiles `model` (folding PSN afterwards) and takes ownership.
   /// `single_input_shape` as in core::ProfileModel. Fails with
   /// kAlreadyExists on duplicate names. When the registry is configured
-  /// with a data-driven quantizer, a uniform [-1, 1] calibration batch is
-  /// synthesized (RegistryConfig::calibration_samples/seed) and the
-  /// variant's effective steps are priced here, once.
+  /// with a data-driven quantizer, a uniform [-1, 1] calibration batch of
+  /// ServerConfig::calibration_samples rows is synthesized from the fixed
+  /// seed kCalibrationSeed (model_registry.cc) and the variant's effective
+  /// steps are priced here, once.
   Status Register(std::string name, nn::Model model,
                   tensor::Shape single_input_shape);
 
@@ -176,9 +144,9 @@ class ModelRegistry {
   /// materializing it on first use. kFP32 yields a plain clone of the base
   /// so execution always goes through a variant lease. A non-kMaxAffine
   /// `quantizer` is only meaningful with kINT8 (data-driven INT8) and
-  /// requires the model to have been registered under a data-driven
-  /// registry config; materialization is deterministic, so a
-  /// rematerialized variant is bit-identical to the one admission priced.
+  /// requires a registry configured with that `data_driven_quantizer`;
+  /// materialization is deterministic, so a rematerialized variant is
+  /// bit-identical to the one admission priced.
   Result<std::shared_ptr<Variant>> GetVariant(
       const std::string& name, quant::NumericFormat format,
       quant::WeightQuantizer quantizer = quant::WeightQuantizer::kMaxAffine);
@@ -194,7 +162,6 @@ class ModelRegistry {
 
   int64_t variant_count() const;
   int64_t variant_bytes() const;
-  const RegistryConfig& config() const { return config_; }
 
   /// Installs (or clears, with nullptr) the materialization fault hook.
   void SetMaterializeFaultHookForTest(MaterializeFaultHook hook) {
@@ -222,7 +189,7 @@ class ModelRegistry {
   /// `mu_`.
   void EraseLocked(std::map<std::string, CachedVariant>::iterator it);
 
-  RegistryConfig config_;
+  ServerConfig config_;
 
   mutable std::mutex mu_;
   /// Base-model table: entries never removed, pointers stable.

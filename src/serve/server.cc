@@ -1,5 +1,7 @@
 #include "serve/server.h"
 
+#include <cmath>
+#include <memory>
 #include <utility>
 
 #include "obs/log.h"
@@ -10,45 +12,53 @@ namespace serve {
 
 namespace {
 
-RegistryConfig MakeRegistryConfig(const ServerConfig& config) {
-  RegistryConfig rc;
-  rc.max_variant_bytes = config.max_variant_bytes;
-  rc.verify_variants = config.verify_variants;
-  rc.data_driven_quantizer = config.data_driven_quantizer;
-  rc.calibration_samples = config.calibration_samples;
-  return rc;
-}
-
-AdmissionConfig MakeAdmissionConfig(const ServerConfig& config) {
-  AdmissionConfig ac;
-  ac.norm = config.norm;
-  ac.allowed_formats = config.allowed_formats;
-  ac.max_queue_depth = config.max_queue_depth;
-  return ac;
-}
-
-SchedulerConfig MakeSchedulerConfig(const ServerConfig& config) {
-  SchedulerConfig sc;
-  sc.num_workers = config.num_workers;
-  sc.max_batch_rows = config.max_batch_rows;
-  sc.slo_p99_seconds = config.slo_p99_seconds;
-  sc.min_batch_rows = config.min_batch_rows;
-  sc.adapt_interval_batches = config.adapt_interval_batches;
-  sc.audit_fraction = config.audit_fraction;
-  // Tightness must compare achieved error to the bound in the norm the
-  // bound was admitted in.
-  sc.audit_norm = config.norm;
-  sc.evict_on_violation = config.evict_on_violation;
-  return sc;
+// Every range InferenceServer::Start enforces; the first bad field wins.
+// The comparisons are written so that a NaN fails them.
+Status ValidateConfig(const ServerConfig& c) {
+  struct Check {
+    const char* field;
+    double value;
+    bool ok;
+    const char* want;
+  };
+  const auto d = [](auto v) { return static_cast<double>(v); };
+  const Check checks[] = {
+      {"num_workers", d(c.num_workers), c.num_workers >= 1, ">= 1"},
+      {"max_batch_rows", d(c.max_batch_rows), c.max_batch_rows >= 1, ">= 1"},
+      {"min_batch_rows", d(c.min_batch_rows),
+       c.min_batch_rows >= 1 && c.min_batch_rows <= c.max_batch_rows,
+       "in [1, max_batch_rows]"},
+      {"adapt_interval_batches", d(c.adapt_interval_batches),
+       c.adapt_interval_batches >= 1, ">= 1"},
+      {"max_queue_depth", d(c.max_queue_depth), c.max_queue_depth >= 1,
+       ">= 1"},
+      {"default_timeout", d(c.default_timeout.count()),
+       c.default_timeout.count() > 0, "> 0 ms"},
+      {"slo_p99_seconds", c.slo_p99_seconds,
+       std::isfinite(c.slo_p99_seconds) && c.slo_p99_seconds >= 0.0,
+       "finite and >= 0"},
+      {"audit_fraction", c.audit_fraction,
+       c.audit_fraction >= 0.0 && c.audit_fraction <= 1.0, "in [0, 1]"},
+      {"calibration_samples", d(c.calibration_samples),
+       c.calibration_samples >= 1, ">= 1"},
+  };
+  for (const Check& check : checks) {
+    if (!check.ok) {
+      return Status::InvalidArgument(
+          util::StrFormat("serve: ServerConfig::%s is %g; must be %s",
+                          check.field, check.value, check.want));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
 InferenceServer::InferenceServer(ServerConfig config)
     : config_(std::move(config)),
-      registry_(MakeRegistryConfig(config_)),
-      admission_(MakeAdmissionConfig(config_)),
-      scheduler_(&registry_, MakeSchedulerConfig(config_)) {}
+      registry_(config_),
+      admission_(config_),
+      scheduler_(&registry_, config_) {}
 
 InferenceServer::~InferenceServer() { Shutdown(); }
 
@@ -61,6 +71,7 @@ Status InferenceServer::RegisterModel(std::string name, nn::Model model,
 }
 
 Status InferenceServer::Start() {
+  EF_RETURN_IF_ERROR(ValidateConfig(config_));
   EF_RETURN_IF_ERROR(scheduler_.Start());
   obs::Logf(obs::LogLevel::kInfo,
             "serve: started (%d workers, max batch %lld rows, queue %lld, "
@@ -107,19 +118,24 @@ Result<AdmissionDecision> InferenceServer::AdmitRequest(
       entry->data_driven ? &*entry->data_driven : nullptr);
 }
 
-Result<std::future<InferenceResponse>> InferenceServer::Submit(
-    InferenceRequest request) {
-  EF_ASSIGN_OR_RETURN(AdmissionDecision decision, AdmitRequest(&request));
-  return scheduler_.Enqueue(std::move(request), decision);
-}
-
 Status InferenceServer::SubmitAsync(
     InferenceRequest request,
     std::function<void(InferenceResponse&&)> on_complete) {
-  auto decision = AdmitRequest(&request);
-  if (!decision.ok()) return decision.status();
-  return scheduler_.EnqueueAsync(std::move(request), *decision,
+  EF_ASSIGN_OR_RETURN(AdmissionDecision decision, AdmitRequest(&request));
+  return scheduler_.EnqueueAsync(std::move(request), decision,
                                  std::move(on_complete));
+}
+
+Result<std::future<InferenceResponse>> InferenceServer::Submit(
+    InferenceRequest request) {
+  // std::function needs a copyable callable, so the promise is shared.
+  auto promise = std::make_shared<std::promise<InferenceResponse>>();
+  std::future<InferenceResponse> future = promise->get_future();
+  EF_RETURN_IF_ERROR(SubmitAsync(
+      std::move(request), [promise](InferenceResponse&& response) {
+        promise->set_value(std::move(response));
+      }));
+  return future;
 }
 
 Status InferenceServer::Shutdown() {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "net/net_client.h"
@@ -118,8 +119,12 @@ TEST(NetServerTest, UnknownModelIsTypedNotFound) {
 }
 
 TEST(NetServerTest, QueueFullBackpressureIsDistinguishableOnTheWire) {
+  // Queue bound 1 (the smallest valid one): a submit admitted while an
+  // earlier one still waits for the dispatcher is shed. A pipelined burst
+  // on one connection makes that happen; every answer is then either a
+  // response or typed backpressure.
   serve::ServerConfig cfg;
-  cfg.max_queue_depth = 0;  // Every admission sheds: deterministic.
+  cfg.max_queue_depth = 1;
   Harness h(cfg);
   auto* backpressure = obs::MetricsRegistry::Global().GetCounter(
       "errorflow.net.backpressure_errors");
@@ -127,11 +132,25 @@ TEST(NetServerTest, QueueFullBackpressureIsDistinguishableOnTheWire) {
 
   auto client = h.Client();
   ASSERT_TRUE(client.ok());
-  auto resp = client->Roundtrip(MakeSubmit(), milliseconds(2000));
-  // The wire client sees exactly what an in-process caller would: typed
-  // kResourceExhausted, not a generic failure or a dropped connection.
-  EXPECT_EQ(resp.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_GE(backpressure->value(), before + 1);
+  constexpr int kBurst = 64;
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < kBurst; ++i) {
+    auto id = client->Submit(MakeSubmit());
+    ASSERT_TRUE(id.ok()) << id.status().ToString();
+    ids.push_back(*id);
+  }
+  uint64_t shed = 0;
+  for (uint64_t id : ids) {
+    auto resp = client->Await(id, milliseconds(5000));
+    // The wire client sees exactly what an in-process caller would: typed
+    // kResourceExhausted, not a generic failure or a dropped connection.
+    if (!resp.ok()) {
+      EXPECT_EQ(resp.status().code(), StatusCode::kResourceExhausted);
+      ++shed;
+    }
+  }
+  EXPECT_GE(shed, 1u);
+  EXPECT_EQ(backpressure->value(), before + shed);
   EXPECT_TRUE(client->Ping(milliseconds(1000)).ok());
 }
 

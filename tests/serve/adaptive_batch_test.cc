@@ -19,6 +19,7 @@
 #include "serve/batch_scheduler.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
+#include "testing/serve_util.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
@@ -104,7 +105,7 @@ TEST(AuditSamplerTest, StaysExactPastDoublePrecisionLimit) {
 TEST(AdaptiveBatchTest, StartsAtMinAndGrowsUnderHeadroom) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
-  SchedulerConfig cfg;
+  ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.max_batch_rows = 16;
   cfg.min_batch_rows = 2;
@@ -121,8 +122,8 @@ TEST(AdaptiveBatchTest, StartsAtMinAndGrowsUnderHeadroom) {
   // Sequential requests: every batch completes (recording latency) before
   // the next controller step, so each step sees a non-empty window.
   for (int i = 0; i < 6; ++i) {
-    auto future =
-        scheduler.Enqueue(MakeRequest(static_cast<uint64_t>(i)), decision);
+    auto future = testing::EnqueueFuture(
+        &scheduler, MakeRequest(static_cast<uint64_t>(i)), decision);
     ASSERT_TRUE(future.get().ok());
   }
   // 2 -> 4 -> 8 -> 16, capped at max_batch_rows.
@@ -139,7 +140,7 @@ TEST(AdaptiveBatchTest, StartsAtMinAndGrowsUnderHeadroom) {
 TEST(AdaptiveBatchTest, ShrinksAndFlagsOverloadWhenWindowBreachesSlo) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
-  SchedulerConfig cfg;
+  ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.max_batch_rows = 8;
   cfg.min_batch_rows = 1;
@@ -152,8 +153,8 @@ TEST(AdaptiveBatchTest, ShrinksAndFlagsOverloadWhenWindowBreachesSlo) {
 
   // Phase 1: grow to the cap under the 10 s SLO.
   for (int i = 0; i < 5; ++i) {
-    auto future =
-        scheduler.Enqueue(MakeRequest(static_cast<uint64_t>(i)), decision);
+    auto future = testing::EnqueueFuture(
+        &scheduler, MakeRequest(static_cast<uint64_t>(i)), decision);
     ASSERT_TRUE(future.get().ok());
   }
   ASSERT_EQ(scheduler.batch_rows_limit(), 8);
@@ -167,15 +168,14 @@ TEST(AdaptiveBatchTest, ShrinksAndFlagsOverloadWhenWindowBreachesSlo) {
       ->Record(100.0);
   const uint64_t shrinks_before =
       CounterValue("errorflow.serve.adaptive.shrinks");
-  auto future = scheduler.Enqueue(MakeRequest(99), decision);
+  auto future = testing::EnqueueFuture(&scheduler, MakeRequest(99), decision);
   ASSERT_TRUE(future.get().ok());
   // The breach window halves the budget and raises the overload flag
   // admission reads. (The breach step may run one dispatch late if the
   // injected record landed after that batch's controller step.)
   for (int i = 0; i < 3 && !scheduler.overloaded(); ++i) {
-    auto retry =
-        scheduler.Enqueue(MakeRequest(200 + static_cast<uint64_t>(i)),
-                          decision);
+    auto retry = testing::EnqueueFuture(
+        &scheduler, MakeRequest(200 + static_cast<uint64_t>(i)), decision);
     ASSERT_TRUE(retry.get().ok());
   }
   EXPECT_TRUE(scheduler.overloaded());
@@ -189,7 +189,7 @@ TEST(AdaptiveBatchTest, ShrinksAndFlagsOverloadWhenWindowBreachesSlo) {
 TEST(AdaptiveBatchTest, OverloadShedsRequestsDoomedToMissDeadline) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
-  SchedulerConfig cfg;
+  ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.slo_p99_seconds = 0.05;
   // The controller never steps during this test; the forced overload
@@ -217,7 +217,8 @@ TEST(AdaptiveBatchTest, OverloadShedsRequestsDoomedToMissDeadline) {
 
   InferenceRequest doomed = MakeRequest(1);
   doomed.deadline = Clock::now() + std::chrono::seconds(2);
-  auto future = scheduler.Enqueue(std::move(doomed), decision);
+  auto future =
+      testing::EnqueueFuture(&scheduler, std::move(doomed), decision);
   const InferenceResponse response = future.get();
   EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(CounterValue("errorflow.serve.adaptive.early_sheds"),
@@ -237,7 +238,8 @@ TEST(AdaptiveBatchTest, OverloadShedsRequestsDoomedToMissDeadline) {
   // Deadline-less requests are never early-shed, and clearing the
   // overload restores normal service.
   scheduler.SetOverloadForTest(false, 0.0);
-  auto ok_future = scheduler.Enqueue(MakeRequest(2), decision);
+  auto ok_future =
+      testing::EnqueueFuture(&scheduler, MakeRequest(2), decision);
   EXPECT_TRUE(ok_future.get().ok());
   ASSERT_TRUE(scheduler.Shutdown().ok());
 }
@@ -245,7 +247,7 @@ TEST(AdaptiveBatchTest, OverloadShedsRequestsDoomedToMissDeadline) {
 TEST(AdaptiveBatchTest, QueueExpiredShedRecordsQueueWait) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
-  SchedulerConfig cfg;
+  ServerConfig cfg;
   cfg.num_workers = 1;
   BatchScheduler scheduler(&registry, cfg);
   ASSERT_TRUE(scheduler.Start().ok());
@@ -261,7 +263,8 @@ TEST(AdaptiveBatchTest, QueueExpiredShedRecordsQueueWait) {
   expired.deadline = Clock::now() - std::chrono::milliseconds(1);
   AdmissionDecision decision;
   decision.format = NumericFormat::kFP32;
-  auto future = scheduler.Enqueue(std::move(expired), decision);
+  auto future =
+      testing::EnqueueFuture(&scheduler, std::move(expired), decision);
   EXPECT_EQ(future.get().status.code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(obs::MetricsRegistry::Global()
                 .HistogramSnapshotOf("errorflow.serve.queue_wait_seconds")

@@ -48,21 +48,21 @@ class AdmissionTest : public ::testing::Test {
 };
 
 TEST_F(AdmissionTest, ZeroToleranceIsInvalidArgument) {
-  AdmissionController controller(AdmissionConfig{});
+  AdmissionController controller(ServerConfig{});
   auto decision =
       controller.Admit(analysis_, 0.0, later_, now_, 0);
   EXPECT_EQ(decision.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(AdmissionTest, NegativeToleranceIsInvalidArgument) {
-  AdmissionController controller(AdmissionConfig{});
+  AdmissionController controller(ServerConfig{});
   auto decision =
       controller.Admit(analysis_, -1e-3, later_, now_, 0);
   EXPECT_EQ(decision.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(AdmissionTest, ExpiredDeadlineIsDeadlineExceeded) {
-  AdmissionController controller(AdmissionConfig{});
+  AdmissionController controller(ServerConfig{});
   auto decision = controller.Admit(
       analysis_, 1e-2, now_ - std::chrono::milliseconds(1), now_,
       0);
@@ -73,7 +73,7 @@ TEST_F(AdmissionTest, ExpiredDeadlineIsDeadlineExceeded) {
 }
 
 TEST_F(AdmissionTest, FullQueueIsResourceExhausted) {
-  AdmissionConfig cfg;
+  ServerConfig cfg;
   cfg.max_queue_depth = 4;
   AdmissionController controller(cfg);
   auto decision = controller.Admit(analysis_, 1e-2, later_, now_, 4);
@@ -84,7 +84,7 @@ TEST_F(AdmissionTest, FullQueueIsResourceExhausted) {
 }
 
 TEST_F(AdmissionTest, OverloadHalvesTheQueueBound) {
-  AdmissionConfig cfg;
+  ServerConfig cfg;
   cfg.max_queue_depth = 8;
   AdmissionController controller(cfg);
   // Depth 4 admits normally but is shed while the scheduler reports SLO
@@ -102,7 +102,7 @@ TEST_F(AdmissionTest, OverloadHalvesTheQueueBound) {
 }
 
 TEST_F(AdmissionTest, ToleranceBelowTightestBoundIsFailedPrecondition) {
-  AdmissionConfig cfg;
+  ServerConfig cfg;
   cfg.allowed_formats = quant::ReducedFormats();  // Exclude lossless FP32.
   AdmissionController controller(cfg);
   const double tightest = TightestReducedBound(cfg.norm);
@@ -113,7 +113,7 @@ TEST_F(AdmissionTest, ToleranceBelowTightestBoundIsFailedPrecondition) {
 }
 
 TEST_F(AdmissionTest, Fp32MakesAnyPositiveToleranceFeasible) {
-  AdmissionController controller(AdmissionConfig{});  // All formats allowed.
+  AdmissionController controller(ServerConfig{});  // All formats allowed.
   const double tiny = TightestReducedBound(tensor::Norm::kLinf) * 1e-6;
   auto decision = controller.Admit(analysis_, tiny, later_, now_, 0);
   ASSERT_TRUE(decision.ok());
@@ -122,7 +122,7 @@ TEST_F(AdmissionTest, Fp32MakesAnyPositiveToleranceFeasible) {
 }
 
 TEST_F(AdmissionTest, AdmitsFeasibleFormatWithinTolerance) {
-  AdmissionConfig cfg;
+  ServerConfig cfg;
   cfg.allowed_formats = quant::ReducedFormats();
   AdmissionController controller(cfg);
   const double tol = TightestReducedBound(cfg.norm) * 4.0;
@@ -134,7 +134,7 @@ TEST_F(AdmissionTest, AdmitsFeasibleFormatWithinTolerance) {
 }
 
 TEST_F(AdmissionTest, LooseToleranceSelectsFasterFormatThanTight) {
-  AdmissionConfig cfg;
+  ServerConfig cfg;
   AdmissionController controller(cfg);
   quant::ExecutionModel exec(100, 100);
 
@@ -151,7 +151,7 @@ TEST_F(AdmissionTest, LooseToleranceSelectsFasterFormatThanTight) {
 }
 
 TEST_F(AdmissionTest, RejectionsIncrementTypedCounters) {
-  AdmissionController controller(AdmissionConfig{});
+  AdmissionController controller(ServerConfig{});
   auto& registry = obs::MetricsRegistry::Global();
   const uint64_t invalid_before =
       registry.GetCounter("errorflow.serve.admission.rejected_invalid")

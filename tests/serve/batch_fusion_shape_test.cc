@@ -22,6 +22,7 @@
 #include "quant/format.h"
 #include "serve/batch_scheduler.h"
 #include "serve/model_registry.h"
+#include "testing/serve_util.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
@@ -63,7 +64,7 @@ TEST(BatchFusionShapeTest, MixedShapesNeverFuseIntoOneBuffer) {
   nn::Model reference = VariableSizeConvNet();
   reference.FoldPsn();
 
-  SchedulerConfig cfg;
+  ServerConfig cfg;
   cfg.num_workers = 1;
   cfg.max_batch_rows = 64;
   BatchScheduler scheduler(&registry, cfg);
@@ -92,13 +93,15 @@ TEST(BatchFusionShapeTest, MixedShapesNeverFuseIntoOneBuffer) {
   std::vector<std::future<InferenceResponse>> futures;
   // Warm request occupies the worker; the rest alternate 4x4 and 6x6
   // spatial sizes (16 vs 36 elements per channel).
-  futures.push_back(scheduler.Enqueue(MakeRequest(1, 4, 50), decision));
+  futures.push_back(
+      testing::EnqueueFuture(&scheduler, MakeRequest(1, 4, 50), decision));
   for (int i = 0; i < 10; ++i) {
     InferenceRequest req =
         MakeRequest(/*rows=*/1 + (i % 2), /*hw=*/(i % 2) == 0 ? 4 : 6,
                     /*seed=*/100 + static_cast<uint64_t>(i));
     requests.push_back(req);
-    futures.push_back(scheduler.Enqueue(std::move(req), decision));
+    futures.push_back(
+        testing::EnqueueFuture(&scheduler, std::move(req), decision));
   }
   {
     std::lock_guard<std::mutex> lock(mu);

@@ -5,8 +5,10 @@
 // errorflow.bound.violations and recovers by invalidating the variant so
 // the next lease re-quantizes from the FP32 base.
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "nn/builders.h"
@@ -15,6 +17,7 @@
 #include "obs/trace.h"
 #include "quant/format.h"
 #include "serve/server.h"
+#include "tensor/norms.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
@@ -157,6 +160,56 @@ TEST(ErrorBudgetWatchdogTest, AuditRecordsTightnessAndLedgerSpans) {
     EXPECT_TRUE(has_model && has_tightness && has_bound);
   }
   EXPECT_EQ(ledger_spans, kRequests);
+}
+
+// The audit measures achieved error in the server's norm: under L2 the
+// ledger must hold the L2 row error between the FP32 reference and the
+// served output, not the Linf one.
+TEST(ErrorBudgetWatchdogTest, AuditMeasuresInTheServerNorm) {
+  ServerConfig cfg;
+  cfg.norm = tensor::Norm::kL2;
+  cfg.allowed_formats = {NumericFormat::kFP16};
+  cfg.audit_fraction = 1.0;
+  InferenceServer server(cfg);
+  ASSERT_TRUE(server.RegisterModel("mlp", SmallMlp(), {1, 6}).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  const double start_us = obs::NowMicros();
+  InferenceRequest request = MakeRequest(3, 1e-2, 60);
+  const tensor::Tensor input = request.input;
+  auto submitted = server.Submit(std::move(request));
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  const InferenceResponse response = submitted->get();
+  ASSERT_TRUE(response.ok()) << response.status.ToString();
+  ASSERT_EQ(response.format, NumericFormat::kFP16);
+  ASSERT_TRUE(server.Shutdown().ok());  // The audit has run.
+
+  auto reference_variant =
+      server.registry().GetVariant("mlp", NumericFormat::kFP32);
+  ASSERT_TRUE(reference_variant.ok());
+  const tensor::Tensor reference =
+      (*reference_variant)->model.Predict(input);
+  const int64_t rows = input.dim(0);
+  const int64_t cols = reference.size() / rows;
+  const auto row_error = [&](tensor::Norm norm) {
+    return tensor::MaxRowError(reference.data(), response.output.data(),
+                               rows, cols, norm);
+  };
+  const double want = row_error(tensor::Norm::kL2);
+  // The two norms must differ here, or the case could not tell them apart.
+  ASSERT_NE(want, row_error(tensor::Norm::kLinf));
+
+  int ledger_spans = 0;
+  for (const obs::TraceEvent& e : obs::TraceBuffer::Global().Snapshot()) {
+    if (e.name != "serve.ledger" || e.ts_us < start_us) continue;
+    ++ledger_spans;
+    for (const auto& kv : e.args) {
+      if (kv.first == "achieved_error") {
+        EXPECT_EQ(std::strtod(kv.second.c_str(), nullptr), want);
+      }
+    }
+  }
+  EXPECT_EQ(ledger_spans, 1);
 }
 
 TEST(ErrorBudgetWatchdogTest, InjectedViolationEvictsAndRequantizes) {

@@ -46,7 +46,7 @@ void CorruptFirstDenseWeight(nn::Model* model) {
 }
 
 TEST(ServeFaultInjectionTest, CorruptVariantRecoveredByRequantize) {
-  RegistryConfig config;
+  ServerConfig config;
   config.verify_variants = true;
   ModelRegistry registry(config);
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());

@@ -113,7 +113,7 @@ TEST(ModelRegistryTest, Fp32VariantMatchesBaseModel) {
 }
 
 TEST(ModelRegistryTest, LruEvictsLeastRecentlyUsedVariant) {
-  RegistryConfig cfg;
+  ServerConfig cfg;
   // The small MLP has 6*8+8 + 8*4+4 = 92 parameters -> 368 resident bytes
   // per variant; a 400-byte budget holds exactly one.
   cfg.max_variant_bytes = 400;
@@ -161,7 +161,7 @@ TEST(ModelRegistryTest, VariantBytesTracksResidentVariants) {
 // max_variant_bytes, and eviction picks the registry-wide least-recently
 // used variant, so a variant kept hot survives every colder insert.
 TEST(ModelRegistryTest, LruBudgetIsRegistryWide) {
-  RegistryConfig cfg;
+  ServerConfig cfg;
   // 368 resident bytes per variant: two fit in 1000 bytes, three do not.
   cfg.max_variant_bytes = 1000;
   ModelRegistry registry(cfg);
@@ -219,7 +219,7 @@ TEST(ModelRegistryTest, HitAndMissCountersTrackLeases) {
 // design this test deadlocks (and fails via the 5 s timeout rather than
 // hanging).
 TEST(ModelRegistryTest, VerifyRunsOutsideTheRegistryLock) {
-  RegistryConfig cfg;
+  ServerConfig cfg;
   cfg.verify_variants = true;
   ModelRegistry registry(cfg);
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
@@ -263,7 +263,7 @@ TEST(ModelRegistryTest, VerifyRunsOutsideTheRegistryLock) {
 }
 
 TEST(ModelRegistryTest, ChecksumMismatchRecoversByRequantizing) {
-  RegistryConfig cfg;
+  ServerConfig cfg;
   cfg.verify_variants = true;
   ModelRegistry registry(cfg);
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
@@ -300,7 +300,7 @@ TEST(ModelRegistryTest, ChecksumMismatchRecoversByRequantizing) {
 // invalidations: every lease must return a usable variant. TSan (CI) has
 // no data-race candidates if the registry is locked correctly.
 TEST(ModelRegistryTest, ConcurrentLeaseHammer) {
-  RegistryConfig cfg;
+  ServerConfig cfg;
   cfg.verify_variants = true;
   ModelRegistry registry(cfg);
   const int kModels = 3;

@@ -201,7 +201,7 @@ TEST(PickParityTest, AllocateToleranceMatchesBruteForce) {
 TEST(PickParityTest, AdmitMatchesBruteForceWithDataDrivenCandidate) {
   const auto now = Clock::now();
   const auto later = now + std::chrono::seconds(1);
-  RegistryConfig rc;
+  ServerConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
   ModelRegistry registry(rc);
   for (const Fixture& fx : Fixtures()) {
@@ -230,7 +230,7 @@ TEST(PickParityTest, AdmitMatchesBruteForceWithDataDrivenCandidate) {
       std::vector<core::PricedVariant> candidates = analysis.Price(allowed);
       candidates.push_back(*(*entry)->data_driven);
 
-      AdmissionConfig cfg;
+      ServerConfig cfg;
       cfg.allowed_formats = allowed;
       AdmissionController controller(cfg);
       const quant::ExecutionModel exec((*entry)->flops_per_sample,

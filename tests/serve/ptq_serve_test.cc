@@ -58,7 +58,7 @@ const ModelRegistry::Entry* RegisterDataDriven(ModelRegistry* registry) {
 }
 
 TEST(PtqServeTest, RegistryPricesTighterDataDrivenBound) {
-  RegistryConfig rc;
+  ServerConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
   ModelRegistry registry(rc);
   const ModelRegistry::Entry* entry = RegisterDataDriven(&registry);
@@ -95,7 +95,7 @@ TEST(PtqServeTest, MaxAffineRegistryPricesNothing) {
 }
 
 TEST(PtqServeTest, DataDrivenVariantIsDistinctAndDeterministic) {
-  RegistryConfig rc;
+  ServerConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
   ModelRegistry registry(rc);
   RegisterDataDriven(&registry);
@@ -127,7 +127,7 @@ TEST(PtqServeTest, DataDrivenVariantIsDistinctAndDeterministic) {
 }
 
 TEST(PtqServeTest, MisshapedCalibrationIsRejected) {
-  RegistryConfig rc;
+  ServerConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
   ModelRegistry registry(rc);
   // Wrong trailing dim: the model takes {n, 6}, the batch is {n, 5}. Must
@@ -158,7 +158,7 @@ TEST(PtqServeTest, ConcurrentMaterializationAndServingIsRaceFree) {
   // invalidate/rematerialize cycles against FP32 leases under TSan and
   // checking every rematerialized variant still matches the checksum the
   // registry priced at Register.
-  RegistryConfig rc;
+  ServerConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
   // A large calibration batch keeps each materialization's forward pass —
   // the window in which an observer is installed — wide enough that the
@@ -235,7 +235,7 @@ TEST(PtqServeTest, ToleranceEqualToBoundAdmitsAcrossAllFormats) {
   // admit, not a reject — pinned per format so a comparison flip in the
   // controller cannot slip through.
   for (NumericFormat f : quant::ReducedFormats()) {
-    AdmissionConfig cfg;
+    ServerConfig cfg;
     cfg.allowed_formats = {f};
     AdmissionController controller(cfg);
     const double bound = analysis.Bound(0.0, cfg.norm, f);
@@ -249,12 +249,12 @@ TEST(PtqServeTest, ToleranceEqualToBoundAdmitsAcrossAllFormats) {
 }
 
 TEST(PtqServeTest, DataDrivenBoundaryToleranceAdmits) {
-  RegistryConfig rc;
+  ServerConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
   ModelRegistry registry(rc);
   const ModelRegistry::Entry* entry = RegisterDataDriven(&registry);
 
-  AdmissionConfig cfg;
+  ServerConfig cfg;
   cfg.allowed_formats = {NumericFormat::kINT8};
   AdmissionController controller(cfg);
   const double data_bound =
@@ -270,12 +270,12 @@ TEST(PtqServeTest, DataDrivenBoundaryToleranceAdmits) {
 }
 
 TEST(PtqServeTest, DataDrivenInt8AdmitsWhereMaxAffineRoutesSlower) {
-  RegistryConfig rc;
+  ServerConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
   ModelRegistry registry(rc);
   const ModelRegistry::Entry* entry = RegisterDataDriven(&registry);
 
-  AdmissionConfig cfg;
+  ServerConfig cfg;
   cfg.allowed_formats = quant::ReducedFormats();
   const double data_bound =
       entry->analysis.Bound(0.0, cfg.norm, entry->optq_steps);
@@ -310,12 +310,12 @@ TEST(PtqServeTest, DataDrivenInt8AdmitsWhereMaxAffineRoutesSlower) {
 }
 
 TEST(PtqServeTest, SpeedTiePrefersMaxAffineInt8) {
-  RegistryConfig rc;
+  ServerConfig rc;
   rc.data_driven_quantizer = WeightQuantizer::kOptq;
   ModelRegistry registry(rc);
   const ModelRegistry::Entry* entry = RegisterDataDriven(&registry);
 
-  AdmissionConfig cfg;
+  ServerConfig cfg;
   cfg.allowed_formats = quant::ReducedFormats();
   AdmissionController controller(cfg);
   // Loose enough for max-affine INT8: both INT8 candidates fit, speeds

@@ -13,6 +13,7 @@
 #include "quant/format.h"
 #include "serve/batch_scheduler.h"
 #include "serve/model_registry.h"
+#include "testing/serve_util.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
@@ -43,7 +44,7 @@ TEST(SchedulerShutdownTest, ConcurrentShutdownCallsAreSafe) {
   for (int round = 0; round < 5; ++round) {
     ModelRegistry registry;
     ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
-    SchedulerConfig cfg;
+    ServerConfig cfg;
     cfg.num_workers = 2;
     BatchScheduler scheduler(&registry, cfg);
     ASSERT_TRUE(scheduler.Start().ok());
@@ -52,8 +53,9 @@ TEST(SchedulerShutdownTest, ConcurrentShutdownCallsAreSafe) {
     decision.format = NumericFormat::kFP32;
     std::vector<std::future<InferenceResponse>> futures;
     for (int i = 0; i < 8; ++i) {
-      futures.push_back(scheduler.Enqueue(
-          MakeRequest(static_cast<uint64_t>(round * 100 + i)), decision));
+      futures.push_back(testing::EnqueueFuture(
+          &scheduler, MakeRequest(static_cast<uint64_t>(round * 100 + i)),
+          decision));
     }
 
     // All callers must return with the scheduler fully stopped; exactly
@@ -79,7 +81,7 @@ TEST(SchedulerShutdownTest, ConcurrentShutdownCallsAreSafe) {
 TEST(SchedulerShutdownTest, ShutdownIsIdempotentSequentially) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
-  BatchScheduler scheduler(&registry, SchedulerConfig{});
+  BatchScheduler scheduler(&registry, ServerConfig{});
   EXPECT_TRUE(scheduler.Shutdown().ok());  // Never started.
   ASSERT_TRUE(scheduler.Start().ok());
   EXPECT_TRUE(scheduler.Shutdown().ok());
@@ -90,14 +92,14 @@ TEST(SchedulerShutdownTest, ShutdownIsIdempotentSequentially) {
 TEST(SchedulerShutdownTest, RestartAfterShutdownServes) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
-  BatchScheduler scheduler(&registry, SchedulerConfig{});
+  BatchScheduler scheduler(&registry, ServerConfig{});
   ASSERT_TRUE(scheduler.Start().ok());
   ASSERT_TRUE(scheduler.Shutdown().ok());
 
   ASSERT_TRUE(scheduler.Start().ok());
   AdmissionDecision decision;
   decision.format = NumericFormat::kFP32;
-  auto future = scheduler.Enqueue(MakeRequest(3), decision);
+  auto future = testing::EnqueueFuture(&scheduler, MakeRequest(3), decision);
   const InferenceResponse response = future.get();
   EXPECT_TRUE(response.ok()) << response.status.ToString();
   ASSERT_TRUE(scheduler.Shutdown().ok());
@@ -106,11 +108,15 @@ TEST(SchedulerShutdownTest, RestartAfterShutdownServes) {
 TEST(SchedulerShutdownTest, EnqueueAfterShutdownIsTypedRejection) {
   ModelRegistry registry;
   ASSERT_TRUE(registry.Register("mlp", SmallMlp(), {1, 6}).ok());
-  BatchScheduler scheduler(&registry, SchedulerConfig{});
+  BatchScheduler scheduler(&registry, ServerConfig{});
   ASSERT_TRUE(scheduler.Start().ok());
   ASSERT_TRUE(scheduler.Shutdown().ok());
-  auto future = scheduler.Enqueue(MakeRequest(4), AdmissionDecision{});
-  EXPECT_EQ(future.get().status.code(), StatusCode::kFailedPrecondition);
+  bool called = false;
+  const Status status = scheduler.EnqueueAsync(
+      MakeRequest(4), AdmissionDecision{},
+      [&called](InferenceResponse&&) { called = true; });
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(called);
 }
 
 }  // namespace

@@ -2,8 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <limits>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -215,6 +219,56 @@ TEST(InferenceServerTest, StrictFormatsRejectInfeasibleTolerance) {
   auto result = server.Submit(MakeRequest(2, 1e-300));
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
   ASSERT_TRUE(server.Shutdown().ok());
+}
+
+// Start is the one place the config is checked: every out-of-range field
+// is a typed kInvalidArgument naming it, and nothing aborts or starts.
+TEST(InferenceServerTest, StartRejectsEachOutOfRangeConfigField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::string, std::function<void(ServerConfig*)>>>
+      cases = {
+          {"num_workers", [](ServerConfig* c) { c->num_workers = 0; }},
+          {"max_batch_rows", [](ServerConfig* c) { c->max_batch_rows = 0; }},
+          {"min_batch_rows", [](ServerConfig* c) { c->min_batch_rows = 0; }},
+          {"min_batch_rows",
+           [](ServerConfig* c) {
+             c->min_batch_rows = 128;
+             c->max_batch_rows = 64;
+           }},
+          {"adapt_interval_batches",
+           [](ServerConfig* c) { c->adapt_interval_batches = 0; }},
+          {"max_queue_depth", [](ServerConfig* c) { c->max_queue_depth = 0; }},
+          {"default_timeout",
+           [](ServerConfig* c) { c->default_timeout = {}; }},
+          {"default_timeout",
+           [](ServerConfig* c) {
+             c->default_timeout = std::chrono::milliseconds(-5);
+           }},
+          {"slo_p99_seconds", [](ServerConfig* c) { c->slo_p99_seconds = -1; }},
+          {"slo_p99_seconds",
+           [nan](ServerConfig* c) { c->slo_p99_seconds = nan; }},
+          {"slo_p99_seconds",
+           [inf](ServerConfig* c) { c->slo_p99_seconds = inf; }},
+          {"audit_fraction",
+           [](ServerConfig* c) { c->audit_fraction = -0.1; }},
+          {"audit_fraction", [](ServerConfig* c) { c->audit_fraction = 1.5; }},
+          {"audit_fraction",
+           [nan](ServerConfig* c) { c->audit_fraction = nan; }},
+          {"calibration_samples",
+           [](ServerConfig* c) { c->calibration_samples = 0; }},
+      };
+  for (const auto& [field, mutate] : cases) {
+    SCOPED_TRACE(field);
+    ServerConfig cfg;
+    mutate(&cfg);
+    InferenceServer server(cfg);
+    const Status st = server.Start();
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("ServerConfig::" + field), std::string::npos)
+        << st.ToString();
+    EXPECT_FALSE(server.running());
+  }
 }
 
 }  // namespace
