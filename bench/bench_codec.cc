@@ -7,13 +7,22 @@
 //  - pipeline batches: one batch of what InferencePipeline::Run encodes
 //    (h2: 1024 samples, 36 KB; eurosat: 32 images, 416 KB) at the input
 //    tolerance the pipeline plans for each QoI tolerance the perfbench
-//    workloads run, the bands behind the default codec;
+//    workloads run, the bands behind the default codec, whole and split
+//    into the four stages of SZ: predict+quantize, entropy encode,
+//    entropy decode and reconstruct (each timed alone here, so the hot
+//    path carries no stage timer);
 //  - decode speed by backend: zfp, sz and mgard decoding one 512x512
 //    smooth field at the same absolute L-inf bound, the ordering the
 //    paper's Fig. 7 relies on ("zfp decodes fastest"). It is a wall-clock
 //    property of the host, so it is reported here rather than asserted by
 //    a test.
-// Writes the three parts as BENCH records (BENCH_codec.json; schema in
+// Before timing anything, every SZ stream of the first two parts must
+// decode bit-identically to the retained element-by-element references
+// (tests/testing/codec_reference.h): the same codes from predict+quantize,
+// the same symbols from the reference Huffman decoder, the same floats
+// from the reference reconstruct loop and from the whole blob. Otherwise
+// it exits 1 naming the stream and the stage.
+// Writes the parts as BENCH records (BENCH_codec.json; schema in
 // docs/PERFORMANCE.md), so the ratio trajectory is diffable across
 // changes. Run from the repository root: the batch part loads (or trains
 // once) the h2 and eurosat models from the model cache.
@@ -21,6 +30,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -28,8 +38,10 @@
 #include <vector>
 
 #include "common/record_writer.h"
+#include "compress/bound_util.h"
 #include "compress/codec/codec.h"
 #include "compress/compressor.h"
+#include "compress/sz.h"
 #include "core/pipeline.h"
 #include "data/borghesi.h"
 #include "data/combustion.h"
@@ -37,6 +49,7 @@
 #include "tasks/tasks.h"
 #include "tensor/norms.h"
 #include "tensor/tensor.h"
+#include "testing/codec_reference.h"
 #include "util/random.h"
 
 namespace {
@@ -100,25 +113,164 @@ struct BatchCase {
 // Batches per case; the times are means over them of the best of 5.
 constexpr int kBatches = 3;
 
-// Encodes and decodes each batch of `bc` at every planned tolerance with
-// both codecs, checking the bound. Returns false on any failure.
-bool RunBatchCase(const BatchCase& bc, bench::RecordWriter* out) {
+// A BatchCase's batches and the input tolerance planned for each QoI
+// tolerance.
+struct LoadedBatches {
+  std::string name;
+  std::vector<Tensor> batches;
+  std::vector<std::pair<double, double>> qoi_and_input_tol;
+};
+
+LoadedBatches LoadBatches(const BatchCase& bc) {
   namespace tasks = errorflow::tasks;
   tasks::TrainedTask task =
       tasks::GetTask(bc.kind, tasks::Regularization::kPsn, /*seed=*/1);
-  const std::vector<Tensor> batches =
-      tasks::FreshInputBatches(task, kBatches, /*base_seed=*/5001);
+  LoadedBatches loaded;
+  loaded.name = bc.name;
+  loaded.batches = tasks::FreshInputBatches(task, kBatches,
+                                            /*base_seed=*/5001);
   const errorflow::core::InferencePipeline pipeline(
       std::move(task.model), task.single_input_shape,
       errorflow::core::PipelineConfig{});
   for (double qoi_tol : bc.qoi_tolerances) {
-    const double eb = pipeline.Plan(qoi_tol).input_tolerance;
+    loaded.qoi_and_input_tol.emplace_back(
+        qoi_tol, pipeline.Plan(qoi_tol).input_tolerance);
+  }
+  return loaded;
+}
+
+bool SameBits(const float* a, const float* b, size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+// Escape flags for the elements `q` stored raw.
+std::vector<uint8_t> EscapeFlags(const compress::LorenzoCodes& q,
+                                 int64_t n) {
+  std::vector<uint8_t> unpred(static_cast<size_t>(n), 0);
+  for (const int64_t idx : q.escape_indices) {
+    unpred[static_cast<size_t>(idx)] = 1;
+  }
+  return unpred;
+}
+
+// Whether `codes` round-trip through `codec`, and, for Huffman, decode
+// to the same symbols and position as the reference decoder.
+bool StreamMatchesReference(const std::vector<uint32_t>& codes,
+                            compress::CodecId codec) {
+  const compress::EntropyCodec* entropy = compress::GetCodec(codec);
+  errorflow::util::BitWriter bits;
+  if (!entropy->Encode(codes, &bits).ok()) return false;
+  const std::string stream = bits.Finish();
+  errorflow::util::BitReader fast(stream.data(), stream.size());
+  auto got = entropy->Decode(&fast, codes.size());
+  if (!got.ok() || *got != codes) return false;
+  if (codec != compress::CodecId::kHuffman) return true;
+  errorflow::util::BitReader slow(stream.data(), stream.size());
+  auto want = errorflow::testing::ReferenceHuffmanDecode(&slow, codes.size());
+  return want.ok() && *want == codes &&
+         fast.BitsRemaining() == slow.BitsRemaining();
+}
+
+// Checks `field`'s SZ stream at absolute L-inf bound `eb` with `codec`
+// against the retained references, stage by stage and as a whole blob.
+// Returns the first stage that differs, or an empty string.
+std::string ReferenceMismatch(const Tensor& field, double eb,
+                              compress::CodecId codec) {
+  namespace testing = errorflow::testing;
+  int64_t slices, rows, cols;
+  compress::CollapseTo3d(field.shape(), &slices, &rows, &cols);
+  const int64_t n = field.size();
+  const compress::LorenzoCodes q =
+      compress::LorenzoQuantize(field.data(), slices, rows, cols, eb);
+  const compress::LorenzoCodes ref = testing::ReferenceLorenzoQuantize(
+      field.data(), slices, rows, cols, eb);
+  if (q.codes != ref.codes || q.escape_indices != ref.escape_indices ||
+      q.raw_values.size() != ref.raw_values.size() ||
+      !SameBits(q.raw_values.data(), ref.raw_values.data(),
+                q.raw_values.size())) {
+    return "predict+quantize";
+  }
+  if (!StreamMatchesReference(q.codes, codec)) return "entropy decode";
+  const std::vector<uint8_t> unpred = EscapeFlags(ref, n);
+  const char* raw = reinterpret_cast<const char*>(ref.raw_values.data());
+  std::vector<float> rec(static_cast<size_t>(n)), want(rec.size());
+  if (!compress::LorenzoReconstruct(q.codes, unpred.data(), raw,
+                                    ref.raw_values.size(), slices, rows, cols,
+                                    eb, rec.data())
+           .ok() ||
+      !testing::ReferenceLorenzoReconstruct(
+           ref.codes, unpred.data(), raw, ref.raw_values.size(), slices,
+           rows, cols, eb, want.data())
+           .ok() ||
+      !SameBits(rec.data(), want.data(), rec.size())) {
+    return "reconstruct";
+  }
+  auto compressor = compress::MakeCompressor(compress::Backend::kSz, codec);
+  auto comp = compressor->Compress(field, compress::ErrorBound::AbsLinf(eb));
+  if (!comp.ok()) return "compress";
+  auto dec = compressor->Decompress(comp->blob);
+  if (!dec.ok() || dec->data.size() != n ||
+      !SameBits(dec->data.data(), want.data(), want.size())) {
+    return "whole blob";
+  }
+  return "";
+}
+
+// Per-stage time of one SZ batch, in seconds (best of 5 each).
+struct StageSeconds {
+  double quantize = 0.0;
+  double encode = 0.0;
+  double decode = 0.0;
+  double reconstruct = 0.0;
+};
+
+StageSeconds TimeStages(const Tensor& batch, double eb,
+                        const compress::EntropyCodec& entropy) {
+  int64_t slices, rows, cols;
+  compress::CollapseTo3d(batch.shape(), &slices, &rows, &cols);
+  const int64_t n = batch.size();
+  StageSeconds t;
+  compress::LorenzoCodes q;
+  t.quantize = BestOf(5, [&] {
+    q = compress::LorenzoQuantize(batch.data(), slices, rows, cols, eb);
+  });
+  std::string stream;
+  t.encode = BestOf(5, [&] {
+    errorflow::util::BitWriter bits;
+    if (!entropy.Encode(q.codes, &bits).ok()) std::abort();
+    stream = bits.Finish();
+  });
+  t.decode = BestOf(5, [&] {
+    errorflow::util::BitReader reader(stream.data(), stream.size());
+    if (!entropy.Decode(&reader, q.codes.size()).ok()) std::abort();
+  });
+  const std::vector<uint8_t> unpred = EscapeFlags(q, n);
+  std::vector<float> out(static_cast<size_t>(n));
+  t.reconstruct = BestOf(5, [&] {
+    if (!compress::LorenzoReconstruct(
+             q.codes, unpred.data(),
+             reinterpret_cast<const char*>(q.raw_values.data()),
+             q.raw_values.size(), slices, rows, cols, eb, out.data())
+             .ok()) {
+      std::abort();
+    }
+  });
+  return t;
+}
+
+// Encodes and decodes each batch of `lb` at every planned tolerance with
+// both codecs, checking the bound, then times the four stages. Returns
+// false on any failure.
+bool RunBatchCase(const LoadedBatches& lb, bench::RecordWriter* out,
+                  std::vector<std::string>* stage_lines) {
+  for (const auto& [qoi_tol, eb] : lb.qoi_and_input_tol) {
     const compress::ErrorBound bound = compress::ErrorBound::AbsLinf(eb);
     for (compress::CodecId codec : compress::AllCodecs()) {
       auto compressor = compress::MakeCompressor(compress::Backend::kSz,
                                                  codec);
       double raw = 0.0, stored = 0.0, encode_s = 0.0, decode_s = 0.0;
-      for (const Tensor& batch : batches) {
+      StageSeconds stages;
+      for (const Tensor& batch : lb.batches) {
         auto comp = compressor->Compress(batch, bound);
         if (!comp.ok()) return false;
         auto dec = compressor->Decompress(comp->blob);
@@ -137,20 +289,40 @@ bool RunBatchCase(const BatchCase& bc, bench::RecordWriter* out) {
         decode_s += BestOf(5, [&] {
           if (!compressor->Decompress(comp->blob).ok()) std::abort();
         });
+        const StageSeconds t =
+            TimeStages(batch, eb, *compress::GetCodec(codec));
+        stages.quantize += t.quantize;
+        stages.encode += t.encode;
+        stages.decode += t.decode;
+        stages.reconstruct += t.reconstruct;
       }
       const double ratio = raw / stored;
-      const double encode_ms = 1e3 * encode_s / kBatches;
-      const double decode_ms = 1e3 * decode_s / kBatches;
+      const double ms = 1e3 / kBatches;
       std::printf("%-14s %-6g %-10.3g %-9s %8.2f %10.2f %10.2f\n",
-                  bc.name.c_str(), qoi_tol, eb,
-                  compress::CodecIdToString(codec), ratio, encode_ms,
-                  decode_ms);
+                  lb.name.c_str(), qoi_tol, eb,
+                  compress::CodecIdToString(codec), ratio, encode_s * ms,
+                  decode_s * ms);
+      char line[160];
+      std::snprintf(line, sizeof(line),
+                    "%-14s %-6g %-9s %10.3f %10.3f %10.3f %12.3f",
+                    lb.name.c_str(), qoi_tol,
+                    compress::CodecIdToString(codec), stages.quantize * ms,
+                    stages.encode * ms, stages.decode * ms,
+                    stages.reconstruct * ms);
+      stage_lines->push_back(line);
       const bench::Fields key = {
-          {"part", "batch"}, {"dataset", bc.name}, {"qoi_tol", qoi_tol},
+          {"part", "batch"}, {"dataset", lb.name}, {"qoi_tol", qoi_tol},
           {"input_tol", eb}, {"codec", compress::CodecIdToString(codec)}};
       out->Add(key, "ratio", ratio, "x", kMeasured);
-      out->Add(key, "encode_ms", encode_ms, "ms", kMeasured);
-      out->Add(key, "decode_ms", decode_ms, "ms", kMeasured);
+      out->Add(key, "encode_ms", encode_s * ms, "ms", kMeasured);
+      out->Add(key, "decode_ms", decode_s * ms, "ms", kMeasured);
+      out->Add(key, "quantize_ms", stages.quantize * ms, "ms", kMeasured);
+      out->Add(key, "entropy_encode_ms", stages.encode * ms, "ms",
+               kMeasured);
+      out->Add(key, "entropy_decode_ms", stages.decode * ms, "ms",
+               kMeasured);
+      out->Add(key, "reconstruct_ms", stages.reconstruct * ms, "ms",
+               kMeasured);
     }
   }
   return true;
@@ -242,6 +414,56 @@ int main(int argc, char** argv) {
   // norm; the codec matters most where quantization codes dominate the
   // stream, so bench the upper decades.
   const std::vector<double> tolerances = {1e-6, 1e-5, 1e-4, 1e-3};
+
+  const std::vector<BatchCase> batch_cases = {
+      {"h2-batch", errorflow::tasks::TaskKind::kH2Combustion,
+       {1e-3, 1e-1, 1.0}},
+      {"eurosat-batch", errorflow::tasks::TaskKind::kEuroSat,
+       {0.3, 3.0, 30.0}},
+  };
+  std::vector<LoadedBatches> loaded;
+  for (const BatchCase& bc : batch_cases) loaded.push_back(LoadBatches(bc));
+
+  // The gate: nothing is timed unless every stream matches the references.
+  for (compress::CodecId codec : compress::AllCodecs()) {
+    auto check = [&](const std::string& what, const Tensor& field,
+                     double eb) {
+      const std::string stage = ReferenceMismatch(field, eb, codec);
+      if (stage.empty()) return true;
+      std::printf("FATAL: %s (%s) differs from the reference at %s\n",
+                  what.c_str(), compress::CodecIdToString(codec),
+                  stage.c_str());
+      return false;
+    };
+    for (const DatasetCase& ds : datasets) {
+      const double in_norm = errorflow::tensor::LinfNorm(ds.field);
+      for (double tol_rel : tolerances) {
+        const std::string what = ds.name + " tol_rel " +
+                                 std::to_string(tol_rel);
+        if (!check(what, ds.field, tol_rel * in_norm)) return 1;
+        if (!StreamMatchesReference(QuantStream(ds.field, tol_rel * in_norm),
+                                    codec)) {
+          std::printf("FATAL: %s code stream (%s) differs from the "
+                      "reference\n", what.c_str(),
+                      compress::CodecIdToString(codec));
+          return 1;
+        }
+      }
+    }
+    for (const LoadedBatches& lb : loaded) {
+      for (const auto& [qoi_tol, eb] : lb.qoi_and_input_tol) {
+        for (size_t b = 0; b < lb.batches.size(); ++b) {
+          if (!check(lb.name + " " + std::to_string(b) + " qoi_tol " +
+                         std::to_string(qoi_tol),
+                     lb.batches[b], eb)) {
+            return 1;
+          }
+        }
+      }
+    }
+  }
+  std::printf("every SZ stream decodes bit-identically to the reference "
+              "loops\n\n");
 
   std::vector<Record> records;
   bench::RecordWriter out("codec_sweep", {{"backend", "sz"}, {"threads", 1}});
@@ -338,17 +560,18 @@ int main(int argc, char** argv) {
   std::printf("\npipeline batches (SZ, planned input tolerance):\n");
   std::printf("%-14s %-6s %-10s %-9s %8s %10s %10s\n", "dataset", "qoi_tol",
               "input_tol", "codec", "ratio", "encode ms", "decode ms");
-  const std::vector<BatchCase> batch_cases = {
-      {"h2-batch", errorflow::tasks::TaskKind::kH2Combustion,
-       {1e-3, 1e-1, 1.0}},
-      {"eurosat-batch", errorflow::tasks::TaskKind::kEuroSat,
-       {0.3, 3.0, 30.0}},
-  };
-  for (const BatchCase& bc : batch_cases) {
-    if (!RunBatchCase(bc, &out)) {
-      std::printf("FATAL: batch sweep failed on %s\n", bc.name.c_str());
+  std::vector<std::string> stage_lines;
+  for (const LoadedBatches& lb : loaded) {
+    if (!RunBatchCase(lb, &out, &stage_lines)) {
+      std::printf("FATAL: batch sweep failed on %s\n", lb.name.c_str());
       return 1;
     }
+  }
+  std::printf("\npipeline batch stages (SZ, ms per batch):\n");
+  std::printf("%-14s %-6s %-9s %10s %10s %10s %12s\n", "dataset", "qoi_tol",
+              "codec", "quantize", "encode", "decode", "reconstruct");
+  for (const std::string& line : stage_lines) {
+    std::printf("%s\n", line.c_str());
   }
 
   std::printf("\ndecode speed by backend (512x512 smooth field, abs L-inf "

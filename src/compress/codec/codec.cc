@@ -1,5 +1,8 @@
 #include "compress/codec/codec.h"
 
+#include <mutex>
+#include <string>
+
 #include "compress/codec/huffman.h"
 #include "compress/codec/lz77.h"
 #include "obs/metrics.h"
@@ -84,30 +87,76 @@ const std::vector<CodecId>& AllCodecs() {
   return kAll;
 }
 
+namespace {
+
+// A codec's `errorflow.compress.codec.<name>.*` counters, resolved once
+// per group rather than looked up by name on every call. Each group is
+// registered on its first use, as the per-call lookups registered it, so
+// the exported names do not change.
+struct CodecCounters {
+  std::once_flag encode_once;
+  obs::Counter* encode_calls = nullptr;
+  obs::Counter* encode_symbols = nullptr;
+  obs::Counter* encode_overhead_bits = nullptr;
+  obs::Counter* encode_payload_bits = nullptr;
+  // lz77 only.
+  obs::Counter* literal_tokens = nullptr;
+  obs::Counter* match_tokens = nullptr;
+  obs::Counter* match_symbols = nullptr;
+
+  std::once_flag decode_once;
+  obs::Counter* decode_calls = nullptr;
+  obs::Counter* decode_symbols = nullptr;
+};
+
+CodecCounters& CountersOf(const EntropyCodec& codec) {
+  // Indexed by wire byte.
+  static CodecCounters counters[static_cast<size_t>(CodecId::kLz77Huffman) +
+                                1];
+  return counters[static_cast<size_t>(codec.id())];
+}
+
+obs::Counter* CodecCounter(const EntropyCodec& codec, const char* metric) {
+  return obs::MetricsRegistry::Global().GetCounter(
+      std::string("errorflow.compress.codec.") + codec.name() + "." +
+      metric);
+}
+
+}  // namespace
+
 void RecordCodecEncode(const EntropyCodec& codec, uint64_t symbols,
                        const EncodeStats& stats) {
-  auto& reg = obs::MetricsRegistry::Global();
-  const std::string prefix =
-      std::string("errorflow.compress.codec.") + codec.name();
-  reg.GetCounter(prefix + ".encode_calls")->Increment();
-  reg.GetCounter(prefix + ".encode_symbols")->Increment(symbols);
-  reg.GetCounter(prefix + ".encode_overhead_bits")
-      ->Increment(stats.overhead_bits);
-  reg.GetCounter(prefix + ".encode_payload_bits")
-      ->Increment(stats.payload_bits);
+  CodecCounters& c = CountersOf(codec);
+  std::call_once(c.encode_once, [&] {
+    c.encode_calls = CodecCounter(codec, "encode_calls");
+    c.encode_symbols = CodecCounter(codec, "encode_symbols");
+    c.encode_overhead_bits = CodecCounter(codec, "encode_overhead_bits");
+    c.encode_payload_bits = CodecCounter(codec, "encode_payload_bits");
+    if (codec.id() == CodecId::kLz77Huffman) {
+      c.literal_tokens = CodecCounter(codec, "literal_tokens");
+      c.match_tokens = CodecCounter(codec, "match_tokens");
+      c.match_symbols = CodecCounter(codec, "match_symbols");
+    }
+  });
+  c.encode_calls->Increment();
+  c.encode_symbols->Increment(symbols);
+  c.encode_overhead_bits->Increment(stats.overhead_bits);
+  c.encode_payload_bits->Increment(stats.payload_bits);
   if (codec.id() == CodecId::kLz77Huffman) {
-    reg.GetCounter(prefix + ".literal_tokens")->Increment(stats.literals);
-    reg.GetCounter(prefix + ".match_tokens")->Increment(stats.matches);
-    reg.GetCounter(prefix + ".match_symbols")->Increment(stats.match_symbols);
+    c.literal_tokens->Increment(stats.literals);
+    c.match_tokens->Increment(stats.matches);
+    c.match_symbols->Increment(stats.match_symbols);
   }
 }
 
 void RecordCodecDecode(const EntropyCodec& codec, uint64_t symbols) {
-  auto& reg = obs::MetricsRegistry::Global();
-  const std::string prefix =
-      std::string("errorflow.compress.codec.") + codec.name();
-  reg.GetCounter(prefix + ".decode_calls")->Increment();
-  reg.GetCounter(prefix + ".decode_symbols")->Increment(symbols);
+  CodecCounters& c = CountersOf(codec);
+  std::call_once(c.decode_once, [&] {
+    c.decode_calls = CodecCounter(codec, "decode_calls");
+    c.decode_symbols = CodecCounter(codec, "decode_symbols");
+  });
+  c.decode_calls->Increment();
+  c.decode_symbols->Increment(symbols);
 }
 
 }  // namespace compress

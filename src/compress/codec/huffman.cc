@@ -1,6 +1,8 @@
 #include "compress/codec/huffman.h"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 namespace errorflow {
 namespace compress {
@@ -13,6 +15,31 @@ struct SymbolCode {
   uint64_t code;  // Canonical code, assigned after lengths are known.
 };
 
+// Sorts `keys` by their high 32 bits, keeping the order of equal ones: a
+// stable LSD radix sort on those four bytes, with no pass over a byte
+// every key shares (so one or two passes for small values).
+void StableSortByHigh32(std::vector<uint64_t>* keys) {
+  uint32_t any = 0, all = ~uint32_t{0};
+  for (const uint64_t key : *keys) {
+    any |= static_cast<uint32_t>(key >> 32);
+    all &= static_cast<uint32_t>(key >> 32);
+  }
+  const uint32_t varying = any & ~all;  // Bits on which keys differ.
+  std::vector<uint64_t> scratch;
+  for (int shift = 32; shift < 64; shift += 8) {
+    if (((varying >> (shift - 32)) & 0xFF) == 0) continue;
+    uint32_t count[256] = {};
+    for (const uint64_t key : *keys) ++count[(key >> shift) & 0xFF];
+    uint32_t offset = 0;
+    for (uint32_t& c : count) offset += std::exchange(c, offset);
+    scratch.resize(keys->size());
+    for (const uint64_t key : *keys) {
+      scratch[count[(key >> shift) & 0xFF]++] = key;
+    }
+    keys->swap(scratch);
+  }
+}
+
 // Huffman code lengths for `freqs`, indexed by symbol rank. Merges the
 // two lightest nodes until one remains; among equal weights, leaves go
 // before merged nodes, lower ranks first, and older merged nodes first.
@@ -21,9 +48,11 @@ struct SymbolCode {
 std::vector<int> ComputeLengths(const std::vector<uint64_t>& freqs) {
   const size_t k = freqs.size();
   if (k == 1) return {1};
-  std::vector<uint64_t> leaves(k);  // Frequency above rank.
+  // Frequency above rank; rank order going in, so (frequency, rank)
+  // order coming out.
+  std::vector<uint64_t> leaves(k);
   for (size_t i = 0; i < k; ++i) leaves[i] = (freqs[i] << 32) | i;
-  std::sort(leaves.begin(), leaves.end());
+  StableSortByHigh32(&leaves);
   // Node ids: leaf r is r, the m-th merged node is k + m.
   std::vector<uint64_t> merged_weight;
   merged_weight.reserve(k - 1);
@@ -54,14 +83,18 @@ std::vector<int> ComputeLengths(const std::vector<uint64_t>& freqs) {
   return depth;
 }
 
-// The format's code rule, shared by Encode and Decode: sort by (length,
-// symbol), then count upward, shifting left at each longer length.
+// The format's code rule (Encode applies it through a counting sort):
+// sort by (length, symbol), then count upward, shifting left at each
+// longer length.
 void AssignCanonical(std::vector<SymbolCode>* codes) {
-  std::sort(codes->begin(), codes->end(),
-            [](const SymbolCode& a, const SymbolCode& b) {
-              if (a.length != b.length) return a.length < b.length;
-              return a.symbol < b.symbol;
-            });
+  const auto canonical_order = [](const SymbolCode& a, const SymbolCode& b) {
+    if (a.length != b.length) return a.length < b.length;
+    return a.symbol < b.symbol;
+  };
+  // Encode writes tables in this order already; others get sorted.
+  if (!std::is_sorted(codes->begin(), codes->end(), canonical_order)) {
+    std::sort(codes->begin(), codes->end(), canonical_order);
+  }
   uint64_t code = 0;
   int prev_len = 0;
   for (SymbolCode& sc : *codes) {
@@ -79,32 +112,10 @@ void RankSymbols(const std::vector<uint32_t>& symbols,
                  std::vector<uint32_t>* ranks) {
   const size_t n = symbols.size();
   // Each key carries its symbol above its position, so sorting groups
-  // equal symbols and still says where each came from. The keys start in
-  // position order, so a stable LSD radix sort on the four symbol bytes
-  // sorts them fully; a byte every symbol shares needs no pass, which
-  // leaves one or two passes for small quantization codes.
-  std::vector<uint64_t> keys(n), scratch(n);
-  uint32_t histogram[4][256] = {};
-  for (size_t i = 0; i < n; ++i) {
-    const uint32_t s = symbols[i];
-    keys[i] = (uint64_t{s} << 32) | i;
-    for (int b = 0; b < 4; ++b) ++histogram[b][(s >> (8 * b)) & 0xFF];
-  }
-  for (int b = 0; b < 4; ++b) {
-    uint32_t* count = histogram[b];
-    const int shift = 32 + 8 * b;
-    if (n == 0 || count[(keys[0] >> shift) & 0xFF] == n) continue;
-    uint32_t offset = 0;
-    for (int d = 0; d < 256; ++d) {
-      const uint32_t c = count[d];
-      count[d] = offset;
-      offset += c;
-    }
-    for (const uint64_t key : keys) {
-      scratch[count[(key >> shift) & 0xFF]++] = key;
-    }
-    keys.swap(scratch);
-  }
+  // equal symbols and still says where each came from.
+  std::vector<uint64_t> keys(n);
+  for (size_t i = 0; i < n; ++i) keys[i] = (uint64_t{symbols[i]} << 32) | i;
+  StableSortByHigh32(&keys);
   alphabet->clear();
   ranks->resize(n);
   for (const uint64_t key : keys) {
@@ -131,35 +142,82 @@ Status HuffmanCodec::Encode(const std::vector<uint32_t>& symbols,
   if (symbols.size() > UINT32_MAX) {
     return Status::InvalidArgument("Huffman: stream too long");
   }
-  // Leaves enter the tree in symbol order, so equal-frequency ties break
-  // the same way on every platform.
-  std::vector<uint32_t> alphabet, ranks;
-  RankSymbols(symbols, &alphabet, &ranks);
+  // Distinct symbols in ascending order (leaves enter the tree in symbol
+  // order, so equal-frequency ties break the same way on every platform)
+  // and their frequencies. A dense alphabet is counted straight into a
+  // table indexed by symbol, which then maps each symbol to its rank;
+  // a sparse one (mgard's escape symbol, lz77 literals) is radix-sorted.
+  const size_t n = symbols.size();
+  const uint32_t max_symbol =
+      *std::max_element(symbols.begin(), symbols.end());
+  const bool dense =
+      uint64_t{max_symbol} < std::max<uint64_t>(uint64_t{1} << 16, 8 * n);
+  std::vector<uint32_t> alphabet, ranks, rank_of;
+  std::vector<uint64_t> freqs;
+  if (dense) {
+    rank_of.assign(size_t{max_symbol} + 1, 0);
+    for (const uint32_t s : symbols) ++rank_of[s];
+    for (size_t s = 0; s < rank_of.size(); ++s) {
+      if (rank_of[s] == 0) continue;
+      freqs.push_back(rank_of[s]);
+      rank_of[s] = static_cast<uint32_t>(alphabet.size());
+      alphabet.push_back(static_cast<uint32_t>(s));
+    }
+  } else {
+    RankSymbols(symbols, &alphabet, &ranks);
+    freqs.assign(alphabet.size(), 0);
+    for (const uint32_t r : ranks) ++freqs[r];
+  }
   const size_t k = alphabet.size();
-  std::vector<uint64_t> freqs(k, 0);
-  for (const uint32_t r : ranks) ++freqs[r];
   const std::vector<int> lengths = ComputeLengths(freqs);
 
-  // Table: count, then (symbol: 32 bits, length: 6 bits) in canonical
-  // order. Codes come from AssignCanonical, as in Decode, and are looked
-  // up by rank for the payload.
-  std::vector<SymbolCode> codes(k);
-  for (size_t r = 0; r < k; ++r) {
-    codes[r] = SymbolCode{alphabet[r], lengths[r], 0};
+  // Canonical order is (length, symbol). Ranks ascend with symbol, so a
+  // stable counting sort of the ranks on length yields it. Fewer than
+  // 2^32 symbols keep every length below 64 (a length-L leaf needs a
+  // Fibonacci-sized stream).
+  std::array<uint32_t, 65> first_of_length{};
+  for (const int len : lengths) {
+    ++first_of_length[static_cast<size_t>(len) + 1];
   }
-  AssignCanonical(&codes);
-  std::vector<uint64_t> code_of(k);
+  for (size_t len = 1; len < first_of_length.size(); ++len) {
+    first_of_length[len] += first_of_length[len - 1];
+  }
+  std::vector<uint32_t> canonical(k);
+  for (size_t r = 0; r < k; ++r) {
+    canonical[first_of_length[static_cast<size_t>(lengths[r])]++] =
+        static_cast<uint32_t>(r);
+  }
+
+  // Table: count, then (symbol: 32 bits, length: 6 bits) in canonical
+  // order; codes count upward, shifting left at each longer length (the
+  // rule Decode's AssignCanonical applies).
+  struct Code {
+    uint64_t bits;
+    int length;
+  };
+  std::vector<Code> code_of(k);
   const size_t table_start = writer->bit_count();
   writer->WriteBits(k, 32);
-  for (const SymbolCode& sc : codes) {
-    writer->WriteBits(sc.symbol, 32);
-    writer->WriteBits(static_cast<uint64_t>(sc.length), 6);
-    const auto rank =
-        std::lower_bound(alphabet.begin(), alphabet.end(), sc.symbol);
-    code_of[static_cast<size_t>(rank - alphabet.begin())] = sc.code;
+  uint64_t code = 0;
+  int prev_len = 0;
+  for (const uint32_t r : canonical) {
+    code <<= (lengths[r] - prev_len);
+    prev_len = lengths[r];
+    code_of[r] = Code{code++, lengths[r]};
+    writer->WriteBits(alphabet[r], 32);
+    writer->WriteBits(static_cast<uint64_t>(lengths[r]), 6);
   }
   const size_t payload_start = writer->bit_count();
-  for (const uint32_t r : ranks) writer->WriteBits(code_of[r], lengths[r]);
+  if (dense) {
+    for (const uint32_t s : symbols) {
+      const Code c = code_of[rank_of[s]];
+      writer->WriteBits(c.bits, c.length);
+    }
+  } else {
+    for (const uint32_t r : ranks) {
+      writer->WriteBits(code_of[r].bits, code_of[r].length);
+    }
+  }
   if (stats != nullptr) {
     stats->overhead_bits += payload_start - table_start;
     stats->payload_bits += writer->bit_count() - payload_start;
@@ -258,7 +316,8 @@ Result<std::vector<uint32_t>> HuffmanCodec::Decode(util::BitReader* reader,
   }
   std::vector<uint32_t> out;
   out.reserve(static_cast<size_t>(count));
-  for (uint64_t k = 0; k < count; ++k) {
+  // The checked step: one symbol, table or long code, at any position.
+  auto decode_one = [&]() -> Status {
     const Entry e = table[static_cast<size_t>(reader->PeekBits(kTableBits))];
     if (e.length != 0) {
       if (reader->BitsRemaining() < e.length) {
@@ -266,7 +325,7 @@ Result<std::vector<uint32_t>> HuffmanCodec::Decode(util::BitReader* reader,
       }
       reader->SkipBits(e.length);
       out.push_back(e.symbol);
-      continue;
+      return Status::OK();
     }
     // In a canonical code, a longer code's first L bits lie above every
     // length-L code, so the first group whose range holds the prefix wins.
@@ -296,6 +355,33 @@ Result<std::vector<uint32_t>> HuffmanCodec::Decode(util::BitReader* reader,
     reader->SkipBits(match->length);
     out.push_back(codes[match->first_index + (prefix - match->first_code)]
                       .symbol);
+    return Status::OK();
+  };
+  while (out.size() < count) {
+    // Fast path: while 64 bits remain, one 8-byte load holds 57 unread
+    // bits of the stream, and table codes decode from that window in
+    // registers until fewer than kTableBits of it are left or a long
+    // code comes up. Every code it takes lies inside the stream, so the
+    // checked step's exhaustion test cannot fire on it.
+    if (reader->BitsRemaining() >= 64) {
+      uint64_t window = reader->PeekBits(kMaxPeekBits) << (64 - kMaxPeekBits);
+      int used = 0;
+      bool long_code = false;
+      while (used <= kMaxPeekBits - kTableBits && out.size() < count) {
+        const Entry e = table[window >> (64 - kTableBits)];
+        if (e.length == 0) {
+          long_code = true;
+          break;
+        }
+        window <<= e.length;
+        used += e.length;
+        out.push_back(e.symbol);
+      }
+      reader->SkipBits(used);
+      if (!long_code) continue;
+    }
+    // A long code, or the last 8 bytes of the stream.
+    EF_RETURN_IF_ERROR(decode_one());
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include "compress/sz.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -22,22 +23,174 @@ constexpr int64_t kMaxCode = (1 << 20);
 constexpr uint8_t kEscBitmap = 0;
 constexpr uint8_t kEscSparse = 1;
 
-// Order-1 Lorenzo prediction from the *reconstructed* field. Out-of-range
-// neighbors read as 0, matching SZ's boundary handling.
-inline double Predict(const float* r, int64_t s, int64_t i, int64_t j,
-                      int64_t cols, int64_t plane) {
-  auto at = [&](int64_t ds, int64_t di, int64_t dj) -> double {
-    const int64_t ss = s - ds, ii = i - di, jj = j - dj;
-    if (ss < 0 || ii < 0 || jj < 0) return 0.0;
-    return r[ss * plane + ii * cols + jj];
-  };
-  // 3-D Lorenzo: f(s-1,i,j)+f(s,i-1,j)+f(s,i,j-1)-f(s-1,i-1,j)
-  //              -f(s-1,i,j-1)-f(s,i-1,j-1)+f(s-1,i-1,j-1).
-  return at(1, 0, 0) + at(0, 1, 0) + at(0, 0, 1) - at(1, 1, 0) -
-         at(1, 0, 1) - at(0, 1, 1) + at(1, 1, 1);
+// A `slices` x `rows` x `cols` field stored with a zero halo: one
+// leading slice, row and column of zeros, so that each of an element's
+// seven Lorenzo neighbours is an unconditional read at a fixed offset,
+// and neighbours outside the field read as 0 (SZ's boundary handling).
+class HaloField {
+ public:
+  HaloField(int64_t slices, int64_t rows, int64_t cols)
+      : row_(cols + 1),
+        plane_((rows + 1) * (cols + 1)),
+        values_(static_cast<size_t>((slices + 1) * plane_), 0.0f) {}
+
+  /// Element (s, i, j).
+  float* at(int64_t s, int64_t i, int64_t j) {
+    return values_.data() + (s + 1) * plane_ + (i + 1) * row_ + j + 1;
+  }
+
+  /// Order-1 3-D Lorenzo prediction of the element at `p`:
+  ///   f(s-1,i,j)+f(s,i-1,j)+f(s,i,j-1)-f(s-1,i-1,j)
+  ///   -f(s-1,i,j-1)-f(s,i-1,j-1)+f(s-1,i-1,j-1),
+  /// summed in double in that order.
+  double Predict(const float* p) const {
+    return static_cast<double>(p[-plane_]) + static_cast<double>(p[-row_]) +
+           static_cast<double>(p[-1]) -
+           static_cast<double>(p[-plane_ - row_]) -
+           static_cast<double>(p[-plane_ - 1]) -
+           static_cast<double>(p[-row_ - 1]) +
+           static_cast<double>(p[-plane_ - row_ - 1]);
+  }
+
+ private:
+  int64_t row_;
+  int64_t plane_;
+  std::vector<float> values_;
+};
+
+// Calls `visit(p, idx)` once per element of `halo`'s field, with `p` its
+// slot and `idx` its row-major index, in an order in which every
+// element's neighbours come first: slice by slice, along the
+// anti-diagonals i + j = 0, 1, 2, ... Elements of one anti-diagonal do
+// not depend on each other, so their prediction chains run interleaved;
+// each element still sees the same neighbours, so the same bits.
+template <typename Visit>
+void ForEachByDiagonal(HaloField* halo, int64_t slices, int64_t rows,
+                       int64_t cols, Visit visit) {
+  for (int64_t s = 0; s < slices; ++s) {
+    for (int64_t t = 0; t < rows + cols - 1; ++t) {
+      const int64_t first = std::max<int64_t>(0, t - cols + 1);
+      const int64_t last = std::min<int64_t>(rows - 1, t);
+      // Down one row and left one column: `cols` slots on in the halo
+      // layout, `cols` - 1 elements on in the field.
+      float* p = halo->at(s, first, t - first);
+      int64_t idx = (s * rows + first) * cols + t - first;
+      for (int64_t i = first; i <= last; ++i, p += cols, idx += cols - 1) {
+        visit(p, idx);
+      }
+    }
+  }
+}
+
+// std::nearbyint under the default round-to-nearest-even mode, inline:
+// below 2^52, adding and subtracting 2^52 drops the fraction with that
+// rounding; larger magnitudes, infinities and NaN are returned as they
+// are, and copysign keeps the sign of a zero result (nearbyint(-0.3) is
+// -0).
+inline double RoundHalfEven(double x) {
+  const double magnitude = std::fabs(x);
+  if (!(magnitude < 0x1p52)) return x;
+  return std::copysign((magnitude + 0x1p52) - 0x1p52, x);
 }
 
 }  // namespace
+
+LorenzoCodes LorenzoQuantize(const float* data, int64_t slices,
+                             int64_t rows, int64_t cols, double eb) {
+  const int64_t n = slices * rows * cols;
+  HaloField recon(slices, rows, cols);
+  // Each element's code, or kEscaped, in element order; compacted below.
+  constexpr uint32_t kEscaped = UINT32_MAX;
+  LorenzoCodes out;
+  out.codes.resize(static_cast<size_t>(n));
+  uint32_t* code_at = out.codes.data();
+  const double inv_bin = eb > 0.0 ? 1.0 / (2.0 * eb) : 0.0;
+  ForEachByDiagonal(&recon, slices, rows, cols, [&](float* p, int64_t idx) {
+    const double v = data[idx];
+    if (eb > 0.0) {
+      const double pred = recon.Predict(p);
+      const double q = RoundHalfEven((v - pred) * inv_bin);
+      if (std::fabs(q) <= static_cast<double>(kMaxCode)) {
+        // Validate the bound on the value as actually stored (float), not
+        // the double intermediate, so FP32 rounding cannot break the
+        // guarantee.
+        const float rec = static_cast<float>(pred + q * 2.0 * eb);
+        if (std::fabs(static_cast<double>(rec) - v) <= eb) {
+          *p = rec;
+          code_at[idx] = ZigzagEncode(static_cast<int32_t>(q));
+          return;
+        }
+      }
+    }
+    *p = static_cast<float>(v);
+    code_at[idx] = kEscaped;
+  });
+  size_t n_codes = 0;
+  int64_t idx = 0;
+  for (int64_t s = 0; s < slices; ++s) {
+    for (int64_t i = 0; i < rows; ++i) {
+      const float* row = recon.at(s, i, 0);
+      for (int64_t j = 0; j < cols; ++j, ++idx) {
+        if (code_at[idx] != kEscaped) {
+          code_at[n_codes++] = code_at[idx];
+        } else {
+          // The raw value is the stored float(v) itself.
+          out.escape_indices.push_back(idx);
+          out.raw_values.push_back(row[j]);
+        }
+      }
+    }
+  }
+  out.codes.resize(n_codes);
+  return out;
+}
+
+Status LorenzoReconstruct(const std::vector<uint32_t>& codes,
+                          const uint8_t* unpred, const char* raw,
+                          uint64_t n_raw, int64_t slices, int64_t rows,
+                          int64_t cols, double eb, float* out) {
+  // First the escapes' floats and the other elements' codes, in element
+  // order (a code parked in its element's slot as int32 bits), so a
+  // stream that runs short fails where it did element by element...
+  HaloField field(slices, rows, cols);
+  size_t raw_pos = 0, code_pos = 0;
+  const uint8_t* flag = unpred;
+  for (int64_t s = 0; s < slices; ++s) {
+    for (int64_t i = 0; i < rows; ++i) {
+      float* p = field.at(s, i, 0);
+      for (int64_t j = 0; j < cols; ++j, ++flag) {
+        if (*flag != 0) {
+          if (raw_pos >= n_raw) {
+            return Status::Corruption("sz: raw values exhausted");
+          }
+          std::memcpy(&p[j], raw + raw_pos * sizeof(float), sizeof(float));
+          ++raw_pos;
+        } else {
+          if (code_pos >= codes.size()) {
+            return Status::Corruption("sz: codes exhausted");
+          }
+          const int32_t q = ZigzagDecode(codes[code_pos++]);
+          std::memcpy(&p[j], &q, sizeof(q));
+        }
+      }
+    }
+  }
+  // ...then the prediction chains, which read only elements visited
+  // before the one they write.
+  ForEachByDiagonal(&field, slices, rows, cols, [&](float* p, int64_t idx) {
+    if (unpred[idx] != 0) return;
+    int32_t q;
+    std::memcpy(&q, p, sizeof(q));
+    *p = static_cast<float>(field.Predict(p) + q * 2.0 * eb);
+  });
+  for (int64_t s = 0; s < slices; ++s) {
+    for (int64_t i = 0; i < rows; ++i) {
+      std::memcpy(out + (s * rows + i) * cols, field.at(s, i, 0),
+                  static_cast<size_t>(cols) * sizeof(float));
+    }
+  }
+  return Status::OK();
+}
 
 Result<Compressed> SzCompressor::Compress(const Tensor& data,
                                           const ErrorBound& bound) {
@@ -54,81 +207,45 @@ Result<Compressed> SzCompressor::Compress(const Tensor& data,
                         : abs_tol / std::sqrt(static_cast<double>(n));
   int64_t slices, rows, cols;
   CollapseTo3d(data.shape(), &slices, &rows, &cols);
-  const int64_t plane = rows * cols;
-
-  std::vector<float> recon(static_cast<size_t>(n));
-  std::vector<uint32_t> codes;
-  codes.reserve(static_cast<size_t>(n));
-  std::vector<int64_t> escape_indices;
-  std::vector<float> raw_values;
-
-  const double inv_bin = eb > 0.0 ? 1.0 / (2.0 * eb) : 0.0;
-  for (int64_t s = 0; s < slices; ++s) {
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < cols; ++j) {
-        const int64_t idx = s * plane + i * cols + j;
-        const double v = data[idx];
-        bool predicted = false;
-        if (eb > 0.0) {
-          const double pred = Predict(recon.data(), s, i, j, cols, plane);
-          const double q = std::nearbyint((v - pred) * inv_bin);
-          if (std::fabs(q) <= static_cast<double>(kMaxCode)) {
-            // Validate the bound on the value as actually stored (float),
-            // not the double intermediate, so FP32 rounding cannot break
-            // the guarantee.
-            const float rec = static_cast<float>(pred + q * 2.0 * eb);
-            if (std::fabs(static_cast<double>(rec) - v) <= eb) {
-              recon[static_cast<size_t>(idx)] = rec;
-              codes.push_back(
-                  ZigzagEncode(static_cast<int32_t>(std::llrint(q))));
-              predicted = true;
-            }
-          }
-        }
-        if (!predicted) {
-          recon[static_cast<size_t>(idx)] = static_cast<float>(v);
-          escape_indices.push_back(idx);
-          raw_values.push_back(static_cast<float>(v));
-        }
-      }
-    }
-  }
+  const LorenzoCodes quantized =
+      LorenzoQuantize(data.data(), slices, rows, cols, eb);
 
   util::ByteWriter header;
   header.PutU32(kMagicV2);
   header.PutU8(static_cast<uint8_t>(codec_));
   header.PutShape(data.shape());
   header.PutF64(eb);
-  header.PutU64(raw_values.size());
-  header.PutU64(codes.size());
+  header.PutU64(quantized.raw_values.size());
+  header.PutU64(quantized.codes.size());
 
   // Escape locations: sparse delta-varints when rare, bitmap otherwise.
   const size_t bitmap_bytes = (static_cast<size_t>(n) + 7) / 8;
-  if (escape_indices.size() * 4 <= bitmap_bytes) {
+  if (quantized.escape_indices.size() * 4 <= bitmap_bytes) {
     header.PutU8(kEscSparse);
     int64_t prev = -1;
-    for (int64_t idx : escape_indices) {
+    for (int64_t idx : quantized.escape_indices) {
       header.PutVarint64(static_cast<uint64_t>(idx - prev - 1));
       prev = idx;
     }
   } else {
     header.PutU8(kEscBitmap);
     std::vector<uint8_t> bitmap(bitmap_bytes, 0);
-    for (int64_t idx : escape_indices) {
+    for (int64_t idx : quantized.escape_indices) {
       bitmap[static_cast<size_t>(idx) / 8] |=
           static_cast<uint8_t>(1u << (idx % 8));
     }
     header.Raw(bitmap.data(), bitmap.size());
   }
-  header.Raw(raw_values.data(), raw_values.size() * sizeof(float));
+  header.Raw(quantized.raw_values.data(),
+             quantized.raw_values.size() * sizeof(float));
 
   // The entropy stage always runs — an empty code vector (every element
   // escaped) encodes as a valid zero-symbol stream.
   const EntropyCodec* codec = GetCodec(codec_);
   util::BitWriter bits;
   EncodeStats stats;
-  EF_RETURN_IF_ERROR(codec->Encode(codes, &bits, &stats));
-  RecordCodecEncode(*codec, codes.size(), stats);
+  EF_RETURN_IF_ERROR(codec->Encode(quantized.codes, &bits, &stats));
+  RecordCodecEncode(*codec, quantized.codes.size(), stats);
   std::string blob = header.Finish();
   blob += bits.Finish();
 
@@ -225,32 +342,9 @@ Result<Decompressed> SzCompressor::Decompress(const std::string& blob) {
 
   int64_t slices, rows, cols;
   CollapseTo3d(shape, &slices, &rows, &cols);
-  const int64_t plane = rows * cols;
-
   Tensor out(shape);
-  size_t raw_pos = 0, code_pos = 0;
-  for (int64_t s = 0; s < slices; ++s) {
-    for (int64_t i = 0; i < rows; ++i) {
-      for (int64_t j = 0; j < cols; ++j) {
-        const int64_t idx = s * plane + i * cols + j;
-        if (unpred[static_cast<size_t>(idx)] != 0) {
-          if (raw_pos >= n_raw) {
-            return Status::Corruption("sz: raw values exhausted");
-          }
-          std::memcpy(&out[idx], raw + raw_pos * sizeof(float),
-                      sizeof(float));
-          ++raw_pos;
-        } else {
-          if (code_pos >= codes.size()) {
-            return Status::Corruption("sz: codes exhausted");
-          }
-          const int32_t q = ZigzagDecode(codes[code_pos++]);
-          const double pred = Predict(out.data(), s, i, j, cols, plane);
-          out[idx] = static_cast<float>(pred + q * 2.0 * eb);
-        }
-      }
-    }
-  }
+  EF_RETURN_IF_ERROR(LorenzoReconstruct(codes, unpred.data(), raw, n_raw,
+                                        slices, rows, cols, eb, out.data()));
 
   Decompressed result;
   result.data = std::move(out);

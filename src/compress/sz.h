@@ -1,6 +1,9 @@
 #ifndef ERRORFLOW_COMPRESS_SZ_H_
 #define ERRORFLOW_COMPRESS_SZ_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "compress/compressor.h"
 
 namespace errorflow {
@@ -38,6 +41,35 @@ class SzCompressor : public Compressor {
  private:
   CodecId codec_;
 };
+
+/// Output of the SZ-like backend's predict+quantize stage.
+struct LorenzoCodes {
+  /// Zigzagged quantization codes of the predicted elements, in element
+  /// order: the entropy stage's input.
+  std::vector<uint32_t> codes;
+  /// Elements stored raw (the escape path), ascending, and their values.
+  std::vector<int64_t> escape_indices;
+  std::vector<float> raw_values;
+};
+
+/// The predict+quantize stage of `SzCompressor::Compress` over a field
+/// collapsed to `slices` x `rows` x `cols` (row-major): each element's
+/// order-1 Lorenzo prediction from the reconstructed field, its residual
+/// quantized into bins of width 2 * `eb`, or, where the code would exceed
+/// 2^20 or the stored float would miss the bound, an escape. `eb` <= 0
+/// escapes every element.
+LorenzoCodes LorenzoQuantize(const float* data, int64_t slices,
+                             int64_t rows, int64_t cols, double eb);
+
+/// The reconstruct stage of `SzCompressor::Decompress`: writes the
+/// `slices` x `rows` x `cols` field to `out`. `unpred[i]` != 0 marks
+/// element i as escaped; escapes take, in order, the `n_raw` floats at
+/// `raw` (unaligned), and every other element the next of `codes`.
+/// Corruption when either runs out.
+Status LorenzoReconstruct(const std::vector<uint32_t>& codes,
+                          const uint8_t* unpred, const char* raw,
+                          uint64_t n_raw, int64_t slices, int64_t rows,
+                          int64_t cols, double eb, float* out);
 
 }  // namespace compress
 }  // namespace errorflow

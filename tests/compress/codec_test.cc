@@ -8,13 +8,16 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "compress/codec/huffman.h"
 #include "compress/codec/lz77.h"
 #include "compress/compressor.h"
 #include "compress/parallel.h"
+#include "compress/sz.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "testing/test_util.h"
 #include "util/bitstream.h"
 #include "util/random.h"
@@ -473,6 +476,60 @@ TEST(LegacyStreamTest, NewEncodersNeverEmitLegacyMagic) {
     ASSERT_TRUE(comp.ok());
     EXPECT_NE(std::memcmp(comp->blob.data(), kLegacySzBlob, 4), 0);
     EXPECT_NE(std::memcmp(comp->blob.data(), kLegacyMgardBlob, 4), 0);
+  }
+}
+
+// The per-codec counters (`errorflow.compress.codec.<name>.*`) advance by
+// exactly one call's worth on each Compress and Decompress: the symbol
+// count, the EncodeStats bit split and, for lz77, the parse statistics.
+TEST(CodecMetricsTest, CountersAdvanceByEachCall) {
+  const Tensor data = testing::SmoothField2d(32, 24, 9);
+  const double eb = 1e-3;
+  const LorenzoCodes quantized = LorenzoQuantize(data.data(), 1, 32, 24, eb);
+  auto& registry = obs::MetricsRegistry::Global();
+  for (CodecId id : AllCodecs()) {
+    SCOPED_TRACE(CodecIdToString(id));
+    util::BitWriter writer;
+    EncodeStats stats;
+    ASSERT_TRUE(GetCodec(id)->Encode(quantized.codes, &writer, &stats).ok());
+    const std::string prefix =
+        std::string("errorflow.compress.codec.") + CodecIdToString(id) + ".";
+    std::vector<std::pair<std::string, uint64_t>> encode_deltas = {
+        {"encode_calls", 1},
+        {"encode_symbols", quantized.codes.size()},
+        {"encode_overhead_bits", stats.overhead_bits},
+        {"encode_payload_bits", stats.payload_bits}};
+    if (id == CodecId::kLz77Huffman) {
+      encode_deltas.push_back({"literal_tokens", stats.literals});
+      encode_deltas.push_back({"match_tokens", stats.matches});
+      encode_deltas.push_back({"match_symbols", stats.match_symbols});
+    }
+    const std::vector<std::pair<std::string, uint64_t>> decode_deltas = {
+        {"decode_calls", 1}, {"decode_symbols", quantized.codes.size()}};
+    auto compressor = MakeCompressor(Backend::kSz, id);
+    for (int call = 0; call < 2; ++call) {
+      std::vector<uint64_t> before;
+      for (const auto& [metric, delta] : encode_deltas) {
+        before.push_back(registry.CounterValue(prefix + metric));
+      }
+      auto comp = compressor->Compress(data, ErrorBound::AbsLinf(eb));
+      ASSERT_TRUE(comp.ok());
+      for (size_t m = 0; m < encode_deltas.size(); ++m) {
+        EXPECT_EQ(registry.CounterValue(prefix + encode_deltas[m].first),
+                  before[m] + encode_deltas[m].second)
+            << encode_deltas[m].first;
+      }
+      before.clear();
+      for (const auto& [metric, delta] : decode_deltas) {
+        before.push_back(registry.CounterValue(prefix + metric));
+      }
+      ASSERT_TRUE(compressor->Decompress(comp->blob).ok());
+      for (size_t m = 0; m < decode_deltas.size(); ++m) {
+        EXPECT_EQ(registry.CounterValue(prefix + decode_deltas[m].first),
+                  before[m] + decode_deltas[m].second)
+            << decode_deltas[m].first;
+      }
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include "nn/builders.h"
 #include "nn/serialize.h"
 #include "testing/alloc_guard.h"
+#include "testing/codec_reference.h"
 #include "testing/fuzz_util.h"
 #include "testing/test_util.h"
 #include "util/bitstream.h"
@@ -175,30 +176,63 @@ TEST(ParallelFuzzTest, StructureAwareMutationsHandled) {
 
 TEST(HuffmanFuzzTest, StructureAwareMutationsHandled) {
   // Corpus: encoded streams of skewed symbol distributions (the shape
-  // quantization codes take), in the raw bit-stream form Decode consumes.
+  // quantization codes take), in the raw bit-stream form Decode consumes,
+  // plus streams whose last code is a long one (past the 12-bit table)
+  // ending in each of the last 8 bytes, where the windowed decoder hands
+  // over to the checked step. Every mutant must decode exactly as the
+  // retained per-symbol decoder does: same symbols, or the same Status.
   std::vector<std::string> corpus;
   std::vector<uint64_t> counts;
   util::Rng rng(11);
+  auto add = [&](const std::vector<uint32_t>& symbols) {
+    util::BitWriter bits;
+    ASSERT_TRUE(compress::HuffmanCodec::Encode(symbols, &bits).ok());
+    corpus.push_back(bits.Finish());
+    counts.push_back(symbols.size());
+  };
   for (int c = 0; c < 3; ++c) {
     std::vector<uint32_t> symbols;
     const int n = 200 + c * 150;
     for (int i = 0; i < n; ++i) {
       symbols.push_back(static_cast<uint32_t>(rng.UniformU64(1 + c * 40)));
     }
-    util::BitWriter bits;
-    ASSERT_TRUE(compress::HuffmanCodec::Encode(symbols, &bits).ok());
-    corpus.push_back(bits.Finish());
-    counts.push_back(symbols.size());
+    add(symbols);
+  }
+  // A hot 1-bit symbol and a Fibonacci-weighted tail (codes to ~17 bits),
+  // then the rarest symbol followed by 0..63 hot ones.
+  std::vector<uint32_t> body;
+  uint32_t weight = 1, next = 1;
+  for (uint32_t s = 0; s < 16; ++s) {
+    for (uint32_t r = 0; r < weight; ++r) {
+      body.insert(body.end(), {100 + s, 7, 7});
+    }
+    const uint32_t sum = weight + next;
+    weight = next;
+    next = sum;
+  }
+  for (int trailing = 0; trailing < 64; trailing += 7) {
+    std::vector<uint32_t> symbols = body;
+    symbols.push_back(100);
+    symbols.insert(symbols.end(), static_cast<size_t>(trailing), 7u);
+    add(symbols);
   }
   testing::BlobMutator mutator(corpus, /*seed=*/0x4F);
   testing::ResetMaxSingleAlloc();
   size_t iter = 0;
   const auto stats = testing::RunFuzz(
       &mutator, testing::FuzzIterations(), [&](const std::string& blob) {
+        const uint64_t count = counts[iter++ % counts.size()];
         util::BitReader bits(blob.data(), blob.size());
-        auto result = compress::HuffmanCodec::Decode(
-            &bits, counts[iter++ % counts.size()]);
-        (void)result;
+        util::BitReader ref_bits(blob.data(), blob.size());
+        auto result = compress::HuffmanCodec::Decode(&bits, count);
+        auto want = testing::ReferenceHuffmanDecode(&ref_bits, count);
+        ASSERT_EQ(result.ok(), want.ok());
+        if (want.ok()) {
+          EXPECT_EQ(*result, *want);
+        } else {
+          EXPECT_EQ(result.status().code(), want.status().code());
+          EXPECT_EQ(result.status().message(), want.status().message());
+        }
       });
   EXPECT_EQ(stats.oversize_allocs, 0);
   EXPECT_LE(testing::MaxSingleAllocBytes(), testing::kAllocGuardLimitBytes);
