@@ -1,7 +1,8 @@
 // GEMM kernel benchmark: new blocked/vectorized/threaded kernels vs the
 // seed's scalar loops on every kernel path this host supports, the h2
-// Dense layers' GemmNT per path, a thread-scaling sweep, and the tanh
-// kernel against std::tanh per path.
+// Dense layers' GemmNT-with-bias per path next to the unfused GemmNT +
+// bias pass it replaced, a GemmNT row-count sweep, a thread-scaling sweep,
+// and the tanh kernel against std::tanh per path.
 //
 // Usage: bench_gemm [max_threads]
 //
@@ -9,13 +10,17 @@
 // the docs/PERFORMANCE.md acceptance numbers come from this binary. The
 // baseline implementations below are verbatim copies of the pre-kernel
 // tensor::Gemm / tensor::GemmNT inner loops (cache-blocked scalar code),
-// kept here so the comparison survives the originals' deletion.
+// kept here so the comparison survives the originals' deletion. Before
+// timing the Dense layers it checks that every path's output is
+// bit-identical to the portable path's and to the unfused pair's, and
+// exits 1 naming the layer and path otherwise.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -72,6 +77,26 @@ void SeedGemmNT(const Tensor& a, const Tensor& b, Tensor* c) {
       pc[i * n + j] = acc;
     }
   }
+}
+
+// The Dense forward before the bias moved into GemmNT's store: GemmNT,
+// then a second pass adding bias[j] to every row (the deleted
+// tensor::AddRowBias).
+void UnfusedDense(const Tensor& x, const Tensor& w, const Tensor& bias,
+                  Tensor* y) {
+  errorflow::tensor::GemmNT(x, w, y);
+  const int64_t m = y->dim(0), n = y->dim(1);
+  float* __restrict p = y->data();
+  const float* __restrict pb = bias.data();
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) p[i * n + j] += pb[j];
+  }
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(float)) == 0;
 }
 
 Tensor RandomTensor(Shape shape, uint64_t seed) {
@@ -137,24 +162,84 @@ int main(int argc, char** argv) {
   ef::SetKernelPathForTest(paths.back());
 
   // The h2 surrogate's Dense layers (9 -> 50 -> 50 -> 9) on one 1024-row
-  // batch: GemmNT against the layer's (out x in) weight.
-  std::printf("\nh2 Dense layers, GemmNT on 1024 rows (best of reps):\n");
-  std::printf("%-10s %-9s %12s %9s\n", "layer", "path", "kernel us",
-              "GFLOP/s");
+  // batch, as DenseLayer::Forward runs them: GemmNT with the bias added in
+  // the kernel's store, next to the unfused GemmNT + bias pass.
+  struct DenseLayerCase {
+    int64_t in, out;
+    Tensor x, w, bias;
+  };
+  std::vector<DenseLayerCase> h2_layers;
   for (const auto& [in, out] :
        {std::pair<int64_t, int64_t>{9, 50}, {50, 50}, {50, 9}}) {
-    const Tensor x = RandomTensor({1024, in}, 4);
-    const Tensor w = RandomTensor({out, in}, 5);
+    h2_layers.push_back({in, out, RandomTensor({1024, in}, 4),
+                         RandomTensor({out, in}, 5), RandomTensor({out}, 6)});
+  }
+  for (const auto& [in, out, x, w, bias] : h2_layers) {
+    ef::SetKernelPathForTest(ef::KernelPath::kPortable);
+    Tensor want;
+    ef::GemmNT(x, w, &want, &bias);
+    for (const ef::KernelPath path : paths) {
+      ef::SetKernelPathForTest(path);
+      Tensor fused, unfused;
+      ef::GemmNT(x, w, &fused, &bias);
+      UnfusedDense(x, w, bias, &unfused);
+      if (!SameBits(fused, want) || !SameBits(unfused, want)) {
+        std::fprintf(stderr,
+                     "FATAL: Dense %lld->%lld on the %s path differs from "
+                     "the portable path's GemmNT with bias\n",
+                     static_cast<long long>(in), static_cast<long long>(out),
+                     ef::KernelPathName(path));
+        return 1;
+      }
+    }
+  }
+  std::printf(
+      "\nh2 Dense layers on 1024 rows, every output bit-identical to the "
+      "portable path's (best of reps):\n");
+  std::printf("%-10s %-9s %12s %12s %9s\n", "layer", "path", "unfused us",
+              "fused us", "GFLOP/s");
+  for (const auto& [in, out, x, w, bias] : h2_layers) {
     Tensor y;
     for (const ef::KernelPath path : paths) {
       ef::SetKernelPathForTest(path);
-      const double t = TimeIt([&] { ef::GemmNT(x, w, &y); }, 200);
+      const double unfused =
+          TimeIt([&] { UnfusedDense(x, w, bias, &y); }, 200);
+      const double fused = TimeIt([&] { ef::GemmNT(x, w, &y, &bias); }, 200);
       char layer[32];
       std::snprintf(layer, sizeof(layer), "%lld->%lld",
                     static_cast<long long>(in), static_cast<long long>(out));
-      std::printf("%-10s %-9s %12.2f %9.2f\n", layer,
-                  ef::KernelPathName(path), t * 1e6,
-                  2.0 * 1024 * in * out / t / 1e9);
+      std::printf("%-10s %-9s %12.2f %12.2f %9.2f\n", layer,
+                  ef::KernelPathName(path), unfused * 1e6, fused * 1e6,
+                  2.0 * 1024 * in * out / fused / 1e9);
+    }
+  }
+  ef::SetKernelPathForTest(paths.back());
+
+  // GemmNT against a 50-output weight at small row counts, one column per
+  // path: the AVX-512 path packs B and runs its 3-row tile only when
+  // m >= k (and the panel fits in 32 KiB), and below that runs the AVX2
+  // dot kernel, as the last column says.
+  std::printf("\nGemmNT with bias, n = 50, row sweep (best of reps, us):\n");
+  std::printf("%4s %4s", "k", "m");
+  for (const ef::KernelPath path : paths) {
+    std::printf(" %10s", ef::KernelPathName(path));
+  }
+  std::printf(" %12s\n", "avx512 runs");
+  for (const int64_t k : {9, 50}) {
+    const Tensor w = RandomTensor({50, k}, 7);
+    const Tensor bias = RandomTensor({50}, 8);
+    for (const int64_t m : {1, 2, 3, 4, 6, 8, 9, 12, 16, 24, 32, 40, 48, 50,
+                            56, 64}) {
+      const Tensor x = RandomTensor({m, k}, 9);
+      Tensor y;
+      std::printf("%4lld %4lld", static_cast<long long>(k),
+                  static_cast<long long>(m));
+      for (const ef::KernelPath path : paths) {
+        ef::SetKernelPathForTest(path);
+        std::printf(" %10.3f",
+                    TimeIt([&] { ef::GemmNT(x, w, &y, &bias); }, 2000) * 1e6);
+      }
+      std::printf(" %12s\n", m >= k ? "3-row tile" : "avx2 dot");
     }
   }
   ef::SetKernelPathForTest(paths.back());

@@ -122,7 +122,9 @@ LorenzoCodes LorenzoQuantize(const float* data, int64_t slices,
         }
       }
     }
-    *p = static_cast<float>(v);
+    // The input float itself, not float(v): converting through double
+    // quiets a signalling NaN wherever the compiler does not fold it away.
+    *p = data[idx];
     code_at[idx] = kEscaped;
   });
   size_t n_codes = 0;

@@ -395,7 +395,7 @@ void Conv2dLayer::Backward(const Tensor& grad_output, Tensor* grad_input) {
     bwd_grad_eff_ = Tensor({out_channels_, ckk});
   }
   tensor::GemmNTKernel(gmat, cached_cols_.data(), bwd_grad_eff_.data(),
-                       out_channels_, ckk, cols_n);
+                       out_channels_, ckk, cols_n, /*bias=*/nullptr);
   const Tensor& grad_eff = bwd_grad_eff_;
 
   // Input gradient: one batched GemmTN into channel-major gradient columns

@@ -96,15 +96,13 @@ void DenseLayer::Forward(const Tensor& input, Tensor* output,
   if (!use_psn_) {
     // Hot path: the stored weight is the effective weight; no copy, no
     // shared-state mutation, safe under concurrent execution.
-    tensor::GemmNT(input, weight_, output);
-    tensor::AddRowBias(output, bias_);
+    tensor::GemmNT(input, weight_, output, &bias_);
     if (training) cached_input_ = input;
     return;
   }
   Tensor eff = PsnSnapshot(/*refresh_iters_warm=*/4,
                            /*refresh_iters_cold=*/200);
-  tensor::GemmNT(input, eff, output);
-  tensor::AddRowBias(output, bias_);
+  tensor::GemmNT(input, eff, output, &bias_);
   if (training) {
     cached_input_ = input;
     cached_eff_weight_ = std::move(eff);

@@ -160,14 +160,20 @@ float Dot8Portable(const float* __restrict x, const float* __restrict y,
   return r;
 }
 
-// C[i][j] = dot(A_i, B_j) for rows i in [r0, r1); A is (m x k), B is
-// (n x k).
+// The value GemmNT stores for output column j: the dot product, plus
+// bias[j] in one float add when there is a bias. A null bias adds nothing.
+inline float WithBias(float dot, const float* bias, int64_t j) {
+  return bias != nullptr ? dot + bias[j] : dot;
+}
+
+// C[i][j] = dot(A_i, B_j) (+ bias[j]) for rows i in [r0, r1); A is
+// (m x k), B is (n x k).
 void GemmNTRowsPortable(const float* __restrict a, const float* __restrict b,
-                        float* __restrict c, int64_t r0, int64_t r1,
-                        int64_t n, int64_t k) {
+                        const float* bias, float* __restrict c, int64_t r0,
+                        int64_t r1, int64_t n, int64_t k) {
   for (int64_t i = r0; i < r1; ++i) {
     for (int64_t j = 0; j < n; ++j) {
-      c[i * n + j] = Dot8Portable(a + i * k, b + j * k, k);
+      c[i * n + j] = WithBias(Dot8Portable(a + i * k, b + j * k, k), bias, j);
     }
   }
 }
@@ -525,10 +531,11 @@ __attribute__((target("avx2,fma"))) inline float Dot8Avx2(
 
 // Dot-product orientation for C = A * B^T. Register tile: 2 A rows x 4 B
 // rows, vectorized over k; per k step 6 loads feed 8 FMAs, and each tile
-// ends in 8 horizontal sums (amortized over the whole k sweep).
+// ends in 8 horizontal sums (amortized over the whole k sweep). Every store
+// adds the bias, as GemmNTRowsPortable's does.
 __attribute__((target("avx2,fma"))) void GemmNTRowsAvx2(
-    const float* __restrict a, const float* __restrict b, float* __restrict c,
-    int64_t r0, int64_t r1, int64_t n, int64_t k) {
+    const float* __restrict a, const float* __restrict b, const float* bias,
+    float* __restrict c, int64_t r0, int64_t r1, int64_t n, int64_t k) {
   int64_t i = r0;
   for (; i + 2 <= r1; i += 2) {
     const float* a0 = a + (i + 0) * k;
@@ -577,25 +584,25 @@ __attribute__((target("avx2,fma"))) void GemmNTRowsAvx2(
       }
       float* c0 = c + (i + 0) * n + j;
       float* c1 = c + (i + 1) * n + j;
-      c0[0] = r00;
-      c0[1] = r01;
-      c0[2] = r02;
-      c0[3] = r03;
-      c1[0] = r10;
-      c1[1] = r11;
-      c1[2] = r12;
-      c1[3] = r13;
+      c0[0] = WithBias(r00, bias, j + 0);
+      c0[1] = WithBias(r01, bias, j + 1);
+      c0[2] = WithBias(r02, bias, j + 2);
+      c0[3] = WithBias(r03, bias, j + 3);
+      c1[0] = WithBias(r10, bias, j + 0);
+      c1[1] = WithBias(r11, bias, j + 1);
+      c1[2] = WithBias(r12, bias, j + 2);
+      c1[3] = WithBias(r13, bias, j + 3);
     }
     for (; j < n; ++j) {
       const float* bj = b + j * k;
-      c[(i + 0) * n + j] = Dot8Avx2(a0, bj, k);
-      c[(i + 1) * n + j] = Dot8Avx2(a1, bj, k);
+      c[(i + 0) * n + j] = WithBias(Dot8Avx2(a0, bj, k), bias, j);
+      c[(i + 1) * n + j] = WithBias(Dot8Avx2(a1, bj, k), bias, j);
     }
   }
   for (; i < r1; ++i) {
     const float* ai = a + i * k;
     for (int64_t j = 0; j < n; ++j) {
-      c[i * n + j] = Dot8Avx2(ai, b + j * k, k);
+      c[i * n + j] = WithBias(Dot8Avx2(ai, b + j * k, k), bias, j);
     }
   }
 }
@@ -1157,7 +1164,7 @@ EF_AVX512 void ConvComputeAvx512(const float* __restrict a, const float* bias,
 
 // GemmNTRowsAvx512 reads B packed as a k x n16 panel, n16 = n rounded up
 // to 16 with zero columns, so one 16-lane load holds one l of 16 outputs.
-// It rereads the panel once per pair of A rows, so it runs only while the
+// It rereads the panel once per three A rows, so it runs only while the
 // panel stays in L1, and the packing (k * n16 moves) repays itself only
 // over enough rows; below m = k GemmNTRowsAvx2 is faster on the shapes
 // measured (docs/PERFORMANCE.md, "Kernel paths").
@@ -1178,10 +1185,12 @@ void PackGemmNTPanel(const float* b, int64_t n, int64_t k, float* panel) {
 // C rows [i, i + kRows), columns [j, j + 16) clipped to n. Same contract
 // as Dot8Portable with lanes over output columns: the 8 lane-chains of
 // each output are 8 accumulators, HSum8 becomes vertical adds, and the
-// remaining l take one fma each.
+// remaining l take one fma each. The bias, when there is one, is one
+// masked load added before the masked store (WithBias in 16 lanes).
 template <int kRows>
 EF_AVX512 inline void GemmNTTileAvx512(const float* __restrict a,
                                        const float* __restrict panel,
+                                       const float* bias,
                                        float* __restrict c, int64_t i,
                                        int64_t j, int64_t n, int64_t k) {
   const int64_t n16 = RoundUp16(n);
@@ -1209,6 +1218,8 @@ EF_AVX512 inline void GemmNTTileAvx512(const float* __restrict a,
   }
   const __mmask16 m =
       static_cast<__mmask16>((1u << std::min<int64_t>(16, n - j)) - 1);
+  const __m512 bv =
+      bias != nullptr ? _mm512_maskz_loadu_ps(m, bias + j) : __m512{};
 #pragma GCC unroll 8
   for (int r = 0; r < kRows; ++r) {
     __m512 v = _mm512_add_ps(
@@ -1220,24 +1231,27 @@ EF_AVX512 inline void GemmNTTileAvx512(const float* __restrict a,
       v = _mm512_fmadd_ps(_mm512_set1_ps(a[(i + r) * k + q]),
                           _mm512_loadu_ps(bp + q * n16), v);
     }
+    if (bias != nullptr) v = _mm512_add_ps(v, bv);
     _mm512_mask_storeu_ps(c + (i + r) * n + j, m, v);
   }
 }
 
-// Same contract as GemmNTRowsPortable, from the packed panel.
+// Same contract as GemmNTRowsPortable, from the packed panel: 3-row tiles
+// (24 accumulators), then one row at a time.
 EF_AVX512 void GemmNTRowsAvx512(const float* __restrict a,
                                 const float* __restrict panel,
-                                float* __restrict c, int64_t r0, int64_t r1,
-                                int64_t n, int64_t k) {
+                                const float* bias, float* __restrict c,
+                                int64_t r0, int64_t r1, int64_t n,
+                                int64_t k) {
   int64_t i = r0;
-  for (; i + 2 <= r1; i += 2) {
+  for (; i + 3 <= r1; i += 3) {
     for (int64_t j = 0; j < n; j += 16) {
-      GemmNTTileAvx512<2>(a, panel, c, i, j, n, k);
+      GemmNTTileAvx512<3>(a, panel, bias, c, i, j, n, k);
     }
   }
   for (; i < r1; ++i) {
     for (int64_t j = 0; j < n; j += 16) {
-      GemmNTTileAvx512<1>(a, panel, c, i, j, n, k);
+      GemmNTTileAvx512<1>(a, panel, bias, c, i, j, n, k);
     }
   }
 }
@@ -1332,15 +1346,15 @@ void ConvBlocks(const float* weight, const float* bias, const float* in,
 }
 
 // Dispatches one row chunk of the dot-oriented GemmNT kernel.
-void GemmNTRows(const float* a, const float* b, float* c, int64_t r0,
-                int64_t r1, int64_t n, int64_t k) {
+void GemmNTRows(const float* a, const float* b, const float* bias, float* c,
+                int64_t r0, int64_t r1, int64_t n, int64_t k) {
 #if defined(EF_KERNELS_X86)
   if (ActiveKernelPath() != KernelPath::kPortable) {
-    GemmNTRowsAvx2(a, b, c, r0, r1, n, k);
+    GemmNTRowsAvx2(a, b, bias, c, r0, r1, n, k);
     return;
   }
 #endif
-  GemmNTRowsPortable(a, b, c, r0, r1, n, k);
+  GemmNTRowsPortable(a, b, bias, c, r0, r1, n, k);
 }
 
 }  // namespace
@@ -1430,7 +1444,7 @@ void GemmTNKernel(const float* a, const float* b, float* c, int64_t m,
 }
 
 void GemmNTKernel(const float* a, const float* b, float* c, int64_t m,
-                  int64_t n, int64_t k) {
+                  int64_t n, int64_t k, const float* bias) {
   const int64_t flops = 2 * m * n * k;
 #if defined(EF_KERNELS_X86)
   if (ActiveKernelPath() == KernelPath::kAvx512 && m >= k &&
@@ -1443,21 +1457,21 @@ void GemmNTKernel(const float* a, const float* b, float* c, int64_t m,
     const float* panel = panel_buf.data();
     PackGemmNTPanel(b, n, k, panel_buf.data());
     if (!WillParallelize(flops)) {
-      GemmNTRowsAvx512(a, panel, c, 0, m, n, k);
+      GemmNTRowsAvx512(a, panel, bias, c, 0, m, n, k);
       return;
     }
     ParallelRows(m, flops, [=](int64_t r0, int64_t r1) {
-      GemmNTRowsAvx512(a, panel, c, r0, r1, n, k);
+      GemmNTRowsAvx512(a, panel, bias, c, r0, r1, n, k);
     });
     return;
   }
 #endif
   if (!WillParallelize(flops)) {
-    GemmNTRows(a, b, c, 0, m, n, k);
+    GemmNTRows(a, b, bias, c, 0, m, n, k);
     return;
   }
   ParallelRows(m, flops, [=](int64_t r0, int64_t r1) {
-    GemmNTRows(a, b, c, r0, r1, n, k);
+    GemmNTRows(a, b, bias, c, r0, r1, n, k);
   });
 }
 

@@ -66,9 +66,13 @@ std::string KernelDescription();
 void GemmKernel(const float* a, const float* b, float* c, int64_t m,
                 int64_t n, int64_t k);
 
-/// C(m x n) = A(m x k) * B^T, with B stored as (n x k).
+/// C(m x n) = A(m x k) * B^T, with B stored as (n x k), plus bias[j] on
+/// every row when `bias` (n floats) is non-null: the dense-layer forward.
+/// Each output's fma chain ends in one float add of bias[j] in the store,
+/// the single add a separate `c += bias[j]` pass would do, so the bits are
+/// the same. With a null `bias` nothing is added (-0 stays -0).
 void GemmNTKernel(const float* a, const float* b, float* c, int64_t m,
-                  int64_t n, int64_t k);
+                  int64_t n, int64_t k, const float* bias);
 
 /// C(m x n) = A^T * B(k x n), with A stored as (k x m).
 void GemmTNKernel(const float* a, const float* b, float* c, int64_t m,

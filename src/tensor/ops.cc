@@ -15,12 +15,15 @@ void Gemm(const Tensor& a, const Tensor& b, Tensor* c) {
   GemmKernel(a.data(), b.data(), c->data(), m, n, k);
 }
 
-void GemmNT(const Tensor& a, const Tensor& b, Tensor* c) {
+void GemmNT(const Tensor& a, const Tensor& b, Tensor* c,
+            const Tensor* bias) {
   EF_CHECK(a.ndim() == 2 && b.ndim() == 2);
   const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(0);
   EF_CHECK(b.dim(1) == k);
+  EF_CHECK(bias == nullptr || (bias->ndim() == 1 && bias->dim(0) == n));
   if (c->shape() != Shape{m, n}) *c = Tensor({m, n});
-  GemmNTKernel(a.data(), b.data(), c->data(), m, n, k);
+  GemmNTKernel(a.data(), b.data(), c->data(), m, n, k,
+               bias != nullptr ? bias->data() : nullptr);
 }
 
 void GemmTN(const Tensor& a, const Tensor& b, Tensor* c) {
@@ -53,17 +56,6 @@ void Add(const Tensor& a, const Tensor& b, Tensor* out) {
 
 void Scale(Tensor* t, float s) {
   for (int64_t i = 0; i < t->size(); ++i) (*t)[i] *= s;
-}
-
-void AddRowBias(Tensor* mat, const Tensor& bias) {
-  EF_CHECK(mat->ndim() == 2 && bias.ndim() == 1 &&
-           mat->dim(1) == bias.dim(0));
-  const int64_t m = mat->dim(0), n = mat->dim(1);
-  float* __restrict p = mat->data();
-  const float* __restrict pb = bias.data();
-  for (int64_t i = 0; i < m; ++i) {
-    for (int64_t j = 0; j < n; ++j) p[i * n + j] += pb[j];
-  }
 }
 
 }  // namespace tensor

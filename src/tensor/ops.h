@@ -11,9 +11,12 @@ namespace tensor {
 /// size-thresholded multithreading over a shared util::ThreadPool.
 void Gemm(const Tensor& a, const Tensor& b, Tensor* c);
 
-/// C = A(m x k) * B^T where B is (n x k). Weight matrices are stored as
-/// (out x in), so the forward pass of a dense layer is `GemmNT(x, W, &z)`.
-void GemmNT(const Tensor& a, const Tensor& b, Tensor* c);
+/// C = A(m x k) * B^T where B is (n x k), plus a length-n `bias` on every
+/// row when one is given (added in the kernel's store; GemmNTKernel).
+/// Weight matrices are stored as (out x in), so the forward pass of a dense
+/// layer is `GemmNT(x, W, &z, &b)`.
+void GemmNT(const Tensor& a, const Tensor& b, Tensor* c,
+            const Tensor* bias = nullptr);
 
 /// C = A^T(k x m) * B(k x n); used by backprop for weight gradients.
 void GemmTN(const Tensor& a, const Tensor& b, Tensor* c);
@@ -29,9 +32,6 @@ void Add(const Tensor& a, const Tensor& b, Tensor* out);
 
 /// t *= s in place.
 void Scale(Tensor* t, float s);
-
-/// Adds a length-n bias to every row of a (m x n) matrix.
-void AddRowBias(Tensor* mat, const Tensor& bias);
 
 }  // namespace tensor
 }  // namespace errorflow

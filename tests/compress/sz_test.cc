@@ -1,6 +1,9 @@
 #include "compress/sz.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
 
 #include "gtest/gtest.h"
 #include "tensor/norms.h"
@@ -64,6 +67,32 @@ TEST(SzTest, OutliersTakeEscapePath) {
   auto d = sz.Decompress(c->blob);
   ASSERT_TRUE(d.ok());
   EXPECT_LE(std::fabs(d->data.at(16, 16) - 1e9f), 1e-5f + 1e9f * 1e-7f);
+}
+
+// Escaped values are stored as the input floats themselves, so signalling
+// NaNs and NaN payloads come back bit for bit at every optimisation level
+// (a round trip through double would quiet a signalling NaN).
+TEST(SzTest, NanPayloadsRoundTripBitExact) {
+  const uint32_t nan_bits[] = {0x7F800001u, 0xFF800001u, 0x7FA5A5A5u,
+                               0x7FC0BEEFu, 0xFFC01234u, 0x7FFFFFFFu};
+  Tensor data = testing::SmoothField2d(16, 16, 5);
+  for (size_t i = 0; i < std::size(nan_bits); ++i) {
+    std::memcpy(&data[static_cast<int64_t>(i * 41)], &nan_bits[i],
+                sizeof(float));
+  }
+  SzCompressor sz;
+  for (const double eb : {1e-3, 1e-6}) {
+    SCOPED_TRACE(::testing::Message() << "eb=" << eb);
+    auto c = sz.Compress(data, ErrorBound::AbsLinf(eb));
+    ASSERT_TRUE(c.ok()) << c.status().ToString();
+    auto d = sz.Decompress(c->blob);
+    ASSERT_TRUE(d.ok()) << d.status().ToString();
+    for (size_t i = 0; i < std::size(nan_bits); ++i) {
+      uint32_t got;
+      std::memcpy(&got, &d->data[static_cast<int64_t>(i * 41)], sizeof(got));
+      EXPECT_EQ(got, nan_bits[i]) << "element " << i * 41;
+    }
+  }
 }
 
 TEST(SzTest, HigherToleranceHigherRatio) {

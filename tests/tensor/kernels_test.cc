@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -92,8 +93,9 @@ void ExpectClose(const Tensor& got, const Tensor& want, int64_t k) {
 // Shapes chosen to straddle every micro-kernel edge: the 4-row register
 // tile, the 16/8-wide column tiles, the k-unroll of the dot kernels, and
 // the kKc cache block — plus degenerate m=1 / k=1 / tall / skinny cases.
-// The last three are the h2 Dense layers (k = 9, 50; n = 50, 9) at odd
-// row counts, which GemmNT runs on its packed-panel AVX-512 tile.
+// The last five run GemmNT on its packed-panel AVX-512 tile (m >= k): the
+// h2 Dense layers (k = 9, 50; n = 50, 9) at m % 3 = 1, 2, 1 and 0 (the
+// 3-row tile and its one-row tail), and k < 8 with n > 16, n % 16 != 0.
 struct GemmShape {
   int64_t m, n, k;
 };
@@ -102,8 +104,42 @@ const GemmShape kShapes[] = {
     {1, 1, 1},    {1, 7, 1},     {1, 1, 300},  {3, 5, 2},    {4, 16, 8},
     {5, 17, 9},   {7, 23, 31},   {8, 8, 257},  {2, 100, 3},  {100, 2, 3},
     {33, 19, 65}, {64, 48, 129}, {1, 64, 300}, {65, 1, 40},  {31, 127, 63},
-    {37, 50, 9},  {53, 50, 50},  {61, 9, 50},
+    {37, 50, 9},  {53, 50, 50},  {61, 9, 50},  {48, 50, 9},  {30, 33, 5},
 };
+
+// A bias for n columns: normal entries with +0 and -0 among them.
+Tensor SignedZeroBias(int64_t n, util::Rng* rng) {
+  Tensor bias = RandomTensor({n}, rng);
+  bias[0] = 0.0f;
+  bias[n / 2] = -0.0f;
+  return bias;
+}
+
+// The unfused dense forward that GemmNT's bias replaces: `c` (a GemmNT
+// output without bias), then one scalar `c += bias[j]` per element.
+Tensor PlusRowBias(Tensor c, const Tensor& bias) {
+  for (int64_t i = 0; i < c.dim(0); ++i) {
+    for (int64_t j = 0; j < c.dim(1); ++j) c.at(i, j) += bias[j];
+  }
+  return c;
+}
+
+// `a` with +Inf, -Inf, a quiet NaN with a payload and a negative one in
+// rows 0-3 (those that exist), each in a different column, so every
+// output has at most one non-finite term and its bits do not depend on
+// which NaN operand an instruction propagates.
+Tensor WithNonFinite(Tensor a) {
+  const uint32_t nan_bits[] = {0x7FC0BEEFu, 0xFFC01234u};
+  float nans[2];
+  std::memcpy(nans, nan_bits, sizeof(nans));
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(), nans[0],
+                            nans[1]};
+  for (int64_t r = 0; r < std::min<int64_t>(4, a.dim(0)); ++r) {
+    a.at(r, r % a.dim(1)) = specials[r];
+  }
+  return a;
+}
 
 class KernelsTest : public ::testing::Test {
  protected:
@@ -146,37 +182,55 @@ TEST_F(KernelsTest, RandomizedShapesThreaded) {
   testing::ForEachKernelPath([&] { RunAllShapes(); });
 }
 
-TEST_F(KernelsTest, ThreadedMatchesSerialBitExact) {
-  // Row partitioning must not change per-row accumulation order: each C
-  // row is computed by exactly one chunk, so results are bit-identical.
-  util::Rng rng(99);
-  const Tensor a = RandomTensor({67, 129}, &rng);
-  const Tensor b = RandomTensor({129, 45}, &rng);
-  testing::ForEachKernelPath([&] {
-    SetKernelThreads(1);
-    Tensor serial;
-    Gemm(a, b, &serial);
-    SetKernelThreads(4);
-    SetKernelParallelFlopThreshold(1);
-    Tensor threaded;
-    Gemm(a, b, &threaded);
-    SetKernelParallelFlopThreshold(1 << 21);
-    ASSERT_EQ(serial.shape(), threaded.shape());
-    for (int64_t i = 0; i < serial.size(); ++i) {
-      ASSERT_EQ(serial[i], threaded[i]) << "element " << i;
-    }
-  });
-}
-
 bool SameBits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(),
                      static_cast<size_t>(a.size()) * sizeof(float)) == 0;
 }
 
+TEST_F(KernelsTest, ThreadedMatchesSerialBitExact) {
+  // Row partitioning must not change per-row accumulation order: each C
+  // row is computed by exactly one chunk, so results are bit-identical.
+  // The GemmNT cases carry a bias, added in each chunk's own stores: one
+  // below m = k (the dot path), one above (the AVX-512 tile, whose 17- and
+  // 16-row chunks end in one- and two-row tails).
+  util::Rng rng(99);
+  const Tensor a = RandomTensor({67, 129}, &rng);
+  const Tensor b = RandomTensor({129, 45}, &rng);
+  const Tensor bt = RandomTensor({45, 129}, &rng);
+  const Tensor x = RandomTensor({67, 50}, &rng);
+  const Tensor w = RandomTensor({45, 50}, &rng);
+  const Tensor bias = SignedZeroBias(45, &rng);
+  auto run = [&] {
+    std::vector<Tensor> out(5);
+    Gemm(a, b, &out[0]);
+    GemmNT(a, bt, &out[1], &bias);
+    GemmNT(x, w, &out[2], &bias);
+    GemmNT(a, bt, &out[3]);
+    GemmNT(x, w, &out[4]);
+    return out;
+  };
+  testing::ForEachKernelPath([&] {
+    SetKernelThreads(1);
+    const std::vector<Tensor> serial = run();
+    SetKernelThreads(4);
+    SetKernelParallelFlopThreshold(1);
+    const std::vector<Tensor> threaded = run();
+    SetKernelParallelFlopThreshold(1 << 21);
+    for (size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_TRUE(SameBits(serial[i], threaded[i])) << "output " << i;
+    }
+    EXPECT_TRUE(SameBits(threaded[1], PlusRowBias(threaded[3], bias)));
+    EXPECT_TRUE(SameBits(threaded[2], PlusRowBias(threaded[4], bias)));
+  });
+}
+
 // Every kernel path produces the same bits: on every shape, serial and
 // threaded, each path's Gemm, GemmNT, GemmTN, Gemv, GemvT and tanh outputs
 // equal the portable path's, whose arithmetic is written out with std::fma.
+// GemmNT also runs with a bias (±0 entries included) on A as drawn and on
+// A holding ±Inf and NaNs, and on every path equals its own output without
+// the bias followed by a scalar `c += bias[j]`.
 TEST_F(KernelsTest, PathsAreBitIdentical) {
   util::Rng rng(55);
   for (const GemmShape& s : kShapes) {
@@ -188,8 +242,10 @@ TEST_F(KernelsTest, PathsAreBitIdentical) {
     const Tensor at = RandomTensor({s.k, s.m}, &rng);
     const Tensor xk = RandomTensor({s.k}, &rng);
     const Tensor xm = RandomTensor({s.m}, &rng);
+    const Tensor bias = SignedZeroBias(s.n, &rng);
+    const Tensor a_nonfinite = WithNonFinite(a);
     auto run = [&] {
-      std::vector<Tensor> out(6);
+      std::vector<Tensor> out(9);
       Gemm(a, b, &out[0]);
       GemmNT(a, bt, &out[1]);
       GemmTN(at, b, &out[2]);
@@ -197,6 +253,9 @@ TEST_F(KernelsTest, PathsAreBitIdentical) {
       GemvT(a, xm, &out[4]);
       out[5] = Tensor(a.shape());
       TanhKernel(a.data(), out[5].data(), a.size());
+      GemmNT(a_nonfinite, bt, &out[6]);
+      GemmNT(a, bt, &out[7], &bias);
+      GemmNT(a_nonfinite, bt, &out[8], &bias);
       return out;
     };
     for (const bool threaded : {false, true}) {
@@ -210,6 +269,10 @@ TEST_F(KernelsTest, PathsAreBitIdentical) {
           EXPECT_TRUE(SameBits(got[i], want[i]))
               << "output " << i << (threaded ? ", threaded" : ", serial");
         }
+        EXPECT_TRUE(SameBits(got[7], PlusRowBias(got[1], bias)))
+            << "bias" << (threaded ? ", threaded" : ", serial");
+        EXPECT_TRUE(SameBits(got[8], PlusRowBias(got[6], bias)))
+            << "bias, non-finite A" << (threaded ? ", threaded" : ", serial");
       });
     }
   }
@@ -283,7 +346,8 @@ std::vector<float> ReferenceConv(const ConvGeometry& g, const float* weight,
 // input or the output: each geometry's last 16-column block is partial
 // (valid < 16), its input ends (or starts) at a PROT_NONE page and so does
 // its output. Stride 1 with OW == W packs with masked loads that run past
-// the last input float; stride 2 packs with gathers.
+// the last input float; stride 2 packs with gathers. The same holds for
+// GemmNT's bias, A and C (below).
 TEST(ConvKernelBoundsTest, MaskedLoadsStayInsideGuardPages) {
   const ConvGeometry geometries[] = {
       {1, 3, 5, 7, 5, 3, 1, 1},   // 35 columns: last block valid = 3.
@@ -312,6 +376,38 @@ TEST(ConvKernelBoundsTest, MaskedLoadsStayInsideGuardPages) {
         Conv2dKernel(weight.data(), bias.data(), gin.data(), gout.data(), g);
         EXPECT_EQ(
             std::memcmp(gout.data(), want.data(), out_n * sizeof(float)), 0)
+            << (at_end ? "buffers end at a guard page"
+                       : "buffers start at a guard page");
+      });
+    }
+  }
+  // GemmNT with a bias: the AVX-512 tile reads the bias with one masked
+  // load per 16 columns and stores C with masked stores. With n % 16 != 0
+  // the last load and store are partial; the bias, A and C each end (or
+  // start) at a PROT_NONE page. m >= k and a small B keep every shape on
+  // the packed-panel tile.
+  const GemmShape nt_shapes[] = {{7, 9, 5}, {40, 50, 9}, {6, 17, 3}};
+  for (const GemmShape& s : nt_shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "GemmNT m=" << s.m << " n=" << s.n << " k=" << s.k);
+    const Tensor a = testing::RandomTensor({s.m, s.k}, 11);
+    const Tensor bt = testing::RandomTensor({s.n, s.k}, 13);
+    const Tensor bias = testing::RandomTensor({s.n}, 17);
+    Tensor want;
+    GemmNT(a, bt, &want);
+    want = PlusRowBias(std::move(want), bias);
+    for (const bool at_end : {true, false}) {
+      GuardedFloats ga(static_cast<size_t>(s.m * s.k), at_end);
+      GuardedFloats gbias(static_cast<size_t>(s.n), at_end);
+      GuardedFloats gc(static_cast<size_t>(s.m * s.n), at_end);
+      std::memcpy(ga.data(), a.data(), a.size() * sizeof(float));
+      std::memcpy(gbias.data(), bias.data(), bias.size() * sizeof(float));
+      testing::ForEachKernelPath([&] {
+        GemmNTKernel(ga.data(), bt.data(), gc.data(), s.m, s.n, s.k,
+                     gbias.data());
+        EXPECT_EQ(std::memcmp(gc.data(), want.data(),
+                              want.size() * sizeof(float)),
+                  0)
             << (at_end ? "buffers end at a guard page"
                        : "buffers start at a guard page");
       });

@@ -116,11 +116,15 @@ TEST(OpsTest, AddScale) {
   ExpectClose(out, testing::FromValues({5.5, 11, 16.5}), 0);
 }
 
-TEST(OpsTest, AddRowBias) {
-  Tensor m({2, 3}, {0, 0, 0, 1, 1, 1});
-  Tensor bias = testing::FromValues({1, 2, 3});
-  AddRowBias(&m, bias);
-  ExpectClose(m, Tensor({2, 3}, {1, 2, 3, 2, 3, 4}), 0);
+TEST(OpsTest, GemmNTAddsRowBias) {
+  // x (2 x 2) times W^T (W is 3 x 2): rows {0, 0, 0} and {1, 1, 1}, then
+  // bias {1, 2, 3} on every row.
+  const Tensor x({2, 2}, {0, 0, 1, 0});
+  const Tensor w({3, 2}, {1, 0, 1, 0, 1, 0});
+  const Tensor bias = testing::FromValues({1, 2, 3});
+  Tensor y;
+  GemmNT(x, w, &y, &bias);
+  ExpectClose(y, Tensor({2, 3}, {1, 2, 3, 2, 3, 4}), 0);
 }
 
 TEST(OpsTest, GemmAccumulatorResetOnReuse) {
