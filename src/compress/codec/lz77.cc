@@ -19,8 +19,9 @@ constexpr size_t kHashSize = size_t{1} << kHashBits;
 /// pathological inputs (every position hashing to one bucket).
 constexpr int kMaxChain = 256;
 /// Decoders accept distance buckets up to this regardless of the
-/// encoder's window, so differently-configured encoders interoperate.
+/// encoder's window, so streams from a wider-window encoder still decode.
 constexpr uint32_t kMaxDistanceBucket = 20;
+static_assert(Lz77HuffmanCodec::kWindowBits <= kMaxDistanceBucket);
 /// Distance-alphabet escape: "same distance as the previous match". Tiled
 /// scientific fields repeat the row stride as a match distance over and
 /// over; one entropy-coded symbol (no extra bits) instead of a bucket +
@@ -67,10 +68,6 @@ struct Token {
 };
 
 }  // namespace
-
-Lz77HuffmanCodec::Lz77HuffmanCodec(int window_bits)
-    : window_bits_(std::clamp(window_bits, 4,
-                              static_cast<int>(kMaxDistanceBucket))) {}
 
 size_t Lz77HuffmanCodec::CompressBound(size_t n_symbols) const {
   // All-literal parse: context-split Huffman streams cost at most 38 bits
@@ -152,7 +149,7 @@ Status Lz77HuffmanCodec::Encode(const std::vector<uint32_t>& symbols,
     return lit_cost - match_cost;
   };
 
-  const size_t window = size_t{1} << window_bits_;
+  const size_t window = size_t{1} << kWindowBits;
   const size_t window_mask = window - 1;
   std::vector<int64_t> head(kHashSize, -1);
   std::vector<int64_t> prev(window, -1);

@@ -76,14 +76,10 @@ class Lz77HuffmanCodec final : public EntropyCodec {
   /// Longest single match. Caps `count * kMaxMatch` in the decoder's
   /// pre-allocation plausibility bound, and keeps length extra bits <= 12.
   static constexpr size_t kMaxMatch = 4096;
-  /// Default search window: matches reach at most 2^15 symbols back.
-  static constexpr int kDefaultWindowBits = 15;
-
-  /// `window_bits` in [4, 20] selects the match search window (2^bits
-  /// symbols). Decoding accepts any distance the *stream* justifies up to
-  /// 2^20, independent of the encoder's window, so differently-configured
-  /// encoders interoperate.
-  explicit Lz77HuffmanCodec(int window_bits = kDefaultWindowBits);
+  /// Search window: the encoder's matches reach at most 2^15 symbols back.
+  /// Decoding accepts any distance the *stream* justifies up to 2^20,
+  /// independent of this window.
+  static constexpr int kWindowBits = 15;
 
   CodecId id() const override { return CodecId::kLz77Huffman; }
   const char* name() const override { return "lz77"; }
@@ -102,11 +98,6 @@ class Lz77HuffmanCodec final : public EntropyCodec {
       util::BitReader* reader, uint64_t count,
       const util::DecodeLimits& limits = util::DecodeLimits::Default())
       const override;
-
-  int window_bits() const { return window_bits_; }
-
- private:
-  int window_bits_;
 };
 
 }  // namespace compress

@@ -101,18 +101,16 @@ ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
     const int64_t index = (*layer_counter)++;
     const double q = steps[static_cast<size_t>(index)];
     const double sigma_t = sigma + q * pert_sqrt * kInvSqrt3;
-    const double injected =
-        q * noise_sqrt * kInv2Sqrt3 * s.act_norm * layer.activation_gain;
+    const double injected = q * noise_sqrt * kInv2Sqrt3 * s.act_norm;
     FlowState out;
-    out.error = sigma_t * s.error * layer.activation_gain + injected;
-    out.act_norm = sigma_t * s.act_norm * layer.activation_gain;
+    out.error = sigma_t * s.error + injected;
+    out.act_norm = sigma_t * s.act_norm;
     if (!s.contribs.empty()) {
       // The recursion is linear in the error component: scale every
       // tracked share by this layer's multiplier and credit the fresh
       // noise to this layer's slot. Keeps error == sum(contribs).
       out.contribs = std::move(s.contribs);
-      const double mult = sigma_t * layer.activation_gain;
-      for (double& c : out.contribs) c *= mult;
+      for (double& c : out.contribs) c *= sigma_t;
       out.contribs[static_cast<size_t>(index) + 1] += injected;
     }
     return out;
@@ -135,17 +133,15 @@ ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
     shortcut = flow_linear(block.shortcut, in, -1.0);
   }
   FlowState out;
-  out.error = (body.error + shortcut.error) * block.post_activation_gain;
-  out.act_norm =
-      (body.act_norm + shortcut.act_norm) * block.post_activation_gain;
+  out.error = body.error + shortcut.error;
+  out.act_norm = body.act_norm + shortcut.act_norm;
   if (!body.contribs.empty()) {
     // Both paths flowed from the same tracked input, so their shares add
     // slot-by-slot, exactly like the scalar errors above. (Attribution
     // never runs with act_inject, so the additions below stay untracked.)
     out.contribs = std::move(body.contribs);
     for (size_t i = 0; i < out.contribs.size(); ++i) {
-      out.contribs[i] = (out.contribs[i] + shortcut.contribs[i]) *
-                        block.post_activation_gain;
+      out.contribs[i] += shortcut.contribs[i];
     }
   }
   if (act_inject != nullptr && !block.body.empty()) {
@@ -241,7 +237,6 @@ BoundAttribution ErrorFlowAnalysis::Attribution(
     row.quantized_sigma =
         layer.sigma +
         row.step_size * SigmaPertSqrt(layer, layer.n_out) * kInvSqrt3;
-    row.amplification = row.quantized_sigma * layer.activation_gain;
     row.quant_share = out.contribs[i + 1];
     attribution.quant_term += row.quant_share;
     attribution.layers.push_back(std::move(row));

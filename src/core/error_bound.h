@@ -28,13 +28,12 @@ struct LayerAttribution {
   int64_t index = 0;
   /// Plain spectral norm sigma_l.
   double sigma = 0.0;
-  /// Quantized proxy sigma~_l = sigma_l + q_l sqrt(min(n_in,n_out))/sqrt 3.
+  /// Quantized proxy sigma~_l = sigma_l + q_l sqrt(min(n_in,n_out))/sqrt 3:
+  /// the multiplicative amplification applied to anything flowing through
+  /// this layer (the activation after it has C = 1).
   double quantized_sigma = 0.0;
   /// Step size q_l under the attributed steps.
   double step_size = 0.0;
-  /// Per-layer multiplicative amplification applied to anything flowing
-  /// through this layer: sigma~_l * activation_gain.
-  double amplification = 0.0;
   /// Exact additive share of the composed quantization term contributed by
   /// this layer's rounding noise, after amplification by every downstream
   /// layer. Shares over all layers sum to QuantTerm() (fp roundoff aside).
@@ -85,7 +84,8 @@ struct PricedVariant {
 ///
 ///   linear layer l:  E <- sigma~_l E + q_l sqrt(n_l) / (2 sqrt(3)) * H
 ///                    H <- sigma~_l H
-///   activation:      E <- C E,  H <- C H
+///   activation:      (E, H) unchanged (C = 1 for every kind,
+///                    nn/activation.h)
 ///   residual block:  (E, H) <- (E_body + E_shortcut, H_body + H_shortcut)
 ///
 /// with sigma~_l = sigma_l + q_l sqrt(min(n_{l-1}, n_l)) / sqrt(3) the

@@ -2,10 +2,8 @@
 
 #include <cmath>
 
-#include "nn/activation.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
-#include "nn/pool.h"
 #include "nn/residual.h"
 #include "tensor/norms.h"
 #include "util/macros.h"
@@ -56,8 +54,10 @@ LayerProfile ProfileConv(const nn::Conv2dLayer& c, const Shape& in_shape) {
   return p;
 }
 
-// Profiles a flat list of layers into (linear layers + absorbed
-// activation/pool gains). Updates `shape` through every layer.
+// Profiles a flat list of layers into its linear layers. Activations have
+// derivative bound C = 1 (nn/activation.h) and global average pooling is a
+// contraction, so both pass error through with gain 1 and only change the
+// shape. Updates `shape` through every layer.
 void ProfileChain(const std::vector<std::unique_ptr<Layer>>& layers,
                   Shape* shape, std::vector<LayerProfile>* out,
                   std::vector<BlockProfile>* blocks);
@@ -81,11 +81,6 @@ BlockProfile ProfileResidual(const nn::ResidualBlock& block, Shape* shape) {
       EF_CHECK(false && "unsupported shortcut layer");
     }
   }
-  if (const auto* act = dynamic_cast<const nn::ActivationLayer*>(
-          block.post_activation())) {
-    bp.post_activation_gain =
-        nn::ActivationDerivativeBound(act->activation_kind());
-  }
   return bp;
 }
 
@@ -104,19 +99,6 @@ void ProfileChain(const std::vector<std::unique_ptr<Layer>>& layers,
             *static_cast<const nn::Conv2dLayer*>(layer.get()), *shape));
         break;
       }
-      case LayerKind::kActivation: {
-        const auto* act =
-            static_cast<const nn::ActivationLayer*>(layer.get());
-        const double c =
-            nn::ActivationDerivativeBound(act->activation_kind());
-        if (!out->empty()) {
-          out->back().activation_gain *= c;
-        }
-        // A leading activation (before any linear layer) is a gain-c map
-        // on the input; fold it into the next layer via a pseudo entry.
-        // In practice our builders never emit that pattern.
-        break;
-      }
       case LayerKind::kResidualBlock: {
         EF_CHECK(blocks != nullptr &&
                  "residual block inside a residual body");
@@ -133,11 +115,8 @@ void ProfileChain(const std::vector<std::unique_ptr<Layer>>& layers,
         // ProfileResidual advanced the body shape; nothing more to do.
         continue;  // Shape already updated inside.
       }
+      case LayerKind::kActivation:
       case LayerKind::kGlobalAvgPool:
-      case LayerKind::kAvgPool2d:
-      case LayerKind::kFlatten:
-        // Linear contractions (operator norm <= 1): conservatively treated
-        // as gain-1 pass-throughs; only the shape changes.
         break;
     }
     *shape = layer->OutputShape(*shape);

@@ -21,9 +21,6 @@ struct LayerProfile {
   /// Flattened input/output element counts (n_{l-1}, n_l in the paper).
   int64_t n_in = 0;
   int64_t n_out = 0;
-  /// Derivative bound C of the activation applied after this layer
-  /// (1 for none/ReLU/Tanh/PReLU; 1.129 for GeLU).
-  double activation_gain = 1.0;
   /// Copy of the weight tensor, used for Table-I step sizes.
   tensor::Tensor weight;
   /// sqrt-factor of the CLT quantization-noise term,
@@ -52,8 +49,6 @@ struct BlockProfile {
   /// shortcut at all (sigma_s == 0 in the paper's convention).
   bool has_projection = false;
   LayerProfile shortcut;  // Valid when has_projection.
-  /// Derivative bound of the post-addition activation.
-  double post_activation_gain = 1.0;
 };
 
 /// \brief Full spectral profile of a model: everything Eq. (3) needs.

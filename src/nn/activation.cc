@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 
 #include "tensor/kernels.h"
@@ -12,23 +11,6 @@ namespace errorflow {
 namespace nn {
 
 namespace {
-
-// GeLU (tanh approximation) and its derivative.
-float Gelu(float x) {
-  const float kC = 0.7978845608f;  // sqrt(2/pi)
-  const float inner = kC * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
-}
-
-float GeluGrad(float x) {
-  const float kC = 0.7978845608f;
-  const float x3 = x * x * x;
-  const float inner = kC * (x + 0.044715f * x3);
-  const float t = std::tanh(inner);
-  const float sech2 = 1.0f - t * t;
-  return 0.5f * (1.0f + t) +
-         0.5f * x * sech2 * kC * (1.0f + 3.0f * 0.044715f * x * x);
-}
 
 // y[i] = f(x[i]). GCC's -O2 vectorizer takes a loop only when it needs
 // neither an alias check nor a scalar epilogue, hence __restrict and a main
@@ -46,33 +28,12 @@ const char* ActivationKindToString(ActivationKind kind) {
   switch (kind) {
     case ActivationKind::kReLU:
       return "ReLU";
-    case ActivationKind::kLeakyReLU:
-      return "LeakyReLU";
     case ActivationKind::kPReLU:
       return "PReLU";
     case ActivationKind::kTanh:
       return "Tanh";
-    case ActivationKind::kGeLU:
-      return "GeLU";
-    case ActivationKind::kIdentity:
-      return "Identity";
   }
   return "Unknown";
-}
-
-double ActivationDerivativeBound(ActivationKind kind) {
-  switch (kind) {
-    case ActivationKind::kGeLU:
-      // max |GeLU'(x)| ~= 1.1289 near x ~ 1.06 (tanh approximation).
-      return 1.1290;
-    case ActivationKind::kReLU:
-    case ActivationKind::kLeakyReLU:
-    case ActivationKind::kPReLU:
-    case ActivationKind::kTanh:
-    case ActivationKind::kIdentity:
-      return 1.0;
-  }
-  return 1.0;
 }
 
 ActivationLayer::ActivationLayer(ActivationKind kind, float leaky_slope)
@@ -100,7 +61,6 @@ void ActivationLayer::Forward(const Tensor& input, Tensor* output,
     case ActivationKind::kReLU:
       Map(x, y, n, [](float v) { return v > 0.0f ? v : 0.0f; });
       return;
-    case ActivationKind::kLeakyReLU:
     case ActivationKind::kPReLU:
       // v > 0 ? v : a * v as a bit blend: -O2 does not if-convert a select
       // whose arm can raise a floating-point exception, but it vectorizes
@@ -113,12 +73,6 @@ void ActivationLayer::Forward(const Tensor& input, Tensor* output,
       return;
     case ActivationKind::kTanh:
       tensor::TanhKernel(x, y, n);
-      return;
-    case ActivationKind::kGeLU:
-      Map(x, y, n, Gelu);
-      return;
-    case ActivationKind::kIdentity:
-      std::copy(x, x + n, y);
       return;
   }
 }
@@ -138,11 +92,6 @@ void ActivationLayer::Backward(const Tensor& grad_output,
     case ActivationKind::kReLU:
       for (int64_t i = 0; i < n; ++i) {
         gi[i] = g[i] * (x[i] > 0.0f ? 1.0f : 0.0f);
-      }
-      return;
-    case ActivationKind::kLeakyReLU:
-      for (int64_t i = 0; i < n; ++i) {
-        gi[i] = g[i] * (x[i] > 0.0f ? 1.0f : a);
       }
       return;
     case ActivationKind::kPReLU: {
@@ -168,12 +117,6 @@ void ActivationLayer::Backward(const Tensor& grad_output,
       }
       return;
     }
-    case ActivationKind::kGeLU:
-      for (int64_t i = 0; i < n; ++i) gi[i] = g[i] * GeluGrad(x[i]);
-      return;
-    case ActivationKind::kIdentity:
-      for (int64_t i = 0; i < n; ++i) gi[i] = g[i] * 1.0f;
-      return;
   }
 }
 

@@ -11,24 +11,21 @@ namespace nn {
 
 /// \brief Supported nonlinearities.
 ///
-/// All of these have first derivative globally bounded by 1 (the constant C
-/// of Sec. III-A), which the error-flow analysis relies on. PReLU keeps its
-/// learnable slope clamped to [0, 1] for the same reason.
+/// Contract: every kind has first derivative globally bounded by 1 (the
+/// constant C of Sec. III-A), so the error-flow analysis carries no
+/// per-activation gain. PReLU keeps its learnable slope clamped to [0, 1]
+/// for the same reason. A new kind must keep |phi'| <= 1; DerivativeBoundTest
+/// checks every kind.
+///
+/// The values are the model file's activation byte (docs/FORMATS.md); 1, 4
+/// and 5 are retired kinds and load as Corruption.
 enum class ActivationKind {
-  kReLU,
-  kLeakyReLU,
-  kPReLU,
-  kTanh,
-  kGeLU,
-  kIdentity,
+  kReLU = 0,
+  kPReLU = 2,
+  kTanh = 3,
 };
 
 const char* ActivationKindToString(ActivationKind kind);
-
-/// \brief Upper bound on |phi'(z)| over all z for the given activation.
-/// Returns 1.0 for every supported kind (GeLU's derivative peaks at ~1.13;
-/// we report that exact constant so bounds remain safe).
-double ActivationDerivativeBound(ActivationKind kind);
 
 /// \brief Elementwise activation layer.
 ///
@@ -36,6 +33,7 @@ double ActivationDerivativeBound(ActivationKind kind);
 /// [0,1] after each optimizer step by the trainer so that C = 1 holds).
 class ActivationLayer : public Layer {
  public:
+  /// `leaky_slope` is PReLU's initial slope; other kinds ignore it.
   explicit ActivationLayer(ActivationKind kind, float leaky_slope = 0.01f);
 
   LayerKind kind() const override { return LayerKind::kActivation; }
@@ -50,14 +48,14 @@ class ActivationLayer : public Layer {
     return input_shape;
   }
 
-  /// Learnable PReLU slope (fixed slope for LeakyReLU).
+  /// Learnable PReLU slope.
   float slope() const { return slope_[0]; }
   /// Clamps the PReLU slope into [0, 1]; called by the trainer after steps.
   void ClampSlope();
 
  private:
   ActivationKind kind_;
-  Tensor slope_;       // 1-element tensor (PReLU learnable / leaky fixed).
+  Tensor slope_;       // 1-element tensor (PReLU's learnable slope).
   Tensor slope_grad_;  // gradient accumulator for PReLU.
   Tensor cached_input_;
 };

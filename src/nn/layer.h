@@ -33,8 +33,6 @@ enum class LayerKind {
   kActivation,
   kResidualBlock,
   kGlobalAvgPool,
-  kFlatten,
-  kAvgPool2d,
 };
 
 /// \brief Base class for all network layers.

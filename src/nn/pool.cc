@@ -1,23 +1,14 @@
 #include "nn/pool.h"
 
-#include <cstring>
-
 #include "tensor/kernels.h"
-#include "util/string_util.h"
 
 namespace errorflow {
 namespace nn {
 
 namespace {
 
-// Allocation-free rank-4 shape test (a Shape temporary would heap-allocate
+// Allocation-free rank-2 shape test (a Shape temporary would heap-allocate
 // on every Forward, breaking the steady-state zero-allocation contract).
-bool ShapeIs4(const Tensor& t, int64_t d0, int64_t d1, int64_t d2,
-              int64_t d3) {
-  return t.ndim() == 4 && t.dim(0) == d0 && t.dim(1) == d1 &&
-         t.dim(2) == d2 && t.dim(3) == d3;
-}
-
 bool ShapeIs2(const Tensor& t, int64_t d0, int64_t d1) {
   return t.ndim() == 2 && t.dim(0) == d0 && t.dim(1) == d1;
 }
@@ -38,93 +29,6 @@ void ForEachPlane(int64_t planes, int64_t flops, const Body& body) {
 }
 
 }  // namespace
-
-AvgPool2dLayer::AvgPool2dLayer(int window) : window_(window) {
-  EF_CHECK(window >= 1);
-}
-
-std::string AvgPool2dLayer::ToString() const {
-  return util::StrFormat("AvgPool2d(%d)", window_);
-}
-
-void AvgPool2dLayer::Forward(const Tensor& input, Tensor* output,
-                             bool training) {
-  EF_CHECK(input.ndim() == 4);
-  const int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2),
-                w = input.dim(3);
-  const int64_t oh = h / window_, ow = w / window_;
-  EF_CHECK(oh > 0 && ow > 0);
-  if (!ShapeIs4(*output, n, c, oh, ow)) {
-    *output = Tensor({n, c, oh, ow});
-  }
-  const int win = window_;
-  const float inv = 1.0f / static_cast<float>(win * win);
-  const float* in = input.data();
-  float* out = output->data();
-  // One add per input element: n*c*h*w flops per pass.
-  ForEachPlane(n * c, n * c * h * w, [=](int64_t p0, int64_t p1) {
-    for (int64_t plane = p0; plane < p1; ++plane) {
-      const float* src = in + plane * h * w;
-      float* dst = out + plane * oh * ow;
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        const float* rows = src + oy * win * w;
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          const float* win0 = rows + ox * win;
-          float acc = 0.0f;
-          // Same ky/kx accumulation order as the scalar seed path so the
-          // rewrite is bit-identical.
-          for (int ky = 0; ky < win; ++ky) {
-            const float* row = win0 + ky * w;
-            for (int kx = 0; kx < win; ++kx) acc += row[kx];
-          }
-          dst[oy * ow + ox] = acc * inv;
-        }
-      }
-    }
-  });
-  if (training) cached_input_shape_ = input.shape();
-}
-
-void AvgPool2dLayer::Backward(const Tensor& grad_output, Tensor* grad_input) {
-  const Shape& in_shape = cached_input_shape_;
-  if (grad_input->shape() != in_shape) *grad_input = Tensor(in_shape);
-  const int64_t n = in_shape[0], c = in_shape[1], h = in_shape[2],
-                w = in_shape[3];
-  const int64_t oh = grad_output.dim(2), ow = grad_output.dim(3);
-  const int win = window_;
-  const float inv = 1.0f / static_cast<float>(win * win);
-  const float* go = grad_output.data();
-  float* gi = grad_input->data();
-  ForEachPlane(n * c, n * c * h * w, [=](int64_t p0, int64_t p1) {
-    for (int64_t plane = p0; plane < p1; ++plane) {
-      const float* src = go + plane * oh * ow;
-      float* dst = gi + plane * h * w;
-      // Each chunk zeroes the planes it owns, so threading stays
-      // bit-identical and grad_input needs no global Fill.
-      std::memset(dst, 0, static_cast<size_t>(h) * w * sizeof(float));
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        float* rows = dst + oy * win * w;
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          const float g = src[oy * ow + ox] * inv;
-          float* win0 = rows + ox * win;
-          for (int ky = 0; ky < win; ++ky) {
-            float* row = win0 + ky * w;
-            for (int kx = 0; kx < win; ++kx) row[kx] += g;
-          }
-        }
-      }
-    }
-  });
-}
-
-std::unique_ptr<Layer> AvgPool2dLayer::Clone() const {
-  return std::make_unique<AvgPool2dLayer>(window_);
-}
-
-Shape AvgPool2dLayer::OutputShape(const Shape& s) const {
-  EF_CHECK(s.size() == 4);
-  return {s[0], s[1], s[2] / window_, s[3] / window_};
-}
 
 void GlobalAvgPoolLayer::Forward(const Tensor& input, Tensor* output,
                                  bool training) {
@@ -171,30 +75,6 @@ std::unique_ptr<Layer> GlobalAvgPoolLayer::Clone() const {
 Shape GlobalAvgPoolLayer::OutputShape(const Shape& s) const {
   EF_CHECK(s.size() == 4);
   return {s[0], s[1]};
-}
-
-void FlattenLayer::Forward(const Tensor& input, Tensor* output,
-                           bool training) {
-  EF_CHECK(input.ndim() >= 2);
-  const int64_t n = input.dim(0);
-  const int64_t features = input.size() / n;
-  *output = Tensor({n, features}, input.values());
-  if (training) cached_input_shape_ = input.shape();
-}
-
-void FlattenLayer::Backward(const Tensor& grad_output, Tensor* grad_input) {
-  *grad_input = Tensor(cached_input_shape_, grad_output.values());
-}
-
-std::unique_ptr<Layer> FlattenLayer::Clone() const {
-  return std::make_unique<FlattenLayer>();
-}
-
-Shape FlattenLayer::OutputShape(const Shape& s) const {
-  EF_CHECK(s.size() >= 2);
-  int64_t features = 1;
-  for (size_t i = 1; i < s.size(); ++i) features *= s[i];
-  return {s[0], features};
 }
 
 }  // namespace nn

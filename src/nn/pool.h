@@ -9,48 +9,15 @@
 namespace errorflow {
 namespace nn {
 
-/// \brief Non-overlapping average pooling over square windows (NCHW).
+/// \brief Global average pooling: (N, C, H, W) -> (N, C).
 ///
 /// Averaging is a linear contraction (operator norm <= 1), so it never
-/// amplifies propagated error — the error-flow profiler treats it as a
+/// amplifies propagated error: the error-flow profiler treats it as a
 /// gain-1 pass-through, which is conservative.
-class AvgPool2dLayer : public Layer {
- public:
-  explicit AvgPool2dLayer(int window);
-
-  LayerKind kind() const override { return LayerKind::kAvgPool2d; }
-  std::string ToString() const override;
-  void Forward(const Tensor& input, Tensor* output, bool training) override;
-  void Backward(const Tensor& grad_output, Tensor* grad_input) override;
-  std::unique_ptr<Layer> Clone() const override;
-  Shape OutputShape(const Shape& input_shape) const override;
-
-  int window() const { return window_; }
-
- private:
-  int window_;
-  Shape cached_input_shape_;
-};
-
-/// \brief Global average pooling: (N, C, H, W) -> (N, C).
 class GlobalAvgPoolLayer : public Layer {
  public:
   LayerKind kind() const override { return LayerKind::kGlobalAvgPool; }
   std::string ToString() const override { return "GlobalAvgPool"; }
-  void Forward(const Tensor& input, Tensor* output, bool training) override;
-  void Backward(const Tensor& grad_output, Tensor* grad_input) override;
-  std::unique_ptr<Layer> Clone() const override;
-  Shape OutputShape(const Shape& input_shape) const override;
-
- private:
-  Shape cached_input_shape_;
-};
-
-/// \brief Flattens (N, C, H, W) (or any rank >= 2) to (N, features).
-class FlattenLayer : public Layer {
- public:
-  LayerKind kind() const override { return LayerKind::kFlatten; }
-  std::string ToString() const override { return "Flatten"; }
   void Forward(const Tensor& input, Tensor* output, bool training) override;
   void Backward(const Tensor& grad_output, Tensor* grad_input) override;
   std::unique_ptr<Layer> Clone() const override;

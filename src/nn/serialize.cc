@@ -18,14 +18,14 @@ namespace {
 
 constexpr char kMagic[4] = {'E', 'F', 'M', '1'};
 
+// Tags 5 (AvgPool2d) and 7 (Flatten) are retired: they load as an unknown
+// tag.
 enum LayerTag : uint8_t {
   kTagDense = 1,
   kTagConv2d = 2,
   kTagActivation = 3,
   kTagResidual = 4,
-  kTagAvgPool = 5,
   kTagGlobalAvgPool = 6,
-  kTagFlatten = 7,
 };
 
 class Writer {
@@ -186,17 +186,8 @@ void WriteLayer(const Layer* layer, Writer* w) {
           post != nullptr ? post->activation_kind() : ActivationKind::kReLU));
       return;
     }
-    case LayerKind::kAvgPool2d: {
-      const auto* p = static_cast<const AvgPool2dLayer*>(layer);
-      w->PutU8(kTagAvgPool);
-      w->PutI64(p->window());
-      return;
-    }
     case LayerKind::kGlobalAvgPool:
       w->PutU8(kTagGlobalAvgPool);
-      return;
-    case LayerKind::kFlatten:
-      w->PutU8(kTagFlatten);
       return;
   }
   EF_CHECK(false);
@@ -217,15 +208,19 @@ Result<std::vector<std::unique_ptr<Layer>>> ReadLayerList(Reader* r) {
   return layers;
 }
 
-// Reads an activation-kind byte; a value past the last enumerator is
-// corruption, so layers never hold a kind their dispatch does not know.
+// Reads an activation-kind byte; any value that is not an enumerator
+// (including the retired kinds 1, 4 and 5) is corruption, so layers never
+// hold a kind their dispatch does not know.
 Result<ActivationKind> GetActivationKind(Reader* r) {
   EF_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
-  if (kind > static_cast<uint8_t>(ActivationKind::kIdentity)) {
-    return Status::Corruption(
-        util::StrFormat("unknown activation kind %d", kind));
+  switch (static_cast<ActivationKind>(kind)) {
+    case ActivationKind::kReLU:
+    case ActivationKind::kPReLU:
+    case ActivationKind::kTanh:
+      return static_cast<ActivationKind>(kind);
   }
-  return static_cast<ActivationKind>(kind);
+  return Status::Corruption(
+      util::StrFormat("unknown activation kind %d", kind));
 }
 
 // Upper bound on any single layer dimension read from a (possibly
@@ -304,18 +299,8 @@ Result<std::unique_ptr<Layer>> ReadLayer(Reader* r) {
       return std::unique_ptr<Layer>(std::make_unique<ResidualBlock>(
           std::move(body), std::move(shortcut), std::move(post)));
     }
-    case kTagAvgPool: {
-      EF_ASSIGN_OR_RETURN(int64_t window, r->GetI64());
-      if (window < 1 || window > 1024) {
-        return Status::Corruption("pool window out of range");
-      }
-      return std::unique_ptr<Layer>(
-          std::make_unique<AvgPool2dLayer>(static_cast<int>(window)));
-    }
     case kTagGlobalAvgPool:
       return std::unique_ptr<Layer>(std::make_unique<GlobalAvgPoolLayer>());
-    case kTagFlatten:
-      return std::unique_ptr<Layer>(std::make_unique<FlattenLayer>());
     default:
       return Status::Corruption(
           util::StrFormat("unknown layer tag %d", tag));

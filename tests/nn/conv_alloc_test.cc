@@ -120,7 +120,7 @@ TEST_F(ConvAllocTest, SteadyStateTrainingStepAllocFree) {
 }
 
 TEST_F(ConvAllocTest, SteadyStatePoolForwardBackwardAllocFree) {
-  AvgPool2dLayer pool(2);
+  GlobalAvgPoolLayer pool;
   const Tensor x = testing::RandomTensor({4, 6, 8, 8}, 11);
   Tensor out, grad_out, grad_in;
   for (int i = 0; i < 2; ++i) {

@@ -307,59 +307,6 @@ TEST_F(ConvBatchedTest, TrainingForwardCachesColumnsForBackward) {
 
 // --- Pool equivalence -----------------------------------------------------
 
-Tensor NaiveAvgPoolForward(const Tensor& in, int win) {
-  const int64_t n = in.dim(0), c = in.dim(1), h = in.dim(2), w = in.dim(3);
-  const int64_t oh = h / win, ow = w / win;
-  Tensor out({n, c, oh, ow});
-  const float inv = 1.0f / static_cast<float>(win * win);
-  for (int64_t img = 0; img < n; ++img) {
-    for (int64_t ch = 0; ch < c; ++ch) {
-      for (int64_t oy = 0; oy < oh; ++oy) {
-        for (int64_t ox = 0; ox < ow; ++ox) {
-          float acc = 0.0f;
-          for (int ky = 0; ky < win; ++ky) {
-            for (int kx = 0; kx < win; ++kx) {
-              acc += in.at4(img, ch, oy * win + ky, ox * win + kx);
-            }
-          }
-          out.at4(img, ch, oy, ox) = acc * inv;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-TEST_F(ConvBatchedTest, AvgPoolForwardBitExactMatchesScalarReference) {
-  for (const int win : {1, 2, 3}) {
-    AvgPool2dLayer pool(win);
-    const Tensor x = testing::RandomTensor({3, 4, 9, 6}, 19);
-    Tensor out;
-    pool.Forward(x, &out, false);
-    ExpectBitIdentical(NaiveAvgPoolForward(x, win), out);
-  }
-}
-
-TEST_F(ConvBatchedTest, AvgPoolThreadedMatchesSerialBitExact) {
-  AvgPool2dLayer pool(2);
-  const Tensor x = testing::RandomTensor({4, 5, 8, 8}, 21);
-  tensor::SetKernelThreads(1);
-  Tensor serial, gserial;
-  pool.Forward(x, &serial, true);
-  Tensor grad_out(serial.shape());
-  for (int64_t i = 0; i < grad_out.size(); ++i) {
-    grad_out[i] = 0.1f * static_cast<float>(i % 7);
-  }
-  pool.Backward(grad_out, &gserial);
-  tensor::SetKernelThreads(4);
-  tensor::SetKernelParallelFlopThreshold(1);
-  Tensor threaded, gthreaded;
-  pool.Forward(x, &threaded, true);
-  pool.Backward(grad_out, &gthreaded);
-  ExpectBitIdentical(serial, threaded);
-  ExpectBitIdentical(gserial, gthreaded);
-}
-
 TEST_F(ConvBatchedTest, GlobalAvgPoolThreadedMatchesSerialBitExact) {
   GlobalAvgPoolLayer gap;
   const Tensor x = testing::RandomTensor({6, 8, 7, 7}, 27);

@@ -18,9 +18,10 @@ namespace errorflow {
 namespace nn {
 namespace {
 
-// A ResNet exercises every serializable layer type: Dense, Conv2d,
-// Activation, ResidualBlock (with and without projection shortcut),
-// AvgPool2d, GlobalAvgPool, and Flatten.
+// The two samples exercise every serializable layer type and activation
+// kind: the ResNet has Conv2d, ReLU activations, ResidualBlock (with and
+// without projection shortcut), GlobalAvgPool and Dense; the MLP has PSN
+// Dense layers and PReLU.
 Model SampleResNet() {
   ResNetConfig cfg;
   cfg.in_channels = 2;
@@ -36,6 +37,7 @@ Model SampleMlp() {
   cfg.input_dim = 5;
   cfg.hidden_dims = {7, 6};
   cfg.output_dim = 3;
+  cfg.activation = ActivationKind::kPReLU;
   cfg.use_psn = true;
   cfg.seed = 3;
   return BuildMlp(cfg);
@@ -159,28 +161,51 @@ TEST(SerializeRegressionTest, HugeDenseHeaderWithTinyWeightRejected) {
   EXPECT_LT(testing::MaxSingleAllocBytes(), uint64_t{1} << 20);
 }
 
-// Activation-kind bytes past the last kind are corruption, both on an
-// activation layer and on a residual block's post-activation.
-TEST(SerializeRegressionTest, UnknownActivationKindRejected) {
-  BlobBuilder layer;
-  layer.I64(0).I64(1);
-  layer.U8(3);    // kTagActivation.
-  layer.U8(200);  // Kind.
-  layer.F32(0.0f);
-  auto result = DeserializeModel(layer.str());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+// `blob` fails to load as Corruption, with a message that names `what`.
+void ExpectCorruptionNaming(const std::string& blob, const std::string& what) {
+  auto result = DeserializeModel(blob);
+  ASSERT_FALSE(result.ok()) << what;
+  EXPECT_EQ(result.status().code(), StatusCode::kCorruption) << what;
+  EXPECT_NE(result.status().message().find(what), std::string::npos)
+      << result.status().ToString();
+}
 
-  BlobBuilder block;
-  block.I64(0).I64(1);
-  block.U8(4);    // kTagResidual.
-  block.I64(0);   // Empty body.
-  block.U8(0);    // No shortcut.
-  block.U8(1);    // Has a post-activation...
-  block.U8(200);  // ...of kind 200.
-  result = DeserializeModel(block.str());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCorruption);
+// Activation-kind bytes that name no kind are corruption, both on an
+// activation layer and on a residual block's post-activation. Kinds 1
+// (LeakyReLU), 4 (GeLU) and 5 (Identity) are retired and fail like any
+// other such byte.
+TEST(SerializeRegressionTest, UnknownActivationKindRejected) {
+  for (const int kind : {1, 4, 5, 6, 200}) {
+    const std::string what = "unknown activation kind " + std::to_string(kind);
+    BlobBuilder layer;
+    layer.I64(0).I64(1);
+    layer.U8(3);     // kTagActivation.
+    layer.U8(static_cast<uint8_t>(kind));
+    layer.F32(0.0f);
+    ExpectCorruptionNaming(layer.str(), what);
+
+    BlobBuilder block;
+    block.I64(0).I64(1);
+    block.U8(4);     // kTagResidual.
+    block.I64(0);    // Empty body.
+    block.U8(0);     // No shortcut.
+    block.U8(1);     // Has a post-activation...
+    block.U8(static_cast<uint8_t>(kind));  // ...of this kind.
+    ExpectCorruptionNaming(block.str(), what);
+  }
+}
+
+// Tags 5 (AvgPool2d, with its i64 window) and 7 (Flatten) are retired.
+TEST(SerializeRegressionTest, RetiredLayerTagsRejected) {
+  BlobBuilder pool;
+  pool.I64(0).I64(1);
+  pool.U8(5).I64(2);
+  ExpectCorruptionNaming(pool.str(), "unknown layer tag 5");
+
+  BlobBuilder flatten;
+  flatten.I64(0).I64(1);
+  flatten.U8(7);
+  ExpectCorruptionNaming(flatten.str(), "unknown layer tag 7");
 }
 
 // A zero-element tensor decodes without touching its (null) buffer; the

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "nn/builders.h"
@@ -102,6 +104,61 @@ TEST(SerializeTest, SaveLoadFile) {
   const Tensor x = testing::RandomTensor({1, 5}, 4);
   ExpectSamePredictions(m, *loaded, x);
   std::remove(path.c_str());
+}
+
+uint64_t BytesDigest(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (const char c : bytes) {
+    h ^= static_cast<uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// The three task architectures (src/tasks/tasks.cc) as freshly built PSN
+// models, serialized bytes pinned by digest. A model stored by an earlier
+// build (ef_model_cache/) keeps loading only while the layer tags and the
+// activation-kind bytes stay where they are. Each also re-serializes byte
+// for byte after a load.
+TEST(SerializeTest, TaskModelBytesPinned) {
+  MlpConfig h2;
+  h2.name = "h2-mlp";
+  h2.input_dim = 9;
+  h2.hidden_dims = {50, 50};
+  h2.output_dim = 9;
+  h2.activation = ActivationKind::kTanh;
+  h2.use_psn = true;
+  h2.seed = 1;
+  MlpConfig borghesi;
+  borghesi.name = "borghesi-mlp";
+  borghesi.input_dim = 13;
+  borghesi.hidden_dims = std::vector<int64_t>(8, 40);
+  borghesi.output_dim = 3;
+  borghesi.activation = ActivationKind::kPReLU;
+  borghesi.use_psn = true;
+  borghesi.seed = 1;
+  ResNetConfig eurosat;
+  eurosat.name = "eurosat-resnet18";
+  eurosat.in_channels = 13;
+  eurosat.num_classes = 10;
+  eurosat.stage_channels = {8, 16, 32, 64};
+  eurosat.stage_blocks = {2, 2, 2, 2};
+  eurosat.activation = ActivationKind::kReLU;
+  eurosat.use_psn = true;
+  eurosat.seed = 1;
+  const std::pair<Model, uint64_t> cases[] = {
+      {BuildMlp(h2), 0x2e3789cabab8acd6ull},
+      {BuildMlp(borghesi), 0x6bf13b7b79007de2ull},
+      {BuildResNet(eurosat), 0x9d7e4feb4a22fc50ull},
+  };
+  for (const auto& [model, digest] : cases) {
+    const std::string bytes = SerializeModel(model);
+    EXPECT_EQ(BytesDigest(bytes), digest)
+        << model.name() << std::hex << " 0x" << BytesDigest(bytes);
+    auto loaded = DeserializeModel(bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(SerializeModel(*loaded), bytes) << model.name();
+  }
 }
 
 TEST(SerializeTest, LoadMissingFileIsIOError) {

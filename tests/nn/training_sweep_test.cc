@@ -77,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(
       for (Opt opt : {Opt::kSgd, Opt::kAdam}) {
         for (ActivationKind act :
              {ActivationKind::kTanh, ActivationKind::kReLU,
-              ActivationKind::kPReLU, ActivationKind::kGeLU}) {
+              ActivationKind::kPReLU}) {
           for (bool psn : {false, true}) {
             params.push_back({opt, act, psn});
           }

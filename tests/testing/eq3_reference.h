@@ -47,7 +47,7 @@ inline double Eq3BoundL2(const core::ErrorFlowAnalysis& analysis,
   // First term: (sigma_s + prod sigma_l) * ||Delta x||.
   double prod_sigma = 1.0;
   for (const core::LayerProfile& l : block.body) {
-    prod_sigma *= l.sigma * l.activation_gain;
+    prod_sigma *= l.sigma;
   }
   double bound = (sigma_s + prod_sigma) * input_l2_err;
 
@@ -59,17 +59,16 @@ inline double Eq3BoundL2(const core::ErrorFlowAnalysis& analysis,
     double prefix = 1.0;  // prod_{i<l} (sigma_i + q_i sqrt(min)/sqrt 3)
     for (size_t i = 0; i < l; ++i) {
       const core::LayerProfile& layer = block.body[i];
-      prefix *= (layer.sigma + steps[i] * sigma_pert_sqrt(layer) * kInvSqrt3) *
-                layer.activation_gain;
+      prefix *= layer.sigma + steps[i] * sigma_pert_sqrt(layer) * kInvSqrt3;
     }
     double suffix = 1.0;  // prod_{j>l} sigma_j (plain, as printed).
     for (size_t j = l + 1; j < num_layers; ++j) {
-      suffix *= block.body[j].sigma * block.body[j].activation_gain;
+      suffix *= block.body[j].sigma;
     }
     bound += prefix * suffix * steps[l] * std::sqrt(n0) *
              noise_sqrt(block.body[l]) * kInv2Sqrt3;
   }
-  return bound * block.post_activation_gain;
+  return bound;
 }
 
 }  // namespace testing

@@ -246,7 +246,7 @@ int CmdBound(const Args& args) {
           "(%5.1f%%)\n",
           static_cast<long long>(row.index),
           row.layer.substr(0, 26).c_str(), row.step_size, row.sigma,
-          row.amplification, row.quant_share, pct);
+          row.quantized_sigma, row.quant_share, pct);
     }
     std::printf("  total                  : %.6e\n", att.total);
   }
