@@ -17,18 +17,6 @@ namespace nn {
 
 namespace {
 
-// Allocation-free rank-4 shape test (constructing a Shape temporary would
-// heap-allocate on every Forward).
-bool ShapeIs4(const Tensor& t, int64_t d0, int64_t d1, int64_t d2,
-              int64_t d3) {
-  return t.ndim() == 4 && t.dim(0) == d0 && t.dim(1) == d1 &&
-         t.dim(2) == d2 && t.dim(3) == d3;
-}
-
-bool ShapeIs2(const Tensor& t, int64_t d0, int64_t d1) {
-  return t.ndim() == 2 && t.dim(0) == d0 && t.dim(1) == d1;
-}
-
 // Thread-local grow-only column matrix for the calibration observer and
 // the operator-norm transpose: those paths must be lock-free across
 // threads sharing one layer AND allocation-free in steady state, so each
@@ -274,7 +262,7 @@ void Conv2dLayer::Forward(const Tensor& input, Tensor* output,
   const tensor::ConvGeometry geom = Geometry(n, h, w);
   const int64_t oh = geom.oh(), ow = geom.ow();
   EF_CHECK(oh > 0 && ow > 0);
-  if (!ShapeIs4(*output, n, out_channels_, oh, ow)) {
+  if (!output->HasShape({n, out_channels_, oh, ow})) {
     *output = Tensor({n, out_channels_, oh, ow});
   }
   Tensor psn_eff;
@@ -303,7 +291,7 @@ void Conv2dLayer::Forward(const Tensor& input, Tensor* output,
   if (training || obs != nullptr) {
     float* cols;
     if (training) {
-      if (!ShapeIs2(cached_cols_, ckk, cols_n)) {
+      if (!cached_cols_.HasShape({ckk, cols_n})) {
         cached_cols_ = Tensor({ckk, cols_n});
       }
       cols = cached_cols_.data();
@@ -342,7 +330,7 @@ void Conv2dLayer::Backward(const Tensor& grad_output, Tensor* grad_input) {
 
   // Channel-major view of grad_output: (out_ch, N*OH*OW), matching the
   // column matrix. Each (img, oc) plane is one contiguous memcpy.
-  if (!ShapeIs2(bwd_gmat_, out_channels_, cols_n)) {
+  if (!bwd_gmat_.HasShape({out_channels_, cols_n})) {
     bwd_gmat_ = Tensor({out_channels_, cols_n});
   }
   float* gmat = bwd_gmat_.data();
@@ -383,7 +371,7 @@ void Conv2dLayer::Backward(const Tensor& grad_output, Tensor* grad_input) {
 
   // Column matrix: normally cached by the training Forward; regathered
   // defensively if a caller invokes Backward with stale geometry.
-  if (!ShapeIs2(cached_cols_, ckk, cols_n)) {
+  if (!cached_cols_.HasShape({ckk, cols_n})) {
     cached_cols_ = Tensor({ckk, cols_n});
     Im2ColBatch(x.data(), n, in_channels_, h, w, kernel_, stride_, padding_,
                 oh, ow, gemm_flops, cached_cols_.data());
@@ -391,7 +379,7 @@ void Conv2dLayer::Backward(const Tensor& grad_output, Tensor* grad_input) {
 
   // Weight gradient in one batched GemmNT over all samples' pixels:
   // dW (out_ch, C*K*K) = G (out_ch, N*OH*OW) x cols^T.
-  if (!ShapeIs2(bwd_grad_eff_, out_channels_, ckk)) {
+  if (!bwd_grad_eff_.HasShape({out_channels_, ckk})) {
     bwd_grad_eff_ = Tensor({out_channels_, ckk});
   }
   tensor::GemmNTKernel(gmat, cached_cols_.data(), bwd_grad_eff_.data(),
@@ -402,7 +390,7 @@ void Conv2dLayer::Backward(const Tensor& grad_output, Tensor* grad_input) {
   // (C*K*K, N*OH*OW) = W_eff^T x G, then a sample-parallel col2im scatter
   // (each sample zeroes and owns its own (C,H,W) block, so threaded ==
   // serial bit-for-bit).
-  if (!ShapeIs2(bwd_gcols_, ckk, cols_n)) {
+  if (!bwd_gcols_.HasShape({ckk, cols_n})) {
     bwd_gcols_ = Tensor({ckk, cols_n});
   }
   const Tensor& w_eff = use_psn_ ? cached_eff_weight_ : weight_;

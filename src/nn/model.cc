@@ -1,5 +1,7 @@
 #include "nn/model.h"
 
+#include <utility>
+
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/residual.h"
@@ -58,6 +60,30 @@ Layer* Model::Add(std::unique_ptr<Layer> layer) {
 
 void Model::Forward(const Tensor& input, Tensor* output, bool training) {
   EF_CHECK(!layers_.empty());
+  // Inference: layer i < last writes the calling thread's output slot i,
+  // allocated on first use and kept while that layer's output shape
+  // repeats, and the last layer writes *output; the input is read in
+  // place. The slots are per thread, not per model, because serving runs
+  // one model on several workers at once; no layer's forward runs a model
+  // forward itself, so one thread never needs two sets of slots.
+  if (!training) {
+    thread_local std::vector<Tensor> slots;
+    const size_t last = layers_.size() - 1;
+    if (slots.size() < last + 1) slots.resize(last + 1);
+    const Tensor* cur = &input;
+    for (size_t i = 0; i < last; ++i) {
+      layers_[i]->Forward(*cur, &slots[i], /*training=*/false);
+      cur = &slots[i];
+    }
+    if (cur == output) {
+      // A one-layer model run in place, Forward(x, &x).
+      layers_[last]->Forward(*cur, &slots[last], /*training=*/false);
+      std::swap(*output, slots[last]);
+    } else {
+      layers_[last]->Forward(*cur, output, /*training=*/false);
+    }
+    return;
+  }
   Tensor cur = input;
   Tensor next;
   for (auto& layer : layers_) {

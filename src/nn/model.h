@@ -39,7 +39,10 @@ class Model {
   std::vector<std::unique_ptr<Layer>>& mutable_layers() { return layers_; }
 
   /// Runs the model on a batch. `training=true` caches activations for a
-  /// subsequent Backward.
+  /// subsequent Backward. Inference reads `input` in place and writes the
+  /// intermediate outputs into buffers of the calling thread that later
+  /// calls reuse, so in steady state it allocates at most `*output`.
+  /// `output` may be `&input`.
   void Forward(const Tensor& input, Tensor* output, bool training = false);
 
   /// Convenience inference wrapper.

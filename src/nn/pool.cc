@@ -7,12 +7,6 @@ namespace nn {
 
 namespace {
 
-// Allocation-free rank-2 shape test (a Shape temporary would heap-allocate
-// on every Forward, breaking the steady-state zero-allocation contract).
-bool ShapeIs2(const Tensor& t, int64_t d0, int64_t d1) {
-  return t.ndim() == 2 && t.dim(0) == d0 && t.dim(1) == d1;
-}
-
 // Runs body(plane_begin, plane_end) over n*c planes, fanned out on the
 // shared kernel pool when `flops` crosses the threading threshold. Each
 // plane is written by exactly one chunk, so threaded output is
@@ -35,7 +29,7 @@ void GlobalAvgPoolLayer::Forward(const Tensor& input, Tensor* output,
   EF_CHECK(input.ndim() == 4);
   const int64_t n = input.dim(0), c = input.dim(1),
                 hw = input.dim(2) * input.dim(3);
-  if (!ShapeIs2(*output, n, c)) *output = Tensor({n, c});
+  if (!output->HasShape({n, c})) *output = Tensor({n, c});
   const float inv = 1.0f / static_cast<float>(hw);
   const float* in = input.data();
   float* out = output->data();

@@ -922,143 +922,217 @@ __attribute__((target("avx2,fma"))) void ConvComputeAvx2(
 
 // GCC 12's avx512fintrin.h builds _mm512_undefined_* from a self-
 // initialized variable, which -Wuninitialized reports in every caller of
-// the intrinsics that use it.
+// the intrinsics that use it, and -Wmaybe-uninitialized once such a caller
+// is inlined into the four-vector tanh below.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-// TanhLanesAvx2 on 16 lanes: the same float operations in the same order,
-// with comparisons into k-masks and masked moves in place of blends.
-EF_AVX512 inline __m512 TanhLanesAvx512(__m512 x) {
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __m512 two = _mm512_set1_ps(2.0f);
-  const __m512 half = _mm512_set1_ps(0.5f);
-  const __m512 neg_zero = _mm512_set1_ps(-0.0f);
-  const __m512i ix =
-      _mm512_and_si512(_mm512_castps_si512(x), _mm512_set1_epi32(0x7fffffff));
-  const __m512 ax = _mm512_castsi512_ps(ix);
-  const __m512 sign = _mm512_and_ps(x, neg_zero);
+#define EF_AVX512_INLINE EF_AVX512 inline __attribute__((always_inline))
+
+// N independent 16-lane vectors (or their k-masks) that go through each
+// operation together. One vector's tanh is a chain of about 45 dependent
+// operations, two of them divisions: longer than the out-of-order window
+// overlaps, so unrolling a one-vector loop gains nothing. Running N
+// chains operation by operation lets the core overlap them.
+template <int N>
+struct Ps {
+  __m512 v[N];
+};
+template <int N>
+struct Pi {
+  __m512i v[N];
+};
+template <int N>
+struct Pk {
+  __mmask16 v[N];
+};
+
+// Defines `Pack<N> name params`, which returns `expr` evaluated for each
+// vector j of its arguments. The loop is unrolled, so the N operations are
+// separate instructions.
+#define EF_LANEWISE(Pack, name, params, expr)              \
+  template <int N>                                         \
+  EF_AVX512_INLINE Pack<N> name params {                   \
+    Pack<N> r;                                             \
+    _Pragma("GCC unroll 16") for (int j = 0; j < N; ++j) { \
+      r.v[j] = expr;                                       \
+    }                                                      \
+    return r;                                              \
+  }
+
+EF_LANEWISE(Ps, Set1, (float c), _mm512_set1_ps(c))
+EF_LANEWISE(Pi, Set1, (int32_t c), _mm512_set1_epi32(c))
+EF_LANEWISE(Pi, CastI, (const Ps<N>& a), _mm512_castps_si512(a.v[j]))
+EF_LANEWISE(Ps, CastF, (const Pi<N>& a), _mm512_castsi512_ps(a.v[j]))
+EF_LANEWISE(Pi, CvttPs, (const Ps<N>& a), _mm512_cvttps_epi32(a.v[j]))
+EF_LANEWISE(Ps, CvtEpi32, (const Pi<N>& a), _mm512_cvtepi32_ps(a.v[j]))
+EF_LANEWISE(Ps, Add, (const Ps<N>& a, const Ps<N>& b),
+            _mm512_add_ps(a.v[j], b.v[j]))
+EF_LANEWISE(Pi, Add, (const Pi<N>& a, const Pi<N>& b),
+            _mm512_add_epi32(a.v[j], b.v[j]))
+EF_LANEWISE(Ps, Sub, (const Ps<N>& a, const Ps<N>& b),
+            _mm512_sub_ps(a.v[j], b.v[j]))
+EF_LANEWISE(Pi, Sub, (const Pi<N>& a, const Pi<N>& b),
+            _mm512_sub_epi32(a.v[j], b.v[j]))
+EF_LANEWISE(Ps, Mul, (const Ps<N>& a, const Ps<N>& b),
+            _mm512_mul_ps(a.v[j], b.v[j]))
+EF_LANEWISE(Ps, Div, (const Ps<N>& a, const Ps<N>& b),
+            _mm512_div_ps(a.v[j], b.v[j]))
+EF_LANEWISE(Ps, And, (const Ps<N>& a, const Ps<N>& b),
+            _mm512_and_ps(a.v[j], b.v[j]))
+EF_LANEWISE(Pi, And, (const Pi<N>& a, const Pi<N>& b),
+            _mm512_and_si512(a.v[j], b.v[j]))
+EF_LANEWISE(Ps, Or, (const Ps<N>& a, const Ps<N>& b),
+            _mm512_or_ps(a.v[j], b.v[j]))
+EF_LANEWISE(Ps, Xor, (const Ps<N>& a, const Ps<N>& b),
+            _mm512_xor_ps(a.v[j], b.v[j]))
+EF_LANEWISE(Pi, Shl23, (const Pi<N>& a), _mm512_slli_epi32(a.v[j], 23))
+EF_LANEWISE(Pi, Srlv, (const Pi<N>& a, const Pi<N>& b),
+            _mm512_srlv_epi32(a.v[j], b.v[j]))
+EF_LANEWISE(Pk, CmpGt, (const Pi<N>& a, const Pi<N>& b),
+            _mm512_cmpgt_epi32_mask(a.v[j], b.v[j]))
+EF_LANEWISE(Pk, CmpEq, (const Pi<N>& a, const Pi<N>& b),
+            _mm512_cmpeq_epi32_mask(a.v[j], b.v[j]))
+EF_LANEWISE(Pk, KNot, (const Pk<N>& a), _knot_mask16(a.v[j]))
+EF_LANEWISE(Pk, KOr, (const Pk<N>& a, const Pk<N>& b),
+            _kor_mask16(a.v[j], b.v[j]))
+EF_LANEWISE(Pk, KAndN, (const Pk<N>& a, const Pk<N>& b),
+            _kandn_mask16(a.v[j], b.v[j]))
+EF_LANEWISE(Ps, MaskMov, (const Ps<N>& s, const Pk<N>& m, const Ps<N>& a),
+            _mm512_mask_mov_ps(s.v[j], m.v[j], a.v[j]))
+EF_LANEWISE(Pi, MaskMov, (const Pi<N>& s, const Pk<N>& m, const Pi<N>& a),
+            _mm512_mask_mov_epi32(s.v[j], m.v[j], a.v[j]))
+EF_LANEWISE(Ps, MaskzMov, (const Pk<N>& m, const Ps<N>& a),
+            _mm512_maskz_mov_ps(m.v[j], a.v[j]))
+EF_LANEWISE(Pi, MaskzMov, (const Pk<N>& m, const Pi<N>& a),
+            _mm512_maskz_mov_epi32(m.v[j], a.v[j]))
+EF_LANEWISE(Ps, MaskAdd,
+            (const Ps<N>& s, const Pk<N>& m, const Ps<N>& a, const Ps<N>& b),
+            _mm512_mask_add_ps(s.v[j], m.v[j], a.v[j], b.v[j]))
+EF_LANEWISE(Ps, MaskSub,
+            (const Ps<N>& s, const Pk<N>& m, const Ps<N>& a, const Ps<N>& b),
+            _mm512_mask_sub_ps(s.v[j], m.v[j], a.v[j], b.v[j]))
+EF_LANEWISE(Ps, MaskMul,
+            (const Ps<N>& s, const Pk<N>& m, const Ps<N>& a, const Ps<N>& b),
+            _mm512_mask_mul_ps(s.v[j], m.v[j], a.v[j], b.v[j]))
+
+#undef EF_LANEWISE
+
+// TanhLanesAvx2 on N x 16 lanes: the same float operations in the same
+// order, with comparisons into k-masks and masked moves in place of blends.
+template <int N>
+EF_AVX512_INLINE Ps<N> TanhLanesAvx512(const Ps<N>& x) {
+  const Ps<N> one = Set1<N>(1.0f);
+  const Ps<N> two = Set1<N>(2.0f);
+  const Ps<N> half = Set1<N>(0.5f);
+  const Ps<N> neg_zero = Set1<N>(-0.0f);
+  const Pi<N> ix = And(CastI(x), Set1<N>(0x7fffffff));
+  const Ps<N> ax = CastF(ix);
+  const Ps<N> sign = And(x, neg_zero);
   // tanhf: |x| >= 1 takes expm1f(2|x|), |x| < 1 takes expm1f(-2|x|).
-  const __mmask16 big =
-      _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x3f7fffff));
-  const __m512 a2 = _mm512_add_ps(ax, ax);  // |arg|, exact.
-  const __m512 neg_sign = _mm512_maskz_mov_ps(_knot_mask16(big), neg_zero);
-  const __m512 arg = _mm512_or_ps(a2, neg_sign);
+  const Pk<N> big = CmpGt(ix, Set1<N>(0x3f7fffff));
+  const Ps<N> a2 = Add(ax, ax);  // |arg|, exact.
+  const Ps<N> neg_sign = MaskzMov(KNot(big), neg_zero);
+  const Ps<N> arg = Or(a2, neg_sign);
 
   // expm1f argument reduction: arg = k*ln2 + xr - c.
-  const __m512i hx = _mm512_castps_si512(a2);
-  const __mmask16 reduce =
-      _mm512_cmpgt_epi32_mask(hx, _mm512_set1_epi32(0x3eb17218));
-  const __mmask16 k_minus_one =
-      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x3f851592), hx);
-  const __m512 ln2_hi = _mm512_set1_ps(6.9313812256e-01f);
-  const __m512 ln2_lo = _mm512_set1_ps(9.0580006145e-06f);
-  const __m512 kf = _mm512_add_ps(
-      _mm512_mul_ps(_mm512_set1_ps(1.4426950216e+00f), arg),
-      _mm512_or_ps(half, neg_sign));
-  __m512i k = _mm512_cvttps_epi32(kf);
-  const __m512 tk = _mm512_cvtepi32_ps(k);
-  __m512 hi = _mm512_sub_ps(arg, _mm512_mul_ps(tk, ln2_hi));
-  __m512 lo = _mm512_mul_ps(tk, ln2_lo);
+  const Pi<N> hx = CastI(a2);
+  const Pk<N> reduce = CmpGt(hx, Set1<N>(0x3eb17218));
+  const Pk<N> k_minus_one = CmpGt(Set1<N>(0x3f851592), hx);
+  const Ps<N> ln2_hi = Set1<N>(6.9313812256e-01f);
+  const Ps<N> ln2_lo = Set1<N>(9.0580006145e-06f);
+  const Ps<N> kf =
+      Add(Mul(Set1<N>(1.4426950216e+00f), arg), Or(half, neg_sign));
+  Pi<N> k = CvttPs(kf);
+  const Ps<N> tk = CvtEpi32(k);
+  Ps<N> hi = Sub(arg, Mul(tk, ln2_hi));
+  Ps<N> lo = Mul(tk, ln2_lo);
   // 0.5 ln2 < |arg| < 1.5 ln2 (negative arg only): k = -1 exactly.
-  hi = _mm512_mask_add_ps(hi, k_minus_one, arg, ln2_hi);
-  lo = _mm512_mask_mov_ps(lo, k_minus_one, _mm512_xor_ps(ln2_lo, neg_zero));
-  k = _mm512_mask_mov_epi32(k, k_minus_one, _mm512_set1_epi32(-1));
-  const __m512 xred = _mm512_sub_ps(hi, lo);
-  const __m512 c = _mm512_sub_ps(_mm512_sub_ps(hi, xred), lo);
-  const __m512 xr = _mm512_mask_mov_ps(arg, reduce, xred);
-  k = _mm512_maskz_mov_epi32(reduce, k);  // k = 0 if not.
+  hi = MaskAdd(hi, k_minus_one, arg, ln2_hi);
+  lo = MaskMov(lo, k_minus_one, Xor(ln2_lo, neg_zero));
+  k = MaskMov(k, k_minus_one, Set1<N>(-1));
+  const Ps<N> xred = Sub(hi, lo);
+  const Ps<N> c = Sub(Sub(hi, xred), lo);
+  const Ps<N> xr = MaskMov(arg, reduce, xred);
+  k = MaskzMov(reduce, k);  // k = 0 if not.
 
   // Primary range.
-  const __m512 hfx = _mm512_mul_ps(xr, half);
-  const __m512 hxs = _mm512_mul_ps(xr, hfx);
-  __m512 r1 = _mm512_mul_ps(_mm512_set1_ps(-2.0109921195e-07f), hxs);
-  r1 = _mm512_mul_ps(_mm512_add_ps(_mm512_set1_ps(4.0082177293e-06f), r1),
-                     hxs);
-  r1 = _mm512_mul_ps(_mm512_add_ps(_mm512_set1_ps(-7.9365076090e-05f), r1),
-                     hxs);
-  r1 = _mm512_mul_ps(_mm512_add_ps(_mm512_set1_ps(1.5873016091e-03f), r1),
-                     hxs);
-  r1 = _mm512_mul_ps(_mm512_add_ps(_mm512_set1_ps(-3.3333335072e-02f), r1),
-                     hxs);
-  r1 = _mm512_add_ps(one, r1);
-  const __m512 t = _mm512_sub_ps(_mm512_set1_ps(3.0f), _mm512_mul_ps(r1, hfx));
-  const __m512 e = _mm512_mul_ps(
-      hxs, _mm512_div_ps(_mm512_sub_ps(r1, t),
-                         _mm512_sub_ps(_mm512_set1_ps(6.0f),
-                                       _mm512_mul_ps(xr, t))));
+  const Ps<N> hfx = Mul(xr, half);
+  const Ps<N> hxs = Mul(xr, hfx);
+  Ps<N> r1 = Mul(Set1<N>(-2.0109921195e-07f), hxs);
+  r1 = Mul(Add(Set1<N>(4.0082177293e-06f), r1), hxs);
+  r1 = Mul(Add(Set1<N>(-7.9365076090e-05f), r1), hxs);
+  r1 = Mul(Add(Set1<N>(1.5873016091e-03f), r1), hxs);
+  r1 = Mul(Add(Set1<N>(-3.3333335072e-02f), r1), hxs);
+  r1 = Add(one, r1);
+  const Ps<N> t = Sub(Set1<N>(3.0f), Mul(r1, hfx));
+  const Ps<N> e = Mul(hxs, Div(Sub(r1, t), Sub(Set1<N>(6.0f), Mul(xr, t))));
   // k = 0: |arg| < 2^-25 returns arg itself, otherwise xr - (xr*e - hxs).
-  const __mmask16 tiny_arg =
-      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x33000000), hx);
-  const __m512 res_k0 = _mm512_mask_mov_ps(
-      _mm512_sub_ps(xr, _mm512_sub_ps(_mm512_mul_ps(xr, e), hxs)), tiny_arg,
-      arg);
+  const Pk<N> tiny_arg = CmpGt(Set1<N>(0x33000000), hx);
+  const Ps<N> res_k0 = MaskMov(Sub(xr, Sub(Mul(xr, e), hxs)), tiny_arg, arg);
   // k != 0.
-  const __m512 e2 = _mm512_sub_ps(
-      _mm512_sub_ps(_mm512_mul_ps(xr, _mm512_sub_ps(e, c)), c), hxs);
-  const __m512 res_km1 =
-      _mm512_sub_ps(_mm512_mul_ps(half, _mm512_sub_ps(xr, e2)), half);
+  const Ps<N> e2 = Sub(Sub(Mul(xr, Sub(e, c)), c), hxs);
+  const Ps<N> res_km1 = Sub(Mul(half, Sub(xr, e2)), half);
   // k <= -2 or k > 56: y = 1 - (e2 - xr), scaled by 2^k, minus 1.
   // 2 <= k <= 22: y = (1 - 2^-k) - (e2 - xr), scaled by 2^k.
   // 23 <= k <= 56: y = (xr - (e2 + 2^-k)) + 1, scaled by 2^k.
   // The scaling adds k to the exponent field as an integer.
-  const __mmask16 path_a = _kor_mask16(
-      _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(-1), k),
-      _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(56)));
-  const __mmask16 path_c = _kandn_mask16(
-      path_a, _mm512_cmpgt_epi32_mask(k, _mm512_set1_epi32(22)));
-  const __m512 one_minus_pow = _mm512_castsi512_ps(_mm512_sub_epi32(
-      _mm512_set1_epi32(0x3f800000),
-      _mm512_srlv_epi32(_mm512_set1_epi32(0x1000000), k)));
-  const __m512 base = _mm512_mask_mov_ps(one_minus_pow, path_a, one);
-  const __m512 y_ab = _mm512_sub_ps(base, _mm512_sub_ps(e2, xr));
-  const __m512 pow_minus_k = _mm512_castsi512_ps(
-      _mm512_slli_epi32(_mm512_sub_epi32(_mm512_set1_epi32(0x7f), k), 23));
-  const __m512 y_c =
-      _mm512_add_ps(_mm512_sub_ps(xr, _mm512_add_ps(e2, pow_minus_k)), one);
-  __m512 y = _mm512_mask_mov_ps(y_ab, path_c, y_c);
-  y = _mm512_castsi512_ps(
-      _mm512_add_epi32(_mm512_castps_si512(y), _mm512_slli_epi32(k, 23)));
-  y = _mm512_mask_sub_ps(y, path_a, y, one);
-  __m512 em = _mm512_mask_mov_ps(
-      y, _mm512_cmpeq_epi32_mask(k, _mm512_set1_epi32(-1)), res_km1);
-  em = _mm512_mask_mov_ps(
-      em, _mm512_cmpeq_epi32_mask(k, _mm512_setzero_si512()), res_k0);
+  const Pk<N> path_a = KOr(CmpGt(Set1<N>(-1), k), CmpGt(k, Set1<N>(56)));
+  const Pk<N> path_c = KAndN(path_a, CmpGt(k, Set1<N>(22)));
+  const Ps<N> one_minus_pow = CastF(
+      Sub(Set1<N>(0x3f800000), Srlv(Set1<N>(0x1000000), k)));
+  const Ps<N> base = MaskMov(one_minus_pow, path_a, one);
+  const Ps<N> y_ab = Sub(base, Sub(e2, xr));
+  const Ps<N> pow_minus_k = CastF(Shl23(Sub(Set1<N>(0x7f), k)));
+  const Ps<N> y_c = Add(Sub(xr, Add(e2, pow_minus_k)), one);
+  Ps<N> y = MaskMov(y_ab, path_c, y_c);
+  y = CastF(Add(CastI(y), Shl23(k)));
+  y = MaskSub(y, path_a, y, one);
+  Ps<N> em = MaskMov(y, CmpEq(k, Set1<N>(-1)), res_km1);
+  em = MaskMov(em, CmpEq(k, Set1<N>(0)), res_k0);
 
   // tanhf: |x| >= 1 gives 1 - 2/(em + 2), |x| < 1 gives -em/(em + 2); one
   // division serves both.
-  const __m512 num = _mm512_mask_mov_ps(_mm512_xor_ps(em, neg_zero), big, two);
-  const __m512 q = _mm512_div_ps(num, _mm512_add_ps(em, two));
-  __m512 z = _mm512_mask_sub_ps(q, big, one, q);
+  const Ps<N> num = MaskMov(Xor(em, neg_zero), big, two);
+  const Ps<N> q = Div(num, Add(em, two));
+  Ps<N> z = MaskSub(q, big, one, q);
   // |x| >= 22 and +-Inf: +-1 (fdlibm's 1 - tiny and 1/x +- 1 round to it).
-  z = _mm512_mask_mov_ps(
-      z, _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x41afffff)), one);
-  __m512 r = _mm512_xor_ps(z, sign);
+  z = MaskMov(z, CmpGt(ix, Set1<N>(0x41afffff)), one);
+  Ps<N> r = Xor(z, sign);
   // |x| < 2^-55, zeros included: x * (1 + x).
-  r = _mm512_mask_mul_ps(
-      r, _mm512_cmpgt_epi32_mask(_mm512_set1_epi32(0x24000000), ix), x,
-      _mm512_add_ps(one, x));
+  r = MaskMul(r, CmpGt(Set1<N>(0x24000000), ix), x, Add(one, x));
   // NaN: 1/x +- 1 returns x quieted, which is x + x.
-  return _mm512_mask_add_ps(
-      r, _mm512_cmpgt_epi32_mask(ix, _mm512_set1_epi32(0x7f800000)), x, x);
+  return MaskAdd(r, CmpGt(ix, Set1<N>(0x7f800000)), x, x);
 }
 
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
 
-// y[i] = tanh(x[i]) for all i: the n % 16 tail takes one masked load and
-// store, its masked-off lanes are never read or written.
+// y[i] = tanh(x[i]) for all i, in place too: 64 values a step (four
+// vectors, all loaded before any is stored), then 16, then the n % 16 tail
+// in one masked load and store whose masked-off lanes are never read or
+// written.
 EF_AVX512 void TanhAvx512(const float* x, float* y, int64_t n) {
   int64_t i = 0;
+  for (; i + 64 <= n; i += 64) {
+    Ps<4> v;
+    for (int j = 0; j < 4; ++j) v.v[j] = _mm512_loadu_ps(x + i + 16 * j);
+    v = TanhLanesAvx512(v);
+    for (int j = 0; j < 4; ++j) _mm512_storeu_ps(y + i + 16 * j, v.v[j]);
+  }
+  Ps<1> v;
   for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(y + i, TanhLanesAvx512(_mm512_loadu_ps(x + i)));
+    v.v[0] = _mm512_loadu_ps(x + i);
+    _mm512_storeu_ps(y + i, TanhLanesAvx512(v).v[0]);
   }
   if (i < n) {
     const __mmask16 m = static_cast<__mmask16>((1u << (n - i)) - 1);
-    _mm512_mask_storeu_ps(y + i, m,
-                          TanhLanesAvx512(_mm512_maskz_loadu_ps(m, x + i)));
+    v.v[0] = _mm512_maskz_loadu_ps(m, x + i);
+    _mm512_mask_storeu_ps(y + i, m, TanhLanesAvx512(v).v[0]);
   }
 }
 

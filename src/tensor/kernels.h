@@ -111,10 +111,12 @@ void Conv2dKernel(const float* weight, const float* bias, const float* in,
                   float* out, const ConvGeometry& g);
 
 /// y[i] = tanh(x[i]), bit-identical to std::tanh(float) on a glibc libm,
-/// whose float tanhf is fdlibm's: a 16-lane (AVX-512, masked tail) or
-/// 8-lane (AVX2) port of its float operations (docs/PERFORMANCE.md,
-/// "Activation kernels"), std::tanh for the AVX2 n % 8 tail and on the
-/// portable path. `y` may equal `x`.
+/// whose float tanhf is fdlibm's: a port of its float operations
+/// (docs/PERFORMANCE.md, "Activation kernels"). AVX-512 runs it on four
+/// 16-lane vectors at a time, interleaved operation by operation, then on
+/// one vector, then on a masked n % 16 tail; AVX2 runs it on 8 lanes and
+/// std::tanh on the n % 8 tail; the portable path runs std::tanh. `y` may
+/// equal `x`.
 void TanhKernel(const float* x, float* y, int64_t n);
 
 /// True when a problem of `flops` floating-point operations would fan out

@@ -1,7 +1,9 @@
 #ifndef ERRORFLOW_TENSOR_TENSOR_H_
 #define ERRORFLOW_TENSOR_TENSOR_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -42,6 +44,11 @@ class Tensor {
   static Tensor Zeros(Shape shape) { return Tensor(std::move(shape)); }
 
   const Shape& shape() const { return shape_; }
+  /// shape() == dims without building a Shape, so a layer's steady-state
+  /// output check allocates nothing.
+  bool HasShape(std::initializer_list<int64_t> dims) const {
+    return std::equal(shape_.begin(), shape_.end(), dims.begin(), dims.end());
+  }
   int64_t ndim() const { return static_cast<int64_t>(shape_.size()); }
   int64_t dim(int i) const { return shape_[static_cast<size_t>(i)]; }
   int64_t size() const { return static_cast<int64_t>(data_.size()); }

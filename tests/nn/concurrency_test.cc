@@ -97,6 +97,50 @@ TEST(ConcurrencyTest, FoldedResNetConcurrentPredictMatchesSerial) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+// Inference keeps each thread's layer outputs between calls. Four threads,
+// each alternating between two models of different shapes (so every call
+// reshapes the thread's outputs), must each get the serial results.
+TEST(ConcurrencyTest, AlternatingModelsConcurrentPredictMatchesSerial) {
+  MlpConfig mlp_cfg;
+  mlp_cfg.input_dim = 9;
+  mlp_cfg.hidden_dims = {50, 50};
+  mlp_cfg.output_dim = 9;
+  mlp_cfg.activation = ActivationKind::kTanh;
+  mlp_cfg.seed = 7;
+  Model mlp = BuildMlp(mlp_cfg);
+  ResNetConfig resnet_cfg;
+  resnet_cfg.in_channels = 2;
+  resnet_cfg.num_classes = 3;
+  resnet_cfg.stage_channels = {4, 6};
+  resnet_cfg.stage_blocks = {1, 1};
+  resnet_cfg.seed = 5;
+  Model resnet = BuildResNet(resnet_cfg);
+
+  const tensor::Tensor rows = testing::RandomTensor({64, 9}, 19, 2.0);
+  const tensor::Tensor images = testing::RandomTensor({3, 2, 8, 8}, 23);
+  const tensor::Tensor want_rows = mlp.Predict(rows);
+  const tensor::Tensor want_images = resnet.Predict(images);
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int it = 0; it < kItersPerThread; ++it) {
+        if (testing::Digest(mlp.Predict(rows)) !=
+            testing::Digest(want_rows)) {
+          mismatches.fetch_add(1);
+        }
+        if (testing::Digest(resnet.Predict(images)) !=
+            testing::Digest(want_images)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // The original race: an UNFOLDED PSN dense layer refreshes its sigma cache
 // lazily from const accessors. Hammer SpectralNorm and inference Forward
 // concurrently (both snapshot internally); under PSN sigma converges to

@@ -8,7 +8,9 @@
 #include <new>
 
 #include "gtest/gtest.h"
+#include "nn/builders.h"
 #include "nn/conv2d.h"
+#include "nn/model.h"
 #include "nn/pool.h"
 #include "tensor/kernels.h"
 #include "testing/test_util.h"
@@ -138,6 +140,26 @@ TEST_F(ConvAllocTest, SteadyStatePoolForwardBackwardAllocFree) {
     }
   });
   EXPECT_EQ(allocs, 0);
+}
+
+// Model inference writes every layer but the last into the calling
+// thread's reused outputs and reads its input in place, so after warmup a
+// Predict on the h2 surrogate's shape (9 -> 50 -> 50 -> 9, tanh, 1024
+// rows) allocates its returned tensor and nothing else.
+TEST_F(ConvAllocTest, SteadyStateMlpPredictAllocatesOnlyItsResult) {
+  MlpConfig cfg;
+  cfg.input_dim = 9;
+  cfg.hidden_dims = {50, 50};
+  cfg.output_dim = 9;
+  cfg.activation = ActivationKind::kTanh;
+  cfg.seed = 7;
+  Model model = BuildMlp(cfg);
+  const Tensor x = testing::RandomTensor({1024, 9}, 11, 2.0);
+  for (int i = 0; i < 2; ++i) model.Predict(x);  // warmup
+  const int64_t result_allocs = CountAllocs([] { Tensor t({1024, 9}); });
+  ASSERT_GT(result_allocs, 0);
+  const int64_t allocs = CountAllocs([&] { model.Predict(x); });
+  EXPECT_EQ(allocs, result_allocs);
 }
 
 }  // namespace

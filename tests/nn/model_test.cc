@@ -164,6 +164,84 @@ TEST(ModelTest, TrainingGradientsFlowThroughWholeModel) {
   testing::ExpectGradientsClose(f, x, grad_in);
 }
 
+// The h2 surrogate's shape: 9 -> 50 -> 50 -> 9, tanh.
+Model H2Mlp() {
+  MlpConfig cfg;
+  cfg.input_dim = 9;
+  cfg.hidden_dims = {50, 50};
+  cfg.output_dim = 9;
+  cfg.activation = ActivationKind::kTanh;
+  cfg.seed = 7;
+  return BuildMlp(cfg);
+}
+
+Model SmallResNet() {
+  ResNetConfig cfg;
+  cfg.in_channels = 2;
+  cfg.num_classes = 3;
+  cfg.stage_channels = {4, 6};
+  cfg.stage_blocks = {1, 1};
+  cfg.seed = 5;
+  return BuildResNet(cfg);
+}
+
+// The model's layers run one by one, each into a fresh output tensor.
+Tensor FreshLayerChain(Model& m, const Tensor& x) {
+  Tensor cur = x;
+  for (auto& layer : m.mutable_layers()) {
+    Tensor next;
+    layer->Forward(cur, &next, /*training=*/false);
+    cur = std::move(next);
+  }
+  return cur;
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(testing::Digest(got), testing::Digest(want));
+}
+
+// Inference reuses the calling thread's per-layer outputs across calls;
+// batch sizes that shrink and grow again, and two models of different
+// shapes taking turns on one thread, must not leak one call's values or
+// shapes into the next.
+TEST(ModelTest, InferenceForwardMatchesFreshLayerChain) {
+  Model mlp = H2Mlp();
+  Model resnet = SmallResNet();
+  for (const int64_t batch : {1024, 1, 1024, 7}) {
+    SCOPED_TRACE(batch);
+    const Tensor x = testing::RandomTensor({batch, 9}, 11, 2.0);
+    const Tensor images = testing::RandomTensor({batch, 2, 8, 8}, 13);
+    ExpectSameBits(mlp.Predict(x), FreshLayerChain(mlp, x));
+    ExpectSameBits(resnet.Predict(images), FreshLayerChain(resnet, images));
+    Tensor out({3, 3});  // The wrong shape, reshaped by Forward.
+    mlp.Forward(x, &out);
+    ExpectSameBits(out, FreshLayerChain(mlp, x));
+  }
+}
+
+// Forward(x, &x) reads x before it writes it, also when the only layer
+// would read and write the same tensor, and a Dense layer's reshaped
+// output would replace its input.
+TEST(ModelTest, ForwardInPlaceMatchesOutOfPlace) {
+  Model one_layer("one-layer");
+  auto dense = std::make_unique<DenseLayer>(9, 5);
+  dense->InitXavier(3);
+  one_layer.Add(std::move(dense));
+  Model one_tanh("one-tanh");
+  one_tanh.Add(std::make_unique<ActivationLayer>(ActivationKind::kTanh));
+  Model mlp = H2Mlp();
+  for (Model* m : {&one_layer, &one_tanh, &mlp}) {
+    SCOPED_TRACE(m->name());
+    const Tensor x = testing::RandomTensor({33, 9}, 17, 2.0);
+    Tensor y;
+    m->Forward(x, &y);
+    Tensor in_place = x;
+    m->Forward(in_place, &in_place);
+    ExpectSameBits(in_place, y);
+  }
+}
+
 }  // namespace
 }  // namespace nn
 }  // namespace errorflow

@@ -2,11 +2,16 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "nn/loss.h"
+#include "nn/serialize.h"
 #include "nn/trainer.h"
 #include "tensor/norms.h"
+#include "testing/test_util.h"
 
 namespace errorflow {
 namespace tasks {
@@ -90,6 +95,43 @@ TEST(TasksTest, FreshBatchesAreIndependentAndNormalized) {
       EXPECT_LE(batch[i], 1.5f);
     }
   }
+}
+
+// The h2 task's PSN model (seed 1) as an earlier build trained and stored
+// it. It must keep loading, re-serialize byte for byte and predict the
+// same bits on every kernel path: a format change that also changed the
+// writer, or a kernel change that moved a bit, fails here, where
+// SerializeTest's freshly built models would not notice.
+TEST(TasksTest, StoredH2ModelLoadsAndPredictsPinnedBits) {
+  const std::string file = "h2combustion.psn.seed1.v4.efm";
+  const std::string stored = std::string(EF_TASKS_TESTDATA_DIR) + "/" + file;
+  std::ifstream in(stored, std::ios::binary);
+  ASSERT_TRUE(in) << stored;
+  const std::string bytes{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+  ASSERT_EQ(bytes.size(), 14260u);
+  auto loaded = nn::DeserializeModel(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(nn::SerializeModel(*loaded), bytes);
+
+  // Through the model cache, which also rebuilds the task's input
+  // normalization for its fresh batches; a retrain would change the bytes.
+  const std::string dir = ::testing::TempDir() + "ef_stored_model_cache";
+  std::filesystem::create_directories(dir);
+  std::filesystem::copy_file(
+      stored, dir + "/" + file,
+      std::filesystem::copy_options::overwrite_existing);
+  TrainedTask task =
+      GetTask(TaskKind::kH2Combustion, Regularization::kPsn, 1, dir);
+  ASSERT_EQ(task.name + ".efm", file);
+  EXPECT_EQ(nn::SerializeModel(task.model), bytes);
+  const tensor::Tensor batch = FreshInputBatches(task, 1, 100)[0];
+  ASSERT_EQ(batch.shape(), (tensor::Shape{1024, 9}));
+  testing::ForEachKernelPath([&] {
+    const tensor::Tensor out = task.model.Predict(batch);
+    EXPECT_EQ(testing::Digest(out), 0xc3e59c445dec79dbull)
+        << std::hex << "0x" << testing::Digest(out);
+  });
 }
 
 TEST(TasksTest, RegularizationVariantsDiffer) {

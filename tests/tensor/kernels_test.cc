@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -507,6 +508,67 @@ void ExpectTanhMatchesStdTanhOnAllFloats() {
 
 TEST(TanhKernelTest, MatchesStdTanhOnAllFloats) {
   testing::ForEachKernelPath([] { ExpectTanhMatchesStdTanhOnAllFloats(); });
+}
+
+// The all-floats sweep runs 4096-value blocks only. Every length in
+// [0, 200], in place and out of place, reaches the AVX-512 path's 64-value
+// steps, its 16-value steps and its masked tail, and the AVX2 path's
+// scalar tail; each regime edge of the fdlibm port passes through all 64
+// positions of a step, and the values past n stay unwritten.
+TEST(TanhKernelTest, MatchesStdTanhAtEveryLengthAndPosition) {
+  const uint32_t kEdges[] = {
+      // +0 and subnormals.
+      0x00000000, 0x00000001, 0x00400000, 0x007fffff,
+      // |x| = 2^-55, below which tanh returns x * (1 + x).
+      0x23ffffff, 0x24000000,
+      // expm1f's thresholds on its argument 2|x|, as x and as 2|x|.
+      0x33000000, 0x3eb17218, 0x3f851592,
+      0x327fffff, 0x32800000, 0x3e317218, 0x3e317219, 0x3f051591, 0x3f051592,
+      // |x| = 1 and |x| = 22.
+      0x3f7fffff, 0x3f800000, 0x41afffff, 0x41b00000,
+      // Inf and NaN payloads.
+      0x7f800000, 0x7f800001, 0x7fc00000, 0x7fd23456,
+  };
+  std::vector<float> pool;
+  for (const uint32_t bits : kEdges) {
+    pool.push_back(std::bit_cast<float>(bits));
+    pool.push_back(std::bit_cast<float>(bits | 0x80000000u));
+  }
+  ASSERT_LE(pool.size(), 64u);
+  util::Rng rng(41);
+  while (pool.size() < 64) {
+    pool.push_back(static_cast<float>(rng.Normal(0.0, 3.0)));
+  }
+  constexpr float kSentinel = 12345.0f;
+  constexpr int64_t kGuard = 16;
+  testing::ForEachKernelPath([&] {
+    std::vector<float> x, y, in_place;
+    for (int64_t n = 0; n <= 200; ++n) {
+      for (int64_t rot = 0; rot < 64; ++rot) {
+        x.assign(n, 0.0f);
+        for (int64_t i = 0; i < n; ++i) x[i] = pool[(i + rot) % 64];
+        y.assign(n + kGuard, kSentinel);
+        TanhKernel(x.data(), y.data(), n);
+        in_place = x;
+        in_place.resize(n + kGuard, kSentinel);
+        TanhKernel(in_place.data(), in_place.data(), n);
+        for (int64_t i = 0; i < n; ++i) {
+          const uint32_t want = std::bit_cast<uint32_t>(std::tanh(x[i]));
+          ASSERT_EQ(std::bit_cast<uint32_t>(y[i]), want)
+              << std::hex << "x=0x" << std::bit_cast<uint32_t>(x[i])
+              << std::dec << " n=" << n << " i=" << i;
+          ASSERT_EQ(std::bit_cast<uint32_t>(in_place[i]), want)
+              << std::hex << "in place, x=0x"
+              << std::bit_cast<uint32_t>(x[i]) << std::dec << " n=" << n
+              << " i=" << i;
+        }
+        for (int64_t i = n; i < n + kGuard; ++i) {
+          ASSERT_EQ(y[i], kSentinel) << "n=" << n << " i=" << i;
+          ASSERT_EQ(in_place[i], kSentinel) << "n=" << n << " i=" << i;
+        }
+      }
+    }
+  });
 }
 
 }  // namespace
