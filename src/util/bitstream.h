@@ -34,6 +34,54 @@ class BitWriter {
     Accumulate(value, nbits);
   }
 
+  /// One code for WriteCodes: the `length` low-order bits of `bits`.
+  struct Code {
+    uint64_t bits;
+    int length;
+  };
+
+  /// Appends `count` codes, the i-th being `code_at(i)`: a Code of length
+  /// 1 to 56 with no bit set at or above its length. `total_bits` is the
+  /// sum of their lengths. Writes the bits a WriteBits call per code
+  /// would; the bits stay in a register and leave it in 8-byte stores, so
+  /// a code costs a few operations and no branch.
+  template <typename CodeAt>
+  void WriteCodes(size_t count, size_t total_bits, CodeAt code_at) {
+    FlushWords();
+    // Whole bytes leave the accumulator, so fewer than 8 bits are pending.
+    while (pending_bits_ >= 8) {
+      pending_bits_ -= 8;
+      bytes_.push_back(static_cast<char>(acc_ >> pending_bits_));
+    }
+    const size_t start = bytes_.size();
+    // Every byte the codes complete, plus the 8-byte store's overhang.
+    bytes_.resize(start + (static_cast<size_t>(pending_bits_) + total_bits) /
+                              8 +
+                  8);
+    char* out = bytes_.data() + start;
+    // The last `fill` (< 8 between codes) bits written sit right-aligned
+    // in `acc`; each code shifts in below them, and the whole bytes leave
+    // in one 8-byte store. `acc` and `fill` each carry a two-operation
+    // chain from code to code.
+    uint64_t acc = acc_;
+    int fill = pending_bits_;
+    for (size_t i = 0; i < count; ++i) {
+      const Code c = code_at(i);
+      acc = (acc << c.length) | c.bits;
+      fill += c.length;
+      uint64_t be = acc << (64 - fill);
+      if constexpr (std::endian::native == std::endian::little) {
+        be = __builtin_bswap64(be);
+      }
+      std::memcpy(out, &be, sizeof(be));
+      out += fill >> 3;
+      fill &= 7;
+    }
+    bytes_.resize(static_cast<size_t>(out - bytes_.data()));
+    acc_ = acc;
+    pending_bits_ = fill;
+  }
+
   /// Pads to a byte boundary with zero bits (idempotent on aligned streams).
   void AlignToByte() {
     if (pending_bits_ % 8 != 0) Accumulate(0, 8 - pending_bits_ % 8);
