@@ -1,7 +1,8 @@
-// Differential tests: the windowed Huffman decoder and the row-indexed
-// Lorenzo loops against the retained element-by-element references
-// (testing/codec_reference.h). Symbols, floats and reader positions must
-// agree bit for bit; on a bad stream both must fail with the same Status.
+// Differential tests: the table-driven Huffman decoder and the Lorenzo
+// loops (scalar, and AVX-512 wavefronts where the host has them) against
+// the retained element-by-element references (testing/codec_reference.h),
+// on every kernel path. Symbols, floats and reader positions must agree
+// bit for bit; on a bad stream both must fail with the same Status.
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include "compress/sz.h"
 #include "gtest/gtest.h"
 #include "testing/codec_reference.h"
+#include "testing/test_util.h"
 #include "util/bitstream.h"
 #include "util/random.h"
 
@@ -94,7 +96,7 @@ std::vector<std::vector<uint32_t>> RandomStreams() {
   return streams;
 }
 
-TEST(HuffmanDifferentialTest, RandomStreamsMatchReference) {
+void CheckRandomStreamsMatchReference() {
   int index = 0;
   for (const auto& symbols : RandomStreams()) {
     const std::string stream = Encode(symbols);
@@ -118,7 +120,7 @@ std::vector<std::vector<uint32_t>> TailLongCodeStreams(int tail_alphabet) {
   return streams;
 }
 
-TEST(HuffmanDifferentialTest, LongCodesAtEveryTailOffsetMatchReference) {
+void CheckLongCodesAtEveryTailOffsetMatchReference() {
   for (const auto& symbols : TailLongCodeStreams(20)) {
     const std::string stream = Encode(symbols);
     ExpectSameDecode(stream, symbols.size(),
@@ -130,7 +132,7 @@ TEST(HuffmanDifferentialTest, LongCodesAtEveryTailOffsetMatchReference) {
   }
 }
 
-TEST(HuffmanDifferentialTest, TruncatedStreamsFailLikeReference) {
+void CheckTruncatedStreamsFailLikeReference() {
   std::vector<std::vector<uint32_t>> inputs = TailLongCodeStreams(15);
   inputs.resize(9);
   inputs.push_back(RandomStreams()[3]);
@@ -147,7 +149,7 @@ TEST(HuffmanDifferentialTest, TruncatedStreamsFailLikeReference) {
   }
 }
 
-TEST(HuffmanDifferentialTest, InvalidCodeWordsFailLikeReference) {
+void CheckInvalidCodeWordsFailLikeReference() {
   // An incomplete code, lengths {1, 14, 14}: "0" is symbol 7, "1" followed
   // by 13 zeros or by 12 zeros and a one are 8 and 9, and every other word
   // starting with "1" is invalid. Invalid words land at every position of
@@ -176,7 +178,7 @@ TEST(HuffmanDifferentialTest, InvalidCodeWordsFailLikeReference) {
   }
 }
 
-TEST(HuffmanDifferentialTest, BitFlipsFailLikeReference) {
+void CheckBitFlipsFailLikeReference() {
   util::Rng rng(31);
   const std::vector<uint32_t> symbols = HotWithLongTail(18);
   const std::string stream = Encode(symbols);
@@ -187,6 +189,67 @@ TEST(HuffmanDifferentialTest, BitFlipsFailLikeReference) {
         static_cast<char>(flipped[bit / 8] ^ (0x80 >> (bit % 8)));
     ExpectSameDecode(flipped, symbols.size(),
                      "bit flip at " + std::to_string(bit));
+  }
+}
+
+// Streams around the encoder's dense-count threshold: a maximum symbol of
+// 2^16 - 1, 2^16 and 2^16 + 1 in a stream too short for 8n to pass 2^16,
+// and 8n - 1, 8n and 8n + 1 in one long enough, so both counting paths
+// and the switch between them write what the reference decodes.
+std::vector<std::vector<uint32_t>> DenseThresholdStreams() {
+  std::vector<std::vector<uint32_t>> streams;
+  util::Rng rng(77);
+  for (const size_t n : {size_t{3000}, size_t{10000}}) {
+    const uint64_t limit = std::max<uint64_t>(uint64_t{1} << 16, 8 * n);
+    for (const uint64_t top : {limit - 1, limit, limit + 1}) {
+      std::vector<uint32_t> symbols;
+      for (size_t i = 0; i + 3 < n; ++i) {
+        const uint64_t v = rng.UniformU64(64);
+        symbols.push_back(static_cast<uint32_t>(v * v / 64));
+      }
+      symbols.insert(symbols.end(),
+                     {static_cast<uint32_t>(top), 5u,
+                      static_cast<uint32_t>(top)});
+      streams.push_back(std::move(symbols));
+    }
+  }
+  return streams;
+}
+
+void CheckDenseThresholdAlphabetsMatchReference() {
+  for (const auto& symbols : DenseThresholdStreams()) {
+    const std::string stream = Encode(symbols);
+    const std::string what = "max " + std::to_string(symbols.back()) +
+                             ", n " + std::to_string(symbols.size());
+    ExpectSameDecode(stream, symbols.size(), what);
+    util::BitReader reader(stream.data(), stream.size());
+    auto decoded = HuffmanCodec::Decode(&reader, symbols.size());
+    ASSERT_TRUE(decoded.ok()) << what;
+    EXPECT_EQ(*decoded, symbols) << what;
+  }
+}
+
+// The shape of an fp32 h2 batch's codes: half zeros (a 1-bit code) and
+// about 2,500 distinct wide values whose 12- and 13-bit codes are past
+// the root table; then each of its cuts near the end.
+void CheckWideAlphabetMatchesReference() {
+  util::Rng rng(4242);
+  std::vector<uint32_t> symbols;
+  for (int i = 0; i < 9216; ++i) {
+    symbols.push_back(rng.UniformU64(2) == 0
+                          ? 0u
+                          : static_cast<uint32_t>(1 + rng.UniformU64(2600)) *
+                                19u);
+  }
+  const std::string stream = Encode(symbols);
+  ExpectSameDecode(stream, symbols.size(), "wide alphabet");
+  util::BitReader reader(stream.data(), stream.size());
+  auto decoded = HuffmanCodec::Decode(&reader, symbols.size());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, symbols);
+  for (size_t cut = 1; cut <= 24; ++cut) {
+    ExpectSameDecode(stream.substr(0, stream.size() - cut), symbols.size(),
+                     "wide alphabet cut " + std::to_string(cut));
   }
 }
 
@@ -290,7 +353,7 @@ bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
 }
 
-TEST(LorenzoDifferentialTest, QuantizeAndReconstructMatchReference) {
+void CheckQuantizeAndReconstructMatchReference() {
   bool saw_sparse = false, saw_bitmap = false;
   for (const Field& f : EdgeFields()) {
     const int64_t slices = f.dims[0], rows = f.dims[1], cols = f.dims[2];
@@ -329,7 +392,7 @@ TEST(LorenzoDifferentialTest, QuantizeAndReconstructMatchReference) {
   EXPECT_TRUE(saw_bitmap);
 }
 
-TEST(LorenzoDifferentialTest, ShortStreamsFailLikeReference) {
+void CheckShortStreamsFailLikeReference() {
   const Field f = EdgeFields()[0];
   const int64_t slices = f.dims[0], rows = f.dims[1], cols = f.dims[2];
   const int64_t n = slices * rows * cols;
@@ -372,7 +435,7 @@ TEST(LorenzoDifferentialTest, ShortStreamsFailLikeReference) {
   }
 }
 
-TEST(LorenzoDifferentialTest, SzBlobsDecodeLikeReference) {
+void CheckSzBlobsDecodeLikeReference() {
   // Whole blobs, both escape-location encodings: the decoded floats equal
   // the reference reconstruction of the reference codes.
   auto sz = MakeCompressor(Backend::kSz, CodecId::kHuffman);
@@ -402,6 +465,137 @@ TEST(LorenzoDifferentialTest, SzBlobsDecodeLikeReference) {
                 0);
     }
   }
+}
+
+// Shapes for the wavefront lanes: planes of every width from 1 to 17 and
+// from 31 to 33, as columns and as rows, so each lane of each masked tail
+// chunk holds elements; an h2-shaped 1024 x 9 batch; a long stack of
+// 16 x 16 planes, which several slices traverse at once; and spikes that
+// escape at every lane position, with sNaN and infinities among them.
+std::vector<Field> WavefrontFields() {
+  std::vector<Field> fields;
+  util::Rng rng(8);
+  auto smooth = [&](int64_t slices, int64_t rows, int64_t cols) {
+    std::vector<float> v;
+    for (int64_t s = 0; s < slices; ++s) {
+      for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = 0; j < cols; ++j) {
+          v.push_back(static_cast<float>(
+              std::cos(0.05 * i + 0.3 * j + 0.7 * s) + 1e-3 * rng.Normal()));
+        }
+      }
+    }
+    return v;
+  };
+  std::vector<int64_t> widths;
+  for (int64_t w = 1; w <= 17; ++w) widths.push_back(w);
+  for (int64_t w = 31; w <= 33; ++w) widths.push_back(w);
+  for (const int64_t w : widths) {
+    const std::string ws = std::to_string(w);
+    fields.push_back({"cols-" + ws, {1, 11, w}, smooth(1, 11, w)});
+    fields.push_back({"rows-" + ws, {1, w, 10}, smooth(1, w, 10)});
+    fields.push_back({"stack-cols-" + ws, {3, 6, w}, smooth(3, 6, w)});
+  }
+  fields.push_back({"h2-batch", {1, 1024, 9}, smooth(1, 1024, 9)});
+  fields.push_back({"plane-stack", {40, 16, 16}, smooth(40, 16, 16)});
+  const float specials[] = {1e7f, -3e6f, FromBits(0x7F800001u),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            FromBits(0xFFC0BEEFu)};
+  {
+    // Row i escapes at column i % 33: every lane of chunks 0 to 4.
+    std::vector<float> v = smooth(1, 70, 33);
+    for (int64_t i = 0; i < 70; ++i) {
+      v[static_cast<size_t>(i * 33 + i % 33)] = specials[i % 6];
+    }
+    fields.push_back({"escape-lanes-2d", {1, 70, 33}, std::move(v)});
+  }
+  {
+    std::vector<float> v = smooth(6, 16, 16);
+    for (int64_t s = 0; s < 6; ++s) {
+      for (int64_t i = 0; i < 16; ++i) {
+        v[static_cast<size_t>((s * 16 + i) * 16 + (s + i) % 16)] =
+            specials[(s + i) % 6];
+      }
+    }
+    fields.push_back({"escape-lanes-3d", {6, 16, 16}, std::move(v)});
+  }
+  return fields;
+}
+
+void CheckWavefrontShapesMatchReference() {
+  for (const Field& f : WavefrontFields()) {
+    const int64_t slices = f.dims[0], rows = f.dims[1], cols = f.dims[2];
+    const int64_t n = slices * rows * cols;
+    ASSERT_EQ(static_cast<int64_t>(f.values.size()), n) << f.name;
+    for (const double eb : {1e-7, 1e-3, 0.25}) {
+      SCOPED_TRACE(f.name + " eb " + std::to_string(eb));
+      const LorenzoCodes got =
+          LorenzoQuantize(f.values.data(), slices, rows, cols, eb);
+      const LorenzoCodes want = testing::ReferenceLorenzoQuantize(
+          f.values.data(), slices, rows, cols, eb);
+      ASSERT_EQ(got.codes, want.codes);
+      ASSERT_EQ(got.escape_indices, want.escape_indices);
+      ASSERT_TRUE(SameBits(got.raw_values, want.raw_values));
+      std::vector<uint8_t> unpred(static_cast<size_t>(n), 0);
+      for (const int64_t idx : want.escape_indices) unpred[idx] = 1;
+      const char* raw = reinterpret_cast<const char*>(want.raw_values.data());
+      std::vector<float> fast(static_cast<size_t>(n)), ref(fast.size());
+      ASSERT_TRUE(LorenzoReconstruct(want.codes, unpred.data(), raw,
+                                     want.raw_values.size(), slices, rows,
+                                     cols, eb, fast.data())
+                      .ok());
+      ASSERT_TRUE(testing::ReferenceLorenzoReconstruct(
+                      want.codes, unpred.data(), raw, want.raw_values.size(),
+                      slices, rows, cols, eb, ref.data())
+                      .ok());
+      ASSERT_TRUE(SameBits(fast, ref));
+    }
+  }
+}
+
+TEST(HuffmanDifferentialTest, RandomStreamsMatchReference) {
+  testing::ForEachKernelPath(CheckRandomStreamsMatchReference);
+}
+
+TEST(HuffmanDifferentialTest, LongCodesAtEveryTailOffsetMatchReference) {
+  testing::ForEachKernelPath(CheckLongCodesAtEveryTailOffsetMatchReference);
+}
+
+TEST(HuffmanDifferentialTest, TruncatedStreamsFailLikeReference) {
+  testing::ForEachKernelPath(CheckTruncatedStreamsFailLikeReference);
+}
+
+TEST(HuffmanDifferentialTest, InvalidCodeWordsFailLikeReference) {
+  testing::ForEachKernelPath(CheckInvalidCodeWordsFailLikeReference);
+}
+
+TEST(HuffmanDifferentialTest, BitFlipsFailLikeReference) {
+  testing::ForEachKernelPath(CheckBitFlipsFailLikeReference);
+}
+
+TEST(HuffmanDifferentialTest, DenseThresholdAlphabetsMatchReference) {
+  testing::ForEachKernelPath(CheckDenseThresholdAlphabetsMatchReference);
+}
+
+TEST(HuffmanDifferentialTest, WideAlphabetMatchesReference) {
+  testing::ForEachKernelPath(CheckWideAlphabetMatchesReference);
+}
+
+TEST(LorenzoDifferentialTest, WavefrontShapesMatchReference) {
+  testing::ForEachKernelPath(CheckWavefrontShapesMatchReference);
+}
+
+TEST(LorenzoDifferentialTest, QuantizeAndReconstructMatchReference) {
+  testing::ForEachKernelPath(CheckQuantizeAndReconstructMatchReference);
+}
+
+TEST(LorenzoDifferentialTest, ShortStreamsFailLikeReference) {
+  testing::ForEachKernelPath(CheckShortStreamsFailLikeReference);
+}
+
+TEST(LorenzoDifferentialTest, SzBlobsDecodeLikeReference) {
+  testing::ForEachKernelPath(CheckSzBlobsDecodeLikeReference);
 }
 
 }  // namespace

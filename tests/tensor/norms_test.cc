@@ -1,8 +1,12 @@
 #include "tensor/norms.h"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "gtest/gtest.h"
+#include "tensor/kernels.h"
 #include "testing/test_util.h"
 
 namespace errorflow {
@@ -106,6 +110,62 @@ TEST(NormsTest, NanInSecondRowPropagates) {
     EXPECT_TRUE(std::isnan(MaxRowError(ref, out, 2, 2, norm)));
     EXPECT_TRUE(std::isnan(MaxRowNorm(out, 2, 2, norm)));
   }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+float FloatFromBits(uint32_t bits) {
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+// NaN (with payloads, both signs) and +-Inf at every position of a row
+// and in every row of a batch, in either operand, with row lengths that
+// fill vectors and leave tails: every kernel path returns the portable
+// path's bits, NaN payload included.
+TEST(NormsTest, SpecialsAtEveryPositionKeepTheirBitsOnEveryPath) {
+  const float specials[] = {FloatFromBits(0x7FC0BEEFu),
+                            FloatFromBits(0xFFA00001u),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity()};
+  const std::vector<tensor::KernelPath> paths = SupportedKernelPaths();
+  for (const int64_t row_len : {1, 9, 17}) {
+    const int64_t rows = 11, n = rows * row_len;
+    const Tensor base_a = testing::RandomTensor({n}, 21);
+    const Tensor base_b = testing::RandomTensor({n}, 22);
+    for (const float special : specials) {
+      for (int64_t pos = 0; pos < n; ++pos) {
+        for (const int operand : {0, 1, 2}) {  // a, b, or both.
+          Tensor a = base_a, b = base_b;
+          if (operand != 1) a[pos] = special;
+          if (operand != 0) b[pos] = -special;
+          std::vector<uint64_t> want;
+          for (const tensor::KernelPath path : paths) {
+            SetKernelPathForTest(path);
+            std::vector<uint64_t> got;
+            for (const Norm norm : {Norm::kL2, Norm::kLinf}) {
+              got.push_back(Bits(MaxRowError(a.data(), b.data(), rows,
+                                             row_len, norm)));
+              got.push_back(Bits(MaxRowNorm(a.data(), rows, row_len, norm)));
+            }
+            if (want.empty()) {
+              want = got;
+            } else {
+              EXPECT_EQ(got, want)
+                  << KernelPathName(path) << " row_len " << row_len
+                  << " pos " << pos << " operand " << operand;
+            }
+          }
+        }
+      }
+    }
+  }
+  SetKernelPathForTest(paths.back());
 }
 
 // Property (Sec. III-A): (1/sqrt(n)) ||v||_2 <= ||v||_inf <= ||v||_2.
