@@ -10,7 +10,9 @@
 //    workloads run, the bands behind the default codec, whole and split
 //    into the four stages of SZ: predict+quantize, entropy encode,
 //    entropy decode and reconstruct (each timed alone here, so the hot
-//    path carries no stage timer);
+//    path carries no stage timer), with the decode's table build (a
+//    zero-symbol decode) and the reconstruct's unpack and prediction
+//    chains also timed apart;
 //  - decode speed by backend: zfp, sz and mgard decoding one 512x512
 //    smooth field at the same absolute L-inf bound, the ordering the
 //    paper's Fig. 7 relies on ("zfp decodes fastest"). It is a wall-clock
@@ -221,7 +223,14 @@ struct StageSeconds {
   double quantize = 0.0;
   double encode = 0.0;
   double decode = 0.0;
+  // Huffman only: the code table read and the decode tables built, which
+  // a decode of zero symbols does and nothing else.
+  double decode_table = 0.0;
   double reconstruct = 0.0;
+  // The reconstruct stage's two passes: codes and escapes unpacked in
+  // element order, then the prediction chains.
+  double unpack = 0.0;
+  double chains = 0.0;
 };
 
 StageSeconds TimeStages(const Tensor& batch, double eb,
@@ -244,6 +253,12 @@ StageSeconds TimeStages(const Tensor& batch, double eb,
     errorflow::util::BitReader reader(stream.data(), stream.size());
     if (!entropy.Decode(&reader, q.codes.size()).ok()) std::abort();
   });
+  if (entropy.id() == compress::CodecId::kHuffman) {
+    t.decode_table = BestOf(5, [&] {
+      errorflow::util::BitReader reader(stream.data(), stream.size());
+      if (!entropy.Decode(&reader, 0).ok()) std::abort();
+    });
+  }
   const std::vector<uint8_t> unpred = EscapeFlags(q, n);
   std::vector<float> out(static_cast<size_t>(n));
   t.reconstruct = BestOf(5, [&] {
@@ -255,6 +270,26 @@ StageSeconds TimeStages(const Tensor& batch, double eb,
       std::abort();
     }
   });
+  t.unpack = BestOf(5, [&] {
+    if (!compress::UnpackLorenzoCodes(
+             q.codes, unpred.data(),
+             reinterpret_cast<const char*>(q.raw_values.data()),
+             q.raw_values.size(), n, out.data())
+             .ok()) {
+      std::abort();
+    }
+  });
+  // The chains overwrite the unpacked bits, so each round starts from a
+  // copy of them.
+  const std::vector<float> unpacked = out;
+  t.chains = BestOf(5, [&] {
+    std::memcpy(out.data(), unpacked.data(), unpacked.size() * sizeof(float));
+    compress::LorenzoChains(unpred.data(), slices, rows, cols, eb, out.data());
+  });
+  const double copy = BestOf(5, [&] {
+    std::memcpy(out.data(), unpacked.data(), unpacked.size() * sizeof(float));
+  });
+  t.chains = std::max(0.0, t.chains - copy);
   return t;
 }
 
@@ -294,7 +329,10 @@ bool RunBatchCase(const LoadedBatches& lb, bench::RecordWriter* out,
         stages.quantize += t.quantize;
         stages.encode += t.encode;
         stages.decode += t.decode;
+        stages.decode_table += t.decode_table;
         stages.reconstruct += t.reconstruct;
+        stages.unpack += t.unpack;
+        stages.chains += t.chains;
       }
       const double ratio = raw / stored;
       const double ms = 1e3 / kBatches;
@@ -302,13 +340,15 @@ bool RunBatchCase(const LoadedBatches& lb, bench::RecordWriter* out,
                   lb.name.c_str(), qoi_tol, eb,
                   compress::CodecIdToString(codec), ratio, encode_s * ms,
                   decode_s * ms);
-      char line[160];
+      char line[200];
       std::snprintf(line, sizeof(line),
-                    "%-14s %-6g %-9s %10.3f %10.3f %10.3f %12.3f",
+                    "%-14s %-6g %-9s %10.3f %10.3f %10.3f %8.3f %12.3f "
+                    "%8.3f %8.3f",
                     lb.name.c_str(), qoi_tol,
                     compress::CodecIdToString(codec), stages.quantize * ms,
                     stages.encode * ms, stages.decode * ms,
-                    stages.reconstruct * ms);
+                    stages.decode_table * ms, stages.reconstruct * ms,
+                    stages.unpack * ms, stages.chains * ms);
       stage_lines->push_back(line);
       const bench::Fields key = {
           {"part", "batch"}, {"dataset", lb.name}, {"qoi_tol", qoi_tol},
@@ -321,8 +361,14 @@ bool RunBatchCase(const LoadedBatches& lb, bench::RecordWriter* out,
                kMeasured);
       out->Add(key, "entropy_decode_ms", stages.decode * ms, "ms",
                kMeasured);
+      if (codec == compress::CodecId::kHuffman) {
+        out->Add(key, "entropy_decode_table_ms", stages.decode_table * ms,
+                 "ms", kMeasured);
+      }
       out->Add(key, "reconstruct_ms", stages.reconstruct * ms, "ms",
                kMeasured);
+      out->Add(key, "unpack_ms", stages.unpack * ms, "ms", kMeasured);
+      out->Add(key, "chains_ms", stages.chains * ms, "ms", kMeasured);
     }
   }
   return true;
@@ -568,8 +614,9 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\npipeline batch stages (SZ, ms per batch):\n");
-  std::printf("%-14s %-6s %-9s %10s %10s %10s %12s\n", "dataset", "qoi_tol",
-              "codec", "quantize", "encode", "decode", "reconstruct");
+  std::printf("%-14s %-6s %-9s %10s %10s %10s %8s %12s %8s %8s\n",
+              "dataset", "qoi_tol", "codec", "quantize", "encode", "decode",
+              "table", "reconstruct", "unpack", "chains");
   for (const std::string& line : stage_lines) {
     std::printf("%s\n", line.c_str());
   }

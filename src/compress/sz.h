@@ -65,11 +65,25 @@ LorenzoCodes LorenzoQuantize(const float* data, int64_t slices,
 /// `slices` x `rows` x `cols` field to `out`. `unpred[i]` != 0 marks
 /// element i as escaped; escapes take, in order, the `n_raw` floats at
 /// `raw` (unaligned), and every other element the next of `codes`.
-/// Corruption when either runs out.
+/// Corruption when either runs out. UnpackLorenzoCodes, then
+/// LorenzoChains.
 Status LorenzoReconstruct(const std::vector<uint32_t>& codes,
                           const uint8_t* unpred, const char* raw,
                           uint64_t n_raw, int64_t slices, int64_t rows,
                           int64_t cols, double eb, float* out);
+
+/// The reconstruct stage's first pass over the `n` elements: each one's
+/// code, zigzag-decoded, or, if escaped, its raw float, as 32 bits in its
+/// slot of `out`, in element order. Corruption where LorenzoReconstruct
+/// reports it.
+Status UnpackLorenzoCodes(const std::vector<uint32_t>& codes,
+                          const uint8_t* unpred, const char* raw,
+                          uint64_t n_raw, int64_t n, float* out);
+
+/// The reconstruct stage's prediction chains: replaces the bits that
+/// UnpackLorenzoCodes left in `out` with the reconstructed floats.
+void LorenzoChains(const uint8_t* unpred, int64_t slices, int64_t rows,
+                   int64_t cols, double eb, float* out);
 
 }  // namespace compress
 }  // namespace errorflow
