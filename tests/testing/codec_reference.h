@@ -202,9 +202,11 @@ inline compress::LorenzoCodes ReferenceLorenzoQuantize(const float* data,
           }
         }
         if (!predicted) {
-          recon[static_cast<size_t>(idx)] = static_cast<float>(v);
+          // The input float itself: float(v) would quiet a signalling NaN
+          // wherever the compiler does not fold the round trip away (-O0).
+          recon[static_cast<size_t>(idx)] = data[idx];
           out.escape_indices.push_back(idx);
-          out.raw_values.push_back(static_cast<float>(v));
+          out.raw_values.push_back(data[idx]);
         }
       }
     }
