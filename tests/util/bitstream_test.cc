@@ -170,6 +170,35 @@ TEST(BitStreamTest, EveryWidthAtEveryAlignmentMatchesReference) {
   }
 }
 
+// WriteCodes against the bit-by-bit reference: runs of codes of every
+// length 1..56, between single writes that leave every pending-bit count
+// in the accumulator, and between other runs.
+TEST(BitStreamTest, WriteCodesMatchesBitByBitReference) {
+  Rng rng(9);
+  for (int trial = 0; trial < 300; ++trial) {
+    BitWriter w;
+    ReferenceWriter ref;
+    const int runs = rng.UniformInt(1, 4);
+    for (int run = 0; run < runs; ++run) {
+      const int lead = rng.UniformInt(0, 40);
+      w.WriteBits(0x5A5A5A5A5Aull, lead);
+      ref.WriteBits(0x5A5A5A5A5Aull, lead);
+      std::vector<BitWriter::Code> codes(rng.UniformU64(70));
+      size_t total = 0;
+      for (BitWriter::Code& c : codes) {
+        c.length = rng.UniformInt(1, 56);
+        c.bits = rng.NextU64() & ((uint64_t{1} << c.length) - 1);
+        total += static_cast<size_t>(c.length);
+        ref.WriteBits(c.bits, c.length);
+      }
+      w.WriteCodes(codes.size(), total,
+                   [&](size_t i) { return codes[i]; });
+      ASSERT_EQ(w.bit_count(), ref.bit_count()) << "trial " << trial;
+    }
+    ASSERT_EQ(w.Finish(), ref.Finish()) << "trial " << trial;
+  }
+}
+
 TEST(BitStreamTest, ReserveCoversWritesWithoutReallocation) {
   Rng rng(8);
   for (int trial = 0; trial < 50; ++trial) {
