@@ -88,8 +88,7 @@ double ErrorFlowAnalysis::InputL2(double input_err, Norm norm) const {
 
 ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
     const BlockProfile& block, FlowState in, const std::vector<double>& steps,
-    int64_t* layer_counter, double final_row_norm, bool is_last_block,
-    const ActInjectFn* act_inject) const {
+    int64_t* layer_counter, double final_row_norm, bool is_last_block) const {
   auto flow_linear = [&steps, layer_counter](const LayerProfile& layer,
                                              FlowState s,
                                              double row_norm) -> FlowState {
@@ -122,9 +121,6 @@ ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
         is_last_block && !block.is_residual && l + 1 == block.body.size();
     body = flow_linear(block.body[l], body,
                        is_final_layer ? final_row_norm : -1.0);
-    if (!block.is_residual && act_inject != nullptr) {
-      body.error += (*act_inject)(body.act_norm, block.body[l].n_out);
-    }
   }
   if (!block.is_residual) return body;
 
@@ -137,52 +133,25 @@ ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::FlowBlock(
   out.act_norm = body.act_norm + shortcut.act_norm;
   if (!body.contribs.empty()) {
     // Both paths flowed from the same tracked input, so their shares add
-    // slot-by-slot, exactly like the scalar errors above. (Attribution
-    // never runs with act_inject, so the additions below stay untracked.)
+    // slot-by-slot, exactly like the scalar errors above.
     out.contribs = std::move(body.contribs);
     for (size_t i = 0; i < out.contribs.size(); ++i) {
       out.contribs[i] += shortcut.contribs[i];
     }
   }
-  if (act_inject != nullptr && !block.body.empty()) {
-    out.error += (*act_inject)(out.act_norm, block.body.back().n_out);
-  }
   return out;
 }
 
 ErrorFlowAnalysis::FlowState ErrorFlowAnalysis::Flow(
-    FlowState state, const std::vector<double>& steps, double final_row_norm,
-    const ActInjectFn* act_inject) const {
+    FlowState state, const std::vector<double>& steps,
+    double final_row_norm) const {
   EF_CHECK(static_cast<int64_t>(steps.size()) == layer_count_);
   int64_t counter = 0;
   for (size_t b = 0; b < profile_.blocks.size(); ++b) {
     state = FlowBlock(profile_.blocks[b], std::move(state), steps, &counter,
-                      final_row_norm, b + 1 == profile_.blocks.size(),
-                      act_inject);
+                      final_row_norm, b + 1 == profile_.blocks.size());
   }
   return state;
-}
-
-double ErrorFlowAnalysis::QuantTermWithActivations(
-    NumericFormat weight_format, NumericFormat act_format) const {
-  const ActInjectFn inject = [act_format](double act_norm,
-                                          int64_t n_out) -> double {
-    switch (act_format) {
-      case NumericFormat::kFP32:
-        return 0.0;
-      case NumericFormat::kINT8:
-        // Max-calibrated affine over [-H, H]: step <= 2H/255, per-element
-        // error <= H/255, L2 over n elements <= H sqrt(n) / 255.
-        return act_norm * std::sqrt(static_cast<double>(n_out)) / 255.0;
-      default:
-        // Float: relative rounding 2^-(m+1); ||rounded - h||_2 <=
-        // 2^-(m+1) ||h||_2 <= 2^-(m+1) H.
-        return std::exp2(-(quant::MantissaBits(act_format) + 1)) *
-               act_norm;
-    }
-  };
-  FlowState s{0.0, std::sqrt(static_cast<double>(profile_.n0)), {}};
-  return Flow(s, Steps(weight_format), -1.0, &inject).error;
 }
 
 double ErrorFlowAnalysis::QuantTerm(const std::vector<double>& steps) const {

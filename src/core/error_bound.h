@@ -2,7 +2,6 @@
 #define ERRORFLOW_CORE_ERROR_BOUND_H_
 
 #include <array>
-#include <functional>
 #include <vector>
 
 #include "core/spectral_profile.h"
@@ -138,8 +137,7 @@ class ErrorFlowAnalysis {
 
   /// \name Custom per-layer quantization steps.
   ///
-  /// Generalizes the format-based API for the paper's Sec.-VI extensions
-  /// (grouped INT8, per-layer mixed precision) and the measured steps of
+  /// Generalizes the format-based API for the measured steps of
   /// data-driven PTQ (quant::MaterializedModel::EffectiveSteps): `steps[i]`
   /// is the average quantization step of linear layer `i` in traversal
   /// order — plain chains in network order; residual blocks contribute
@@ -178,22 +176,12 @@ class ErrorFlowAnalysis {
   BoundAttribution Attribution(double input_err, Norm norm,
                                NumericFormat format) const;
 
-  /// Attribution over explicit per-layer steps in traversal order (mixed
-  /// precision, grouped INT8, data-driven effective steps); reduces to the
-  /// overload above for Steps(format).
+  /// Attribution over explicit per-layer steps in traversal order
+  /// (data-driven effective steps); reduces to the overload above for
+  /// Steps(format).
   BoundAttribution Attribution(double input_err, Norm norm,
                                const std::vector<double>& steps) const;
   /// @}
-
-  /// \brief Quantization term when *activations* are quantized too
-  /// (Sec. III-B's activation-quantization remark): weights rounded to
-  /// `weight_format`, and the output of every top-level linear layer /
-  /// residual block rounded to `act_format` (matching
-  /// quant::PredictWithQuantizedActivations). Float formats inject a
-  /// relative rounding error 2^-(m+1) * ||h||; INT8 injects
-  /// ||h|| * sqrt(n) / 255 (max calibration).
-  double QuantTermWithActivations(NumericFormat weight_format,
-                                  NumericFormat act_format) const;
 
  private:
   struct FlowState {
@@ -216,27 +204,19 @@ class ErrorFlowAnalysis {
     return pricing_[static_cast<size_t>(format)];
   }
 
-  // Activation-rounding error injected after a linear layer or block
-  // output with activation-norm bound `act_norm` and `n_out` elements.
-  using ActInjectFn = std::function<double(double act_norm, int64_t n_out)>;
-
   // Propagates (E, H) through one block; `layer_counter` tracks the
   // traversal index into `steps`. A non-negative `final_row_norm` makes
   // the model's final layer a single output row with that norm
-  // (PerFeatureBound). `act_inject`, when non-null, adds
-  // activation-rounding error after each plain-chain layer and after each
-  // residual block's output.
+  // (PerFeatureBound).
   FlowState FlowBlock(const BlockProfile& block, FlowState in,
                       const std::vector<double>& steps,
                       int64_t* layer_counter, double final_row_norm,
-                      bool is_last_block,
-                      const ActInjectFn* act_inject = nullptr) const;
+                      bool is_last_block) const;
 
   // Runs the full flow with the given initial state; the one place that
   // checks `steps` has LinearLayerCount() entries.
   FlowState Flow(FlowState state, const std::vector<double>& steps,
-                 double final_row_norm = -1.0,
-                 const ActInjectFn* act_inject = nullptr) const;
+                 double final_row_norm = -1.0) const;
 
   // Input error converted to the L2 norm the flow runs in.
   double InputL2(double input_err, Norm norm) const;

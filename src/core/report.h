@@ -18,8 +18,7 @@ std::string ProfileReport(const ErrorFlowAnalysis& analysis);
 /// each layer's marginal contribution, QuantTerm(all layers quantized) -
 /// QuantTerm(that layer kept FP32). The rows sum to approximately
 /// QuantTerm(format) (exactly, up to the small sigma~ coupling between
-/// layers). Useful for deciding which layers to keep at higher precision
-/// (see core/mixed_precision.h).
+/// layers). Useful for deciding which layers to keep at higher precision.
 struct LayerContribution {
   std::string layer;
   double step_size = 0.0;

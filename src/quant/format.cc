@@ -36,22 +36,6 @@ const char* QuantizerToString(WeightQuantizer quantizer) {
   return "unknown";
 }
 
-int MantissaBits(NumericFormat format) {
-  switch (format) {
-    case NumericFormat::kFP32:
-      return 23;
-    case NumericFormat::kTF32:
-      return 10;
-    case NumericFormat::kFP16:
-      return 10;
-    case NumericFormat::kBF16:
-      return 7;
-    case NumericFormat::kINT8:
-      return 0;
-  }
-  return 0;
-}
-
 int StorageBits(NumericFormat format) {
   switch (format) {
     case NumericFormat::kFP32:

@@ -61,9 +61,6 @@ enum class WeightQuantizer : uint8_t {
 /// Lowercase canonical name: "max-affine", "optq", "spfq".
 const char* QuantizerToString(WeightQuantizer quantizer);
 
-/// Number of explicit mantissa (fraction) bits: 23/10/10/7; 0 for INT8.
-int MantissaBits(NumericFormat format);
-
 /// Storage bits per weight for the memory/bandwidth model.
 /// TF32 occupies 19 bits logically (stored as 32 in practice; we report the
 /// logical width used by the paper's bandwidth discussion).

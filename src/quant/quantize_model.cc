@@ -19,7 +19,6 @@ namespace {
 using tensor::Tensor;
 
 std::string VariantSuffix(const VariantSpec& spec) {
-  if (!spec.layer_formats.empty()) return ".mixed";
   std::string suffix = std::string(".") + FormatToString(spec.format);
   if (spec.quantizer != WeightQuantizer::kMaxAffine) {
     suffix += std::string("+") + QuantizerToString(spec.quantizer);
@@ -65,8 +64,7 @@ std::vector<double> MaterializedModel::EffectiveSteps() const {
 MaterializedModel Materialize(const nn::Model& model, const VariantSpec& spec,
                               const tensor::Tensor& calibration) {
   const bool data_driven = spec.quantizer != WeightQuantizer::kMaxAffine;
-  EF_CHECK(!data_driven || (spec.format == NumericFormat::kINT8 &&
-                            spec.layer_formats.empty()));
+  EF_CHECK(!data_driven || spec.format == NumericFormat::kINT8);
   MaterializedModel out;
   out.model = model.Clone();
   out.model.set_name(model.name() + VariantSuffix(spec));
@@ -89,10 +87,6 @@ MaterializedModel Materialize(const nn::Model& model, const VariantSpec& spec,
       return;
     }
     rec.format = spec.format;
-    if (!spec.layer_formats.empty()) {
-      EF_CHECK(index < static_cast<int64_t>(spec.layer_formats.size()));
-      rec.format = spec.layer_formats[static_cast<size_t>(index)];
-    }
     rec.rows = w->dim(0);
     rec.cols = w->size() / std::max<int64_t>(1, rec.rows);
     if (data_driven) {
@@ -103,8 +97,6 @@ MaterializedModel Materialize(const nn::Model& model, const VariantSpec& spec,
     out.layers.push_back(std::move(rec));
     ++index;
   });
-  EF_CHECK(spec.layer_formats.empty() ||
-           index == static_cast<int64_t>(spec.layer_formats.size()));
   return out;
 }
 

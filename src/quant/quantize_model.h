@@ -52,16 +52,12 @@ struct VariantSpec {
               WeightQuantizer quantizer = WeightQuantizer::kMaxAffine)
       : format(format), quantizer(quantizer) {}
 
-  /// Format of every Dense/Conv weight tensor, unless `layer_formats` is
-  /// set.
+  /// Format of every Dense/Conv weight tensor.
   NumericFormat format;
   /// kMaxAffine: the paper's Table-I family (bit-exact mantissa rounding,
   /// per-tensor max-calibration affine INT8). kOptq/kSpfq: data-driven
   /// INT8 (src/quant/optq.h); requires `format == kINT8`.
   WeightQuantizer quantizer;
-  /// Per-layer formats in traversal order (a mixed-precision plan);
-  /// overrides `format` when non-empty. Max-affine only.
-  std::vector<NumericFormat> layer_formats;
 };
 
 /// \brief A materialized variant: the quantized clone plus one record per
@@ -84,10 +80,9 @@ struct MaterializedModel {
 /// INT8, or the OPTQ/SPFQ kernel, which first captures every layer's
 /// input Gram in one forward pass on `calibration` (a batch shaped like
 /// the model input; empty degrades to per-channel rounding). The clone is
-/// named "<model>.<format>", "<model>.int8+<quantizer>" or
-/// "<model>.mixed". Deterministic: the same inputs reproduce bit-identical
-/// weights, which lets the serving registry price a variant at Register
-/// and materialize it later.
+/// named "<model>.<format>" or "<model>.int8+<quantizer>". Deterministic:
+/// the same inputs reproduce bit-identical weights, which lets the serving
+/// registry price a variant at Register and materialize it later.
 MaterializedModel Materialize(const nn::Model& model, const VariantSpec& spec,
                               const tensor::Tensor& calibration = {});
 

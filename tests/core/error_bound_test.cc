@@ -186,6 +186,56 @@ TEST(ErrorBoundTest, QuantizedSigmaProxyFormula) {
               1e-12);
 }
 
+nn::Model SampleMlp() {
+  nn::MlpConfig cfg;
+  cfg.input_dim = 8;
+  cfg.hidden_dims = {16, 16};
+  cfg.output_dim = 4;
+  cfg.seed = 51;
+  return nn::BuildMlp(cfg);
+}
+
+// Table-I steps of a per-layer format assignment, priced from the weights
+// in the profile's traversal order.
+std::vector<double> AssignmentSteps(const ErrorFlowAnalysis& analysis,
+                                    const std::vector<NumericFormat>& formats) {
+  std::vector<double> steps;
+  for (const BlockProfile& block : analysis.profile().blocks) {
+    for (const LayerProfile& layer : block.body) {
+      steps.push_back(
+          quant::AverageStepSize(layer.weight, formats[steps.size()]));
+    }
+    if (block.is_residual && block.has_projection) {
+      steps.push_back(quant::AverageStepSize(block.shortcut.weight,
+                                             formats[steps.size()]));
+    }
+  }
+  return steps;
+}
+
+TEST(ErrorBoundTest, UniformStepsMatchFormat) {
+  nn::Model m = SampleMlp();
+  ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
+  const int64_t n = analysis.LinearLayerCount();
+  std::vector<NumericFormat> uniform(static_cast<size_t>(n),
+                                     NumericFormat::kFP16);
+  EXPECT_EQ(
+      analysis.QuantTerm(AssignmentSteps(analysis, uniform)),
+      analysis.QuantTerm(NumericFormat::kFP16));
+}
+
+TEST(ErrorBoundTest, BoundWithStepsMatchesBound) {
+  nn::Model m = SampleMlp();
+  ErrorFlowAnalysis analysis(ProfileModel(m, {1, 8}));
+  std::vector<double> steps;
+  for (const LayerProfile* layer : analysis.LinearLayers()) {
+    steps.push_back(LayerStepSize(*layer, NumericFormat::kBF16));
+  }
+  EXPECT_NEAR(analysis.Bound(1e-3, tensor::Norm::kL2, steps),
+              analysis.Bound(1e-3, tensor::Norm::kL2, NumericFormat::kBF16),
+              1e-15);
+}
+
 TEST(ErrorBoundTest, ResidualGainIncludesShortcut) {
   // y = F(x) + x with F a single zero-weight layer: gain must be exactly 1.
   std::vector<std::unique_ptr<nn::Layer>> body;

@@ -17,13 +17,6 @@ TEST(FormatTest, Names) {
   EXPECT_STREQ(FormatToString(NumericFormat::kINT8), "int8");
 }
 
-TEST(FormatTest, MantissaBits) {
-  EXPECT_EQ(MantissaBits(NumericFormat::kFP32), 23);
-  EXPECT_EQ(MantissaBits(NumericFormat::kTF32), 10);
-  EXPECT_EQ(MantissaBits(NumericFormat::kFP16), 10);
-  EXPECT_EQ(MantissaBits(NumericFormat::kBF16), 7);
-}
-
 TEST(FormatTest, StorageBits) {
   EXPECT_EQ(StorageBits(NumericFormat::kFP32), 32);
   EXPECT_EQ(StorageBits(NumericFormat::kTF32), 19);

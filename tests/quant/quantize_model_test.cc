@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/error_bound.h"
 #include "gtest/gtest.h"
 #include "nn/builders.h"
 #include "nn/dense.h"
@@ -120,9 +121,33 @@ TEST(QuantizeModelTest, NameCarriesFormat) {
   EXPECT_EQ(Materialize(m, {NumericFormat::kINT8, WeightQuantizer::kOptq})
                 .model.name(),
             "m.int8+optq");
-  VariantSpec mixed;
-  mixed.layer_formats.assign(3, NumericFormat::kBF16);
-  EXPECT_EQ(Materialize(m, mixed).model.name(), "m.mixed");
+}
+
+nn::Model SampleResNet() {
+  nn::ResNetConfig cfg;
+  cfg.in_channels = 2;
+  cfg.num_classes = 3;
+  cfg.stage_channels = {4, 8};
+  cfg.stage_blocks = {1, 1};
+  cfg.seed = 52;
+  return nn::BuildResNet(cfg);
+}
+
+TEST(MaterializeTest, RecordsFollowProfileTraversal) {
+  nn::Model m = SampleResNet();
+  const MaterializedModel q = Materialize(m, {NumericFormat::kFP16});
+  core::ErrorFlowAnalysis analysis(core::ProfileModel(m, {1, 2, 8, 8}));
+  EXPECT_EQ(static_cast<int64_t>(q.layers.size()),
+            analysis.LinearLayerCount());
+  // Stem conv, block1 (2 convs), block2 (2 convs + projection), head.
+  EXPECT_EQ(q.layers.size(), 7u);
+  EXPECT_EQ(q.layers.front().layer.rfind("Conv2d", 0), 0u);
+  EXPECT_EQ(q.layers.back().layer.rfind("Dense", 0), 0u);
+  // Each record prices the layer the profile holds at the same index.
+  const std::vector<double>& steps = analysis.Steps(NumericFormat::kFP16);
+  for (size_t i = 0; i < q.layers.size(); ++i) {
+    EXPECT_EQ(q.layers[i].effective_step, steps[i]) << i;
+  }
 }
 
 }  // namespace

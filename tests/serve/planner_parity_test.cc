@@ -261,13 +261,10 @@ TEST(PickParityTest, AdmitMatchesBruteForceWithDataDrivenCandidate) {
 
 // The plain per-layer loop Materialize replaces: clone, fold, round each
 // Dense/Conv weight tensor in traversal order.
-nn::Model ReferenceVariant(const nn::Model& model,
-                           const std::vector<NumericFormat>& layer_formats,
-                           const std::string& suffix) {
+nn::Model ReferenceVariant(const nn::Model& model, NumericFormat f) {
   nn::Model out = model.Clone();
-  out.set_name(model.name() + suffix);
+  out.set_name(model.name() + "." + quant::FormatToString(f));
   out.FoldPsn();
-  size_t index = 0;
   out.VisitLayers([&](nn::Layer* layer) {
     Tensor* w = nullptr;
     if (auto* d = dynamic_cast<nn::DenseLayer*>(layer)) {
@@ -277,7 +274,6 @@ nn::Model ReferenceVariant(const nn::Model& model,
     } else {
       return;
     }
-    const NumericFormat f = layer_formats[index++];
     if (f == NumericFormat::kINT8) {
       quant::QuantizeDequantizeInt8(w);
     } else {
@@ -323,25 +319,12 @@ TEST(MaterializeParityTest, MatchesPerLayerReferenceLoop) {
     for (NumericFormat f : quant::ReducedFormats()) {
       SCOPED_TRACE(fx.name + "/" + quant::FormatToString(f));
       quant::MaterializedModel got = quant::Materialize(model, {f});
-      nn::Model want = ReferenceVariant(
-          model, std::vector<NumericFormat>(n, f),
-          std::string(".") + quant::FormatToString(f));
+      nn::Model want = ReferenceVariant(model, f);
       ExpectBitIdentical(&got.model, &want);
       // The records price exactly the cached steps of the format.
       ASSERT_EQ(got.layers.size(), n);
       EXPECT_EQ(got.EffectiveSteps(), analysis.Steps(f));
     }
-    // One mixed assignment cycling through every format.
-    std::vector<NumericFormat> mixed;
-    for (size_t i = 0; i < n; ++i) {
-      mixed.push_back(quant::AllFormats()[i % quant::AllFormats().size()]);
-    }
-    SCOPED_TRACE(fx.name + "/mixed");
-    quant::VariantSpec spec;
-    spec.layer_formats = mixed;
-    quant::MaterializedModel got = quant::Materialize(model, spec);
-    nn::Model want = ReferenceVariant(model, mixed, ".mixed");
-    ExpectBitIdentical(&got.model, &want);
   }
 }
 

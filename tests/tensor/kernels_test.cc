@@ -1,7 +1,6 @@
 #include "tensor/kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -460,54 +459,72 @@ TEST_F(KernelsTest, ConfigurationRoundTrips) {
 // payloads included: model outputs, variant checksums and pinned digests
 // all depend on it. The AVX2 and AVX-512 kernels port glibc's fdlibm tanhf;
 // on a libm with a different tanhf this fails and lists inputs that differ.
-void ExpectTanhMatchesStdTanhOnAllFloats() {
+// The std::tanh reference is computed once per slice of inputs, and every
+// supported kernel path is checked against it before the next slice.
+TEST(TanhKernelTest, MatchesStdTanhOnAllFloats) {
   constexpr int kThreads = 4;
   constexpr uint64_t kAll = uint64_t{1} << 32;
+  constexpr uint64_t kSlice = uint64_t{1} << 24;  // 64 MB of reference.
+  constexpr uint64_t kPerThread = kSlice / kThreads;
   constexpr int64_t kBlock = 4096;
-  std::atomic<uint64_t> mismatches{0};
+  const std::vector<KernelPath> paths = SupportedKernelPaths();
+  std::vector<float> ref(kSlice);
   std::mutex mu;
-  std::vector<std::string> examples;
-  auto sweep = [&](uint64_t begin, uint64_t end) {
-    std::vector<float> x(kBlock), y(kBlock);
-    for (uint64_t base = begin; base < end; base += kBlock) {
-      for (int64_t i = 0; i < kBlock; ++i) {
-        const uint32_t bits = static_cast<uint32_t>(base + i);
-        std::memcpy(&x[i], &bits, sizeof(bits));
-      }
-      TanhKernel(x.data(), y.data(), kBlock);
-      for (int64_t i = 0; i < kBlock; ++i) {
-        const float ref = std::tanh(x[i]);
-        uint32_t got_bits, ref_bits;
-        std::memcpy(&got_bits, &y[i], sizeof(got_bits));
-        std::memcpy(&ref_bits, &ref, sizeof(ref_bits));
-        if (got_bits == ref_bits) continue;
-        if (mismatches.fetch_add(1) < 10) {
-          char line[96];
-          std::snprintf(line, sizeof(line),
-                        "x=0x%08x: kernel 0x%08x, std::tanh 0x%08x",
-                        static_cast<uint32_t>(base + i), got_bits, ref_bits);
-          std::lock_guard<std::mutex> lock(mu);
-          examples.push_back(line);
-        }
-      }
-    }
+  std::vector<uint64_t> mismatches(paths.size(), 0);
+  std::vector<std::string> examples(paths.size());
+  auto float_at = [](uint64_t bits) {
+    return std::bit_cast<float>(static_cast<uint32_t>(bits));
   };
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back(sweep, kAll / kThreads * t,
-                         kAll / kThreads * (t + 1));
+  // Runs sweep(begin, end) on kThreads threads, one quarter of the slice
+  // starting at `slice` each, and joins them.
+  auto split = [&](uint64_t slice, const auto& sweep) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      const uint64_t begin = slice + kPerThread * t;
+      threads.emplace_back(sweep, begin, begin + kPerThread);
+    }
+    for (auto& t : threads) t.join();
+  };
+  for (uint64_t slice = 0; slice < kAll; slice += kSlice) {
+    split(slice, [&](uint64_t begin, uint64_t end) {
+      for (uint64_t b = begin; b < end; ++b) {
+        ref[b - slice] = std::tanh(float_at(b));
+      }
+    });
+    for (size_t p = 0; p < paths.size(); ++p) {
+      SetKernelPathForTest(paths[p]);
+      split(slice, [&](uint64_t begin, uint64_t end) {
+        std::vector<float> x(kBlock), y(kBlock);
+        for (uint64_t base = begin; base < end; base += kBlock) {
+          for (int64_t i = 0; i < kBlock; ++i) x[i] = float_at(base + i);
+          TanhKernel(x.data(), y.data(), kBlock);
+          const float* want = &ref[base - slice];
+          if (std::memcmp(y.data(), want, sizeof(float) * kBlock) == 0) {
+            continue;
+          }
+          std::lock_guard<std::mutex> lock(mu);
+          for (int64_t i = 0; i < kBlock; ++i) {
+            const uint32_t got_bits = std::bit_cast<uint32_t>(y[i]);
+            const uint32_t ref_bits = std::bit_cast<uint32_t>(want[i]);
+            if (got_bits == ref_bits || mismatches[p]++ >= 10) continue;
+            char line[96];
+            std::snprintf(line, sizeof(line),
+                          "x=0x%08x: kernel 0x%08x, std::tanh 0x%08x\n",
+                          static_cast<uint32_t>(base + i), got_bits,
+                          ref_bits);
+            examples[p] += line;
+          }
+        }
+      });
+    }
   }
-  for (auto& t : threads) t.join();
-  std::string detail;
-  for (const auto& e : examples) detail += e + "\n";
-  EXPECT_EQ(mismatches.load(), 0u)
-      << "TanhKernel differs from this libm's tanhf (" << KernelDescription()
-      << "):\n"
-      << detail;
-}
-
-TEST(TanhKernelTest, MatchesStdTanhOnAllFloats) {
-  testing::ForEachKernelPath([] { ExpectTanhMatchesStdTanhOnAllFloats(); });
+  SetKernelPathForTest(paths.back());
+  for (size_t p = 0; p < paths.size(); ++p) {
+    EXPECT_EQ(mismatches[p], 0u)
+        << "TanhKernel differs from this libm's tanhf ("
+        << KernelPathName(paths[p]) << " kernel path):\n"
+        << examples[p];
+  }
 }
 
 // The all-floats sweep runs 4096-value blocks only. Every length in
