@@ -1,13 +1,13 @@
-// Entropy-codec sweep: plain canonical Huffman vs the DEFLATE-class
-// LZ77+Huffman codec through the SZ-like backend (whose quantization
-// codes the codec compresses), single-threaded, in two parts:
+// SZ codec sweep: ratio and speed of the SZ-like backend and of its
+// canonical Huffman entropy stage (which writes every new stream),
+// single-threaded, in three parts:
 //  - whole fields: the three scientific datasets (H2 combustion, Borghesi
 //    HPC telemetry, EuroSAT imagery) at 256x256 / 64 images, at the
 //    Fig. 3/4 relative tolerances;
 //  - pipeline batches: one batch of what InferencePipeline::Run encodes
 //    (h2: 1024 samples, 36 KB; eurosat: 32 images, 416 KB) at the input
 //    tolerance the pipeline plans for each QoI tolerance the perfbench
-//    workloads run, the bands behind the default codec, whole and split
+//    workloads run, whole and split
 //    into the four stages of SZ: predict+quantize, entropy encode,
 //    entropy decode and reconstruct (each timed alone here, so the hot
 //    path carries no stage timer), with the decode's table build (a
@@ -42,6 +42,7 @@
 #include "common/record_writer.h"
 #include "compress/bound_util.h"
 #include "compress/codec/codec.h"
+#include "compress/codec/huffman.h"
 #include "compress/compressor.h"
 #include "compress/sz.h"
 #include "core/pipeline.h"
@@ -73,18 +74,10 @@ double BestOf(int reps, const std::function<void()>& fn) {
 namespace bench = errorflow::bench;
 constexpr bench::Source kMeasured = bench::Source::kMeasured;
 
-struct Record {
-  std::string dataset;
-  double tol_rel = 0.0;
-  compress::CodecId codec = compress::CodecId::kHuffman;
-  double ratio = 0.0;
-};
-
 // Quantization-code-shaped symbol stream for codec-level throughput: the
 // field's first differences quantized at the tolerance and zigzag-folded,
 // mirroring what the predictors hand the entropy stage (the full
-// Compress/Decompress numbers above are Lorenzo-dominated and nearly
-// codec-independent).
+// Compress/Decompress numbers are Lorenzo-dominated).
 std::vector<uint32_t> QuantStream(const Tensor& field, double eb) {
   std::vector<uint32_t> codes;
   codes.reserve(static_cast<size_t>(field.size()));
@@ -155,29 +148,25 @@ std::vector<uint8_t> EscapeFlags(const compress::LorenzoCodes& q,
   return unpred;
 }
 
-// Whether `codes` round-trip through `codec`, and, for Huffman, decode
-// to the same symbols and position as the reference decoder.
-bool StreamMatchesReference(const std::vector<uint32_t>& codes,
-                            compress::CodecId codec) {
-  const compress::EntropyCodec* entropy = compress::GetCodec(codec);
+// Whether `codes` round-trip through Huffman and decode to the same
+// symbols and position as the reference decoder.
+bool StreamMatchesReference(const std::vector<uint32_t>& codes) {
   errorflow::util::BitWriter bits;
-  if (!entropy->Encode(codes, &bits).ok()) return false;
+  if (!compress::HuffmanCodec::Encode(codes, &bits).ok()) return false;
   const std::string stream = bits.Finish();
   errorflow::util::BitReader fast(stream.data(), stream.size());
-  auto got = entropy->Decode(&fast, codes.size());
+  auto got = compress::HuffmanCodec::Decode(&fast, codes.size());
   if (!got.ok() || *got != codes) return false;
-  if (codec != compress::CodecId::kHuffman) return true;
   errorflow::util::BitReader slow(stream.data(), stream.size());
   auto want = errorflow::testing::ReferenceHuffmanDecode(&slow, codes.size());
   return want.ok() && *want == codes &&
          fast.BitsRemaining() == slow.BitsRemaining();
 }
 
-// Checks `field`'s SZ stream at absolute L-inf bound `eb` with `codec`
-// against the retained references, stage by stage and as a whole blob.
-// Returns the first stage that differs, or an empty string.
-std::string ReferenceMismatch(const Tensor& field, double eb,
-                              compress::CodecId codec) {
+// Checks `field`'s SZ stream at absolute L-inf bound `eb` against the
+// retained references, stage by stage and as a whole blob. Returns the
+// first stage that differs, or an empty string.
+std::string ReferenceMismatch(const Tensor& field, double eb) {
   namespace testing = errorflow::testing;
   int64_t slices, rows, cols;
   compress::CollapseTo3d(field.shape(), &slices, &rows, &cols);
@@ -192,7 +181,7 @@ std::string ReferenceMismatch(const Tensor& field, double eb,
                 q.raw_values.size())) {
     return "predict+quantize";
   }
-  if (!StreamMatchesReference(q.codes, codec)) return "entropy decode";
+  if (!StreamMatchesReference(q.codes)) return "entropy decode";
   const std::vector<uint8_t> unpred = EscapeFlags(ref, n);
   const char* raw = reinterpret_cast<const char*>(ref.raw_values.data());
   std::vector<float> rec(static_cast<size_t>(n)), want(rec.size());
@@ -207,7 +196,7 @@ std::string ReferenceMismatch(const Tensor& field, double eb,
       !SameBits(rec.data(), want.data(), rec.size())) {
     return "reconstruct";
   }
-  auto compressor = compress::MakeCompressor(compress::Backend::kSz, codec);
+  auto compressor = compress::MakeCompressor(compress::Backend::kSz);
   auto comp = compressor->Compress(field, compress::ErrorBound::AbsLinf(eb));
   if (!comp.ok()) return "compress";
   auto dec = compressor->Decompress(comp->blob);
@@ -223,8 +212,8 @@ struct StageSeconds {
   double quantize = 0.0;
   double encode = 0.0;
   double decode = 0.0;
-  // Huffman only: the code table read and the decode tables built, which
-  // a decode of zero symbols does and nothing else.
+  // The code table read and the decode tables built, which a decode of
+  // zero symbols does and nothing else.
   double decode_table = 0.0;
   double reconstruct = 0.0;
   // The reconstruct stage's two passes: codes and escapes unpacked in
@@ -233,8 +222,9 @@ struct StageSeconds {
   double chains = 0.0;
 };
 
-StageSeconds TimeStages(const Tensor& batch, double eb,
-                        const compress::EntropyCodec& entropy) {
+StageSeconds TimeStages(const Tensor& batch, double eb) {
+  const compress::EntropyCodec& entropy =
+      *compress::GetCodec(compress::CodecId::kHuffman);
   int64_t slices, rows, cols;
   compress::CollapseTo3d(batch.shape(), &slices, &rows, &cols);
   const int64_t n = batch.size();
@@ -246,19 +236,17 @@ StageSeconds TimeStages(const Tensor& batch, double eb,
   std::string stream;
   t.encode = BestOf(5, [&] {
     errorflow::util::BitWriter bits;
-    if (!entropy.Encode(q.codes, &bits).ok()) std::abort();
+    if (!compress::HuffmanCodec::Encode(q.codes, &bits).ok()) std::abort();
     stream = bits.Finish();
   });
   t.decode = BestOf(5, [&] {
     errorflow::util::BitReader reader(stream.data(), stream.size());
     if (!entropy.Decode(&reader, q.codes.size()).ok()) std::abort();
   });
-  if (entropy.id() == compress::CodecId::kHuffman) {
-    t.decode_table = BestOf(5, [&] {
-      errorflow::util::BitReader reader(stream.data(), stream.size());
-      if (!entropy.Decode(&reader, 0).ok()) std::abort();
-    });
-  }
+  t.decode_table = BestOf(5, [&] {
+    errorflow::util::BitReader reader(stream.data(), stream.size());
+    if (!entropy.Decode(&reader, 0).ok()) std::abort();
+  });
   const std::vector<uint8_t> unpred = EscapeFlags(q, n);
   std::vector<float> out(static_cast<size_t>(n));
   t.reconstruct = BestOf(5, [&] {
@@ -293,83 +281,72 @@ StageSeconds TimeStages(const Tensor& batch, double eb,
   return t;
 }
 
-// Encodes and decodes each batch of `lb` at every planned tolerance with
-// both codecs, checking the bound, then times the four stages. Returns
-// false on any failure.
+// Encodes and decodes each batch of `lb` at every planned tolerance,
+// checking the bound, then times the four stages. Returns false on any
+// failure.
 bool RunBatchCase(const LoadedBatches& lb, bench::RecordWriter* out,
                   std::vector<std::string>* stage_lines) {
+  auto compressor = compress::MakeCompressor(compress::Backend::kSz);
   for (const auto& [qoi_tol, eb] : lb.qoi_and_input_tol) {
     const compress::ErrorBound bound = compress::ErrorBound::AbsLinf(eb);
-    for (compress::CodecId codec : compress::AllCodecs()) {
-      auto compressor = compress::MakeCompressor(compress::Backend::kSz,
-                                                 codec);
-      double raw = 0.0, stored = 0.0, encode_s = 0.0, decode_s = 0.0;
-      StageSeconds stages;
-      for (const Tensor& batch : lb.batches) {
-        auto comp = compressor->Compress(batch, bound);
-        if (!comp.ok()) return false;
-        auto dec = compressor->Decompress(comp->blob);
-        if (!dec.ok() || dec->data.size() != batch.size()) return false;
-        for (int64_t i = 0; i < batch.size(); ++i) {
-          if (std::fabs(static_cast<double>(dec->data[i]) - batch[i]) >
-              eb * (1.0 + 1e-12)) {
-            return false;
-          }
+    double raw = 0.0, stored = 0.0, encode_s = 0.0, decode_s = 0.0;
+    StageSeconds stages;
+    for (const Tensor& batch : lb.batches) {
+      auto comp = compressor->Compress(batch, bound);
+      if (!comp.ok()) return false;
+      auto dec = compressor->Decompress(comp->blob);
+      if (!dec.ok() || dec->data.size() != batch.size()) return false;
+      for (int64_t i = 0; i < batch.size(); ++i) {
+        if (std::fabs(static_cast<double>(dec->data[i]) - batch[i]) >
+            eb * (1.0 + 1e-12)) {
+          return false;
         }
-        raw += static_cast<double>(batch.size()) * sizeof(float);
-        stored += static_cast<double>(comp->blob.size());
-        encode_s += BestOf(5, [&] {
-          if (!compressor->Compress(batch, bound).ok()) std::abort();
-        });
-        decode_s += BestOf(5, [&] {
-          if (!compressor->Decompress(comp->blob).ok()) std::abort();
-        });
-        const StageSeconds t =
-            TimeStages(batch, eb, *compress::GetCodec(codec));
-        stages.quantize += t.quantize;
-        stages.encode += t.encode;
-        stages.decode += t.decode;
-        stages.decode_table += t.decode_table;
-        stages.reconstruct += t.reconstruct;
-        stages.unpack += t.unpack;
-        stages.chains += t.chains;
       }
-      const double ratio = raw / stored;
-      const double ms = 1e3 / kBatches;
-      std::printf("%-14s %-6g %-10.3g %-9s %8.2f %10.2f %10.2f\n",
-                  lb.name.c_str(), qoi_tol, eb,
-                  compress::CodecIdToString(codec), ratio, encode_s * ms,
-                  decode_s * ms);
-      char line[200];
-      std::snprintf(line, sizeof(line),
-                    "%-14s %-6g %-9s %10.3f %10.3f %10.3f %8.3f %12.3f "
-                    "%8.3f %8.3f",
-                    lb.name.c_str(), qoi_tol,
-                    compress::CodecIdToString(codec), stages.quantize * ms,
-                    stages.encode * ms, stages.decode * ms,
-                    stages.decode_table * ms, stages.reconstruct * ms,
-                    stages.unpack * ms, stages.chains * ms);
-      stage_lines->push_back(line);
-      const bench::Fields key = {
-          {"part", "batch"}, {"dataset", lb.name}, {"qoi_tol", qoi_tol},
-          {"input_tol", eb}, {"codec", compress::CodecIdToString(codec)}};
-      out->Add(key, "ratio", ratio, "x", kMeasured);
-      out->Add(key, "encode_ms", encode_s * ms, "ms", kMeasured);
-      out->Add(key, "decode_ms", decode_s * ms, "ms", kMeasured);
-      out->Add(key, "quantize_ms", stages.quantize * ms, "ms", kMeasured);
-      out->Add(key, "entropy_encode_ms", stages.encode * ms, "ms",
-               kMeasured);
-      out->Add(key, "entropy_decode_ms", stages.decode * ms, "ms",
-               kMeasured);
-      if (codec == compress::CodecId::kHuffman) {
-        out->Add(key, "entropy_decode_table_ms", stages.decode_table * ms,
-                 "ms", kMeasured);
-      }
-      out->Add(key, "reconstruct_ms", stages.reconstruct * ms, "ms",
-               kMeasured);
-      out->Add(key, "unpack_ms", stages.unpack * ms, "ms", kMeasured);
-      out->Add(key, "chains_ms", stages.chains * ms, "ms", kMeasured);
+      raw += static_cast<double>(batch.size()) * sizeof(float);
+      stored += static_cast<double>(comp->blob.size());
+      encode_s += BestOf(5, [&] {
+        if (!compressor->Compress(batch, bound).ok()) std::abort();
+      });
+      decode_s += BestOf(5, [&] {
+        if (!compressor->Decompress(comp->blob).ok()) std::abort();
+      });
+      const StageSeconds t = TimeStages(batch, eb);
+      stages.quantize += t.quantize;
+      stages.encode += t.encode;
+      stages.decode += t.decode;
+      stages.decode_table += t.decode_table;
+      stages.reconstruct += t.reconstruct;
+      stages.unpack += t.unpack;
+      stages.chains += t.chains;
     }
+    const double ratio = raw / stored;
+    const double ms = 1e3 / kBatches;
+    std::printf("%-14s %-6g %-10.3g %8.2f %10.2f %10.2f\n", lb.name.c_str(),
+                qoi_tol, eb, ratio, encode_s * ms, decode_s * ms);
+    char line[200];
+    std::snprintf(line, sizeof(line),
+                  "%-14s %-6g %10.3f %10.3f %10.3f %8.3f %12.3f %8.3f %8.3f",
+                  lb.name.c_str(), qoi_tol, stages.quantize * ms,
+                  stages.encode * ms, stages.decode * ms,
+                  stages.decode_table * ms, stages.reconstruct * ms,
+                  stages.unpack * ms, stages.chains * ms);
+    stage_lines->push_back(line);
+    const bench::Fields key = {{"part", "batch"},
+                               {"dataset", lb.name},
+                               {"qoi_tol", qoi_tol},
+                               {"input_tol", eb}};
+    out->Add(key, "ratio", ratio, "x", kMeasured);
+    out->Add(key, "encode_ms", encode_s * ms, "ms", kMeasured);
+    out->Add(key, "decode_ms", decode_s * ms, "ms", kMeasured);
+    out->Add(key, "quantize_ms", stages.quantize * ms, "ms", kMeasured);
+    out->Add(key, "entropy_encode_ms", stages.encode * ms, "ms", kMeasured);
+    out->Add(key, "entropy_decode_ms", stages.decode * ms, "ms", kMeasured);
+    out->Add(key, "entropy_decode_table_ms", stages.decode_table * ms, "ms",
+             kMeasured);
+    out->Add(key, "reconstruct_ms", stages.reconstruct * ms, "ms",
+             kMeasured);
+    out->Add(key, "unpack_ms", stages.unpack * ms, "ms", kMeasured);
+    out->Add(key, "chains_ms", stages.chains * ms, "ms", kMeasured);
   }
   return true;
 }
@@ -471,39 +448,32 @@ int main(int argc, char** argv) {
   for (const BatchCase& bc : batch_cases) loaded.push_back(LoadBatches(bc));
 
   // The gate: nothing is timed unless every stream matches the references.
-  for (compress::CodecId codec : compress::AllCodecs()) {
-    auto check = [&](const std::string& what, const Tensor& field,
-                     double eb) {
-      const std::string stage = ReferenceMismatch(field, eb, codec);
-      if (stage.empty()) return true;
-      std::printf("FATAL: %s (%s) differs from the reference at %s\n",
-                  what.c_str(), compress::CodecIdToString(codec),
-                  stage.c_str());
-      return false;
-    };
-    for (const DatasetCase& ds : datasets) {
-      const double in_norm = errorflow::tensor::LinfNorm(ds.field);
-      for (double tol_rel : tolerances) {
-        const std::string what = ds.name + " tol_rel " +
-                                 std::to_string(tol_rel);
-        if (!check(what, ds.field, tol_rel * in_norm)) return 1;
-        if (!StreamMatchesReference(QuantStream(ds.field, tol_rel * in_norm),
-                                    codec)) {
-          std::printf("FATAL: %s code stream (%s) differs from the "
-                      "reference\n", what.c_str(),
-                      compress::CodecIdToString(codec));
-          return 1;
-        }
+  auto check = [&](const std::string& what, const Tensor& field, double eb) {
+    const std::string stage = ReferenceMismatch(field, eb);
+    if (stage.empty()) return true;
+    std::printf("FATAL: %s differs from the reference at %s\n", what.c_str(),
+                stage.c_str());
+    return false;
+  };
+  for (const DatasetCase& ds : datasets) {
+    const double in_norm = errorflow::tensor::LinfNorm(ds.field);
+    for (double tol_rel : tolerances) {
+      const std::string what = ds.name + " tol_rel " + std::to_string(tol_rel);
+      if (!check(what, ds.field, tol_rel * in_norm)) return 1;
+      if (!StreamMatchesReference(QuantStream(ds.field, tol_rel * in_norm))) {
+        std::printf("FATAL: %s code stream differs from the reference\n",
+                    what.c_str());
+        return 1;
       }
     }
-    for (const LoadedBatches& lb : loaded) {
-      for (const auto& [qoi_tol, eb] : lb.qoi_and_input_tol) {
-        for (size_t b = 0; b < lb.batches.size(); ++b) {
-          if (!check(lb.name + " " + std::to_string(b) + " qoi_tol " +
-                         std::to_string(qoi_tol),
-                     lb.batches[b], eb)) {
-            return 1;
-          }
+  }
+  for (const LoadedBatches& lb : loaded) {
+    for (const auto& [qoi_tol, eb] : lb.qoi_and_input_tol) {
+      for (size_t b = 0; b < lb.batches.size(); ++b) {
+        if (!check(lb.name + " " + std::to_string(b) + " qoi_tol " +
+                       std::to_string(qoi_tol),
+                   lb.batches[b], eb)) {
+          return 1;
         }
       }
     }
@@ -511,101 +481,80 @@ int main(int argc, char** argv) {
   std::printf("every SZ stream decodes bit-identically to the reference "
               "loops\n\n");
 
-  std::vector<Record> records;
-  bench::RecordWriter out("codec_sweep", {{"backend", "sz"}, {"threads", 1}});
-  std::printf("%-10s %-8s %-9s %10s %14s %14s %14s\n", "dataset", "tol_rel",
-              "codec", "ratio", "compress MB/s", "decomp MB/s",
-              "codec dec MB/s");
+  bench::RecordWriter out(
+      "codec_sweep",
+      {{"backend", "sz"}, {"codec", "huffman"}, {"threads", 1}});
+  std::printf("%-10s %-8s %10s %14s %14s %14s\n", "dataset", "tol_rel",
+              "ratio", "compress MB/s", "decomp MB/s", "codec dec MB/s");
+  auto compressor = compress::MakeCompressor(compress::Backend::kSz);
   for (const DatasetCase& ds : datasets) {
     const double in_norm = errorflow::tensor::LinfNorm(ds.field);
     const double mb = static_cast<double>(ds.field.size()) * sizeof(float) /
                       (1024.0 * 1024.0);
     for (double tol_rel : tolerances) {
-      for (compress::CodecId codec : compress::AllCodecs()) {
-        auto compressor = compress::MakeCompressor(
-            compress::Backend::kSz, codec);
-        compress::ErrorBound bound =
-            compress::ErrorBound::AbsLinf(tol_rel * in_norm);
-        auto comp = compressor->Compress(ds.field, bound);
-        if (!comp.ok()) {
-          std::printf("FATAL: compress failed: %s\n",
-                      comp.status().ToString().c_str());
+      compress::ErrorBound bound =
+          compress::ErrorBound::AbsLinf(tol_rel * in_norm);
+      auto comp = compressor->Compress(ds.field, bound);
+      if (!comp.ok()) {
+        std::printf("FATAL: compress failed: %s\n",
+                    comp.status().ToString().c_str());
+        return 1;
+      }
+      auto dec = compressor->Decompress(comp->blob);
+      if (!dec.ok()) {
+        std::printf("FATAL: decompress failed: %s\n",
+                    dec.status().ToString().c_str());
+        return 1;
+      }
+      for (int64_t i = 0; i < ds.field.size(); ++i) {
+        if (std::fabs(static_cast<double>(dec->data[i]) - ds.field[i]) >
+            tol_rel * in_norm * (1.0 + 1e-12)) {
+          std::printf("FATAL: bound violated on %s\n", ds.name.c_str());
           return 1;
         }
-        auto dec = compressor->Decompress(comp->blob);
-        if (!dec.ok()) {
-          std::printf("FATAL: decompress failed: %s\n",
-                      dec.status().ToString().c_str());
-          return 1;
-        }
-        for (int64_t i = 0; i < ds.field.size(); ++i) {
-          if (std::fabs(static_cast<double>(dec->data[i]) - ds.field[i]) >
-              tol_rel * in_norm * (1.0 + 1e-12)) {
-            std::printf("FATAL: bound violated on %s\n", ds.name.c_str());
-            return 1;
-          }
-        }
-
-        const double ratio = static_cast<double>(ds.field.size()) *
-                             sizeof(float) /
-                             static_cast<double>(comp->blob.size());
-        const double t_comp = BestOf(3, [&] {
-          auto c = compressor->Compress(ds.field, bound);
-          if (!c.ok()) std::abort();
-        });
-        const double t_dec = BestOf(3, [&] {
-          auto d = compressor->Decompress(comp->blob);
-          if (!d.ok()) std::abort();
-        });
-
-        // Codec-level decode throughput on the symbol stream itself.
-        const auto codes = QuantStream(ds.field, tol_rel * in_norm);
-        const compress::EntropyCodec* entropy = compress::GetCodec(codec);
-        errorflow::util::BitWriter bits;
-        if (!entropy->Encode(codes, &bits).ok()) std::abort();
-        const std::string stream = bits.Finish();
-        const double code_mb = static_cast<double>(codes.size()) *
-                               sizeof(uint32_t) / (1024.0 * 1024.0);
-        const double t_codec_dec = BestOf(3, [&] {
-          errorflow::util::BitReader reader(stream.data(), stream.size());
-          auto d = entropy->Decode(&reader, codes.size());
-          if (!d.ok()) std::abort();
-        });
-
-        records.push_back({ds.name, tol_rel, codec, ratio});
-        std::printf("%-10s %-8.0e %-9s %10.2f %14.1f %14.1f %14.1f\n",
-                    ds.name.c_str(), tol_rel,
-                    compress::CodecIdToString(codec), ratio, mb / t_comp,
-                    mb / t_dec, code_mb / t_codec_dec);
-        const bench::Fields key = {
-            {"part", "field"}, {"dataset", ds.name}, {"tol_rel", tol_rel},
-            {"codec", compress::CodecIdToString(codec)}};
-        out.Add(key, "ratio", ratio, "x", kMeasured);
-        out.Add(key, "compress_mb_s", mb / t_comp, "MB/s", kMeasured);
-        out.Add(key, "decompress_mb_s", mb / t_dec, "MB/s", kMeasured);
-        out.Add(key, "codec_decode_mb_s", code_mb / t_codec_dec, "MB/s",
-                kMeasured);
       }
-    }
-  }
 
-  // Headline: per dataset/tolerance, lz77's ratio gain over Huffman.
-  std::printf("\nratio gain (lz77 / huffman):\n");
-  for (const DatasetCase& ds : datasets) {
-    for (double tol_rel : tolerances) {
-      double huff = 0.0, lz = 0.0;
-      for (const Record& r : records) {
-        if (r.dataset != ds.name || r.tol_rel != tol_rel) continue;
-        (r.codec == compress::CodecId::kHuffman ? huff : lz) = r.ratio;
-      }
-      std::printf("  %-10s tol=%-8.0e %.2fx\n", ds.name.c_str(), tol_rel,
-                  lz / huff);
+      const double ratio = static_cast<double>(ds.field.size()) *
+                           sizeof(float) /
+                           static_cast<double>(comp->blob.size());
+      const double t_comp = BestOf(3, [&] {
+        auto c = compressor->Compress(ds.field, bound);
+        if (!c.ok()) std::abort();
+      });
+      const double t_dec = BestOf(3, [&] {
+        auto d = compressor->Decompress(comp->blob);
+        if (!d.ok()) std::abort();
+      });
+
+      // Codec-level decode throughput on the symbol stream itself.
+      const auto codes = QuantStream(ds.field, tol_rel * in_norm);
+      errorflow::util::BitWriter bits;
+      if (!compress::HuffmanCodec::Encode(codes, &bits).ok()) std::abort();
+      const std::string stream = bits.Finish();
+      const double code_mb = static_cast<double>(codes.size()) *
+                             sizeof(uint32_t) / (1024.0 * 1024.0);
+      const double t_codec_dec = BestOf(3, [&] {
+        errorflow::util::BitReader reader(stream.data(), stream.size());
+        auto d = compress::HuffmanCodec::Decode(&reader, codes.size());
+        if (!d.ok()) std::abort();
+      });
+
+      std::printf("%-10s %-8.0e %10.2f %14.1f %14.1f %14.1f\n",
+                  ds.name.c_str(), tol_rel, ratio, mb / t_comp, mb / t_dec,
+                  code_mb / t_codec_dec);
+      const bench::Fields key = {
+          {"part", "field"}, {"dataset", ds.name}, {"tol_rel", tol_rel}};
+      out.Add(key, "ratio", ratio, "x", kMeasured);
+      out.Add(key, "compress_mb_s", mb / t_comp, "MB/s", kMeasured);
+      out.Add(key, "decompress_mb_s", mb / t_dec, "MB/s", kMeasured);
+      out.Add(key, "codec_decode_mb_s", code_mb / t_codec_dec, "MB/s",
+              kMeasured);
     }
   }
 
   std::printf("\npipeline batches (SZ, planned input tolerance):\n");
-  std::printf("%-14s %-6s %-10s %-9s %8s %10s %10s\n", "dataset", "qoi_tol",
-              "input_tol", "codec", "ratio", "encode ms", "decode ms");
+  std::printf("%-14s %-6s %-10s %8s %10s %10s\n", "dataset", "qoi_tol",
+              "input_tol", "ratio", "encode ms", "decode ms");
   std::vector<std::string> stage_lines;
   for (const LoadedBatches& lb : loaded) {
     if (!RunBatchCase(lb, &out, &stage_lines)) {
@@ -614,9 +563,9 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("\npipeline batch stages (SZ, ms per batch):\n");
-  std::printf("%-14s %-6s %-9s %10s %10s %10s %8s %12s %8s %8s\n",
-              "dataset", "qoi_tol", "codec", "quantize", "encode", "decode",
-              "table", "reconstruct", "unpack", "chains");
+  std::printf("%-14s %-6s %10s %10s %10s %8s %12s %8s %8s\n", "dataset",
+              "qoi_tol", "quantize", "encode", "decode", "table",
+              "reconstruct", "unpack", "chains");
   for (const std::string& line : stage_lines) {
     std::printf("%s\n", line.c_str());
   }

@@ -12,27 +12,13 @@ namespace compress {
 
 namespace {
 
-/// Adapts the static HuffmanCodec stage to the EntropyCodec interface,
-/// adding the CompressBound/Reserve and DecodeLimits parts of the
-/// contract (the static stage predates both).
+/// Adapts the static HuffmanCodec decoder to the EntropyCodec interface,
+/// adding the DecodeLimits part of the contract (the static stage
+/// predates it).
 class HuffmanEntropyCodec final : public EntropyCodec {
  public:
   CodecId id() const override { return CodecId::kHuffman; }
   const char* name() const override { return "huffman"; }
-
-  size_t CompressBound(size_t n_symbols) const override {
-    // Table: a 32-bit count plus 38 bits per distinct symbol (<= n).
-    // Payload: Huffman is optimal among prefix codes, so total payload
-    // bits never exceed a flat 32-bit code's 32n. Ceil(70n + 32 bits).
-    return 9 * n_symbols + 16;
-  }
-
-  Status Encode(const std::vector<uint32_t>& symbols,
-                util::BitWriter* writer,
-                EncodeStats* stats) const override {
-    writer->Reserve(CompressBound(symbols.size()));
-    return HuffmanCodec::Encode(symbols, writer, stats);
-  }
 
   Result<std::vector<uint32_t>> Decode(
       util::BitReader* reader, uint64_t count,
@@ -72,21 +58,6 @@ Result<const EntropyCodec*> CodecFromByte(uint8_t byte) {
   }
 }
 
-Result<CodecId> ParseCodecName(const std::string& name) {
-  if (name == "huffman") return CodecId::kHuffman;
-  if (name == "lz77") return CodecId::kLz77Huffman;
-  return Status::InvalidArgument("unknown codec: " + name +
-                                 " (expected huffman|lz77)");
-}
-
-const char* CodecIdToString(CodecId id) { return GetCodec(id)->name(); }
-
-const std::vector<CodecId>& AllCodecs() {
-  static const std::vector<CodecId> kAll = {CodecId::kHuffman,
-                                            CodecId::kLz77Huffman};
-  return kAll;
-}
-
 namespace {
 
 // A codec's `errorflow.compress.codec.<name>.*` counters, resolved once
@@ -99,10 +70,6 @@ struct CodecCounters {
   obs::Counter* encode_symbols = nullptr;
   obs::Counter* encode_overhead_bits = nullptr;
   obs::Counter* encode_payload_bits = nullptr;
-  // lz77 only.
-  obs::Counter* literal_tokens = nullptr;
-  obs::Counter* match_tokens = nullptr;
-  obs::Counter* match_symbols = nullptr;
 
   std::once_flag decode_once;
   obs::Counter* decode_calls = nullptr;
@@ -132,21 +99,11 @@ void RecordCodecEncode(const EntropyCodec& codec, uint64_t symbols,
     c.encode_symbols = CodecCounter(codec, "encode_symbols");
     c.encode_overhead_bits = CodecCounter(codec, "encode_overhead_bits");
     c.encode_payload_bits = CodecCounter(codec, "encode_payload_bits");
-    if (codec.id() == CodecId::kLz77Huffman) {
-      c.literal_tokens = CodecCounter(codec, "literal_tokens");
-      c.match_tokens = CodecCounter(codec, "match_tokens");
-      c.match_symbols = CodecCounter(codec, "match_symbols");
-    }
   });
   c.encode_calls->Increment();
   c.encode_symbols->Increment(symbols);
   c.encode_overhead_bits->Increment(stats.overhead_bits);
   c.encode_payload_bits->Increment(stats.payload_bits);
-  if (codec.id() == CodecId::kLz77Huffman) {
-    c.literal_tokens->Increment(stats.literals);
-    c.match_tokens->Increment(stats.matches);
-    c.match_symbols->Increment(stats.match_symbols);
-  }
 }
 
 void RecordCodecDecode(const EntropyCodec& codec, uint64_t symbols) {

@@ -2,7 +2,6 @@
 #define ERRORFLOW_COMPRESS_CODEC_CODEC_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/bitstream.h"
@@ -20,9 +19,9 @@ enum class CodecId : uint8_t {
   /// Plain canonical Huffman over the symbol stream (the legacy stage;
   /// codec byte 0, and the implicit codec of pre-codec-byte streams).
   kHuffman = 0,
-  /// LZ77 match layer (hash-chain, greedy-with-lazy) over the symbol
-  /// stream, literals/lengths/distances entropy-coded with canonical
-  /// Huffman — the DEFLATE-class backend.
+  /// LZ77 match layer over the symbol stream, literals/lengths/distances
+  /// entropy-coded with canonical Huffman. Decode-only: stored streams
+  /// carrying this byte still decode, and no encoder writes it.
   kLz77Huffman = 1,
 };
 
@@ -35,28 +34,17 @@ struct EncodeStats {
   uint64_t overhead_bits = 0;
   /// Bits spent on the entropy-coded payload proper.
   uint64_t payload_bits = 0;
-  /// LZ77 only: tokens emitted as literals / as matches, and the number
-  /// of input symbols covered by matches.
-  uint64_t literals = 0;
-  uint64_t matches = 0;
-  uint64_t match_symbols = 0;
 };
 
-/// \brief Pluggable entropy-coding stage shared by the SZ-like and
-/// MGARD-like backends.
+/// \brief Decode side of the entropy-coding stage shared by the SZ-like
+/// and MGARD-like backends, selected by the stream's codec byte.
 ///
-/// Contract:
-///  - `Encode` appends a self-delimiting stream for `symbols` to `writer`
-///    and never writes more than `CompressBound(symbols.size())` bytes.
-///    Implementations reserve that bound up front, so the writer performs
-///    zero reallocations on the hot path (see `util::BitWriter::Reserve`).
-///  - An empty symbol vector is a valid input and round-trips.
-///  - `Decode` reads exactly one stream back, producing `count` symbols.
-///    `count` is untrusted: implementations must reject any count the
-///    remaining payload cannot plausibly justify *before* allocating, and
-///    keep every allocation under `limits`.
-/// Implementations are stateless and thread-safe; the singletons returned
-/// by `GetCodec` may be shared freely.
+/// `Decode` reads exactly one stream back, producing `count` symbols.
+/// `count` is untrusted: implementations must reject any count the
+/// remaining payload cannot plausibly justify *before* allocating, and
+/// keep every allocation under `limits`. Implementations are stateless
+/// and thread-safe; the singletons returned by `GetCodec` may be shared
+/// freely. New streams are written by `HuffmanCodec::Encode`.
 class EntropyCodec {
  public:
   virtual ~EntropyCodec() = default;
@@ -64,13 +52,6 @@ class EntropyCodec {
   virtual CodecId id() const = 0;
   /// Canonical lowercase name: "huffman", "lz77".
   virtual const char* name() const = 0;
-
-  /// Worst-case encoded size in bytes for `n_symbols` input symbols.
-  virtual size_t CompressBound(size_t n_symbols) const = 0;
-
-  virtual Status Encode(const std::vector<uint32_t>& symbols,
-                        util::BitWriter* writer,
-                        EncodeStats* stats = nullptr) const = 0;
 
   virtual Result<std::vector<uint32_t>> Decode(
       util::BitReader* reader, uint64_t count,
@@ -84,24 +65,14 @@ const EntropyCodec* GetCodec(CodecId id);
 /// Maps an untrusted codec-negotiation byte to a codec, or Corruption.
 Result<const EntropyCodec*> CodecFromByte(uint8_t byte);
 
-/// Parses "huffman" / "lz77" (CLI flag values).
-Result<CodecId> ParseCodecName(const std::string& name);
-
-const char* CodecIdToString(CodecId id);
-
-/// All registered codecs, in wire-byte order.
-const std::vector<CodecId>& AllCodecs();
-
-/// The codec new streams are written with unless a caller overrides it.
-/// Plain Huffman: on pipeline-sized batches it matches or beats lz77's
-/// ratio at a fraction of its encode time (docs/COMPRESSION.md, "Which
-/// codec when"); lz77 stays selectable for large whole-field streams.
+/// The codec every new stream is written with. Kept as a named constant
+/// for the two-argument `MakeCompressor` (compressor.h).
 constexpr CodecId kDefaultCodec = CodecId::kHuffman;
 
 /// Records the per-codec encode/decode counters
 /// (`errorflow.compress.codec.*`). Called by the compressor backends after
 /// a successful entropy-stage call; split out so the codecs themselves
-/// stay dependency-free.
+/// stay dependency-free. Only Huffman encodes.
 void RecordCodecEncode(const EntropyCodec& codec, uint64_t symbols,
                        const EncodeStats& stats);
 void RecordCodecDecode(const EntropyCodec& codec, uint64_t symbols);

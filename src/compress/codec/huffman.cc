@@ -212,8 +212,11 @@ void AssignCanonical(std::vector<SymbolCode>* codes) {
   }
 }
 
-}  // namespace
-
+// Sorts a copy of `symbols` to find its distinct values, in ascending
+// order (`alphabet`), and for each position the index of its value in
+// `alphabet` (`ranks`). No hashing, so everything built from the result
+// is independent of hash-table iteration order. Requires fewer than 2^32
+// symbols.
 void RankSymbols(const std::vector<uint32_t>& symbols,
                  std::vector<uint32_t>* alphabet,
                  std::vector<uint32_t>* ranks) {
@@ -235,9 +238,12 @@ void RankSymbols(const std::vector<uint32_t>& symbols,
   }
 }
 
+}  // namespace
+
 Status HuffmanCodec::Encode(const std::vector<uint32_t>& symbols,
                             util::BitWriter* writer,
                             EncodeStats* stats) {
+  writer->Reserve(CompressBound(symbols.size()));
   if (symbols.empty()) {
     // A zero-symbol stream is just a zero-count table: all-escape (or
     // all-raw) chunks in the chunked path encode without caller
@@ -253,7 +259,7 @@ Status HuffmanCodec::Encode(const std::vector<uint32_t>& symbols,
   // order, so equal-frequency ties break the same way on every platform)
   // and their frequencies. A dense alphabet is counted straight into a
   // table indexed by symbol, which then maps each symbol to its rank;
-  // a sparse one (mgard's escape symbol, lz77 literals) is radix-sorted.
+  // a sparse one (mgard's escape symbol) is radix-sorted.
   const size_t n = symbols.size();
   // Four running maxima, so the compares do not form one chain.
   const uint32_t* sym = symbols.data();

@@ -13,8 +13,8 @@ namespace compress {
 
 /// \brief Canonical Huffman codec over 32-bit symbols.
 ///
-/// Shared entropy-coding stage of the SZ-like and MGARD-like backends (and
-/// the sub-streams of the LZ77 codec, see codec/lz77.h). The code table is
+/// The entropy coder of the SZ-like and MGARD-like backends (and the
+/// sub-streams the LZ77 decoder reads, see codec/lz77.h). The code table is
 /// serialized as (symbol, code length) pairs and rebuilt canonically on
 /// decode, so streams are self-describing. Single-symbol alphabets are
 /// handled (length-1 codes), and an empty input encodes as a valid
@@ -25,8 +25,18 @@ namespace compress {
 /// bytes depend on the symbols alone, on any platform.
 class HuffmanCodec {
  public:
-  /// Writes `symbols` to `writer` preceded by the code table. `stats`,
-  /// when given, receives the table/payload bit split.
+  /// Worst-case encoded size in bytes of `n_symbols` symbols. Table: a
+  /// 32-bit count plus 38 bits per distinct symbol (<= n). Payload:
+  /// Huffman is optimal among prefix codes, so it never exceeds a flat
+  /// 32-bit code's 32n bits. Ceil(70n + 32 bits).
+  static constexpr size_t CompressBound(size_t n_symbols) {
+    return 9 * n_symbols + 16;
+  }
+
+  /// Writes `symbols` to `writer` preceded by the code table, reserving
+  /// `CompressBound` bytes first so the writer never reallocates
+  /// mid-stream. `stats`, when given, receives the table/payload bit
+  /// split.
   static Status Encode(const std::vector<uint32_t>& symbols,
                        util::BitWriter* writer,
                        EncodeStats* stats = nullptr);
@@ -35,15 +45,6 @@ class HuffmanCodec {
   static Result<std::vector<uint32_t>> Decode(util::BitReader* reader,
                                               uint64_t count);
 };
-
-/// Sorts a copy of `symbols` to find its distinct values, in ascending
-/// order (`alphabet`), and for each position the index of its value in
-/// `alphabet` (`ranks`). No hashing, so everything built from the result
-/// is independent of hash-table iteration order. Requires fewer than 2^32
-/// symbols.
-void RankSymbols(const std::vector<uint32_t>& symbols,
-                 std::vector<uint32_t>* alphabet,
-                 std::vector<uint32_t>* ranks);
 
 /// Maps signed to unsigned so small magnitudes get small codes.
 inline uint32_t ZigzagEncode(int32_t v) {

@@ -21,20 +21,21 @@ const char* BackendToString(Backend backend) {
 }
 
 std::unique_ptr<Compressor> MakeCompressor(Backend backend) {
-  return MakeCompressor(backend, kDefaultCodec);
-}
-
-std::unique_ptr<Compressor> MakeCompressor(Backend backend, CodecId codec) {
   switch (backend) {
     case Backend::kSz:
-      return std::make_unique<SzCompressor>(codec);
+      return std::make_unique<SzCompressor>();
     case Backend::kZfp:
       return std::make_unique<ZfpCompressor>();
     case Backend::kMgard:
-      return std::make_unique<MgardCompressor>(codec);
+      return std::make_unique<MgardCompressor>();
   }
   EF_CHECK(false);
   return nullptr;
+}
+
+std::unique_ptr<Compressor> MakeCompressor(Backend backend, CodecId codec) {
+  EF_CHECK(codec == CodecId::kHuffman);
+  return MakeCompressor(backend);
 }
 
 const std::vector<Backend>& AllBackends() {

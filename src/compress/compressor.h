@@ -95,14 +95,13 @@ enum class Backend {
 
 const char* BackendToString(Backend backend);
 
-/// Factory for the built-in backends, writing new streams with
-/// `kDefaultCodec` as the entropy stage.
+/// Factory for the built-in backends. SZ and MGARD write every new stream
+/// with Huffman as the entropy stage, and decode streams of either codec
+/// (the blob carries a codec byte).
 std::unique_ptr<Compressor> MakeCompressor(Backend backend);
 
-/// Factory selecting the entropy codec explicitly. ZFP's bit-plane coder
-/// has no entropy stage; it ignores `codec`. Every backend decodes
-/// streams of *any* codec (the blob carries a codec byte), so the choice
-/// only affects what gets written.
+/// The same factory for callers that still pass `kDefaultCodec`:
+/// perfbench/pipelines.cc does. `codec` must be `CodecId::kHuffman`.
 std::unique_ptr<Compressor> MakeCompressor(Backend backend, CodecId codec);
 
 /// All built-in backends, in the paper's plotting order.

@@ -326,7 +326,7 @@ Result<Compressed> MgardCompressor::Compress(const Tensor& data,
 
   util::ByteWriter header;
   header.PutU32(kMagicV2);
-  header.PutU8(static_cast<uint8_t>(codec_));
+  header.PutU8(static_cast<uint8_t>(CodecId::kHuffman));
   header.PutShape(data.shape());
   header.PutF64(delta);
   header.PutU32(static_cast<uint32_t>(levels));
@@ -340,11 +340,11 @@ Result<Compressed> MgardCompressor::Compress(const Tensor& data,
     prev = idx;
   }
 
-  const EntropyCodec* codec = GetCodec(codec_);
   util::BitWriter bits;
   EncodeStats stats;
-  EF_RETURN_IF_ERROR(codec->Encode(cand.symbols, &bits, &stats));
-  RecordCodecEncode(*codec, cand.symbols.size(), stats);
+  EF_RETURN_IF_ERROR(HuffmanCodec::Encode(cand.symbols, &bits, &stats));
+  RecordCodecEncode(*GetCodec(CodecId::kHuffman), cand.symbols.size(),
+                    stats);
   std::string blob = header.Finish();
   blob += bits.Finish();
 

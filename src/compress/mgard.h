@@ -29,13 +29,11 @@ namespace compress {
 ///    error measured) until the bound holds; the loop converges in a few
 ///    iterations and is the reason MGARD-style compression is slower at
 ///    tight tolerances, matching the paper's Fig. 7/8 throughput shape.
+///
+/// New blobs are EMG3 with codec byte 0 (Huffman); decoding follows the
+/// blob's codec byte, and reads the legacy EMG2 layout as implicit Huffman.
 class MgardCompressor : public Compressor {
  public:
-  /// `codec` selects the entropy stage for newly written streams (EMG3
-  /// blobs carry a codec byte); decoding accepts every codec, plus the
-  /// legacy EMG2 layout as implicit Huffman.
-  explicit MgardCompressor(CodecId codec = kDefaultCodec) : codec_(codec) {}
-
   std::string name() const override { return "mgard"; }
   bool SupportsNorm(Norm norm) const override {
     (void)norm;
@@ -44,9 +42,6 @@ class MgardCompressor : public Compressor {
   Result<Compressed> Compress(const Tensor& data,
                               const ErrorBound& bound) override;
   Result<Decompressed> Decompress(const std::string& blob) override;
-
- private:
-  CodecId codec_;
 };
 
 }  // namespace compress

@@ -17,11 +17,8 @@ constexpr uint32_t kMagic = 0x45504152;  // "EPAR"
 
 ParallelCompressor::ParallelCompressor(Backend backend,
                                        util::ThreadPool* pool,
-                                       int64_t min_chunk_rows, CodecId codec)
-    : backend_(backend),
-      pool_(pool),
-      min_chunk_rows_(min_chunk_rows),
-      codec_(codec) {
+                                       int64_t min_chunk_rows)
+    : backend_(backend), pool_(pool), min_chunk_rows_(min_chunk_rows) {
   EF_CHECK(pool != nullptr && min_chunk_rows >= 1);
 }
 
@@ -82,7 +79,7 @@ Result<Compressed> ParallelCompressor::Compress(const Tensor& data,
           abs_tol * std::sqrt(static_cast<double>(chunk.size()) /
                                static_cast<double>(n));
     }
-    auto inner = MakeCompressor(backend_, codec_);
+    auto inner = MakeCompressor(backend_);
     auto result = inner->Compress(chunk, chunk_bound);
     if (!result.ok()) {
       statuses[static_cast<size_t>(c)] = result.status();

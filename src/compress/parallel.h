@@ -29,14 +29,12 @@ namespace compress {
 /// reset at chunk boundaries).
 class ParallelCompressor : public Compressor {
  public:
-  /// `pool` must outlive this object. `factory` creates inner compressor
-  /// instances (one per concurrent chunk; they may be stateful). `codec`
-  /// selects the entropy stage the inner compressors write; each chunk
-  /// blob is self-describing (it carries its own codec byte), so decoding
-  /// handles containers whose chunks were written with any codec.
+  /// `pool` must outlive this object. Each chunk is compressed by its own
+  /// `MakeCompressor(backend)` instance. Each chunk blob is
+  /// self-describing (it carries its own codec byte), so decoding handles
+  /// containers whose chunks were written with any codec.
   ParallelCompressor(Backend backend, util::ThreadPool* pool,
-                     int64_t min_chunk_rows = 64,
-                     CodecId codec = kDefaultCodec);
+                     int64_t min_chunk_rows = 64);
 
   std::string name() const override;
   bool SupportsNorm(Norm norm) const override;
@@ -48,7 +46,6 @@ class ParallelCompressor : public Compressor {
   Backend backend_;
   util::ThreadPool* pool_;
   int64_t min_chunk_rows_;
-  CodecId codec_;
 };
 
 }  // namespace compress

@@ -650,7 +650,7 @@ Result<Compressed> SzCompressor::Compress(const Tensor& data,
 
   util::ByteWriter header;
   header.PutU32(kMagicV2);
-  header.PutU8(static_cast<uint8_t>(codec_));
+  header.PutU8(static_cast<uint8_t>(CodecId::kHuffman));
   header.PutShape(data.shape());
   header.PutF64(eb);
   header.PutU64(quantized.raw_values.size());
@@ -679,11 +679,11 @@ Result<Compressed> SzCompressor::Compress(const Tensor& data,
 
   // The entropy stage always runs — an empty code vector (every element
   // escaped) encodes as a valid zero-symbol stream.
-  const EntropyCodec* codec = GetCodec(codec_);
   util::BitWriter bits;
   EncodeStats stats;
-  EF_RETURN_IF_ERROR(codec->Encode(quantized.codes, &bits, &stats));
-  RecordCodecEncode(*codec, quantized.codes.size(), stats);
+  EF_RETURN_IF_ERROR(HuffmanCodec::Encode(quantized.codes, &bits, &stats));
+  RecordCodecEncode(*GetCodec(CodecId::kHuffman), quantized.codes.size(),
+                    stats);
   std::string blob = header.Finish();
   blob += bits.Finish();
 

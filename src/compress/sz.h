@@ -16,7 +16,9 @@ namespace compress {
 /// tensor rank), linear-scaling quantization of the prediction residual
 /// with bin width 2*eb, an unpredictable-value escape path storing the raw
 /// float, and Huffman coding of the quantization codes. Guarantees
-/// |recon_i - x_i| <= eb for every element.
+/// |recon_i - x_i| <= eb for every element. New blobs are EZS2 with codec
+/// byte 0 (Huffman); decoding follows the blob's codec byte, and reads the
+/// legacy EZS1 layout as implicit Huffman.
 ///
 /// Properties preserved from production SZ (per DESIGN.md): highest
 /// compression ratios on smooth fields among the three backends, moderate
@@ -24,11 +26,6 @@ namespace compress {
 /// for both Linf and L2 tolerances (L2 is enforced via eb = tol/sqrt(n)).
 class SzCompressor : public Compressor {
  public:
-  /// `codec` selects the entropy stage for newly written streams (EZS2
-  /// blobs carry a codec byte); decoding accepts every codec, plus the
-  /// legacy EZS1 layout as implicit Huffman.
-  explicit SzCompressor(CodecId codec = kDefaultCodec) : codec_(codec) {}
-
   std::string name() const override { return "sz"; }
   bool SupportsNorm(Norm norm) const override {
     (void)norm;
@@ -37,9 +34,6 @@ class SzCompressor : public Compressor {
   Result<Compressed> Compress(const Tensor& data,
                               const ErrorBound& bound) override;
   Result<Decompressed> Decompress(const std::string& blob) override;
-
- private:
-  CodecId codec_;
 };
 
 /// Output of the SZ-like backend's predict+quantize stage.

@@ -28,12 +28,11 @@ constexpr char kReadHist[] = "errorflow.pipeline.read_seconds";
 constexpr char kDecompressHist[] = "errorflow.pipeline.decompress_seconds";
 constexpr char kExecHist[] = "errorflow.pipeline.exec_seconds";
 
-// Sets the io/exec/total throughput of a report or candidate, in bytes of
-// original data per second. Total is min(io, exec): the phases overlap in
-// an in-situ pipeline, so the slower one bounds the sustained rate.
-template <typename T>
+// Sets the io/exec/total throughput of a report, in bytes of original data
+// per second. Total is min(io, exec): the phases overlap in an in-situ
+// pipeline, so the slower one bounds the sustained rate.
 void SetThroughput(double bytes, double io_seconds, double exec_seconds,
-                   T* out) {
+                   PipelineReport* out) {
   out->io_throughput = bytes / std::max(1e-12, io_seconds);
   out->exec_throughput = bytes / std::max(1e-12, exec_seconds);
   out->total_throughput = std::min(out->io_throughput, out->exec_throughput);
@@ -48,7 +47,7 @@ InferencePipeline::InferencePipeline(nn::Model model,
       single_input_shape_(std::move(single_input_shape)),
       config_(config),
       analysis_(ProfileModel(model_, single_input_shape_)),
-      compressor_(compress::MakeCompressor(config.backend, config.codec)),
+      compressor_(compress::MakeCompressor(config.backend)),
       storage_(config.storage) {
   model_.FoldPsn();
   flops_per_sample_ = model_.FlopsPerSample(single_input_shape_);
@@ -205,63 +204,6 @@ Result<PipelineReport> InferencePipeline::Run(const Tensor& input_batch,
   registry.GetHistogram(kDecompressHist)->Record(report.decompress_seconds);
   registry.GetHistogram(kExecHist)->Record(report.exec_seconds);
   return report;
-}
-
-Result<AutoTuneResult> InferencePipeline::AutoTune(
-    double qoi_tolerance, const Tensor& sample_batch) {
-  if (sample_batch.ndim() < 2) {
-    return Status::InvalidArgument("auto-tune: batch tensor required");
-  }
-  if (!compressor_->SupportsNorm(config_.norm)) {
-    return Status::InvalidArgument(
-        "auto-tune: backend does not support the requested norm");
-  }
-  const quant::ExecutionModel exec(flops_per_sample_, bytes_per_sample_);
-  const int64_t batch = sample_batch.dim(0);
-
-  AutoTuneResult result;
-  obs::Counter* evaluations = obs::MetricsRegistry::Global().GetCounter(
-      "errorflow.autotune.evaluations");
-  for (NumericFormat format : quant::AllFormats()) {
-    obs::TraceSpan span(std::string("autotune.candidate.") +
-                        quant::FormatToString(format));
-    AutoTuneCandidate cand;
-    cand.format = format;
-    if (analysis_.QuantTerm(format) >= qoi_tolerance) {
-      result.candidates.push_back(cand);  // Infeasible.
-      continue;
-    }
-    evaluations->Increment();
-    cand.feasible = true;
-    cand.input_tolerance =
-        analysis_.MaxInputError(qoi_tolerance, config_.norm, format);
-
-    compress::ErrorBound eb;
-    eb.norm = config_.norm;
-    eb.relative = false;
-    eb.tolerance = cand.input_tolerance;
-    EF_ASSIGN_OR_RETURN(compress::Compressed comp,
-                        compressor_->Compress(sample_batch, eb));
-    cand.compression_ratio = comp.ratio();
-    EF_ASSIGN_OR_RETURN(compress::Decompressed dec,
-                        compressor_->Decompress(comp.blob));
-    const double read_s =
-        storage_.ModelReadSeconds(static_cast<int64_t>(comp.blob.size()));
-    const double dec_s =
-        dec.seconds / std::max(1.0, config_.storage.decompress_parallelism);
-    SetThroughput(static_cast<double>(comp.original_bytes), read_s + dec_s,
-                  exec.SecondsPerSample(format) * static_cast<double>(batch),
-                  &cand);
-    result.candidates.push_back(cand);
-    if (cand.total_throughput > result.best.total_throughput) {
-      result.best = cand;
-    }
-  }
-  if (!result.best.feasible) {
-    return Status::FailedPrecondition(
-        "auto-tune: no format admissible under the tolerance");
-  }
-  return result;
 }
 
 PipelineReport PipelineReport::AggregateFromRegistry(

@@ -4,7 +4,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "compress/compressor.h"
 #include "core/allocator.h"
@@ -22,8 +21,6 @@ using tensor::Tensor;
 /// \brief Configuration of an error-bounded inference pipeline (Fig. 1).
 struct PipelineConfig {
   compress::Backend backend = compress::Backend::kSz;
-  /// Entropy codec for newly written compressed streams.
-  compress::CodecId codec = compress::kDefaultCodec;
   Norm norm = Norm::kLinf;
   /// Fraction of the QoI tolerance offered to quantization; 0 disables
   /// quantization.
@@ -89,24 +86,6 @@ struct PipelineReport {
   std::string Summary() const;
 };
 
-/// One evaluated (format, compression tolerance) candidate of
-/// InferencePipeline::AutoTune.
-struct AutoTuneCandidate {
-  NumericFormat format = NumericFormat::kFP32;
-  bool feasible = false;
-  double input_tolerance = 0.0;
-  double compression_ratio = 0.0;
-  double io_throughput = 0.0;    // bytes of original data / s
-  double exec_throughput = 0.0;  // bytes of original data / s
-  double total_throughput = 0.0;
-};
-
-/// Tuning outcome: the winner plus the full candidate table (for reports).
-struct AutoTuneResult {
-  AutoTuneCandidate best;
-  std::vector<AutoTuneCandidate> candidates;
-};
-
 /// \brief End-to-end error-bounded inference pipeline: compress -> store ->
 /// read -> decompress -> quantized inference, with the tolerance split
 /// chosen by the error-flow analysis.
@@ -131,22 +110,6 @@ class InferencePipeline {
   /// InvalidArgument for a NaN or negative tolerance.
   Result<PipelineReport> Run(const Tensor& input_batch,
                              double qoi_tolerance);
-
-  /// \brief The paper's Sec. IV-D observation — "allocating a fixed
-  /// proportion of the total tolerance to quantization does not
-  /// consistently yield an optimal strategy ... this highlights the need
-  /// for an optimization algorithm to automate the determination of the
-  /// optimal strategy" — implemented.
-  ///
-  /// Instead of config().quant_fraction, enumerates every format (the
-  /// discrete axis), derives the compression tolerance each one leaves
-  /// over (the continuous axis, closed-form from the affine bound),
-  /// *measures* the resulting compression ratio and decompression speed on
-  /// `sample_batch` with this pipeline's compressor and storage tier,
-  /// models execution like Run(), and picks the format maximizing
-  /// end-to-end throughput. FailedPrecondition when no format fits.
-  Result<AutoTuneResult> AutoTune(double qoi_tolerance,
-                                  const Tensor& sample_batch);
 
   /// Execution phase only: runs `batch` through the weight-quantized
   /// variant for `format`, materializing (and caching) the variant on

@@ -7,7 +7,8 @@
 // generators, normalized as the tasks normalize them, at the absolute
 // L-inf tolerances the pipeline plans for the perfbench QoI tolerances
 // (h2 at 1e-3 plans eb ~ 4e-5, where the SZ alphabet runs to thousands of
-// symbols).
+// symbols). The lz77 blobs of the same fields are stored
+// (tests/compress/testdata) and only decoded: no encoder writes lz77.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -19,6 +20,7 @@
 #include "data/dataset.h"
 #include "data/eurosat.h"
 #include "gtest/gtest.h"
+#include "testing/stored_payloads.h"
 #include "util/thread_pool.h"
 
 namespace errorflow {
@@ -65,7 +67,6 @@ std::vector<Field> Fields() {
 struct Case {
   const char* name;
   Backend backend;
-  CodecId codec;
   bool parallel;
   uint64_t blob_digest;
   uint64_t decoded_digest;
@@ -76,32 +77,26 @@ TEST(BlobGoldenTest, BlobsAndDecodedFloatsArePinned) {
   // the dense Huffman ranking, the windowed Huffman decode and the
   // row-indexed Lorenzo loops.
   const Case kCases[] = {
-      {"sz/huffman", Backend::kSz, CodecId::kHuffman, false,
-       0x01fe15b7c1276cf4ull, 0xd049abd91eb484afull},
-      {"sz/lz77", Backend::kSz, CodecId::kLz77Huffman, false,
-       0x8b37b303ea4877d8ull, 0xd049abd91eb484afull},
-      {"mgard/huffman", Backend::kMgard, CodecId::kHuffman, false,
-       0xc87a60fc630e904eull, 0x496d9323acc641a3ull},
-      {"mgard/lz77", Backend::kMgard, CodecId::kLz77Huffman, false,
-       0x7fa1a1723e7fe1cfull, 0x496d9323acc641a3ull},
-      {"zfp", Backend::kZfp, CodecId::kHuffman, false,
-       0x86f0cfb1669561ceull, 0xd9ad0a1461dc2181ull},
-      {"epar-sz/huffman", Backend::kSz, CodecId::kHuffman, true,
-       0x9be340a123ec484eull, 0x205bdd4ce62b7085ull},
-      {"epar-sz/lz77", Backend::kSz, CodecId::kLz77Huffman, true,
-       0xcce8d21629011ee1ull, 0x205bdd4ce62b7085ull},
-      {"epar-mgard/huffman", Backend::kMgard, CodecId::kHuffman, true,
-       0x5278a7f67f258259ull, 0x66bb9a2634cd2111ull},
-      {"epar-zfp", Backend::kZfp, CodecId::kHuffman, true,
-       0x8c2cce1bb2ea1649ull, 0xd9ad0a1461dc2181ull},
+      {"sz/huffman", Backend::kSz, false, 0x01fe15b7c1276cf4ull,
+       0xd049abd91eb484afull},
+      {"mgard/huffman", Backend::kMgard, false, 0xc87a60fc630e904eull,
+       0x496d9323acc641a3ull},
+      {"zfp", Backend::kZfp, false, 0x86f0cfb1669561ceull,
+       0xd9ad0a1461dc2181ull},
+      {"epar-sz/huffman", Backend::kSz, true, 0x9be340a123ec484eull,
+       0x205bdd4ce62b7085ull},
+      {"epar-mgard/huffman", Backend::kMgard, true, 0x5278a7f67f258259ull,
+       0x66bb9a2634cd2111ull},
+      {"epar-zfp", Backend::kZfp, true, 0x8c2cce1bb2ea1649ull,
+       0xd9ad0a1461dc2181ull},
   };
   const std::vector<Field> fields = Fields();
   util::ThreadPool pool(2);
   for (const Case& c : kCases) {
     std::unique_ptr<Compressor> compressor =
-        c.parallel ? std::make_unique<ParallelCompressor>(
-                         c.backend, &pool, /*min_chunk_rows=*/16, c.codec)
-                   : MakeCompressor(c.backend, c.codec);
+        c.parallel ? std::make_unique<ParallelCompressor>(c.backend, &pool,
+                                                          /*min_chunk_rows=*/16)
+                   : MakeCompressor(c.backend);
     uint64_t blob_digest = kFnvBasis, decoded_digest = kFnvBasis;
     for (const Field& field : fields) {
       for (const double eb : field.tolerances) {
@@ -121,6 +116,52 @@ TEST(BlobGoldenTest, BlobsAndDecodedFloatsArePinned) {
         << c.name << " blob 0x" << std::hex << blob_digest;
     EXPECT_EQ(decoded_digest, c.decoded_digest)
         << c.name << " decoded 0x" << std::hex << decoded_digest;
+  }
+}
+
+// The lz77 blobs the encoder wrote for the fields above, one per field and
+// tolerance in the order of the test above: their bytes digest to the
+// blob digests the encoder's output was pinned to, and they decode to the
+// same floats as the Huffman blobs of the same backend.
+TEST(BlobGoldenTest, StoredLz77BlobsDecodeToPinnedFloats) {
+  struct StoredCase {
+    const char* file;
+    Backend backend;
+    bool parallel;
+    uint64_t blob_digest;
+    uint64_t decoded_digest;
+  };
+  const StoredCase kCases[] = {
+      {"sz_lz77.blobs", Backend::kSz, false, 0x8b37b303ea4877d8ull,
+       0xd049abd91eb484afull},
+      {"mgard_lz77.blobs", Backend::kMgard, false, 0x7fa1a1723e7fe1cfull,
+       0x496d9323acc641a3ull},
+      {"epar_sz_lz77.blobs", Backend::kSz, true, 0xcce8d21629011ee1ull,
+       0x205bdd4ce62b7085ull},
+  };
+  util::ThreadPool pool(2);
+  for (const StoredCase& c : kCases) {
+    const std::vector<testing::StoredPayload> blobs =
+        testing::ReadStoredPayloads(c.file);
+    ASSERT_EQ(blobs.size(), 6u) << c.file;
+    std::unique_ptr<Compressor> compressor =
+        c.parallel ? std::make_unique<ParallelCompressor>(c.backend, &pool,
+                                                          /*min_chunk_rows=*/16)
+                   : MakeCompressor(c.backend);
+    uint64_t blob_digest = kFnvBasis, decoded_digest = kFnvBasis;
+    for (const testing::StoredPayload& blob : blobs) {
+      auto dec = compressor->Decompress(blob.bytes);
+      ASSERT_TRUE(dec.ok()) << c.file << ": " << dec.status().ToString();
+      ASSERT_EQ(static_cast<uint64_t>(dec->data.size()), blob.count) << c.file;
+      blob_digest = MixBytes(blob_digest, blob.bytes.data(), blob.bytes.size());
+      decoded_digest =
+          MixBytes(decoded_digest, dec->data.data(),
+                   static_cast<size_t>(dec->data.size()) * sizeof(float));
+    }
+    EXPECT_EQ(blob_digest, c.blob_digest)
+        << c.file << " blob 0x" << std::hex << blob_digest;
+    EXPECT_EQ(decoded_digest, c.decoded_digest)
+        << c.file << " decoded 0x" << std::hex << decoded_digest;
   }
 }
 

@@ -1,7 +1,8 @@
 // Lz77HuffmanCodec decode fuzzing: structure-aware mutations of real
-// streams plus hand-crafted blobs for each validation branch (length
-// inflation past kMaxMatch, distances reaching before the stream start,
-// truncated matches, token-count and output-count bombs). Runs inside
+// streams (the encoder's stored output, testdata/lz77_fuzz_corpus.bin)
+// plus hand-crafted blobs for each validation branch (length inflation
+// past kMaxMatch, distances reaching before the stream start, truncated
+// matches, token-count and output-count bombs). Runs inside
 // ef_fuzz_tests, whose allocation guard refuses any single heap request
 // above 256 MiB — the codec must reject bombs before allocating.
 #include <algorithm>
@@ -11,10 +12,10 @@
 
 #include "compress/codec/codec.h"
 #include "compress/codec/huffman.h"
-#include "compress/codec/lz77.h"
 #include "gtest/gtest.h"
 #include "testing/alloc_guard.h"
 #include "testing/fuzz_util.h"
+#include "testing/stored_payloads.h"
 #include "util/bitstream.h"
 #include "util/random.h"
 
@@ -22,33 +23,26 @@ namespace errorflow {
 namespace compress {
 namespace {
 
-// Quantization-code-shaped corpora: skewed literals with repetitive spans
-// so the encoder emits a healthy mix of literal and match tokens.
-std::vector<uint32_t> RepetitiveStream(int n, int period, uint64_t seed) {
-  util::Rng rng(seed);
-  std::vector<uint32_t> symbols;
-  symbols.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    if (rng.UniformU64(100) < 5) {
-      symbols.push_back(static_cast<uint32_t>(rng.UniformU64(1u << 20)));
-    } else {
-      symbols.push_back(static_cast<uint32_t>(i % period));
-    }
-  }
-  return symbols;
+// The lz77 encoder's output for quantization-code-shaped streams: skewed
+// literals with repetitive spans, so each mixes literal and match tokens.
+// Records 0-2 are the mutation corpus; record 3 is a 500-symbol stream
+// and record 4 a 200-symbol one.
+std::vector<testing::StoredPayload> Corpus() {
+  std::vector<testing::StoredPayload> corpus =
+      testing::ReadStoredPayloads("lz77_fuzz_corpus.bin");
+  EXPECT_EQ(corpus.size(), 5u);
+  corpus.resize(5);
+  return corpus;
 }
 
 TEST(Lz77FuzzTest, StructureAwareMutationsHandled) {
   const EntropyCodec* codec = GetCodec(CodecId::kLz77Huffman);
+  const std::vector<testing::StoredPayload> stored = Corpus();
   std::vector<std::string> corpus;
   std::vector<uint64_t> counts;
   for (int c = 0; c < 3; ++c) {
-    const auto symbols = RepetitiveStream(300 + 200 * c, 7 + 13 * c,
-                                          static_cast<uint64_t>(c));
-    util::BitWriter bits;
-    ASSERT_TRUE(codec->Encode(symbols, &bits).ok());
-    corpus.push_back(bits.Finish());
-    counts.push_back(symbols.size());
+    corpus.push_back(stored[c].bytes);
+    counts.push_back(stored[c].count);
   }
   testing::BlobMutator mutator(corpus, /*seed=*/0x7A);
   testing::ResetMaxSingleAlloc();
@@ -67,17 +61,20 @@ TEST(Lz77FuzzTest, StructureAwareMutationsHandled) {
 
 TEST(Lz77FuzzTest, TruncationsAndBitFlipsHandled) {
   const EntropyCodec* codec = GetCodec(CodecId::kLz77Huffman);
-  const auto symbols = RepetitiveStream(500, 11, 9);
-  util::BitWriter bits;
-  ASSERT_TRUE(codec->Encode(symbols, &bits).ok());
-  const std::string blob = bits.Finish();
+  const testing::StoredPayload stored = Corpus()[3];
+  const std::string& blob = stored.bytes;
+  {
+    util::BitReader reader(blob.data(), blob.size());
+    auto whole = codec->Decode(&reader, stored.count);
+    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  }
   // Every truncation point — including ones that cut a match token's
   // extra bits mid-field — must surface as Status, never a crash.
   // (The last byte may be pure padding, so only shorter prefixes are
   // guaranteed to fail; every one must surface as Status, never a crash.)
   for (size_t len = 0; len + 1 < blob.size(); ++len) {
     util::BitReader reader(blob.data(), len);
-    auto result = codec->Decode(&reader, symbols.size());
+    auto result = codec->Decode(&reader, stored.count);
     EXPECT_FALSE(result.ok()) << "decoded from a " << len << "-byte prefix";
   }
   util::Rng rng(10);
@@ -87,7 +84,7 @@ TEST(Lz77FuzzTest, TruncationsAndBitFlipsHandled) {
     corrupted[pos] =
         static_cast<char>(corrupted[pos] ^ (1 << rng.UniformU64(8)));
     util::BitReader reader(corrupted.data(), corrupted.size());
-    auto result = codec->Decode(&reader, symbols.size());
+    auto result = codec->Decode(&reader, stored.count);
     (void)result;  // No crash is the assertion; flips may still parse.
   }
 }
@@ -281,11 +278,7 @@ TEST(Lz77RegressionTest, TokenCountBombRejectedBeforeAllocation) {
 TEST(Lz77RegressionTest, OutputCountBombRejectedBeforeAllocation) {
   // A valid stream decoded with a fabricated giant count: DecodeLimits
   // refuses the 4 GiB output reserve up front.
-  const EntropyCodec* codec = GetCodec(CodecId::kLz77Huffman);
-  const auto symbols = RepetitiveStream(200, 5, 12);
-  util::BitWriter bits;
-  ASSERT_TRUE(codec->Encode(symbols, &bits).ok());
-  const std::string blob = bits.Finish();
+  const std::string blob = Corpus()[4].bytes;
   testing::ResetMaxSingleAlloc();
   auto result = DecodeBlob(blob, uint64_t{1} << 30);
   ASSERT_FALSE(result.ok());

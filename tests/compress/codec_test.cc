@@ -1,7 +1,8 @@
-// Pluggable entropy-codec tests: registry behavior, randomized round
-// trips for both codecs over adversarial symbol streams, the
-// CompressBound / zero-realloc contract, codec negotiation through every
-// compressor backend, and bit-exact decode of checked-in legacy
+// Entropy-codec tests: registry behavior, round trips over adversarial
+// and randomized symbol streams (Huffman encoded here, lz77 from the
+// stored output of its encoder in testdata/lz77_round_trip.bin), the
+// Huffman CompressBound / zero-realloc contract, the codec byte through
+// every compressor backend, and bit-exact decode of checked-in legacy
 // (pre-codec-byte) streams.
 #include "compress/codec/codec.h"
 
@@ -12,12 +13,12 @@
 #include <vector>
 
 #include "compress/codec/huffman.h"
-#include "compress/codec/lz77.h"
 #include "compress/compressor.h"
 #include "compress/parallel.h"
 #include "compress/sz.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
+#include "testing/stored_payloads.h"
 #include "testing/test_util.h"
 #include "util/bitstream.h"
 #include "util/random.h"
@@ -28,6 +29,9 @@ namespace compress {
 namespace {
 
 using tensor::Tensor;
+
+// Every codec byte a stream may carry.
+constexpr CodecId kCodecs[] = {CodecId::kHuffman, CodecId::kLz77Huffman};
 
 TEST(CodecRegistryTest, SingletonsAndNames) {
   const EntropyCodec* huff = GetCodec(CodecId::kHuffman);
@@ -40,26 +44,16 @@ TEST(CodecRegistryTest, SingletonsAndNames) {
   EXPECT_STREQ(lz->name(), "lz77");
   // Singletons: repeated lookups return the same instance.
   EXPECT_EQ(huff, GetCodec(CodecId::kHuffman));
-  EXPECT_EQ(AllCodecs().size(), 2u);
 }
 
 TEST(CodecRegistryTest, CodecFromByteAcceptsKnownRejectsUnknown) {
-  for (CodecId id : AllCodecs()) {
+  for (CodecId id : kCodecs) {
     auto codec = CodecFromByte(static_cast<uint8_t>(id));
     ASSERT_TRUE(codec.ok());
     EXPECT_EQ((*codec)->id(), id);
   }
   EXPECT_FALSE(CodecFromByte(2).ok());
   EXPECT_FALSE(CodecFromByte(0xFF).ok());
-}
-
-TEST(CodecRegistryTest, ParseCodecName) {
-  ASSERT_TRUE(ParseCodecName("huffman").ok());
-  EXPECT_EQ(*ParseCodecName("huffman"), CodecId::kHuffman);
-  ASSERT_TRUE(ParseCodecName("lz77").ok());
-  EXPECT_EQ(*ParseCodecName("lz77"), CodecId::kLz77Huffman);
-  EXPECT_FALSE(ParseCodecName("deflate").ok());
-  EXPECT_FALSE(ParseCodecName("").ok());
 }
 
 // ---- Round-trip property tests -----------------------------------------
@@ -72,8 +66,8 @@ std::vector<std::vector<uint32_t>> AdversarialInputs() {
   inputs.push_back(std::vector<uint32_t>(5000, 0));  // One long run.
   {
     // Adversarial repetition: short period, so every position matches
-    // everywhere (worst case for the hash chain), with an escape symbol
-    // sprinkled in to keep the literal alphabet honest.
+    // everywhere (in lz77, long overlapping matches), with an escape
+    // symbol sprinkled in to keep the literal alphabet honest.
     std::vector<uint32_t> v;
     for (int i = 0; i < 4096; ++i) {
       v.push_back(static_cast<uint32_t>(i % 3));
@@ -90,8 +84,8 @@ std::vector<std::vector<uint32_t>> AdversarialInputs() {
     inputs.push_back(std::move(v));
   }
   {
-    // Incompressible: unique symbols (all-literal parse, the
-    // CompressBound worst case).
+    // Incompressible: unique symbols (Huffman's CompressBound worst
+    // case; in lz77, all literals).
     std::vector<uint32_t> v;
     for (uint32_t i = 0; i < 3000; ++i) v.push_back(i * 2654435761u);
     inputs.push_back(std::move(v));
@@ -109,21 +103,46 @@ std::vector<std::vector<uint32_t>> AdversarialInputs() {
   return inputs;
 }
 
-class CodecRoundTripTest : public ::testing::TestWithParam<CodecId> {};
+// Records of testdata/lz77_round_trip.bin: the lz77 streams of the
+// adversarial inputs, then of the randomized inputs, then of
+// WrongCountIsCorruptionNotCrash's stream.
+constexpr size_t kAdversarialRecord = 0;
+constexpr size_t kRandomizedRecord = 8;
+constexpr size_t kWrongCountRecord = 58;
+
+class CodecRoundTripTest : public ::testing::TestWithParam<CodecId> {
+ protected:
+  // `symbols` as a stream of this instance's codec: Huffman encodes them
+  // here; an lz77 stream is the stored encoder output in `record`.
+  std::string StreamOf(const std::vector<uint32_t>& symbols, size_t record) {
+    if (GetParam() == CodecId::kHuffman) {
+      util::BitWriter writer;
+      EXPECT_TRUE(HuffmanCodec::Encode(symbols, &writer).ok());
+      std::string blob = writer.Finish();
+      EXPECT_LE(blob.size(), HuffmanCodec::CompressBound(symbols.size()))
+          << "exceeded the bound on n=" << symbols.size();
+      return blob;
+    }
+    static const std::vector<testing::StoredPayload> stored =
+        testing::ReadStoredPayloads("lz77_round_trip.bin");
+    if (record >= stored.size() || stored[record].count != symbols.size()) {
+      ADD_FAILURE() << "no stored lz77 stream " << record << " of "
+                    << symbols.size() << " symbols";
+      return "";
+    }
+    return stored[record].bytes;
+  }
+};
 
 TEST_P(CodecRoundTripTest, AdversarialInputsRoundTrip) {
   const EntropyCodec* codec = GetCodec(GetParam());
-  for (const auto& symbols : AdversarialInputs()) {
-    util::BitWriter writer;
-    EncodeStats stats;
-    ASSERT_TRUE(codec->Encode(symbols, &writer, &stats).ok());
-    const std::string blob = writer.Finish();
-    EXPECT_LE(blob.size(), codec->CompressBound(symbols.size()))
-        << codec->name() << " exceeded its bound on n=" << symbols.size();
+  const std::vector<std::vector<uint32_t>> inputs = AdversarialInputs();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::string blob = StreamOf(inputs[i], kAdversarialRecord + i);
     util::BitReader reader(blob.data(), blob.size());
-    auto decoded = codec->Decode(&reader, symbols.size());
+    auto decoded = codec->Decode(&reader, inputs[i].size());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    EXPECT_EQ(*decoded, symbols) << codec->name();
+    EXPECT_EQ(*decoded, inputs[i]) << codec->name();
   }
 }
 
@@ -146,30 +165,13 @@ std::vector<std::vector<uint32_t>> RandomizedInputs() {
 
 TEST_P(CodecRoundTripTest, RandomizedRoundTrips) {
   const EntropyCodec* codec = GetCodec(GetParam());
-  for (const auto& symbols : RandomizedInputs()) {
-    const size_t n = symbols.size();
-    util::BitWriter writer;
-    ASSERT_TRUE(codec->Encode(symbols, &writer).ok());
-    const std::string blob = writer.Finish();
-    ASSERT_LE(blob.size(), codec->CompressBound(n));
+  const std::vector<std::vector<uint32_t>> inputs = RandomizedInputs();
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::string blob = StreamOf(inputs[i], kRandomizedRecord + i);
     util::BitReader reader(blob.data(), blob.size());
-    auto decoded = codec->Decode(&reader, n);
+    auto decoded = codec->Decode(&reader, inputs[i].size());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ASSERT_EQ(*decoded, symbols);
-  }
-}
-
-TEST_P(CodecRoundTripTest, EncodeIntoPreallocatedBufferNeverReallocates) {
-  const EntropyCodec* codec = GetCodec(GetParam());
-  for (const auto& symbols : AdversarialInputs()) {
-    util::BitWriter writer;
-    writer.Reserve(codec->CompressBound(symbols.size()));
-    const size_t capacity_before = writer.capacity_bytes();
-    ASSERT_TRUE(codec->Encode(symbols, &writer).ok());
-    // The encode appends at most CompressBound bytes, so the up-front
-    // reservation absorbs every write: zero reallocations on the hot path.
-    EXPECT_EQ(writer.capacity_bytes(), capacity_before)
-        << codec->name() << " reallocated on n=" << symbols.size();
+    ASSERT_EQ(*decoded, inputs[i]);
   }
 }
 
@@ -177,9 +179,7 @@ TEST_P(CodecRoundTripTest, WrongCountIsCorruptionNotCrash) {
   const EntropyCodec* codec = GetCodec(GetParam());
   std::vector<uint32_t> symbols(100, 3);
   symbols[50] = 9;
-  util::BitWriter writer;
-  ASSERT_TRUE(codec->Encode(symbols, &writer).ok());
-  const std::string blob = writer.Finish();
+  const std::string blob = StreamOf(symbols, kWrongCountRecord);
   // A count the stream cannot supply must be corruption, never a crash.
   // (Huffman is a prefix code, so a SMALLER count decodes a prefix by
   // design; lz77's token framing additionally rejects every wrong count.)
@@ -194,43 +194,17 @@ TEST_P(CodecRoundTripTest, WrongCountIsCorruptionNotCrash) {
   }
 }
 
-TEST(Lz77CodecTest, MatchLayerBeatsPlainHuffmanOnRepetitiveStream) {
-  // A periodic stream with a wide-enough alphabet that plain Huffman
-  // cannot get near 1 bit/symbol, while the match layer collapses it.
-  std::vector<uint32_t> symbols;
-  for (int i = 0; i < 32768; ++i) {
-    symbols.push_back(static_cast<uint32_t>(i % 64));
+// Encode reserves CompressBound bytes up front, so a writer that already
+// holds that much never reallocates during the encode.
+TEST(HuffmanEncodeTest, EncodeIntoPreallocatedBufferNeverReallocates) {
+  for (const auto& symbols : AdversarialInputs()) {
+    util::BitWriter writer;
+    writer.Reserve(HuffmanCodec::CompressBound(symbols.size()));
+    const size_t capacity_before = writer.capacity_bytes();
+    ASSERT_TRUE(HuffmanCodec::Encode(symbols, &writer).ok());
+    EXPECT_EQ(writer.capacity_bytes(), capacity_before)
+        << "reallocated on n=" << symbols.size();
   }
-  auto encoded_size = [&](CodecId id) {
-    util::BitWriter w;
-    EXPECT_TRUE(GetCodec(id)->Encode(symbols, &w).ok());
-    return w.Finish().size();
-  };
-  const size_t huff = encoded_size(CodecId::kHuffman);
-  const size_t lz = encoded_size(CodecId::kLz77Huffman);
-  EXPECT_LT(lz * 5, huff) << "lz77 " << lz << " vs huffman " << huff;
-}
-
-TEST(Lz77CodecTest, EncodeStatsAccountForEveryOutputBit) {
-  // A random 256-symbol block tiled 20 times: order-1 context modeling
-  // cannot predict inside the block (it is random), so only the match
-  // layer collapses the repeats — guaranteeing match tokens in the stats.
-  util::Rng rng(77);
-  std::vector<uint32_t> block;
-  for (int i = 0; i < 256; ++i) {
-    block.push_back(static_cast<uint32_t>(rng.UniformU64(1u << 16)));
-  }
-  std::vector<uint32_t> symbols;
-  for (int rep = 0; rep < 20; ++rep) {
-    symbols.insert(symbols.end(), block.begin(), block.end());
-  }
-  util::BitWriter writer;
-  EncodeStats stats;
-  ASSERT_TRUE(
-      GetCodec(CodecId::kLz77Huffman)->Encode(symbols, &writer, &stats).ok());
-  EXPECT_EQ(stats.overhead_bits + stats.payload_bits, writer.bit_count());
-  EXPECT_GT(stats.matches, 0u);
-  EXPECT_EQ(stats.literals + stats.match_symbols, symbols.size());
 }
 
 // ---- Pinned encoder output ----------------------------------------------
@@ -254,8 +228,8 @@ uint64_t MixBytes(uint64_t h, const std::string& bytes) {
 
 constexpr uint64_t kFnvBasis = 1469598103934665603ull;
 
-// Every stream the codec tests encode: the adversarial and randomized
-// inputs above plus the two Lz77CodecTest streams.
+// Every stream the Huffman tests encode: the adversarial and randomized
+// inputs above plus a periodic stream and a random block tiled 20 times.
 std::vector<std::vector<uint32_t>> PinnedInputs() {
   std::vector<std::vector<uint32_t>> inputs = AdversarialInputs();
   for (auto& v : RandomizedInputs()) inputs.push_back(std::move(v));
@@ -277,69 +251,52 @@ std::vector<std::vector<uint32_t>> PinnedInputs() {
 }
 
 // What a Huffman tie-break cannot move: per stream, the encoded bit count
-// and its table/payload split; for lz77 also the match statistics and the
-// 60-byte header (token counts and the 13 per-context literal counts),
-// which the match parse alone sets. Pinned from the encoder as it was
-// when its literal cost model still used hash maps and its Huffman stage
-// still took leaves in hash-map order: the flat cost model keeps lz77's
-// parse, and every optimal Huffman code costs the same bits.
-TEST(CodecGoldenTest, LengthsAndLz77ParseArePinned) {
-  uint64_t huffman = kFnvBasis, lz77 = kFnvBasis;
+// and its table/payload split. Pinned from the encoder as it was when its
+// Huffman stage still took leaves in hash-map order: every optimal
+// Huffman code costs the same bits.
+TEST(CodecGoldenTest, HuffmanLengthsArePinned) {
+  uint64_t huffman = kFnvBasis;
   for (const auto& symbols : PinnedInputs()) {
-    for (CodecId id : AllCodecs()) {
-      util::BitWriter writer;
-      EncodeStats stats;
-      ASSERT_TRUE(GetCodec(id)->Encode(symbols, &writer, &stats).ok());
-      uint64_t& h = id == CodecId::kHuffman ? huffman : lz77;
-      h = Mix(h, writer.bit_count());
-      h = Mix(h, stats.overhead_bits);
-      h = Mix(h, stats.payload_bits);
-      if (id == CodecId::kLz77Huffman) {
-        h = Mix(h, stats.literals);
-        h = Mix(h, stats.matches);
-        h = Mix(h, stats.match_symbols);
-        h = MixBytes(h, writer.Finish().substr(0, 60));
-      }
-    }
+    util::BitWriter writer;
+    EncodeStats stats;
+    ASSERT_TRUE(HuffmanCodec::Encode(symbols, &writer, &stats).ok());
+    huffman = Mix(huffman, writer.bit_count());
+    huffman = Mix(huffman, stats.overhead_bits);
+    huffman = Mix(huffman, stats.payload_bits);
   }
   EXPECT_EQ(huffman, 0x33443816ca1b8965ull) << std::hex << huffman;
-  EXPECT_EQ(lz77, 0x64cfab20398fe506ull) << std::hex << lz77;
 }
 
 // The full output bytes. Leaves enter the Huffman tree in symbol order, so
-// these digests hold on any standard library; a change to them changes
-// what every new stream looks like on the wire.
+// this digest holds on any standard library; a change to it changes what
+// every new stream looks like on the wire.
 TEST(CodecGoldenTest, OutputBytesArePinned) {
-  uint64_t huffman = kFnvBasis, lz77 = kFnvBasis;
+  uint64_t huffman = kFnvBasis;
   for (const auto& symbols : PinnedInputs()) {
-    for (CodecId id : AllCodecs()) {
-      util::BitWriter writer;
-      ASSERT_TRUE(GetCodec(id)->Encode(symbols, &writer).ok());
-      uint64_t& h = id == CodecId::kHuffman ? huffman : lz77;
-      h = MixBytes(h, writer.Finish());
-    }
+    util::BitWriter writer;
+    ASSERT_TRUE(HuffmanCodec::Encode(symbols, &writer).ok());
+    huffman = MixBytes(huffman, writer.Finish());
   }
   EXPECT_EQ(huffman, 0x2783dc61380a1642ull) << std::hex << huffman;
-  EXPECT_EQ(lz77, 0x3c76f1d8b0077625ull) << std::hex << lz77;
 }
 
-// ---- Codec negotiation through the compressor backends ------------------
+// ---- The codec byte through the compressor backends ---------------------
 
 // gtest names each instance with a byte dump of its parameter, so the
 // struct carries explicit zeroed tail bytes instead of padding: otherwise
 // the dump, and with it the listed test name, shows leftover heap bytes
-// that change from run to run.
+// that change from run to run. Instances are named <backend>_huffman:
+// Huffman is the entropy stage SZ and MGARD write (zfp has none).
 struct BackendCodecCase {
   Backend backend;
-  CodecId codec;
-  uint8_t reserved[3] = {};
+  uint8_t reserved[4] = {};
 };
 static_assert(std::has_unique_object_representations_v<BackendCodecCase>);
 
 class BackendCodecTest : public ::testing::TestWithParam<BackendCodecCase> {};
 
 TEST_P(BackendCodecTest, RoundTripsWithinBound) {
-  auto compressor = MakeCompressor(GetParam().backend, GetParam().codec);
+  auto compressor = MakeCompressor(GetParam().backend);
   const Tensor data = testing::SmoothField2d(64, 48, 5);
   const double tol = 1e-3;
   auto comp = compressor->Compress(data, ErrorBound::AbsLinf(tol));
@@ -353,13 +310,10 @@ TEST_P(BackendCodecTest, RoundTripsWithinBound) {
 }
 
 TEST_P(BackendCodecTest, DecodeIsCodecAgnostic) {
-  // The blob self-describes its codec; a compressor constructed with the
-  // OTHER codec must decode it identically.
-  auto writer = MakeCompressor(GetParam().backend, GetParam().codec);
-  const CodecId other = GetParam().codec == CodecId::kHuffman
-                            ? CodecId::kLz77Huffman
-                            : CodecId::kHuffman;
-  auto reader = MakeCompressor(GetParam().backend, other);
+  // The blob self-describes its codec; a compressor that never wrote it
+  // must decode it exactly as the writer does.
+  auto writer = MakeCompressor(GetParam().backend);
+  auto reader = MakeCompressor(GetParam().backend);
   const Tensor data = testing::SmoothField2d(32, 32, 6);
   auto comp = writer->Compress(data, ErrorBound::AbsLinf(1e-3));
   ASSERT_TRUE(comp.ok());
@@ -375,7 +329,7 @@ TEST_P(BackendCodecTest, DecodeIsCodecAgnostic) {
 TEST_P(BackendCodecTest, ChunkedContainerRoundTrips) {
   util::ThreadPool pool(2);
   ParallelCompressor compressor(GetParam().backend, &pool,
-                                /*min_chunk_rows=*/8, GetParam().codec);
+                                /*min_chunk_rows=*/8);
   const Tensor data = testing::SmoothField2d(96, 40, 7);
   const double tol = 1e-3;
   auto comp = compressor.Compress(data, ErrorBound::AbsLinf(tol));
@@ -389,35 +343,27 @@ TEST_P(BackendCodecTest, ChunkedContainerRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(
     All, BackendCodecTest,
-    ::testing::Values(BackendCodecCase{Backend::kSz, CodecId::kHuffman},
-                      BackendCodecCase{Backend::kSz, CodecId::kLz77Huffman},
-                      BackendCodecCase{Backend::kZfp, CodecId::kHuffman},
-                      BackendCodecCase{Backend::kZfp, CodecId::kLz77Huffman},
-                      BackendCodecCase{Backend::kMgard, CodecId::kHuffman},
-                      BackendCodecCase{Backend::kMgard,
-                                       CodecId::kLz77Huffman}),
+    ::testing::Values(BackendCodecCase{Backend::kSz},
+                      BackendCodecCase{Backend::kZfp},
+                      BackendCodecCase{Backend::kMgard}),
     [](const ::testing::TestParamInfo<BackendCodecCase>& info) {
-      return std::string(BackendToString(info.param.backend)) + "_" +
-             CodecIdToString(info.param.codec);
+      return std::string(BackendToString(info.param.backend)) + "_huffman";
     });
 
-INSTANTIATE_TEST_SUITE_P(All, CodecRoundTripTest,
-                         ::testing::Values(CodecId::kHuffman,
-                                           CodecId::kLz77Huffman),
+INSTANTIATE_TEST_SUITE_P(All, CodecRoundTripTest, ::testing::ValuesIn(kCodecs),
                          [](const ::testing::TestParamInfo<CodecId>& info) {
-                           return std::string(CodecIdToString(info.param));
+                           return std::string(GetCodec(info.param)->name());
                          });
 
 TEST(CodecNegotiationTest, SzBlobCarriesCodecByte) {
   const Tensor data = testing::SmoothField2d(16, 16, 8);
-  for (CodecId id : AllCodecs()) {
-    auto compressor = MakeCompressor(Backend::kSz, id);
-    auto comp = compressor->Compress(data, ErrorBound::AbsLinf(1e-3));
-    ASSERT_TRUE(comp.ok());
-    ASSERT_GT(comp->blob.size(), 5u);
-    EXPECT_EQ(std::string(comp->blob, 0, 4), std::string("2SZE"));
-    EXPECT_EQ(static_cast<uint8_t>(comp->blob[4]), static_cast<uint8_t>(id));
-  }
+  auto compressor = MakeCompressor(Backend::kSz);
+  auto comp = compressor->Compress(data, ErrorBound::AbsLinf(1e-3));
+  ASSERT_TRUE(comp.ok());
+  ASSERT_GT(comp->blob.size(), 5u);
+  EXPECT_EQ(std::string(comp->blob, 0, 4), std::string("2SZE"));
+  EXPECT_EQ(static_cast<uint8_t>(comp->blob[4]),
+            static_cast<uint8_t>(CodecId::kHuffman));
 }
 
 // ---- Legacy (pre-codec-byte) streams ------------------------------------
@@ -447,7 +393,7 @@ const char kLegacyMgardBlob[] =
 constexpr size_t kLegacyMgardBlobLen = sizeof(kLegacyMgardBlob) - 1;
 
 TEST(LegacyStreamTest, Ezs1DecodesBitExactly) {
-  auto compressor = MakeCompressor(Backend::kSz, CodecId::kLz77Huffman);
+  auto compressor = MakeCompressor(Backend::kSz);
   auto dec =
       compressor->Decompress(std::string(kLegacySzBlob, kLegacySzBlobLen));
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
@@ -458,7 +404,7 @@ TEST(LegacyStreamTest, Ezs1DecodesBitExactly) {
 }
 
 TEST(LegacyStreamTest, Emg2DecodesBitExactly) {
-  auto compressor = MakeCompressor(Backend::kMgard, CodecId::kLz77Huffman);
+  auto compressor = MakeCompressor(Backend::kMgard);
   auto dec = compressor->Decompress(
       std::string(kLegacyMgardBlob, kLegacyMgardBlobLen));
   ASSERT_TRUE(dec.ok()) << dec.status().ToString();
@@ -481,56 +427,67 @@ TEST(LegacyStreamTest, NewEncodersNeverEmitLegacyMagic) {
 
 // The per-codec counters (`errorflow.compress.codec.<name>.*`) advance by
 // exactly one call's worth on each Compress and Decompress: the symbol
-// count, the EncodeStats bit split and, for lz77, the parse statistics.
+// count and the EncodeStats bit split of the Huffman stream SZ writes,
+// and, decoding a stored lz77 SZ blob, lz77's decode counters.
 TEST(CodecMetricsTest, CountersAdvanceByEachCall) {
   const Tensor data = testing::SmoothField2d(32, 24, 9);
   const double eb = 1e-3;
   const LorenzoCodes quantized = LorenzoQuantize(data.data(), 1, 32, 24, eb);
   auto& registry = obs::MetricsRegistry::Global();
-  for (CodecId id : AllCodecs()) {
-    SCOPED_TRACE(CodecIdToString(id));
-    util::BitWriter writer;
-    EncodeStats stats;
-    ASSERT_TRUE(GetCodec(id)->Encode(quantized.codes, &writer, &stats).ok());
-    const std::string prefix =
-        std::string("errorflow.compress.codec.") + CodecIdToString(id) + ".";
-    std::vector<std::pair<std::string, uint64_t>> encode_deltas = {
-        {"encode_calls", 1},
-        {"encode_symbols", quantized.codes.size()},
-        {"encode_overhead_bits", stats.overhead_bits},
-        {"encode_payload_bits", stats.payload_bits}};
-    if (id == CodecId::kLz77Huffman) {
-      encode_deltas.push_back({"literal_tokens", stats.literals});
-      encode_deltas.push_back({"match_tokens", stats.matches});
-      encode_deltas.push_back({"match_symbols", stats.match_symbols});
+  util::BitWriter writer;
+  EncodeStats stats;
+  ASSERT_TRUE(HuffmanCodec::Encode(quantized.codes, &writer, &stats).ok());
+  const std::string huffman = "errorflow.compress.codec.huffman.";
+  const std::vector<std::pair<std::string, uint64_t>> encode_deltas = {
+      {"encode_calls", 1},
+      {"encode_symbols", quantized.codes.size()},
+      {"encode_overhead_bits", stats.overhead_bits},
+      {"encode_payload_bits", stats.payload_bits}};
+  const std::vector<std::pair<std::string, uint64_t>> decode_deltas = {
+      {"decode_calls", 1}, {"decode_symbols", quantized.codes.size()}};
+  auto compressor = MakeCompressor(Backend::kSz);
+  for (int call = 0; call < 2; ++call) {
+    std::vector<uint64_t> before;
+    for (const auto& [metric, delta] : encode_deltas) {
+      before.push_back(registry.CounterValue(huffman + metric));
     }
-    const std::vector<std::pair<std::string, uint64_t>> decode_deltas = {
-        {"decode_calls", 1}, {"decode_symbols", quantized.codes.size()}};
-    auto compressor = MakeCompressor(Backend::kSz, id);
-    for (int call = 0; call < 2; ++call) {
-      std::vector<uint64_t> before;
-      for (const auto& [metric, delta] : encode_deltas) {
-        before.push_back(registry.CounterValue(prefix + metric));
-      }
-      auto comp = compressor->Compress(data, ErrorBound::AbsLinf(eb));
-      ASSERT_TRUE(comp.ok());
-      for (size_t m = 0; m < encode_deltas.size(); ++m) {
-        EXPECT_EQ(registry.CounterValue(prefix + encode_deltas[m].first),
-                  before[m] + encode_deltas[m].second)
-            << encode_deltas[m].first;
-      }
-      before.clear();
-      for (const auto& [metric, delta] : decode_deltas) {
-        before.push_back(registry.CounterValue(prefix + metric));
-      }
-      ASSERT_TRUE(compressor->Decompress(comp->blob).ok());
-      for (size_t m = 0; m < decode_deltas.size(); ++m) {
-        EXPECT_EQ(registry.CounterValue(prefix + decode_deltas[m].first),
-                  before[m] + decode_deltas[m].second)
-            << decode_deltas[m].first;
-      }
+    auto comp = compressor->Compress(data, ErrorBound::AbsLinf(eb));
+    ASSERT_TRUE(comp.ok());
+    for (size_t m = 0; m < encode_deltas.size(); ++m) {
+      EXPECT_EQ(registry.CounterValue(huffman + encode_deltas[m].first),
+                before[m] + encode_deltas[m].second)
+          << encode_deltas[m].first;
+    }
+    before.clear();
+    for (const auto& [metric, delta] : decode_deltas) {
+      before.push_back(registry.CounterValue(huffman + metric));
+    }
+    ASSERT_TRUE(compressor->Decompress(comp->blob).ok());
+    for (size_t m = 0; m < decode_deltas.size(); ++m) {
+      EXPECT_EQ(registry.CounterValue(huffman + decode_deltas[m].first),
+                before[m] + decode_deltas[m].second)
+          << decode_deltas[m].first;
     }
   }
+
+  // One lz77 decode per Decompress, of the same number of symbols each
+  // time: at most one per element of the stored blob.
+  const std::vector<testing::StoredPayload> stored =
+      testing::ReadStoredPayloads("sz_lz77.blobs");
+  ASSERT_FALSE(stored.empty());
+  const std::string lz77 = "errorflow.compress.codec.lz77.";
+  std::vector<uint64_t> symbol_deltas;
+  for (int call = 0; call < 2; ++call) {
+    const uint64_t calls = registry.CounterValue(lz77 + "decode_calls");
+    const uint64_t symbols = registry.CounterValue(lz77 + "decode_symbols");
+    ASSERT_TRUE(compressor->Decompress(stored[0].bytes).ok());
+    EXPECT_EQ(registry.CounterValue(lz77 + "decode_calls"), calls + 1);
+    symbol_deltas.push_back(registry.CounterValue(lz77 + "decode_symbols") -
+                            symbols);
+  }
+  EXPECT_GT(symbol_deltas[0], 0u);
+  EXPECT_LE(symbol_deltas[0], stored[0].count);
+  EXPECT_EQ(symbol_deltas[1], symbol_deltas[0]);
 }
 
 }  // namespace

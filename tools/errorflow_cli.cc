@@ -45,15 +45,18 @@
 //   --log-level debug|info|warn|error
 //   --log-json <path.jsonl>     mirror logs to a JSON-lines file
 //
-// Exit code 0 on success; 1 on user error; 2 on internal failure.
+// Exit code 0 on success; 1 on user error, including a flag the
+// subcommand does not take; 2 on internal failure.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -83,21 +86,39 @@ namespace {
 
 // ----- minimal flag parsing -------------------------------------------
 
+// Every lookup records the flag name, so after a subcommand has run,
+// UnreadFlags() names the flags it never asked for: misspelled or unknown
+// ones, which would otherwise be ignored without a word.
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> flags;
+  mutable std::set<std::string> read;
 
-  bool Has(const std::string& name) const { return flags.count(name) != 0; }
+  bool Has(const std::string& name) const {
+    read.insert(name);
+    return flags.count(name) != 0;
+  }
   std::string Get(const std::string& name,
                   const std::string& fallback = "") const {
-    auto it = flags.find(name);
-    return it == flags.end() ? fallback : it->second;
+    return Has(name) ? flags.at(name) : fallback;
   }
   double GetDouble(const std::string& name, double fallback) const {
-    auto it = flags.find(name);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
+    return Has(name) ? std::atof(flags.at(name).c_str()) : fallback;
+  }
+  std::vector<std::string> UnreadFlags() const {
+    std::vector<std::string> unread;
+    for (const auto& [name, value] : flags) {
+      if (read.count(name) == 0) unread.push_back(name);
+    }
+    return unread;
   }
 };
+
+// The global and observability flags, valid with every subcommand whether
+// or not it reads them.
+constexpr const char* kGlobalFlags[] = {
+    "model-cache-dir", "metrics-out", "trace-out", "metrics-export-dir",
+    "metrics-export-interval", "log-level", "log-json"};
 
 Args ParseArgs(int argc, char** argv, int first) {
   Args args;
@@ -361,9 +382,6 @@ int CmdQuantize(const Args& args) {
 int CmdCompress(const Args& args) {
   auto backend = ParseBackend(args.Get("backend", "sz"));
   if (!backend.ok()) return Fail(backend.status().ToString().c_str());
-  auto codec = compress::ParseCodecName(args.Get(
-      "codec", compress::CodecIdToString(compress::kDefaultCodec)));
-  if (!codec.ok()) return Fail(codec.status().ToString().c_str());
   auto norm = ParseNorm(args.Get("norm", "linf"));
   if (!norm.ok()) return Fail(norm.status().ToString().c_str());
 
@@ -385,14 +403,13 @@ int CmdCompress(const Args& args) {
   eb.norm = *norm;
   eb.relative = args.Has("rel");
   eb.tolerance = args.GetDouble("tol", 1e-3);
-  auto compressor = compress::MakeCompressor(*backend, *codec);
+  auto compressor = compress::MakeCompressor(*backend);
   auto comp = compressor->Compress(slice, eb);
   if (!comp.ok()) return Fail(comp.status().ToString().c_str());
   auto dec = compressor->Decompress(comp->blob);
   if (!dec.ok()) return Fail(dec.status().ToString().c_str());
 
   std::printf("backend      : %s\n", compressor->name().c_str());
-  std::printf("codec        : %s\n", compress::CodecIdToString(*codec));
   std::printf("field        : %lld x %lld (%s)\n",
               static_cast<long long>(rows), static_cast<long long>(cols),
               util::HumanBytes(static_cast<double>(slice.byte_size()))
@@ -432,9 +449,6 @@ int CmdRun(const Args& args) {
   if (!kind.ok()) return Fail(kind.status().ToString().c_str());
   auto backend = ParseBackend(args.Get("backend", "sz"));
   if (!backend.ok()) return Fail(backend.status().ToString().c_str());
-  auto codec = compress::ParseCodecName(args.Get(
-      "codec", compress::CodecIdToString(compress::kDefaultCodec)));
-  if (!codec.ok()) return Fail(codec.status().ToString().c_str());
   auto norm = ParseNorm(args.Get("norm", "linf"));
   if (!norm.ok()) return Fail(norm.status().ToString().c_str());
   const double tol = args.GetDouble("tol", 1e-3);
@@ -445,7 +459,6 @@ int CmdRun(const Args& args) {
       tasks::GetTask(*kind, tasks::Regularization::kPsn, 1, CacheDir(args));
   core::PipelineConfig cfg;
   cfg.backend = *backend;
-  cfg.codec = *codec;
   cfg.norm = *norm;
   cfg.quant_fraction = args.GetDouble("frac", 0.5);
   core::InferencePipeline pipeline(std::move(task.model),
@@ -943,11 +956,11 @@ void PrintUsage() {
       "[--quantizer optq|spfq] [--calib-rows 64] [--calib-seed 1] "
       "[--norm linf|l2]\n"
       "  errorflow compress   --backend sz|zfp|mgard --tol 1e-3 [--norm "
-      "linf|l2] [--rel] [--size 512x512] [--codec huffman|lz77]\n"
+      "linf|l2] [--rel] [--size 512x512]\n"
       "  errorflow demo-train <out.efm> [--task h2|borghesi|eurosat]\n"
       "  errorflow run        [--task h2|borghesi|eurosat] [--tol 1e-3] "
       "[--backend sz|zfp|mgard] [--norm linf|l2] [--frac 0.5] "
-      "[--batches 3] [--codec huffman|lz77]\n"
+      "[--batches 3]\n"
       "  errorflow serve-bench [--task h2|borghesi|eurosat] "
       "[--rates 200,4000] [--duration 5] [--workers 4] [--max-batch 64] "
       "[--queue-cap 1024] [--tolerances 1e-3,1e-2,1e-1] [--timeout-ms "
@@ -1007,6 +1020,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
     PrintUsage();
     return 1;
+  }
+  if (code == 0) {
+    args.read.insert(std::begin(kGlobalFlags), std::end(kGlobalFlags));
+    for (const std::string& name : args.UnreadFlags()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+      code = 1;
+    }
   }
   if (exporter != nullptr) exporter->Stop();  // Final snapshot.
   if (!ExportObservability(args) && code == 0) code = 2;
