@@ -49,24 +49,5 @@ std::string ProfileReport(const ErrorFlowAnalysis& analysis) {
   return out;
 }
 
-std::vector<LayerContribution> QuantTermBreakdown(
-    const ErrorFlowAnalysis& analysis, NumericFormat format) {
-  const std::vector<const LayerProfile*> layers = analysis.LinearLayers();
-  const double total = analysis.QuantTerm(format);
-  const std::vector<double>& steps = analysis.Steps(format);
-  std::vector<LayerContribution> out;
-  for (size_t k = 0; k < layers.size(); ++k) {
-    std::vector<double> without_k = steps;
-    without_k[k] = 0.0;
-    LayerContribution c;
-    c.layer = layers[k]->name;
-    c.step_size = steps[k];
-    c.contribution = std::max(
-        0.0, total - analysis.QuantTerm(without_k));
-    out.push_back(std::move(c));
-  }
-  return out;
-}
-
 }  // namespace core
 }  // namespace errorflow

@@ -1,8 +1,6 @@
 #include "net/load_rig.h"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -10,11 +8,11 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <unordered_map>
 #include <utility>
 
+#include "net/framed_conn.h"
 #include "net/socket.h"
 #include "obs/log.h"
 #include "util/random.h"
@@ -38,50 +36,12 @@ constexpr std::chrono::milliseconds kDrainTimeout{3000};
 /// with their index.
 constexpr uint64_t kCompletionTag = ~uint64_t{0};
 
-/// One multiplexed client connection of the socket transport.
-struct RigConn {
-  OwnedFd fd;
-  std::string wbuf;
-  size_t wpos = 0;
-  std::string rbuf;
-  bool alive = false;
-  bool want_write = false;
-};
-
-/// In-process completions. `SubmitAsync` callbacks (scheduler threads)
-/// stamp their finish time, queue it here and signal the eventfd in the
-/// rig's epoll set, so one loop serves both transports. Shared with every
-/// callback: one that fires after the rig returned (its request counted
-/// unanswered) still lands harmlessly.
-struct CompletionQueue {
-  struct Done {
-    uint64_t id;
-    StatusCode code;
-    SteadyClock::time_point at;
-  };
-
-  std::mutex mu;
-  std::vector<Done> done;
-  OwnedFd event_fd;
-
-  void Push(Done d) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      done.push_back(d);
-    }
-    const uint64_t one = 1;
-    // The counter saturates rather than blocks under EFD_NONBLOCK.
-    (void)::write(event_fd.get(), &one, sizeof(one));
-  }
-
-  std::vector<Done> Take() {
-    uint64_t signals = 0;
-    (void)::read(event_fd.get(), &signals, sizeof(signals));
-    std::vector<Done> out;
-    std::lock_guard<std::mutex> lock(mu);
-    out.swap(done);
-    return out;
-  }
+/// One in-process completion: the request id, its outcome and when the
+/// `SubmitAsync` callback (on a scheduler thread) stamped it.
+struct Done {
+  uint64_t id;
+  StatusCode code;
+  SteadyClock::time_point at;
 };
 
 double MsSince(SteadyClock::time_point start, SteadyClock::time_point end) {
@@ -174,27 +134,24 @@ Result<LoadStats> RunLoad(const LoadConfig& config) {
     return Status::IOError(util::StrFormat(
         "net: epoll_create1 failed: %s", std::strerror(errno)));
   }
-  const auto ctl = [&](int op, int fd, uint64_t tag, uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.u64 = tag;
-    return epoll_ctl(epoll_fd.get(), op, fd, &ev) == 0;
-  };
-
   // Socket transport state: the connections, and each template's payload
   // encoded once so that per arrival only the 18-byte header (with a fresh
   // request id) is re-framed around it.
-  std::vector<RigConn> conns;
+  std::vector<FramedConn> conns;
   std::vector<std::string> payloads;
   size_t alive_count = 0;
-  // In-process transport state.
-  std::shared_ptr<CompletionQueue> completions;
+  // In-process transport state. Shared with every callback: one that fires
+  // after the rig returned (its request counted unanswered) still lands
+  // harmlessly.
+  std::shared_ptr<EventQueue<Done>> completions;
   if (in_process) {
-    completions = std::make_shared<CompletionQueue>();
-    completions->event_fd = OwnedFd(eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
-    if (!completions->event_fd.valid() ||
-        !ctl(EPOLL_CTL_ADD, completions->event_fd.get(), kCompletionTag,
-             EPOLLIN)) {
+    completions = std::make_shared<EventQueue<Done>>();
+    epoll_event ev{};
+    ev.events = EPOLLIN;
+    ev.data.u64 = kCompletionTag;
+    if (!completions->Open() ||
+        epoll_ctl(epoll_fd.get(), EPOLL_CTL_ADD, completions->fd(), &ev) !=
+            0) {
       return Status::IOError(util::StrFormat(
           "net: completion eventfd failed: %s", std::strerror(errno)));
     }
@@ -207,14 +164,13 @@ Result<LoadStats> RunLoad(const LoadConfig& config) {
         stats.connect_failures += 1;
         continue;
       }
-      conns[i].fd = std::move(*fd);
-      EF_RETURN_IF_ERROR(SetNonBlocking(conns[i].fd.get()));
-      if (!ctl(EPOLL_CTL_ADD, conns[i].fd.get(), i, EPOLLIN)) {
+      EF_RETURN_IF_ERROR(SetNonBlocking(fd->get()));
+      conns[i] = FramedConn(std::move(*fd));
+      if (!conns[i].Watch(epoll_fd.get(), i)) {
         stats.connect_failures += 1;
-        conns[i].fd = OwnedFd();
+        conns[i] = FramedConn();
         continue;
       }
-      conns[i].alive = true;
       alive_count += 1;
     }
     if (alive_count == 0) {
@@ -226,36 +182,13 @@ Result<LoadStats> RunLoad(const LoadConfig& config) {
   }
 
   const auto close_conn = [&](size_t idx) {
-    if (!conns[idx].alive) return;
-    ctl(EPOLL_CTL_DEL, conns[idx].fd.get(), idx, 0);
-    conns[idx].fd = OwnedFd();
-    conns[idx].alive = false;
+    if (!conns[idx].valid()) return;
+    conns[idx].Close();
     alive_count -= 1;
     stats.connection_errors += 1;
   };
   const auto flush_conn = [&](size_t idx) {
-    RigConn& c = conns[idx];
-    while (c.wpos < c.wbuf.size()) {
-      IoOutcome out = WriteSome(c.fd.get(), c.wbuf.data() + c.wpos,
-                                c.wbuf.size() - c.wpos);
-      if (out.would_block) break;
-      if (out.n <= 0) {
-        close_conn(idx);
-        return;
-      }
-      c.wpos += static_cast<size_t>(out.n);
-    }
-    if (c.wpos == c.wbuf.size()) {
-      c.wbuf.clear();
-      c.wpos = 0;
-      if (c.want_write) {
-        c.want_write = false;
-        ctl(EPOLL_CTL_MOD, c.fd.get(), idx, EPOLLIN);
-      }
-    } else if (!c.want_write) {
-      c.want_write = true;
-      ctl(EPOLL_CTL_MOD, c.fd.get(), idx, EPOLLIN | EPOLLOUT);
-    }
+    if (conns[idx].Flush().closed) close_conn(idx);
   };
 
   std::unordered_map<uint64_t, SteadyClock::time_point> outstanding;
@@ -289,8 +222,8 @@ Result<LoadStats> RunLoad(const LoadConfig& config) {
     outstanding.erase(it);
   };
 
-  const auto handle_frame = [&](const FrameHeader& header,
-                                const char* payload) {
+  const FramedConn::FrameFn handle_frame = [&](const FrameHeader& header,
+                                               const char* payload) {
     if (header.type == FrameType::kResponse) {
       resolve(header.request_id, StatusCode::kOk, SteadyClock::now());
     } else if (header.type == FrameType::kError) {
@@ -305,41 +238,6 @@ Result<LoadStats> RunLoad(const LoadConfig& config) {
       return Status::Corruption("net: rig received a Submit frame");
     }
     return Status::OK();  // Ping/Pong: liveness only.
-  };
-
-  const auto read_conn = [&](size_t idx) {
-    RigConn& c = conns[idx];
-    char buf[64 * 1024];
-    while (c.alive) {
-      IoOutcome out = ReadSome(c.fd.get(), buf, sizeof(buf));
-      if (out.would_block) break;
-      if (out.n <= 0) {
-        close_conn(idx);
-        return;
-      }
-      c.rbuf.append(buf, static_cast<size_t>(out.n));
-      size_t consumed = 0;
-      while (true) {
-        FrameHeader header;
-        size_t frame_size = 0;
-        auto extracted = TryExtractFrame(c.rbuf.data() + consumed,
-                                         c.rbuf.size() - consumed, limits,
-                                         &header, &frame_size);
-        if (!extracted.ok()) {
-          close_conn(idx);
-          return;
-        }
-        if (*extracted == ExtractResult::kNeedMore) break;
-        Status handled = handle_frame(
-            header, c.rbuf.data() + consumed + kFrameHeaderBytes);
-        if (!handled.ok()) {
-          close_conn(idx);
-          return;
-        }
-        consumed += frame_size;
-      }
-      if (consumed > 0) c.rbuf.erase(0, consumed);
-    }
   };
 
   // Sends request `id`, built from the next template in turn, on the
@@ -357,7 +255,7 @@ Result<LoadStats> RunLoad(const LoadConfig& config) {
       if (!status.ok()) resolve(id, status.code(), SteadyClock::now());
       return;
     }
-    conns[next_conn].wbuf.append(
+    conns[next_conn].Queue(
         EncodeFrame(FrameType::kSubmit, id, payloads[tmpl]));
     flush_conn(next_conn);
     next_conn = (next_conn + 1) % conns.size();
@@ -382,11 +280,11 @@ Result<LoadStats> RunLoad(const LoadConfig& config) {
       }
       if (!in_process) {
         size_t tries = 0;
-        while (!conns[next_conn].alive && tries < conns.size()) {
+        while (!conns[next_conn].valid() && tries < conns.size()) {
           next_conn = (next_conn + 1) % conns.size();
           tries += 1;
         }
-        if (!conns[next_conn].alive) break;  // alive_count check exits.
+        if (!conns[next_conn].valid()) break;  // alive_count check exits.
       }
       const SteadyClock::time_point scheduled =
           t0 + std::chrono::duration_cast<SteadyClock::duration>(
@@ -423,19 +321,23 @@ Result<LoadStats> RunLoad(const LoadConfig& config) {
     }
     for (int i = 0; i < n; ++i) {
       if (events[i].data.u64 == kCompletionTag) {
-        for (const CompletionQueue::Done& done : completions->Take()) {
+        for (const Done& done : completions->Take()) {
           resolve(done.id, done.code, done.at);
         }
         continue;
       }
       const size_t idx = static_cast<size_t>(events[i].data.u64);
-      if (!conns[idx].alive) continue;
+      if (!conns[idx].valid()) continue;
       if (events[i].events & (EPOLLHUP | EPOLLERR)) {
         close_conn(idx);
         continue;
       }
-      if (events[i].events & EPOLLIN) read_conn(idx);
-      if (conns[idx].alive && (events[i].events & EPOLLOUT)) {
+      if (events[i].events & EPOLLIN) {
+        const FramedConn::Transfer in =
+            conns[idx].ReadFrames(limits, handle_frame);
+        if (in.closed || !in.framing.ok()) close_conn(idx);
+      }
+      if (conns[idx].valid() && (events[i].events & EPOLLOUT)) {
         flush_conn(idx);
       }
     }

@@ -29,14 +29,16 @@ Result<NetClient> NetClient::Connect(const std::string& host, uint16_t port,
                                      std::chrono::milliseconds timeout,
                                      util::DecodeLimits limits) {
   NetClient client;
-  EF_ASSIGN_OR_RETURN(client.fd_, ConnectTcp(host, port, timeout));
+  EF_ASSIGN_OR_RETURN(OwnedFd fd, ConnectTcp(host, port, timeout));
+  EF_RETURN_IF_ERROR(SetNonBlocking(fd.get()));
+  client.conn_ = FramedConn(std::move(fd));
   client.limits_ = limits;
   return client;
 }
 
 Result<uint64_t> NetClient::Submit(const SubmitFrame& submit) {
   EF_RETURN_IF_ERROR(conn_error_);
-  if (!fd_.valid()) return Status::FailedPrecondition("net: not connected");
+  if (!conn_.valid()) return Status::FailedPrecondition("net: not connected");
   const uint64_t id = next_id_++;
   EF_RETURN_IF_ERROR(SendAll(EncodeSubmit(id, submit)));
   return id;
@@ -59,7 +61,7 @@ Result<ResponseFrame> NetClient::Await(uint64_t request_id,
       return status;
     }
     EF_RETURN_IF_ERROR(conn_error_);
-    if (!fd_.valid()) {
+    if (!conn_.valid()) {
       return Status::FailedPrecondition("net: not connected");
     }
     EF_RETURN_IF_ERROR(PumpOnce(deadline));
@@ -74,7 +76,7 @@ Result<ResponseFrame> NetClient::Roundtrip(
 
 Status NetClient::Ping(std::chrono::milliseconds timeout) {
   EF_RETURN_IF_ERROR(conn_error_);
-  if (!fd_.valid()) return Status::FailedPrecondition("net: not connected");
+  if (!conn_.valid()) return Status::FailedPrecondition("net: not connected");
   const uint64_t id = next_id_++;
   EF_RETURN_IF_ERROR(SendAll(EncodePing(id)));
   const SteadyClock::time_point deadline = SteadyClock::now() + timeout;
@@ -87,23 +89,19 @@ Status NetClient::Ping(std::chrono::milliseconds timeout) {
 }
 
 Status NetClient::SendAll(const std::string& bytes) {
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    IoOutcome out =
-        WriteSome(fd_.get(), bytes.data() + sent, bytes.size() - sent);
-    if (out.would_block) {
-      // Blocking socket: EAGAIN only under an injected fault cap of zero
-      // or SO_SNDTIMEO; wait for writability.
-      pollfd pfd{fd_.get(), POLLOUT, 0};
-      (void)::poll(&pfd, 1, 50);
-      continue;
-    }
-    if (out.n <= 0) {
+  conn_.Queue(bytes);
+  while (conn_.pending()) {
+    if (conn_.Flush().closed) {
       conn_error_ = Status::IOError(util::StrFormat(
           "net: send failed: %s", std::strerror(errno)));
       return conn_error_;
     }
-    sent += static_cast<size_t>(out.n);
+    if (conn_.pending()) {
+      // Send buffer full, or an injected fault capped the transfer at
+      // zero bytes: wait for writability.
+      pollfd pfd{conn_.fd(), POLLOUT, 0};
+      (void)::poll(&pfd, 1, 50);
+    }
   }
   return Status::OK();
 }
@@ -113,7 +111,7 @@ Status NetClient::PumpOnce(SteadyClock::time_point deadline) {
   if (wait_ms <= 0) {
     return Status::DeadlineExceeded("net: await timed out");
   }
-  pollfd pfd{fd_.get(), POLLIN, 0};
+  pollfd pfd{conn_.fd(), POLLIN, 0};
   const int polled = ::poll(&pfd, 1, wait_ms);
   if (polled < 0) {
     if (errno == EINTR) return Status::OK();
@@ -125,79 +123,43 @@ Status NetClient::PumpOnce(SteadyClock::time_point deadline) {
     return Status::DeadlineExceeded("net: await timed out");
   }
 
-  char buf[64 * 1024];
-  while (true) {
-    IoOutcome out = ReadSome(fd_.get(), buf, sizeof(buf));
-    if (out.would_block) break;
-    if (out.n == 0) {
-      conn_error_ =
-          Status::IOError("net: connection closed by server");
-      return conn_error_;
-    }
-    if (out.n < 0) {
-      conn_error_ = Status::IOError(util::StrFormat(
-          "net: recv failed: %s", std::strerror(errno)));
-      return conn_error_;
-    }
-    rbuf_.append(buf, static_cast<size_t>(out.n));
-    if (static_cast<size_t>(out.n) < sizeof(buf)) break;
+  const FramedConn::Transfer in = conn_.ReadFrames(
+      limits_,
+      [this](const FrameHeader& header, const char* payload) -> Status {
+        switch (header.type) {
+          case FrameType::kResponse: {
+            EF_ASSIGN_OR_RETURN(
+                ResponseFrame resp,
+                DecodeResponse(payload, header.payload_len, limits_));
+            responses_.emplace(header.request_id, std::move(resp));
+            return Status::OK();
+          }
+          case FrameType::kError: {
+            EF_ASSIGN_OR_RETURN(
+                ErrorFrame err,
+                DecodeError(payload, header.payload_len, limits_));
+            // Request id 0 is a connection-scoped refusal (framing
+            // violation, connection cap): no request will ever complete.
+            if (header.request_id == 0) return WireErrorToStatus(err);
+            errors_.emplace(header.request_id, WireErrorToStatus(err));
+            return Status::OK();
+          }
+          case FrameType::kPong:
+            pongs_.insert(header.request_id);
+            return Status::OK();
+          case FrameType::kPing:
+            // Be a good liveness peer even as a client.
+            return SendAll(EncodePong(header.request_id));
+          case FrameType::kSubmit:
+            break;
+        }
+        return Status::InvalidArgument("net: client received a Submit frame");
+      });
+  if (!in.framing.ok()) {
+    conn_error_ = in.framing;
+  } else if (in.closed) {
+    conn_error_ = Status::IOError("net: connection closed by server");
   }
-
-  size_t consumed = 0;
-  while (true) {
-    FrameHeader header;
-    size_t frame_size = 0;
-    auto extracted =
-        TryExtractFrame(rbuf_.data() + consumed, rbuf_.size() - consumed,
-                        limits_, &header, &frame_size);
-    if (!extracted.ok()) {
-      conn_error_ = extracted.status();
-      break;
-    }
-    if (*extracted == ExtractResult::kNeedMore) break;
-    const char* payload = rbuf_.data() + consumed + kFrameHeaderBytes;
-    switch (header.type) {
-      case FrameType::kResponse: {
-        auto resp = DecodeResponse(payload, header.payload_len, limits_);
-        if (!resp.ok()) {
-          conn_error_ = resp.status();
-        } else {
-          responses_.emplace(header.request_id, std::move(*resp));
-        }
-        break;
-      }
-      case FrameType::kError: {
-        auto err = DecodeError(payload, header.payload_len, limits_);
-        if (!err.ok()) {
-          conn_error_ = err.status();
-          break;
-        }
-        Status typed = WireErrorToStatus(*err);
-        if (header.request_id == 0) {
-          // Connection-scoped refusal (framing violation, connection
-          // cap): no request will ever complete.
-          conn_error_ = typed;
-        } else {
-          errors_.emplace(header.request_id, std::move(typed));
-        }
-        break;
-      }
-      case FrameType::kPong:
-        pongs_.insert(header.request_id);
-        break;
-      case FrameType::kPing:
-        // Be a good liveness peer even as a client.
-        EF_RETURN_IF_ERROR(SendAll(EncodePong(header.request_id)));
-        break;
-      case FrameType::kSubmit:
-        conn_error_ = Status::InvalidArgument(
-            "net: client received a Submit frame");
-        break;
-    }
-    consumed += frame_size;
-    if (!conn_error_.ok()) break;
-  }
-  if (consumed > 0) rbuf_.erase(0, consumed);
   return Status::OK();
 }
 

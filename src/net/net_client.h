@@ -8,7 +8,7 @@
 #include <string>
 
 #include "net/frame.h"
-#include "net/socket.h"
+#include "net/framed_conn.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -56,23 +56,23 @@ class NetClient {
   /// Liveness echo: sends Ping, waits for the matching Pong.
   Status Ping(std::chrono::milliseconds timeout);
 
-  void Close() { fd_ = OwnedFd(); }
-  bool connected() const { return fd_.valid(); }
+  void Close() { conn_.Close(); }
+  bool connected() const { return conn_.valid(); }
   /// Raw socket fd — lets the fault-injection hook target one side of the
   /// wire in tests.
-  int fd() const { return fd_.get(); }
+  int fd() const { return conn_.fd(); }
 
  private:
-  /// Writes all of `bytes`, looping over partial writes.
+  /// Writes all of `bytes`, polling while the socket buffer is full.
   Status SendAll(const std::string& bytes);
   /// Waits (bounded by `deadline`) for readable bytes and parses every
   /// complete frame into responses_/errors_/pongs_.
   Status PumpOnce(std::chrono::steady_clock::time_point deadline);
 
-  OwnedFd fd_;
+  /// The nonblocking socket, its reassembly and its send buffer.
+  FramedConn conn_;
   util::DecodeLimits limits_;
   uint64_t next_id_ = 1;
-  std::string rbuf_;
   std::map<uint64_t, ResponseFrame> responses_;
   std::map<uint64_t, Status> errors_;
   std::set<uint64_t> pongs_;

@@ -1,9 +1,7 @@
 #include "net/net_server.h"
 
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -12,6 +10,7 @@
 #include <vector>
 
 #include "net/frame.h"
+#include "net/framed_conn.h"
 #include "obs/log.h"
 #include "util/string_util.h"
 
@@ -22,8 +21,7 @@ namespace {
 
 using serve::Clock;
 
-/// Read-chunk size; also the write-buffer prefix-compaction threshold.
-constexpr size_t kIoChunkBytes = 64 * 1024;
+constexpr int kListenBacklog = 512;
 
 /// epoll_wait bound, so idle/drain sweeps run even on a silent socket set.
 constexpr int kLoopTickMs = 50;
@@ -35,10 +33,10 @@ double SecondsSince(Clock::time_point start) {
 }  // namespace
 
 /// \brief Scheduler-thread-to-loop-thread handoff. Completion callbacks
-/// (running on scheduler workers) encode the wire frame, push it here, and
-/// poke the eventfd; the loop drains the queue and appends to the owning
-/// connection's write buffer. Shared-ptr-held by both the server and every
-/// outstanding callback, so a callback firing after the loop exits lands
+/// (running on scheduler workers) encode the wire frame and push it on the
+/// queue; the loop takes it and appends it to the owning connection's
+/// write buffer. Shared-ptr-held by both the server and every outstanding
+/// callback, so a callback firing after the loop closed the queue lands
 /// harmlessly (counted as a dropped response).
 struct NetServer::CompletionHub {
   struct Completion {
@@ -50,11 +48,7 @@ struct NetServer::CompletionHub {
     Clock::time_point dispatch_time;
   };
 
-  std::mutex mu;
-  std::vector<Completion> queue;
-  /// False once the loop has exited; pushes then drop instead of queuing.
-  bool loop_alive = true;
-  OwnedFd wake_fd;
+  EventQueue<Completion> completions;
   std::atomic<int64_t> in_flight{0};
 
   // errorflow.net.* instrumentation (docs/NETWORKING.md); the hub carries
@@ -93,26 +87,14 @@ struct NetServer::CompletionHub {
     request_seconds = reg.GetHistogram("errorflow.net.request_seconds");
   }
 
-  void Wake() {
-    uint64_t one = 1;
-    // The eventfd counter saturates rather than blocks under EFD_NONBLOCK;
-    // a failed write still leaves earlier wakeups pending.
-    (void)::write(wake_fd.get(), &one, sizeof(one));
-  }
-
   /// Called from scheduler threads. Decrements in-flight *after* queuing,
-  /// so the loop's drain condition (in_flight == 0 and queue empty) cannot
-  /// observe zero with a completion still unqueued.
+  /// so the loop's drain check (in_flight == 0, then deliver the queue)
+  /// cannot observe zero with a completion still unqueued.
   void Push(Completion c) {
-    bool delivered;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      delivered = loop_alive;
-      if (delivered) queue.push_back(std::move(c));
-    }
+    const bool delivered = completions.Push(std::move(c), /*wake=*/false);
     in_flight.fetch_sub(1, std::memory_order_acq_rel);
     if (delivered) {
-      Wake();
+      completions.Wake();
     } else {
       dropped_responses->Increment();
     }
@@ -122,18 +104,13 @@ struct NetServer::CompletionHub {
 /// \brief Event-loop state; constructed and used only on the loop thread.
 struct NetServer::Loop {
   struct Conn {
-    OwnedFd fd;
+    FramedConn io;
     uint64_t id = 0;
-    std::string rbuf;
-    std::string wbuf;
-    /// Bytes of wbuf already written (prefix compacted lazily).
-    size_t wpos = 0;
     Clock::time_point last_activity;
     /// Wire requests dispatched from this connection, response not yet
-    /// appended to wbuf.
+    /// queued on `io`.
     int64_t in_flight = 0;
     bool close_after_flush = false;
-    bool want_write = false;
   };
 
   NetServer* server;
@@ -161,16 +138,9 @@ struct NetServer::Loop {
     return epoll_ctl(epoll_fd.get(), EPOLL_CTL_ADD, fd, &ev) == 0;
   }
 
-  void ModEpoll(const Conn& c, uint32_t events) {
-    epoll_event ev{};
-    ev.events = events;
-    ev.data.u64 = c.id;
-    epoll_ctl(epoll_fd.get(), EPOLL_CTL_MOD, c.fd.get(), &ev);
-  }
-
   void Run() {
     if (!AddEpoll(server->listener_.get(), 0, EPOLLIN) ||
-        !AddEpoll(hub->wake_fd.get(), 1, EPOLLIN)) {
+        !AddEpoll(hub->completions.fd(), 1, EPOLLIN)) {
       obs::Logf(obs::LogLevel::kError,
                 "net: epoll registration failed: %s", std::strerror(errno));
       return;
@@ -195,7 +165,7 @@ struct NetServer::Loop {
         if (id == 0) {
           HandleAccept();
         } else if (id == 1) {
-          DrainWakeups();
+          DeliverCompletions();
         } else {
           auto it = conns.find(id);
           if (it == conns.end()) continue;  // Closed earlier this batch.
@@ -209,20 +179,11 @@ struct NetServer::Loop {
           if (alive && (events[i].events & EPOLLOUT)) FlushWrites(c);
         }
       }
-      DeliverCompletions();
       SweepIdle();
     }
     // Hand any still-running callbacks off to the drop path before the
     // loop state (and its conn ids) disappears.
-    {
-      std::lock_guard<std::mutex> lock(hub->mu);
-      hub->loop_alive = false;
-      for (auto& c : hub->queue) {
-        (void)c;
-        hub->dropped_responses->Increment();
-      }
-      hub->queue.clear();
-    }
+    hub->dropped_responses->Increment(hub->completions.Close());
     while (!conns.empty()) {
       CloseConn(conns.begin()->second.get(), /*idle=*/false);
     }
@@ -244,12 +205,10 @@ struct NetServer::Loop {
   bool DrainComplete() {
     if (Clock::now() >= drain_deadline) return true;
     if (hub->in_flight.load(std::memory_order_acquire) != 0) return false;
-    {
-      std::lock_guard<std::mutex> lock(hub->mu);
-      if (!hub->queue.empty()) return false;
-    }
+    // Every completion is queued once in_flight reads zero.
+    DeliverCompletions();
     for (const auto& [id, c] : conns) {
-      if (c->wpos < c->wbuf.size()) return false;
+      if (c->io.pending()) return false;
     }
     return true;
   }
@@ -282,10 +241,10 @@ struct NetServer::Loop {
       }
       SetNoDelay(owned.get());
       auto conn = std::make_unique<Conn>();
-      conn->fd = std::move(owned);
+      conn->io = FramedConn(std::move(owned));
       conn->id = next_conn_id++;
       conn->last_activity = Clock::now();
-      if (!AddEpoll(conn->fd.get(), conn->id, EPOLLIN)) {
+      if (!conn->io.Watch(epoll_fd.get(), conn->id)) {
         hub->rejected->Increment();
         continue;
       }
@@ -297,91 +256,65 @@ struct NetServer::Loop {
     }
   }
 
-  void DrainWakeups() {
-    uint64_t v = 0;
-    (void)::read(hub->wake_fd.get(), &v, sizeof(v));
-  }
-
   /// Returns false when the connection was closed.
   bool HandleRead(Conn* c) {
-    char buf[kIoChunkBytes];
-    while (true) {
-      IoOutcome out = ReadSome(c->fd.get(), buf, sizeof(buf));
-      if (out.would_block) break;
-      if (out.n <= 0) {
-        // Peer closed or hard error — mid-frame or not, reclaim
-        // everything; in-flight responses become dropped_responses.
-        CloseConn(c, /*idle=*/false);
-        return false;
-      }
-      c->rbuf.append(buf, static_cast<size_t>(out.n));
-      hub->bytes_in->Increment(static_cast<uint64_t>(out.n));
+    const FramedConn::Transfer in = c->io.ReadFrames(
+        util::DecodeLimits::Default(),
+        [this, c](const FrameHeader& header, const char* payload) {
+          return HandleFrame(c, header, payload);
+        });
+    if (in.bytes > 0) {
+      hub->bytes_in->Increment(in.bytes);
       c->last_activity = Clock::now();
-      if (!ProcessFrames(c)) break;  // Fatal framing error queued.
+    }
+    if (!in.framing.ok() && !c->close_after_flush) {
+      // Bad magic or a bogus length: framing is byte-position-dependent,
+      // with no resynchronization point, so answer once and hang up.
+      hub->decode_failures->Increment();
+      QueueError(c, 0, in.framing);
+      c->close_after_flush = true;
+    }
+    if (in.closed) {
+      // Peer closed or hard error — mid-frame or not, reclaim
+      // everything; in-flight responses become dropped_responses.
+      CloseConn(c, /*idle=*/false);
+      return false;
     }
     return FlushWrites(c);
   }
 
-  /// Parses every complete frame in the read buffer. Returns false once
-  /// the stream is unrecoverable (the close is queued behind the final
-  /// Error frame).
-  bool ProcessFrames(Conn* c) {
-    size_t consumed = 0;
-    bool ok = true;
-    while (!c->close_after_flush) {
-      FrameHeader header;
-      size_t frame_size = 0;
-      auto extracted = TryExtractFrame(
-          c->rbuf.data() + consumed, c->rbuf.size() - consumed,
-          server->config_.decode_limits, &header, &frame_size);
-      if (!extracted.ok()) {
-        // Framing is byte-position-dependent: after bad magic or a bogus
-        // length there is no resynchronization point, so answer once and
-        // hang up.
-        hub->decode_failures->Increment();
-        QueueError(c, 0, extracted.status());
-        c->close_after_flush = true;
-        consumed = c->rbuf.size();
-        ok = false;
-        break;
-      }
-      if (*extracted == ExtractResult::kNeedMore) break;
-      HandleFrame(c, header, c->rbuf.data() + consumed + kFrameHeaderBytes);
-      consumed += frame_size;
-    }
-    if (consumed > 0) c->rbuf.erase(0, consumed);
-    return ok;
-  }
-
-  void HandleFrame(Conn* c, const FrameHeader& header,
-                   const char* payload) {
+  /// A non-OK return stops parsing this connection for good.
+  Status HandleFrame(Conn* c, const FrameHeader& header,
+                     const char* payload) {
     hub->frames_in->Increment();
     switch (header.type) {
       case FrameType::kPing:
         QueueFrame(c, EncodePong(header.request_id));
-        return;
+        break;
       case FrameType::kPong:
-        return;  // Liveness echo reply; nothing to do.
+        break;  // Liveness echo reply; nothing to do.
       case FrameType::kSubmit:
         HandleSubmit(c, header, payload);
-        return;
+        break;
       case FrameType::kResponse:
-      case FrameType::kError:
+      case FrameType::kError: {
         // Server-to-client types arriving at the server mean the peer is
         // confused about its role; the stream has no future.
+        const Status wrong = Status::InvalidArgument(
+            "net: server-bound frame of server-to-client type");
         hub->decode_failures->Increment();
-        QueueError(c, header.request_id,
-                   Status::InvalidArgument(
-                       "net: server-bound frame of server-to-client type"));
+        QueueError(c, header.request_id, wrong);
         c->close_after_flush = true;
-        return;
+        return wrong;
+      }
     }
+    return Status::OK();
   }
 
   void HandleSubmit(Conn* c, const FrameHeader& header,
                     const char* payload) {
     auto submit = DecodeSubmit(payload, header.payload_len,
-                               server->config_.decode_limits);
+                               util::DecodeLimits::Default());
     if (!submit.ok()) {
       // The frame boundary itself was sound, so the stream stays usable:
       // reject just this request.
@@ -436,12 +369,7 @@ struct NetServer::Loop {
   }
 
   void DeliverCompletions() {
-    std::vector<CompletionHub::Completion> batch;
-    {
-      std::lock_guard<std::mutex> lock(hub->mu);
-      batch.swap(hub->queue);
-    }
-    for (auto& done : batch) {
+    for (const CompletionHub::Completion& done : hub->completions.Take()) {
       auto it = conns.find(done.conn_id);
       if (it == conns.end()) {
         // Connection died while the request executed.
@@ -476,45 +404,19 @@ struct NetServer::Loop {
 
   void QueueFrame(Conn* c, const std::string& frame) {
     hub->frames_out->Increment();
-    c->wbuf.append(frame);
+    c->io.Queue(frame);
   }
 
   /// Returns false when the connection was closed.
   bool FlushWrites(Conn* c) {
-    while (c->wpos < c->wbuf.size()) {
-      IoOutcome out = WriteSome(c->fd.get(), c->wbuf.data() + c->wpos,
-                                c->wbuf.size() - c->wpos);
-      if (out.would_block) break;
-      if (out.n <= 0) {
-        CloseConn(c, /*idle=*/false);
-        return false;
-      }
-      c->wpos += static_cast<size_t>(out.n);
-      hub->bytes_out->Increment(static_cast<uint64_t>(out.n));
+    const FramedConn::Transfer out = c->io.Flush();
+    if (out.bytes > 0) {
+      hub->bytes_out->Increment(out.bytes);
       c->last_activity = Clock::now();
     }
-    if (c->wpos == c->wbuf.size()) {
-      c->wbuf.clear();
-      c->wpos = 0;
-      if (c->close_after_flush) {
-        CloseConn(c, /*idle=*/false);
-        return false;
-      }
-      if (c->want_write) {
-        c->want_write = false;
-        ModEpoll(*c, EPOLLIN);
-      }
-    } else {
-      if (c->wpos >= kIoChunkBytes) {
-        // Compact the flushed prefix so a long-lived slow reader does not
-        // pin every byte it was ever sent.
-        c->wbuf.erase(0, c->wpos);
-        c->wpos = 0;
-      }
-      if (!c->want_write) {
-        c->want_write = true;
-        ModEpoll(*c, EPOLLIN | EPOLLOUT);
-      }
+    if (out.closed || (c->close_after_flush && !c->io.pending())) {
+      CloseConn(c, /*idle=*/false);
+      return false;
     }
     return true;
   }
@@ -534,7 +436,7 @@ struct NetServer::Loop {
   }
 
   void CloseConn(Conn* c, bool idle) {
-    epoll_ctl(epoll_fd.get(), EPOLL_CTL_DEL, c->fd.get(), nullptr);
+    c->io.Close();
     hub->closed->Increment();
     if (idle) hub->idle_closed->Increment();
     server->active_connections_.fetch_sub(1, std::memory_order_relaxed);
@@ -556,14 +458,12 @@ Status NetServer::Start() {
   if (loop_thread_.joinable()) loop_thread_.join();
   EF_ASSIGN_OR_RETURN(listener_,
                       ListenTcp(config_.bind_address, config_.port,
-                                config_.listen_backlog, &port_));
+                                kListenBacklog, &port_));
   hub_ = std::make_shared<CompletionHub>();
-  int wake = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (wake < 0) {
+  if (!hub_->completions.Open()) {
     return Status::IOError(util::StrFormat("net: eventfd failed: %s",
                                            std::strerror(errno)));
   }
-  hub_->wake_fd = OwnedFd(wake);
   stop_requested_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   loop_thread_ = std::thread([this] { RunLoop(); });
@@ -596,7 +496,7 @@ void NetServer::RunLoop() {
 Status NetServer::Shutdown() {
   if (!loop_thread_.joinable()) return Status::OK();
   stop_requested_.store(true, std::memory_order_release);
-  hub_->Wake();
+  hub_->completions.Wake();
   loop_thread_.join();
   listener_ = OwnedFd();
   obs::Logf(obs::LogLevel::kInfo, "net: shut down (port %u)",

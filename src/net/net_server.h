@@ -11,7 +11,6 @@
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
-#include "util/bytes.h"
 #include "util/result.h"
 
 namespace errorflow {
@@ -26,7 +25,6 @@ struct NetServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 picks an ephemeral port; read it back via `port()` after Start().
   uint16_t port = 0;
-  int listen_backlog = 512;
   /// Accepts beyond this cap are answered with a best-effort
   /// kResourceExhausted Error frame and closed.
   int64_t max_connections = 4096;
@@ -38,8 +36,6 @@ struct NetServerConfig {
   /// Shutdown() waits at most this long for in-flight requests to finish
   /// and response buffers to flush before force-closing.
   std::chrono::milliseconds drain_timeout{5000};
-  /// Caps applied to every frame decode (payload length, tensor shape).
-  util::DecodeLimits decode_limits;
 };
 
 /// \brief TCP front end for an `InferenceServer`: accepts connections,

@@ -73,10 +73,10 @@ struct IoOutcome {
 
 /// \name Fault-injectable socket I/O.
 ///
-/// Both the server loop and the client library move bytes exclusively
-/// through these wrappers, so the test hook below can truncate a transfer
-/// at an arbitrary byte offset, delay it, or fail it outright on either
-/// side of the wire — the satellite fault-injection surface.
+/// The server loop, the load rig and the client library move bytes
+/// exclusively through these wrappers (by way of net::FramedConn), so the
+/// test hook below can truncate a transfer at an arbitrary byte offset,
+/// delay it, or fail it outright on either side of the wire.
 /// @{
 IoOutcome ReadSome(int fd, char* buf, size_t len);
 IoOutcome WriteSome(int fd, const char* buf, size_t len);

@@ -28,118 +28,57 @@ enum LayerTag : uint8_t {
   kTagGlobalAvgPool = 6,
 };
 
-class Writer {
- public:
-  void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void PutI64(int64_t v) { PutRaw(&v, sizeof(v)); }
-  void PutF32(float v) { PutRaw(&v, sizeof(v)); }
-  void PutString(const std::string& s) {
-    PutI64(static_cast<int64_t>(s.size()));
-    buf_.append(s);
-  }
-  void PutTensor(const Tensor& t) {
-    PutI64(t.ndim());
-    for (int64_t d : t.shape()) PutI64(d);
-    PutRaw(t.data(), static_cast<size_t>(t.size()) * sizeof(float));
-  }
-  std::string Finish() { return std::move(buf_); }
+// A tensor is its rank (i64), each dimension (i64), then its fp32 values.
+void PutTensor(const Tensor& t, util::ByteWriter* w) {
+  w->PutI64(t.ndim());
+  for (int64_t d : t.shape()) w->PutI64(d);
+  w->Raw(t.data(), static_cast<size_t>(t.size()) * sizeof(float));
+}
 
- private:
-  void PutRaw(const void* p, size_t n) {
-    buf_.append(static_cast<const char*>(p), n);
-  }
-  std::string buf_;
-};
-
-// Bounds-check helper used by the Reader accessors. Compares against the
-// bytes *remaining* rather than `pos_ + n`, which would wrap for untrusted
-// lengths near UINT64_MAX and pass the check.
-#define EF_RETURN_NEED(n)                                                   \
-  do {                                                                      \
-    if ((n) > buf_.size() - pos_)                                           \
-      return ::errorflow::Status::Corruption("model buffer truncated");     \
-  } while (0)
-
-class Reader {
- public:
-  explicit Reader(const std::string& buf) : buf_(buf) {}
-
-  Result<uint8_t> GetU8() {
-    EF_RETURN_NEED(1);
-    return static_cast<uint8_t>(buf_[pos_++]);
-  }
-  Result<int64_t> GetI64() {
-    EF_RETURN_NEED(sizeof(int64_t));
-    int64_t v;
-    std::memcpy(&v, buf_.data() + pos_, sizeof(v));
-    pos_ += sizeof(v);
-    return v;
-  }
-  Result<float> GetF32() {
-    EF_RETURN_NEED(sizeof(float));
-    float v;
-    std::memcpy(&v, buf_.data() + pos_, sizeof(v));
-    pos_ += sizeof(v);
-    return v;
-  }
-  Result<std::string> GetString() {
-    EF_ASSIGN_OR_RETURN(int64_t n, GetI64());
-    // The unsigned reinterpretation rejects negative lengths and lengths
-    // beyond the buffer in one comparison — no wrap-prone pos_ + n.
-    EF_RETURN_NEED(static_cast<uint64_t>(n));
-    std::string s(buf_.data() + pos_, static_cast<size_t>(n));
-    pos_ += static_cast<size_t>(n);
-    return s;
-  }
-  Result<Tensor> GetTensor() {
-    EF_ASSIGN_OR_RETURN(int64_t ndim, GetI64());
-    if (ndim < 0 || ndim > 8) return Status::Corruption("bad tensor rank");
-    const util::DecodeLimits& limits = util::DecodeLimits::Default();
-    tensor::Shape shape;
-    // Per-dimension checked product: individually in-range dims can still
-    // overflow 64 bits when multiplied (e.g. [2^28, 2^28, 256] wraps to 0),
-    // which would silently size the buffer read below.
-    uint64_t n = 1;
-    for (int64_t i = 0; i < ndim; ++i) {
-      EF_ASSIGN_OR_RETURN(int64_t d, GetI64());
-      if (d < 0 || d > (1 << 28)) {
-        return Status::Corruption("tensor dimension out of range");
-      }
-      if (!util::CheckedMul(n, static_cast<uint64_t>(d), &n) ||
-          n > limits.max_elements) {
-        return Status::Corruption("tensor element count overflow");
-      }
-      shape.push_back(d);
+Result<Tensor> GetTensor(util::ByteReader* r) {
+  EF_ASSIGN_OR_RETURN(int64_t ndim, r->GetI64());
+  if (ndim < 0 || ndim > 8) return Status::Corruption("bad tensor rank");
+  const util::DecodeLimits& limits = util::DecodeLimits::Default();
+  tensor::Shape shape;
+  // Per-dimension checked product: individually in-range dims can still
+  // overflow 64 bits when multiplied (e.g. [2^28, 2^28, 256] wraps to 0),
+  // which would silently size the buffer read below.
+  uint64_t n = 1;
+  for (int64_t i = 0; i < ndim; ++i) {
+    EF_ASSIGN_OR_RETURN(int64_t d, r->GetI64());
+    if (d < 0 || d > (1 << 28)) {
+      return Status::Corruption("tensor dimension out of range");
     }
-    uint64_t byte_count = 0;
-    if (!util::CheckedMul(n, sizeof(float), &byte_count)) {
-      return Status::Corruption("tensor byte count overflow");
+    if (!util::CheckedMul(n, static_cast<uint64_t>(d), &n) ||
+        n > limits.max_elements) {
+      return Status::Corruption("tensor element count overflow");
     }
-    EF_RETURN_IF_ERROR(limits.CheckAlloc(byte_count, "tensor payload"));
-    EF_RETURN_NEED(byte_count);
-    std::vector<float> values(static_cast<size_t>(n));
-    if (!values.empty()) {  // An empty vector's data() may be null.
-      std::memcpy(values.data(), buf_.data() + pos_,
-                  values.size() * sizeof(float));
-    }
-    pos_ += values.size() * sizeof(float);
-    return Tensor(std::move(shape), std::move(values));
+    shape.push_back(d);
   }
+  uint64_t byte_count = 0;
+  if (!util::CheckedMul(n, sizeof(float), &byte_count)) {
+    return Status::Corruption("tensor byte count overflow");
+  }
+  EF_RETURN_IF_ERROR(limits.CheckAlloc(byte_count, "tensor payload"));
+  // Checked against the bytes left before the vector is sized, so a
+  // truncated payload never authorizes the allocation.
+  if (byte_count > r->remaining()) {
+    return Status::Corruption("model buffer truncated");
+  }
+  std::vector<float> values(static_cast<size_t>(n));
+  EF_RETURN_IF_ERROR(r->GetRaw(values.data(), byte_count));
+  return Tensor(std::move(shape), std::move(values));
+}
 
- private:
-  const std::string& buf_;
-  size_t pos_ = 0;
-};
-
-void WriteLayer(const Layer* layer, Writer* w);
+void WriteLayer(const Layer* layer, util::ByteWriter* w);
 
 void WriteLayerList(const std::vector<std::unique_ptr<Layer>>& layers,
-                    Writer* w) {
+                    util::ByteWriter* w) {
   w->PutI64(static_cast<int64_t>(layers.size()));
   for (const auto& l : layers) WriteLayer(l.get(), w);
 }
 
-void WriteLayer(const Layer* layer, Writer* w) {
+void WriteLayer(const Layer* layer, util::ByteWriter* w) {
   switch (layer->kind()) {
     case LayerKind::kDense: {
       const auto* d = static_cast<const DenseLayer*>(layer);
@@ -148,8 +87,8 @@ void WriteLayer(const Layer* layer, Writer* w) {
       w->PutI64(d->out_features());
       w->PutU8(d->use_psn() ? 1 : 0);
       w->PutF32(d->alpha());
-      w->PutTensor(d->weight());
-      w->PutTensor(d->bias());
+      PutTensor(d->weight(), w);
+      PutTensor(d->bias(), w);
       return;
     }
     case LayerKind::kConv2d: {
@@ -162,8 +101,8 @@ void WriteLayer(const Layer* layer, Writer* w) {
       w->PutI64(c->padding());
       w->PutU8(c->use_psn() ? 1 : 0);
       w->PutF32(c->alpha());
-      w->PutTensor(c->weight());
-      w->PutTensor(c->bias());
+      PutTensor(c->weight(), w);
+      PutTensor(c->bias(), w);
       return;
     }
     case LayerKind::kActivation: {
@@ -193,9 +132,9 @@ void WriteLayer(const Layer* layer, Writer* w) {
   EF_CHECK(false);
 }
 
-Result<std::unique_ptr<Layer>> ReadLayer(Reader* r);
+Result<std::unique_ptr<Layer>> ReadLayer(util::ByteReader* r);
 
-Result<std::vector<std::unique_ptr<Layer>>> ReadLayerList(Reader* r) {
+Result<std::vector<std::unique_ptr<Layer>>> ReadLayerList(util::ByteReader* r) {
   EF_ASSIGN_OR_RETURN(int64_t count, r->GetI64());
   if (count < 0 || count > 100000) {
     return Status::Corruption("bad layer count");
@@ -211,7 +150,7 @@ Result<std::vector<std::unique_ptr<Layer>>> ReadLayerList(Reader* r) {
 // Reads an activation-kind byte; any value that is not an enumerator
 // (including the retired kinds 1, 4 and 5) is corruption, so layers never
 // hold a kind their dispatch does not know.
-Result<ActivationKind> GetActivationKind(Reader* r) {
+Result<ActivationKind> GetActivationKind(util::ByteReader* r) {
   EF_ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
   switch (static_cast<ActivationKind>(kind)) {
     case ActivationKind::kReLU:
@@ -227,7 +166,7 @@ Result<ActivationKind> GetActivationKind(Reader* r) {
 // corrupted) buffer — prevents attacker/bitflip-controlled allocations.
 constexpr int64_t kMaxLayerDim = 1 << 24;
 
-Result<std::unique_ptr<Layer>> ReadLayer(Reader* r) {
+Result<std::unique_ptr<Layer>> ReadLayer(util::ByteReader* r) {
   EF_ASSIGN_OR_RETURN(uint8_t tag, r->GetU8());
   switch (tag) {
     case kTagDense: {
@@ -238,8 +177,8 @@ Result<std::unique_ptr<Layer>> ReadLayer(Reader* r) {
       }
       EF_ASSIGN_OR_RETURN(uint8_t psn, r->GetU8());
       EF_ASSIGN_OR_RETURN(float alpha, r->GetF32());
-      EF_ASSIGN_OR_RETURN(Tensor weight, r->GetTensor());
-      EF_ASSIGN_OR_RETURN(Tensor bias, r->GetTensor());
+      EF_ASSIGN_OR_RETURN(Tensor weight, GetTensor(r));
+      EF_ASSIGN_OR_RETURN(Tensor bias, GetTensor(r));
       // Shapes first: the constructor allocates weight and gradient
       // buffers from the header dims, which only a matching payload makes
       // trustworthy.
@@ -265,8 +204,8 @@ Result<std::unique_ptr<Layer>> ReadLayer(Reader* r) {
       }
       EF_ASSIGN_OR_RETURN(uint8_t psn, r->GetU8());
       EF_ASSIGN_OR_RETURN(float alpha, r->GetF32());
-      EF_ASSIGN_OR_RETURN(Tensor weight, r->GetTensor());
-      EF_ASSIGN_OR_RETURN(Tensor bias, r->GetTensor());
+      EF_ASSIGN_OR_RETURN(Tensor weight, GetTensor(r));
+      EF_ASSIGN_OR_RETURN(Tensor bias, GetTensor(r));
       if (weight.shape() != tensor::Shape{out, in * k * k} ||
           bias.shape() != tensor::Shape{out}) {
         return Status::Corruption("conv weight shape mismatch");
@@ -310,12 +249,10 @@ Result<std::unique_ptr<Layer>> ReadLayer(Reader* r) {
 }  // namespace
 
 std::string SerializeModel(const Model& model) {
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(kMagic[0]));
-  w.PutU8(static_cast<uint8_t>(kMagic[1]));
-  w.PutU8(static_cast<uint8_t>(kMagic[2]));
-  w.PutU8(static_cast<uint8_t>(kMagic[3]));
-  w.PutString(model.name());
+  util::ByteWriter w;
+  w.Raw(kMagic, sizeof(kMagic));
+  // The 8-byte length prefix reads the same as the i64 it always was.
+  w.PutBytes(model.name());
   WriteLayerList(model.layers(), &w);
   return w.Finish();
 }
@@ -324,12 +261,9 @@ Result<Model> DeserializeModel(const std::string& buffer) {
   if (buffer.size() < 4 || std::memcmp(buffer.data(), kMagic, 4) != 0) {
     return Status::Corruption("bad model magic");
   }
-  Reader r(buffer);
-  for (int i = 0; i < 4; ++i) {
-    EF_ASSIGN_OR_RETURN(uint8_t byte, r.GetU8());
-    (void)byte;
-  }
-  EF_ASSIGN_OR_RETURN(std::string name, r.GetString());
+  util::ByteReader r(buffer.data() + 4, buffer.size() - 4);
+  // A negative length reads as a u64 beyond the buffer and is rejected.
+  EF_ASSIGN_OR_RETURN(std::string name, r.GetBytes());
   EF_ASSIGN_OR_RETURN(auto layers, ReadLayerList(&r));
   Model model(name);
   for (auto& l : layers) model.Add(std::move(l));

@@ -112,12 +112,6 @@ Status ModelRegistry::Register(std::string name, nn::Model model,
   model.FoldPsn();
   auto entry = std::make_unique<Entry>(std::move(model), std::move(analysis),
                                        single_input_shape);
-  entry->flops_per_sample = entry->base.FlopsPerSample(single_input_shape);
-  int64_t elems = 1;
-  for (size_t i = 1; i < single_input_shape.size(); ++i) {
-    elems *= single_input_shape[i];
-  }
-  entry->bytes_per_sample = elems * static_cast<int64_t>(sizeof(float));
 
   if (config_.data_driven_quantizer != quant::WeightQuantizer::kMaxAffine &&
       calibration.size() > 0) {

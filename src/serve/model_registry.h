@@ -53,14 +53,12 @@ class ModelRegistry {
   /// and `calibration_samples`.
   explicit ModelRegistry(ServerConfig config = {});
 
-  /// \brief Immutable per-model record: the FP32 base (PSN folded), the
-  /// error-flow analysis used by admission, and the execution-model inputs.
+  /// \brief Immutable per-model record: the FP32 base (PSN folded) and the
+  /// error-flow analysis used by admission.
   struct Entry {
     nn::Model base;
     core::ErrorFlowAnalysis analysis;
     tensor::Shape single_input_shape;
-    int64_t flops_per_sample = 0;
-    int64_t bytes_per_sample = 0;
     /// Calibration batch for the data-driven quantizer (empty when the
     /// registry runs max-affine only). Kept so GetVariant can rematerialize
     /// the variant bit-identically after an eviction or invalidation.

@@ -158,6 +158,14 @@ class ByteReader {
     return shape;
   }
 
+  /// Copies the next `n` bytes into `dst` (which may be null when n == 0).
+  Status GetRaw(void* dst, size_t n) {
+    if (n > remaining()) return Status::Corruption("buffer truncated");
+    if (n > 0) std::memcpy(dst, data_ + pos_, n);
+    pos_ += n;
+    return Status::OK();
+  }
+
   /// Remaining unread bytes (pointer + size), consuming them.
   Result<std::pair<const char*, size_t>> Rest() {
     std::pair<const char*, size_t> out{data_ + pos_, size_ - pos_};

@@ -1,7 +1,5 @@
 #include "core/report.h"
 
-#include <cmath>
-
 #include "gtest/gtest.h"
 #include "nn/builders.h"
 
@@ -28,30 +26,6 @@ TEST(ReportTest, ProfileReportContainsKeySections) {
   EXPECT_NE(report.find("quantization-only QoI bounds"), std::string::npos);
   EXPECT_NE(report.find("fp16"), std::string::npos);
   EXPECT_NE(report.find("compression gain"), std::string::npos);
-}
-
-TEST(ReportTest, BreakdownCoversAllLayers) {
-  ErrorFlowAnalysis analysis = SampleAnalysis();
-  const auto breakdown = QuantTermBreakdown(
-      analysis, quant::NumericFormat::kFP16);
-  EXPECT_EQ(static_cast<int64_t>(breakdown.size()),
-            analysis.LinearLayerCount());
-  for (const LayerContribution& c : breakdown) {
-    EXPECT_GT(c.step_size, 0.0);
-    EXPECT_GE(c.contribution, 0.0);
-  }
-}
-
-TEST(ReportTest, BreakdownApproximatelySumsToTotal) {
-  ErrorFlowAnalysis analysis = SampleAnalysis();
-  const double total = analysis.QuantTerm(quant::NumericFormat::kBF16);
-  double sum = 0.0;
-  for (const LayerContribution& c :
-       QuantTermBreakdown(analysis, quant::NumericFormat::kBF16)) {
-    sum += c.contribution;
-  }
-  // Marginal contributions sum to the total up to sigma~ coupling.
-  EXPECT_NEAR(sum, total, total * 0.05);
 }
 
 TEST(ReportTest, ResidualModelsReportShortcuts) {

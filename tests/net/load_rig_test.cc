@@ -1,5 +1,6 @@
 // The open-loop rig over its in-process transport (straight into
-// InferenceServer::SubmitAsync), and the schedule both transports share.
+// InferenceServer::SubmitAsync), the schedule both transports share, and
+// the socket transport's reassembly and flush under short transfers.
 #include "net/load_rig.h"
 
 #include <chrono>
@@ -142,6 +143,41 @@ TEST(LoadRigTest, TransportsShareTheArrivalSchedule) {
   EXPECT_EQ(socket->submitted, in_process->submitted);
   EXPECT_EQ(socket->offered_rps, in_process->offered_rps);
   EXPECT_EQ(socket->overload_dropped + in_process->overload_dropped, 0u);
+
+  ASSERT_TRUE(inference.Shutdown().ok());
+  ASSERT_TRUE(net.Shutdown().ok());
+}
+
+// The rig's own reassembly and flush over real sockets, with every
+// transfer on both sides of the wire capped at 3 bytes: each frame arrives
+// and leaves in many pieces, and every request must still be answered.
+TEST(LoadRigTest, SocketTransportSurvivesShortTransfers) {
+  serve::InferenceServer inference;
+  ASSERT_TRUE(inference.RegisterModel("mlp", SmallMlp(), {1, 6}).ok());
+  ASSERT_TRUE(inference.Start().ok());
+  NetServerConfig net_cfg;
+  net_cfg.idle_timeout = std::chrono::milliseconds(10000);
+  NetServer net(&inference, net_cfg);
+  ASSERT_TRUE(net.Start().ok());
+
+  LoadConfig cfg;
+  cfg.phases = {{0.3, 400.0}};
+  cfg.requests = {MlpRequest(8)};
+  cfg.seed = 31;
+  cfg.port = net.port();
+  cfg.connections = 3;
+  SetSocketFaultHookForTest([](int, bool, size_t) {
+    SocketFault fault;
+    fault.max_bytes = 3;
+    return fault;
+  });
+  auto stats = RunLoad(cfg);
+  SetSocketFaultHookForTest(nullptr);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->submitted, 0u);
+  EXPECT_EQ(stats->completed, stats->submitted);
+  EXPECT_EQ(stats->connection_errors, 0u);
+  EXPECT_EQ(stats->unanswered, 0u);
 
   ASSERT_TRUE(inference.Shutdown().ok());
   ASSERT_TRUE(net.Shutdown().ok());

@@ -41,8 +41,6 @@ TEST(ModelRegistryTest, RegisterAndLookup) {
   auto entry = registry.Lookup("mlp");
   ASSERT_TRUE(entry.ok());
   EXPECT_EQ((*entry)->single_input_shape, tensor::Shape({1, 6}));
-  EXPECT_GT((*entry)->flops_per_sample, 0);
-  EXPECT_GT((*entry)->bytes_per_sample, 0);
   // The analysis is usable for admission: FP32 has a zero quant bound.
   EXPECT_EQ((*entry)->analysis.Bound(0.0, tensor::Norm::kLinf,
                                      NumericFormat::kFP32),

@@ -233,8 +233,12 @@ TEST(PickParityTest, AdmitMatchesBruteForceWithDataDrivenCandidate) {
       ServerConfig cfg;
       cfg.allowed_formats = allowed;
       AdmissionController controller(cfg);
-      const quant::ExecutionModel exec((*entry)->flops_per_sample,
-                                       (*entry)->bytes_per_sample);
+      const tensor::Shape& shape = (*entry)->single_input_shape;
+      int64_t elems = 1;
+      for (size_t i = 1; i < shape.size(); ++i) elems *= shape[i];
+      const quant::ExecutionModel exec(
+          (*entry)->base.FlopsPerSample(shape),
+          elems * static_cast<int64_t>(sizeof(float)));
       for (double tol : ToleranceGrid(analysis)) {
         for (double frac : {0.1, 0.5, 0.9}) {
           const double budget = tol * frac;

@@ -30,7 +30,8 @@
 //                       [--timeout-ms <ServerConfig default>]
 //                       [--json BENCH_net.json]
 //
-// Global flags, valid with every subcommand:
+// Model cache flag, valid with the subcommands that load a task model
+// (demo-train, run, serve-bench, net-bench):
 //   --model-cache-dir <dir>     model artifact cache (default:
 //                               $ERRORFLOW_CACHE_DIR or ./ef_model_cache)
 //
@@ -41,7 +42,8 @@
 //   --metrics-export-dir <dir>  live exporter: periodically write
 //                               <dir>/metrics.prom (Prometheus text) and
 //                               <dir>/metrics.json (atomic replace)
-//   --metrics-export-interval <seconds>  export period (default 5)
+//   --metrics-export-interval <seconds>  export period (default 5;
+//                               only with --metrics-export-dir)
 //   --log-level debug|info|warn|error
 //   --log-json <path.jsonl>     mirror logs to a JSON-lines file
 //
@@ -53,7 +55,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -113,12 +114,6 @@ struct Args {
     return unread;
   }
 };
-
-// The global and observability flags, valid with every subcommand whether
-// or not it reads them.
-constexpr const char* kGlobalFlags[] = {
-    "model-cache-dir", "metrics-out", "trace-out", "metrics-export-dir",
-    "metrics-export-interval", "log-level", "log-json"};
 
 Args ParseArgs(int argc, char** argv, int first) {
   Args args;
@@ -204,7 +199,7 @@ Result<compress::Backend> ParseBackend(const std::string& name) {
   return Status::InvalidArgument("unknown backend: " + name);
 }
 
-// Global --model-cache-dir flag; empty lets GetTask resolve
+// The --model-cache-dir flag; empty lets GetTask resolve
 // $ERRORFLOW_CACHE_DIR / ./ef_model_cache.
 std::string CacheDir(const Args& args) {
   return args.Get("model-cache-dir", "");
@@ -217,6 +212,20 @@ Result<core::ErrorFlowAnalysis> LoadAnalysis(const std::string& path,
   return core::ErrorFlowAnalysis(core::ProfileModel(model, shape));
 }
 
+// One row per linear layer of `att`: its step, plain and quantized sigma,
+// and its exact share of the bound.
+void PrintLayerShares(const core::BoundAttribution& att) {
+  for (const core::LayerAttribution& row : att.layers) {
+    const double pct =
+        att.total > 0.0 ? 100.0 * row.quant_share / att.total : 0.0;
+    std::printf(
+        "    [%2lld] %-26s q=%.3e  sigma=%.3f  amp=%.3f  share=%.6e "
+        "(%5.1f%%)\n",
+        static_cast<long long>(row.index), row.layer.substr(0, 26).c_str(),
+        row.step_size, row.sigma, row.quantized_sigma, row.quant_share, pct);
+  }
+}
+
 // ----- subcommands -------------------------------------------------------
 
 int CmdInspect(const Args& args) {
@@ -225,12 +234,11 @@ int CmdInspect(const Args& args) {
       LoadAnalysis(args.positional[0], args.Get("input-shape", "1,9"));
   if (!analysis.ok()) return Fail(analysis.status().ToString().c_str());
   std::printf("%s", core::ProfileReport(*analysis).c_str());
-  std::printf("\n  fp16 quantization-term breakdown (marginal):\n");
-  for (const core::LayerContribution& c : core::QuantTermBreakdown(
-           *analysis, quant::NumericFormat::kFP16)) {
-    std::printf("    %-30s q=%.3e  contributes %.3e\n",
-                c.layer.substr(0, 30).c_str(), c.step_size, c.contribution);
-  }
+  const core::BoundAttribution att = analysis->Attribution(
+      0.0, tensor::Norm::kLinf, quant::NumericFormat::kFP16);
+  std::printf("\n  fp16 quantization term %.3e by layer (exact shares):\n",
+              att.quant_term);
+  PrintLayerShares(att);
   return 0;
 }
 
@@ -259,16 +267,7 @@ int CmdBound(const Args& args) {
                 att.compression_term, att.gain, att.input_err_l2);
     std::printf("  quantization term      : %.6e over %zu layers\n",
                 att.quant_term, att.layers.size());
-    for (const core::LayerAttribution& row : att.layers) {
-      const double pct =
-          att.total > 0.0 ? 100.0 * row.quant_share / att.total : 0.0;
-      std::printf(
-          "    [%2lld] %-26s q=%.3e  sigma=%.3f  amp=%.3f  share=%.6e "
-          "(%5.1f%%)\n",
-          static_cast<long long>(row.index),
-          row.layer.substr(0, 26).c_str(), row.step_size, row.sigma,
-          row.quantized_sigma, row.quant_share, pct);
-    }
+    PrintLayerShares(att);
     std::printf("  total                  : %.6e\n", att.total);
   }
   if (args.Has("per-feature")) {
@@ -906,16 +905,15 @@ bool SetupObservability(const Args& args) {
   return true;
 }
 
-// Dumps --metrics-out / --trace-out if requested. Returns false on I/O
-// failure.
-bool ExportObservability(const Args& args) {
+// Dumps --metrics-out / --trace-out if requested (empty paths skip).
+// Returns false on I/O failure.
+bool ExportObservability(const std::string& metrics_out,
+                         const std::string& trace_out) {
   bool ok = true;
-  const std::string metrics_out = args.Get("metrics-out", "");
   if (!metrics_out.empty()) {
     ok &= WriteFileOrWarn(metrics_out,
                           obs::MetricsRegistry::Global().ToJson());
   }
-  const std::string trace_out = args.Get("trace-out", "");
   if (!trace_out.empty()) {
     ok &= WriteFileOrWarn(trace_out, obs::TraceBuffer::Global().ToChromeJson());
   }
@@ -971,11 +969,12 @@ void PrintUsage() {
       "[--rates 200,4000] [--phase-seconds 2] [--connections 32] "
       "[--workers 4] [--queue-cap 256] [--rows 8] [--tol 1e-2] "
       "[--deadline-ms 0] [--timeout-ms 1000] [--json BENCH_net.json]\n"
-      "\nglobal: --model-cache-dir <dir> (default $ERRORFLOW_CACHE_DIR or "
+      "\nmodel cache (demo-train, run, serve-bench, net-bench): "
+      "--model-cache-dir <dir> (default $ERRORFLOW_CACHE_DIR or "
       "./ef_model_cache)\n"
       "\nobservability (any subcommand): --metrics-out <path.json> "
       "--trace-out <path.json> --metrics-export-dir <dir> "
-      "--metrics-export-interval <seconds> --log-level "
+      "[--metrics-export-interval <seconds>] --log-level "
       "debug|info|warn|error --log-json <path.jsonl>\n");
 }
 
@@ -993,6 +992,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::MetricsExporter> exporter =
       StartExporter(args, &export_requested);
   if (export_requested && exporter == nullptr) return 1;
+  const std::string metrics_out = args.Get("metrics-out", "");
+  const std::string trace_out = args.Get("trace-out", "");
   int code = -1;
   if (cmd == "inspect") {
     code = CmdInspect(args);
@@ -1022,13 +1023,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (code == 0) {
-    args.read.insert(std::begin(kGlobalFlags), std::end(kGlobalFlags));
     for (const std::string& name : args.UnreadFlags()) {
       std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
       code = 1;
     }
   }
   if (exporter != nullptr) exporter->Stop();  // Final snapshot.
-  if (!ExportObservability(args) && code == 0) code = 2;
+  if (!ExportObservability(metrics_out, trace_out) && code == 0) code = 2;
   return code;
 }
