@@ -1,8 +1,9 @@
 // GEMM kernel benchmark: new blocked/vectorized/threaded kernels vs the
 // seed's scalar loops on every kernel path this host supports, the h2
 // Dense layers' GemmNT-with-bias per path next to the unfused GemmNT +
-// bias pass it replaced, a GemmNT row-count sweep, a thread-scaling sweep,
-// and the tanh kernel against std::tanh per path.
+// bias pass it replaced, a GemmNT row-count sweep, GemmTN, Gemv and GemvT
+// per path at the shapes production calls, a thread-scaling sweep, and the
+// tanh kernel against std::tanh per path.
 //
 // Usage: bench_gemm [max_threads]
 //
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -217,8 +219,8 @@ int main(int argc, char** argv) {
 
   // GemmNT against a 50-output weight at small row counts, one column per
   // path: the AVX-512 path packs B and runs its 3-row tile only when
-  // m >= k (and the panel fits in 32 KiB), and below that runs the AVX2
-  // dot kernel, as the last column says.
+  // m >= k (and the panel fits in 32 KiB), and below that runs the 8-lane
+  // dot tile every path shares, as the last column says.
   std::printf("\nGemmNT with bias, n = 50, row sweep (best of reps, us):\n");
   std::printf("%4s %4s", "k", "m");
   for (const ef::KernelPath path : paths) {
@@ -239,8 +241,76 @@ int main(int argc, char** argv) {
         std::printf(" %10.3f",
                     TimeIt([&] { ef::GemmNT(x, w, &y, &bias); }, 2000) * 1e6);
       }
-      std::printf(" %12s\n", m >= k ? "3-row tile" : "avx2 dot");
+      std::printf(" %12s\n", m >= k ? "3-row tile" : "8-lane dot");
     }
+  }
+  ef::SetKernelPathForTest(paths.back());
+
+  // GemmTN, Gemv and GemvT at the shapes production calls them, one column
+  // per path. GemmTN: the eurosat conv layers' operator norms
+  // (Conv2dLayer::ApplySingleTranspose on one 32x32 image: m = C*K*K,
+  // n = OH*OW, k = out_ch) and the conv backward's input gradient on a
+  // 32-image training batch (n = 32*OH*OW). Gemv and GemvT: the spectral
+  // power iteration on the h2 Dense weights (m = out, n = in).
+  struct OpShape {
+    const char* op;
+    const char* use;
+    int64_t m, n, k;
+  };
+  const OpShape op_shapes[] = {
+      {"GemmTN", "opnorm stem 3x3", 117, 1024, 8},
+      {"GemmTN", "opnorm 8->8 3x3", 72, 1024, 8},
+      {"GemmTN", "opnorm 16->16 3x3", 144, 256, 16},
+      {"GemmTN", "opnorm 32->32 3x3", 288, 64, 32},
+      {"GemmTN", "opnorm 64->64 3x3", 576, 16, 64},
+      {"GemmTN", "bwd 8->8 3x3", 72, 32768, 8},
+      {"GemmTN", "bwd 16->16 3x3", 144, 8192, 16},
+      {"GemmTN", "bwd 64->64 3x3", 576, 512, 64},
+      {"Gemv", "h2 9->50", 50, 9, 1},
+      {"Gemv", "h2 50->50", 50, 50, 1},
+      {"Gemv", "h2 50->9", 9, 50, 1},
+      {"GemvT", "h2 9->50", 50, 9, 1},
+      {"GemvT", "h2 50->50", 50, 50, 1},
+      {"GemvT", "h2 50->9", 9, 50, 1},
+  };
+  std::printf(
+      "\nGemmTN, Gemv and GemvT at production shapes, 1 thread (best of "
+      "reps, us):\n");
+  std::printf("%-7s %-18s %5s %6s %3s", "op", "use", "m", "n", "k");
+  for (const ef::KernelPath path : paths) {
+    std::printf(" %10s", ef::KernelPathName(path));
+  }
+  std::printf("\n");
+  ef::SetKernelThreads(1);
+  for (const OpShape& s : op_shapes) {
+    const bool tn = std::strcmp(s.op, "GemmTN") == 0;
+    const bool gemv = std::strcmp(s.op, "Gemv") == 0;
+    // GemmTN: A (k x m), B (k x n), C (m x n). Gemv / GemvT: W (m x n).
+    const Tensor a = RandomTensor({tn ? s.k * s.m : s.m * s.n}, 10);
+    const Tensor b = RandomTensor({tn ? s.k * s.n : std::max(s.m, s.n)}, 11);
+    std::vector<float> c(static_cast<size_t>(tn ? s.m * s.n : s.m + s.n));
+    const int64_t flops = 2 * s.m * s.n * s.k;
+    const int reps =
+        static_cast<int>(std::clamp<int64_t>(20000000 / flops, 3, 2000));
+    std::printf("%-7s %-18s %5lld %6lld %3s", s.op, s.use,
+                static_cast<long long>(s.m), static_cast<long long>(s.n),
+                tn ? std::to_string(s.k).c_str() : "-");
+    for (const ef::KernelPath path : paths) {
+      ef::SetKernelPathForTest(path);
+      const double t = TimeIt(
+          [&] {
+            if (tn) {
+              ef::GemmTNKernel(a.data(), b.data(), c.data(), s.m, s.n, s.k);
+            } else if (gemv) {
+              ef::GemvKernel(a.data(), b.data(), c.data(), s.m, s.n);
+            } else {
+              ef::GemvTKernel(a.data(), b.data(), c.data(), s.m, s.n);
+            }
+          },
+          reps);
+      std::printf(" %10.3f", t * 1e6);
+    }
+    std::printf("\n");
   }
   ef::SetKernelPathForTest(paths.back());
 

@@ -38,8 +38,12 @@ void SetKernelParallelFlopThreshold(int64_t flops);
 /// startup: the widest this host supports (docs/PERFORMANCE.md, "Kernel
 /// paths"). All paths produce the same bits: every output runs the same
 /// chain of fused multiply-adds from +0 in the same k order, then one
-/// bias add. On kAvx512, Conv2dKernel, TanhKernel and GemmNTKernel take
-/// 16-lane kernels; the other kernels run their AVX2 code.
+/// bias add. Each kernel's body is written once and compiled per path. On
+/// kAvx512, GemmKernel, GemmTNKernel, GemvTKernel, Conv2dKernel and
+/// TanhKernel run it on 16 lanes, and GemmNTKernel takes its packed-panel
+/// 16-lane tile when m >= k and the panel fits in 32 KiB. GemvKernel and
+/// GemmNTKernel's dot tile stay on 8-lane chains on every path, because
+/// their contract fixes the lane count.
 enum class KernelPath { kPortable, kAvx2, kAvx512 };
 
 /// "portable", "avx2" or "avx512".
@@ -114,9 +118,9 @@ void Conv2dKernel(const float* weight, const float* bias, const float* in,
 /// whose float tanhf is fdlibm's: a port of its float operations
 /// (docs/PERFORMANCE.md, "Activation kernels"). AVX-512 runs it on four
 /// 16-lane vectors at a time, interleaved operation by operation, then on
-/// one vector, then on a masked n % 16 tail; AVX2 runs it on 8 lanes and
-/// std::tanh on the n % 8 tail; the portable path runs std::tanh. `y` may
-/// equal `x`.
+/// one vector, then on a masked n % 16 tail; AVX2 runs it on 8 lanes, then
+/// on a masked n % 8 tail; the portable path runs std::tanh. `y` may equal
+/// `x`.
 void TanhKernel(const float* x, float* y, int64_t n);
 
 /// True when a problem of `flops` floating-point operations would fan out

@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -93,9 +95,12 @@ void ExpectClose(const Tensor& got, const Tensor& want, int64_t k) {
 // Shapes chosen to straddle every micro-kernel edge: the 4-row register
 // tile, the 16/8-wide column tiles, the k-unroll of the dot kernels, and
 // the kKc cache block — plus degenerate m=1 / k=1 / tall / skinny cases.
-// The last five run GemmNT on its packed-panel AVX-512 tile (m >= k): the
-// h2 Dense layers (k = 9, 50; n = 50, 9) at m % 3 = 1, 2, 1 and 0 (the
-// 3-row tile and its one-row tail), and k < 8 with n > 16, n % 16 != 0.
+// Three more straddle the AVX-512 Gemm/GemmTN tile's column steps: n = 32
+// (two 16-lane vectors, no tail), n = 31 (one vector and a 15-lane masked
+// tail) and n = 47 (two vectors and a 15-lane masked tail). The last five
+// run GemmNT on its packed-panel AVX-512 tile (m >= k): the h2 Dense
+// layers (k = 9, 50; n = 50, 9) at m % 3 = 1, 2, 1 and 0 (the 3-row tile
+// and its one-row tail), and k < 8 with n > 16, n % 16 != 0.
 struct GemmShape {
   int64_t m, n, k;
 };
@@ -104,6 +109,7 @@ const GemmShape kShapes[] = {
     {1, 1, 1},    {1, 7, 1},     {1, 1, 300},  {3, 5, 2},    {4, 16, 8},
     {5, 17, 9},   {7, 23, 31},   {8, 8, 257},  {2, 100, 3},  {100, 2, 3},
     {33, 19, 65}, {64, 48, 129}, {1, 64, 300}, {65, 1, 40},  {31, 127, 63},
+    {6, 32, 10},  {5, 31, 7},    {9, 47, 12},
     {37, 50, 9},  {53, 50, 50},  {61, 9, 50},  {48, 50, 9},  {30, 33, 5},
 };
 
@@ -342,12 +348,43 @@ std::vector<float> ReferenceConv(const ConvGeometry& g, const float* weight,
   return out;
 }
 
+// Runs `kernel(inputs, out)` on every kernel path with each input and the
+// output in a mapping of its own, all ending (or all starting) at a
+// PROT_NONE page, and expects the bits of the same call on plain buffers.
+void ExpectInsideGuardPages(
+    const std::vector<const Tensor*>& inputs, int64_t out_n,
+    const std::function<void(const std::vector<const float*>&, float*)>&
+        kernel) {
+  std::vector<const float*> plain;
+  for (const Tensor* t : inputs) plain.push_back(t->data());
+  std::vector<float> want(static_cast<size_t>(out_n));
+  kernel(plain, want.data());
+  for (const bool at_end : {true, false}) {
+    std::vector<std::unique_ptr<GuardedFloats>> guarded;
+    std::vector<const float*> in;
+    for (const Tensor* t : inputs) {
+      const size_t n = static_cast<size_t>(t->size());
+      guarded.push_back(std::make_unique<GuardedFloats>(n, at_end));
+      std::memcpy(guarded.back()->data(), t->data(), n * sizeof(float));
+      in.push_back(guarded.back()->data());
+    }
+    GuardedFloats out(static_cast<size_t>(out_n), at_end);
+    testing::ForEachKernelPath([&] {
+      kernel(in, out.data());
+      EXPECT_EQ(std::memcmp(out.data(), want.data(), out_n * sizeof(float)), 0)
+          << (at_end ? "buffers end at a guard page"
+                     : "buffers start at a guard page");
+    });
+  }
+}
+
 // Masked loads, gathers and masked stores must not touch memory past the
 // input or the output: each geometry's last 16-column block is partial
 // (valid < 16), its input ends (or starts) at a PROT_NONE page and so does
 // its output. Stride 1 with OW == W packs with masked loads that run past
 // the last input float; stride 2 packs with gathers. The same holds for
-// GemmNT's bias, A and C (below).
+// GemmNT's bias, A and C, and for the masked column tails of Gemm, GemmTN,
+// Gemv and GemvT (below).
 TEST(ConvKernelBoundsTest, MaskedLoadsStayInsideGuardPages) {
   const ConvGeometry geometries[] = {
       {1, 3, 5, 7, 5, 3, 1, 1},   // 35 columns: last block valid = 3.
@@ -412,6 +449,33 @@ TEST(ConvKernelBoundsTest, MaskedLoadsStayInsideGuardPages) {
                        : "buffers start at a guard page");
       });
     }
+  }
+  // Gemm, GemmTN, Gemv and GemvT with n % 16 and n % 8 non-zero: the last
+  // columns of B and C (GemvT: of W and y) take the 8- and 16-lane tiles'
+  // masked loads and stores. A, B, x and C each end (or start) at a
+  // PROT_NONE page.
+  const GemmShape tail_shapes[] = {{5, 13, 7}, {9, 43, 20}, {4, 21, 300}};
+  for (const GemmShape& s : tail_shapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "m=" << s.m << " n=" << s.n << " k=" << s.k);
+    const Tensor a = testing::RandomTensor({s.m * s.k}, 19);
+    const Tensor b = testing::RandomTensor({s.k * s.n}, 23);
+    const Tensor w = testing::RandomTensor({s.m * s.n}, 29);
+    const Tensor xn = testing::RandomTensor({s.n}, 31);
+    const Tensor xm = testing::RandomTensor({s.m}, 37);
+    ExpectInsideGuardPages({&a, &b}, s.m * s.n, [&](const auto& in, float* c) {
+      GemmKernel(in[0], in[1], c, s.m, s.n, s.k);
+    });
+    // A is read as (k x m).
+    ExpectInsideGuardPages({&a, &b}, s.m * s.n, [&](const auto& in, float* c) {
+      GemmTNKernel(in[0], in[1], c, s.m, s.n, s.k);
+    });
+    ExpectInsideGuardPages({&w, &xn}, s.m, [&](const auto& in, float* y) {
+      GemvKernel(in[0], in[1], y, s.m, s.n);
+    });
+    ExpectInsideGuardPages({&w, &xm}, s.n, [&](const auto& in, float* y) {
+      GemvTKernel(in[0], in[1], y, s.m, s.n);
+    });
   }
 }
 

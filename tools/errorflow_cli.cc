@@ -30,6 +30,9 @@
 //                       [--timeout-ms <ServerConfig default>]
 //                       [--json BENCH_net.json]
 //
+// `errorflow <subcommand> --help` prints the usage and exits 0 without
+// running the subcommand.
+//
 // Model cache flag, valid with the subcommands that load a task model
 // (demo-train, run, serve-bench, net-bench):
 //   --model-cache-dir <dir>     model artifact cache (default:
@@ -987,6 +990,10 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   const Args args = ParseArgs(argc, argv, 2);
+  if (args.flags.count("help") != 0) {
+    PrintUsage();
+    return 0;
+  }
   if (!SetupObservability(args)) return 1;
   bool export_requested = false;
   std::unique_ptr<obs::MetricsExporter> exporter =
