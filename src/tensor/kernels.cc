@@ -18,11 +18,22 @@
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
-// The x86 paths are compiled under GCC's target pragma, which clang does
-// not take; clang builds run the portable path.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// Each x86 path is compiled inside a target region: GCC's target pragma,
+// or on clang a target attribute pushed onto every function in the region.
+#if defined(__x86_64__) && defined(__GNUC__)
 #define EF_KERNELS_X86 1
 #include <immintrin.h>
+#if defined(__clang__)
+#define EF_TARGET_PUSH(isa) \
+  _Pragma(EF_STR(clang attribute push(__attribute__((target(isa))), \
+                                      apply_to = function)))
+#define EF_TARGET_POP _Pragma("clang attribute pop")
+#else
+#define EF_TARGET_PUSH(isa) \
+  _Pragma("GCC push_options") _Pragma(EF_STR(GCC target(isa)))
+#define EF_TARGET_POP _Pragma("GCC pop_options")
+#endif
+#define EF_STR(x) #x
 #endif
 
 namespace errorflow {
@@ -245,7 +256,9 @@ struct V {
   using I = int32_t;
   using M = bool;
   static constexpr int kLanes = 1;
-  static constexpr int kGemmRows = 4;
+  // Every fma is a libm call, across which each accumulator spills, so a
+  // taller row tile would reuse nothing.
+  static constexpr int kGemmRows = 1;
   static constexpr int kConvRows = 1;
   EF_LANE F Zero() { return 0.0f; }
   EF_LANE F Set1(float x) { return x; }
@@ -313,8 +326,7 @@ void Tanh(const float* x, float* y, int64_t n) {
 // place of masked moves.
 // ---------------------------------------------------------------------------
 
-#pragma GCC push_options
-#pragma GCC target("avx2,fma")
+EF_TARGET_PUSH("avx2,fma")
 
 namespace avx2 {
 
@@ -395,22 +407,23 @@ using V8 = V;
 
 }  // namespace avx2
 
-#pragma GCC pop_options
+EF_TARGET_POP
 
 // ---------------------------------------------------------------------------
 // AVX-512 path (F, DQ, BW, VL): 16 lanes and k-masks. The dot kernels run
 // the AVX2 lane type's 8 lanes, compiled here.
 // ---------------------------------------------------------------------------
 
-#pragma GCC push_options
-#pragma GCC target("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma")
+EF_TARGET_PUSH("avx512f,avx512dq,avx512bw,avx512vl,avx2,fma")
 // GCC 12's avx512fintrin.h builds _mm512_undefined_* from a self-
 // initialized variable, which -Wuninitialized reports in every caller of
 // the intrinsics that use it, and -Wmaybe-uninitialized once such a caller
 // is inlined into the four-vector tanh.
 #pragma GCC diagnostic push
+#if !defined(__clang__)
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
 
 namespace avx512 {
 
@@ -559,7 +572,7 @@ void GemmNTPanelRows(const float* a, const float* panel, const float* bias,
 }  // namespace avx512
 
 #pragma GCC diagnostic pop
-#pragma GCC pop_options
+EF_TARGET_POP
 
 #endif  // EF_KERNELS_X86
 

@@ -350,15 +350,12 @@ std::vector<float> ReferenceConv(const ConvGeometry& g, const float* weight,
 
 // Runs `kernel(inputs, out)` on every kernel path with each input and the
 // output in a mapping of its own, all ending (or all starting) at a
-// PROT_NONE page, and expects the bits of the same call on plain buffers.
+// PROT_NONE page, and expects the bits of `want`.
 void ExpectInsideGuardPages(
-    const std::vector<const Tensor*>& inputs, int64_t out_n,
+    const std::vector<const Tensor*>& inputs, const Tensor& want,
     const std::function<void(const std::vector<const float*>&, float*)>&
         kernel) {
-  std::vector<const float*> plain;
-  for (const Tensor* t : inputs) plain.push_back(t->data());
-  std::vector<float> want(static_cast<size_t>(out_n));
-  kernel(plain, want.data());
+  const size_t out_n = static_cast<size_t>(want.size());
   for (const bool at_end : {true, false}) {
     std::vector<std::unique_ptr<GuardedFloats>> guarded;
     std::vector<const float*> in;
@@ -368,7 +365,7 @@ void ExpectInsideGuardPages(
       std::memcpy(guarded.back()->data(), t->data(), n * sizeof(float));
       in.push_back(guarded.back()->data());
     }
-    GuardedFloats out(static_cast<size_t>(out_n), at_end);
+    GuardedFloats out(out_n, at_end);
     testing::ForEachKernelPath([&] {
       kernel(in, out.data());
       EXPECT_EQ(std::memcmp(out.data(), want.data(), out_n * sizeof(float)), 0)
@@ -379,12 +376,12 @@ void ExpectInsideGuardPages(
 }
 
 // Masked loads, gathers and masked stores must not touch memory past the
-// input or the output: each geometry's last 16-column block is partial
-// (valid < 16), its input ends (or starts) at a PROT_NONE page and so does
-// its output. Stride 1 with OW == W packs with masked loads that run past
-// the last input float; stride 2 packs with gathers. The same holds for
-// GemmNT's bias, A and C, and for the masked column tails of Gemm, GemmTN,
-// Gemv and GemvT (below).
+// inputs or the output: each geometry's last 16-column block is partial
+// (valid < 16), and its input, weight, bias and output each end (or start)
+// at a PROT_NONE page. Stride 1 with OW == W packs with masked loads that
+// run past the last input float; stride 2 packs with gathers. The same
+// holds for GemmNT's bias, A, B and C, and for the masked column tails of
+// Gemm, GemmTN, Gemv and GemvT (below).
 TEST(ConvKernelBoundsTest, MaskedLoadsStayInsideGuardPages) {
   const ConvGeometry geometries[] = {
       {1, 3, 5, 7, 5, 3, 1, 1},   // 35 columns: last block valid = 3.
@@ -403,26 +400,17 @@ TEST(ConvKernelBoundsTest, MaskedLoadsStayInsideGuardPages) {
     const Tensor weight =
         testing::RandomTensor({g.out_ch * g.c * g.k * g.k}, 5);
     const Tensor bias = testing::RandomTensor({g.out_ch}, 7);
-    const std::vector<float> want =
-        ReferenceConv(g, weight.data(), bias.data(), in.data());
-    for (const bool at_end : {true, false}) {
-      GuardedFloats gin(static_cast<size_t>(in_n), at_end);
-      GuardedFloats gout(static_cast<size_t>(out_n), at_end);
-      std::memcpy(gin.data(), in.data(), in_n * sizeof(float));
-      testing::ForEachKernelPath([&] {
-        Conv2dKernel(weight.data(), bias.data(), gin.data(), gout.data(), g);
-        EXPECT_EQ(
-            std::memcmp(gout.data(), want.data(), out_n * sizeof(float)), 0)
-            << (at_end ? "buffers end at a guard page"
-                       : "buffers start at a guard page");
-      });
-    }
+    const Tensor want(
+        {out_n}, ReferenceConv(g, weight.data(), bias.data(), in.data()));
+    ExpectInsideGuardPages(
+        {&weight, &bias, &in}, want, [&](const auto& p, float* out) {
+          Conv2dKernel(p[0], p[1], p[2], out, g);
+        });
   }
   // GemmNT with a bias: the AVX-512 tile reads the bias with one masked
   // load per 16 columns and stores C with masked stores. With n % 16 != 0
-  // the last load and store are partial; the bias, A and C each end (or
-  // start) at a PROT_NONE page. m >= k and a small B keep every shape on
-  // the packed-panel tile.
+  // the last load and store are partial. m >= k and a small B keep every
+  // shape on the packed-panel tile.
   const GemmShape nt_shapes[] = {{7, 9, 5}, {40, 50, 9}, {6, 17, 3}};
   for (const GemmShape& s : nt_shapes) {
     SCOPED_TRACE(::testing::Message()
@@ -433,48 +421,40 @@ TEST(ConvKernelBoundsTest, MaskedLoadsStayInsideGuardPages) {
     Tensor want;
     GemmNT(a, bt, &want);
     want = PlusRowBias(std::move(want), bias);
-    for (const bool at_end : {true, false}) {
-      GuardedFloats ga(static_cast<size_t>(s.m * s.k), at_end);
-      GuardedFloats gbias(static_cast<size_t>(s.n), at_end);
-      GuardedFloats gc(static_cast<size_t>(s.m * s.n), at_end);
-      std::memcpy(ga.data(), a.data(), a.size() * sizeof(float));
-      std::memcpy(gbias.data(), bias.data(), bias.size() * sizeof(float));
-      testing::ForEachKernelPath([&] {
-        GemmNTKernel(ga.data(), bt.data(), gc.data(), s.m, s.n, s.k,
-                     gbias.data());
-        EXPECT_EQ(std::memcmp(gc.data(), want.data(),
-                              want.size() * sizeof(float)),
-                  0)
-            << (at_end ? "buffers end at a guard page"
-                       : "buffers start at a guard page");
-      });
-    }
+    ExpectInsideGuardPages({&a, &bt, &bias}, want,
+                           [&](const auto& p, float* c) {
+                             GemmNTKernel(p[0], p[1], c, s.m, s.n, s.k, p[2]);
+                           });
   }
   // Gemm, GemmTN, Gemv and GemvT with n % 16 and n % 8 non-zero: the last
   // columns of B and C (GemvT: of W and y) take the 8- and 16-lane tiles'
-  // masked loads and stores. A, B, x and C each end (or start) at a
-  // PROT_NONE page.
+  // masked loads and stores.
   const GemmShape tail_shapes[] = {{5, 13, 7}, {9, 43, 20}, {4, 21, 300}};
   for (const GemmShape& s : tail_shapes) {
     SCOPED_TRACE(::testing::Message()
                  << "m=" << s.m << " n=" << s.n << " k=" << s.k);
-    const Tensor a = testing::RandomTensor({s.m * s.k}, 19);
-    const Tensor b = testing::RandomTensor({s.k * s.n}, 23);
-    const Tensor w = testing::RandomTensor({s.m * s.n}, 29);
+    const Tensor a = testing::RandomTensor({s.m, s.k}, 19);
+    const Tensor at = testing::RandomTensor({s.k, s.m}, 19);
+    const Tensor b = testing::RandomTensor({s.k, s.n}, 23);
+    const Tensor w = testing::RandomTensor({s.m, s.n}, 29);
     const Tensor xn = testing::RandomTensor({s.n}, 31);
     const Tensor xm = testing::RandomTensor({s.m}, 37);
-    ExpectInsideGuardPages({&a, &b}, s.m * s.n, [&](const auto& in, float* c) {
-      GemmKernel(in[0], in[1], c, s.m, s.n, s.k);
+    Tensor want;
+    Gemm(a, b, &want);
+    ExpectInsideGuardPages({&a, &b}, want, [&](const auto& p, float* c) {
+      GemmKernel(p[0], p[1], c, s.m, s.n, s.k);
     });
-    // A is read as (k x m).
-    ExpectInsideGuardPages({&a, &b}, s.m * s.n, [&](const auto& in, float* c) {
-      GemmTNKernel(in[0], in[1], c, s.m, s.n, s.k);
+    GemmTN(at, b, &want);
+    ExpectInsideGuardPages({&at, &b}, want, [&](const auto& p, float* c) {
+      GemmTNKernel(p[0], p[1], c, s.m, s.n, s.k);
     });
-    ExpectInsideGuardPages({&w, &xn}, s.m, [&](const auto& in, float* y) {
-      GemvKernel(in[0], in[1], y, s.m, s.n);
+    Gemv(w, xn, &want);
+    ExpectInsideGuardPages({&w, &xn}, want, [&](const auto& p, float* y) {
+      GemvKernel(p[0], p[1], y, s.m, s.n);
     });
-    ExpectInsideGuardPages({&w, &xm}, s.n, [&](const auto& in, float* y) {
-      GemvTKernel(in[0], in[1], y, s.m, s.n);
+    GemvT(w, xm, &want);
+    ExpectInsideGuardPages({&w, &xm}, want, [&](const auto& p, float* y) {
+      GemvTKernel(p[0], p[1], y, s.m, s.n);
     });
   }
 }
